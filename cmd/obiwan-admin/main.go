@@ -39,8 +39,10 @@
 // -interval (poll period) and -count (chunks to print before exiting,
 // 0 = stream until interrupted).
 //
-// The legacy -ping and -objects flags remain as aliases for the
-// corresponding subcommands.
+// metrics, trace, top, watch and slow are client-side views over the
+// site's one telemetry endpoint, Scrape: metrics and top read a chunk
+// taken past the last span, trace and slow drain the span ring from
+// cursor 0 first, watch follows the cursor.
 package main
 
 import (
@@ -62,7 +64,7 @@ import (
 
 // runOpts carries the flag values into run.
 type runOpts struct {
-	maxSpans uint64        // trace/watch/slow: fetch cap (0 = server default)
+	maxSpans uint64        // trace: most recent spans kept (0 = all); slow: traces ranked (0 = 8)
 	topK     uint64        // top: how many hot objects (0 = all tracked)
 	timeout  time.Duration // per-RMI deadline (0 = runtime default)
 	interval time.Duration // watch: poll period
@@ -75,9 +77,7 @@ const exitFindings = 3
 
 func main() {
 	siteAddr := flag.String("site", "", "address of the site to inspect (host:port)")
-	ping := flag.Bool("ping", false, "liveness probe only (alias for the ping subcommand)")
-	objects := flag.Bool("objects", false, "print only the per-object table (alias for the objects subcommand)")
-	maxSpans := flag.Uint64("max", 0, "trace/watch: fetch at most this many recent spans (0 = everything retained)")
+	maxSpans := flag.Uint64("max", 0, "trace: show at most this many recent spans (0 = everything retained); slow: rank at most this many traces (0 = 8)")
 	topK := flag.Uint64("top", 0, "top: show at most this many hot objects (0 = all tracked)")
 	timeout := flag.Duration("timeout", 0, "per-call RMI deadline (0 = runtime default)")
 	interval := flag.Duration("interval", time.Second, "watch: poll period")
@@ -100,12 +100,6 @@ func main() {
 		}
 		cmd = "fleet " + verb
 	}
-	if *ping {
-		cmd = "ping"
-	}
-	if *objects {
-		cmd = "objects"
-	}
 	o := runOpts{
 		maxSpans: *maxSpans, topK: *topK,
 		timeout: *timeout, interval: *interval, count: *count,
@@ -121,6 +115,17 @@ func main() {
 
 // errWatchDone ends a -count bounded watch from inside the subscription.
 var errWatchDone = errors.New("watch done")
+
+// allTracked is the topK that asks a site for every profile it tracks
+// (Scrape reads 0 as its default of 16).
+const allTracked = 1 << 20
+
+// traceDump is the trace view of a drained chunk: the site and the spans
+// its ring retains, oldest first.
+type traceDump struct {
+	Site  string
+	Spans []telemetry.SpanRecord
+}
 
 func run(w io.Writer, siteAddr, cmd string, o runOpts) (int, error) {
 	network := transport.NewTCPNetwork()
@@ -143,32 +148,40 @@ func run(w io.Writer, siteAddr, cmd string, o runOpts) (int, error) {
 		fmt.Fprintf(w, "site %q is alive at %s\n", name, siteAddr)
 		return 0, nil
 	case "metrics":
-		snap, err := client.Metrics()
+		chunk, err := client.Scrape(admin.CursorEnd, 0, 0)
 		if err != nil {
 			return 0, err
 		}
 		if o.jsonOut {
-			return 0, renderJSON(w, snap)
+			return 0, renderJSON(w, chunk.Metrics)
 		}
-		return 0, renderMetrics(w, snap)
+		return 0, renderMetrics(w, chunk.Metrics)
 	case "trace":
-		dump, err := client.Traces(o.maxSpans)
+		chunk, err := client.Drain(0)
 		if err != nil {
 			return 0, err
+		}
+		dump := traceDump{Site: chunk.Site, Spans: chunk.Spans}
+		if n := int(o.maxSpans); n > 0 && len(dump.Spans) > n {
+			dump.Spans = dump.Spans[len(dump.Spans)-n:]
 		}
 		if o.jsonOut {
 			return 0, renderJSON(w, dump)
 		}
 		return 0, renderTraces(w, dump)
 	case "top":
-		snap, err := client.Profile(o.topK)
+		topK := o.topK
+		if topK == 0 {
+			topK = allTracked
+		}
+		chunk, err := client.Scrape(admin.CursorEnd, 0, topK)
 		if err != nil {
 			return 0, err
 		}
 		if o.jsonOut {
-			return 0, renderJSON(w, snap)
+			return 0, renderJSON(w, chunk.Profile)
 		}
-		return 0, renderProfile(w, snap)
+		return 0, renderProfile(w, chunk.Profile)
 	case "flight":
 		dump, err := client.Flight()
 		if err != nil {
@@ -182,11 +195,20 @@ func run(w io.Writer, siteAddr, cmd string, o runOpts) (int, error) {
 	case "watch":
 		return 0, watch(w, client, o)
 	case "slow":
-		chunk, err := client.Slow(o.maxSpans)
+		chunk, err := client.Drain(0)
 		if err != nil {
 			return 0, err
 		}
-		return renderSlow(w, chunk, o.jsonOut)
+		max := int(o.maxSpans)
+		if max == 0 {
+			max = 8
+		}
+		obs := []telemetry.SiteObservation{{Site: chunk.Site, Metrics: chunk.Metrics}}
+		return renderSlow(w, &admin.SlowChunk{
+			Site:      chunk.Site,
+			TakenAtNS: chunk.TakenAtNS,
+			Traces:    telemetry.RankSlow(obs, chunk.Spans, max),
+		}, o.jsonOut)
 	case "fleet top":
 		snap, err := client.Fleet(true)
 		if err != nil {
@@ -286,7 +308,7 @@ func renderSlow(w io.Writer, chunk *admin.SlowChunk, jsonOut bool) (int, error) 
 // lost or duplicated across an outage.
 func watch(w io.Writer, client *admin.Client, o runOpts) error {
 	n := 0
-	err := client.Subscribe(o.interval, nil, func(chunk *admin.WatchChunk, err error) error {
+	err := client.Subscribe(o.interval, nil, func(chunk *admin.ScrapeChunk, err error) error {
 		n++
 		if err != nil {
 			fmt.Fprintf(w, "watch: %v (will retry)\n", err)
@@ -306,7 +328,7 @@ func watch(w io.Writer, client *admin.Client, o runOpts) error {
 
 // renderChunk prints one watch delivery: a summary line, then any spans
 // finished since the previous chunk.
-func renderChunk(w io.Writer, c *admin.WatchChunk) {
+func renderChunk(w io.Writer, c *admin.ScrapeChunk) {
 	fmt.Fprintf(w, "[%s] %s spans=%d cursor=%d",
 		time.Unix(0, c.TakenAtNS).UTC().Format("15:04:05.000"), c.Site, len(c.Spans), c.NextCursor)
 	if c.Missed > 0 {
@@ -361,7 +383,7 @@ func renderMetrics(w io.Writer, snap *telemetry.MetricsSnapshot) error {
 }
 
 // renderTraces assembles the dumped spans into trees and prints each one.
-func renderTraces(w io.Writer, dump *telemetry.TraceDump) error {
+func renderTraces(w io.Writer, dump traceDump) error {
 	if len(dump.Spans) == 0 {
 		fmt.Fprintf(w, "site %q: no finished spans (telemetry disabled or nothing traced yet)\n", dump.Site)
 		return nil

@@ -1,14 +1,14 @@
 package main
 
 import (
-	"encoding/json"
-
 	"bytes"
-	"obiwan/internal/admin"
+	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"obiwan/internal/admin"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/site"
 	"obiwan/internal/telemetry"
@@ -250,5 +250,64 @@ func TestAdminCLISlowJSONAndExitCodes(t *testing.T) {
 	}
 	if snap.Site == "" || len(snap.Counters) == 0 {
 		t.Fatalf("json snapshot empty: %+v", snap)
+	}
+}
+
+// TestAdminCLIJSONKeysAndTraceViews pins the -json surface the fold must
+// not move — the top-level keys of every data subcommand — and checks the
+// span-carrying views against a site that has spans: trace drains them
+// all into trees, -max keeps the most recent, watch follows the cursor.
+func TestAdminCLIJSONKeysAndTraceViews(t *testing.T) {
+	net := transport.NewTCPNetwork()
+	s, err := site.New("127.0.0.1:0", net, site.WithSiteID(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	root := s.Telemetry().StartRoot("outer")
+	s.Telemetry().StartSpan(root.Context(), "inner").End()
+	root.End()
+	s.Telemetry().StartRoot("latest").End()
+
+	for cmd, want := range map[string]string{
+		"report":  "Addr BytesReceived BytesSent CallsSent CallsServed DirtyReplicas FaultsServedFromHeap Masters Name Objects ProxyInsExported ProxyInsReused ProxyOutsCreated ProxyOutsLive ProxyOutsReclaimed RemoteFaults Replicas SendErrors",
+		"metrics": "Counters Gauges Histograms Site TakenAtNS",
+		"trace":   "Site Spans",
+		"top":     "Evicted Objects Site TakenAtNS Tracked",
+		"flight":  "Dropped Events Reason Seq Site TakenAtNS Total",
+		"slow":    "Site TakenAtNS Traces",
+	} {
+		var buf bytes.Buffer
+		if _, err := run(&buf, string(s.Addr()), cmd, runOpts{jsonOut: true}); err != nil {
+			t.Fatalf("%s -json: %v", cmd, err)
+		}
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
+			t.Fatalf("%s -json did not parse: %v\n%s", cmd, err, buf.String())
+		}
+		keys := make([]string, 0, len(obj))
+		for k := range obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, " "); got != want {
+			t.Errorf("%s -json keys:\n got %s\nwant %s", cmd, got, want)
+		}
+	}
+
+	var buf bytes.Buffer
+	if _, err := run(&buf, string(s.Addr()), "trace", runOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "3 finished spans") || !strings.Contains(out, "\n  127.0.0.1:0 inner") {
+		t.Fatalf("trace must print every retained span as trees:\n%s", out)
+	}
+	buf.Reset()
+	if _, err := run(&buf, string(s.Addr()), "trace", runOpts{maxSpans: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "1 finished spans") || !strings.Contains(out, "latest") {
+		t.Fatalf("trace -max 1 must keep the most recent span:\n%s", out)
 	}
 }

@@ -70,13 +70,15 @@ type Service struct {
 	heap   *heap.Heap
 	engine *replication.Engine
 	tel    *telemetry.Hub // nil when the site runs without telemetry
-	fleet  FleetSource    // nil unless the site runs a collector (SetFleet)
+	fleet  FleetSource    // nil unless the site runs a collector
 }
 
 // NewService builds the admin service for one site. hub may be nil, in
-// which case Metrics and Traces report empty snapshots.
-func NewService(name string, rt *rmi.Runtime, h *heap.Heap, eng *replication.Engine, hub *telemetry.Hub) *Service {
-	return &Service{name: name, rt: rt, heap: h, engine: eng, tel: hub}
+// which case Scrape reports an empty chunk; fleet is the site's collector,
+// nil when it runs none. Every exported method of the service is a remote
+// endpoint, so it has no setters.
+func NewService(name string, rt *rmi.Runtime, h *heap.Heap, eng *replication.Engine, hub *telemetry.Hub, fleet FleetSource) *Service {
+	return &Service{name: name, rt: rt, heap: h, engine: eng, tel: hub, fleet: fleet}
 }
 
 // Report assembles the full snapshot.
@@ -134,18 +136,16 @@ func fillGC(r *SiteReport, gc platgc.Stats) {
 // Ping returns the site name; a cheap liveness probe.
 func (s *Service) Ping() string { return s.name }
 
-// Metrics exports the site's live metrics registry. With telemetry off the
-// snapshot is empty but the call still succeeds, so operators can tell
-// "telemetry disabled" apart from "site unreachable".
-func (s *Service) Metrics() *telemetry.MetricsSnapshot {
-	return s.tel.MetricsSnapshot()
-}
-
-// Traces exports up to max recent finished spans (0: everything the ring
-// holds), oldest first, wrapped with the site name for tree assembly and
-// display.
-func (s *Service) Traces(max uint64) *telemetry.TraceDump {
-	return &telemetry.TraceDump{Site: s.name, Spans: s.tel.Spans(int(max))}
+// Flight returns the site's most recent stored flight-recorder dump —
+// taken automatically on ErrUnavailable exhaustion or crash recovery —
+// or, when nothing has been dumped, a live snapshot of the ring. It is a
+// stored post-mortem, not a cursor stream, so it stays out of Scrape.
+func (s *Service) Flight() *telemetry.FlightDump {
+	f := s.tel.Flight()
+	if d, ok := f.LastDump(); ok {
+		return d
+	}
+	return f.Current("live")
 }
 
 // Client queries a remote site's admin service.
@@ -193,26 +193,13 @@ func (c *Client) Report() (*SiteReport, error) {
 	return report, nil
 }
 
-// Metrics fetches the remote metrics snapshot.
-func (c *Client) Metrics() (*telemetry.MetricsSnapshot, error) {
-	res, err := c.call("Metrics")
+// Flight fetches the remote flight-recorder dump.
+func (c *Client) Flight() (*telemetry.FlightDump, error) {
+	res, err := c.call("Flight")
 	if err != nil {
 		return nil, err
 	}
-	snap, ok := res[0].(*telemetry.MetricsSnapshot)
-	if !ok {
-		return nil, errUnexpected(res[0])
-	}
-	return snap, nil
-}
-
-// Traces fetches up to max recent spans from the remote site (0: all).
-func (c *Client) Traces(max uint64) (*telemetry.TraceDump, error) {
-	res, err := c.call("Traces", max)
-	if err != nil {
-		return nil, err
-	}
-	dump, ok := res[0].(*telemetry.TraceDump)
+	dump, ok := res[0].(*telemetry.FlightDump)
 	if !ok {
 		return nil, errUnexpected(res[0])
 	}

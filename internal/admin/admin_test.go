@@ -55,7 +55,7 @@ func TestReportReflectsReplication(t *testing.T) {
 	}
 
 	// Inspect the server from the mobile, and vice versa, over RMI.
-	serverReport, err := mobile.Inspect("server")
+	serverReport, err := mobile.Admin("server").Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestReportReflectsReplication(t *testing.T) {
 		t.Fatalf("server counters: %+v", serverReport)
 	}
 
-	mobileReport, err := server.Inspect("mobile")
+	mobileReport, err := server.Admin("mobile").Report()
 	if err != nil {
 		t.Fatal(err)
 	}

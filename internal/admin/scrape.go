@@ -2,6 +2,7 @@ package admin
 
 import (
 	"errors"
+	"time"
 
 	"obiwan/internal/codec"
 	"obiwan/internal/rmi"
@@ -9,11 +10,13 @@ import (
 	"obiwan/internal/transport"
 )
 
-// This file is the federation surface of the admin service: the
-// cursor-based scrape endpoint a fleet collector pulls from, and the
-// fleet endpoints a collector-bearing site answers with. The scrape
-// rides the same well-known export as the rest of the admin service, so
-// a collector can address any site knowing only its transport address.
+// This file is the telemetry read path of the admin service: the one
+// cursor-based scrape endpoint that fleet collectors, watchers and the
+// obiwan-admin views (metrics, trace, top, watch, slow) all pull from,
+// and the fleet endpoints a collector-bearing site answers with. The
+// scrape rides the same well-known export as the rest of the admin
+// service, so a collector can address any site knowing only its
+// transport address.
 
 // WellKnownID is the object id every site exports its admin service at
 // (after the invalidation sink at 1 and the update sink at 2).
@@ -23,6 +26,10 @@ const WellKnownID rmi.ObjID = 3
 func Ref(addr transport.Addr) rmi.RemoteRef {
 	return rmi.RemoteRef{Addr: addr, ID: WellKnownID, Iface: Iface}
 }
+
+// CursorEnd is a cursor past every span a site will ever commit: a
+// scrape from it carries metrics and profile but no spans.
+const CursorEnd = ^uint64(0)
 
 // ScrapeChunk is one federation pull from a site: the full metrics
 // registry, the top-K hot-object profile, and the spans finished since
@@ -54,8 +61,8 @@ type AlertChunk struct {
 }
 
 // SlowChunk wraps slow-trace results (tail exemplars resolved to their
-// spans) for the wire — one site's, or the fleet's when assembled by a
-// collector.
+// spans): the fleet's on the wire when assembled by a collector, or one
+// site's when ranked client-side from its drained scrape.
 type SlowChunk struct {
 	Site      string
 	TakenAtNS int64
@@ -90,10 +97,6 @@ type FleetSource interface {
 	// Attribution returns the fleet's aggregated critical-path profile.
 	Attribution() *telemetry.AttributionProfile
 }
-
-// SetFleet installs the site's fleet collector. Must be called before
-// the service is exported (the field is read concurrently afterwards).
-func (s *Service) SetFleet(src FleetSource) { s.fleet = src }
 
 // Scrape returns one federation chunk: metrics, the topK hottest object
 // profiles (0: server default of 16), and up to maxSpans spans finished
@@ -142,21 +145,6 @@ func (s *Service) FleetAlerts() (*AlertChunk, error) {
 		Dropped:   dropped,
 		Alerts:    alerts,
 	}, nil
-}
-
-// Slow returns this site's worst recent traced demands: the tail
-// exemplars of its duration histograms resolved against its own span
-// ring (0: server default of 8). With telemetry off the chunk is empty
-// but the call succeeds.
-func (s *Service) Slow(max uint64) *SlowChunk {
-	if max == 0 {
-		max = 8
-	}
-	return &SlowChunk{
-		Site:      s.name,
-		TakenAtNS: s.tel.Now().UnixNano(),
-		Traces:    s.tel.SlowTraces(int(max)),
-	}
 }
 
 // FleetSlow returns the fleet-wide worst recent traced demands from this
@@ -223,20 +211,6 @@ func (c *Client) FleetAlerts() (*AlertChunk, error) {
 	return chunk, nil
 }
 
-// Slow fetches the remote site's worst recent traced demands (0: server
-// default of 8).
-func (c *Client) Slow(max uint64) (*SlowChunk, error) {
-	res, err := c.call("Slow", max)
-	if err != nil {
-		return nil, err
-	}
-	chunk, ok := res[0].(*SlowChunk)
-	if !ok {
-		return nil, errUnexpected(res[0])
-	}
-	return chunk, nil
-}
-
 // FleetSlow fetches the fleet-wide worst traced demands from the remote
 // site's collector.
 func (c *Client) FleetSlow(max uint64) (*SlowChunk, error) {
@@ -263,4 +237,55 @@ func (c *Client) FleetAttribution() (*telemetry.AttributionProfile, error) {
 		return nil, errUnexpected(res[0])
 	}
 	return prof, nil
+}
+
+// drainPage is how many spans Drain asks for per round trip: the default
+// span ring, so an idle site drains in one call plus the empty one.
+const drainPage = 4096
+
+// Drain scrapes from cursor 0 until the cursor stops advancing and
+// returns the last chunk (the freshest metrics and topK profile) with
+// every span the site retains, oldest first, and the evictions summed.
+func (c *Client) Drain(topK uint64) (*ScrapeChunk, error) {
+	var spans []telemetry.SpanRecord
+	var cursor, missed uint64
+	for {
+		chunk, err := c.Scrape(cursor, drainPage, topK)
+		if err != nil {
+			return nil, err
+		}
+		spans = append(spans, chunk.Spans...)
+		missed += chunk.Missed
+		if chunk.NextCursor <= cursor {
+			chunk.Spans, chunk.Missed = spans, missed
+			return chunk, nil
+		}
+		cursor = chunk.NextCursor
+	}
+}
+
+// Subscribe scrapes every interval on the runtime's clock, invoking fn
+// with each chunk (or transport error — delivery resumes when the link
+// heals, without duplicating spans, because the cursor only advances on
+// success). It returns when stop closes or fn returns a non-nil error,
+// which is also Subscribe's return value. The first chunk is fetched
+// immediately.
+func (c *Client) Subscribe(interval time.Duration, stop <-chan struct{}, fn func(*ScrapeChunk, error) error) error {
+	if interval <= 0 {
+		interval = time.Second
+	}
+	clock := c.rt.Clock()
+	var cursor uint64
+	for {
+		chunk, err := c.Scrape(cursor, 0, 0)
+		if err == nil {
+			cursor = chunk.NextCursor
+		}
+		if ferr := fn(chunk, err); ferr != nil {
+			return ferr
+		}
+		if !clock.SleepUntilCancel(clock.Now().Add(interval), stop) {
+			return nil
+		}
+	}
 }

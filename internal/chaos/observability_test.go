@@ -8,7 +8,6 @@ import (
 	"obiwan/internal/admin"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
-	"obiwan/internal/site"
 	"obiwan/internal/telemetry"
 )
 
@@ -28,10 +27,10 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watcher := admin.NewClient(client.Runtime(), site.AdminRef("master"))
+	watcher := client.Admin("master")
 
 	seen := map[uint64]string{} // span id → name, to prove exactly-once
-	deliver := func(chunk *admin.WatchChunk) error {
+	deliver := func(chunk *admin.ScrapeChunk) error {
 		for _, s := range chunk.Spans {
 			if prev, dup := seen[s.SpanID]; dup {
 				return fmt.Errorf("span %x (%s) delivered twice (first as %s)", s.SpanID, s.Name, prev)
@@ -44,7 +43,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	master.Telemetry().StartRoot("before-outage").End()
 	var cursor uint64
 	err = Within(watchdog, func() error {
-		chunk, err := watcher.Watch(cursor, 0)
+		chunk, err := watcher.Scrape(cursor, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -62,7 +61,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	w.Net.Disconnect("client", "master")
 	master.Telemetry().StartRoot("during-outage").End()
 	err = Within(watchdog, func() error {
-		_, err := watcher.Watch(cursor, 0)
+		_, err := watcher.Scrape(cursor, 0, 0)
 		return err
 	})
 	if err == nil {
@@ -74,7 +73,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	w.Net.Reconnect("client", "master")
 	master.Telemetry().StartRoot("after-outage").End()
 	err = Within(watchdog, func() error {
-		chunk, err := watcher.Watch(cursor, 0)
+		chunk, err := watcher.Scrape(cursor, 0, 0)
 		if err != nil {
 			return err
 		}

@@ -302,13 +302,6 @@ func (n *Node) IsLeader() bool {
 	return n.role == leader
 }
 
-// CommitIndex returns the committed frontier of the log.
-func (n *Node) CommitIndex() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.commit
-}
-
 // Gate reports whether this member may serve group state right now: it
 // must lead, hold an unexpired majority lease, and have applied its own
 // term's barrier entry (so its state machine includes everything any

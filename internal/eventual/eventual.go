@@ -49,7 +49,6 @@ package eventual
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -184,17 +183,4 @@ func lookupUpdate(name string) (UpdateFunc, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownUpdateFunc, name)
 	}
 	return fn, nil
-}
-
-// RegisteredUpdates returns the sorted names of all registered update
-// functions (diagnostics).
-func RegisteredUpdates() []string {
-	fnMu.RLock()
-	defer fnMu.RUnlock()
-	out := make([]string, 0, len(fnReg))
-	for name := range fnReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

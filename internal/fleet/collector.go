@@ -11,7 +11,6 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,12 +56,10 @@ type peerState struct {
 // the telemetry merge layer, so one scrape of a quiesced fleet is a
 // deterministic function of fleet state. Safe for concurrent use.
 type Collector struct {
-	rt       *rmi.Runtime
-	topK     int
-	maxSpans uint64
-	timeout  time.Duration
-	rules    []Rule
-	flight   *telemetry.FlightRecorder
+	rt     *rmi.Runtime
+	topK   int
+	rules  []Rule
+	flight *telemetry.FlightRecorder
 
 	mu            sync.Mutex
 	peers         []transport.Addr
@@ -82,22 +79,13 @@ type Collector struct {
 type Option func(*c0)
 
 type c0 struct {
-	topK     int
-	maxSpans uint64
-	timeout  time.Duration
-	rules    []Rule
-	flight   *telemetry.FlightRecorder
+	topK   int
+	rules  []Rule
+	flight *telemetry.FlightRecorder
 }
 
 // WithTopK sets the aggregated hot-object ranking depth (default 16).
 func WithTopK(k int) Option { return func(o *c0) { o.topK = k } }
-
-// WithMaxSpans caps the spans pulled per site per scrape (default 256).
-func WithMaxSpans(n uint64) Option { return func(o *c0) { o.maxSpans = n } }
-
-// WithScrapeTimeout bounds each per-site scrape call (default: the
-// runtime's call timeout).
-func WithScrapeTimeout(d time.Duration) Option { return func(o *c0) { o.timeout = d } }
 
 // WithRules installs the watchdog rule set (default DefaultRules).
 func WithRules(rules []Rule) Option { return func(o *c0) { o.rules = rules } }
@@ -115,13 +103,11 @@ func New(rt *rmi.Runtime, peers []transport.Addr, opts ...Option) *Collector {
 		opt(&cfg)
 	}
 	c := &Collector{
-		rt:       rt,
-		topK:     cfg.topK,
-		maxSpans: cfg.maxSpans,
-		timeout:  cfg.timeout,
-		rules:    cfg.rules,
-		flight:   cfg.flight,
-		states:   make(map[transport.Addr]*peerState),
+		rt:     rt,
+		topK:   cfg.topK,
+		rules:  cfg.rules,
+		flight: cfg.flight,
+		states: make(map[transport.Addr]*peerState),
 	}
 	if m := rt.Telemetry().Metrics(); m != nil {
 		c.droppedCtr = m.Counter("fleet.alerts.dropped")
@@ -139,13 +125,6 @@ func New(rt *rmi.Runtime, peers []transport.Addr, opts ...Option) *Collector {
 	return c
 }
 
-// Peers returns the scrape set, sorted.
-func (c *Collector) Peers() []transport.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]transport.Addr(nil), c.peers...)
-}
-
 // ScrapeOnce pulls every peer (sorted order, cursor-resumed), folds the
 // observations into a fresh fleet snapshot, evaluates the watchdog
 // rules, and returns the aggregate. An unreachable peer keeps its last
@@ -157,14 +136,10 @@ func (c *Collector) ScrapeOnce() *telemetry.FleetSnapshot {
 	c.mu.Unlock()
 
 	for _, peer := range peers {
-		client := admin.NewClient(c.rt, admin.Ref(peer))
-		if c.timeout > 0 {
-			client = client.WithTimeout(c.timeout)
-		}
 		c.mu.Lock()
 		cursor := c.states[peer].cursor
 		c.mu.Unlock()
-		chunk, err := client.Scrape(cursor, c.maxSpans, uint64(c.topK))
+		chunk, err := admin.NewClient(c.rt, admin.Ref(peer)).Scrape(cursor, 0, uint64(c.topK))
 		c.mu.Lock()
 		st := c.states[peer]
 		if err != nil {
@@ -282,72 +257,18 @@ func (c *Collector) FleetAlerts() ([]telemetry.Alert, uint64) {
 }
 
 // FleetSlow implements admin.FleetSource: the fleet's worst recent traced
-// demands. Tail exemplars from every peer's scraped duration histograms
-// are ranked (value descending; site, metric, trace id ascending on ties)
-// and resolved against the collector's span buffer, so each result
-// carries the cross-site spans needed to print its critical path. At most
-// max results (all when max <= 0).
+// demands — the tail exemplars of every peer's metrics as of the last
+// completed scrape round, ranked by telemetry.RankSlow and resolved
+// against the collector's span buffer, so each result carries the
+// cross-site spans needed to print its critical path. At most max
+// results (all when max <= 0).
 func (c *Collector) FleetSlow(max int) []telemetry.SlowTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []telemetry.SlowTrace
-	for _, peer := range c.peers {
-		st := c.states[peer]
-		if st.metrics == nil {
-			continue
-		}
-		for _, hist := range st.metrics.Histograms {
-			if !strings.HasSuffix(hist.Name, "_ns") {
-				continue
-			}
-			for _, ex := range hist.Exemplars {
-				out = append(out, telemetry.SlowTrace{
-					Site: string(peer), Metric: hist.Name,
-					ValueNS: ex.Value, TraceID: ex.TraceID,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.ValueNS != b.ValueNS {
-			return a.ValueNS > b.ValueNS
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		return a.TraceID < b.TraceID
-	})
-	// One entry per trace: the same demand may have been sampled by
-	// several sites' instruments — the fleet ranking keeps its worst
-	// sample only.
-	seen := make(map[uint64]bool, len(out))
-	uniq := out[:0]
-	for _, st := range out {
-		if seen[st.TraceID] {
-			continue
-		}
-		seen[st.TraceID] = true
-		uniq = append(uniq, st)
-	}
-	out = uniq
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	if len(out) == 0 {
+	if c.last == nil {
 		return nil
 	}
-	byTrace := make(map[uint64][]telemetry.SpanRecord)
-	for _, sp := range c.spans {
-		byTrace[sp.TraceID] = append(byTrace[sp.TraceID], sp)
-	}
-	for i := range out {
-		out[i].Spans = byTrace[out[i].TraceID]
-	}
-	return out
+	return telemetry.RankSlow(c.last.Sites, c.spans, max)
 }
 
 // Attribution implements admin.FleetSource: the fleet's aggregated

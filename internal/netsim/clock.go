@@ -39,7 +39,6 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -728,8 +727,3 @@ func (w *WaitGroup) Wait() {
 	}
 	w.mu.Unlock()
 }
-
-// Yield gives other runnable goroutines the processor — a plain
-// runtime.Gosched, exposed here so simulation code does not need to
-// import runtime alongside netsim.
-func Yield() { runtime.Gosched() }

@@ -96,7 +96,6 @@ type Engine struct {
 	reg       *codec.Registry
 	policy    Policy
 	crossover Crossover
-	observer  EventObserver
 	gc        platgc.Accountant
 	tel       *telemetry.Hub
 	prof      *telemetry.Profiler       // nil no-op when tel is nil

@@ -197,10 +197,11 @@ func TestReplicateOnResolvedRefIsNoop(t *testing.T) {
 	}
 }
 
-func TestEventObserverOption(t *testing.T) {
+func TestEventObserverOnFreshEngine(t *testing.T) {
 	master, _ := twoSites(t)
 	var seen int
-	eng := NewEngine(master.rt, master.heap, WithEventObserver(func(Event) { seen++ }))
+	eng := NewEngine(master.rt, master.heap)
+	eng.AddEventObserver(func(Event) { seen++ })
 	obj := &doc{Name: "observed"}
 	if _, err := eng.RegisterMaster(obj); err != nil {
 		t.Fatal(err)
@@ -210,6 +211,6 @@ func TestEventObserverOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if seen == 0 {
-		t.Fatal("observer installed via option never fired")
+		t.Fatal("observer added to a fresh engine never fired")
 	}
 }

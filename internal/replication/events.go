@@ -86,58 +86,40 @@ type obsEntry struct {
 	fn EventObserver
 }
 
-// WithEventObserver installs a protocol trace observer on the engine. It
-// occupies the same replaceable slot as SetEventObserver.
-func WithEventObserver(fn EventObserver) Option {
-	return func(e *Engine) { e.observer = fn }
-}
-
-// SetEventObserver installs (or clears, with nil) the replaceable observer
-// slot at run time. Observers added with AddEventObserver are unaffected.
-func (e *Engine) SetEventObserver(fn EventObserver) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observer = fn
-}
-
-// AddEventObserver registers fn alongside any existing observers — the
-// fan-out path that lets the telemetry exporter, the bench harness, and a
-// test all watch the same engine. The returned function removes fn;
-// calling it more than once is harmless. Observers run synchronously in
-// registration order, after the SetEventObserver slot.
+// AddEventObserver registers fn alongside any existing observers, so a
+// telemetry exporter, the bench harness, and a test can all watch the
+// same engine. The returned function removes fn; calling it more than
+// once is harmless. Observers run synchronously in registration order.
 func (e *Engine) AddEventObserver(fn EventObserver) (remove func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.observerSeq++
 	id := e.observerSeq
-	e.observers = append(e.observers, obsEntry{id: id, fn: fn})
+	// The slice is copied on every change and never written in place, so
+	// emit can walk the one it read without holding the lock or copying.
+	e.observers = append(e.observers[:len(e.observers):len(e.observers)], obsEntry{id: id, fn: fn})
 	return func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		for i, o := range e.observers {
 			if o.id == id {
-				e.observers = append(e.observers[:i], e.observers[i+1:]...)
+				kept := append([]obsEntry(nil), e.observers[:i]...)
+				e.observers = append(kept, e.observers[i+1:]...)
 				return
 			}
 		}
 	}
 }
 
-// emit delivers an event to every observer and folds it into the metrics
-// registry. Observer calls happen outside the engine lock.
+// emit folds an event into the metrics registry and delivers it to every
+// observer. Observer calls happen outside the engine lock.
 func (e *Engine) emit(ev Event) {
 	e.recordEventMetrics(ev)
 	e.mu.Lock()
-	fns := make([]EventObserver, 0, len(e.observers)+1)
-	if e.observer != nil {
-		fns = append(fns, e.observer)
-	}
-	for _, o := range e.observers {
-		fns = append(fns, o.fn)
-	}
+	observers := e.observers
 	e.mu.Unlock()
-	for _, fn := range fns {
-		fn(ev)
+	for _, o := range observers {
+		o.fn(ev)
 	}
 }
 

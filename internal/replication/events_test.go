@@ -33,8 +33,8 @@ func (l *eventLog) byKind(k EventKind) []Event {
 func TestEventTraceOfAWalk(t *testing.T) {
 	master, client := twoSites(t)
 	serverLog, clientLog := &eventLog{}, &eventLog{}
-	master.engine.SetEventObserver(serverLog.observe)
-	client.engine.SetEventObserver(clientLog.observe)
+	master.engine.AddEventObserver(serverLog.observe)
+	client.engine.AddEventObserver(clientLog.observe)
 
 	docs := buildChain(t, master, 4, 8)
 	ref := exportHead(t, master, client, docs[0], GetSpec{Mode: Incremental, Batch: 2})
@@ -80,7 +80,7 @@ func TestEventTraceHeapServedFault(t *testing.T) {
 	// heap and flagged FromHeap.
 	master, client := twoSites(t)
 	clientLog := &eventLog{}
-	client.engine.SetEventObserver(clientLog.observe)
+	client.engine.AddEventObserver(clientLog.observe)
 
 	shared := &doc{Name: "shared"}
 	left := &doc{Name: "left"}
@@ -127,8 +127,8 @@ func TestEventTraceHeapServedFault(t *testing.T) {
 func TestEventTraceOfAPut(t *testing.T) {
 	master, client := twoSites(t)
 	serverLog, clientLog := &eventLog{}, &eventLog{}
-	master.engine.SetEventObserver(serverLog.observe)
-	client.engine.SetEventObserver(clientLog.observe)
+	master.engine.AddEventObserver(serverLog.observe)
+	client.engine.AddEventObserver(clientLog.observe)
 
 	docs := buildChain(t, master, 1, 8)
 	ref := exportHead(t, master, client, docs[0], DefaultSpec)
@@ -189,10 +189,9 @@ func derefDoc(t *testing.T, ref *objmodel.Ref) (*doc, error) {
 func TestAddEventObserverFanOut(t *testing.T) {
 	master, client := twoSites(t)
 
-	// Three observers on the client engine: the legacy slot plus two
-	// fan-out registrations. All must see the same events.
+	// Three observers on the client engine. All must see the same events.
 	slotLog, addLogA, addLogB := &eventLog{}, &eventLog{}, &eventLog{}
-	client.engine.SetEventObserver(slotLog.observe)
+	removeSlot := client.engine.AddEventObserver(slotLog.observe)
 	removeA := client.engine.AddEventObserver(addLogA.observe)
 	removeB := client.engine.AddEventObserver(addLogB.observe)
 
@@ -234,11 +233,11 @@ func TestAddEventObserverFanOut(t *testing.T) {
 	}
 	removeB()
 
-	// The replaceable slot keeps its replace semantics.
-	client.engine.SetEventObserver(nil)
+	// With the last observer gone the engine still emits (to metrics).
+	removeSlot()
 	before := len(slotLog.byKind(EventFaultResolved))
 	fault()
 	if got := len(slotLog.byKind(EventFaultResolved)); got != before {
-		t.Fatalf("cleared slot observer still firing: %d -> %d", before, got)
+		t.Fatalf("removed first observer still firing: %d -> %d", before, got)
 	}
 }

@@ -69,11 +69,6 @@ type JournalReplica struct {
 	Frontier    []FrontierRef
 }
 
-// WithJournal installs the durability journal at construction.
-func WithJournal(j Journal) Option {
-	return func(e *Engine) { e.journal = j }
-}
-
 // SetJournal installs (or clears) the journal at run time. A durable site
 // installs it before any application mutation can occur.
 func (e *Engine) SetJournal(j Journal) {

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"obiwan/internal/consistency"
+	"obiwan/internal/heap"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
+	"obiwan/internal/wal"
 )
 
 // buildDurableChain registers a 3-note chain at s, wires it, marks the
@@ -330,5 +332,77 @@ func TestErrUnavailableChain(t *testing.T) {
 	}
 	if errors.Is(err, replication.ErrUnavailable) {
 		t.Fatalf("an application rejection must not read as unavailability: %v", err)
+	}
+}
+
+// TestDurableRestartKeepsIdentityAndFrontier covers what the retired
+// checkpoint path promised beyond TestDurableSiteRecoversAfterKill: a
+// reborn master mints OIDs clear of the recovered range, its references
+// to objects mastered elsewhere still proxy upstream, replicas it held
+// do not come back as masters, and a WAL directory refuses a site with
+// a different id.
+func TestDurableRestartKeepsIdentityAndFrontier(t *testing.T) {
+	w := newWorld(t)
+	upstream := w.site("upstream")
+	far := &note{Text: "upstream"}
+	if err := upstream.Bind("far", far); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	server := w.site("server", WithDurability(dir), WithSiteID(21))
+	local := &note{Text: "local"}
+	if err := server.Register(local); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if local.Next, err = server.Lookup("far"); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.MarkUpdated(local); err != nil {
+		t.Fatal(err)
+	}
+	// A replica of a second upstream object, held clean at the crash.
+	other := &note{Text: "replicated"}
+	if err := upstream.Bind("other", other); err != nil {
+		t.Fatal(err)
+	}
+	oref, err := server.Lookup("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := objmodel.Deref[*note](oref); err != nil {
+		t.Fatal(err)
+	}
+	le, _ := server.Heap().EntryOf(local)
+	localOID := le.OID
+	server.Kill()
+
+	if _, err := New("server", w.net, WithDurability(dir), WithSiteID(22)); !errors.Is(err, wal.ErrSiteIDMismatch) {
+		t.Fatalf("foreign site id over the WAL dir: %v", err)
+	}
+
+	reborn := w.site("server", WithDurability(dir), WithSiteID(21))
+	recovered := make(map[objmodel.OID]bool)
+	for _, e := range reborn.Heap().Entries() {
+		recovered[e.OID] = true
+		if e.Role == heap.Master && e.OID != localOID {
+			t.Fatalf("entry %v came back as a master", e.OID)
+		}
+	}
+	entry, ok := reborn.Heap().Get(localOID)
+	if !ok {
+		t.Fatalf("master %v not recovered", localOID)
+	}
+	res, err := entry.Obj.(*note).Next.Invoke("Read")
+	if err != nil || res[0] != "upstream" {
+		t.Fatalf("cross-site frontier after rebirth: %v %v", res, err)
+	}
+	fresh := &note{Text: "post-recovery"}
+	if err := reborn.Register(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fe, _ := reborn.Heap().EntryOf(fresh); recovered[fe.OID] {
+		t.Fatalf("fresh OID %v collides with the recovered range", fe.OID)
 	}
 }

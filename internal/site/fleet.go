@@ -11,7 +11,7 @@ import (
 // through this site's own admin endpoints — `obiwan-admin fleet top`
 // and `fleet alerts` — and evaluates the SLO watchdog rules on every
 // scrape, recording violations in this site's flight recorder. Extra
-// fleet options tune the rule set, ranking depth, and scrape timeout.
+// fleet options tune the rule set and ranking depth.
 //
 // The collector is pull-based: nothing is scraped until ScrapeOnce, a
 // fleet endpoint with refresh, or Start(interval) runs the background

@@ -377,15 +377,16 @@ func TestFleetSlowAndAttributionOverRMI(t *testing.T) {
 	hub.Fleet().ScrapeOnce()
 
 	// Per-site: the mobile recorded latency exemplars for its traced
-	// demand faults; its admin Slow endpoint resolves them locally.
-	slow, err := admin.NewClient(mobile.Runtime(), AdminRef("mobile")).Slow(4)
+	// demand faults; its drained chunk resolves them against its own spans.
+	chunk, err := mobile.Admin("mobile").Drain(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slow.Traces) == 0 {
+	slow := telemetry.RankSlow([]telemetry.SiteObservation{{Site: chunk.Site, Metrics: chunk.Metrics}}, chunk.Spans, 4)
+	if len(slow) == 0 {
 		t.Fatal("mobile recorded no slow traces despite traced demand faults")
 	}
-	st := slow.Traces[0]
+	st := slow[0]
 	if st.Site != "mobile" || st.ValueNS <= 0 || len(st.Spans) == 0 {
 		t.Fatalf("slow trace: %+v", st)
 	}

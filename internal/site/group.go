@@ -251,23 +251,6 @@ func (g *Group) WaitLeader(timeout time.Duration) (transport.Addr, error) {
 	return transport.Addr(l), err
 }
 
-// WaitServing blocks until THIS member leads with a live lease and a fully
-// replayed log — i.e. until CheckServe succeeds — or timeout elapses.
-func (g *Group) WaitServing(timeout time.Duration) error {
-	clock := g.site.rt.Clock()
-	deadline := clock.Now().Add(timeout)
-	for {
-		err := g.CheckServe()
-		if err == nil {
-			return nil
-		}
-		if !clock.Now().Add(g.heartbeat).Before(deadline) {
-			return err
-		}
-		clock.Sleep(g.heartbeat)
-	}
-}
-
 // call routes one consensus RPC to a peer's consensus service.
 func (g *Group) call(peer, method string, args ...any) ([]any, error) {
 	ref := rmi.RemoteRef{Addr: transport.Addr(peer), ID: consensusID, Iface: consensus.Iface}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"obiwan/internal/admin"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/telemetry"
@@ -69,10 +70,11 @@ func TestThreeSiteDemandChainProfiles(t *testing.T) {
 
 	// The profiles travel over the admin surface too (alpha inspecting
 	// gamma), hottest first.
-	remote, err := alpha.InspectProfile(gamma.Addr(), 10)
+	chunk, err := alpha.Admin(gamma.Addr()).Scrape(admin.CursorEnd, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	remote := chunk.Profile
 	if remote.Site != "gamma" || len(remote.Objects) < 2 {
 		t.Fatalf("remote profile: %+v", remote)
 	}
@@ -122,22 +124,22 @@ func TestProfileCountsLMIvsRMI(t *testing.T) {
 	}
 }
 
-// TestWatchPeerStreamsSpansOnce: the site-level streaming helper honors
+// TestAdminScrapeStreamsSpansOnce: the site-level admin accessor honors
 // the cursor contract across polls.
-func TestWatchPeerStreamsSpansOnce(t *testing.T) {
+func TestAdminScrapeStreamsSpansOnce(t *testing.T) {
 	w := newWorld(t)
 	server := w.site("server")
 	mobile := w.site("mobile")
 
 	server.Telemetry().StartRoot("first").End()
-	chunk, err := mobile.WatchPeer(server.Addr(), 0, 0)
+	chunk, err := mobile.Admin(server.Addr()).Scrape(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(chunk.Spans) != 1 || chunk.Spans[0].Name != "first" {
 		t.Fatalf("first chunk: %+v", chunk.Spans)
 	}
-	chunk2, err := mobile.WatchPeer(server.Addr(), chunk.NextCursor, 0)
+	chunk2, err := mobile.Admin(server.Addr()).Scrape(chunk.NextCursor, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestRecoveryFlightDump(t *testing.T) {
 
 	// And it is fetchable from a peer.
 	probe := w.site("probe")
-	got, err := probe.InspectFlight(reborn.Addr())
+	got, err := probe.Admin(reborn.Addr()).Flight()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ package site
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -133,8 +132,8 @@ func WithIncarnation(n uint64) Option { return func(o *options) { o.incarnation 
 func WithTelemetry(h *telemetry.Hub) Option { return func(o *options) { o.tel = h } }
 
 // WithoutTelemetry disables tracing and metrics for this site. Every
-// instrument call collapses to a nil-check no-op, and the admin Metrics
-// and Traces endpoints report empty snapshots.
+// instrument call collapses to a nil-check no-op, and the admin Scrape
+// endpoint reports an empty chunk.
 func WithoutTelemetry() Option { return func(o *options) { o.noTel = true } }
 
 // WithoutRuntimeSampler keeps the site from starting the wall-clock go.*
@@ -369,15 +368,13 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 		return nil, fmt.Errorf("site %q: update sink landed at id %d, want %d", name, upRef.ID, updateSinkID)
 	}
 
-	adminSvc := admin.NewService(name, rt, s.heap, s.engine, hub)
+	var fleetSrc admin.FleetSource // stays a nil interface without a collector
 	if len(o.fleetPeers) > 0 {
-		// The collector must be wired before the service is exported:
-		// the fleet endpoints read the source without locking.
 		fleetOpts := append([]fleet.Option{fleet.WithFlight(hub.Flight())}, o.fleetOpts...)
 		s.fleet = fleet.New(rt, o.fleetPeers, fleetOpts...)
-		adminSvc.SetFleet(s.fleet)
+		fleetSrc = s.fleet
 	}
-	adminRef, err := rt.Export(adminSvc, admin.Iface)
+	adminRef, err := rt.Export(admin.NewService(name, rt, s.heap, s.engine, hub, fleetSrc), admin.Iface)
 	if err != nil {
 		_ = rt.Close()
 		return nil, fmt.Errorf("site %q: export admin: %w", name, err)
@@ -461,40 +458,11 @@ const adminID = admin.WellKnownID
 // AdminRef builds the reference to the admin service of the site at addr.
 func AdminRef(addr transport.Addr) rmi.RemoteRef { return admin.Ref(addr) }
 
-// Inspect queries a peer site's admin service from this site.
-func (s *Site) Inspect(addr transport.Addr) (*admin.SiteReport, error) {
-	return admin.NewClient(s.rt, AdminRef(addr)).Report()
-}
-
-// InspectMetrics fetches a peer site's live metrics snapshot. A peer
-// running without telemetry answers with an empty snapshot.
-func (s *Site) InspectMetrics(addr transport.Addr) (*telemetry.MetricsSnapshot, error) {
-	return admin.NewClient(s.rt, AdminRef(addr)).Metrics()
-}
-
-// InspectTraces fetches up to max recent finished spans from a peer site
-// (0: everything its ring retains).
-func (s *Site) InspectTraces(addr transport.Addr, max uint64) (*telemetry.TraceDump, error) {
-	return admin.NewClient(s.rt, AdminRef(addr)).Traces(max)
-}
-
-// InspectProfile fetches a peer site's per-object replication profiles,
-// hottest first (topK 0: all tracked objects).
-func (s *Site) InspectProfile(addr transport.Addr, topK uint64) (*telemetry.ProfileSnapshot, error) {
-	return admin.NewClient(s.rt, AdminRef(addr)).Profile(topK)
-}
-
-// InspectFlight fetches a peer site's flight-recorder dump: the last
-// stored dump if one exists, else a live snapshot.
-func (s *Site) InspectFlight(addr transport.Addr) (*telemetry.FlightDump, error) {
-	return admin.NewClient(s.rt, AdminRef(addr)).Flight()
-}
-
-// WatchPeer fetches one telemetry streaming chunk from a peer site:
-// metrics plus the spans finished since cursor. Feed the chunk's
-// NextCursor back in to stream without duplicates.
-func (s *Site) WatchPeer(addr transport.Addr, cursor uint64, maxSpans uint64) (*admin.WatchChunk, error) {
-	return admin.NewClient(s.rt, AdminRef(addr)).Watch(cursor, maxSpans)
+// Admin returns a client for a peer site's admin service, calling from
+// this site: Report for heap and traffic state, Scrape (or Drain) for
+// every telemetry view, Flight for the last post-mortem dump.
+func (s *Site) Admin(addr transport.Addr) *admin.Client {
+	return admin.NewClient(s.rt, AdminRef(addr))
 }
 
 // hashSiteID derives a stable non-zero 16-bit id from the site name (FNV-1a).
@@ -837,21 +805,4 @@ func (s *Site) RefreshExpired() (int, error) {
 		refreshed++
 	}
 	return refreshed, firstErr
-}
-
-// Checkpoint serializes every master object at this site to w, making the
-// site's object universe durable across process restarts. Replicas are
-// not checkpointed (they re-fetch from their masters); name-server
-// bindings live in the name server and must be re-bound after a restore.
-func (s *Site) Checkpoint(w io.Writer) error {
-	return s.engine.CheckpointMasters(w)
-}
-
-// Restore recreates the master objects of a checkpoint taken with
-// Checkpoint, preserving identities and versions. The site must have been
-// created with the same WithSiteID as the checkpointing incarnation. The
-// restored objects are returned by identity so the application can re-bind
-// its graph roots.
-func (s *Site) Restore(r io.Reader) (map[objmodel.OID]any, error) {
-	return s.engine.RestoreMasters(r)
 }

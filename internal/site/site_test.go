@@ -1,7 +1,6 @@
 package site
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -473,48 +472,5 @@ func TestRegisterAndExportWithoutNames(t *testing.T) {
 	res, err := ref.Invoke("Read")
 	if err != nil || res[0] != "direct" {
 		t.Fatalf("direct descriptor exchange: %v %v", res, err)
-	}
-}
-
-func TestSiteCheckpointRestartRebind(t *testing.T) {
-	// The full restart story: checkpoint, kill the site, bring a new
-	// incarnation up at the same address with the same site id, restore,
-	// re-bind, and have an old client re-lookup and continue.
-	w := newWorld(t)
-	server := w.site("server", WithSiteID(11))
-	n := &note{Text: "durable"}
-	if err := server.Bind("doc", n); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := server.Heap().EntryOf(n)
-	headOID := e.OID
-
-	var ckpt bytes.Buffer
-	if err := server.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	_ = server.Close()
-
-	server2, err := New("server", w.net, WithNameServer("ns"), WithSiteID(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = server2.Close() })
-	restored, err := server2.Restore(bytes.NewReader(ckpt.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server2.Bind("doc", restored[headOID]); err != nil {
-		t.Fatal(err)
-	}
-
-	mobile := w.site("mobile")
-	ref, err := mobile.Lookup("doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ref.Invoke("Read")
-	if err != nil || res[0] != "durable" {
-		t.Fatalf("after restart: %v %v", res, err)
 	}
 }

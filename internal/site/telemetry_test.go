@@ -243,13 +243,16 @@ func TestSiteWithoutTelemetry(t *testing.T) {
 	if _, err := objmodel.Deref[*note](ref); err != nil {
 		t.Fatal(err)
 	}
-	// The admin surface answers with empty snapshots rather than erroring.
-	snap, err := mobile.InspectMetrics(server.Addr())
+	// The admin surface answers with an empty chunk rather than erroring.
+	chunk, err := mobile.Admin(server.Addr()).Scrape(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Counters) != 0 || snap.Site != "" {
+	if snap := chunk.Metrics; len(snap.Counters) != 0 || snap.Site != "" {
 		t.Fatalf("disabled site produced a snapshot: %+v", snap)
+	}
+	if len(chunk.Spans) != 0 || chunk.NextCursor != 0 || len(chunk.Profile.Objects) != 0 {
+		t.Fatalf("disabled site produced spans or profiles: %+v", chunk)
 	}
 }
 
@@ -270,10 +273,11 @@ func TestSiteMetricsOverAdmin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := mobile.InspectMetrics(server.Addr())
+	chunk, err := mobile.Admin(server.Addr()).Scrape(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := chunk.Metrics
 	if snap.Site != "server" {
 		t.Fatalf("snapshot site %q", snap.Site)
 	}
@@ -285,12 +289,8 @@ func TestSiteMetricsOverAdmin(t *testing.T) {
 	}
 
 	// The demand rooted a trace of its own (implicit faults are causal
-	// origins); the dump is visible over the admin surface too.
-	dump, err := mobile.InspectTraces(server.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dump.Spans) == 0 {
-		t.Fatal("server trace dump empty")
+	// origins); its spans ride the same chunk.
+	if len(chunk.Spans) == 0 {
+		t.Fatal("server chunk carries no spans")
 	}
 }

@@ -226,6 +226,79 @@ func (st SlowTrace) Format() string {
 	return b.String()
 }
 
+// RankSlow resolves the tail exemplars of the observed sites' duration
+// histograms ("_ns"-suffixed) against spans: the worst recent traced
+// demands, value descending (site, metric, trace id ascending on ties),
+// one entry per trace (several instruments, or several sites, may have
+// sampled the same demand — the ranking keeps its worst sample only), at
+// most max (all when max <= 0). Each result carries every span of its
+// trace found in spans, so callers can print the annotated critical path
+// without another round trip; a trace whose spans are gone renders a
+// shorter (possibly empty) path rather than failing. One site's scrape
+// chunk and a collector's whole fleet rank through this same function.
+func RankSlow(sites []SiteObservation, spans []SpanRecord, max int) []SlowTrace {
+	var out []SlowTrace
+	for _, obs := range sites {
+		if obs.Metrics == nil {
+			continue
+		}
+		for _, hist := range obs.Metrics.Histograms {
+			if !strings.HasSuffix(hist.Name, "_ns") {
+				continue
+			}
+			for _, ex := range hist.Exemplars {
+				out = append(out, SlowTrace{
+					Site: obs.Site, Metric: hist.Name,
+					ValueNS: ex.Value, TraceID: ex.TraceID,
+				})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.ValueNS != b.ValueNS {
+			return a.ValueNS > b.ValueNS
+		}
+		if a.Site != b.Site {
+			return a.Site < b.Site
+		}
+		if a.Metric != b.Metric {
+			return a.Metric < b.Metric
+		}
+		return a.TraceID < b.TraceID
+	})
+	seen := make(map[uint64]bool, len(out))
+	uniq := out[:0]
+	for _, st := range out {
+		if !seen[st.TraceID] {
+			seen[st.TraceID] = true
+			uniq = append(uniq, st)
+		}
+	}
+	out = uniq
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	// Group only the ranked traces' spans: a collector's buffer holds
+	// thousands of spans for a handful of results.
+	byTrace := make(map[uint64][]SpanRecord, len(out))
+	for _, st := range out {
+		byTrace[st.TraceID] = nil
+	}
+	for _, sp := range spans {
+		if group, ranked := byTrace[sp.TraceID]; ranked {
+			byTrace[sp.TraceID] = append(group, sp)
+		}
+	}
+	for i := range out {
+		out[i].Spans = byTrace[out[i].TraceID]
+	}
+	return out
+}
+
 // AttributionProfile aggregates critical paths into per-phase time
 // distributions: one histogram per phase of per-path phase nanoseconds,
 // plus the "total" histogram of whole-path durations. Like the other

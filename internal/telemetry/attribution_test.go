@@ -340,10 +340,10 @@ func TestAttributionBuilderProfileShares(t *testing.T) {
 	}
 }
 
-// TestHubSlowTraces: tail exemplars resolve against the tracer ring into
-// slow traces that carry their spans, rank canonically, and render the
+// TestRankSlow: tail exemplars resolve against a site's spans into slow
+// traces that carry their spans, rank canonically, and render the
 // annotated critical path byte-identically.
-func TestHubSlowTraces(t *testing.T) {
+func TestRankSlow(t *testing.T) {
 	h := NewHub("alpha", WithClock(fakeClock()))
 	slow := h.StartRoot("fault")
 	slow.Phase(PhaseNet, 900)
@@ -354,7 +354,8 @@ func TestHubSlowTraces(t *testing.T) {
 	h.Metrics().Histogram("rmi.call.latency_ns").ObserveExemplar(10, fast.Context().TraceID)
 	h.Metrics().Histogram("untimed").ObserveExemplar(5000, fast.Context().TraceID) // not _ns: skipped
 
-	got := h.SlowTraces(1)
+	obs := []SiteObservation{{Site: "alpha", Metrics: h.MetricsSnapshot()}, {Site: "unscraped"}}
+	got := RankSlow(obs, h.Spans(0), 1)
 	if len(got) != 1 {
 		t.Fatalf("slow traces: %+v", got)
 	}
@@ -376,8 +377,9 @@ func TestHubSlowTraces(t *testing.T) {
 	}
 
 	var nilHub *Hub
-	if nilHub.SlowTraces(4) != nil {
-		t.Fatal("nil hub returned slow traces")
+	off := []SiteObservation{{Site: "off", Metrics: nilHub.MetricsSnapshot()}}
+	if RankSlow(off, nilHub.Spans(0), 4) != nil {
+		t.Fatal("a disabled hub's snapshot ranked slow traces")
 	}
 }
 

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"strings"
-	"time"
-)
+import "time"
 
 // Hub bundles one site's tracer, metrics registry, per-object profiler,
 // and flight recorder. A nil *Hub is the disabled state: every method
@@ -23,10 +19,8 @@ type Hub struct {
 type HubOption func(*hubConfig)
 
 type hubConfig struct {
-	clock      func() time.Time
-	capacity   int
-	profileCap int
-	flightCap  int
+	clock    func() time.Time
+	capacity int
 }
 
 // WithClock injects the hub's time source — how netsim scenarios keep
@@ -38,18 +32,6 @@ func WithClock(clock func() time.Time) HubOption {
 // WithSpanCapacity sets the finished-span ring size (default 4096).
 func WithSpanCapacity(n int) HubOption {
 	return func(c *hubConfig) { c.capacity = n }
-}
-
-// WithProfileCapacity sets how many objects the profiler tracks
-// (default 256).
-func WithProfileCapacity(n int) HubOption {
-	return func(c *hubConfig) { c.profileCap = n }
-}
-
-// WithFlightCapacity sets the flight recorder's event ring size
-// (default 512).
-func WithFlightCapacity(n int) HubOption {
-	return func(c *hubConfig) { c.flightCap = n }
 }
 
 // NewHub builds the telemetry hub for the named site.
@@ -66,8 +48,8 @@ func NewHub(site string, opts ...HubOption) *Hub {
 		site:     site,
 		tracer:   newTracer(site, clock, cfg.capacity),
 		metrics:  NewMetrics(),
-		profiler: NewProfiler(cfg.profileCap),
-		flight:   newFlightRecorder(site, clock, cfg.flightCap),
+		profiler: NewProfiler(defaultProfileCapacity),
+		flight:   newFlightRecorder(site, clock, defaultFlightCapacity),
 		clock:    clock,
 	}
 }
@@ -160,7 +142,7 @@ func (h *Hub) Spans(max int) []SpanRecord {
 // cursor (a count of spans ever committed), oldest first, plus the
 // cursor to resume from and how many requested spans had already been
 // evicted. Feeding next back in yields each span exactly once — the
-// streaming contract behind the admin Watch endpoint.
+// streaming contract behind the admin Scrape endpoint.
 func (h *Hub) SpansSince(cursor uint64, max int) (spans []SpanRecord, next uint64, missed uint64) {
 	if h == nil {
 		return nil, cursor, 0
@@ -175,67 +157,4 @@ func (h *Hub) ProfileSnapshot(topK int) *ProfileSnapshot {
 		return &ProfileSnapshot{}
 	}
 	return h.profiler.Snapshot(h.site, h.clock().UnixNano(), topK)
-}
-
-// SlowTraces resolves the tail exemplars of every duration histogram
-// ("_ns"-suffixed) against the tracer ring: the worst recent traced
-// demands, value-descending (metric name ascending, trace id ascending on
-// ties), at most max (all when max <= 0). Each result carries every
-// retained span of its trace, so callers can print the annotated
-// critical path without another round trip. Nil when disabled.
-func (h *Hub) SlowTraces(max int) []SlowTrace {
-	if h == nil {
-		return nil
-	}
-	snap := h.metrics.Snapshot(h.site, h.clock().UnixNano())
-	var out []SlowTrace
-	for _, hist := range snap.Histograms {
-		if !strings.HasSuffix(hist.Name, "_ns") {
-			continue
-		}
-		for _, ex := range hist.Exemplars {
-			out = append(out, SlowTrace{
-				Site: h.site, Metric: hist.Name,
-				ValueNS: ex.Value, TraceID: ex.TraceID,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.ValueNS != b.ValueNS {
-			return a.ValueNS > b.ValueNS
-		}
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		return a.TraceID < b.TraceID
-	})
-	// One entry per trace: several instruments (or several observations
-	// on one instrument) may have sampled the same demand — the ranking
-	// keeps its worst sample only.
-	seen := make(map[uint64]bool, len(out))
-	uniq := out[:0]
-	for _, st := range out {
-		if seen[st.TraceID] {
-			continue
-		}
-		seen[st.TraceID] = true
-		uniq = append(uniq, st)
-	}
-	out = uniq
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	spans := h.tracer.Snapshot(0)
-	byTrace := make(map[uint64][]SpanRecord)
-	for _, sp := range spans {
-		byTrace[sp.TraceID] = append(byTrace[sp.TraceID], sp)
-	}
-	for i := range out {
-		out[i].Spans = byTrace[out[i].TraceID]
-	}
-	return out
 }

@@ -196,9 +196,6 @@ func (h *Histogram) exMin() int64 {
 // ObserveDuration records d in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// ObserveSince records the time elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.ObserveDuration(time.Since(start)) }
-
 // snapshot merges all shards into an exported value.
 func (h *Histogram) snapshot(name string) HistogramValue {
 	out := HistogramValue{Name: name}

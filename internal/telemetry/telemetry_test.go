@@ -231,18 +231,17 @@ func TestSnapshotFormatAndCodecRoundTrip(t *testing.T) {
 	sp := h.StartRoot("fault")
 	sp.Annotate("oid", "7")
 	sp.End()
-	dump := &TraceDump{Site: "fmt-site", Spans: h.Spans(0)}
 	e2 := codec.NewEncoder(256)
-	if err := e2.Value(reg, dump); err != nil {
+	if err := e2.Value(reg, &h.Spans(0)[0]); err != nil {
 		t.Fatal(err)
 	}
 	got2, err := codec.NewDecoder(e2.Bytes()).Value(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back2 := got2.(*TraceDump)
-	if len(back2.Spans) != 1 || back2.Spans[0].Name != "fault" || back2.Spans[0].Attrs[0] != "oid=7" {
-		t.Fatalf("trace round trip: %+v", back2)
+	back2 := got2.(*SpanRecord)
+	if back2.Name != "fault" || back2.Attrs[0] != "oid=7" {
+		t.Fatalf("span round trip: %+v", back2)
 	}
 }
 

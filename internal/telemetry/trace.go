@@ -120,13 +120,6 @@ func (r SpanRecord) String() string {
 func init() {
 	codec.MustRegister("obiwan.telemetry.PhaseSegment", PhaseSegment{})
 	codec.MustRegister("obiwan.telemetry.SpanRecord", SpanRecord{})
-	codec.MustRegister("obiwan.telemetry.TraceDump", TraceDump{})
-}
-
-// TraceDump wraps exported spans for RMI transport.
-type TraceDump struct {
-	Site  string
-	Spans []SpanRecord
 }
 
 // Span is an in-progress operation. A nil *Span is the disabled fast

@@ -204,8 +204,6 @@ type (
 	SpanContext = telemetry.SpanContext
 	// MetricsSnapshot is a site's exported metrics state.
 	MetricsSnapshot = telemetry.MetricsSnapshot
-	// TraceDump is a site's exported recent spans.
-	TraceDump = telemetry.TraceDump
 	// ObjectProfile is one object's replication profile: faults, demand
 	// depth and bytes, LMI/RMI split, serve and put accounting.
 	ObjectProfile = telemetry.ObjectProfile
@@ -216,9 +214,10 @@ type (
 	// FlightDump is a stored flight-recorder ring — the last protocol,
 	// retry, and WAL events before a failure or recovery.
 	FlightDump = telemetry.FlightDump
-	// WatchChunk is one streamed telemetry poll: new spans since the
-	// watcher's cursor plus the site's current metrics (Site.WatchPeer).
-	WatchChunk = admin.WatchChunk
+	// ScrapeChunk is one telemetry pull from a site — metrics, top-K
+	// object profiles, and the spans finished since the caller's cursor
+	// (Site.Admin(peer).Scrape). Every view is cut from it.
+	ScrapeChunk = admin.ScrapeChunk
 )
 
 var (
@@ -285,7 +284,7 @@ type (
 	// with WithMasterGroup; identical on every member).
 	GroupConfig = site.GroupConfig
 	// MasterGroup is a grouped site's handle on its group: leadership
-	// queries, WaitLeader/WaitServing, and the consensus node.
+	// queries, WaitLeader, and the consensus node.
 	MasterGroup = site.Group
 	// NotLeaderError is the typed redirect a group follower answers
 	// demands and puts with; Hint names the member to retry against.

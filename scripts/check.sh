@@ -18,6 +18,10 @@ go vet ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== benchmark module (own go.mod)"
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 echo "== experiment smoke run"
 go run ./cmd/obiwan-bench -exp all -quick -list 30 >/dev/null
 

@@ -1,26 +1,36 @@
 #!/usr/bin/env bash
-# lint-wallclock.sh — forbid new direct wall-clock reads.
+# lint-wallclock.sh — forbid new direct wall-clock reads and waits.
 #
 # Everything that runs inside a simulated scenario must take its time
 # from netsim.Clock (or a telemetry hub's injected clock): a stray
-# time.Now() silently breaks virtual-clock byte-determinism — the exact
-# property the BENCH_* regression baselines and the swarm determinism
-# tests gate on. This lint greps for time.Now outside the files that are
-# legitimately wall-clocked and fails CI when a new one appears.
+# time.Now() or time.NewTicker silently breaks virtual-clock
+# byte-determinism — the exact property the BENCH_* regression baselines
+# and the swarm determinism tests gate on — or leaves a waiter sleeping in
+# real time under a virtual clock. This lint greps non-comment code for
+# time.Now, time.Since, time.Sleep, time.After and time.NewTicker outside
+# the files that are legitimately wall-clocked and fails CI when a new
+# one appears.
 #
 # Allowlisted (and why):
-#   internal/netsim/              the clock abstraction itself
+#   internal/netsim/              the clock abstraction itself (real clock, link pacing)
 #   internal/telemetry/hub.go     real-clock fallback when no clock injected
 #   internal/telemetry/trace.go   same fallback for the tracer
 #   internal/telemetry/flight.go  same fallback for the flight recorder
+#   internal/telemetry/runtimebridge.go  samples the Go runtime of this process on a
+#                                 real ticker; deterministic harnesses switch it off
 #   internal/wal/wal.go           fsync timing is real disk time by nature
 #   internal/heap/heap.go         real-clock shim (injected clock otherwise)
 #   internal/qos/qos.go           real-clock shim (injected clock otherwise)
 #   internal/consistency/consistency.go  real-clock shim
-#   internal/swarm/swarm.go       wall-clock speedup figure (wallStart)
+#   internal/chaos/chaos.go       Within: a real-time watchdog, so a hung virtual
+#                                 clock fails the test instead of hanging it
+#   internal/swarm/swarm.go       the same watchdog, and wallStart
+#   internal/swarm/report.go      wall-clock speedup figure (since wallStart)
 #   internal/bench/runners.go     wall-clock experiments (table1, fig4-6)
-#   internal/bench/ablation.go    wall-clock experiments
+#   internal/bench/ablation.go    wall-clock experiments (think time, elapsed)
 #   cmd/obiwan-bench/main.go      per-experiment wall timing for the report
+#   cmd/nameserver/main.go        a real daemon's periodic stats line
+#   benchmark/                    the wall-clock benchmark measures real time
 #   examples/                     examples run on the real clock
 #   *_test.go                     tests may time themselves
 #
@@ -29,14 +39,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight)\.go$|^\./internal/wal/wal\.go$|^\./internal/heap/heap\.go$|^\./internal/qos/qos\.go$|^\./internal/consistency/consistency\.go$|^\./internal/swarm/swarm\.go$|^\./internal/bench/(runners|ablation)\.go$|^\./cmd/obiwan-bench/main\.go$|^\./examples/|_test\.go$'
+allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight|runtimebridge)\.go$|^\./internal/wal/wal\.go$|^\./internal/heap/heap\.go$|^\./internal/qos/qos\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/(runners|ablation)\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
 
-bad=$(grep -rn 'time\.Now' --include='*.go' . | grep -Ev "^($allow)" || true)
-# grep -n output is file:line:text; re-filter on the file field alone.
-bad=$(printf '%s\n' "$bad" | awk -F: -v allow="$allow" '$1 !~ allow' | grep . || true)
+# grep -n output is file:line:text; filter on the file field alone, and
+# drop lines that are only a comment.
+bad=$(grep -rnE 'time\.(Now|Since|Sleep|After|NewTicker)\b' --include='*.go' . |
+    awk -F: -v allow="$allow" '$1 !~ allow' | grep -Ev '^[^:]+:[0-9]+:[[:space:]]*//' || true)
 
 if [ -n "$bad" ]; then
-    echo "lint-wallclock: direct time.Now outside the allowlist:" >&2
+    echo "lint-wallclock: direct wall-clock read or wait outside the allowlist:" >&2
     printf '%s\n' "$bad" >&2
     echo "Use the component's netsim.Clock (or injected hub clock); if this" >&2
     echo "file is legitimately wall-clocked, add it to scripts/lint-wallclock.sh" >&2
