@@ -190,7 +190,7 @@ type Node struct {
 	}
 
 	mu               sync.Mutex
-	cond             *netsim.Cond // all waits: submit, WaitLeader, peer senders
+	cond             netsim.Cond // all waits: submit, WaitLeader, peer senders
 	rng              *rand.Rand
 	role             role
 	term             uint64
@@ -255,7 +255,7 @@ func New(cfg Config) (*Node, error) {
 		lastSend:   make(map[string]time.Time),
 		closed:     make(chan struct{}),
 	}
-	n.cond = netsim.NewCond(n.clock, &n.mu)
+	n.cond.Init(n.clock, &n.mu)
 	n.met.elections = cfg.Metrics.Counter("consensus.elections")
 	n.met.heartbeats = cfg.Metrics.Counter("consensus.heartbeats")
 	n.met.term = cfg.Metrics.Gauge("consensus.term")

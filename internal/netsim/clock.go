@@ -603,11 +603,12 @@ type Cond struct {
 	waiting int
 }
 
-// NewCond returns a Cond bound to clock whose lock is l.
-func NewCond(clock Clock, l sync.Locker) *Cond {
-	cd := &Cond{clock: clock}
+// Init binds cd to clock with l as its lock. It must be called once,
+// before first use; a Cond is meant to be embedded by value next to the
+// mutex it guards, so a waiter costs one heap object, not two.
+func (cd *Cond) Init(clock Clock, l sync.Locker) {
+	cd.clock = clock
 	cd.c.L = l
-	return cd
 }
 
 // Wait atomically releases the lock (and, under a virtual clock, the
@@ -691,14 +692,14 @@ func (cd *Cond) Broadcast() {
 // without wedging the event scheduler.
 type WaitGroup struct {
 	mu   sync.Mutex
-	cond *Cond
+	cond Cond
 	n    int
 }
 
 // NewWaitGroup returns a WaitGroup bound to clock.
 func NewWaitGroup(clock Clock) *WaitGroup {
 	w := &WaitGroup{}
-	w.cond = NewCond(clock, &w.mu)
+	w.cond.Init(clock, &w.mu)
 	return w
 }
 

@@ -127,7 +127,8 @@ func TestCondTransfersToken(t *testing.T) {
 	defer c.Stop()
 
 	var mu sync.Mutex
-	cond := NewCond(c, &mu)
+	var cond Cond
+	cond.Init(c, &mu)
 	var queue []int
 	var got []int
 

@@ -13,18 +13,28 @@ import (
 // benchPair builds two connected runtimes over a zero-latency link, so
 // the numbers measure the RMI machinery itself (marshalling, dispatch,
 // multiplexing) rather than simulated propagation.
-func benchPair(b *testing.B) (*Runtime, *Runtime) {
-	b.Helper()
-	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
-	server, err := NewRuntime(net, "server")
+func benchPair(tb testing.TB) (*Runtime, *Runtime) {
+	tb.Helper()
+	return pairOn(tb, transport.NewMemNetwork(netsim.Profile{Name: "zero"}), "server", "client")
+}
+
+// tcpPair is benchPair over TCP loopback, on kernel-chosen ports.
+func tcpPair(tb testing.TB) (*Runtime, *Runtime) {
+	tb.Helper()
+	return pairOn(tb, transport.NewTCPNetwork(), "127.0.0.1:0", "127.0.0.1:0")
+}
+
+func pairOn(tb testing.TB, net transport.Network, serverAddr, clientAddr transport.Addr) (*Runtime, *Runtime) {
+	tb.Helper()
+	server, err := NewRuntime(net, serverAddr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	client, err := NewRuntime(net, "client")
+	client, err := NewRuntime(net, clientAddr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		_ = client.Close()
 		_ = server.Close()
 	})
@@ -33,6 +43,17 @@ func benchPair(b *testing.B) (*Runtime, *Runtime) {
 
 func BenchmarkCallNull(b *testing.B) {
 	server, client := benchPair(b)
+	benchCallNull(b, server, client)
+}
+
+// BenchmarkCallNullTCP is the same call over TCP loopback: the mem figure
+// plus two framed writes, two framed reads and the kernel's socket path.
+func BenchmarkCallNullTCP(b *testing.B) {
+	server, client := tcpPair(b)
+	benchCallNull(b, server, client)
+}
+
+func benchCallNull(b *testing.B, server, client *Runtime) {
 	ref, err := server.Export(&calculator{}, "Calculator")
 	if err != nil {
 		b.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // connection death all land here and wake the caller with a token.
 type replyWaiter struct {
 	mu       sync.Mutex
-	cond     *netsim.Cond
+	cond     netsim.Cond
 	msg      any // *wire.Reply, *wire.Fault, or error
 	has      bool
 	timedOut bool
@@ -28,7 +28,7 @@ type replyWaiter struct {
 
 func newReplyWaiter(clock netsim.Clock) *replyWaiter {
 	w := &replyWaiter{}
-	w.cond = netsim.NewCond(clock, &w.mu)
+	w.cond.Init(clock, &w.mu)
 	return w
 }
 
@@ -265,10 +265,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 	if ref.IsZero() {
 		return nil, 0, fmt.Errorf("rmi: call %s on zero reference", method)
 	}
-	rt.mu.Lock()
-	rt.nextSeq++
-	id := rt.nextSeq
-	rt.mu.Unlock()
+	id := rt.nextSeq.Add(1)
 
 	// A client span is minted only for calls that already have a causal
 	// parent: unparented plumbing traffic (nameserver lookups, pings) stays

@@ -27,14 +27,14 @@ const maxDedupePerClient = 4096
 // timer to make progress).
 type dedupeEntry struct {
 	mu    sync.Mutex
-	cond  *netsim.Cond
+	cond  netsim.Cond
 	frame []byte
 	done  bool
 }
 
 func newDedupeEntry(clock netsim.Clock) *dedupeEntry {
 	e := &dedupeEntry{}
-	e.cond = netsim.NewCond(clock, &e.mu)
+	e.cond.Init(clock, &e.mu)
 	return e
 }
 

@@ -1,0 +1,113 @@
+package rmi
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"obiwan/internal/raceflag"
+)
+
+// nullCallAllocs is the allocation count of one null call over the
+// zero-latency mem transport, both sides included. It only ever goes
+// down: lower it when a change removes an allocation, so the win is
+// locked in. (27 before the embedded Cond, the atomic call id and the
+// single serve closure.)
+const nullCallAllocs = 24
+
+func TestNullCallAllocationsPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	server, client := benchPair(t) // zero-latency mem transport
+	ref, err := server.Export(&calculator{}, "Calculator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(2000, func() {
+		if _, err := client.Call(ref, "Total"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > nullCallAllocs {
+		t.Fatalf("null call allocates %.1f objects, pinned at %d", got, nullCallAllocs)
+	}
+}
+
+// TestCallIDsUniqueUnderConcurrency: call ids come from an atomic counter,
+// not from under rt.mu. Eight callers share one runtime; had two calls
+// drawn the same id, the server's dedupe table would have answered the
+// second from the first's reply (DupsSuppressed > 0, fewer served, a
+// short total) and the counter would have lost an increment.
+func TestCallIDsUniqueUnderConcurrency(t *testing.T) {
+	server, client, _ := newPair(t)
+	calc := &calculator{}
+	ref, err := server.Export(calc, "Calculator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, each = 8, 1000
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := client.Call(ref, "Accumulate", int64(1)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const calls = callers * each
+	if got := client.nextSeq.Load(); got != calls {
+		t.Fatalf("drew %d call ids for %d calls", got, calls)
+	}
+	if got := calc.Total(); got != calls {
+		t.Fatalf("handler ran %d times, want %d", got, calls)
+	}
+	cs, ss := client.Stats(), server.Stats()
+	if cs.CallsSent != calls || cs.Retries != 0 || ss.CallsServed != calls || ss.DupsSuppressed != 0 {
+		t.Fatalf("exactly-once counters moved: client %+v server %+v", cs, ss)
+	}
+}
+
+// TestConcurrentCallsOverTCPInterleaveNoFrames: eight callers share one
+// TCP connection each way, serialized by the client conn's sendMu and the
+// server conn's reply sendMu. Every echo must come back whole and to its
+// own caller; payload sizes sit on both sides of the 4 KiB read buffer.
+func TestConcurrentCallsOverTCPInterleaveNoFrames(t *testing.T) {
+	server, client := tcpPair(t)
+	ref, err := server.Export(&calculator{}, "Calculator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, each = 8, 100
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			key := fmt.Sprintf("caller-%d", c)
+			payload := bytes.Repeat([]byte{byte(c + 1)}, 10+c*1500)
+			for i := 0; i < each; i++ {
+				res, err := client.Call(ref, "Echo", key, payload)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res[0] != key || !bytes.Equal(res[1].([]byte), payload) {
+					t.Errorf("caller %d call %d: reply is not its own echo", c, i)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := len(client.conns); got != 1 {
+		t.Fatalf("connection pool size %d, want 1", got)
+	}
+}

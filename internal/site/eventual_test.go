@@ -10,6 +10,7 @@ import (
 	"obiwan/internal/eventual"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
+	"obiwan/internal/raceflag"
 	"obiwan/internal/rmi"
 	"obiwan/internal/transport"
 )
@@ -226,6 +227,9 @@ func TestLeaseDeterministicUnderVirtualClock(t *testing.T) {
 // leaks in by construction order), and a plain site carries none of the
 // eventual machinery.
 func TestEventualDisabledPutPathAllocParity(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
 	measure := func() float64 {
 		w := newWorld(t)
 		server := w.site(fmt.Sprintf("server-%p", t), WithoutTelemetry())

@@ -283,9 +283,21 @@ func TestTCPEndToEnd(t *testing.T) {
 	if err != nil || res[0] != "really" {
 		t.Fatalf("tail over tcp: %v %v", res, err)
 	}
+	master, ok := server.Heap().EntryOf(head)
+	if !ok {
+		t.Fatal("head is not in the server's heap")
+	}
+	before := master.Version()
 	replica.Write("edited over tcp")
 	if err := mobile.Put(replica); err != nil {
 		t.Fatal(err)
+	}
+	// The put ran on a server handler goroutine and its reply crossed a
+	// real socket: ordered for the program, but a kernel round trip is no
+	// happens-before the race detector can see. Reading the version takes
+	// the entry's lock, which the handler released after restoring state.
+	if got := master.Version(); got <= before {
+		t.Fatalf("master version after tcp put: %d, was %d", got, before)
 	}
 	if head.Text != "edited over tcp" {
 		t.Fatalf("master after tcp put: %q", head.Text)

@@ -10,6 +10,7 @@ import (
 	"obiwan/internal/nameserver"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
+	"obiwan/internal/raceflag"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
 	"obiwan/internal/telemetry"
@@ -222,6 +223,9 @@ func TestFleetScrapeCursorResumes(t *testing.T) {
 // or not some other site in the deployment observes the fleet, and a
 // plain site carries no fleet machinery at all.
 func TestFleetDisabledAllocParity(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
 	measure := func(observed bool) float64 {
 		w := newWorld(t)
 		suffix := fmt.Sprintf("-%v-%p", observed, t)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,33 @@ func TestSpanErrAndAttrs(t *testing.T) {
 	}
 	if s := rec.String(); !strings.Contains(s, "err=conflict") || !strings.Contains(s, "oid=1:2") {
 		t.Fatalf("string: %s", s)
+	}
+}
+
+// TestEndedSpanIsImmutable pins the contract the pointer ring rests on:
+// the ring shares the record with the span, so nothing the span's owner
+// does after End may reach it — not a late annotation, not a second End.
+func TestEndedSpanIsImmutable(t *testing.T) {
+	h := NewHub("s", WithClock(fakeClock()))
+	sp := h.StartRoot("put")
+	sp.Annotate("oid", "1:2")
+	sp.End()
+	want := h.Spans(0)[0]
+	sp.Annotate("late", "x")
+	sp.Phase(PhaseServe, time.Second)
+	sp.SetErr(errors.New("late"))
+	sp.End()
+	spans := h.Spans(0)
+	if len(spans) != 1 {
+		t.Fatalf("second End committed again: %d spans", len(spans))
+	}
+	if got := spans[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("record changed after End:\n got %+v\nwant %+v", got, want)
+	}
+	// A snapshot is a copy: scribbling on it leaves the ring alone.
+	spans[0].Name = "scribbled"
+	if got := h.Spans(0)[0].Name; got != "put" {
+		t.Fatalf("snapshot aliases the ring: %q", got)
 	}
 }
 

@@ -125,10 +125,18 @@ func init() {
 // Span is an in-progress operation. A nil *Span is the disabled fast
 // path: every method is a nil-receiver no-op, so instrumented code never
 // branches on whether telemetry is on.
+//
+// A span belongs to the goroutine that started it until End; after End
+// its record is shared with the tracer's ring and never written again.
 type Span struct {
+	// tr is nil once ended. Not a flag: Span is exactly the 144-byte size
+	// class, and one more byte would cost 16 per span.
 	tr  *Tracer
 	rec SpanRecord
 }
+
+// ended reports whether End has run.
+func (s *Span) ended() bool { return s.tr == nil }
 
 // Context returns the span's propagation context (zero for nil spans).
 func (s *Span) Context() SpanContext {
@@ -140,7 +148,7 @@ func (s *Span) Context() SpanContext {
 
 // Annotate appends a "key=value" attribute.
 func (s *Span) Annotate(key, value string) {
-	if s == nil {
+	if s == nil || s.ended() {
 		return
 	}
 	s.rec.Attrs = append(s.rec.Attrs, key+"="+value)
@@ -148,9 +156,9 @@ func (s *Span) Annotate(key, value string) {
 
 // Phase attributes d of the span's self-time to the named phase.
 // Repeated calls with the same name accumulate into one segment.
-// Negative durations are ignored; nil spans no-op.
+// Negative durations are ignored; nil and ended spans no-op.
 func (s *Span) Phase(name string, d time.Duration) {
-	if s == nil || d <= 0 {
+	if s == nil || s.ended() || d <= 0 {
 		return
 	}
 	for i := range s.rec.Phases {
@@ -164,20 +172,23 @@ func (s *Span) Phase(name string, d time.Duration) {
 
 // SetErr records err's text on the span (nil clears nothing, it no-ops).
 func (s *Span) SetErr(err error) {
-	if s == nil || err == nil {
+	if s == nil || s.ended() || err == nil {
 		return
 	}
 	s.rec.Err = err.Error()
 }
 
-// End finishes the span and commits it to the tracer's ring. End is
-// idempotent in effect only through discipline: call it exactly once.
+// End finishes the span and commits it to the tracer's ring. The ring
+// holds the record in place, so from here on the span is immutable:
+// later Annotate, Phase, SetErr and End calls are no-ops.
 func (s *Span) End() {
-	if s == nil {
+	if s == nil || s.ended() {
 		return
 	}
-	s.rec.EndNS = s.tr.clock().UnixNano()
-	s.tr.commit(s.rec)
+	tr := s.tr
+	s.tr = nil
+	s.rec.EndNS = tr.clock().UnixNano()
+	tr.commit(&s.rec)
 }
 
 // defaultSpanCapacity bounds the finished-span ring.
@@ -189,9 +200,12 @@ type Tracer struct {
 	idBase uint64
 	clock  func() time.Time
 
-	mu      sync.Mutex
-	seq     uint64
-	ring    []SpanRecord
+	mu  sync.Mutex
+	seq uint64
+	// ring points at the record inside the Span that start allocated, so
+	// an idle site holds capacity×8 bytes of ring, not capacity records
+	// (545 KB of pointer-bearing memory that every GC cycle scanned).
+	ring    []*SpanRecord
 	next    int
 	total   uint64 // spans ever committed
 	dropped uint64 // spans evicted from the ring
@@ -212,7 +226,7 @@ func newTracer(site string, clock func() time.Time, capacity int) *Tracer {
 		site:   site,
 		idBase: uint64(fnv32(site)) << 32,
 		clock:  clock,
-		ring:   make([]SpanRecord, 0, capacity),
+		ring:   make([]*SpanRecord, 0, capacity),
 	}
 }
 
@@ -248,8 +262,8 @@ func (t *Tracer) start(parent SpanContext, name string) *Span {
 }
 
 // commit stores a finished span in the ring, evicting the oldest when
-// full.
-func (t *Tracer) commit(rec SpanRecord) {
+// full. rec must not be written after this call.
+func (t *Tracer) commit(rec *SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
@@ -270,8 +284,12 @@ func (t *Tracer) Snapshot(max int) []SpanRecord {
 	}
 	t.mu.Lock()
 	out := make([]SpanRecord, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
+	for _, r := range t.ring[t.next:] {
+		out = append(out, *r)
+	}
+	for _, r := range t.ring[:t.next] {
+		out = append(out, *r)
+	}
 	t.mu.Unlock()
 	if max > 0 && len(out) > max {
 		out = out[len(out)-max:]
@@ -310,7 +328,7 @@ func (t *Tracer) SnapshotSince(cursor uint64, max int) (spans []SpanRecord, next
 		if len(t.ring) == cap(t.ring) {
 			pos = (t.next + pos) % len(t.ring)
 		}
-		spans = append(spans, t.ring[pos])
+		spans = append(spans, *t.ring[pos])
 	}
 	return spans, cursor + n, missed
 }

@@ -170,7 +170,7 @@ func (n *MemNetwork) Listen(local Addr) (Listener, error) {
 		return nil, fmt.Errorf("transport: address %q already bound", local)
 	}
 	ln := &memListener{net: n, addr: local}
-	ln.cond = netsim.NewCond(n.clock, &ln.mu)
+	ln.cond.Init(n.clock, &ln.mu)
 	n.listeners[local] = ln
 	return ln, nil
 }
@@ -212,7 +212,7 @@ type memListener struct {
 	addr Addr
 
 	mu      sync.Mutex
-	cond    *netsim.Cond
+	cond    netsim.Cond
 	pending []*memConn
 	closed  bool
 }
@@ -278,14 +278,14 @@ type queuedMsg struct {
 // before signalling, so quiescence detection stays exact.
 type msgQueue struct {
 	mu     sync.Mutex
-	cond   *netsim.Cond
+	cond   netsim.Cond
 	items  []queuedMsg
 	closed bool
 }
 
 func newMsgQueue(clock netsim.Clock) *msgQueue {
 	q := &msgQueue{}
-	q.cond = netsim.NewCond(clock, &q.mu)
+	q.cond.Init(clock, &q.mu)
 	return q
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,16 +59,33 @@ func (l *tcpListener) Close() error { return l.ln.Close() }
 
 func (l *tcpListener) Addr() Addr { return Addr(l.ln.Addr().String()) }
 
+// recvBufSize is the per-connection read buffer: a header and a small
+// payload (a null call is 54 bytes both ways) arrive in one read syscall.
+// Payloads at least this large bypass it and are read straight into the
+// frame, so the buffer adds no copy to the per-byte path.
+const recvBufSize = 4096
+
 // tcpConn frames messages as [uint32 big-endian length][payload].
 type tcpConn struct {
-	c       net.Conn
+	c net.Conn
+
 	sendMu  sync.Mutex
-	recvMu  sync.Mutex
-	hdrBuf  [4]byte
 	sendHdr [4]byte
+	// sendVec backs sendBufs, the header+payload pair handed to the kernel
+	// in one writev. Both live here, under sendMu, because a net.Buffers
+	// built per Send escapes through WriteTo and costs a heap object per
+	// frame.
+	sendVec  [2][]byte
+	sendBufs net.Buffers
+
+	recvMu sync.Mutex
+	r      *bufio.Reader
+	hdrBuf [4]byte
 }
 
-func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{c: c} }
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, recvBufSize)}
+}
 
 func (t *tcpConn) Send(p []byte) error {
 	if err := validateSize(len(p)); err != nil {
@@ -76,10 +94,15 @@ func (t *tcpConn) Send(p []byte) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
 	binary.BigEndian.PutUint32(t.sendHdr[:], uint32(len(p)))
-	if _, err := t.c.Write(t.sendHdr[:]); err != nil {
-		return t.mapErr(err)
-	}
-	if _, err := t.c.Write(p); err != nil {
+	t.sendVec[0], t.sendVec[1] = t.sendHdr[:], p
+	t.sendBufs = t.sendVec[:]
+	_, err := t.sendBufs.WriteTo(t.c)
+	t.sendVec[1] = nil // p belongs to the caller again
+	if err != nil {
+		// A failed or short write leaves the stream mid-frame: the next
+		// header would land inside this frame's payload. The connection is
+		// unusable, so close it; both ends then see ErrClosed and redial.
+		_ = t.c.Close()
 		return t.mapErr(err)
 	}
 	return nil
@@ -88,7 +111,7 @@ func (t *tcpConn) Send(p []byte) error {
 func (t *tcpConn) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
-	if _, err := io.ReadFull(t.c, t.hdrBuf[:]); err != nil {
+	if _, err := io.ReadFull(t.r, t.hdrBuf[:]); err != nil {
 		return nil, t.mapErr(err)
 	}
 	n := binary.BigEndian.Uint32(t.hdrBuf[:])
@@ -96,7 +119,7 @@ func (t *tcpConn) Recv() ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(t.c, buf); err != nil {
+	if _, err := io.ReadFull(t.r, buf); err != nil {
 		return nil, t.mapErr(err)
 	}
 	return buf, nil

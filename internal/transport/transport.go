@@ -42,10 +42,22 @@ const MaxMessageSize = 64 << 20
 // Conn is a reliable, ordered, message-oriented connection.
 //
 // Send and Recv may be used concurrently with each other, but at most one
-// goroutine may call Send and one may call Recv at a time.
+// goroutine may call Send and one may call Recv at a time: a frame is a
+// header and a payload, and an implementation may keep per-direction
+// state (TCP's header scratch, write vector and read buffer) that two
+// concurrent senders or receivers would share. Callers that multiplex —
+// rmi's many in-flight calls on one connection — serialize their own
+// sends (rmi's sendMu).
+//
+// Frame ownership: Send must not retain p after it returns, so the caller
+// may reuse or modify the slice at once; the slice Recv returns belongs
+// to the caller, and no later Recv touches it.
 type Conn interface {
 	// Send transmits one message. It blocks for the link's transmission
-	// time (flow control) but not for propagation.
+	// time (flow control) but not for propagation. A failed Send never
+	// leaves the stream mid-frame: either nothing was written (an
+	// oversized message, a simulated link outage) and the connection is
+	// intact, or the connection is dead and returns ErrClosed from then on.
 	Send(p []byte) error
 	// Recv returns the next message, blocking until one arrives or the
 	// connection closes.
