@@ -867,77 +867,31 @@ func (s *Store) recoverOne(rec JournalRecord) error {
 	}
 }
 
-// recoverBase recreates one tracked object from its base record: the heap
-// entry if missing, then committed state, frontier, and history vector.
+// recoverBase replays one base record: the heap entry and the tracked
+// record are recreated if they did not survive by other means, then the
+// object re-anchors through the routine live sync uses.
 func (s *Store) recoverBase(b *baseRec) error {
 	oid := objmodel.OID(b.OID)
 	h := s.eng.Heap()
-	entry, ok := h.Get(oid)
-	if !ok {
+	if _, ok := h.Get(oid); !ok {
 		info, known := objmodel.InfoByName(b.TypeName)
 		if !known {
 			return fmt.Errorf("eventual: recover base %d: unknown type %q", b.OID, b.TypeName)
 		}
-		obj := info.New()
 		if b.Primary {
-			if err := h.AddMasterWithOID(obj, oid, b.TypeName, 1); err != nil {
+			if err := h.AddMasterWithOID(info.New(), oid, b.TypeName, 1); err != nil {
 				return fmt.Errorf("eventual: recover base %d: %w", b.OID, err)
 			}
 		} else {
-			h.AddReplica(obj, oid, b.TypeName, 1)
+			h.AddReplica(info.New(), oid, b.TypeName, 1)
 		}
-		entry, _ = h.Get(oid)
-	}
-	if err := s.eng.RestoreSnapshot(entry.Obj, b.State); err != nil {
-		return fmt.Errorf("eventual: recover base %d: %w", b.OID, err)
 	}
 	t, known := s.objs[oid]
 	if !known {
 		t = &tracked{oid: oid, typeName: b.TypeName, primary: b.Primary, hist: make(map[uint16]uint64)}
 		s.objs[oid] = t
 	}
-	t.committedState = append([]byte(nil), b.State...)
-	t.frontier = b.CSN
-	t.floor = b.CSN
-	// Re-basing folds every committed-or-older record into the new base.
-	keep := t.committed[:0]
-	for _, u := range t.committed {
-		if u.CSN != 0 && u.CSN <= b.CSN {
-			continue
-		}
-		keep = append(keep, u)
-	}
-	t.committed = keep
-	for _, p := range b.Hist {
-		if p.Clock > t.hist[uint16(p.Site)] {
-			t.hist[uint16(p.Site)] = p.Clock
-		}
-	}
-	// Drop tentative updates the base has folded in (see tracked.hist).
-	rest := t.tentative[:0]
-	for _, u := range t.tentative {
-		if u.ID.Clock <= t.hist[u.ID.Site] {
-			continue
-		}
-		rest = append(rest, u)
-	}
-	t.tentative = rest
-	// Replay the surviving suffix onto the fresh base.
-	for _, u := range t.committed {
-		s.applyFn(entry, u)
-	}
-	if len(t.committed) > 0 {
-		state, err := s.eng.CaptureSnapshot(entry.Obj)
-		if err != nil {
-			return err
-		}
-		t.committedState = state
-		t.frontier = t.committed[len(t.committed)-1].CSN
-	}
-	for _, u := range t.tentative {
-		s.applyFn(entry, u)
-	}
-	return nil
+	return s.applyBaseLocked(t, b)
 }
 
 func (s *Store) bumpVVLocked(id UpdateID) {

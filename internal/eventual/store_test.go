@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"obiwan/internal/heap"
@@ -547,5 +549,76 @@ func TestSnapshotRecordsRecoverEquivalence(t *testing.T) {
 	entry, _ := eng.Heap().Get(r.oid())
 	if entry.Obj.(*note).Text != r.obj.Text {
 		t.Fatalf("recovered text %q != live %q", entry.Obj.(*note).Text, r.obj.Text)
+	}
+}
+
+// TestBaseSyncLiveAndRecoveredAgree: a base re-anchor is one routine, so a
+// store re-anchored by a live BaseSync (with one tentative update the base
+// folds in and one that survives it) and a fresh store recovering the
+// same history from the journal end up with the same committed state,
+// floor, frontier, version vector, tentative list and live object.
+func TestBaseSyncLiveAndRecoveredAgree(t *testing.T) {
+	sites := newEvSites(t, 3)
+	p, r1, r2 := sites[0], sites[1], sites[2]
+	j := &memJournal{}
+	r2.st.SetJournal(j)
+	pre := r2.st.SnapshotRecords() // Track's base record predates SetJournal
+
+	for i := 0; i < 5; i++ {
+		if _, err := p.st.Append(p.obj, "evtest.append", []byte(fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncPair(t, p, r1)
+	if _, err := p.st.TruncateCommitted(); err != nil { // r2 now lies below p's floor
+		t.Fatal(err)
+	}
+	if _, err := r2.st.Append(r2.obj, "evtest.append", []byte("folded")); err != nil {
+		t.Fatal(err)
+	}
+	req := &SyncRequest{From: r2.st.name, Summary: *r2.st.Summary(), Batch: *r2.st.BuildBatch(p.st.Summary())}
+	reply, err := p.st.HandleSync(req) // p commits "folded"; its base carries it
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.st.Append(r2.obj, "evtest.append", []byte("survives")); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := r2.st.ApplyBatch(reply.From, &reply.Batch); err != nil || stats.Bases != 1 {
+		t.Fatalf("live base sync: %+v, %v", stats, err)
+	}
+
+	rt, err := rmi.NewRuntime(transport.NewMemNetwork(netsim.Loopback), "ev-reborn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	eng := replication.NewEngine(rt, heap.New(r2.id))
+	reborn := NewStore("ev-reborn", eng, nil)
+	if err := reborn.Recover(append(pre, j.recs...)); err != nil {
+		t.Fatal(err)
+	}
+
+	oid := r2.oid()
+	live, rec := r2.st.objs[oid], reborn.objs[oid]
+	if live.floor != rec.floor || live.frontier != rec.frontier || live.frontier != 6 || !bytes.Equal(live.committedState, rec.committedState) {
+		t.Fatalf("live floor/frontier %d/%d, recovered %d/%d (want frontier 6), committed state equal: %v",
+			live.floor, live.frontier, rec.floor, rec.frontier, bytes.Equal(live.committedState, rec.committedState))
+	}
+	if !reflect.DeepEqual(r2.st.VersionVector(), reborn.VersionVector()) {
+		t.Fatalf("version vectors: live %v, recovered %v", r2.st.VersionVector(), reborn.VersionVector())
+	}
+	ids := func(us []*Update) (out []UpdateID) {
+		for _, u := range us {
+			out = append(out, u.ID)
+		}
+		return out
+	}
+	if got, want := ids(rec.tentative), ids(live.tentative); len(want) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("tentative lists: live %v, recovered %v (want the one surviving update)", want, got)
+	}
+	entry, _ := eng.Heap().Get(oid)
+	if got := entry.Obj.(*note).Text; got != r2.obj.Text || !strings.HasSuffix(got, "folded|survives|") {
+		t.Fatalf("live object %q, recovered %q", r2.obj.Text, got)
 	}
 }

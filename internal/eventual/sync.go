@@ -275,10 +275,11 @@ func (s *Store) ApplyBatch(from string, b *Batch) (*SyncStats, error) {
 	return stats, nil
 }
 
-// applyBaseLocked re-anchors one tracked object on a received base:
-// committed state, frontier, and history vector replace the local
-// committed prefix; folded-in records drop from the retained lists; the
-// surviving suffix replays. Caller holds s.mu.
+// applyBaseLocked re-anchors one tracked object on a base, received from a
+// peer (ApplyBatch) or replayed from the journal (recoverBase): committed
+// state, frontier, and history vector replace the local committed prefix;
+// folded-in records drop from the retained lists; the surviving suffix
+// replays. The floor only ever rises. Caller holds s.mu.
 func (s *Store) applyBaseLocked(t *tracked, b *baseRec) error {
 	entry, ok := s.eng.Heap().Get(t.oid)
 	if !ok {

@@ -245,9 +245,11 @@ func (e *Engine) getCrossover() Crossover {
 	return e.crossover
 }
 
-// RegisterMaster adds obj to this site's heap as a master object. On a
-// grouped site the registration is agreed through the group log first, so
-// every member installs the object at the same identity.
+// RegisterMaster adds obj to this site's heap as a master object — the one
+// place a master is registered. On a grouped site the registration is
+// agreed through the group log first, so every member installs the object
+// at the same identity; on a single-master site it is installed and
+// journaled here.
 func (e *Engine) RegisterMaster(obj any) (*heap.Entry, error) {
 	if g := e.masterGate(); g != nil {
 		return g.RouteRegister(obj)
@@ -269,21 +271,9 @@ func (e *Engine) RegisterMaster(obj any) (*heap.Entry, error) {
 func (e *Engine) NewRef(target any) (*objmodel.Ref, error) {
 	entry, ok := e.heap.EntryOf(target)
 	if !ok {
-		if g := e.masterGate(); g != nil {
-			var err error
-			entry, err = g.RouteRegister(target)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var err error
-			entry, err = e.heap.AddMaster(target)
-			if err != nil {
-				return nil, err
-			}
-			if err := e.journalMaster(entry); err != nil {
-				return nil, err
-			}
+		var err error
+		if entry, err = e.RegisterMaster(target); err != nil {
+			return nil, err
 		}
 	}
 	r := objmodel.NewLocalRef(target, entry.OID)
@@ -302,35 +292,28 @@ func (e *Engine) NewRef(target any) (*objmodel.Ref, error) {
 // carries the OID and type, which the remote side needs to build its
 // proxy-out.
 func (e *Engine) ExportObject(obj any) (Descriptor, error) {
-	gate := e.masterGate()
 	entry, ok := e.heap.EntryOf(obj)
-	if !ok {
-		var err error
-		if gate != nil {
-			entry, err = gate.RouteRegister(obj)
-		} else {
-			entry, err = e.heap.AddMaster(obj)
-		}
-		if err != nil {
-			return Descriptor{}, err
-		}
+	var err error
+	switch {
+	case !ok:
+		entry, err = e.RegisterMaster(obj)
+	case entry.Role == heap.Master:
+		// Journal on every export, not just fresh registration: exporting
+		// is a publish point, and reference wiring done since Register
+		// (NewRef mutates the parent without a version bump) must be
+		// durable before the object becomes reachable.
+		err = e.journalMaster(entry)
 	}
-	// Journal on every export, not just fresh registration: exporting is
-	// a publish point, and reference wiring done since Register (NewRef
-	// mutates the parent without a version bump) must be durable before
-	// the object becomes reachable.
-	if entry.Role == heap.Master {
-		if err := e.journalMaster(entry); err != nil {
-			return Descriptor{}, err
-		}
+	if err != nil {
+		return Descriptor{}, err
 	}
 	ref, err := e.exportProxyIn(entry)
 	if err != nil {
 		return Descriptor{}, err
 	}
 	d := Descriptor{Provider: ref, OID: uint64(entry.OID), TypeName: entry.TypeName}
-	if gate != nil && entry.Role == heap.Master {
-		d.Group = gate.Members()
+	if g := e.masterGate(); g != nil && entry.Role == heap.Master {
+		d.Group = g.Members()
 	}
 	return d, nil
 }
@@ -564,10 +547,7 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 		span.SetErr(err)
 		span.End()
 	}()
-	frontier := make(map[objmodel.OID]FrontierRef, len(p.Frontier))
-	for _, fr := range p.Frontier {
-		frontier[objmodel.OID(fr.OID)] = fr
-	}
+	frontier := frontierMap(p.Frontier)
 
 	now := e.rt.Clock().Now()
 	touched := make([]any, 0, len(p.Objects))
@@ -680,6 +660,16 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 	return rootEntry.Obj, nil
 }
 
+// frontierMap indexes frontier descriptors by target OID, the form bindRefs
+// consumes.
+func frontierMap(frontier []FrontierRef) map[objmodel.OID]FrontierRef {
+	m := make(map[objmodel.OID]FrontierRef, len(frontier))
+	for _, fr := range frontier {
+		m[objmodel.OID(fr.OID)] = fr
+	}
+	return m
+}
+
 // bindRefs binds every unresolved reference of obj: to a local object when
 // the target is here, otherwise to a frontier proxy-out.
 func (e *Engine) bindRefs(obj any, frontier map[objmodel.OID]FrontierRef, spec GetSpec) error {
@@ -783,12 +773,20 @@ func (e *Engine) PutTraced(sc telemetry.SpanContext, obj any) (err error) {
 	if winner != prov {
 		entry.SetProvider(winner, 0) // re-pin to the answering leader
 	}
-	entry.SetVersion(reply.NewVersion)
+	return e.putAcked(entry, reply.NewVersion)
+}
+
+// putAcked is the replica-side tail of every shipped put, single or
+// cluster member: the master acknowledged entry's state at version v, so
+// the replica is clean at v, its dirty record is retracted, and the
+// shipment is reported.
+func (e *Engine) putAcked(entry *heap.Entry, v uint64) error {
+	entry.SetVersion(v)
 	entry.SetDirty(false)
-	if err := e.journalCleanReplica(entry.OID, reply.NewVersion); err != nil {
+	if err := e.journalCleanReplica(entry.OID, v); err != nil {
 		return err
 	}
-	e.emit(Event{Kind: EventPutShipped, OID: entry.OID, Version: reply.NewVersion})
+	e.emit(Event{Kind: EventPutShipped, OID: entry.OID, Version: v})
 	return nil
 }
 
@@ -845,17 +843,15 @@ func (e *Engine) PutClusterTraced(sc telemetry.SpanContext, obj any) (err error)
 		return fmt.Errorf("replication: put cluster %v: unexpected reply %#v", root, res[0])
 	}
 	for i, m := range members {
+		v, ok := versions[i].(uint64)
+		if !ok {
+			return fmt.Errorf("replication: put cluster %v: unexpected version %#v for member %v", root, versions[i], m)
+		}
 		if me, ok := e.heap.Get(m); ok {
 			if winner != prov {
 				me.SetProvider(winner, root) // re-pin to the answering leader
 			}
-			var nv uint64
-			if v, ok := versions[i].(uint64); ok {
-				me.SetVersion(v)
-				nv = v
-			}
-			me.SetDirty(false)
-			if err := e.journalCleanReplica(m, nv); err != nil {
+			if err := e.putAcked(me, v); err != nil {
 				return err
 			}
 		}
@@ -894,8 +890,61 @@ func (e *Engine) buildPutRequest(entry *heap.Entry) (*PutRequest, error) {
 	return req, nil
 }
 
-// applyPut applies an inbound update at the master (called by ProxyIn).
-// sc parents the "put.apply" span — the serve span of the inbound Put.
+// A master-side put is the sequence admit → (agree) → install → record →
+// notify, each step written once below. applyPut is the single-master
+// composition, where agree is the identity; a grouped site runs admit at
+// the leader (PreparePut), agrees the request through its log, and every
+// member's replay runs install (ApplyReplicatedPut).
+
+// recordedPut resolves req's master and consults its exactly-once guard.
+// The rmi dedupe table dies with the process, and a failed-over client
+// reaches a member that never saw the first arrival, so a retried put can
+// arrive as a "new" call: the recorded (base, checksum) pair identifies it
+// and reply carries the version the first apply produced. A nil reply
+// means the put is new; crc is req.State's checksum either way.
+func (e *Engine) recordedPut(req *PutRequest) (entry *heap.Entry, crc uint64, reply *PutReply, err error) {
+	entry, ok := e.heap.Get(objmodel.OID(req.OID))
+	if !ok {
+		return nil, 0, nil, fmt.Errorf("%w: %d", heap.ErrUnknownObject, req.OID)
+	}
+	crc = stateCRC(req.State)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ap, ok := e.appliedPuts[entry.OID]; ok && ap.base == req.BaseVersion && ap.crc == crc {
+		reply = &PutReply{NewVersion: ap.version}
+	}
+	return entry, crc, reply, nil
+}
+
+// admitPut is the admit step: a retry is answered from the guard (non-nil
+// reply, nothing to install); a new put must pass the consistency policy.
+func (e *Engine) admitPut(req *PutRequest) (entry *heap.Entry, crc uint64, reply *PutReply, err error) {
+	entry, crc, reply, err = e.recordedPut(req)
+	if err != nil || reply != nil {
+		return entry, crc, reply, err
+	}
+	err = e.getPolicy().ApplyPut(entry.OID, entry.Version(), req.BaseVersion)
+	return entry, crc, nil, err
+}
+
+// installPut is the install step: restore the shipped state, bump the
+// version, and record the guard triple a retry will be answered from.
+// Deterministic in (entry state, req), which is what lets group members
+// replay it independently and stay identical.
+func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64) (*PutReply, error) {
+	if err := e.restoreEntry(entry, req.State, frontierMap(req.Frontier), DefaultSpec); err != nil {
+		return nil, err
+	}
+	v := entry.BumpVersion()
+	e.mu.Lock()
+	e.appliedPuts[entry.OID] = appliedPut{base: req.BaseVersion, crc: crc, version: v}
+	e.mu.Unlock()
+	return &PutReply{NewVersion: v}, nil
+}
+
+// applyPut applies an inbound update at a single master (called by
+// ProxyIn). sc parents the "put.apply" span — the serve span of the
+// inbound Put.
 func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *PutReply, err error) {
 	span := e.startSpan(sc, "put.apply")
 	span.Annotate("oid", fmt.Sprint(objmodel.OID(req.OID)))
@@ -908,53 +957,31 @@ func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *Put
 		start := clk.Now()
 		defer func() { span.Phase(telemetry.PhaseApply, clk.Now().Sub(start)) }()
 	}
-	entry, ok := e.heap.Get(objmodel.OID(req.OID))
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", heap.ErrUnknownObject, req.OID)
-	}
-	// Exactly-once across master restarts: the rmi dedupe table died with
-	// the previous life, so a retried put can reach a reborn master as a
-	// "new" call. The journaled (base, checksum) pair identifies it; hand
-	// back the recorded reply instead of applying twice.
-	crc := stateCRC(req.State)
-	e.mu.Lock()
-	if ap, ok := e.appliedPuts[entry.OID]; ok && ap.base == req.BaseVersion && ap.crc == crc {
-		v := ap.version
-		e.mu.Unlock()
-		e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: v})
-		return &PutReply{NewVersion: v}, nil
-	}
-	e.mu.Unlock()
-	if err := e.getPolicy().ApplyPut(entry.OID, entry.Version(), req.BaseVersion); err != nil {
+	entry, crc, reply, err := e.admitPut(req)
+	if err != nil {
 		return nil, err
 	}
-	frontier := make(map[objmodel.OID]FrontierRef, len(req.Frontier))
-	for _, fr := range req.Frontier {
-		frontier[objmodel.OID(fr.OID)] = fr
-	}
-	if err := e.restoreEntry(entry, req.State, frontier, DefaultSpec); err != nil {
-		return nil, err
-	}
-	v := entry.BumpVersion()
-	e.mu.Lock()
-	e.appliedPuts[entry.OID] = appliedPut{base: req.BaseVersion, crc: crc, version: v}
-	e.mu.Unlock()
-	if span != nil {
+	if reply == nil {
+		if reply, err = e.installPut(entry, req, crc); err != nil {
+			return nil, err
+		}
 		// The journal write is the durability cost of the put: encode +
 		// WAL append + group-commit fsync. Billed as the fsync phase so
 		// attribution separates "the disk is slow" from apply proper.
-		clk := e.rt.Clock()
-		jStart := clk.Now()
+		var jStart time.Time
+		if span != nil {
+			jStart = e.rt.Clock().Now()
+		}
 		if err := e.journalMaster(entry); err != nil {
 			return nil, err
 		}
-		span.Phase(telemetry.PhaseFsync, clk.Now().Sub(jStart))
-	} else if err := e.journalMaster(entry); err != nil {
-		return nil, err
+		if span != nil {
+			span.Phase(telemetry.PhaseFsync, e.rt.Clock().Now().Sub(jStart))
+		}
+		e.getPolicy().MasterUpdated(entry.OID, reply.NewVersion)
 	}
-	e.getPolicy().MasterUpdated(entry.OID, v)
-	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: v})
-	return &PutReply{NewVersion: v}, nil
+	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})
+	return reply, nil
 }
 
 // Refresh re-fetches a replica's state from its master (the get-refresh
@@ -1019,19 +1046,19 @@ func (e *Engine) MarkUpdated(obj any) error {
 		return heap.ErrUnknownObject
 	}
 	if entry.Role == heap.Master {
+		var v uint64
+		var err error
 		if g := e.masterGate(); g != nil {
 			// Agree the update through the group log so every member's
-			// copy (state and version) moves together; the hook fires
-			// here, at the proposing member, once.
-			v, err := g.RouteBump(entry)
-			if err != nil {
-				return err
-			}
-			e.getPolicy().MasterUpdated(entry.OID, v)
-			return nil
+			// copy (state and version) moves together; replay installs it
+			// (ApplyReplicatedBump) and the hook fires here, at the
+			// proposing member, once.
+			v, err = g.RouteBump(entry)
+		} else {
+			v = entry.BumpVersion()
+			err = e.journalMaster(entry)
 		}
-		v := entry.BumpVersion()
-		if err := e.journalMaster(entry); err != nil {
+		if err != nil {
 			return err
 		}
 		e.getPolicy().MasterUpdated(entry.OID, v)
@@ -1120,10 +1147,7 @@ func (e *Engine) BuildFrontier(obj any) ([]FrontierRef, error) {
 // locally where the targets exist, through fresh proxy-outs built from the
 // frontier otherwise.
 func (e *Engine) RestoreWithFrontier(obj any, state []byte, frontier []FrontierRef) error {
-	fmap := make(map[objmodel.OID]FrontierRef, len(frontier))
-	for _, fr := range frontier {
-		fmap[objmodel.OID(fr.OID)] = fr
-	}
+	fmap := frontierMap(frontier)
 	if entry, ok := e.heap.EntryOf(obj); ok {
 		return e.restoreEntry(entry, state, fmap, DefaultSpec)
 	}

@@ -174,30 +174,19 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 	}
 }
 
-// PreparePut runs leader-side admission for an inbound grouped put,
-// BEFORE it is proposed to the log: the exactly-once dedupe fast path
-// (done=true with the recorded reply — a retry of an already-agreed put
-// needs no new log entry) and the consistency-policy check (an error
-// rejects the put without consuming a slot). The gate calls this, then
-// proposes the request, then fires NotifyMasterUpdated with the result.
+// PreparePut runs leader-side admission for an inbound grouped put (the
+// admit step, see applyPut) BEFORE it is proposed to the log: a retry of
+// an already-agreed put is answered from the guard (done=true — it needs
+// no new log entry) and a policy rejection costs no slot. The gate calls
+// this, then proposes the request, then fires NotifyMasterUpdated with
+// the result.
 func (e *Engine) PreparePut(req *PutRequest) (reply *PutReply, done bool, err error) {
-	entry, ok := e.heap.Get(objmodel.OID(req.OID))
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %d", heap.ErrUnknownObject, req.OID)
-	}
-	crc := stateCRC(req.State)
-	e.mu.Lock()
-	if ap, ok := e.appliedPuts[entry.OID]; ok && ap.base == req.BaseVersion && ap.crc == crc {
-		v := ap.version
-		e.mu.Unlock()
-		e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: v})
-		return &PutReply{NewVersion: v}, true, nil
-	}
-	e.mu.Unlock()
-	if err := e.getPolicy().ApplyPut(entry.OID, entry.Version(), req.BaseVersion); err != nil {
+	entry, _, reply, err := e.admitPut(req)
+	if err != nil || reply == nil {
 		return nil, false, err
 	}
-	return nil, false, nil
+	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})
+	return reply, true, nil
 }
 
 // NotifyMasterUpdated fires the consistency policy's MasterUpdated hook.
@@ -206,6 +195,15 @@ func (e *Engine) PreparePut(req *PutRequest) (reply *PutReply, done bool, err er
 // replay never calls it; the gate does, through this.
 func (e *Engine) NotifyMasterUpdated(oid objmodel.OID, newVersion uint64) {
 	e.getPolicy().MasterUpdated(oid, newVersion)
+}
+
+// restoreAgreed installs the state snapshot an agreed register or bump
+// carries; a command without one leaves the object as it is.
+func (e *Engine) restoreAgreed(entry *heap.Entry, state []byte, frontier []FrontierRef) error {
+	if len(state) == 0 {
+		return nil
+	}
+	return e.restoreEntry(entry, state, frontierMap(frontier), DefaultSpec)
 }
 
 // ApplyReplicatedRegister is the deterministic replay of an agreed master
@@ -221,14 +219,8 @@ func (e *Engine) ApplyReplicatedRegister(obj any, oid objmodel.OID, typeName str
 	if !ok {
 		return nil, fmt.Errorf("replication: registered %v vanished", oid)
 	}
-	if len(state) > 0 {
-		fmap := make(map[objmodel.OID]FrontierRef, len(frontier))
-		for _, fr := range frontier {
-			fmap[objmodel.OID(fr.OID)] = fr
-		}
-		if err := e.restoreEntry(entry, state, fmap, DefaultSpec); err != nil {
-			return nil, err
-		}
+	if err := e.restoreAgreed(entry, state, frontier); err != nil {
+		return nil, err
 	}
 	if proxyID != 0 {
 		if err := e.RestoreProxyIn(oid, proxyID); err != nil {
@@ -239,37 +231,21 @@ func (e *Engine) ApplyReplicatedRegister(obj any, oid objmodel.OID, typeName str
 }
 
 // ApplyReplicatedPut is the deterministic replay of an agreed put: the
-// dedupe guard, state restore, and version bump of applyPut, WITHOUT the
-// consistency-policy admission (the leader ran it before proposing — see
-// PreparePut) and without the MasterUpdated hook (the gate fires it at
-// the leader only). Every member's guard table stays identical because it
-// is itself a pure function of the agreed log.
+// install step of applyPut behind its guard, WITHOUT the consistency-policy
+// admission (the leader ran it before proposing — see PreparePut), the
+// journal (the group log is the record) and the MasterUpdated hook (the
+// gate fires it at the leader only). Every member's guard table stays
+// identical because it is itself a pure function of the agreed log.
 func (e *Engine) ApplyReplicatedPut(req *PutRequest) (*PutReply, error) {
-	entry, ok := e.heap.Get(objmodel.OID(req.OID))
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", heap.ErrUnknownObject, req.OID)
+	entry, crc, reply, err := e.recordedPut(req)
+	if err != nil || reply != nil {
+		return reply, err
 	}
-	crc := stateCRC(req.State)
-	e.mu.Lock()
-	if ap, ok := e.appliedPuts[entry.OID]; ok && ap.base == req.BaseVersion && ap.crc == crc {
-		v := ap.version
-		e.mu.Unlock()
-		return &PutReply{NewVersion: v}, nil
-	}
-	e.mu.Unlock()
-	frontier := make(map[objmodel.OID]FrontierRef, len(req.Frontier))
-	for _, fr := range req.Frontier {
-		frontier[objmodel.OID(fr.OID)] = fr
-	}
-	if err := e.restoreEntry(entry, req.State, frontier, DefaultSpec); err != nil {
+	if reply, err = e.installPut(entry, req, crc); err != nil {
 		return nil, err
 	}
-	v := entry.BumpVersion()
-	e.mu.Lock()
-	e.appliedPuts[entry.OID] = appliedPut{base: req.BaseVersion, crc: crc, version: v}
-	e.mu.Unlock()
-	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: v})
-	return &PutReply{NewVersion: v}, nil
+	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})
+	return reply, nil
 }
 
 // ApplyReplicatedBump is the deterministic replay of an agreed local
@@ -281,29 +257,8 @@ func (e *Engine) ApplyReplicatedBump(oid objmodel.OID, state []byte, frontier []
 	if !ok {
 		return 0, fmt.Errorf("%w: %v", heap.ErrUnknownObject, oid)
 	}
-	if len(state) > 0 {
-		fmap := make(map[objmodel.OID]FrontierRef, len(frontier))
-		for _, fr := range frontier {
-			fmap[objmodel.OID(fr.OID)] = fr
-		}
-		if err := e.restoreEntry(entry, state, fmap, DefaultSpec); err != nil {
-			return 0, err
-		}
+	if err := e.restoreAgreed(entry, state, frontier); err != nil {
+		return 0, err
 	}
 	return entry.BumpVersion(), nil
-}
-
-// CaptureForGroup captures entry's current state plus recovery frontier —
-// what the gate packs into a register/bump command so followers replay an
-// identical object. Exposed for the site-layer group implementation.
-func (e *Engine) CaptureForGroup(entry *heap.Entry) (state []byte, frontier []FrontierRef, err error) {
-	state, err = e.captureEntry(entry)
-	if err != nil {
-		return nil, nil, err
-	}
-	frontier, err = e.BuildRecoveryFrontier(entry.Obj)
-	if err != nil {
-		return nil, nil, err
-	}
-	return state, frontier, nil
 }

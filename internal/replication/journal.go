@@ -100,19 +100,25 @@ func stateCRC(state []byte) uint64 {
 	return uint64(crc32.Checksum(state, castagnoli))
 }
 
-// journalMaster captures entry and reports it to the journal, if any.
-func (e *Engine) journalMaster(entry *heap.Entry) error {
-	j := e.getJournal()
-	if j == nil {
-		return nil
+// CaptureImage captures obj's current state plus its recovery frontier —
+// the pair every durable or agreed image of an object carries: journal
+// records, compaction snapshots, and the group's register/bump commands.
+func (e *Engine) CaptureImage(obj any) (state []byte, frontier []FrontierRef, err error) {
+	if state, err = e.CaptureSnapshot(obj); err != nil {
+		return nil, nil, err
 	}
-	state, err := e.captureEntry(entry)
-	if err != nil {
-		return fmt.Errorf("replication: journal capture %v: %w", entry.OID, err)
+	if frontier, err = e.BuildRecoveryFrontier(obj); err != nil {
+		return nil, nil, err
 	}
-	frontier, err := e.BuildRecoveryFrontier(entry.Obj)
+	return state, frontier, nil
+}
+
+// MasterImage builds the durable record of a master entry as it stands:
+// what journalMaster appends and what a compaction snapshot keeps.
+func (e *Engine) MasterImage(entry *heap.Entry) (JournalMaster, error) {
+	state, frontier, err := e.CaptureImage(entry.Obj)
 	if err != nil {
-		return fmt.Errorf("replication: journal frontier %v: %w", entry.OID, err)
+		return JournalMaster{}, fmt.Errorf("replication: journal image %v: %w", entry.OID, err)
 	}
 	rec := JournalMaster{
 		OID:      uint64(entry.OID),
@@ -126,24 +132,16 @@ func (e *Engine) journalMaster(entry *heap.Entry) error {
 		rec.AppliedBase, rec.AppliedCRC, rec.AppliedVersion = ap.base, ap.crc, ap.version
 	}
 	e.mu.Unlock()
-	return j.MasterChanged(rec)
+	return rec, nil
 }
 
-// journalDirtyReplica captures a locally edited replica for the journal.
-func (e *Engine) journalDirtyReplica(entry *heap.Entry) error {
-	j := e.getJournal()
-	if j == nil {
-		return nil
-	}
-	state, err := e.captureEntry(entry)
+// ReplicaImage builds the durable record of a locally edited replica.
+func (e *Engine) ReplicaImage(entry *heap.Entry) (JournalReplica, error) {
+	state, frontier, err := e.CaptureImage(entry.Obj)
 	if err != nil {
-		return fmt.Errorf("replication: journal capture %v: %w", entry.OID, err)
+		return JournalReplica{}, fmt.Errorf("replication: journal image %v: %w", entry.OID, err)
 	}
-	frontier, err := e.BuildRecoveryFrontier(entry.Obj)
-	if err != nil {
-		return fmt.Errorf("replication: journal frontier %v: %w", entry.OID, err)
-	}
-	return j.ReplicaDirtied(JournalReplica{
+	return JournalReplica{
 		OID:         uint64(entry.OID),
 		TypeName:    entry.TypeName,
 		Version:     entry.Version(),
@@ -151,7 +149,33 @@ func (e *Engine) journalDirtyReplica(entry *heap.Entry) error {
 		Provider:    entry.Provider(),
 		ClusterRoot: uint64(entry.ClusterRoot()),
 		Frontier:    frontier,
-	})
+	}, nil
+}
+
+// journalMaster reports entry's current image to the journal, if any.
+func (e *Engine) journalMaster(entry *heap.Entry) error {
+	j := e.getJournal()
+	if j == nil {
+		return nil
+	}
+	rec, err := e.MasterImage(entry)
+	if err != nil {
+		return err
+	}
+	return j.MasterChanged(rec)
+}
+
+// journalDirtyReplica reports a locally edited replica to the journal.
+func (e *Engine) journalDirtyReplica(entry *heap.Entry) error {
+	j := e.getJournal()
+	if j == nil {
+		return nil
+	}
+	rec, err := e.ReplicaImage(entry)
+	if err != nil {
+		return err
+	}
+	return j.ReplicaDirtied(rec)
 }
 
 // JournalDirty reports obj's current (locally edited) replica state to
@@ -248,15 +272,6 @@ func (e *Engine) SeedAppliedPut(oid objmodel.OID, base, crc, version uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.appliedPuts[oid] = appliedPut{base: base, crc: crc, version: version}
-}
-
-// AppliedPut reports a master's current exactly-once guard (zeroes when
-// no put has been applied). Snapshots carry it forward through compaction.
-func (e *Engine) AppliedPut(oid objmodel.OID) (base, crc, version uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ap := e.appliedPuts[oid]
-	return ap.base, ap.crc, ap.version
 }
 
 // RestoreProxyIn re-exports the proxy-in serving oid at the exact object

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -260,5 +262,130 @@ func TestQuickIncrementalWalkEqualsTransitive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// staleLimit is the property test's consistency policy: a put more than
+// two versions behind the master is rejected, a fresher one is admitted.
+// It also records every MasterUpdated notification it receives.
+type staleLimit struct {
+	acceptAll
+	notified []string
+}
+
+func (p *staleLimit) ApplyPut(oid objmodel.OID, cur, base uint64) error {
+	if cur-base > 2 {
+		return fmt.Errorf("stale put on %v: base %d, master at %d", oid, base, cur)
+	}
+	return nil
+}
+
+func (p *staleLimit) MasterUpdated(oid objmodel.OID, v uint64) {
+	p.notified = append(p.notified, fmt.Sprintf("%v@%d", oid, v))
+}
+
+// TestQuickPutPathsEquivalent: the single-master put (applyPut) and the
+// grouped one (PreparePut at the leader, ApplyReplicatedPut in replay, the
+// hook after it — what site.Group.RoutePut does around the log) compose
+// the same admit and install steps. One random sequence of fresh puts,
+// retries, stale bases and policy rejections therefore leaves two engines
+// with identical replies, master state, versions, exactly-once guards,
+// notifications and put-applied event counts.
+func TestQuickPutPathsEquivalent(t *testing.T) {
+	type world struct {
+		site    *testSite
+		policy  *staleLimit
+		applied int
+	}
+	newWorld := func(docs int) *world {
+		w := &world{policy: &staleLimit{}}
+		w.site = newTestSite(t, transport.NewMemNetwork(netsim.Loopback), "m", 7, WithPolicy(w.policy))
+		buildChain(t, w.site, docs, 4)
+		w.site.engine.AddEventObserver(func(ev Event) {
+			if ev.Kind == EventPutApplied {
+				w.applied++
+			}
+		})
+		return w
+	}
+	single := func(e *Engine, req *PutRequest) (*PutReply, error) {
+		return e.applyPut(telemetry.SpanContext{}, req)
+	}
+	grouped := func(e *Engine, req *PutRequest) (*PutReply, error) {
+		reply, done, err := e.PreparePut(req)
+		if err != nil || done {
+			return reply, err
+		}
+		if reply, err = e.ApplyReplicatedPut(req); err == nil {
+			e.NotifyMasterUpdated(objmodel.OID(req.OID), reply.NewVersion)
+		}
+		return reply, err
+	}
+
+	var retried, rejected int // across all sequences: the cases must occur
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const docs = 3
+		a, b := newWorld(docs), newWorld(docs)
+		entries := a.site.heap.Entries()
+		last := make(map[objmodel.OID]*PutRequest)
+		for op := 0; op < 40; op++ {
+			entry := entries[rng.Intn(docs)]
+			req := last[entry.OID]
+			if req != nil && rng.Intn(4) == 0 {
+				retried++ // the last request again, verbatim
+			} else {
+				state, err := objmodel.CaptureState(a.site.rt.Registry(), &doc{Name: fmt.Sprintf("edit-%d", op), Body: make([]byte, rng.Intn(16))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				base := entry.Version()
+				if behind := uint64(rng.Intn(5)); rng.Intn(3) == 0 && behind < base {
+					base -= behind // stale: admitted up to two behind, rejected past that
+				}
+				req = &PutRequest{OID: uint64(entry.OID), BaseVersion: base, State: state}
+				last[entry.OID] = req
+			}
+			ra, ea := single(a.site.engine, req)
+			rb, eb := grouped(b.site.engine, req)
+			if (ea == nil) != (eb == nil) || (ea != nil && ea.Error() != eb.Error()) {
+				t.Logf("op %d: errors differ: %v vs %v", op, ea, eb)
+				return false
+			}
+			if ea != nil {
+				rejected++
+			} else if ra.NewVersion != rb.NewVersion {
+				t.Logf("op %d: replies differ: %d vs %d", op, ra.NewVersion, rb.NewVersion)
+				return false
+			}
+		}
+		for _, ea := range entries {
+			eb, ok := b.site.heap.Get(ea.OID)
+			if !ok || ea.Version() != eb.Version() {
+				t.Logf("%v: versions differ", ea.OID)
+				return false
+			}
+			sa, _ := a.site.engine.captureEntry(ea)
+			sb, _ := b.site.engine.captureEntry(eb)
+			if string(sa) != string(sb) {
+				t.Logf("%v: state differs", ea.OID)
+				return false
+			}
+		}
+		if !reflect.DeepEqual(a.site.engine.appliedPuts, b.site.engine.appliedPuts) {
+			t.Logf("guards differ: %v vs %v", a.site.engine.appliedPuts, b.site.engine.appliedPuts)
+			return false
+		}
+		if a.applied != b.applied || a.applied == 0 || !reflect.DeepEqual(a.policy.notified, b.policy.notified) {
+			t.Logf("put-applied events %d vs %d, notifications %v vs %v", a.applied, b.applied, a.policy.notified, b.policy.notified)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(19))}); err != nil {
+		t.Fatal(err)
+	}
+	if retried == 0 || rejected == 0 {
+		t.Fatalf("sequences held %d retries and %d rejections; both must occur", retried, rejected)
 	}
 }

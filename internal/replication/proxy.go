@@ -49,6 +49,13 @@ func (p *ProxyIn) Put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, err
 	if objmodel.OID(req.OID) != p.entry.OID {
 		return nil, fmt.Errorf("proxy-in %v: put addressed to %d", p.entry.OID, req.OID)
 	}
+	return p.put(sc, req)
+}
+
+// put applies one inbound put, single or cluster member: agreed through
+// the group log when this proxy-in serves a group-mastered object, applied
+// directly otherwise.
+func (p *ProxyIn) put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, error) {
 	if g := p.eng.masterGate(); g != nil && p.entry.Role == heap.Master {
 		return g.RoutePut(sc, req)
 	}
@@ -63,17 +70,9 @@ func (p *ProxyIn) PutCluster(sc telemetry.SpanContext, req *ClusterPutRequest) (
 	if req == nil || len(req.Members) == 0 {
 		return nil, fmt.Errorf("proxy-in %v: empty cluster put", p.entry.OID)
 	}
-	gate := p.eng.masterGate()
-	gated := gate != nil && p.entry.Role == heap.Master
 	versions := make([]any, 0, len(req.Members))
 	for i := range req.Members {
-		var reply *PutReply
-		var err error
-		if gated {
-			reply, err = gate.RoutePut(sc, &req.Members[i])
-		} else {
-			reply, err = p.eng.applyPut(sc, &req.Members[i])
-		}
+		reply, err := p.put(sc, &req.Members[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster member %d (oid %v): %w", i, objmodel.OID(req.Members[i].OID), err)
 		}
@@ -188,32 +187,21 @@ func (p *ProxyOut) demand(sc telemetry.SpanContext, spec GetSpec) (obj any, inv 
 	return root, &remoteInvoker{eng: p.eng, provider: winner, oid: p.oid}, nil
 }
 
-// remoteForEntry builds the master-directed invoker for an entry, if it has
-// a provider.
+// remoteForEntry builds the master-directed invoker for an entry: through
+// the entry's own provider when it has one, else through this proxy-out's.
 func (p *ProxyOut) remoteForEntry(e *heap.Entry) objmodel.RemoteInvoker {
-	if prov := e.Provider(); !prov.IsZero() {
-		return &remoteInvoker{eng: p.eng, provider: prov, oid: p.oid}
+	prov := e.Provider()
+	if prov.IsZero() {
+		prov = p.provider
 	}
-	return &remoteInvoker{eng: p.eng, provider: p.provider, oid: p.oid}
+	return &remoteInvoker{eng: p.eng, provider: prov, oid: p.oid}
 }
 
 // RemoteInvoke implements objmodel.RemoteInvoker: it calls the master
-// through the proxy-in without replicating. Leader redirects are followed
-// (a not-leader refusal guarantees the invoke did not run), but transient
-// failures are NOT re-routed: an invoke is not idempotent.
+// through the proxy-in without replicating.
 func (p *ProxyOut) RemoteInvoke(method string, args []any) ([]any, error) {
-	res, _, err := p.eng.callFailover(nil, p.oid, p.provider, p.eng.rt.DefaultCallTimeout(), false, "Invoke", method, args)
-	if err != nil {
-		return nil, p.eng.failUnavailable("invoke", p.oid, telemetry.SpanContext{}, err)
-	}
-	if len(res) == 0 || res[0] == nil {
-		return nil, nil
-	}
-	out, ok := res[0].([]any)
-	if !ok {
-		return nil, fmt.Errorf("remote invoke %s: unexpected reply %T", method, res[0])
-	}
-	return out, nil
+	ri := remoteInvoker{eng: p.eng, provider: p.provider, oid: p.oid}
+	return ri.RemoteInvoke(method, args)
 }
 
 // PreferLocal implements objmodel.AutoDecider by delegating to the
@@ -237,6 +225,9 @@ type remoteInvoker struct {
 
 var _ objmodel.RemoteInvoker = (*remoteInvoker)(nil)
 
+// RemoteInvoke follows leader redirects (a not-leader refusal guarantees
+// the invoke did not run), but transient failures are NOT re-routed: an
+// invoke is not idempotent.
 func (ri *remoteInvoker) RemoteInvoke(method string, args []any) ([]any, error) {
 	res, _, err := ri.eng.callFailover(nil, ri.oid, ri.provider, ri.eng.rt.DefaultCallTimeout(), false, "Invoke", method, args)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -357,7 +358,10 @@ func TestRefreshPullsMasterState(t *testing.T) {
 }
 
 func TestPutClusterShipsWholeCluster(t *testing.T) {
-	master, client := twoSites(t)
+	net := transport.NewMemNetwork(netsim.Loopback)
+	masterHub, clientHub := telemetry.NewHub("s2"), telemetry.NewHub("s1")
+	master := newTestSite(t, net, "s2", 2, WithTelemetry(masterHub))
+	client := newTestSite(t, net, "s1", 1, WithTelemetry(clientHub))
 	docs := buildChain(t, master, 4, 4)
 	refA := exportHead(t, master, client, docs[0],
 		GetSpec{Mode: Incremental, Batch: 4, Clustered: true})
@@ -377,6 +381,13 @@ func TestPutClusterShipsWholeCluster(t *testing.T) {
 	}
 	if docs[0].Name != "a2" || docs[1].Name != "b2" {
 		t.Fatalf("masters after cluster put: %q %q", docs[0].Name, docs[1].Name)
+	}
+	// The cluster ships as its four members: each is reported shipped
+	// here, as the master reports each applied.
+	shipped := clientHub.Metrics().Counter("repl.puts.shipped").Load()
+	applied := masterHub.Metrics().Counter("repl.puts.applied").Load()
+	if shipped != 4 || applied != 4 {
+		t.Fatalf("cluster put of 4 members: repl.puts.shipped=%d repl.puts.applied=%d", shipped, applied)
 	}
 }
 

@@ -151,7 +151,7 @@ func (c *clientConn) readLoop() {
 			c.shutdown(fmt.Errorf("rmi: connection to %q lost: %w", c.addr, err))
 			return
 		}
-		c.rt.stats.bytesRecv.Add(uint64(len(frame)))
+		c.rt.met.bytesRecv.Add(uint64(len(frame)))
 		msg, err := wire.Decode(c.rt.reg, frame)
 		if err != nil {
 			c.shutdown(fmt.Errorf("rmi: bad frame from %q: %w", c.addr, err))
@@ -305,7 +305,6 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 	var lastErr error
 	for attempt := 1; attempt <= rt.retry.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			rt.stats.retries.Add(1)
 			rt.met.retries.Inc()
 			span.Annotate("attempt", strconv.Itoa(attempt))
 			if rt.flight != nil {
@@ -333,7 +332,6 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 			if errors.Is(err, ErrRuntimeClosed) {
 				return finish(nil, err)
 			}
-			rt.stats.sendErrors.Add(1)
 			rt.met.sendErrors.Inc()
 			lastErr = err
 			if transport.IsTransient(err) {
@@ -354,7 +352,6 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 		conn.sendMu.Unlock()
 		if sendErr != nil {
 			conn.unregister(id)
-			rt.stats.sendErrors.Add(1)
 			rt.met.sendErrors.Inc()
 			lastErr = fmt.Errorf("rmi: send %s to %q: %w", method, ref.Addr, sendErr)
 			if errors.Is(sendErr, transport.ErrClosed) {
@@ -370,9 +367,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 			}
 			return finish(nil, lastErr)
 		}
-		rt.stats.callsSent.Add(1)
 		rt.met.calls.Inc()
-		rt.stats.bytesSent.Add(uint64(len(frame)))
 		rt.met.bytesSent.Add(uint64(len(frame)))
 
 		// Wait for the reply: bounded by the per-try budget when the policy
@@ -407,7 +402,6 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 		case *wire.Reply:
 			return finish(m.Results, nil)
 		case *wire.Fault:
-			rt.stats.remoteFaults.Add(1)
 			rt.met.remoteFaults.Inc()
 			return finish(nil, &RemoteError{Code: m.Code, Method: method, Message: m.Message})
 		case error:

@@ -141,3 +141,56 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 		t.Fatalf("context not forwarded verbatim: %+v", serves[0])
 	}
 }
+
+// TestStatsReadTheHubCounters: a runtime keeps one set of counters. With
+// a hub Stats and the rmi.* instruments are the same numbers — reply
+// frames read on a client connection included, which rmi.bytes.recv used
+// to miss — and without a hub Stats reports exactly what it would with one.
+func TestStatsReadTheHubCounters(t *testing.T) {
+	server, client, net, _, clientHub := newTracedPair(t, NoRetry())
+	bare, err := NewRuntime(net, "bare", WithRetryPolicy(NoRetry())) // no hub
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	ref, _ := server.Export(&calculator{}, "Calculator")
+	for _, rt := range []*Runtime{client, bare} {
+		for i := 0; i < 20; i++ {
+			if _, err := rt.Call(ref, "Add", int64(i), int64(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := rt.Call(ref, "NoSuchMethod"); err == nil {
+			t.Fatal("call to a missing method succeeded")
+		}
+	}
+
+	st := client.Stats()
+	m := clientHub.Metrics()
+	for _, c := range []struct {
+		name string
+		stat uint64
+	}{
+		{"rmi.calls", st.CallsSent},
+		{"rmi.calls.served", st.CallsServed},
+		{"rmi.send.errors", st.SendErrors},
+		{"rmi.remote.faults", st.RemoteFaults},
+		{"rmi.retries", st.Retries},
+		{"rmi.dedupe.hits", st.DupsSuppressed},
+		{"rmi.bytes.sent", st.BytesSent},
+		{"rmi.bytes.recv", st.BytesReceived},
+	} {
+		if got := m.Counter(c.name).Load(); got != c.stat {
+			t.Errorf("%s = %d, Stats reports %d", c.name, got, c.stat)
+		}
+	}
+	if st.CallsSent != 21 || st.RemoteFaults != 1 || st.BytesReceived == 0 {
+		t.Errorf("client stats after 21 calls, one faulting: %+v", st)
+	}
+	// The same replies came back to both (call frames differ by the client
+	// id they carry, so BytesSent is not compared).
+	if b := bare.Stats(); b.BytesReceived != st.BytesReceived || b.CallsSent != st.CallsSent ||
+		b.RemoteFaults != st.RemoteFaults || b.BytesSent == 0 {
+		t.Errorf("hub-less stats %+v differ from a hub's %+v", b, st)
+	}
+}

@@ -1,7 +1,9 @@
 package site
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -10,7 +12,6 @@ import (
 	"obiwan/internal/heap"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
-	"obiwan/internal/rmi"
 	"obiwan/internal/txn"
 	"obiwan/internal/wal"
 )
@@ -48,28 +49,10 @@ const (
 // compactThreshold is the log size that triggers background compaction.
 const compactThreshold = 1 << 20
 
-// walMasterRec is the durable image of one master object.
-type walMasterRec struct {
-	OID            uint64
-	TypeName       string
-	Version        uint64
-	State          []byte
-	Frontier       []replication.FrontierRef
-	AppliedBase    uint64
-	AppliedCRC     uint64
-	AppliedVersion uint64
-}
-
-// walDirtyRec is the durable image of one locally edited replica.
-type walDirtyRec struct {
-	OID         uint64
-	TypeName    string
-	Version     uint64
-	State       []byte
-	Provider    rmi.RemoteRef
-	ClusterRoot uint64
-	Frontier    []replication.FrontierRef
-}
+// The master, dirty-replica and update-log records are the journal types
+// themselves — replication.JournalMaster, replication.JournalReplica and
+// eventual.JournalRecord — encoded as they arrive; the record types below
+// are the ones only this layer produces.
 
 // walCleanRec retracts the dirty record for OID (edit reached the master).
 type walCleanRec struct {
@@ -103,23 +86,12 @@ type walPendingDoneRec struct {
 	ID uint64
 }
 
-// walEventualRec wraps one eventual.Store journal event. Unlike the other
-// record kinds these are event-sourced, not last-wins: recovery replays
-// them in log order through eventual.Store.Recover.
-type walEventualRec struct {
-	Kind    uint64
-	Payload []byte
-}
-
 func init() {
-	codec.MustRegister("obiwan.site.walMasterRec", walMasterRec{})
-	codec.MustRegister("obiwan.site.walDirtyRec", walDirtyRec{})
 	codec.MustRegister("obiwan.site.walCleanRec", walCleanRec{})
 	codec.MustRegister("obiwan.site.walBindRec", walBindRec{})
 	codec.MustRegister("obiwan.site.walProxyRec", walProxyRec{})
 	codec.MustRegister("obiwan.site.walPendingRec", walPendingRec{})
 	codec.MustRegister("obiwan.site.walPendingDoneRec", walPendingDoneRec{})
-	codec.MustRegister("obiwan.site.walEventualRec", walEventualRec{})
 }
 
 // durability implements replication.Journal over a wal.Store.
@@ -195,29 +167,12 @@ func (d *durability) append(kind uint64, rec any) error {
 
 // MasterChanged implements replication.Journal.
 func (d *durability) MasterChanged(rec replication.JournalMaster) error {
-	return d.append(recMaster, &walMasterRec{
-		OID:            rec.OID,
-		TypeName:       rec.TypeName,
-		Version:        rec.Version,
-		State:          rec.State,
-		Frontier:       rec.Frontier,
-		AppliedBase:    rec.AppliedBase,
-		AppliedCRC:     rec.AppliedCRC,
-		AppliedVersion: rec.AppliedVersion,
-	})
+	return d.append(recMaster, &rec)
 }
 
 // ReplicaDirtied implements replication.Journal.
 func (d *durability) ReplicaDirtied(rec replication.JournalReplica) error {
-	return d.append(recDirty, &walDirtyRec{
-		OID:         rec.OID,
-		TypeName:    rec.TypeName,
-		Version:     rec.Version,
-		State:       rec.State,
-		Provider:    rec.Provider,
-		ClusterRoot: rec.ClusterRoot,
-		Frontier:    rec.Frontier,
-	})
+	return d.append(recDirty, &rec)
 }
 
 // ReplicaCleaned implements replication.Journal.
@@ -231,10 +186,13 @@ func (d *durability) ProxyInExported(oid objmodel.OID, id uint64) error {
 }
 
 // AppendEventual implements eventual.Journal: one update-log event,
-// write-ahead. The store calls this without holding its state mutex, so
-// the lock order stays d.mu → store.mu (compaction) with no inversion.
+// write-ahead. Unlike the other record kinds these are event-sourced, not
+// last-wins: recovery replays them in log order through
+// eventual.Store.Recover. The store calls this without holding its state
+// mutex, so the lock order stays d.mu → store.mu (compaction) with no
+// inversion.
 func (d *durability) AppendEventual(rec eventual.JournalRecord) error {
-	return d.append(recEventual, &walEventualRec{Kind: rec.Kind, Payload: rec.Payload})
+	return d.append(recEventual, &rec)
 }
 
 // TxnParked implements txn.PendingJournal: a disconnected commit joined
@@ -266,10 +224,9 @@ func (d *durability) parkedSnapshot() []parkedTxn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]parkedTxn, 0, len(d.parked))
-	for id, oids := range d.parked {
-		out = append(out, parkedTxn{id: id, oids: append([]uint64(nil), oids...)})
+	for _, id := range sortedKeys(d.parked) {
+		out = append(out, parkedTxn{id: id, oids: append([]uint64(nil), d.parked[id]...)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -283,92 +240,99 @@ func (d *durability) journalBind(name string, desc replication.Descriptor) error
 
 // recoveredState is the decoded, last-wins-folded content of a WAL.
 type recoveredState struct {
-	masters  []walMasterRec
-	dirty    []walDirtyRec
+	masters  map[uint64]replication.JournalMaster
+	dirty    map[uint64]replication.JournalReplica
 	bindings map[string]replication.Descriptor
 	proxyIns map[uint64]uint64
 	parked   map[uint64][]uint64
 	eventual []eventual.JournalRecord // in log order, NOT folded
 }
 
+// sortedKeys returns m's keys in ascending order: recovery and snapshots
+// walk every last-wins table in key order so both are deterministic.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // foldRecords decodes raw WAL records (snapshot first, then log) into the
 // last-state-wins view of the previous incarnation.
 func (d *durability) foldRecords(raw [][]byte) (*recoveredState, error) {
-	masters := make(map[uint64]walMasterRec)
-	dirty := make(map[uint64]walDirtyRec)
-	out := &recoveredState{
+	st := &recoveredState{
+		masters:  make(map[uint64]replication.JournalMaster),
+		dirty:    make(map[uint64]replication.JournalReplica),
 		bindings: make(map[string]replication.Descriptor),
 		proxyIns: make(map[uint64]uint64),
 		parked:   make(map[uint64][]uint64),
 	}
 	for i, payload := range raw {
-		dec := codec.NewDecoder(payload)
-		kind, err := dec.ReadUvarint()
-		if err != nil {
+		if err := d.foldRecord(st, payload); err != nil {
 			return nil, fmt.Errorf("site: wal record %d: %w", i, err)
 		}
-		switch kind {
-		case recMaster:
-			var rec walMasterRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			masters[rec.OID] = rec
-		case recDirty:
-			var rec walDirtyRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			dirty[rec.OID] = rec
-		case recClean:
-			var rec walCleanRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			delete(dirty, rec.OID)
-		case recBind:
-			var rec walBindRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			out.bindings[rec.Name] = rec.Desc
-		case recProxy:
-			var rec walProxyRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			out.proxyIns[rec.OID] = rec.ID
-		case recPending:
-			var rec walPendingRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			out.parked[rec.ID] = rec.OIDs
-		case recPendingDone:
-			var rec walPendingDoneRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			delete(out.parked, rec.ID)
-		case recEventual:
-			var rec walEventualRec
-			if err := dec.DecodeStruct(d.reg, &rec); err != nil {
-				return nil, fmt.Errorf("site: wal record %d: %w", i, err)
-			}
-			out.eventual = append(out.eventual, eventual.JournalRecord{Kind: rec.Kind, Payload: rec.Payload})
-		default:
-			return nil, fmt.Errorf("site: wal record %d: unknown kind %d", i, kind)
+	}
+	return st, nil
+}
+
+// foldRecord decodes one record (kind uvarint + struct body) into st.
+func (d *durability) foldRecord(st *recoveredState, payload []byte) error {
+	dec := codec.NewDecoder(payload)
+	kind, err := dec.ReadUvarint()
+	if err != nil {
+		return err
+	}
+	body := func(rec any) bool {
+		err = dec.DecodeStruct(d.reg, rec)
+		return err == nil
+	}
+	switch kind {
+	case recMaster:
+		var rec replication.JournalMaster
+		if body(&rec) {
+			st.masters[rec.OID] = rec
 		}
+	case recDirty:
+		var rec replication.JournalReplica
+		if body(&rec) {
+			st.dirty[rec.OID] = rec
+		}
+	case recClean:
+		var rec walCleanRec
+		if body(&rec) {
+			delete(st.dirty, rec.OID)
+		}
+	case recBind:
+		var rec walBindRec
+		if body(&rec) {
+			st.bindings[rec.Name] = rec.Desc
+		}
+	case recProxy:
+		var rec walProxyRec
+		if body(&rec) {
+			st.proxyIns[rec.OID] = rec.ID
+		}
+	case recPending:
+		var rec walPendingRec
+		if body(&rec) {
+			st.parked[rec.ID] = rec.OIDs
+		}
+	case recPendingDone:
+		var rec walPendingDoneRec
+		if body(&rec) {
+			delete(st.parked, rec.ID)
+		}
+	case recEventual:
+		var rec eventual.JournalRecord
+		if body(&rec) {
+			st.eventual = append(st.eventual, rec)
+		}
+	default:
+		return fmt.Errorf("unknown kind %d", kind)
 	}
-	for _, rec := range masters {
-		out.masters = append(out.masters, rec)
-	}
-	sort.Slice(out.masters, func(i, j int) bool { return out.masters[i].OID < out.masters[j].OID })
-	for _, rec := range dirty {
-		out.dirty = append(out.dirty, rec)
-	}
-	sort.Slice(out.dirty, func(i, j int) bool { return out.dirty[i].OID < out.dirty[j].OID })
-	return out, nil
+	return err
 }
 
 // recover rebuilds the previous incarnation from recovered WAL records:
@@ -385,7 +349,9 @@ func (d *durability) recover(raw [][]byte) error {
 	eng, h := d.site.engine, d.site.heap
 
 	// Pass 1: masters exist before anything binds references to them.
-	for _, rec := range st.masters {
+	masterOIDs := sortedKeys(st.masters)
+	for _, oid := range masterOIDs {
+		rec := st.masters[oid]
 		info, ok := objmodel.InfoByName(rec.TypeName)
 		if !ok {
 			return fmt.Errorf("site: recover master %d: unknown type %q", rec.OID, rec.TypeName)
@@ -396,7 +362,8 @@ func (d *durability) recover(raw [][]byte) error {
 	}
 	// Pass 2: state + reference binding (local targets resolve from the
 	// heap; off-site targets through frontier proxy-outs).
-	for _, rec := range st.masters {
+	for _, oid := range masterOIDs {
+		rec := st.masters[oid]
 		entry, _ := h.Get(objmodel.OID(rec.OID))
 		if err := eng.RestoreWithFrontier(entry.Obj, rec.State, rec.Frontier); err != nil {
 			return fmt.Errorf("site: restore master %d: %w", rec.OID, err)
@@ -405,7 +372,8 @@ func (d *durability) recover(raw [][]byte) error {
 	}
 
 	// Dirty replicas: the offline edits the crash must not lose.
-	for _, rec := range st.dirty {
+	for _, oid := range sortedKeys(st.dirty) {
+		rec := st.dirty[oid]
 		info, ok := objmodel.InfoByName(rec.TypeName)
 		if !ok {
 			return fmt.Errorf("site: recover replica %d: unknown type %q", rec.OID, rec.TypeName)
@@ -425,12 +393,7 @@ func (d *durability) recover(raw [][]byte) error {
 	// not survive (a live replica that served onward replication) is
 	// skipped: its remote holders re-fault exactly as they would against
 	// a non-durable site.
-	oids := make([]uint64, 0, len(st.proxyIns))
-	for oid := range st.proxyIns {
-		oids = append(oids, oid)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, oid := range oids {
+	for _, oid := range sortedKeys(st.proxyIns) {
 		if _, ok := h.Get(objmodel.OID(oid)); !ok {
 			continue
 		}
@@ -468,12 +431,7 @@ func (d *durability) recover(raw [][]byte) error {
 	}
 	d.mu.Unlock()
 	if d.site.ns != nil {
-		names := make([]string, 0, len(st.bindings))
-		for name := range st.bindings {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedKeys(st.bindings) {
 			if err := d.site.ns.Bind(name, st.bindings[name]); err != nil {
 				return fmt.Errorf("site: re-bind %q: %w", name, err)
 			}
@@ -482,94 +440,62 @@ func (d *durability) recover(raw [][]byte) error {
 	return nil
 }
 
-// snapshotRecords serializes the site's full durable state for compaction.
+// snapshotRecords serializes the site's full durable state for compaction:
+// the same records the journal hooks append, built by the same functions.
 // Caller holds d.mu.
 func (d *durability) snapshotRecords() ([][]byte, error) {
-	eng, h := d.site.engine, d.site.heap
+	eng := d.site.engine
 	var out [][]byte
-	entries := h.Entries()
+	add := func(kind uint64, rec any) error {
+		payload, err := d.encodeRec(kind, rec)
+		if err == nil {
+			out = append(out, payload)
+		}
+		return err
+	}
+	entries := d.site.heap.Entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].OID < entries[j].OID })
 	for _, en := range entries {
+		var err error
 		switch {
 		case en.Role == heap.Master:
-			state, err := eng.CaptureSnapshot(en.Obj)
-			if err != nil {
-				return nil, fmt.Errorf("site: snapshot %v: %w", en.OID, err)
+			var rec replication.JournalMaster
+			if rec, err = eng.MasterImage(en); err == nil {
+				err = add(recMaster, &rec)
 			}
-			frontier, err := eng.BuildRecoveryFrontier(en.Obj)
-			if err != nil {
-				return nil, fmt.Errorf("site: snapshot %v frontier: %w", en.OID, err)
-			}
-			base, crc, version := eng.AppliedPut(en.OID)
-			payload, err := d.encodeRec(recMaster, &walMasterRec{
-				OID: uint64(en.OID), TypeName: en.TypeName, Version: en.Version(),
-				State: state, Frontier: frontier,
-				AppliedBase: base, AppliedCRC: crc, AppliedVersion: version,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, payload)
 		case en.Dirty():
-			state, err := eng.CaptureSnapshot(en.Obj)
-			if err != nil {
-				return nil, fmt.Errorf("site: snapshot %v: %w", en.OID, err)
+			var rec replication.JournalReplica
+			if rec, err = eng.ReplicaImage(en); err == nil {
+				err = add(recDirty, &rec)
 			}
-			frontier, err := eng.BuildRecoveryFrontier(en.Obj)
-			if err != nil {
-				return nil, fmt.Errorf("site: snapshot %v frontier: %w", en.OID, err)
-			}
-			payload, err := d.encodeRec(recDirty, &walDirtyRec{
-				OID: uint64(en.OID), TypeName: en.TypeName, Version: en.Version(),
-				State: state, Provider: en.Provider(), ClusterRoot: uint64(en.ClusterRoot()),
-				Frontier: frontier,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, payload)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("site: snapshot %v: %w", en.OID, err)
 		}
 	}
-	for oid, id := range eng.ProxyInIDs() {
-		payload, err := d.encodeRec(recProxy, &walProxyRec{OID: uint64(oid), ID: id})
-		if err != nil {
+	proxyIns := eng.ProxyInIDs()
+	for _, oid := range sortedKeys(proxyIns) {
+		if err := add(recProxy, &walProxyRec{OID: uint64(oid), ID: proxyIns[oid]}); err != nil {
 			return nil, err
 		}
-		out = append(out, payload)
 	}
-	names := make([]string, 0, len(d.bindings))
-	for name := range d.bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		payload, err := d.encodeRec(recBind, &walBindRec{Name: name, Desc: d.bindings[name]})
-		if err != nil {
+	for _, name := range sortedKeys(d.bindings) {
+		if err := add(recBind, &walBindRec{Name: name, Desc: d.bindings[name]}); err != nil {
 			return nil, err
 		}
-		out = append(out, payload)
 	}
-	ids := make([]uint64, 0, len(d.parked))
-	for id := range d.parked {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		payload, err := d.encodeRec(recPending, &walPendingRec{ID: id, OIDs: d.parked[id]})
-		if err != nil {
+	for _, id := range sortedKeys(d.parked) {
+		if err := add(recPending, &walPendingRec{ID: id, OIDs: d.parked[id]}); err != nil {
 			return nil, err
 		}
-		out = append(out, payload)
 	}
 	if ev := d.site.eventual; ev != nil {
 		// Lock order d.mu → store.mu, same as every compaction read of
 		// engine state; the store never journals while holding store.mu.
 		for _, rec := range ev.SnapshotRecords() {
-			payload, err := d.encodeRec(recEventual, &walEventualRec{Kind: rec.Kind, Payload: rec.Payload})
-			if err != nil {
+			if err := add(recEventual, &rec); err != nil {
 				return nil, err
 			}
-			out = append(out, payload)
 		}
 	}
 	return out, nil

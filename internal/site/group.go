@@ -377,11 +377,7 @@ func (g *Group) RouteRegister(obj any) (*heap.Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("site: group register: type %T not registered with objmodel", obj)
 	}
-	state, err := g.site.engine.CaptureSnapshot(obj)
-	if err != nil {
-		return nil, err
-	}
-	frontier, err := g.site.engine.BuildRecoveryFrontier(obj)
+	state, frontier, err := g.site.engine.CaptureImage(obj)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +409,7 @@ func (g *Group) RouteBump(entry *heap.Entry) (uint64, error) {
 	if err := g.CheckServe(); err != nil {
 		return 0, err
 	}
-	state, frontier, err := g.site.engine.CaptureForGroup(entry)
+	state, frontier, err := g.site.engine.CaptureImage(entry.Obj)
 	if err != nil {
 		return 0, err
 	}
@@ -546,11 +542,7 @@ func (g *Group) republishBindings() {
 		clock.Sleep(g.heartbeat)
 	}
 	g.mu.Lock()
-	names := make([]string, 0, len(g.bindings))
-	for name := range g.bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedKeys(g.bindings)
 	descs := make([]replication.Descriptor, len(names))
 	for i, name := range names {
 		descs[i] = g.bindings[name]

@@ -1,145 +1,13 @@
-// Package stats provides the small measurement toolkit the benchmark
-// harness uses: duration summaries with percentiles and fixed-width table
-// rendering for experiment output.
+// Package stats is the table formatter: aligned fixed-width and CSV
+// rendering for experiment output, telemetry snapshots and obiwan-admin.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// Summary accumulates duration samples. Safe for concurrent use: the
-// bench harness historically measured single-threaded, but the telemetry
-// layer now feeds summaries from many goroutines, so every method takes
-// the summary's lock. Per-worker summaries can still be kept lock-cheap
-// and combined at the end with Merge.
-type Summary struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-}
-
-// Add records one sample.
-func (s *Summary) Add(d time.Duration) {
-	s.mu.Lock()
-	s.samples = append(s.samples, d)
-	s.sorted = false
-	s.mu.Unlock()
-}
-
-// Merge folds other's samples into s (the sharded-accumulation pattern:
-// one Summary per goroutine, merged once at the end). Merging a summary
-// into itself is a no-op.
-func (s *Summary) Merge(other *Summary) {
-	if other == nil || other == s {
-		return
-	}
-	// Lock order: always other before s would deadlock against a
-	// concurrent s.Merge(other) from the other side; copy out instead of
-	// holding both locks.
-	other.mu.Lock()
-	samples := append([]time.Duration(nil), other.samples...)
-	other.mu.Unlock()
-	if len(samples) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.samples = append(s.samples, samples...)
-	s.sorted = false
-	s.mu.Unlock()
-}
-
-// Count returns the number of samples.
-func (s *Summary) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.samples)
-}
-
-// Total returns the sum of all samples.
-func (s *Summary) Total() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalLocked()
-}
-
-func (s *Summary) totalLocked() time.Duration {
-	var t time.Duration
-	for _, d := range s.samples {
-		t += d
-	}
-	return t
-}
-
-// Mean returns the average sample (0 with no samples).
-func (s *Summary) Mean() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.totalLocked() / time.Duration(len(s.samples))
-}
-
-// Min returns the smallest sample (0 with no samples).
-func (s *Summary) Min() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sortLocked()
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.samples[0]
-}
-
-// Max returns the largest sample (0 with no samples).
-func (s *Summary) Max() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sortLocked()
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.samples[len(s.samples)-1]
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) by the
-// nearest-rank method.
-func (s *Summary) Percentile(p float64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sortLocked()
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return s.samples[0]
-	}
-	if p >= 100 {
-		return s.samples[n-1]
-	}
-	rank := int(p/100*float64(n)+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= n {
-		rank = n - 1
-	}
-	return s.samples[rank]
-}
-
-func (s *Summary) sortLocked() {
-	if s.sorted {
-		return
-	}
-	sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
-	s.sorted = true
-}
 
 // Table renders rows of experiment output with aligned columns.
 type Table struct {

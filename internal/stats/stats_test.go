@@ -3,72 +3,9 @@ package stats
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty summary must be all zeros")
-	}
-	for _, d := range []time.Duration{30, 10, 20} {
-		s.Add(d * time.Millisecond)
-	}
-	if s.Count() != 3 {
-		t.Fatalf("count: %d", s.Count())
-	}
-	if s.Total() != 60*time.Millisecond {
-		t.Fatalf("total: %v", s.Total())
-	}
-	if s.Mean() != 20*time.Millisecond {
-		t.Fatalf("mean: %v", s.Mean())
-	}
-	if s.Min() != 10*time.Millisecond || s.Max() != 30*time.Millisecond {
-		t.Fatalf("min/max: %v %v", s.Min(), s.Max())
-	}
-	if s.Percentile(50) != 20*time.Millisecond {
-		t.Fatalf("p50: %v", s.Percentile(50))
-	}
-	if s.Percentile(0) != 10*time.Millisecond || s.Percentile(100) != 30*time.Millisecond {
-		t.Fatalf("p0/p100: %v %v", s.Percentile(0), s.Percentile(100))
-	}
-}
-
-func TestSummaryAddAfterSort(t *testing.T) {
-	var s Summary
-	s.Add(5)
-	_ = s.Min() // forces sort
-	s.Add(1)    // must invalidate sorted state
-	if s.Min() != 1 {
-		t.Fatalf("min after re-add: %v", s.Min())
-	}
-}
-
-// Property: percentiles are monotone in p and bounded by min/max.
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(raw []uint16, aRaw, bRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Summary
-		for _, v := range raw {
-			s.Add(time.Duration(v))
-		}
-		a := float64(aRaw % 101)
-		b := float64(bRaw % 101)
-		if a > b {
-			a, b = b, a
-		}
-		pa, pb := s.Percentile(a), s.Percentile(b)
-		return pa <= pb && pa >= s.Min() && pb <= s.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("name", "value")
@@ -101,42 +38,4 @@ func TestTableCSV(t *testing.T) {
 	if got != "a,b\n1,x\n" {
 		t.Fatalf("csv: %q", got)
 	}
-}
-
-func TestSummaryConcurrentAddAndMerge(t *testing.T) {
-	var total Summary
-	var wg sync.WaitGroup
-	shards := make([]*Summary, 8)
-	for i := range shards {
-		shards[i] = &Summary{}
-	}
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				total.Add(time.Duration(i+1) * time.Microsecond) // shared, concurrent
-				shards[g].Add(time.Duration(i+1) * time.Microsecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if total.Count() != 4000 {
-		t.Fatalf("concurrent adds lost samples: %d", total.Count())
-	}
-	var merged Summary
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	if merged.Count() != 4000 || merged.Min() != time.Microsecond || merged.Max() != 500*time.Microsecond {
-		t.Fatalf("merge: count=%d min=%v max=%v", merged.Count(), merged.Min(), merged.Max())
-	}
-	if merged.Total() != total.Total() {
-		t.Fatalf("merge total %v != concurrent total %v", merged.Total(), total.Total())
-	}
-	merged.Merge(&merged) // self-merge no-ops
-	if merged.Count() != 4000 {
-		t.Fatalf("self-merge duplicated: %d", merged.Count())
-	}
-	merged.Merge(nil)
 }

@@ -31,4 +31,7 @@ for e in quickstart disconnected collabdoc worldgame adaptive; do
 	go run "./examples/$e" >/dev/null
 done
 
+echo "== size"
+sh scripts/loc.sh
+
 echo "all checks passed"
