@@ -16,6 +16,7 @@ import (
 
 	"obiwan/internal/bench"
 	"obiwan/internal/netsim"
+	"obiwan/internal/raceflag"
 	"obiwan/internal/replication"
 )
 
@@ -235,56 +236,75 @@ func BenchmarkAutoCrossover(b *testing.B) {
 // the serialization substrate.
 func BenchmarkReplicationPayload(b *testing.B) {
 	for _, size := range []int{64, 1024, 16 * 1024} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			network := NewMemNetwork(Loopback)
-			server, err := NewSite("s2", network)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer server.Close()
-			client, err := NewSite("s1", network)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
-			// A fresh 50-object chain per iteration would distort timing;
-			// instead replicate the same chain transitively into fresh
-			// client sites.
-			docs := make([]*benchDoc2, 50)
-			for i := range docs {
-				docs[i] = &benchDoc2{Payload: make([]byte, size)}
-				if err := server.Register(docs[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < len(docs)-1; i++ {
-				r, err := server.NewRef(docs[i+1])
-				if err != nil {
-					b.Fatal(err)
-				}
-				docs[i].Next = r
-			}
-			d, err := server.Export(docs[0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fresh, err := NewSite(fmt.Sprintf("c%d", i), network)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				ref := fresh.Engine().RefFromDescriptor(d, GetSpec{Mode: replication.Transitive})
-				if _, err := ref.Resolve(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				_ = fresh.Close()
-				b.StartTimer()
-			}
-		})
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) { benchReplicationPayload(b, size) })
+	}
+}
+
+// replicationPayload16kBytes pins what BenchmarkReplicationPayload/size=16384
+// allocates per op (50 x 16 KiB, transitive, both sites): 8.5 MB before
+// frames were sized, decode borrowed and CaptureState stopped copying out,
+// 3.47 MB now. It only ever goes down.
+const replicationPayload16kBytes = 3_600_000
+
+func TestReplicationPayloadAllocationPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not repeatable under the race detector")
+	}
+	res := testing.Benchmark(func(b *testing.B) { benchReplicationPayload(b, 16<<10) })
+	if got := res.AllocedBytesPerOp(); got > replicationPayload16kBytes {
+		t.Fatalf("BenchmarkReplicationPayload/size=16384 allocates %d B/op, pinned at %d", got, replicationPayload16kBytes)
+	}
+	t.Logf("BenchmarkReplicationPayload/size=16384: %s %s", res, res.MemString())
+}
+
+func benchReplicationPayload(b *testing.B, size int) {
+	network := NewMemNetwork(Loopback)
+	server, err := NewSite("s2", network)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer server.Close()
+	client, err := NewSite("s1", network)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	// A fresh 50-object chain per iteration would distort timing;
+	// instead replicate the same chain transitively into fresh
+	// client sites.
+	docs := make([]*benchDoc2, 50)
+	for i := range docs {
+		docs[i] = &benchDoc2{Payload: make([]byte, size)}
+		if err := server.Register(docs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < len(docs)-1; i++ {
+		r, err := server.NewRef(docs[i+1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs[i].Next = r
+	}
+	d, err := server.Export(docs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, err := NewSite(fmt.Sprintf("c%d", i), network)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ref := fresh.Engine().RefFromDescriptor(d, GetSpec{Mode: replication.Transitive})
+		if _, err := ref.Resolve(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		_ = fresh.Close()
+		b.StartTimer()
 	}
 }
 

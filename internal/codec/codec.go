@@ -113,22 +113,44 @@ func (e *Encoder) WriteRaw(b []byte) {
 
 // Decoder reads values from a byte slice. Decoders must not be used
 // concurrently.
+//
+// One Decoder is heap-allocated per frame, so the struct stays in the
+// 32-byte size class: off is 32 bits wide (inputs are frames and log
+// records, bounded far below 4 GiB by transport.MaxMessageSize) to leave
+// room for borrow.
 type Decoder struct {
-	buf []byte
-	off int
+	buf    []byte
+	off    uint32
+	borrow bool // ReadBytes aliases buf instead of copying
 }
 
 // NewDecoder returns a decoder over buf. The decoder does not copy buf; the
-// caller must not mutate it while decoding.
+// caller must not mutate it while decoding. Every []byte it returns is a
+// copy, so buf may be released or reused afterwards. Input beyond 4 GiB is
+// not addressable and reads as truncated.
 func NewDecoder(buf []byte) *Decoder {
+	if uint64(len(buf)) > math.MaxUint32 {
+		buf = buf[:math.MaxUint32]
+	}
 	return &Decoder{buf: buf}
 }
 
+// NewBorrowingDecoder is NewDecoder for a caller that owns buf and hands it
+// over: decoded []byte values (ReadBytes, and through it Value and
+// DecodeStruct) alias buf, capacity clipped to length, instead of being
+// copied out of it. buf must not be written or reused while any decoded
+// value is live. Strings are always copied.
+func NewBorrowingDecoder(buf []byte) *Decoder {
+	d := NewDecoder(buf)
+	d.borrow = true
+	return d
+}
+
 // Remaining returns the number of undecoded bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+func (d *Decoder) Remaining() int { return len(d.buf) - int(d.off) }
 
 // Offset returns the current read position.
-func (d *Decoder) Offset() int { return d.off }
+func (d *Decoder) Offset() int { return int(d.off) }
 
 // ReadUvarint decodes an unsigned LEB128 value.
 func (d *Decoder) ReadUvarint() (uint64, error) {
@@ -139,7 +161,7 @@ func (d *Decoder) ReadUvarint() (uint64, error) {
 		}
 		return 0, fmt.Errorf("%w: uvarint overflow at offset %d", ErrCorrupt, d.off)
 	}
-	d.off += n
+	d.off += uint32(n)
 	return v, nil
 }
 
@@ -152,7 +174,7 @@ func (d *Decoder) ReadVarint() (int64, error) {
 		}
 		return 0, fmt.Errorf("%w: varint overflow at offset %d", ErrCorrupt, d.off)
 	}
-	d.off += n
+	d.off += uint32(n)
 	return v, nil
 }
 
@@ -174,7 +196,7 @@ func (d *Decoder) ReadBool() (bool, error) {
 
 // ReadByte decodes a single raw byte.
 func (d *Decoder) ReadByte() (byte, error) {
-	if d.off >= len(d.buf) {
+	if int(d.off) >= len(d.buf) {
 		return 0, ErrTruncated
 	}
 	b := d.buf[d.off]
@@ -205,27 +227,39 @@ func (d *Decoder) readLen() (int, error) {
 	return int(n), nil
 }
 
+// take returns the next n bytes of the input, which the caller has checked
+// are there, and moves past them.
+func (d *Decoder) take(n int) []byte {
+	b := d.buf[d.off : int(d.off)+n]
+	d.off += uint32(n)
+	return b
+}
+
 // ReadString decodes a length-prefixed string.
 func (d *Decoder) ReadString() (string, error) {
 	n, err := d.readLen()
 	if err != nil {
 		return "", err
 	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s, nil
+	return string(d.take(n)), nil
 }
 
 // ReadBytes decodes a length-prefixed byte slice. The result is a copy and
-// remains valid after the decoder's input is released.
+// remains valid after the decoder's input is released, unless the decoder
+// borrows (NewBorrowingDecoder): then it aliases the input, with its
+// capacity clipped so that an append cannot reach the bytes behind it. An
+// empty slice never aliases: it would pin the input for nothing.
 func (d *Decoder) ReadBytes() ([]byte, error) {
 	n, err := d.readLen()
 	if err != nil {
 		return nil, err
 	}
+	b := d.take(n)
+	if d.borrow && n > 0 {
+		return b[:n:n], nil
+	}
 	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
-	d.off += n
+	copy(out, b)
 	return out, nil
 }
 
@@ -238,9 +272,7 @@ func (d *Decoder) ReadRaw(n int) ([]byte, error) {
 	if n > d.Remaining() {
 		return nil, ErrTruncated
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b, nil
+	return d.take(n), nil
 }
 
 // countedLen decodes a count prefix (for slices and maps) and sanity-checks

@@ -94,6 +94,10 @@ func (r *Registry) NameOf(v any) (string, bool) {
 	if t == nil {
 		return "", false
 	}
+	return r.nameOfType(t)
+}
+
+func (r *Registry) nameOfType(t reflect.Type) (string, bool) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}

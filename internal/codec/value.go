@@ -3,6 +3,8 @@ package codec
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -161,6 +163,11 @@ func (e *Encoder) Value(reg *Registry, v any) error {
 		}
 		rv = rv.Elem()
 	}
+	// A registered struct is where the bytes are (a replication payload, a
+	// put request): make room for all of it at once. Appended to field by
+	// field, a 1.6 MB payload regrows its frame a dozen times, 1.25x each,
+	// and every regrowth is a frame-sized allocation and copy.
+	e.buf = slices.Grow(e.buf, sizeReflect(reg, rv))
 	return e.encodeReflect(reg, rv)
 }
 
@@ -354,14 +361,9 @@ func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value) error {
 			}
 		}
 	case reflect.Struct:
-		t := rv.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() || f.Tag.Get("obiwan") == "-" {
-				continue
-			}
-			if err := e.encodeReflect(reg, rv.Field(i)); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
+		for _, f := range shippedFields(rv.Type()) {
+			if err := e.encodeReflect(reg, rv.Field(f.index)); err != nil {
+				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
 	case reflect.Interface:
@@ -489,14 +491,9 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 		}
 		rv.Set(out)
 	case reflect.Struct:
-		t := rv.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() || f.Tag.Get("obiwan") == "-" {
-				continue
-			}
-			if err := d.decodeReflect(reg, rv.Field(i)); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
+		for _, f := range shippedFields(rv.Type()) {
+			if err := d.decodeReflect(reg, rv.Field(f.index)); err != nil {
+				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
 	case reflect.Interface:
@@ -517,6 +514,33 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 		return fmt.Errorf("codec: unsupported kind %v", rv.Kind())
 	}
 	return nil
+}
+
+// shippedField is one field of a struct that travels: exported, and not
+// tagged `obiwan:"-"`.
+type shippedField struct {
+	index int
+	name  string
+}
+
+var shippedByType sync.Map // reflect.Type -> []shippedField
+
+// shippedFields returns the fields of struct type t that travel, in
+// declaration order. The list is computed once per type: the encoder, the
+// decoder and the sizing walk each visit every field of every struct, and
+// reflect.Type.Field builds a StructField and parses its tag on every call.
+func shippedFields(t reflect.Type) []shippedField {
+	if fs, ok := shippedByType.Load(t); ok {
+		return fs.([]shippedField)
+	}
+	var fs []shippedField
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() && f.Tag.Get("obiwan") != "-" {
+			fs = append(fs, shippedField{index: i, name: f.Name})
+		}
+	}
+	shippedByType.Store(t, fs)
+	return fs
 }
 
 // supportedMapKey reports whether a map key kind has a deterministic wire

@@ -21,6 +21,7 @@
 package consensus
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -848,6 +849,11 @@ func (n *Node) HandleAppendEntries(req *AppendRequest) (*AppendReply, error) {
 				return nil, err
 			}
 		}
+		// The log keeps the entry for good, and after a retransmission it
+		// can be the one entry of its batch that was not already there:
+		// copy the command out of the request frame it was decoded from
+		// (DESIGN.md §4, frame ownership) instead of pinning that frame.
+		ent.Data = bytes.Clone(ent.Data)
 		if err := n.store.Append(ent); err != nil {
 			n.mu.Unlock()
 			return nil, err

@@ -122,21 +122,23 @@ func InfoOf(obj any) (*Info, bool) {
 func (i *Info) New() any { return reflect.New(i.Type).Interface() }
 
 // CaptureState serializes obj's exported fields (its replica state).
-// Reference fields encode as their target OIDs.
+// Reference fields encode as their target OIDs. The result is the encoder's
+// own buffer, handed to the caller with its capacity clipped to its length:
+// the state is copied once, out of the object, and not a second time out of
+// the encoder.
 func CaptureState(reg *codec.Registry, obj any) ([]byte, error) {
 	e := codec.NewEncoder(128)
 	if err := e.EncodeStruct(reg, obj); err != nil {
 		return nil, fmt.Errorf("objmodel: capture %T: %w", obj, err)
 	}
-	// Copy out: the encoder buffer would otherwise be retained.
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out, nil
+	return e.Bytes()[:e.Len():e.Len()], nil
 }
 
 // RestoreState decodes state into obj (a pointer to a registered struct).
 // Reference fields come back unbound, carrying only their OIDs; the caller
-// (the replication materializer) binds them.
+// (the replication materializer) binds them. The decoder copies: obj's byte
+// slices are the object's own and share nothing with state, which is often a
+// slice of a received frame (see wire.Decode) that the caller lets go of.
 func RestoreState(reg *codec.Registry, obj any, state []byte) error {
 	if err := codec.NewDecoder(state).DecodeStruct(reg, obj); err != nil {
 		return fmt.Errorf("objmodel: restore %T: %w", obj, err)

@@ -1,6 +1,8 @@
 package rmi
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 
 	"obiwan/internal/netsim"
@@ -14,60 +16,58 @@ import (
 // a different connection after a redial, and arrivals while the first
 // execution is still running (those wait for it to finish).
 //
-// Entries are evicted per client in insertion order once the client exceeds
-// maxDedupePerClient completed calls. Call ids are monotonically increasing
-// per client incarnation, so by the time an id is evicted the client has
-// long since stopped retrying it.
-const maxDedupePerClient = 4096
+// What a client's log retains is bounded twice, both bounds applying to
+// completed calls in the order they completed; a call still executing is in
+// neither queue and is never touched.
+//
+//   - By count: beyond maxDedupePerClient completed calls the oldest entry
+//     goes entirely. Call ids are monotonically increasing per client
+//     incarnation, so by then the client has long since stopped retrying it.
+//   - By bytes: beyond maxDedupeBytesPerClient of recorded frames the oldest
+//     entries give up their frame and stay behind as tombstones; the frame
+//     completed last is always kept, whatever its size. A retry that finds a
+//     tombstone is refused with wire.FaultReplyEvicted instead of being
+//     executed again: at-most-once holds unconditionally, exactly-once
+//     whenever the reply being retried is still inside the budget.
+//
+// A client's whole log goes when a higher incarnation of the same address
+// calls (see admitLocked). Nothing is dropped for mere silence: the server
+// cannot know a caller's overall deadline, and a call that waits it out on
+// one attempt is silent for all of it.
+const (
+	maxDedupePerClient      = 4096
+	maxDedupeBytesPerClient = 4 << 20
+)
 
-// dedupeEntry is one tracked invocation. The completion latch is a
-// clock-aware Cond rather than a closed channel: a duplicate arrival that
-// waits for the first execution counts as idle under a virtual clock, so
-// the scheduler can advance time past it (the first execution may need a
-// timer to make progress).
+// dedupeEntry is one tracked invocation, guarded by its table's mu. The
+// completion latch is a clock-aware Cond rather than a closed channel: a
+// duplicate arrival that waits for the first execution counts as idle under
+// a virtual clock, so the scheduler can advance time past it (the first
+// execution may need a timer to make progress).
+//
+// The entry knows its log and id so that complete needs no second lookup.
+// With them it fills the 128-byte size class it was in when it had a mutex
+// of its own; smaller, it would share the 112-byte class with the client's
+// replyWaiter, whose freed slots leave the retained entries thinly spread
+// over twice the spans (measured: +11 % heap in use after 4096 null calls).
 type dedupeEntry struct {
-	mu    sync.Mutex
-	cond  netsim.Cond
-	frame []byte
-	done  bool
-}
-
-func newDedupeEntry(clock netsim.Clock) *dedupeEntry {
-	e := &dedupeEntry{}
-	e.cond.Init(clock, &e.mu)
-	return e
-}
-
-// complete records the response frame and releases all waiting duplicates.
-func (e *dedupeEntry) complete(frame []byte) {
-	e.mu.Lock()
-	e.frame = frame
-	e.done = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// await blocks until the entry completes and returns the recorded frame.
-func (e *dedupeEntry) await() []byte {
-	e.mu.Lock()
-	for !e.done {
-		e.cond.Wait()
-	}
-	frame := e.frame
-	e.mu.Unlock()
-	return frame
-}
-
-func (e *dedupeEntry) isDone() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.done
+	cond    netsim.Cond
+	log     *clientLog
+	id      uint64
+	frame   []byte
+	done    bool
+	evicted bool // done, and the frame has been given up to the byte budget
 }
 
 // clientLog tracks one client incarnation's calls.
 type clientLog struct {
 	entries map[uint64]*dedupeEntry
-	order   []uint64 // insertion order, for eviction
+	order   []uint64 // completed ids, oldest completion first
+	held    int      // order[held:] still hold their frames
+	bytes   int      // the sum of those frames' lengths
+
+	client string // the key in dedupeTable.clients
+	inc    uint64 // incarnation number, when the id has one
 }
 
 // dedupeTable is the server-side suppression table, keyed by client
@@ -76,10 +76,18 @@ type dedupeTable struct {
 	clock   netsim.Clock
 	mu      sync.Mutex
 	clients map[string]*clientLog
+	// lines indexes the resident logs by address and incarnation namespace
+	// ("addr#", "addr#d"), so that a new incarnation finds the ones it
+	// supersedes without a scan of clients.
+	lines map[string][]*clientLog
 }
 
 func newDedupeTable(clock netsim.Clock) *dedupeTable {
-	return &dedupeTable{clock: clock, clients: make(map[string]*clientLog)}
+	return &dedupeTable{
+		clock:   clock,
+		clients: make(map[string]*clientLog),
+		lines:   make(map[string][]*clientLog),
+	}
 }
 
 // begin registers (client, id) and reports whether it was already present.
@@ -90,32 +98,88 @@ func (t *dedupeTable) begin(client string, id uint64) (*dedupeEntry, bool) {
 	defer t.mu.Unlock()
 	cl, ok := t.clients[client]
 	if !ok {
-		cl = &clientLog{entries: make(map[uint64]*dedupeEntry)}
-		t.clients[client] = cl
+		cl = t.admitLocked(client)
 	}
 	if e, ok := cl.entries[id]; ok {
 		return e, true
 	}
-	e := newDedupeEntry(t.clock)
+	e := &dedupeEntry{log: cl, id: id}
+	e.cond.Init(t.clock, &t.mu)
 	cl.entries[id] = e
-	cl.order = append(cl.order, id)
-	t.evictLocked(cl)
 	return e, false
 }
 
-// evictLocked trims completed entries beyond the per-client cap, oldest
-// first. In-flight entries are never evicted.
-func (t *dedupeTable) evictLocked(cl *clientLog) {
-	for len(cl.order) > maxDedupePerClient {
-		id := cl.order[0]
-		if e, ok := cl.entries[id]; ok {
-			if !e.isDone() {
-				return // oldest still executing; try again next insert
-			}
-			delete(cl.entries, id)
+// admitLocked opens a log for a client seen for the first time and drops the
+// logs that client supersedes: those of lower incarnations of the same
+// address in the same namespace ("addr#N" from the process counter,
+// "addr#dN" persisted by a durable site). The address can only have been
+// bound again once its previous holder was gone, so nothing retries from
+// those any more. A frame that still arrives from one of them opens a log of
+// its own; it never displaces a higher incarnation's.
+func (t *dedupeTable) admitLocked(client string) *clientLog {
+	cl := &clientLog{entries: make(map[uint64]*dedupeEntry), client: client}
+	t.clients[client] = cl
+	cut := strings.LastIndexByte(client, '#') + 1
+	if cut < len(client) && client[cut] == 'd' {
+		cut++
+	}
+	inc, err := strconv.ParseUint(client[cut:], 10, 64)
+	if cut == 0 || err != nil {
+		return cl // not an incarnation id: nothing it could supersede
+	}
+	cl.inc = inc
+	line := client[:cut]
+	resident, n := t.lines[line], 0
+	for _, old := range resident {
+		if old.inc < inc {
+			delete(t.clients, old.client)
+			continue
 		}
+		resident[n] = old
+		n++
+	}
+	clear(resident[n:]) // let go of the dropped logs
+	t.lines[line] = append(resident[:n], cl)
+	return cl
+}
+
+// complete records e's response frame, releases all waiting duplicates and
+// brings the log back inside its bounds.
+func (t *dedupeTable) complete(e *dedupeEntry, frame []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e.frame, e.done = frame, true
+	e.cond.Broadcast()
+	cl := e.log
+	cl.order = append(cl.order, e.id)
+	cl.bytes += len(frame)
+	for cl.bytes > maxDedupeBytesPerClient && cl.held < len(cl.order)-1 {
+		old := cl.entries[cl.order[cl.held]]
+		cl.bytes -= len(old.frame)
+		old.frame, old.evicted = nil, true
+		cl.held++
+	}
+	for len(cl.order) > maxDedupePerClient {
+		oldest := cl.order[0]
+		if cl.held > 0 {
+			cl.held--
+		} else {
+			cl.bytes -= len(cl.entries[oldest].frame)
+		}
+		delete(cl.entries, oldest)
 		cl.order = cl.order[1:]
 	}
+}
+
+// await blocks until the entry completes and returns the recorded frame;
+// ok is false when the frame has been evicted.
+func (t *dedupeTable) await(e *dedupeEntry) (frame []byte, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for !e.done {
+		e.cond.Wait()
+	}
+	return e.frame, !e.evicted
 }
 
 // size returns the number of tracked calls for a client (tests).

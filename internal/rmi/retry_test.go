@@ -264,58 +264,3 @@ func TestApplicationFaultsNeverRetry(t *testing.T) {
 		t.Fatalf("server executed %d calls, want 1", ss.CallsServed)
 	}
 }
-
-func TestDedupeInFlightWait(t *testing.T) {
-	tbl := newDedupeTable(netsim.Real())
-	e1, dup := tbl.begin("c#1", 7)
-	if dup {
-		t.Fatal("first begin must not be a duplicate")
-	}
-	e2, dup := tbl.begin("c#1", 7)
-	if !dup || e2 != e1 {
-		t.Fatal("second begin must return the in-flight entry")
-	}
-	if e2.isDone() {
-		t.Fatal("entry must not be done before completion")
-	}
-	e1.complete([]byte("reply"))
-	if got := e2.await(); string(got) != "reply" {
-		t.Fatalf("duplicate sees frame %q", got)
-	}
-	// A different client shares nothing.
-	if _, dup := tbl.begin("c#2", 7); dup {
-		t.Fatal("ids must be scoped per client")
-	}
-}
-
-func TestDedupeEviction(t *testing.T) {
-	tbl := newDedupeTable(netsim.Real())
-	for id := uint64(1); id <= maxDedupePerClient+10; id++ {
-		e, dup := tbl.begin("c#1", id)
-		if dup {
-			t.Fatalf("id %d: unexpected duplicate", id)
-		}
-		e.complete(nil) // completed: eligible for eviction
-	}
-	if got := tbl.size("c#1"); got != maxDedupePerClient {
-		t.Fatalf("table size %d, want cap %d", got, maxDedupePerClient)
-	}
-	// Evicted oldest ids now read as fresh calls (they would re-execute,
-	// which is why the cap is far beyond any live retry window).
-	if _, dup := tbl.begin("c#1", 1); dup {
-		t.Fatal("evicted id must not be seen as duplicate")
-	}
-}
-
-func TestDedupeNeverEvictsInFlight(t *testing.T) {
-	tbl := newDedupeTable(netsim.Real())
-	first, _ := tbl.begin("c#1", 1) // stays in flight
-	for id := uint64(2); id <= maxDedupePerClient+10; id++ {
-		e, _ := tbl.begin("c#1", id)
-		e.complete(nil)
-	}
-	if _, dup := tbl.begin("c#1", 1); !dup {
-		t.Fatal("in-flight entry must survive eviction pressure")
-	}
-	first.complete(nil)
-}

@@ -1,10 +1,14 @@
 package site
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"obiwan/internal/netsim"
+	"obiwan/internal/objmodel"
+	"obiwan/internal/raceflag"
+	"obiwan/internal/replication"
 	"obiwan/internal/transport"
 )
 
@@ -42,4 +46,149 @@ func TestSiteStartAllocationPinned(t *testing.T) {
 		t.Fatalf("site start+close allocated %d bytes, limit %d", best, limit)
 	}
 	t.Logf("site start+close allocated %d bytes", best)
+}
+
+// blob is an object that is nearly all payload.
+type blob struct {
+	Data []byte
+	Next *objmodel.Ref
+}
+
+func (b *blob) Size() int { return len(b.Data) }
+
+func init() {
+	objmodel.MustRegisterType("site_test.blob", (*blob)(nil))
+}
+
+// allocatedBy returns the heap bytes fn allocates, process-wide: the least
+// of three readings, which a straggler goroutine cannot inflate. prep runs
+// before each reading, outside it.
+func allocatedBy(prep, fn func(round int)) uint64 {
+	best := ^uint64(0)
+	for round := 0; round < 3; round++ {
+		prep(round)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn(round)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < best {
+			best = got
+		}
+	}
+	return best
+}
+
+// The per-byte pins: what moving payload bytes between a master's object
+// and a replica's allocates, both sites included, as a multiple of the
+// payload. Each only ever goes down: lower it when a change removes a copy.
+// The mem network's queue copy is one of the multiples (over TCP the
+// receive buffer takes its place).
+const (
+	// 10.5 before frames were sized, decode borrowed and CaptureState
+	// stopped copying out; 4.2 now: state capture 1.1 (size-class slack),
+	// reply frame 1, queue copy 1, the replicas' own bytes 1, the rest
+	// small objects.
+	clusterDemandAllocFactor = 4.5
+	// 7.6 before; 5.3 now. A 4 KiB put carries ~2 KB of fixed cost (spans,
+	// call bookkeeping, the reply), so its factor stays above the demand's.
+	putAllocFactor = 5.5
+)
+
+// TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster
+// (the paper's Fig. 6 regime, the benchmark's walk_cluster16k).
+func TestClusterDemandAllocationPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not repeatable under the race detector")
+	}
+	const members, size = 100, 16 << 10
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	master, err := New("master", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	chain := make([]*blob, members)
+	for i := range chain {
+		chain[i] = &blob{Data: make([]byte, size)}
+		if err := master.Register(chain[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < members-1; i++ {
+		if chain[i].Next, err = master.NewRef(chain[i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head, err := master.Export(chain[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := replication.GetSpec{Mode: replication.Incremental, Batch: members, Clustered: true}
+	var mobile *Site
+	demand := func(int) {
+		root, err := mobile.Engine().RefFromDescriptor(head, spec).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mobile.ReplicaCount(); got != members || root.(*blob).Size() != size {
+			t.Fatalf("demand shipped %d replicas, want %d", got, members)
+		}
+	}
+	fresh := func(round int) {
+		if mobile, err = New(fmt.Sprintf("mobile-%d", round), net); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = mobile.Close() })
+	}
+	fresh(-1)
+	demand(-1) // warm: type plans, the connection, lazy package state
+	got := allocatedBy(fresh, demand)
+	const payload = members * size
+	if limit := uint64(clusterDemandAllocFactor * payload); got > limit {
+		t.Fatalf("a %d-byte cluster demand allocated %d bytes (%.2fx), pinned at %.1fx", payload, got, float64(got)/payload, clusterDemandAllocFactor)
+	}
+	t.Logf("a %d-byte cluster demand allocated %d bytes (%.2fx)", payload, got, float64(got)/payload)
+}
+
+// TestPutAllocationPinned: one-byte edits of a 4 KiB replica, each put back
+// (the benchmark's edit_put4k).
+func TestPutAllocationPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not repeatable under the race detector")
+	}
+	const size, puts = 4 << 10, 200
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	master, err := New("master", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	mobile, err := New("mobile", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mobile.Close()
+	head, err := master.Export(&blob{Data: make([]byte, size)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := mobile.Engine().RefFromDescriptor(head, replication.DefaultSpec).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := root.(*blob)
+	edit := func(int) {
+		for i := 0; i < puts; i++ {
+			replica.Data[i%size]++
+			if err := mobile.Put(replica); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	edit(-1) // warm
+	got := float64(allocatedBy(func(int) {}, edit)) / puts
+	if limit := putAllocFactor * size; got > limit {
+		t.Fatalf("a %d-byte put allocated %.0f bytes (%.2fx), pinned at %.1fx", size, got, got/size, putAllocFactor)
+	}
+	t.Logf("a %d-byte put allocated %.0f bytes (%.2fx)", size, got, got/size)
 }

@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"obiwan/internal/codec"
+	"obiwan/internal/objmodel"
 )
 
 // FuzzDecodeFrame checks that the RMI frame parser survives arbitrary
@@ -50,6 +54,159 @@ func FuzzCallRoundTrip(f *testing.F) {
 		if c.ID != id || c.Target != target || c.Method != method ||
 			c.Args[0] != sArg || c.Args[1] != iArg {
 			t.Fatalf("round trip mismatch: %+v vs %+v", c, in)
+		}
+	})
+}
+
+// fuzzRecord is a registered struct that carries byte slices the way a
+// replication payload does: one per record, more in a nested slice.
+type fuzzRecord struct {
+	OID   uint64
+	State []byte
+	Parts [][]byte
+	Next  *fuzzRecord
+}
+
+// fuzzObj is an application object whose state a fuzzRecord carries.
+type fuzzObj struct {
+	Name string
+	Body []byte
+	N    int64
+}
+
+// eachBytes calls fn on every []byte reachable from v.
+func eachBytes(v reflect.Value, fn func([]byte)) {
+	switch v.Kind() {
+	case reflect.Interface, reflect.Pointer:
+		if !v.IsNil() {
+			eachBytes(v.Elem(), fn)
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			fn(v.Bytes())
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			eachBytes(v.Index(i), fn)
+		}
+	case reflect.Map:
+		for iter := v.MapRange(); iter.Next(); {
+			eachBytes(iter.Value(), fn)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachBytes(v.Field(i), fn)
+		}
+	}
+}
+
+// reencode turns a decoded message back into a frame, which is how two
+// decodes are compared: by value, NaNs and pointers included.
+func reencode(t *testing.T, reg *codec.Registry, msg any) []byte {
+	t.Helper()
+	var frame []byte
+	var err error
+	switch m := msg.(type) {
+	case *Call:
+		frame, err = EncodeCall(reg, m)
+	case *Reply:
+		frame, err = EncodeReply(reg, m)
+	case *Fault:
+		frame = EncodeFault(m)
+	case *Hello:
+		frame = binary.AppendUvarint([]byte{KindHello}, m.Version)
+	}
+	if err != nil {
+		t.Fatalf("a decoded %T does not encode: %v", msg, err)
+	}
+	return frame
+}
+
+// FuzzBorrowedDecode is the differential check on Decode's borrowing: on
+// any frame it and a copying decode fail together or return equal values;
+// every []byte Decode returns has no spare capacity (an append cannot reach
+// the frame); and an object restored from borrowed state shares nothing
+// with the frame, so the frame can be scribbled over afterwards.
+func FuzzBorrowedDecode(f *testing.F) {
+	reg := codec.NewRegistry()
+	reg.MustRegister("fuzz.record", fuzzRecord{})
+	state := func(o fuzzObj) []byte {
+		s, err := objmodel.CaptureState(reg, &o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s
+	}
+	rec := &fuzzRecord{OID: 7, State: state(fuzzObj{Name: "obj", Body: []byte("sixteen byte body"), N: -9}),
+		Parts: [][]byte{[]byte("a"), nil, make([]byte, 300)},
+		Next:  &fuzzRecord{State: state(fuzzObj{Name: "next"})}}
+	for _, results := range [][]any{
+		{rec},
+		{[]byte("top-level bytes"), "s", int64(1)},
+		{[]any{[]byte("nested"), map[string]any{"k": []byte("in a map"), "r": rec}}},
+		{[]byte{}, []any{}},
+	} {
+		reply, err := EncodeReply(reg, &Reply{ID: 9, Results: results})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(reply)
+		call, err := EncodeCall(reg, &Call{ID: 1, Target: 2, Method: "Put", Client: "c#1", Args: results})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(call)
+	}
+	f.Add(EncodeFault(&Fault{ID: 1, Code: FaultReplyEvicted, Message: "gone"}))
+	f.Add(EncodeHello())
+	f.Add([]byte{KindReply, 0x01, 0x01, 0x07, 0xff, 0xff})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := bytes.Clone(data)
+		borrowed, errB := Decode(reg, frame)
+		copied, errC := decode(reg, codec.NewDecoder(bytes.Clone(data)))
+		if (errB == nil) != (errC == nil) {
+			t.Fatalf("borrowing decode: %v; copying decode: %v", errB, errC)
+		}
+		if errB != nil {
+			return
+		}
+		if b, c := reencode(t, reg, borrowed), reencode(t, reg, copied); !bytes.Equal(b, c) {
+			t.Fatalf("borrowing and copying decodes differ:\n%x\n%x", b, c)
+		}
+		var first []byte
+		eachBytes(reflect.ValueOf(borrowed), func(b []byte) {
+			if cap(b) != len(b) {
+				t.Fatalf("decoded []byte of %d bytes has capacity %d", len(b), cap(b))
+			}
+			if first == nil && len(b) > 0 {
+				first = b
+			}
+		})
+		eachBytes(reflect.ValueOf(copied), func(b []byte) {
+			if len(b) > 0 && len(frame) > 0 && &b[0] == &frame[0] {
+				t.Fatal("the copying decode aliases a frame it was not given")
+			}
+		})
+		if !bytes.Equal(frame, data) {
+			t.Fatal("decoding wrote to the frame")
+		}
+		// Restore an object from the first byte slice as if it were shipped
+		// state, then let go of the frame.
+		var obj fuzzObj
+		if objmodel.RestoreState(reg, &obj, first) != nil {
+			return
+		}
+		before, err := objmodel.CaptureState(reg, &obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame {
+			frame[i] ^= 0xa5
+		}
+		after, err := objmodel.CaptureState(reg, &obj)
+		if err != nil || !bytes.Equal(before, after) {
+			t.Fatalf("scribbling over the frame changed the restored object: %v\n%x\n%x", err, before, after)
 		}
 	})
 }

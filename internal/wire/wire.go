@@ -68,6 +68,11 @@ const (
 	FaultBadArgs = "bad-args"
 	// FaultEncode marks results the server could not serialize.
 	FaultEncode = "encode"
+	// FaultReplyEvicted answers a retry of a call that did execute, once,
+	// but whose recorded reply the server has since let go of to stay
+	// inside its per-client byte budget. The call is not executed again and
+	// its outcome is not recoverable from the server; retrying cannot help.
+	FaultReplyEvicted = "reply-evicted"
 )
 
 // Call is a request frame.
@@ -149,9 +154,17 @@ func EncodeFault(f *Fault) []byte {
 	return e.Bytes()
 }
 
-// Decode parses a frame into exactly one of *Call, *Reply, or *Fault.
+// Decode parses a frame into exactly one of *Call, *Reply, *Fault or
+// *Hello. It borrows: every []byte among the decoded arguments and results
+// aliases frame (capacity clipped to length) instead of being copied out of
+// it, so the caller hands frame over and must not write or reuse it while a
+// decoded value is live. transport.Conn.Recv gives its frame to the caller
+// on exactly those terms.
 func Decode(reg *codec.Registry, frame []byte) (any, error) {
-	d := codec.NewDecoder(frame)
+	return decode(reg, codec.NewBorrowingDecoder(frame))
+}
+
+func decode(reg *codec.Registry, d *codec.Decoder) (any, error) {
 	kind, err := d.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("wire: empty frame: %w", err)

@@ -18,6 +18,9 @@ go vet ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== allocation pins (not under -race: they skip there)"
+go test -count=1 -run 'Allocations?Pinned' . ./internal/rmi ./internal/site
+
 echo "== benchmark module (own go.mod)"
 go -C benchmark vet ./...
 go -C benchmark test ./...
