@@ -206,12 +206,6 @@ func payloadBytes(p *Payload) int {
 // Telemetry returns the engine's hub (nil when telemetry is disabled).
 func (e *Engine) Telemetry() *telemetry.Hub { return e.tel }
 
-// startSpan begins a protocol span under parent (or roots a new trace when
-// parent is invalid). Nil-safe when telemetry is off.
-func (e *Engine) startSpan(parent telemetry.SpanContext, name string) *telemetry.Span {
-	return e.tel.StartSpan(parent, name)
-}
-
 // Heap returns the engine's object store.
 func (e *Engine) Heap() *heap.Heap { return e.heap }
 
@@ -405,11 +399,11 @@ func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objm
 // replication the same way). sc parents the "assemble" span: the serve
 // span of the inbound Get when the demand was traced, invalid otherwise.
 func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSpec, requester string) (payload *Payload, err error) {
-	span := e.startSpan(sc, "assemble")
-	span.Annotate("oid", fmt.Sprint(root.OID))
+	span := e.tel.StartSpan(sc, "assemble")
+	span.AnnotateOID("oid", uint64(root.OID))
 	defer func() {
 		if payload != nil {
-			span.Annotate("objects", fmt.Sprint(len(payload.Objects)))
+			span.AnnotateUint("objects", uint64(len(payload.Objects)))
 		}
 		span.SetErr(err)
 		span.End()
@@ -540,9 +534,9 @@ func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 // it is the fault span, so the trace reads fault → rmi:Get → serve:Get →
 // assemble on the provider, then materialize back here.
 func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, err error) {
-	span := e.startSpan(sc, "materialize")
-	span.Annotate("oid", fmt.Sprint(objmodel.OID(p.RootOID)))
-	span.Annotate("objects", fmt.Sprint(len(p.Objects)))
+	span := e.tel.StartSpan(sc, "materialize")
+	span.AnnotateOID("oid", p.RootOID)
+	span.AnnotateUint("objects", uint64(len(p.Objects)))
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -752,8 +746,8 @@ func (e *Engine) PutTraced(sc telemetry.SpanContext, obj any) (err error) {
 	if prov.IsZero() {
 		return ErrNoProvider
 	}
-	span := e.startSpan(sc, "put")
-	span.Annotate("oid", fmt.Sprint(entry.OID))
+	span := e.tel.StartSpan(sc, "put")
+	span.AnnotateOID("oid", uint64(entry.OID))
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -806,8 +800,8 @@ func (e *Engine) PutClusterTraced(sc telemetry.SpanContext, obj any) (err error)
 		return e.PutTraced(sc, obj)
 	}
 	root := entry.ClusterRoot()
-	span := e.startSpan(sc, "put.cluster")
-	span.Annotate("root", fmt.Sprint(root))
+	span := e.tel.StartSpan(sc, "put.cluster")
+	span.AnnotateOID("root", uint64(root))
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -946,8 +940,8 @@ func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64) (*Pu
 // ProxyIn). sc parents the "put.apply" span — the serve span of the
 // inbound Put.
 func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *PutReply, err error) {
-	span := e.startSpan(sc, "put.apply")
-	span.Annotate("oid", fmt.Sprint(objmodel.OID(req.OID)))
+	span := e.tel.StartSpan(sc, "put.apply")
+	span.AnnotateOID("oid", req.OID)
 	defer func() {
 		span.SetErr(err)
 		span.End()
@@ -1007,8 +1001,8 @@ func (e *Engine) RefreshTraced(sc telemetry.SpanContext, obj any) (err error) {
 	// in the profiler and must replay bit-identically under a virtual clock.
 	clk := e.rt.Clock()
 	start := clk.Now()
-	span := e.startSpan(sc, "refresh")
-	span.Annotate("oid", fmt.Sprint(entry.OID))
+	span := e.tel.StartSpan(sc, "refresh")
+	span.AnnotateOID("oid", uint64(entry.OID))
 	defer func() {
 		span.SetErr(err)
 		span.End()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"obiwan/internal/objmodel"
-	"obiwan/internal/telemetry"
 )
 
 // EventKind identifies a protocol step in the replication trace.
@@ -28,24 +27,26 @@ const (
 	EventReplicaRefreshed
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case EventFaultResolved:
-		return "fault-resolved"
-	case EventPayloadAssembled:
-		return "payload-assembled"
-	case EventPayloadMaterialized:
-		return "payload-materialized"
-	case EventPutApplied:
-		return "put-applied"
-	case EventPutShipped:
-		return "put-shipped"
-	case EventReplicaRefreshed:
-		return "replica-refreshed"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
-	}
+// flightKinds names each kind as the flight recorder logs it; String is
+// the same name without the "repl." prefix. Static, so an event is logged
+// without building its name.
+var flightKinds = [...]string{
+	EventFaultResolved:       "repl.fault-resolved",
+	EventPayloadAssembled:    "repl.payload-assembled",
+	EventPayloadMaterialized: "repl.payload-materialized",
+	EventPutApplied:          "repl.put-applied",
+	EventPutShipped:          "repl.put-shipped",
+	EventReplicaRefreshed:    "repl.replica-refreshed",
 }
+
+func (k EventKind) flightKind() string {
+	if int(k) < len(flightKinds) && flightKinds[k] != "" {
+		return flightKinds[k]
+	}
+	return fmt.Sprintf("repl.event(%d)", uint8(k))
+}
+
+func (k EventKind) String() string { return k.flightKind()[len("repl."):] }
 
 // Event is one step in the replication protocol trace. Fields are filled
 // per kind; zero values mean "not applicable".
@@ -158,10 +159,5 @@ func (e *Engine) recordEventMetrics(ev Event) {
 		e.met.putsApplied.Inc()
 		e.prof.RecordPutApplied(uint64(ev.OID))
 	}
-	if e.flight != nil {
-		e.flight.Record(telemetry.FlightEvent{
-			Kind: "repl." + ev.Kind.String(), OID: uint64(ev.OID),
-			Detail: fmt.Sprintf("objects=%d bytes=%d", ev.Objects, ev.Bytes),
-		})
-	}
+	e.flight.RecordCounts(ev.Kind.flightKind(), uint64(ev.OID), ev.Objects, ev.Bytes)
 }

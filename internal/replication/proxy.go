@@ -152,8 +152,8 @@ func (p *ProxyOut) demand(sc telemetry.SpanContext, spec GetSpec) (obj any, inv 
 	// duration would perturb frame sizes and break replay determinism).
 	clk := p.eng.rt.Clock()
 	start := clk.Now()
-	span := p.eng.startSpan(sc, "fault")
-	span.Annotate("oid", fmt.Sprint(p.oid))
+	span := p.eng.tel.StartSpan(sc, "fault")
+	span.AnnotateOID("oid", uint64(p.oid))
 	defer func() {
 		span.SetErr(err)
 		span.End()

@@ -70,6 +70,28 @@ func benchCallNull(b *testing.B, server, client *Runtime) {
 	}
 }
 
+// hubPair is benchPair with a telemetry hub on each side; it returns the
+// client's.
+func hubPair(tb testing.TB) (*Runtime, *Runtime, *telemetry.Hub) {
+	tb.Helper()
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	serverHub := telemetry.NewHub("server")
+	clientHub := telemetry.NewHub("client")
+	server, err := NewRuntime(net, "server", WithTelemetry(serverHub))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client, err := NewRuntime(net, "client", WithTelemetry(clientHub))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		_ = client.Close()
+		_ = server.Close()
+	})
+	return server, client, clientHub
+}
+
 // BenchmarkCallTelemetry compares the per-call cost of the three
 // telemetry states. "off" must match BenchmarkCallNull (the nil-check
 // fast path is the disabled price); "on-untraced" is a hub-bearing
@@ -97,31 +119,12 @@ func BenchmarkCallTelemetry(b *testing.B) {
 		server, client := benchPair(b)
 		run(b, server, client, telemetry.SpanContext{})
 	})
-	newHubPair := func(b *testing.B) (*Runtime, *Runtime, *telemetry.Hub) {
-		b.Helper()
-		net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
-		serverHub := telemetry.NewHub("server")
-		clientHub := telemetry.NewHub("client")
-		server, err := NewRuntime(net, "server", WithTelemetry(serverHub))
-		if err != nil {
-			b.Fatal(err)
-		}
-		client, err := NewRuntime(net, "client", WithTelemetry(clientHub))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() {
-			_ = client.Close()
-			_ = server.Close()
-		})
-		return server, client, clientHub
-	}
 	b.Run("on-untraced", func(b *testing.B) {
-		server, client, _ := newHubPair(b)
+		server, client, _ := hubPair(b)
 		run(b, server, client, telemetry.SpanContext{})
 	})
 	b.Run("on-traced", func(b *testing.B) {
-		server, client, hub := newHubPair(b)
+		server, client, hub := hubPair(b)
 		root := hub.StartRoot("bench")
 		defer root.End()
 		run(b, server, client, root.Context())

@@ -275,7 +275,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 	wireSC := sc
 	var span *telemetry.Span
 	if rt.tel.Enabled() && sc.Valid() {
-		span = rt.tel.StartSpan(sc, "rmi:"+method)
+		span = rt.tel.StartPrefixed(sc, telemetry.PrefixRMI, method)
 		wireSC = span.Context()
 	}
 	finish := func(results []any, err error) ([]any, uint64, error) {
@@ -306,7 +306,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 	for attempt := 1; attempt <= rt.retry.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			rt.met.retries.Inc()
-			span.Annotate("attempt", strconv.Itoa(attempt))
+			span.AnnotateUint("attempt", uint64(attempt))
 			if rt.flight != nil {
 				rt.flight.Record(telemetry.FlightEvent{
 					Kind: "rmi.retry", TraceID: wireSC.TraceID, SpanID: wireSC.SpanID,

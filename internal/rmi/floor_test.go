@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"obiwan/internal/raceflag"
+	"obiwan/internal/telemetry"
 )
 
 // nullCallAllocs is the allocation count of one null call over the
@@ -32,6 +33,35 @@ func TestNullCallAllocationsPinned(t *testing.T) {
 	})
 	if got > nullCallAllocs {
 		t.Fatalf("null call allocates %.1f objects, pinned at %d", got, nullCallAllocs)
+	}
+}
+
+// TestTracedCallAllocationsPinned: what tracing a call adds to it, both
+// sides included, is the two spans (rmi:<method> at the client,
+// serve:<method> at the server) and nothing else: no name is joined, no
+// attribute formatted, no phase slice grown until someone reads the ring.
+// (+7 before spans rendered on export.)
+func TestTracedCallAllocationsPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	server, client, hub := hubPair(t)
+	ref, err := server.Export(&calculator{}, "Calculator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := hub.StartRoot("pin")
+	defer root.End()
+	allocs := func(sc telemetry.SpanContext) float64 {
+		return testing.AllocsPerRun(2000, func() {
+			if _, err := client.CallTraced(sc, ref, "Total"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	untraced, traced := allocs(telemetry.SpanContext{}), allocs(root.Context())
+	if untraced > nullCallAllocs || traced > untraced+2 {
+		t.Fatalf("a traced call allocates %.1f objects, an untraced one %.1f: pinned at %d and +2", traced, untraced, nullCallAllocs)
 	}
 }
 

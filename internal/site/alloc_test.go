@@ -60,6 +60,31 @@ func init() {
 	objmodel.MustRegisterType("site_test.blob", (*blob)(nil))
 }
 
+// exportChain registers a chain of n blobs of size bytes at master and
+// exports its head.
+func exportChain(t *testing.T, master *Site, n, size int) replication.Descriptor {
+	t.Helper()
+	chain := make([]*blob, n)
+	for i := range chain {
+		chain[i] = &blob{Data: make([]byte, size)}
+		if err := master.Register(chain[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n-1; i++ {
+		next, err := master.NewRef(chain[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain[i].Next = next
+	}
+	head, err := master.Export(chain[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return head
+}
+
 // allocatedBy returns the heap bytes fn allocates, process-wide: the least
 // of three readings, which a straggler goroutine cannot inflate. prep runs
 // before each reading, outside it.
@@ -107,22 +132,7 @@ func TestClusterDemandAllocationPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	chain := make([]*blob, members)
-	for i := range chain {
-		chain[i] = &blob{Data: make([]byte, size)}
-		if err := master.Register(chain[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < members-1; i++ {
-		if chain[i].Next, err = master.NewRef(chain[i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	head, err := master.Export(chain[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	head := exportChain(t, master, members, size)
 	spec := replication.GetSpec{Mode: replication.Incremental, Batch: members, Clustered: true}
 	var mobile *Site
 	demand := func(int) {
@@ -191,4 +201,67 @@ func TestPutAllocationPinned(t *testing.T) {
 		t.Fatalf("a %d-byte put allocated %.0f bytes (%.2fx), pinned at %.1fx", size, got, got/size, putAllocFactor)
 	}
 	t.Logf("a %d-byte put allocated %.0f bytes (%.2fx)", size, got, got/size)
+}
+
+// faultAllocs returns the heap objects one single-object fault allocates,
+// both sites included: a walk of a 64 B chain over the mem network, one
+// object per demand (the benchmark's walk_step1, the paper's Fig. 5 worst
+// case). The walk is warmed past the profilers' 256 entries, so a fault
+// evicts at both sites.
+func faultAllocs(t *testing.T, opts ...Option) float64 {
+	const warm, runs = 300, 1000
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	master, err := New("master", net, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	mobile, err := New("mobile", net, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mobile.Close()
+	head := exportChain(t, master, warm+runs+2, 64)
+	next := mobile.Engine().RefFromDescriptor(head, replication.GetSpec{Mode: replication.Incremental, Batch: 1})
+	fault := func() {
+		obj, err := next.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next = obj.(*blob).Next
+	}
+	for i := 0; i < warm; i++ {
+		fault()
+	}
+	got := testing.AllocsPerRun(runs, fault)
+	if want := warm + runs + 1; mobile.ReplicaCount() != want {
+		t.Fatalf("walk replicated %d objects, want %d: not one object per fault", mobile.ReplicaCount(), want)
+	}
+	return got
+}
+
+// faultAllocsOff is what a single-object fault allocates with telemetry
+// off. Exact, and it only ever goes down. (83 while span attributes
+// were formatted before the nil-span check.)
+const faultAllocsOff = 68
+
+// TestFaultTelemetryAllocationsPinned: what a site records about a fault
+// with nobody reading it costs five spans (fault, rmi:Get, materialize;
+// serve:Get, assemble) and a partial object now and then, and with
+// telemetry off no allocation is made for its sake. (28.9 before spans
+// rendered on export, flight events deferred their detail and the profiler
+// reused the evicted record, and that under-counted: see faultAllocsOff.)
+func TestFaultTelemetryAllocationsPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	off := faultAllocs(t, WithoutTelemetry())
+	on := faultAllocs(t)
+	t.Logf("a single-object fault allocates %.2f objects, %.2f with telemetry off", on, off)
+	if off != faultAllocsOff {
+		t.Fatalf("a fault with telemetry off allocates %.2f objects, pinned at %d", off, faultAllocsOff)
+	}
+	if on-off > 6 {
+		t.Fatalf("telemetry adds %.2f allocations to a fault (%.2f on, %.2f off), pinned at 6", on-off, on, off)
+	}
 }

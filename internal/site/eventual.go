@@ -95,10 +95,10 @@ func (s *Site) AntiEntropy(peer string) (*eventual.SyncStats, error) {
 	if err != nil {
 		span.SetErr(err)
 	} else if stats != nil {
-		span.Annotate("updates", fmt.Sprint(stats.Updates))
-		span.Annotate("commits", fmt.Sprint(stats.Commits))
-		span.Annotate("bases", fmt.Sprint(stats.Bases))
-		span.Annotate("skipped", fmt.Sprint(stats.Skipped))
+		span.AnnotateUint("updates", uint64(stats.Updates))
+		span.AnnotateUint("commits", uint64(stats.Commits))
+		span.AnnotateUint("bases", uint64(stats.Bases))
+		span.AnnotateUint("skipped", uint64(stats.Skipped))
 	}
 	span.End()
 	return stats, err

@@ -342,7 +342,7 @@ func (g *Group) RoutePut(sc telemetry.SpanContext, req *replication.PutRequest) 
 	var start time.Time
 	if g.site.tel.Enabled() && sc.Valid() {
 		span = g.site.tel.StartSpan(sc, "group.submit")
-		span.Annotate("oid", fmt.Sprint(req.OID))
+		span.AnnotateOID("oid", req.OID)
 		start = g.site.tel.Now()
 	}
 	res, err := g.submit(&groupCmd{Kind: cmdPut, OID: req.OID, Put: req})

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -115,12 +116,25 @@ type FlightRecorder struct {
 	clock func() time.Time
 
 	mu      sync.Mutex
-	ring    []FlightEvent
+	ring    []flightSlot
 	next    int
-	total   uint64
-	dropped uint64
+	total   uint64 // events ever recorded; all but the last len(ring) are gone
 	dumpSeq uint64
 	dumps   []*FlightDump
+}
+
+// flightSlot is a FlightEvent as the ring holds it. Seq is implied by the
+// position (the ring is contiguous in Seq). An event recorded with counts
+// holds the numbers of its Detail, "objects=N bytes=M", which is rendered
+// when the ring is read; objects is -1 on an event recorded with text.
+// 96 bytes: 512 of them fill the six pages 512 FlightEvents rounded up to.
+type flightSlot struct {
+	atNS            int64
+	kind            string
+	oid             uint64
+	traceID, spanID uint64
+	detail, err     string
+	objects, bytes  int
 }
 
 // newFlightRecorder builds a recorder with the given ring capacity
@@ -132,36 +146,58 @@ func newFlightRecorder(site string, clock func() time.Time, capacity int) *Fligh
 	if capacity <= 0 {
 		capacity = defaultFlightCapacity
 	}
-	return &FlightRecorder{site: site, clock: clock, ring: make([]FlightEvent, 0, capacity)}
+	return &FlightRecorder{site: site, clock: clock, ring: make([]flightSlot, 0, capacity)}
 }
 
 // Record appends ev to the ring, evicting the oldest event when full.
 // The recorder stamps Seq and, if unset, AtNS.
 func (f *FlightRecorder) Record(ev FlightEvent) {
+	f.record(flightSlot{
+		atNS: ev.AtNS, kind: ev.Kind, oid: ev.OID, traceID: ev.TraceID, spanID: ev.SpanID,
+		detail: ev.Detail, err: ev.Err, objects: -1,
+	})
+}
+
+// RecordCounts appends an untraced event about oid whose Detail reads
+// "objects=<objects> bytes=<bytes>", without formatting it: recording
+// builds no string. kind is kept as given, so pass a constant.
+func (f *FlightRecorder) RecordCounts(kind string, oid uint64, objects, bytes int) {
+	f.record(flightSlot{kind: kind, oid: oid, objects: objects, bytes: bytes})
+}
+
+func (f *FlightRecorder) record(slot flightSlot) {
 	if f == nil {
 		return
 	}
-	if ev.AtNS == 0 {
-		ev.AtNS = f.clock().UnixNano()
+	if slot.atNS == 0 {
+		slot.atNS = f.clock().UnixNano()
 	}
 	f.mu.Lock()
-	ev.Seq = f.total
 	f.total++
 	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, ev)
+		f.ring = append(f.ring, slot)
 	} else {
-		f.ring[f.next] = ev
+		f.ring[f.next] = slot
 		f.next = (f.next + 1) % len(f.ring)
-		f.dropped++
 	}
 	f.mu.Unlock()
 }
 
-// snapshotLocked copies the ring oldest-first. Callers hold f.mu.
+// snapshotLocked renders the ring as events, oldest first. Callers hold
+// f.mu.
 func (f *FlightRecorder) snapshotLocked() []FlightEvent {
 	out := make([]FlightEvent, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
+	for _, part := range [2][]flightSlot{f.ring[f.next:], f.ring[:f.next]} {
+		for _, s := range part {
+			if s.objects >= 0 {
+				s.detail = "objects=" + strconv.Itoa(s.objects) + " bytes=" + strconv.Itoa(s.bytes)
+			}
+			out = append(out, FlightEvent{
+				Seq: f.total - uint64(len(f.ring)-len(out)), AtNS: s.atNS, Kind: s.kind, OID: s.oid,
+				TraceID: s.traceID, SpanID: s.spanID, Detail: s.detail, Err: s.err,
+			})
+		}
+	}
 	return out
 }
 
@@ -187,7 +223,7 @@ func (f *FlightRecorder) Dump(reason string) *FlightDump {
 	f.dumpSeq++
 	d := &FlightDump{
 		Site: f.site, Reason: reason, Seq: f.dumpSeq, TakenAtNS: now,
-		Total: f.total, Dropped: f.dropped, Events: f.snapshotLocked(),
+		Total: f.total, Dropped: f.total - uint64(len(f.ring)), Events: f.snapshotLocked(),
 	}
 	f.dumps = append(f.dumps, d)
 	if len(f.dumps) > flightDumpKeep {
@@ -208,7 +244,7 @@ func (f *FlightRecorder) Current(reason string) *FlightDump {
 	defer f.mu.Unlock()
 	return &FlightDump{
 		Site: f.site, Reason: reason, TakenAtNS: now,
-		Total: f.total, Dropped: f.dropped, Events: f.snapshotLocked(),
+		Total: f.total, Dropped: f.total - uint64(len(f.ring)), Events: f.snapshotLocked(),
 	}
 }
 
@@ -223,24 +259,4 @@ func (f *FlightRecorder) LastDump() (*FlightDump, bool) {
 		return nil, false
 	}
 	return f.dumps[len(f.dumps)-1], true
-}
-
-// Dumps returns every retained dump, oldest first.
-func (f *FlightRecorder) Dumps() []*FlightDump {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*FlightDump(nil), f.dumps...)
-}
-
-// Total returns how many events were ever recorded.
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
 }

@@ -74,14 +74,6 @@ func (h *Hub) Metrics() *Metrics {
 	return h.metrics
 }
 
-// Tracer returns the span recorder (nil when disabled).
-func (h *Hub) Tracer() *Tracer {
-	if h == nil {
-		return nil
-	}
-	return h.tracer
-}
-
 // Profiler returns the per-object replication profiler (nil when
 // disabled — a nil profiler no-ops).
 func (h *Hub) Profiler() *Profiler {
@@ -111,10 +103,16 @@ func (h *Hub) Now() time.Time {
 // StartSpan begins a span under parent; an invalid parent roots a new
 // trace. Returns nil (a no-op span) when the hub is disabled.
 func (h *Hub) StartSpan(parent SpanContext, name string) *Span {
+	return h.StartPrefixed(parent, PrefixNone, name)
+}
+
+// StartPrefixed is StartSpan for a two-part name such as "rmi:"+method:
+// the halves are joined when the span is exported, not here.
+func (h *Hub) StartPrefixed(parent SpanContext, prefix SpanPrefix, name string) *Span {
 	if h == nil {
 		return nil
 	}
-	return h.tracer.start(parent, name)
+	return h.tracer.start(parent, prefix, name)
 }
 
 // StartRoot begins a new trace.

@@ -148,7 +148,13 @@ type Profiler struct {
 	mu       sync.Mutex
 	capacity int
 	objects  map[uint64]*ObjectProfile
-	evicted  uint64
+	// cold orders the tracked profiles for eviction: once the table is
+	// full it is a min-heap by (heat ascending, OID descending) over the
+	// heat each entry had when the heap last looked at it. Heat only
+	// grows, so a stored heat is a lower bound of the true one and the
+	// Record* methods never have to touch the heap.
+	cold    []coldEntry
+	evicted uint64
 
 	// Site-wide demand cost, survives per-object eviction: the Advisor's
 	// fallback estimate for objects never fetched here before.
@@ -165,6 +171,39 @@ func NewProfiler(capacity int) *Profiler {
 	return &Profiler{
 		capacity: capacity,
 		objects:  make(map[uint64]*ObjectProfile, capacity),
+		cold:     make([]coldEntry, 0, capacity),
+	}
+}
+
+// coldEntry is one slot of the eviction heap: a tracked profile and the
+// heat it had when the heap last refreshed it.
+type coldEntry struct {
+	heat uint64
+	o    *ObjectProfile
+}
+
+// colder orders the eviction heap: lowest heat first, highest OID first
+// on ties, so the keep-set is deterministic.
+func (a coldEntry) colder(b coldEntry) bool {
+	return a.heat < b.heat || (a.heat == b.heat && a.o.OID > b.o.OID)
+}
+
+// siftDown restores the heap order below slot i after its key grew.
+func (p *Profiler) siftDown(i int) {
+	h := p.cold
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].colder(h[c]) {
+			c++
+		}
+		if !h[c].colder(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -174,22 +213,36 @@ func (p *Profiler) get(oid uint64) *ObjectProfile {
 	if o, ok := p.objects[oid]; ok {
 		return o
 	}
-	if len(p.objects) >= p.capacity {
-		// Evict the coldest tracked object (lowest heat; highest OID on
-		// ties, so the keep-set is deterministic).
-		var coldOID uint64
-		coldHeat := ^uint64(0)
-		for id, o := range p.objects {
-			h := o.Heat()
-			if h < coldHeat || (h == coldHeat && id > coldOID) {
-				coldOID, coldHeat = id, h
+	if len(p.cold) < p.capacity {
+		o := &ObjectProfile{OID: oid}
+		p.objects[oid] = o
+		p.cold = append(p.cold, coldEntry{o: o})
+		if len(p.cold) == p.capacity {
+			// Nothing is evicted before the table fills, so the heap is
+			// built once, here (stored heats all 0: a lower bound).
+			for i := len(p.cold)/2 - 1; i >= 0; i-- {
+				p.siftDown(i)
 			}
 		}
-		delete(p.objects, coldOID)
-		p.evicted++
+		return o
 	}
-	o := &ObjectProfile{OID: oid}
+	// Evict the coldest tracked object (lowest heat; highest OID on ties).
+	// The top's stored heat may be stale: refresh it and let it sink until
+	// the top's stored heat is its true one. Every other entry's true key
+	// is at least its stored key, which is at least the top's, so that top
+	// is the victim a scan of the whole table would pick.
+	top := &p.cold[0]
+	for top.heat != top.o.Heat() {
+		top.heat = top.o.Heat()
+		p.siftDown(0)
+	}
+	o := top.o
+	delete(p.objects, o.OID)
+	p.evicted++
+	*o = ObjectProfile{OID: oid} // the victim's record serves the newcomer
 	p.objects[oid] = o
+	top.heat = 0
+	p.siftDown(0)
 	return o
 }
 

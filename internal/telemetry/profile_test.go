@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func TestNilProfilerAndFlightAreFree(t *testing.T) {
 
 	var f *FlightRecorder
 	f.Record(FlightEvent{Kind: "x"})
-	if f.Snapshot() != nil || f.Total() != 0 {
+	if f.Snapshot() != nil {
 		t.Fatal("nil recorder holds events")
 	}
 	if d := f.Dump("r"); d != nil {
@@ -112,6 +113,92 @@ func TestProfilerTopKOrderAndEviction(t *testing.T) {
 	}
 }
 
+// scanModel is the eviction rule as it was first written, kept as the
+// reference: heat per tracked OID, and on a first touch of a full table a
+// scan of the whole map for the coldest entry (lowest heat, highest OID on
+// ties).
+type scanModel struct {
+	capacity int
+	heat     map[uint64]uint64
+	evicted  uint64
+}
+
+func (m *scanModel) touch(oid, by uint64) {
+	if _, ok := m.heat[oid]; !ok && len(m.heat) >= m.capacity {
+		var coldOID uint64
+		coldHeat := ^uint64(0)
+		for id, h := range m.heat {
+			if h < coldHeat || (h == coldHeat && id > coldOID) {
+				coldOID, coldHeat = id, h
+			}
+		}
+		delete(m.heat, coldOID)
+		m.evicted++
+	}
+	m.heat[oid] += by
+}
+
+// TestProfilerKeepSetMatchesScan: the lazy eviction heap keeps exactly the
+// set the whole-map scan kept. Mixed Record* calls over OID streams that
+// mix a hot set with an ascending walk, compared after every call.
+func TestProfilerKeepSetMatchesScan(t *testing.T) {
+	const seeds, calls = 60, 5000
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(40)
+		hot := 1 + rng.Intn(2*capacity)
+		p := NewProfiler(capacity)
+		ref := &scanModel{capacity: capacity, heat: map[uint64]uint64{}}
+		walk := uint64(1000)
+		for i := 0; i < calls; i++ {
+			var oid uint64
+			switch rng.Intn(3) {
+			case 0:
+				walk++
+				oid = walk
+			case 1:
+				oid = walk - uint64(rng.Intn(capacity+2)) // just behind the walk: ties on low heat
+			default:
+				oid = uint64(1 + rng.Intn(hot))
+			}
+			switch rng.Intn(5) {
+			case 0:
+				p.RecordInvoke(oid, rng.Intn(2) == 0)
+				ref.touch(oid, 1)
+			case 1:
+				p.RecordServe(oid, 1, 64)
+				ref.touch(oid, 1)
+			case 2:
+				p.RecordPutApplied(oid)
+				ref.touch(oid, 1)
+			case 3:
+				p.RecordFault(oid, true, false, 0, 0, 0)
+				ref.touch(oid, 1)
+			default:
+				p.RecordFault(oid, false, false, 1, 64, time.Microsecond)
+				ref.touch(oid, 2) // Faults and RemoteDemands
+			}
+			if len(p.objects) != len(ref.heat) || p.evicted != ref.evicted {
+				t.Fatalf("seed %d call %d: tracked %d evicted %d, scan keeps %d evicted %d",
+					seed, i, len(p.objects), p.evicted, len(ref.heat), ref.evicted)
+			}
+			for id, want := range ref.heat {
+				if o, ok := p.objects[id]; !ok || o.OID != id || o.Heat() != want {
+					t.Fatalf("seed %d call %d (capacity %d): oid %d tracked=%v, scan has heat %d", seed, i, capacity, id, ok, want)
+				}
+			}
+		}
+		if len(p.cold) != len(p.objects) {
+			t.Fatalf("seed %d: heap holds %d entries for %d objects", seed, len(p.cold), len(p.objects))
+		}
+		for _, c := range p.cold {
+			if p.objects[c.o.OID] != c.o || c.heat > c.o.Heat() {
+				t.Fatalf("seed %d: heap entry %+v: not the tracked record, or its key is above the true heat %d", seed, c, c.o.Heat())
+			}
+		}
+	}
+}
+
 func TestProfilerFaultCostFallsBackToSiteAverage(t *testing.T) {
 	p := NewProfiler(0)
 	if _, ok := p.FaultCost(5); ok {
@@ -144,8 +231,8 @@ func TestFlightRecorderRingAndDumps(t *testing.T) {
 	if events[0].Seq != 2 || events[3].Seq != 5 {
 		t.Fatalf("seq stamping: %+v", events)
 	}
-	if f.Total() != 6 {
-		t.Fatalf("total: %d", f.Total())
+	if f.total != 6 {
+		t.Fatalf("total: %d", f.total)
 	}
 
 	d := f.Dump("first")
@@ -159,7 +246,7 @@ func TestFlightRecorderRingAndDumps(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		f.Dump("later")
 	}
-	if dumps := f.Dumps(); len(dumps) != 4 || dumps[0].Seq != 4 {
+	if dumps := f.dumps; len(dumps) != 4 || dumps[0].Seq != 4 {
 		t.Fatalf("dump retention: %d dumps, first seq %d", len(dumps), dumps[0].Seq)
 	}
 }

@@ -117,8 +117,8 @@ func TestSpanRingEviction(t *testing.T) {
 	if spans[0].Name != "op6" || spans[3].Name != "op9" {
 		t.Fatalf("ring order: %v", spans)
 	}
-	if h.Tracer().Dropped() != 6 {
-		t.Fatalf("dropped: %d", h.Tracer().Dropped())
+	if _, next, missed := h.SpansSince(0, 0); missed != 6 || next != 10 {
+		t.Fatalf("dropped %d of %d", missed, next)
 	}
 	if got := h.Spans(2); len(got) != 2 || got[1].Name != "op9" {
 		t.Fatalf("bounded snapshot: %v", got)

@@ -24,7 +24,9 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"obiwan/internal/codec"
@@ -122,17 +124,84 @@ func init() {
 	codec.MustRegister("obiwan.telemetry.SpanRecord", SpanRecord{})
 }
 
+// SpanPrefix is the static first half of a two-part span name such as
+// "rmi:"+method: the halves are joined on export, not on every call.
+type SpanPrefix uint8
+
+const (
+	PrefixNone  SpanPrefix = iota
+	PrefixRMI              // "rmi:<method>", the client half of a call
+	PrefixServe            // "serve:<method>", the server half
+)
+
+var spanPrefixes = [...]string{"", "rmi:", "serve:"}
+
+// attrKind says how an attribute's value is rendered on export.
+type attrKind uint8
+
+const (
+	attrUint   attrKind = iota // decimal
+	attrOID                    // site/sequence, as objmodel.OID.String
+	attrString                 // verbatim
+)
+
+// spanAttr is one attribute as recorded; render formats it.
+type spanAttr struct {
+	key, str string // str is the value of an attrString
+	num      uint64 // the value otherwise
+	kind     attrKind
+}
+
+func (a spanAttr) render() string {
+	switch a.kind {
+	case attrUint:
+		a.str = strconv.FormatUint(a.num, 10)
+	case attrOID:
+		a.str = strconv.FormatUint(a.num>>48, 10) + "/" + strconv.FormatUint(a.num&(1<<48-1), 10)
+	}
+	return a.key + "=" + a.str
+}
+
+// What a span holds inline. The demand and put paths record at most two
+// numeric attributes and two phases per span, so there a span is the one
+// allocation Tracer.start makes.
+const (
+	inlineAttrs  = 2
+	inlinePhases = 2
+)
+
+// spanOverflow is the rest: string-valued attributes and every attribute
+// after one (append order is export order), and phases past the inline.
+type spanOverflow struct {
+	attrs  []spanAttr
+	phases []PhaseSegment
+}
+
 // Span is an in-progress operation. A nil *Span is the disabled fast
 // path: every method is a nil-receiver no-op, so instrumented code never
 // branches on whether telemetry is on.
 //
-// A span belongs to the goroutine that started it until End; after End
-// its record is shared with the tracer's ring and never written again.
+// A span belongs to the goroutine that started it until End; after End it
+// is shared with the tracer's ring and never written again. It keeps
+// numbers, and strings as the caller gave them; the SpanRecord (site name,
+// joined name, "key=value" strings) is rendered when a snapshot is taken.
+// The ring retains 4096 spans per site, so the 192-byte size class is
+// live heap: TestSpanSizePinned.
 type Span struct {
-	// tr is nil once ended. Not a flag: Span is exactly the 144-byte size
-	// class, and one more byte would cost 16 per span.
-	tr  *Tracer
-	rec SpanRecord
+	tr *Tracer // nil once ended
+
+	traceID, spanID, parent uint64
+	startNS, endNS          int64
+	name, err               string
+
+	prefix   SpanPrefix
+	nAttrs   uint8
+	nPhases  uint8
+	kinds    [inlineAttrs]attrKind
+	attrKeys [inlineAttrs]string
+	attrNums [inlineAttrs]uint64
+	phases   [inlinePhases]PhaseSegment
+	more     *spanOverflow
 }
 
 // ended reports whether End has run.
@@ -143,31 +212,62 @@ func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
+	return SpanContext{TraceID: s.traceID, SpanID: s.spanID}
 }
 
-// Annotate appends a "key=value" attribute.
-func (s *Span) Annotate(key, value string) {
+// Annotate appends a "key=value" attribute whose value is a string.
+func (s *Span) Annotate(key, value string) { s.annotate(attrString, key, value, 0) }
+
+// AnnotateUint appends a "key=<decimal>" attribute.
+func (s *Span) AnnotateUint(key string, v uint64) { s.annotate(attrUint, key, "", v) }
+
+// AnnotateOID appends "key=<site>/<sequence>", as objmodel.OID.String.
+func (s *Span) AnnotateOID(key string, oid uint64) { s.annotate(attrOID, key, "", oid) }
+
+func (s *Span) annotate(kind attrKind, key, str string, num uint64) {
 	if s == nil || s.ended() {
 		return
 	}
-	s.rec.Attrs = append(s.rec.Attrs, key+"="+value)
+	if kind != attrString && s.more == nil && int(s.nAttrs) < inlineAttrs {
+		s.kinds[s.nAttrs], s.attrKeys[s.nAttrs], s.attrNums[s.nAttrs] = kind, key, num
+		s.nAttrs++
+		return
+	}
+	more := s.overflow()
+	more.attrs = append(more.attrs, spanAttr{key, str, num, kind})
+}
+
+func (s *Span) overflow() *spanOverflow {
+	if s.more == nil {
+		s.more = new(spanOverflow)
+	}
+	return s.more
+}
+
+// addTo accumulates ns into the segment of segs named name, if there is one.
+func addTo(segs []PhaseSegment, name string, ns int64) bool {
+	for i := range segs {
+		if segs[i].Phase == name {
+			segs[i].NS += ns
+			return true
+		}
+	}
+	return false
 }
 
 // Phase attributes d of the span's self-time to the named phase.
 // Repeated calls with the same name accumulate into one segment.
 // Negative durations are ignored; nil and ended spans no-op.
 func (s *Span) Phase(name string, d time.Duration) {
-	if s == nil || s.ended() || d <= 0 {
+	if s == nil || s.ended() || d <= 0 || addTo(s.phases[:s.nPhases], name, int64(d)) {
 		return
 	}
-	for i := range s.rec.Phases {
-		if s.rec.Phases[i].Phase == name {
-			s.rec.Phases[i].NS += int64(d)
-			return
-		}
+	if int(s.nPhases) < inlinePhases {
+		s.phases[s.nPhases] = PhaseSegment{Phase: name, NS: int64(d)}
+		s.nPhases++
+	} else if more := s.overflow(); !addTo(more.phases, name, int64(d)) {
+		more.phases = append(more.phases, PhaseSegment{Phase: name, NS: int64(d)})
 	}
-	s.rec.Phases = append(s.rec.Phases, PhaseSegment{Phase: name, NS: int64(d)})
 }
 
 // SetErr records err's text on the span (nil clears nothing, it no-ops).
@@ -175,40 +275,66 @@ func (s *Span) SetErr(err error) {
 	if s == nil || s.ended() || err == nil {
 		return
 	}
-	s.rec.Err = err.Error()
+	s.err = err.Error()
 }
 
 // End finishes the span and commits it to the tracer's ring. The ring
-// holds the record in place, so from here on the span is immutable:
-// later Annotate, Phase, SetErr and End calls are no-ops.
+// holds the span itself, so from here on it is immutable: later Annotate,
+// Phase, SetErr and End calls are no-ops.
 func (s *Span) End() {
 	if s == nil || s.ended() {
 		return
 	}
 	tr := s.tr
 	s.tr = nil
-	s.rec.EndNS = tr.clock().UnixNano()
-	tr.commit(&s.rec)
+	s.endNS = tr.clock().UnixNano()
+	tr.commit(s)
+}
+
+// record renders the finished span as its exported SpanRecord.
+func (s *Span) record(site string) SpanRecord {
+	r := SpanRecord{
+		TraceID: s.traceID, SpanID: s.spanID, Parent: s.parent,
+		Site: site, Name: spanPrefixes[s.prefix] + s.name,
+		StartNS: s.startNS, EndNS: s.endNS, Err: s.err,
+	}
+	var more spanOverflow
+	if s.more != nil {
+		more = *s.more
+	}
+	if n := int(s.nAttrs) + len(more.attrs); n > 0 {
+		r.Attrs = make([]string, 0, n)
+		for i := 0; i < int(s.nAttrs); i++ {
+			r.Attrs = append(r.Attrs, spanAttr{key: s.attrKeys[i], num: s.attrNums[i], kind: s.kinds[i]}.render())
+		}
+		for _, a := range more.attrs {
+			r.Attrs = append(r.Attrs, a.render())
+		}
+	}
+	if n := int(s.nPhases) + len(more.phases); n > 0 {
+		r.Phases = append(append(make([]PhaseSegment, 0, n), s.phases[:s.nPhases]...), more.phases...)
+	}
+	return r
 }
 
 // defaultSpanCapacity bounds the finished-span ring.
 const defaultSpanCapacity = 4096
 
-// Tracer mints and records spans for one site. Safe for concurrent use.
+// Tracer mints and records spans for one site, behind its Hub. Safe for
+// concurrent use.
 type Tracer struct {
 	site   string
 	idBase uint64
 	clock  func() time.Time
+	seq    atomic.Uint64 // span ids minted
 
-	mu  sync.Mutex
-	seq uint64
-	// ring points at the record inside the Span that start allocated, so
-	// an idle site holds capacity×8 bytes of ring, not capacity records
-	// (545 KB of pointer-bearing memory that every GC cycle scanned).
-	ring    []*SpanRecord
-	next    int
-	total   uint64 // spans ever committed
-	dropped uint64 // spans evicted from the ring
+	mu sync.Mutex
+	// ring holds the finished spans themselves, so an idle site holds
+	// capacity×8 bytes of ring, not capacity records (545 KB of
+	// pointer-bearing memory that every GC cycle scanned).
+	ring  []*Span
+	next  int
+	total uint64 // spans ever committed; all but the last len(ring) are gone
 }
 
 // newTracer builds a tracer whose span ids are salted with the site name:
@@ -226,75 +352,46 @@ func newTracer(site string, clock func() time.Time, capacity int) *Tracer {
 		site:   site,
 		idBase: uint64(fnv32(site)) << 32,
 		clock:  clock,
-		ring:   make([]*SpanRecord, 0, capacity),
+		ring:   make([]*Span, 0, capacity),
 	}
 }
 
-// nextID mints the next span id.
-func (t *Tracer) nextID() uint64 {
-	t.mu.Lock()
-	t.seq++
-	id := t.idBase | (t.seq & 0xffffffff)
-	t.mu.Unlock()
-	return id
-}
-
-// start begins a span. An invalid parent starts a new trace rooted at
-// this span (its trace id is its span id).
-func (t *Tracer) start(parent SpanContext, name string) *Span {
-	if t == nil {
-		return nil
-	}
-	id := t.nextID()
-	rec := SpanRecord{
-		SpanID:  id,
-		Site:    t.site,
-		Name:    name,
-		StartNS: t.clock().UnixNano(),
-	}
+// start begins a span named prefix+name. An invalid parent starts a new
+// trace rooted at this span (its trace id is its span id).
+func (t *Tracer) start(parent SpanContext, prefix SpanPrefix, name string) *Span {
+	id := t.idBase | (t.seq.Add(1) & 0xffffffff)
+	s := &Span{tr: t, traceID: id, spanID: id, prefix: prefix, name: name, startNS: t.clock().UnixNano()}
 	if parent.Valid() {
-		rec.TraceID = parent.TraceID
-		rec.Parent = parent.SpanID
-	} else {
-		rec.TraceID = id
+		s.traceID, s.parent = parent.TraceID, parent.SpanID
 	}
-	return &Span{tr: t, rec: rec}
+	return s
 }
 
 // commit stores a finished span in the ring, evicting the oldest when
-// full. rec must not be written after this call.
-func (t *Tracer) commit(rec *SpanRecord) {
+// full. s must not be written after this call.
+func (t *Tracer) commit(s *Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.total++
 	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, rec)
+		t.ring = append(t.ring, s)
 		return
 	}
-	t.ring[t.next] = rec
+	t.ring[t.next] = s
 	t.next = (t.next + 1) % len(t.ring)
-	t.dropped++
 }
 
 // Snapshot returns up to max finished spans, oldest first (all of them
 // when max <= 0).
 func (t *Tracer) Snapshot(max int) []SpanRecord {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
-	out := make([]SpanRecord, 0, len(t.ring))
-	for _, r := range t.ring[t.next:] {
-		out = append(out, *r)
+	defer t.mu.Unlock()
+	cursor := uint64(0)
+	if max > 0 && len(t.ring) > max {
+		cursor = t.total - uint64(max)
 	}
-	for _, r := range t.ring[:t.next] {
-		out = append(out, *r)
-	}
-	t.mu.Unlock()
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
-	}
-	return out
+	spans, _, _ := t.sinceLocked(cursor, max)
+	return spans
 }
 
 // SnapshotSince returns up to max finished spans (all when max <= 0)
@@ -305,11 +402,14 @@ func (t *Tracer) Snapshot(max int) []SpanRecord {
 // since the cursor lives at the client. missed counts requested spans
 // that were already evicted from the ring (the poller fell behind).
 func (t *Tracer) SnapshotSince(cursor uint64, max int) (spans []SpanRecord, next uint64, missed uint64) {
-	if t == nil {
-		return nil, cursor, 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.sinceLocked(cursor, max)
+}
+
+// sinceLocked is SnapshotSince under t.mu: records are rendered here,
+// under the lock, from spans nothing writes any more.
+func (t *Tracer) sinceLocked(cursor uint64, max int) (spans []SpanRecord, next uint64, missed uint64) {
 	oldest := t.total - uint64(len(t.ring))
 	if cursor > t.total {
 		cursor = t.total
@@ -328,19 +428,9 @@ func (t *Tracer) SnapshotSince(cursor uint64, max int) (spans []SpanRecord, next
 		if len(t.ring) == cap(t.ring) {
 			pos = (t.next + pos) % len(t.ring)
 		}
-		spans = append(spans, *t.ring[pos])
+		spans = append(spans, t.ring[pos].record(t.site))
 	}
 	return spans, cursor + n, missed
-}
-
-// Dropped returns how many finished spans were evicted from the ring.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // fnv32 is FNV-1a, the same salt the heap uses for site ids.
