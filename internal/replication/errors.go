@@ -11,12 +11,13 @@ import (
 
 // ErrUnavailable marks a replication operation that failed because the
 // provider site could not be reached: the link is disconnected, the
-// message was lost repeatedly, or the call deadline expired — after the
-// RMI retry policy was exhausted. It is the typed surface of the paper's
-// mobile scenario: the application can distinguish "the master said no"
-// (a bare error) from "the master cannot be asked right now" (wrapped
-// with ErrUnavailable), keep working on its replicas, and re-issue the
-// operation after reconnection.
+// message was lost repeatedly, the call deadline expired, or the provider
+// kept refusing the call as busy — after the RMI retry policy was
+// exhausted. It is the typed surface of the paper's mobile scenario: the
+// application can distinguish "the master said no" (a bare error) from
+// "the master cannot be asked right now" (wrapped with ErrUnavailable),
+// keep working on its replicas, and re-issue the operation after
+// reconnection.
 //
 // Test with errors.Is(err, replication.ErrUnavailable). The underlying
 // transport error stays in the chain, so errors.Is(err,
@@ -29,7 +30,8 @@ func wrapUnavailable(err error) error {
 	if err == nil {
 		return nil
 	}
-	if transport.IsTransient(err) || errors.Is(err, rmi.ErrTimeout) {
+	var re *rmi.RemoteError
+	if transport.IsTransient(err) || errors.Is(err, rmi.ErrTimeout) || errors.As(err, &re) && re.IsBusy() {
 		return fmt.Errorf("%w: %w", ErrUnavailable, err)
 	}
 	return err

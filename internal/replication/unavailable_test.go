@@ -2,11 +2,14 @@ package replication
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
+	"obiwan/internal/rmi"
 	"obiwan/internal/transport"
+	"obiwan/internal/wire"
 )
 
 // TestDisconnectedOperationsReturnErrUnavailable: once the link to the
@@ -99,5 +102,19 @@ func TestDemandRetriesThroughScriptedOutage(t *testing.T) {
 	}
 	if s := client.rt.Stats(); s.Retries == 0 {
 		t.Fatal("outage must have been crossed by retries")
+	}
+}
+
+// TestBusyProviderIsUnavailableNotRefused: a provider whose connection kept
+// answering busy until the retry policy gave up cannot be asked right now;
+// it did not say no. An application fault stays a bare error.
+func TestBusyProviderIsUnavailableNotRefused(t *testing.T) {
+	busy := fmt.Errorf("rmi: Get failed after 4 attempts: %w", &rmi.RemoteError{Code: wire.FaultBusy, Method: "Get"})
+	if err := wrapUnavailable(busy); !errors.Is(err, ErrUnavailable) || !errors.Is(err, busy) {
+		t.Fatalf("busy provider: want ErrUnavailable wrapping the cause, got %v", err)
+	}
+	app := &rmi.RemoteError{Code: wire.FaultApp, Method: "Get"}
+	if err := wrapUnavailable(app); errors.Is(err, ErrUnavailable) {
+		t.Fatalf("application fault must not read as unavailable: %v", err)
 	}
 }

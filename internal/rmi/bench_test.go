@@ -26,11 +26,11 @@ func tcpPair(tb testing.TB) (*Runtime, *Runtime) {
 
 func pairOn(tb testing.TB, net transport.Network, serverAddr, clientAddr transport.Addr) (*Runtime, *Runtime) {
 	tb.Helper()
-	server, err := NewRuntime(net, serverAddr)
+	server, err := newRuntime(net, serverAddr)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	client, err := NewRuntime(net, clientAddr)
+	client, err := newRuntime(net, clientAddr)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func hubPair(tb testing.TB) (*Runtime, *Runtime, *telemetry.Hub) {
 	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
 	serverHub := telemetry.NewHub("server")
 	clientHub := telemetry.NewHub("client")
-	server, err := NewRuntime(net, "server", WithTelemetry(serverHub))
+	server, err := newRuntime(net, "server", WithTelemetry(serverHub))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	client, err := NewRuntime(net, "client", WithTelemetry(clientHub))
+	client, err := newRuntime(net, "client", WithTelemetry(clientHub))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func BenchmarkCallProfile(b *testing.B) {
 	})
 	b.Run("on", func(b *testing.B) {
 		net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
-		server, err := NewRuntime(net, "server", WithTelemetry(telemetry.NewHub("server")))
+		server, err := newRuntime(net, "server", WithTelemetry(telemetry.NewHub("server")))
 		if err != nil {
 			b.Fatal(err)
 		}
-		client, err := NewRuntime(net, "client", WithTelemetry(telemetry.NewHub("client")))
+		client, err := newRuntime(net, "client", WithTelemetry(telemetry.NewHub("client")))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,12 +216,12 @@ func BenchmarkCallAttribution(b *testing.B) {
 	})
 	b.Run("on-traced", func(b *testing.B) {
 		net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
-		server, err := NewRuntime(net, "server", WithTelemetry(telemetry.NewHub("server")))
+		server, err := newRuntime(net, "server", WithTelemetry(telemetry.NewHub("server")))
 		if err != nil {
 			b.Fatal(err)
 		}
 		hub := telemetry.NewHub("client")
-		client, err := NewRuntime(net, "client", WithTelemetry(hub))
+		client, err := newRuntime(net, "client", WithTelemetry(hub))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -238,7 +238,7 @@ func (rt *Runtime) CallTraced(sc telemetry.SpanContext, ref RemoteRef, method st
 // CallTracedTimeout is CallTraced with an explicit deadline.
 func (rt *Runtime) CallTracedTimeout(sc telemetry.SpanContext, ref RemoteRef, timeout time.Duration, method string, args ...any) ([]any, error) {
 	start := rt.clock.Now()
-	results, tid, err := rt.doCall(sc, ref, timeout, method, args)
+	results, tid, err := rt.doCall(sc, ref, start, timeout, method, args)
 	rtt := rt.clock.Now().Sub(start)
 	// Traced calls keep tail exemplars (tid 0 — untraced — degrades to a
 	// plain observation), so `obiwan-admin slow` can name the worst calls.
@@ -253,15 +253,15 @@ func (rt *Runtime) CallTracedTimeout(sc telemetry.SpanContext, ref RemoteRef, ti
 // id is allocated once and reused across attempts, so the server's
 // duplicate-suppression table can guarantee at-most-once execution no
 // matter how many times the frame is re-sent or on which connection it
-// arrives. timeout is the overall deadline for the invocation including
-// backoff waits.
+// arrives. timeout, counted from start, is the overall deadline for the
+// invocation including backoff waits.
 //
 // Tracing mirrors dedupe: one logical invocation is one "rmi:<method>"
 // span no matter how many attempts it takes — retries annotate the span
 // rather than minting siblings, and the frame (encoded once) carries the
 // same span context on every resend, so the server parents at most one
 // serve span under it.
-func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.Duration, method string, args []any) ([]any, uint64, error) {
+func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Time, timeout time.Duration, method string, args []any) ([]any, uint64, error) {
 	if ref.IsZero() {
 		return nil, 0, fmt.Errorf("rmi: call %s on zero reference", method)
 	}
@@ -298,7 +298,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 		return finish(nil, err)
 	}
 
-	deadline := rt.clock.Now().Add(timeout)
+	deadline := start.Add(timeout)
 	timeoutErr := func() error {
 		return fmt.Errorf("%w: %s to %q after %v", ErrTimeout, method, ref.Addr, timeout)
 	}
@@ -385,11 +385,16 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 			conn.unregister(id)
 			return finish(nil, timeoutErr())
 		}
-		netStart := rt.clock.Now()
+		var netStart time.Time
+		if span != nil {
+			netStart = rt.clock.Now()
+		}
 		expiry := rt.clock.AfterFunc(wait, w.expire)
 		msg, ok := w.await()
 		expiry.Stop()
-		span.Phase(telemetry.PhaseNet, rt.clock.Now().Sub(netStart))
+		if span != nil {
+			span.Phase(telemetry.PhaseNet, rt.clock.Now().Sub(netStart))
+		}
 		if !ok {
 			conn.unregister(id)
 			lastErr = timeoutErr()
@@ -403,7 +408,13 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, timeout time.
 			return finish(m.Results, nil)
 		case *wire.Fault:
 			rt.met.remoteFaults.Inc()
-			return finish(nil, &RemoteError{Code: m.Code, Method: method, Message: m.Message})
+			lastErr = &RemoteError{Code: m.Code, Method: method, Message: m.Message}
+			if m.Code == wire.FaultBusy {
+				// Refused, not executed: the server kept nothing of the call,
+				// so it goes again like a frame that was never sent.
+				continue
+			}
+			return finish(nil, lastErr)
 		case error:
 			// The connection failed while we were waiting.
 			lastErr = m

@@ -309,7 +309,7 @@ func TestSupersededIncarnationPruned(t *testing.T) {
 // server keeps one log for the address.
 func TestRestartedClientSupersedesItsLog(t *testing.T) {
 	net := transport.NewMemNetwork(netsim.Loopback)
-	server, err := NewRuntime(net, "server")
+	server, err := newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestRestartedClientSupersedesItsLog(t *testing.T) {
 	ref, _ := server.Export(&calculator{}, "Calculator")
 	var ids []string
 	for life := 0; life < 3; life++ {
-		client, err := NewRuntime(net, "client")
+		client, err := newRuntime(net, "client")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,13 +363,13 @@ func TestEvictedReplyIsRefusedNotReexecuted(t *testing.T) {
 	defer clock.Stop()
 	net := transport.NewMemNetworkClock(netsim.Loopback, 1, clock)
 	clock.Run(func() {
-		server, err := NewRuntime(net, "server")
+		server, err := newRuntime(net, "server")
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		defer server.Close()
-		client, err := NewRuntime(net, "client", WithRetryPolicy(fastRetry(4, time.Second)))
+		client, err := newRuntime(net, "client", WithRetryPolicy(fastRetry(4, time.Second)))
 		if err != nil {
 			t.Error(err)
 			return

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"obiwan/internal/netsim"
 	"obiwan/internal/raceflag"
 	"obiwan/internal/telemetry"
+	"obiwan/internal/transport"
 )
 
 // nullCallAllocs is the allocation count of one null call over the
 // zero-latency mem transport, both sides included. It only ever goes
 // down: lower it when a change removes an allocation, so the win is
 // locked in. (27 before the embedded Cond, the atomic call id and the
-// single serve closure.)
-const nullCallAllocs = 24
+// single serve closure; 24 while that closure was made per call.)
+const nullCallAllocs = 23
 
 func TestNullCallAllocationsPinned(t *testing.T) {
 	if raceflag.Enabled {
@@ -139,5 +143,50 @@ func TestConcurrentCallsOverTCPInterleaveNoFrames(t *testing.T) {
 	wg.Wait()
 	if got := len(client.conns); got != 1 {
 		t.Fatalf("connection pool size %d, want 1", got)
+	}
+}
+
+// countedClock counts reads of a real clock.
+type countedClock struct {
+	netsim.Clock
+	reads atomic.Int64
+}
+
+func (c *countedClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Clock.Now()
+}
+
+// countedNet hands its runtimes a countedClock (netsim.ClockProvider).
+type countedNet struct {
+	transport.Network
+	clock *countedClock
+}
+
+func (n countedNet) Clock() netsim.Clock { return n.clock }
+
+// TestUntracedCallClockReadsPinned: a call nobody traces reads the clock
+// three times at the caller (start, the wait left before its deadline,
+// end) and not at all at the server. (Six before the deadline reused the
+// start and the net-phase stamps waited for a span.)
+func TestUntracedCallClockReadsPinned(t *testing.T) {
+	clock := &countedClock{Clock: netsim.Real()}
+	server, client := pairOn(t, countedNet{transport.NewMemNetwork(netsim.Profile{Name: "zero"}), clock}, "server", "client")
+	ref, err := server.Export(&calculator{}, "Calculator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Call(ref, "Total"); err != nil { // dials
+		t.Fatal(err)
+	}
+	const calls = 100
+	before := clock.reads.Load()
+	for i := 0; i < calls; i++ {
+		if _, err := client.Call(ref, "Total"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := clock.reads.Load() - before; got > 3*calls {
+		t.Fatalf("%d untraced calls read the clock %d times, pinned at 3 each", calls, got)
 	}
 }

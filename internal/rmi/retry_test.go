@@ -28,11 +28,11 @@ func newRetryPair(t *testing.T, p RetryPolicy) (server, client *Runtime, net *tr
 	t.Helper()
 	net = transport.NewMemNetwork(netsim.Loopback)
 	var err error
-	server, err = NewRuntime(net, "server")
+	server, err = newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err = NewRuntime(net, "client", WithRetryPolicy(p))
+	client, err = newRuntime(net, "client", WithRetryPolicy(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,11 +73,11 @@ func newPair(t *testing.T) (server, client *Runtime, net *transport.MemNetwork) 
 	t.Helper()
 	net = transport.NewMemNetwork(netsim.Loopback)
 	var err error
-	server, err = NewRuntime(net, "server")
+	server, err = newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err = NewRuntime(net, "client")
+	client, err = newRuntime(net, "client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +333,11 @@ func TestDisconnectFailsCallsAndReconnectRecovers(t *testing.T) {
 
 func TestServerRestartRedials(t *testing.T) {
 	net := transport.NewMemNetwork(netsim.Loopback)
-	server, err := NewRuntime(net, "server")
+	server, err := newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewRuntime(net, "client")
+	client, err := newRuntime(net, "client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestServerRestartRedials(t *testing.T) {
 		t.Fatal("call to closed server should fail")
 	}
 	// Bring a replacement up at the same address.
-	server2, err := NewRuntime(net, "server")
+	server2, err := newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestExportRejectsBadObjects(t *testing.T) {
 
 func TestObserverSeesRTT(t *testing.T) {
 	net := transport.NewMemNetwork(netsim.Loopback)
-	server, err := NewRuntime(net, "server")
+	server, err := newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestObserverSeesRTT(t *testing.T) {
 		rtt    time.Duration
 	}
 	seen := make(chan obs, 4)
-	client, err := NewRuntime(net, "client",
+	client, err := newRuntime(net, "client",
 		WithObserver(func(_ transport.Addr, method string, rtt time.Duration, err error) {
 			seen <- obs{method, rtt}
 		}))
@@ -429,12 +429,12 @@ func TestRMICostMatchesCalibratedLAN(t *testing.T) {
 	// On the paper-calibrated LAN profile a null RMI should land near
 	// 2.8 ms. Allow generous slack for scheduler noise.
 	net := transport.NewMemNetwork(netsim.LAN10)
-	server, err := NewRuntime(net, "server")
+	server, err := newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client, err := NewRuntime(net, "client")
+	client, err := newRuntime(net, "client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestRMICostMatchesCalibratedLAN(t *testing.T) {
 
 func TestRuntimeCloseIdempotent(t *testing.T) {
 	net := transport.NewMemNetwork(netsim.Loopback)
-	rt, err := NewRuntime(net, "x")
+	rt, err := newRuntime(net, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,12 +475,12 @@ func TestRuntimeCloseIdempotent(t *testing.T) {
 
 func TestTCPTransportEndToEnd(t *testing.T) {
 	net := transport.NewTCPNetwork()
-	server, err := NewRuntime(net, "127.0.0.1:0")
+	server, err := newRuntime(net, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client, err := NewRuntime(net, "127.0.0.1:0")
+	client, err := newRuntime(net, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 
 func TestServerRejectsPeersWithoutHello(t *testing.T) {
 	net := transport.NewMemNetwork(netsim.Loopback)
-	server, err := NewRuntime(net, "server")
+	server, err := newRuntime(net, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestServerRejectsPeersWithoutHello(t *testing.T) {
 	}
 
 	// Well-behaved clients still work.
-	client, err := NewRuntime(net, "client")
+	client, err := newRuntime(net, "client")
 	if err != nil {
 		t.Fatal(err)
 	}

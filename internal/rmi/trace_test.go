@@ -17,11 +17,11 @@ func newTracedPair(t *testing.T, p RetryPolicy) (server, client *Runtime, net *t
 	serverHub = telemetry.NewHub("server")
 	clientHub = telemetry.NewHub("client")
 	var err error
-	server, err = NewRuntime(net, "server", WithTelemetry(serverHub))
+	server, err = newRuntime(net, "server", WithTelemetry(serverHub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err = NewRuntime(net, "client", WithRetryPolicy(p), WithTelemetry(clientHub))
+	client, err = newRuntime(net, "client", WithRetryPolicy(p), WithTelemetry(clientHub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 	// no spans of its own.
 	net := transport.NewMemNetwork(netsim.Loopback)
 	serverHub := telemetry.NewHub("server")
-	server, err := NewRuntime(net, "server", WithTelemetry(serverHub))
+	server, err := newRuntime(net, "server", WithTelemetry(serverHub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewRuntime(net, "client") // no hub
+	client, err := newRuntime(net, "client") // no hub
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 // to miss — and without a hub Stats reports exactly what it would with one.
 func TestStatsReadTheHubCounters(t *testing.T) {
 	server, client, net, _, clientHub := newTracedPair(t, NoRetry())
-	bare, err := NewRuntime(net, "bare", WithRetryPolicy(NoRetry())) // no hub
+	bare, err := newRuntime(net, "bare", WithRetryPolicy(NoRetry())) // no hub
 	if err != nil {
 		t.Fatal(err)
 	}

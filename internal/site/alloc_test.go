@@ -242,8 +242,9 @@ func faultAllocs(t *testing.T, opts ...Option) float64 {
 
 // faultAllocsOff is what a single-object fault allocates with telemetry
 // off. Exact, and it only ever goes down. (83 while span attributes
-// were formatted before the nil-span check.)
-const faultAllocsOff = 68
+// were formatted before the nil-span check, 68 while the server made a
+// closure per served call.)
+const faultAllocsOff = 67
 
 // TestFaultTelemetryAllocationsPinned: what a site records about a fault
 // with nobody reading it costs five spans (fault, rmi:Get, materialize;

@@ -73,6 +73,11 @@ const (
 	// inside its per-client byte budget. The call is not executed again and
 	// its outcome is not recoverable from the server; retrying cannot help.
 	FaultReplyEvicted = "reply-evicted"
+	// FaultBusy refuses a call because the connection it arrived on already
+	// serves as many as it may. The call was not executed and left nothing
+	// behind at the server: sending it again, under the same id, is safe
+	// and is what the caller's retry policy does.
+	FaultBusy = "busy"
 )
 
 // Call is a request frame.
