@@ -77,22 +77,7 @@ func run() error {
 		return err
 	}
 	defer watcher.Close()
-	applier := obiwan.NewApplier(watcher)
-	sink := &updateSink{applier: applier}
-	sinkRef, err := watcher.Runtime().Export(sink, "collabdoc.UpdateSink")
-	if err != nil {
-		return err
-	}
-	pub := obiwan.NewPublisher(hub, func(site string, u *obiwan.Update) error {
-		if site != "watcher" {
-			return fmt.Errorf("unknown subscriber %q", site)
-		}
-		_, err := hub.Runtime().Call(sinkRef, "Push", u)
-		return err
-	})
-	pub.Base = obiwan.FirstWriterWins{}
-	hub.Engine().SetPolicy(pub)
-	pub.Subscribe("watcher")
+	hub.EnableDissemination().Subscribe("watcher")
 
 	// The watcher replicates the document once; dissemination keeps it hot.
 	wdoc, err := docmodel.LookupDocument(watcher, "docs/spec")
@@ -187,14 +172,4 @@ func run() error {
 	fmt.Printf("watcher: Introduction (pushed, %d words) —\n%s\n",
 		wIntro.WordCount(), wIntro.Render())
 	return nil
-}
-
-// updateSink receives disseminated updates over RMI at the watcher.
-type updateSink struct {
-	applier *obiwan.Applier
-}
-
-// Push applies one update.
-func (s *updateSink) Push(u *obiwan.Update) error {
-	return s.applier.Apply(u)
 }

@@ -174,10 +174,7 @@ func (c *Client) WithTimeout(d time.Duration) *Client {
 
 // call issues one admin RMI, honoring the client's timeout override.
 func (c *Client) call(method string, args ...any) ([]any, error) {
-	if c.timeout > 0 {
-		return c.rt.CallTimeout(c.ref, c.timeout, method, args...)
-	}
-	return c.rt.Call(c.ref, method, args...)
+	return c.rt.CallWithin(telemetry.SpanContext{}, c.ref, c.timeout, method, args...)
 }
 
 // Report fetches the remote snapshot.

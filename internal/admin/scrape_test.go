@@ -3,6 +3,7 @@ package admin_test
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -406,6 +407,44 @@ func TestRemoteSurfaceIsEightEndpoints(t *testing.T) {
 	want := "Fleet FleetAlerts FleetAttribution FleetSlow Flight Ping Report Scrape"
 	if strings.Join(got, " ") != want {
 		t.Fatalf("admin.Service endpoints:\n got %s\nwant %s", strings.Join(got, " "), want)
+	}
+}
+
+// TestCallPathHasOneSpellingPerOperation pins the shape of the client
+// side: the span context and the deadline are arguments, not name
+// suffixes, so no layer exports a ...Traced twin, the runtime has Call and
+// its one full form, and the engine has one entry per operation.
+func TestCallPathHasOneSpellingPerOperation(t *testing.T) {
+	methods := func(v any) map[string]reflect.Method {
+		typ := reflect.TypeOf(v)
+		out := make(map[string]reflect.Method, typ.NumMethod())
+		for i := 0; i < typ.NumMethod(); i++ {
+			out[typ.Method(i).Name] = typ.Method(i)
+		}
+		return out
+	}
+	var calls []string
+	for _, v := range []any{&replication.Engine{}, &site.Site{}, &rmi.Runtime{}} {
+		for name := range methods(v) {
+			if strings.HasSuffix(name, "Traced") || strings.HasSuffix(name, "TracedTimeout") {
+				t.Errorf("%T.%s: a traced twin is back", v, name)
+			}
+			if _, isRuntime := v.(*rmi.Runtime); isRuntime && strings.HasPrefix(name, "Call") {
+				calls = append(calls, name)
+			}
+		}
+	}
+	sort.Strings(calls)
+	if got := strings.Join(calls, " "); got != "Call CallWithin" {
+		t.Errorf("rmi.Runtime call entries: %s, want Call and its one full form", got)
+	}
+	sc := reflect.TypeOf(telemetry.SpanContext{})
+	engine := methods(&replication.Engine{})
+	for _, op := range []string{"Replicate", "Put", "PutCluster", "Refresh"} {
+		m, ok := engine[op]
+		if !ok || m.Type.NumIn() < 2 || m.Type.In(1) != sc {
+			t.Errorf("replication.Engine.%s must exist and take a leading telemetry.SpanContext", op)
+		}
 	}
 }
 

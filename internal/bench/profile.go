@@ -69,7 +69,7 @@ func RunHotProfile(cfg Config) ([]Point, []plot.HotSample, *telemetry.FlightDump
 		}
 		oids[i] = uint64(d.OID)
 		labels[i] = fmt.Sprintf("obj-%d (1/%d rounds)", i, i+1)
-		obj, err := client.Replicate(client.RefFromDescriptor(d, spec), spec)
+		obj, err := client.Replicate(telemetry.SpanContext{}, client.RefFromDescriptor(d, spec), spec)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -99,7 +99,7 @@ func RunHotProfile(cfg Config) ([]Point, []plot.HotSample, *telemetry.FlightDump
 			if (round-1)%(i+1) != 0 {
 				continue
 			}
-			if err := client.Refresh(replicas[i]); err != nil {
+			if err := client.Refresh(telemetry.SpanContext{}, replicas[i]); err != nil {
 				return nil, nil, nil, fmt.Errorf("round %d obj %d: %w", round, i, err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/stats"
+	"obiwan/internal/telemetry"
 )
 
 // RunTable1 measures the §4.1 micro numbers: the per-invocation cost of a
@@ -187,7 +188,7 @@ func fig4LMI(e *env, size, n int) (time.Duration, error) {
 		}
 	}
 	// ...and the put-back to the master.
-	if err := e.client.Put(obj); err != nil {
+	if err := e.client.Put(telemetry.SpanContext{}, obj); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

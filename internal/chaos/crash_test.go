@@ -12,6 +12,7 @@ import (
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
 	"obiwan/internal/site"
+	"obiwan/internal/telemetry"
 )
 
 // Kill/restart scenarios: the chaos suite's process-crash counterpart to
@@ -287,7 +288,7 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 			// Retry the first put verbatim across the restart: the journaled
 			// (base, checksum) guard must answer with the recorded version
 			// and NOT re-apply.
-			res, err := client.Runtime().CallTimeout(prov, replication.BulkTimeout, "Put", dup)
+			res, err := client.Runtime().CallWithin(telemetry.SpanContext{}, prov, replication.BulkTimeout, "Put", dup)
 			if err != nil {
 				return fmt.Errorf("retried put across restart: %w", err)
 			}

@@ -12,6 +12,7 @@ import (
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
 	"obiwan/internal/site"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -344,7 +345,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			follower := without(members, leader)[0]
 			fprov := prov
 			fprov.Addr = follower.Addr()
-			if _, err := client.Runtime().CallTimeout(fprov, replication.BulkTimeout, "Put", dup); err == nil {
+			if _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, fprov, replication.BulkTimeout, "Put", dup); err == nil {
 				return errors.New("follower accepted a put")
 			} else {
 				hint, ok := replication.NotLeaderHint(err)
@@ -378,7 +379,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			// dedupe guard is part of the agreed state, so the successor
 			// answers the recorded version and does NOT re-apply.
 			prov.Addr = newLeader.Addr()
-			res, err := client.Runtime().CallTimeout(prov, replication.BulkTimeout, "Put", dup)
+			res, err := client.Runtime().CallWithin(telemetry.SpanContext{}, prov, replication.BulkTimeout, "Put", dup)
 			if err != nil {
 				return fmt.Errorf("retried put across failover: %w", err)
 			}
@@ -433,6 +434,81 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestGroupRefreshRepinsAfterFailover: every replication call re-pins the
+// replica to the member that answered. A refresh that failed over once
+// leaves the replica pointing at the new leader, so the next refresh goes
+// straight there instead of burning the retry policy against the dead
+// member first. Virtual clock only: the send-error count is exact there.
+func TestGroupRefreshRepinsAfterFailover(t *testing.T) {
+	w := clockMode{virtual: true}.newWorld(71)
+	defer w.Close()
+
+	var nsrt *rmi.Runtime
+	err := w.Within(watchdog, func() error {
+		var err error
+		if nsrt, err = serveNames(w); err != nil {
+			return err
+		}
+		members, err := newGroupSites(w, 71)
+		if err != nil {
+			return err
+		}
+		leader, err := awaitLeader(w, members, failoverBound)
+		if err != nil {
+			return err
+		}
+		nodes, err := journalChain(leader, "doc", 2)
+		if err != nil {
+			return err
+		}
+		if err := leader.Bind("doc/head", nodes[0]); err != nil {
+			return err
+		}
+		client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+		if err != nil {
+			return err
+		}
+		ref, err := client.LookupSpec("doc/head", spec1())
+		if err != nil {
+			return err
+		}
+		head, err := objmodel.Deref[*Node](ref)
+		if err != nil {
+			return err
+		}
+		entry, _ := client.Heap().EntryOf(head)
+		if got := entry.Provider().Addr; got != leader.Addr() {
+			return fmt.Errorf("replica pinned to %s before the kill, want the leader %s", got, leader.Addr())
+		}
+
+		w.Kill(leader)
+		newLeader, err := awaitLeader(w, without(members, leader), failoverBound)
+		if err != nil {
+			return err
+		}
+		if err := client.Refresh(head); err != nil {
+			return fmt.Errorf("refresh across failover: %w", err)
+		}
+		if got := entry.Provider().Addr; got != newLeader.Addr() {
+			return fmt.Errorf("replica pinned to %s after the refresh failed over, want the new leader %s", got, newLeader.Addr())
+		}
+		before := client.Runtime().Stats().SendErrors
+		if err := client.Refresh(head); err != nil {
+			return fmt.Errorf("second refresh: %w", err)
+		}
+		if extra := client.Runtime().Stats().SendErrors - before; extra != 0 {
+			return fmt.Errorf("second refresh hit %d send errors: it went to the dead member first", extra)
+		}
+		return nil
+	})
+	if nsrt != nil {
+		t.Cleanup(func() { _ = nsrt.Close() })
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestGroupRebindAfterFailover: the naming half. The binding was published

@@ -135,7 +135,7 @@ func TestFlightDumpCapturesStrandedDemand(t *testing.T) {
 	// The follow-on demand strands: retries exhaust into ErrUnavailable.
 	session := client.Telemetry().StartRoot("session")
 	err = Within(watchdog, func() error {
-		_, derr := client.ReplicateTraced(session.Context(), root.Kids[0], spec1())
+		_, derr := client.Engine().Replicate(session.Context(), root.Kids[0], spec1())
 		return derr
 	})
 	session.End()

@@ -360,10 +360,7 @@ func (a *Applier) Apply(u *Update) error {
 	if entry.Version() >= u.Version {
 		return nil // already at least this fresh
 	}
-	if err := a.eng.RestoreWithFrontier(entry.Obj, u.State, u.Frontier); err != nil {
-		return err
-	}
-	entry.SetVersion(u.Version)
-	entry.SetDirty(false)
-	return nil
+	return a.eng.InstallPushed(entry, &replication.ObjectRecord{
+		OID: u.OID, TypeName: u.TypeName, Version: u.Version, State: u.State,
+	}, u.Frontier)
 }

@@ -10,6 +10,7 @@ import (
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -286,7 +287,7 @@ func TestPullTruncationBoundary(t *testing.T) {
 	// replica, then resume pulling from the frontier. Nothing in the
 	// truncated gap is lost — the refresh covers it.
 	frontier := f.pub.Frontier()
-	if err := f.client.Refresh(r); err != nil {
+	if err := f.client.Refresh(telemetry.SpanContext{}, r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Price != 16 {

@@ -422,9 +422,11 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 	if err != nil {
 		return nil, err
 	}
-	included := make(map[objmodel.OID]bool, len(entries))
+	// seen starts as the shipped set and collects the frontier targets
+	// already described: a reference to either gets no descriptor.
+	seen := make(map[objmodel.OID]bool, len(entries))
 	for _, en := range entries {
-		included[en.OID] = true
+		seen[en.OID] = true
 	}
 
 	p := &Payload{
@@ -444,7 +446,6 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 		p.ClusterProvider = ref
 	}
 
-	frontierSeen := make(map[objmodel.OID]bool)
 	for _, en := range entries {
 		state, err := e.captureEntry(en)
 		if err != nil {
@@ -466,23 +467,8 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 			rec.Provider = prov
 		}
 		p.Objects = append(p.Objects, rec)
-
-		// Frontier: references leaving the shipped set. The ref list is
-		// read under the state lock; descriptors are built after.
-		en.LockState()
-		refs := objmodel.RefsOf(en.Obj)
-		en.UnlockState()
-		for _, ref := range refs {
-			toid := ref.OID()
-			if toid == 0 || included[toid] || frontierSeen[toid] {
-				continue
-			}
-			fr, err := e.frontierFor(ref)
-			if err != nil {
-				return nil, err
-			}
-			frontierSeen[toid] = true
-			p.Frontier = append(p.Frontier, fr)
+		if p.Frontier, err = walkFrontier(en, en.Obj, seen, p.Frontier, e.frontierFor); err != nil {
+			return nil, err
 		}
 		e.getPolicy().ReplicaCreated(en.OID, requester, rec.Version)
 	}
@@ -494,38 +480,83 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 	return p, nil
 }
 
-// frontierFor builds the frontier descriptor for one outgoing reference.
+// walkFrontier is the one ref-to-frontier loop: list obj's references
+// (under lock's state lock when obj is heap-managed; nil otherwise), skip
+// unbound targets and those in seen, and append what describe says of each
+// other to out. The descriptors are built after the lock is released. A
+// describer answers the zero FrontierRef for a reference that needs none.
+func walkFrontier(lock *heap.Entry, obj any, seen map[objmodel.OID]bool, out []FrontierRef, describe func(*objmodel.Ref) (FrontierRef, error)) ([]FrontierRef, error) {
+	if lock != nil {
+		lock.LockState()
+	}
+	refs := objmodel.RefsOf(obj)
+	if lock != nil {
+		lock.UnlockState()
+	}
+	for _, ref := range refs {
+		toid := ref.OID()
+		if toid == 0 || seen[toid] {
+			continue
+		}
+		seen[toid] = true
+		fr, err := describe(ref)
+		if err != nil {
+			return nil, err
+		}
+		if fr.OID != 0 {
+			out = append(out, fr)
+		}
+	}
+	return out, nil
+}
+
+// frontierOf walks the references of one object on their own.
+func (e *Engine) frontierOf(obj any, describe func(*objmodel.Ref) (FrontierRef, error)) ([]FrontierRef, error) {
+	entry, _ := e.heap.EntryOf(obj)
+	return walkFrontier(entry, obj, make(map[objmodel.OID]bool), nil, describe)
+}
+
+// targetEntry returns the heap entry of a resolved reference's target.
+func (e *Engine) targetEntry(ref *objmodel.Ref) (*heap.Entry, error) {
+	target, err := ref.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	te, ok := e.heap.EntryOf(target)
+	if !ok {
+		return nil, fmt.Errorf("replication: ref target %v not in heap", ref.OID())
+	}
+	return te, nil
+}
+
+// frontierFor describes one outgoing reference for a peer site, exporting
+// a proxy-in when the target is a master here.
 func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 	toid := ref.OID()
-	if ref.IsResolved() {
-		target, err := ref.Resolve()
-		if err != nil {
+	if !ref.IsResolved() {
+		// The reference is itself proxied here: forward the upstream
+		// provider (third-site chains).
+		if pout, ok := ref.Faulter().(*ProxyOut); ok {
+			return FrontierRef{OID: uint64(toid), Provider: pout.provider}, nil
+		}
+		return FrontierRef{}, fmt.Errorf("replication: unresolved ref %v has no proxy-out", toid)
+	}
+	te, err := e.targetEntry(ref)
+	if err != nil {
+		return FrontierRef{}, err
+	}
+	// A local master, or a replica with a provider of its own, can be
+	// demanded from there directly.
+	prov := te.Provider()
+	if te.Role == heap.Master {
+		if prov, err = e.exportProxyIn(te); err != nil {
 			return FrontierRef{}, err
 		}
-		te, ok := e.heap.EntryOf(target)
-		if !ok {
-			return FrontierRef{}, fmt.Errorf("replication: ref target %v not in heap", toid)
-		}
-		// A local master (or individually-provided replica) can be demanded
-		// from this site directly.
-		if te.Role == heap.Master || !te.Provider().IsZero() {
-			if te.Role == heap.Master {
-				prov, err := e.exportProxyIn(te)
-				if err != nil {
-					return FrontierRef{}, err
-				}
-				return FrontierRef{OID: uint64(toid), Provider: prov, TypeName: te.TypeName}, nil
-			}
-			return FrontierRef{OID: uint64(toid), Provider: te.Provider(), TypeName: te.TypeName}, nil
-		}
+	}
+	if prov.IsZero() {
 		return FrontierRef{}, fmt.Errorf("replication: no route to %v", toid)
 	}
-	// The reference is itself proxied here: forward the upstream provider
-	// (third-site chains).
-	if pout, ok := ref.Faulter().(*ProxyOut); ok {
-		return FrontierRef{OID: uint64(toid), Provider: pout.provider}, nil
-	}
-	return FrontierRef{}, fmt.Errorf("replication: unresolved ref %v has no proxy-out", toid)
+	return FrontierRef{OID: uint64(toid), Provider: prov, TypeName: te.TypeName}, nil
 }
 
 // materialize installs a payload into the local heap: replicas are created
@@ -544,60 +575,33 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 	frontier := frontierMap(p.Frontier)
 
 	now := e.rt.Clock().Now()
-	touched := make([]any, 0, len(p.Objects))
+	touched := make([]*heap.Entry, 0, len(p.Objects))
 	var memberOIDs []objmodel.OID
 
 	// Pass 1: instantiate or refresh every shipped object, so that pass 2
 	// can bind intra-payload references to live instances.
-	for _, rec := range p.Objects {
+	for i := range p.Objects {
+		rec := &p.Objects[i]
 		oid := objmodel.OID(rec.OID)
 		if p.Clustered {
 			memberOIDs = append(memberOIDs, oid)
 		}
-		if existing, ok := e.heap.Get(oid); ok {
-			// Identity dedupe: refresh the existing copy in place unless it
-			// is this site's own master (state bounced back — keep ours).
-			if existing.Role == heap.Master {
-				continue
-			}
-			existing.LockState()
-			err := objmodel.RestoreState(e.reg, existing.Obj, rec.State)
-			existing.UnlockState()
-			if err != nil {
-				return nil, err
-			}
-			existing.SetVersion(rec.Version)
-			existing.Touch(now)
-			existing.SetDirty(false)
-			if err := e.journalCleanReplica(existing.OID, rec.Version); err != nil {
-				return nil, err
-			}
-			touched = append(touched, existing.Obj)
-			continue
+		held, _ := e.heap.Get(oid)
+		if held != nil && held.Role == heap.Master {
+			continue // state bounced back to this site's own master: keep ours
 		}
-		info, ok := objmodel.InfoByName(rec.TypeName)
-		if !ok {
-			return nil, fmt.Errorf("replication: unknown type %q in payload", rec.TypeName)
-		}
-		obj := info.New()
-		if err := objmodel.RestoreState(e.reg, obj, rec.State); err != nil {
+		entry, err := e.installReplica(held, rec, now)
+		if err != nil {
 			return nil, err
 		}
-		entry, fresh := e.heap.AddReplica(obj, oid, rec.TypeName, rec.Version)
-		if !fresh {
-			// Raced with another materialization; refresh the winner.
-			if err := objmodel.RestoreState(e.reg, entry.Obj, rec.State); err != nil {
-				return nil, err
+		if held == nil {
+			if p.Clustered {
+				entry.SetProvider(p.ClusterProvider, objmodel.OID(p.RootOID))
+			} else {
+				entry.SetProvider(rec.Provider, 0)
 			}
-			entry.SetVersion(rec.Version)
 		}
-		if p.Clustered {
-			entry.SetProvider(p.ClusterProvider, objmodel.OID(p.RootOID))
-		} else {
-			entry.SetProvider(rec.Provider, 0)
-		}
-		entry.Touch(now)
-		touched = append(touched, entry.Obj)
+		touched = append(touched, entry)
 	}
 
 	if p.Clustered && len(memberOIDs) > 0 {
@@ -612,15 +616,8 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 
 	// Pass 2: bind references, each object under its state lock (a replica
 	// may concurrently serve captures for onward replication).
-	for _, obj := range touched {
-		entry, ok := e.heap.EntryOf(obj)
-		if !ok {
-			return nil, fmt.Errorf("replication: touched object %T lost its entry", obj)
-		}
-		entry.LockState()
-		err := e.bindRefs(obj, frontier, p.Spec)
-		entry.UnlockState()
-		if err != nil {
+	for _, entry := range touched {
+		if err := e.bindEntry(entry, frontier, p.Spec); err != nil {
 			return nil, err
 		}
 	}
@@ -654,9 +651,67 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 	return rootEntry.Obj, nil
 }
 
+// installReplica is the one install of an image arriving at this site for
+// a replica, whether a demanded or refreshed payload record or a pushed
+// update: restore the state, stamp the replica clean at the image's
+// version with a renewed lease, and retract the journaled dirty edit the
+// image overwrote, if any. held is the replica's entry; nil means the
+// object is not held yet, and it is instantiated from the image (the
+// caller owes the new entry its provider). References are bound
+// afterwards (bindEntry), once every object they may lead to is in place.
+func (e *Engine) installReplica(held *heap.Entry, rec *ObjectRecord, now time.Time) (*heap.Entry, error) {
+	if held == nil {
+		info, ok := objmodel.InfoByName(rec.TypeName)
+		if !ok {
+			return nil, fmt.Errorf("replication: unknown type %q in payload", rec.TypeName)
+		}
+		obj := info.New()
+		// Unpublished until AddReplica: no state lock to take.
+		if err := objmodel.RestoreState(e.reg, obj, rec.State); err != nil {
+			return nil, err
+		}
+		var fresh bool
+		if held, fresh = e.heap.AddReplica(obj, objmodel.OID(rec.OID), rec.TypeName, rec.Version); fresh {
+			held.Touch(now)
+			return held, nil
+		}
+		// Raced with another materialization: install over the winner.
+	}
+	held.LockState()
+	err := objmodel.RestoreState(e.reg, held.Obj, rec.State)
+	held.UnlockState()
+	if err != nil {
+		return nil, err
+	}
+	held.SetVersion(rec.Version)
+	held.Touch(now)
+	held.SetDirty(false)
+	return held, e.journalCleanReplica(held.OID, rec.Version)
+}
+
+// InstallPushed installs an image the master pushed (update
+// dissemination) over the replica at entry, binding its references
+// through frontier: what a refresh does with a fetched payload record.
+func (e *Engine) InstallPushed(entry *heap.Entry, rec *ObjectRecord, frontier []FrontierRef) error {
+	if _, err := e.installReplica(entry, rec, e.rt.Clock().Now()); err != nil {
+		return err
+	}
+	return e.bindEntry(entry, frontierMap(frontier), DefaultSpec)
+}
+
+// bindEntry binds entry's unresolved references under its state lock.
+func (e *Engine) bindEntry(entry *heap.Entry, frontier map[objmodel.OID]FrontierRef, spec GetSpec) error {
+	entry.LockState()
+	defer entry.UnlockState()
+	return e.bindRefs(entry.Obj, frontier, spec)
+}
+
 // frontierMap indexes frontier descriptors by target OID, the form bindRefs
-// consumes.
+// consumes (nil for none: the map is only read).
 func frontierMap(frontier []FrontierRef) map[objmodel.OID]FrontierRef {
+	if len(frontier) == 0 {
+		return nil
+	}
 	m := make(map[objmodel.OID]FrontierRef, len(frontier))
 	for _, fr := range frontier {
 		m[objmodel.OID(fr.OID)] = fr
@@ -693,17 +748,18 @@ func (e *Engine) bindRefs(obj any, frontier map[objmodel.OID]FrontierRef, spec G
 	return nil
 }
 
+// The client side moves data with the paper's two operations, each
+// written once: fetch is get (a fault, a programmatic Replicate and a
+// Refresh are its three callers) and ship is put (for one object or for
+// the cluster it arrived in). Every entry point takes the causal parent
+// first; the zero SpanContext roots a new trace when telemetry is on.
+
 // Replicate demands ref's target explicitly with spec, overriding the
 // ref's inherited replication parameters — the paper's programmatic
-// get(mode). It is a no-op on already-resolved refs.
-func (e *Engine) Replicate(ref *objmodel.Ref, spec GetSpec) (any, error) {
-	return e.ReplicateTraced(telemetry.SpanContext{}, ref, spec)
-}
-
-// ReplicateTraced is Replicate under a causal parent: the demand's fault
-// span (and everything the demand causes on other sites) is recorded
-// beneath sc. An invalid sc roots a new trace when telemetry is on.
-func (e *Engine) ReplicateTraced(sc telemetry.SpanContext, ref *objmodel.Ref, spec GetSpec) (any, error) {
+// get(mode). It is a no-op on already-resolved refs. The demand's fault
+// span, and everything the demand causes on other sites, is recorded
+// beneath sc.
+func (e *Engine) Replicate(sc telemetry.SpanContext, ref *objmodel.Ref, spec GetSpec) (any, error) {
 	if ref.IsResolved() {
 		return ref.Resolve()
 	}
@@ -719,19 +775,12 @@ func (e *Engine) ReplicateTraced(sc telemetry.SpanContext, ref *objmodel.Ref, sp
 	if remote != nil {
 		ref.SetRemote(remote)
 	}
-	e.gc.ProxyOutReclaimed()
 	return local, nil
 }
 
-// Put ships a replica's state back to its master — the paper's put. The
-// replica must have arrived outside a cluster (ErrClusterMember otherwise).
-func (e *Engine) Put(obj any) error {
-	return e.PutTraced(telemetry.SpanContext{}, obj)
-}
-
-// PutTraced is Put under a causal parent: the shipped update is recorded
-// as a "put" span beneath sc, and the master's apply joins the same trace.
-func (e *Engine) PutTraced(sc telemetry.SpanContext, obj any) (err error) {
+// Refresh re-fetches a replica's state from its master (the get-refresh
+// path of §2.2 step 3). Cluster members refresh their whole cluster.
+func (e *Engine) Refresh(sc telemetry.SpanContext, obj any) error {
 	entry, ok := e.heap.EntryOf(obj)
 	if !ok {
 		return heap.ErrUnknownObject
@@ -739,35 +788,203 @@ func (e *Engine) PutTraced(sc telemetry.SpanContext, obj any) (err error) {
 	if entry.Role != heap.Replica {
 		return ErrNotReplica
 	}
-	if entry.ClusterMember() {
-		return ErrClusterMember
+	prov := entry.Provider()
+	if prov.IsZero() {
+		return ErrNoProvider
+	}
+	spec := GetSpec{Mode: Incremental, Batch: 1}
+	if root := entry.ClusterRoot(); root != 0 {
+		spec = GetSpec{Mode: Incremental, Batch: len(e.clusterMembers(root)), Clustered: true}
+	}
+	_, _, err := e.fetch(sc, EventReplicaRefreshed, entry.OID, prov, spec)
+	return err
+}
+
+// fetchNames is how each kind of fetch reads in traces ("fault" is the
+// span of a demand, implicit or programmatic) and in errors.
+var fetchNames = [...]struct{ span, op string }{
+	EventFaultResolved:    {"fault", "demand"},
+	EventReplicaRefreshed: {"refresh", "refresh"},
+}
+
+// fetch is the one client-side get: demand spec's worth of the graph at
+// oid from prov (failing over across a master group), type-check the
+// reply, materialize it, re-pin the replica to the member that answered,
+// and report the step as kind. A fault (EventFaultResolved) is first tried
+// against the heap, where the target may have arrived in someone else's
+// batch; a refresh (EventReplicaRefreshed) always goes to the provider.
+// It returns the root object and the provider to reach its master through.
+func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OID, prov rmi.RemoteRef, spec GetSpec) (root any, via rmi.RemoteRef, err error) {
+	// Elapsed rides the runtime's clock, not the wall clock: under a virtual
+	// clock the measured cost must be a pure function of the simulation
+	// (profiler snapshots travel on federation scrape replies, so a wall
+	// duration would perturb frame sizes and break replay determinism).
+	clk := e.rt.Clock()
+	start := clk.Now()
+	names := fetchNames[kind]
+	span := e.tel.StartSpan(sc, names.span)
+	span.AnnotateOID("oid", uint64(oid))
+	defer func() {
+		span.SetErr(err)
+		span.End()
+	}()
+	if kind == EventFaultResolved && oid != 0 {
+		// Identity dedupe binds to the replica already here, and reaches its
+		// master through the entry's own provider when it has one.
+		if entry, ok := e.heap.Get(oid); ok {
+			e.gc.FaultServedFromHeap()
+			span.Annotate("from_heap", "true")
+			e.emit(Event{Kind: kind, OID: oid, FromHeap: true, Elapsed: clk.Now().Sub(start)})
+			if held := entry.Provider(); !held.IsZero() {
+				prov = held
+			}
+			return entry.Obj, prov, nil
+		}
+	}
+	res, winner, err := e.callFailover(span, oid, prov, BulkTimeout, true, "Get", &spec, string(e.rt.Addr()))
+	if err != nil {
+		return nil, prov, fmt.Errorf("replication: %s %v from %v: %w", names.op, oid, prov, e.failUnavailable(names.op, oid, span.Context(), err))
+	}
+	payload, ok := res[0].(*Payload)
+	if !ok {
+		return nil, prov, fmt.Errorf("replication: %s %v: unexpected reply %T", names.op, oid, res[0])
+	}
+	if root, err = e.materialize(span.Context(), payload); err != nil {
+		return nil, prov, err
+	}
+	if winner != prov {
+		// A fresh replica is pinned by the payload, which the answering
+		// member assembled; one that was here before still points at prov.
+		if entry, ok := e.heap.Get(oid); ok && entry.Role == heap.Replica {
+			e.repin(entry, winner)
+		}
+	}
+	e.emit(Event{
+		Kind: kind, OID: oid, Objects: len(payload.Objects),
+		Bytes: payloadBytes(payload), Clustered: payload.Clustered, Elapsed: clk.Now().Sub(start),
+	})
+	return root, winner, nil
+}
+
+// repin points a replica at the group member that answered for it, so the
+// next call goes there first; a cluster member takes its cluster along.
+func (e *Engine) repin(entry *heap.Entry, winner rmi.RemoteRef) {
+	root := entry.ClusterRoot()
+	if root == 0 {
+		entry.SetProvider(winner, 0)
+		return
+	}
+	for _, m := range e.clusterMembers(root) {
+		if me, ok := e.heap.Get(m); ok {
+			me.SetProvider(winner, root)
+		}
+	}
+}
+
+// clusterMembers returns the recorded members of the cluster rooted at root.
+func (e *Engine) clusterMembers(root objmodel.OID) []objmodel.OID {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]objmodel.OID(nil), e.clusters[root]...)
+}
+
+// Put ships a replica's state back to its master — the paper's put. The
+// replica must have arrived outside a cluster (ErrClusterMember otherwise).
+func (e *Engine) Put(sc telemetry.SpanContext, obj any) error { return e.ship(sc, obj, false) }
+
+// PutCluster ships the unit obj arrived in back to the master: the whole
+// cluster containing it, or obj alone when it is not a cluster member.
+func (e *Engine) PutCluster(sc telemetry.SpanContext, obj any) error { return e.ship(sc, obj, true) }
+
+// ship is the one client-side put: validate, capture a request per
+// object, call Put or PutCluster (failing over across a master group),
+// re-pin to the member that answered, and acknowledge every object
+// shipped. The update is recorded as a "put" or "put.cluster" span beneath
+// sc, and the master's apply joins the same trace. This is the one place
+// that picks between the two wire calls; unit says whether the caller
+// accepts a cluster going as a whole.
+func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) {
+	entry, ok := e.heap.EntryOf(obj)
+	if !ok {
+		return heap.ErrUnknownObject
+	}
+	if entry.Role != heap.Replica {
+		return ErrNotReplica
+	}
+	subject, name, key, method := entry.OID, "put", "oid", "Put"
+	members := []*heap.Entry{entry}
+	cluster := entry.ClusterMember()
+	if cluster {
+		if !unit {
+			return ErrClusterMember
+		}
+		subject, name, key, method = entry.ClusterRoot(), "put.cluster", "root", "PutCluster"
+		members = members[:0]
+		for _, m := range e.clusterMembers(subject) {
+			me, ok := e.heap.Get(m)
+			if !ok {
+				return fmt.Errorf("replication: cluster member %v evicted", m)
+			}
+			members = append(members, me)
+		}
+		if len(members) == 0 {
+			return fmt.Errorf("replication: cluster %v has no recorded members", subject)
+		}
 	}
 	prov := entry.Provider()
 	if prov.IsZero() {
 		return ErrNoProvider
 	}
-	span := e.tel.StartSpan(sc, "put")
-	span.AnnotateOID("oid", uint64(entry.OID))
+	span := e.tel.StartSpan(sc, name)
+	span.AnnotateOID(key, uint64(subject))
 	defer func() {
 		span.SetErr(err)
 		span.End()
 	}()
-	req, err := e.buildPutRequest(entry)
-	if err != nil {
-		return err
+	reqs := make([]PutRequest, len(members))
+	for i, me := range members {
+		if reqs[i], err = e.buildPutRequest(me); err != nil {
+			return err
+		}
 	}
-	res, winner, err := e.callFailover(span, entry.OID, prov, BulkTimeout, true, "Put", req)
-	if err != nil {
-		return fmt.Errorf("replication: put %v: %w", entry.OID, e.failUnavailable("put", entry.OID, span.Context(), err))
+	var arg any = &reqs[0]
+	if cluster {
+		arg = &ClusterPutRequest{Members: reqs}
 	}
-	reply, ok := res[0].(*PutReply)
-	if !ok {
-		return fmt.Errorf("replication: put %v: unexpected reply %T", entry.OID, res[0])
+	res, winner, err := e.callFailover(span, subject, prov, BulkTimeout, true, method, arg)
+	if err != nil {
+		return fmt.Errorf("replication: %s %v: %w", name, subject, e.failUnavailable(name, subject, span.Context(), err))
 	}
 	if winner != prov {
-		entry.SetProvider(winner, 0) // re-pin to the answering leader
+		e.repin(entry, winner)
 	}
-	return e.putAcked(entry, reply.NewVersion)
+	for i, me := range members {
+		v, ok := ackedVersion(res[0], i, len(members))
+		if !ok {
+			return fmt.Errorf("replication: %s %v: unexpected reply %#v", name, subject, res[0])
+		}
+		if err := e.putAcked(me, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ackedVersion reads the new version of the i-th of n shipped objects out
+// of a Put reply (one *PutReply) or a PutCluster reply (one uint64 per
+// member, in request order).
+func ackedVersion(reply any, i, n int) (uint64, bool) {
+	switch r := reply.(type) {
+	case *PutReply:
+		return r.NewVersion, n == 1
+	case []any:
+		if len(r) != n {
+			return 0, false
+		}
+		v, ok := r[i].(uint64)
+		return v, ok
+	}
+	return 0, false
 }
 
 // putAcked is the replica-side tail of every shipped put, single or
@@ -784,104 +1001,20 @@ func (e *Engine) putAcked(entry *heap.Entry, v uint64) error {
 	return nil
 }
 
-// PutCluster ships the whole cluster containing obj back to the master as
-// one unit.
-func (e *Engine) PutCluster(obj any) error {
-	return e.PutClusterTraced(telemetry.SpanContext{}, obj)
-}
-
-// PutClusterTraced is PutCluster under a causal parent.
-func (e *Engine) PutClusterTraced(sc telemetry.SpanContext, obj any) (err error) {
-	entry, ok := e.heap.EntryOf(obj)
-	if !ok {
-		return heap.ErrUnknownObject
-	}
-	if !entry.ClusterMember() {
-		return e.PutTraced(sc, obj)
-	}
-	root := entry.ClusterRoot()
-	span := e.tel.StartSpan(sc, "put.cluster")
-	span.AnnotateOID("root", uint64(root))
-	defer func() {
-		span.SetErr(err)
-		span.End()
-	}()
-	e.mu.Lock()
-	members := append([]objmodel.OID(nil), e.clusters[root]...)
-	e.mu.Unlock()
-	if len(members) == 0 {
-		return fmt.Errorf("replication: cluster %v has no recorded members", root)
-	}
-	creq := &ClusterPutRequest{Members: make([]PutRequest, 0, len(members))}
-	for _, m := range members {
-		me, ok := e.heap.Get(m)
-		if !ok {
-			return fmt.Errorf("replication: cluster member %v evicted", m)
-		}
-		req, err := e.buildPutRequest(me)
-		if err != nil {
-			return err
-		}
-		creq.Members = append(creq.Members, *req)
-	}
-	prov := entry.Provider()
-	if prov.IsZero() {
-		return ErrNoProvider
-	}
-	res, winner, err := e.callFailover(span, root, prov, BulkTimeout, true, "PutCluster", creq)
-	if err != nil {
-		return fmt.Errorf("replication: put cluster %v: %w", root, e.failUnavailable("put.cluster", root, span.Context(), err))
-	}
-	versions, ok := res[0].([]any)
-	if !ok || len(versions) != len(members) {
-		return fmt.Errorf("replication: put cluster %v: unexpected reply %#v", root, res[0])
-	}
-	for i, m := range members {
-		v, ok := versions[i].(uint64)
-		if !ok {
-			return fmt.Errorf("replication: put cluster %v: unexpected version %#v for member %v", root, versions[i], m)
-		}
-		if me, ok := e.heap.Get(m); ok {
-			if winner != prov {
-				me.SetProvider(winner, root) // re-pin to the answering leader
-			}
-			if err := e.putAcked(me, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // buildPutRequest captures a replica's state plus the frontier entries the
 // master needs to rebind references it may not know.
-func (e *Engine) buildPutRequest(entry *heap.Entry) (*PutRequest, error) {
+func (e *Engine) buildPutRequest(entry *heap.Entry) (PutRequest, error) {
 	state, err := e.captureEntry(entry)
 	if err != nil {
-		return nil, err
+		return PutRequest{}, err
 	}
-	req := &PutRequest{
+	frontier, err := walkFrontier(entry, entry.Obj, make(map[objmodel.OID]bool), nil, e.frontierFor)
+	return PutRequest{
 		OID:         uint64(entry.OID),
 		BaseVersion: entry.Version(),
 		State:       state,
-	}
-	seen := make(map[objmodel.OID]bool)
-	entry.LockState()
-	refs := objmodel.RefsOf(entry.Obj)
-	entry.UnlockState()
-	for _, ref := range refs {
-		toid := ref.OID()
-		if toid == 0 || seen[toid] {
-			continue
-		}
-		seen[toid] = true
-		fr, err := e.frontierFor(ref)
-		if err != nil {
-			return nil, err
-		}
-		req.Frontier = append(req.Frontier, fr)
-	}
-	return req, nil
+		Frontier:    frontier,
+	}, err
 }
 
 // A master-side put is the sequence admit → (agree) → install → record →
@@ -978,59 +1111,6 @@ func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *Put
 	return reply, nil
 }
 
-// Refresh re-fetches a replica's state from its master (the get-refresh
-// path of §2.2 step 3). Cluster members refresh their whole cluster.
-func (e *Engine) Refresh(obj any) error {
-	return e.RefreshTraced(telemetry.SpanContext{}, obj)
-}
-
-// RefreshTraced is Refresh under a causal parent.
-func (e *Engine) RefreshTraced(sc telemetry.SpanContext, obj any) (err error) {
-	entry, ok := e.heap.EntryOf(obj)
-	if !ok {
-		return heap.ErrUnknownObject
-	}
-	if entry.Role != heap.Replica {
-		return ErrNotReplica
-	}
-	prov := entry.Provider()
-	if prov.IsZero() {
-		return ErrNoProvider
-	}
-	// Runtime clock, not wall clock: see ProxyOut.demand — refresh costs land
-	// in the profiler and must replay bit-identically under a virtual clock.
-	clk := e.rt.Clock()
-	start := clk.Now()
-	span := e.tel.StartSpan(sc, "refresh")
-	span.AnnotateOID("oid", uint64(entry.OID))
-	defer func() {
-		span.SetErr(err)
-		span.End()
-	}()
-	spec := GetSpec{Mode: Incremental, Batch: 1}
-	if entry.ClusterMember() {
-		e.mu.Lock()
-		spec = GetSpec{Mode: Incremental, Batch: len(e.clusters[entry.ClusterRoot()]), Clustered: true}
-		e.mu.Unlock()
-	}
-	res, _, err := e.callFailover(span, entry.OID, prov, BulkTimeout, true, "Get", &spec, string(e.rt.Addr()))
-	if err != nil {
-		return fmt.Errorf("replication: refresh %v: %w", entry.OID, e.failUnavailable("refresh", entry.OID, span.Context(), err))
-	}
-	payload, ok := res[0].(*Payload)
-	if !ok {
-		return fmt.Errorf("replication: refresh %v: unexpected reply %T", entry.OID, res[0])
-	}
-	if _, err := e.materialize(span.Context(), payload); err != nil {
-		return err
-	}
-	e.emit(Event{
-		Kind: EventReplicaRefreshed, OID: entry.OID, Objects: len(payload.Objects),
-		Bytes: payloadBytes(payload), Clustered: payload.Clustered, Elapsed: clk.Now().Sub(start),
-	})
-	return nil
-}
-
 // MarkUpdated records a state change. On masters it bumps the version and
 // fires the MasterUpdated hook (driving invalidation-based consistency); on
 // replicas it sets the dirty flag for the transaction layer.
@@ -1080,14 +1160,6 @@ func (e *Engine) ForgetCluster(root objmodel.OID) {
 	delete(e.clusters, root)
 }
 
-// BindLocalRefs binds every unresolved reference of obj against the local
-// heap only (no frontier). It is used when state is restored from a local
-// snapshot — e.g. a transaction rollback — where every referenced object is
-// already present.
-func (e *Engine) BindLocalRefs(obj any) error {
-	return e.bindRefs(obj, nil, DefaultSpec)
-}
-
 // CaptureSnapshot serializes obj's current state (for transaction
 // pre-images and checkpoints), holding the heap entry's state lock if obj
 // is heap-managed.
@@ -1099,42 +1171,18 @@ func (e *Engine) CaptureSnapshot(obj any) ([]byte, error) {
 }
 
 // RestoreSnapshot restores obj from a snapshot taken with CaptureSnapshot
-// and rebinds its references locally.
+// and rebinds its references against the local heap only: a local
+// snapshot (a transaction rollback, say) refers to nothing that is not
+// already here.
 func (e *Engine) RestoreSnapshot(obj any, state []byte) error {
-	if entry, ok := e.heap.EntryOf(obj); ok {
-		return e.restoreEntry(entry, state, nil, DefaultSpec)
-	}
-	if err := objmodel.RestoreState(e.reg, obj, state); err != nil {
-		return err
-	}
-	return e.BindLocalRefs(obj)
+	return e.RestoreWithFrontier(obj, state, nil)
 }
 
 // BuildFrontier returns the frontier descriptors for every reference obj
 // currently holds — what a peer site needs to rebind those references
 // after restoring obj's state (used by update dissemination).
 func (e *Engine) BuildFrontier(obj any) ([]FrontierRef, error) {
-	var out []FrontierRef
-	refs := objmodel.RefsOf(obj)
-	if entry, ok := e.heap.EntryOf(obj); ok {
-		entry.LockState()
-		refs = objmodel.RefsOf(obj)
-		entry.UnlockState()
-	}
-	seen := make(map[objmodel.OID]bool)
-	for _, ref := range refs {
-		toid := ref.OID()
-		if toid == 0 || seen[toid] {
-			continue
-		}
-		seen[toid] = true
-		fr, err := e.frontierFor(ref)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fr)
-	}
-	return out, nil
+	return e.frontierOf(obj, e.frontierFor)
 }
 
 // RestoreWithFrontier restores obj from state and rebinds its references:

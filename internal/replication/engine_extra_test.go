@@ -167,10 +167,10 @@ func TestPutAddressedToWrongProxy(t *testing.T) {
 func TestRefreshErrorPaths(t *testing.T) {
 	master, client := twoSites(t)
 	docs := buildChain(t, master, 1, 8)
-	if err := client.engine.Refresh(&doc{}); !errors.Is(err, heap.ErrUnknownObject) {
+	if err := client.engine.Refresh(telemetry.SpanContext{}, &doc{}); !errors.Is(err, heap.ErrUnknownObject) {
 		t.Fatalf("unknown: %v", err)
 	}
-	if err := master.engine.Refresh(docs[0]); !errors.Is(err, ErrNotReplica) {
+	if err := master.engine.Refresh(telemetry.SpanContext{}, docs[0]); !errors.Is(err, ErrNotReplica) {
 		t.Fatalf("master: %v", err)
 	}
 }
@@ -183,7 +183,7 @@ func TestReplicateOnResolvedRefIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := client.rt.Stats().CallsSent
-	obj, err := client.engine.Replicate(ref, GetSpec{Mode: Transitive})
+	obj, err := client.engine.Replicate(telemetry.SpanContext{}, ref, GetSpec{Mode: Transitive})
 	if err != nil || obj == nil {
 		t.Fatalf("replicate resolved: %v %v", obj, err)
 	}
@@ -192,7 +192,7 @@ func TestReplicateOnResolvedRefIsNoop(t *testing.T) {
 	}
 	// A ref with no proxy-out faulter cannot be replicated.
 	bare := objmodel.NewFaultingRef(1, nil, nil)
-	if _, err := client.engine.Replicate(bare, DefaultSpec); !errors.Is(err, objmodel.ErrUnboundRef) {
+	if _, err := client.engine.Replicate(telemetry.SpanContext{}, bare, DefaultSpec); !errors.Is(err, objmodel.ErrUnboundRef) {
 		t.Fatalf("bare ref: %v", err)
 	}
 }

@@ -1,9 +1,11 @@
 package replication
 
 import (
-	"obiwan/internal/objmodel"
 	"sync"
 	"testing"
+
+	"obiwan/internal/objmodel"
+	"obiwan/internal/telemetry"
 )
 
 // eventLog collects engine events for assertions.
@@ -137,7 +139,7 @@ func TestEventTraceOfAPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Name = "edited"
-	if err := client.engine.Put(a); err != nil {
+	if err := client.engine.Put(telemetry.SpanContext{}, a); err != nil {
 		t.Fatal(err)
 	}
 	if got := serverLog.byKind(EventPutApplied); len(got) != 1 || got[0].Version != 2 {
@@ -197,7 +199,7 @@ func TestAddEventObserverFanOut(t *testing.T) {
 
 	docs := buildChain(t, master, 2, 8)
 	ref := exportHead(t, master, client, docs[0], GetSpec{Mode: Incremental, Batch: 2})
-	if _, err := client.engine.Replicate(ref, GetSpec{Mode: Incremental, Batch: 2}); err != nil {
+	if _, err := client.engine.Replicate(telemetry.SpanContext{}, ref, GetSpec{Mode: Incremental, Batch: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -215,7 +217,7 @@ func TestAddEventObserverFanOut(t *testing.T) {
 	// identity dedupe — the docs are already replicated).
 	fault := func() {
 		ref2 := exportHead(t, master, client, docs[0], GetSpec{Mode: Incremental, Batch: 1})
-		if _, err := client.engine.Replicate(ref2, GetSpec{Mode: Incremental, Batch: 1}); err != nil {
+		if _, err := client.engine.Replicate(telemetry.SpanContext{}, ref2, GetSpec{Mode: Incremental, Batch: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

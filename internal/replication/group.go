@@ -114,7 +114,7 @@ const failoverPause = 50 * time.Millisecond
 // elect.wait (a nil span drops the attribution, nothing else).
 func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.RemoteRef, timeout time.Duration, rotate bool, method string, args ...any) ([]any, rmi.RemoteRef, error) {
 	sc := span.Context()
-	res, err := e.rt.CallTracedTimeout(sc, prov, timeout, method, args...)
+	res, err := e.rt.CallWithin(sc, prov, timeout, method, args...)
 	if err == nil {
 		return res, prov, nil
 	}
@@ -154,7 +154,10 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 				continue
 			}
 		}
-		if !clock.Now().Before(deadline) {
+		// What is left of the deadline, strictly positive: a zero timeout
+		// would mean the runtime's default to CallWithin.
+		remaining := deadline.Sub(clock.Now())
+		if remaining <= 0 {
 			return nil, cur, err
 		}
 		if e.flight != nil {
@@ -167,7 +170,7 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 		}
 		cur.Addr = next
 		tried[next] = true
-		res, err = e.rt.CallTracedTimeout(sc, cur, deadline.Sub(clock.Now()), method, args...)
+		res, err = e.rt.CallWithin(sc, cur, remaining, method, args...)
 		if err == nil {
 			return res, cur, nil
 		}

@@ -107,7 +107,7 @@ func (e *Engine) CaptureImage(obj any) (state []byte, frontier []FrontierRef, er
 	if state, err = e.CaptureSnapshot(obj); err != nil {
 		return nil, nil, err
 	}
-	if frontier, err = e.BuildRecoveryFrontier(obj); err != nil {
+	if frontier, err = e.frontierOf(obj, e.recoveryFrontierFor); err != nil {
 		return nil, nil, err
 	}
 	return state, frontier, nil
@@ -209,59 +209,31 @@ func (e *Engine) journalProxyIn(oid objmodel.OID, id rmi.ObjID) error {
 	return j.ProxyInExported(oid, uint64(id))
 }
 
-// BuildRecoveryFrontier builds frontier descriptors for obj's references,
-// for durable records. Unlike BuildFrontier it NEVER exports a proxy-in:
-// references to local masters are omitted entirely — recovery restores
-// all masters first, so bindRefs finds those targets in the heap without
-// a descriptor. Everything that leaves the site (replica providers,
-// forwarded proxy-outs) is carried. This keeps journaling free of export
-// side effects, which would both mutate the table being journaled and
-// invert the compactor's lock order.
-func (e *Engine) BuildRecoveryFrontier(obj any) ([]FrontierRef, error) {
-	var refs []*objmodel.Ref
-	if entry, ok := e.heap.EntryOf(obj); ok {
-		entry.LockState()
-		refs = objmodel.RefsOf(obj)
-		entry.UnlockState()
-	} else {
-		refs = objmodel.RefsOf(obj)
-	}
-	var out []FrontierRef
-	seen := make(map[objmodel.OID]bool)
-	for _, ref := range refs {
-		toid := ref.OID()
-		if toid == 0 || seen[toid] {
-			continue
-		}
-		seen[toid] = true
-		if ref.IsResolved() {
-			target, err := ref.Resolve()
-			if err != nil {
-				return nil, err
-			}
-			te, ok := e.heap.EntryOf(target)
-			if !ok {
-				return nil, fmt.Errorf("replication: ref target %v not in heap", toid)
-			}
-			if te.Role == heap.Master {
-				continue // rebound from the restored heap, no descriptor needed
-			}
-			if prov := te.Provider(); !prov.IsZero() {
-				out = append(out, FrontierRef{OID: uint64(toid), Provider: prov, TypeName: te.TypeName})
-				continue
-			}
-			// A provider-less replica is only reachable while live; after
-			// a restart the reference must re-fault through the master, so
-			// there is nothing durable to record. Skip it: recovery leaves
-			// the ref unbound only if the target is also gone, in which
-			// case a descriptor would not have helped either.
-			continue
-		}
+// recoveryFrontierFor describes one outgoing reference for a durable
+// record. Unlike frontierFor it NEVER exports a proxy-in: a reference to
+// a local master gets no descriptor at all — recovery restores all masters
+// first, so bindRefs finds those targets in the heap. Everything that
+// leaves the site (replica providers, forwarded proxy-outs) is carried.
+// This keeps journaling free of export side effects, which would both
+// mutate the table being journaled and invert the compactor's lock order.
+func (e *Engine) recoveryFrontierFor(ref *objmodel.Ref) (FrontierRef, error) {
+	if !ref.IsResolved() {
 		if pout, ok := ref.Faulter().(*ProxyOut); ok {
-			out = append(out, FrontierRef{OID: uint64(toid), Provider: pout.provider})
+			return FrontierRef{OID: uint64(ref.OID()), Provider: pout.provider}, nil
 		}
+		return FrontierRef{}, nil
 	}
-	return out, nil
+	te, err := e.targetEntry(ref)
+	if err != nil {
+		return FrontierRef{}, err
+	}
+	// A provider-less replica is only reachable while live; after a
+	// restart the reference must re-fault through the master, so there is
+	// nothing durable to record for it either.
+	if prov := te.Provider(); te.Role != heap.Master && !prov.IsZero() {
+		return FrontierRef{OID: uint64(ref.OID()), Provider: prov, TypeName: te.TypeName}, nil
+	}
+	return FrontierRef{}, nil
 }
 
 // SeedAppliedPut restores a master's exactly-once guard during recovery.

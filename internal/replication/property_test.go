@@ -389,3 +389,138 @@ func TestQuickPutPathsEquivalent(t *testing.T) {
 		t.Fatalf("sequences held %d retries and %d rejections; both must occur", retried, rejected)
 	}
 }
+
+// journalTape records the journal calls of one engine, in order.
+type journalTape struct{ lines []string }
+
+func (j *journalTape) MasterChanged(rec JournalMaster) error {
+	j.lines = append(j.lines, fmt.Sprintf("master %d v%d", rec.OID, rec.Version))
+	return nil
+}
+
+func (j *journalTape) ReplicaDirtied(rec JournalReplica) error {
+	j.lines = append(j.lines, fmt.Sprintf("dirty %d v%d %x", rec.OID, rec.Version, rec.State))
+	return nil
+}
+
+func (j *journalTape) ReplicaCleaned(oid objmodel.OID, v uint64) error {
+	j.lines = append(j.lines, fmt.Sprintf("clean %d v%d", uint64(oid), v))
+	return nil
+}
+
+func (j *journalTape) ProxyInExported(oid objmodel.OID, id uint64) error {
+	j.lines = append(j.lines, fmt.Sprintf("proxy-in %d at %d", uint64(oid), id))
+	return nil
+}
+
+// TestQuickInstallPathsEquivalent: an image of a replica already held
+// arrives three ways — inside the payload of a demand for a neighbour, as
+// the payload of a refresh, and as a pushed update — and all three are
+// installReplica followed by bindEntry. The same master state, random in
+// content, version and in whether a local edit is overwritten, therefore
+// leaves the replica with identical state bytes, version, dirty flag,
+// lease stamp renewal, provider, outgoing reference and journal records.
+func TestQuickInstallPathsEquivalent(t *testing.T) {
+	type world struct {
+		master, client *testSite
+		docs           []*doc // head → mid → tail at the master
+		mid            *doc   // the client's replica under test
+		entry          *heap.Entry
+		tape           *journalTape
+	}
+	newWorld := func() *world {
+		w := &world{tape: &journalTape{}}
+		w.master, w.client = twoSites(t)
+		w.docs = buildChain(t, w.master, 3, 4)
+		// The client holds mid on its own (one object, its own proxy pair)
+		// and not its neighbours.
+		obj, err := exportHead(t, w.master, w.client, w.docs[1], DefaultSpec).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.mid = obj.(*doc)
+		w.entry, _ = w.client.heap.EntryOf(w.mid)
+		w.client.engine.SetJournal(w.tape)
+		return w
+	}
+	paths := map[string]func(w *world) error{
+		"demand": func(w *world) error {
+			_, err := exportHead(t, w.master, w.client, w.docs[0], GetSpec{Mode: Incremental, Batch: 2}).Resolve()
+			return err
+		},
+		"refresh": func(w *world) error {
+			return w.client.engine.Refresh(telemetry.SpanContext{}, w.mid)
+		},
+		"push": func(w *world) error { // what dissemination.Applier.Apply does with an Update
+			me, _ := w.master.heap.EntryOf(w.docs[1])
+			state, err := w.master.engine.CaptureSnapshot(w.docs[1])
+			if err != nil {
+				return err
+			}
+			frontier, err := w.master.engine.BuildFrontier(w.docs[1])
+			if err != nil {
+				return err
+			}
+			return w.client.engine.InstallPushed(w.entry, &ObjectRecord{
+				OID: uint64(me.OID), TypeName: me.TypeName, Version: me.Version(), State: state,
+			}, frontier)
+		},
+	}
+
+	overwrote := 0 // across all cases: a dirty replica must occur
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		body := make([]byte, rng.Intn(32))
+		rng.Read(body)
+		updates, dirty := 1+rng.Intn(3), rng.Intn(2) == 0
+		if dirty {
+			overwrote++
+		}
+		var want []string
+		for name, install := range paths {
+			w := newWorld()
+			if dirty {
+				w.mid.Body = []byte("local edit")
+				if err := w.client.engine.MarkUpdated(w.mid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < updates; i++ {
+				w.docs[1].Name, w.docs[1].Body = fmt.Sprintf("rev-%d", i), body
+				if err := w.master.engine.MarkUpdated(w.docs[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			provider, fetched := w.entry.Provider(), w.entry.FetchedAt()
+			if err := install(w); err != nil {
+				t.Logf("%s: %v", name, err)
+				return false
+			}
+			state, _ := w.client.engine.captureEntry(w.entry)
+			tail, _ := w.master.heap.EntryOf(w.docs[2])
+			got := []string{
+				fmt.Sprintf("state %x v%d dirty=%v", state, w.entry.Version(), w.entry.Dirty()),
+				fmt.Sprintf("pinned=%v renewed=%v", w.entry.Provider() == provider, w.entry.FetchedAt().After(fetched)),
+				fmt.Sprintf("next=%v resolved=%v", w.mid.Next.OID() == tail.OID, w.mid.Next.IsResolved()),
+			}
+			got = append(got, w.tape.lines...)
+			if w.entry.Version() != uint64(1+updates) || w.entry.Dirty() || string(w.mid.Body) != string(body) {
+				t.Logf("%s: replica not at the master's state: %v", name, got)
+				return false
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Logf("%s differs:\n got %v\nwant %v", name, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(23))}); err != nil {
+		t.Fatal(err)
+	}
+	if overwrote == 0 {
+		t.Fatal("no case overwrote a local edit")
+	}
+}

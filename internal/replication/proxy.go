@@ -130,71 +130,24 @@ func (p *ProxyOut) OID() objmodel.OID { return p.oid }
 
 // ResolveFault implements objmodel.Faulter: it satisfies the fault from the
 // local heap when possible, otherwise demands the target (and its
-// batch/cluster) from the provider.
+// batch/cluster) from the provider. An implicit object fault is a causal
+// origin, so it roots a new trace.
 func (p *ProxyOut) ResolveFault() (any, objmodel.RemoteInvoker, error) {
-	local, remote, err := p.demand(telemetry.SpanContext{}, p.spec)
+	return p.demand(telemetry.SpanContext{}, p.spec)
+}
+
+// demand fetches the target with an explicit spec beneath sc (Replicate
+// passes the caller's context so programmatic demands nest under
+// application spans) and returns it with the master-directed invoker the
+// Ref keeps.
+func (p *ProxyOut) demand(sc telemetry.SpanContext, spec GetSpec) (any, objmodel.RemoteInvoker, error) {
+	obj, via, err := p.eng.fetch(sc, EventFaultResolved, p.oid, p.provider, spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The Ref will splice us out; we are garbage after this return.
 	p.eng.gc.ProxyOutReclaimed()
-	return local, remote, nil
-}
-
-// demand fetches the target with an explicit spec. sc parents the "fault"
-// span — invalid sc roots a new trace (an implicit object fault is a
-// causal origin), while ReplicateTraced passes the caller's context so
-// programmatic demands nest under application spans.
-func (p *ProxyOut) demand(sc telemetry.SpanContext, spec GetSpec) (obj any, inv objmodel.RemoteInvoker, err error) {
-	// Elapsed rides the runtime's clock, not the wall clock: under a virtual
-	// clock the measured fault cost must be a pure function of the simulation
-	// (profiler snapshots travel on federation scrape replies, so a wall
-	// duration would perturb frame sizes and break replay determinism).
-	clk := p.eng.rt.Clock()
-	start := clk.Now()
-	span := p.eng.tel.StartSpan(sc, "fault")
-	span.AnnotateOID("oid", uint64(p.oid))
-	defer func() {
-		span.SetErr(err)
-		span.End()
-	}()
-	// Fast path: the object is already replicated at this site (it arrived
-	// in someone else's batch). Identity dedupe binds to the same replica.
-	if p.oid != 0 {
-		if entry, ok := p.eng.heap.Get(p.oid); ok {
-			p.eng.gc.FaultServedFromHeap()
-			span.Annotate("from_heap", "true")
-			p.eng.emit(Event{Kind: EventFaultResolved, OID: p.oid, FromHeap: true, Elapsed: clk.Now().Sub(start)})
-			return entry.Obj, p.remoteForEntry(entry), nil
-		}
-	}
-	res, winner, err := p.eng.callFailover(span, p.oid, p.provider, BulkTimeout, true, "Get", &spec, string(p.eng.rt.Addr()))
-	if err != nil {
-		return nil, nil, fmt.Errorf("demand %v from %v: %w", p.oid, p.provider, p.eng.failUnavailable("demand", p.oid, span.Context(), err))
-	}
-	payload, ok := res[0].(*Payload)
-	if !ok {
-		return nil, nil, fmt.Errorf("demand %v: unexpected reply %T", p.oid, res[0])
-	}
-	root, err := p.eng.materialize(span.Context(), payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.eng.emit(Event{
-		Kind: EventFaultResolved, OID: p.oid, Objects: len(payload.Objects),
-		Bytes: payloadBytes(payload), Clustered: payload.Clustered, Elapsed: clk.Now().Sub(start),
-	})
-	return root, &remoteInvoker{eng: p.eng, provider: winner, oid: p.oid}, nil
-}
-
-// remoteForEntry builds the master-directed invoker for an entry: through
-// the entry's own provider when it has one, else through this proxy-out's.
-func (p *ProxyOut) remoteForEntry(e *heap.Entry) objmodel.RemoteInvoker {
-	prov := e.Provider()
-	if prov.IsZero() {
-		prov = p.provider
-	}
-	return &remoteInvoker{eng: p.eng, provider: prov, oid: p.oid}
+	return obj, &remoteInvoker{eng: p.eng, provider: via, oid: p.oid}, nil
 }
 
 // RemoteInvoke implements objmodel.RemoteInvoker: it calls the master

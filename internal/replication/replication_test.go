@@ -283,7 +283,7 @@ func TestClusterReplication(t *testing.T) {
 	if !d5.ClusterMember() {
 		t.Fatal("doc-5 should be a cluster member")
 	}
-	if err := client.engine.Put(d5.Obj); !errors.Is(err, ErrClusterMember) {
+	if err := client.engine.Put(telemetry.SpanContext{}, d5.Obj); !errors.Is(err, ErrClusterMember) {
 		t.Fatalf("individual put of cluster member: %v", err)
 	}
 }
@@ -307,7 +307,7 @@ func TestPutUpdatesMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Name = "edited at s1"
-	if err := client.engine.Put(a); err != nil {
+	if err := client.engine.Put(telemetry.SpanContext{}, a); err != nil {
 		t.Fatal(err)
 	}
 	if docs[0].Name != "edited at s1" {
@@ -345,7 +345,7 @@ func TestRefreshPullsMasterState(t *testing.T) {
 	if a.Name == "edited at master" {
 		t.Fatal("replica must not see master edits before refresh")
 	}
-	if err := client.engine.Refresh(a); err != nil {
+	if err := client.engine.Refresh(telemetry.SpanContext{}, a); err != nil {
 		t.Fatal(err)
 	}
 	if a.Name != "edited at master" {
@@ -376,7 +376,7 @@ func TestPutClusterShipsWholeCluster(t *testing.T) {
 	}
 	a.Name = "a2"
 	b.Name = "b2"
-	if err := client.engine.PutCluster(a); err != nil {
+	if err := client.engine.PutCluster(telemetry.SpanContext{}, a); err != nil {
 		t.Fatal(err)
 	}
 	if docs[0].Name != "a2" || docs[1].Name != "b2" {
@@ -508,7 +508,7 @@ func TestExplicitReplicateOverridesSpec(t *testing.T) {
 	docs := buildChain(t, master, 8, 4)
 	refA := exportHead(t, master, client, docs[0], GetSpec{Mode: Incremental, Batch: 1})
 	// Override to transitive: the run-time mode decision of §2.1.
-	if _, err := client.engine.Replicate(refA, GetSpec{Mode: Transitive}); err != nil {
+	if _, err := client.engine.Replicate(telemetry.SpanContext{}, refA, GetSpec{Mode: Transitive}); err != nil {
 		t.Fatal(err)
 	}
 	if client.heap.Len() != 8 {
@@ -612,7 +612,7 @@ func TestPolicyHooksFire(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Name = "x"
-	if err := client.engine.Put(a); err != nil {
+	if err := client.engine.Put(telemetry.SpanContext{}, a); err != nil {
 		t.Fatal(err)
 	}
 	rec.mu.Lock()
@@ -671,7 +671,7 @@ func TestPolicyCanRejectPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Name = "conflicting"
-	err = client.engine.Put(a)
+	err = client.engine.Put(telemetry.SpanContext{}, a)
 	var re *rmi.RemoteError
 	if !errors.As(err, &re) || re.Code != "app" {
 		t.Fatalf("rejected put: %v", err)
@@ -684,10 +684,10 @@ func TestPolicyCanRejectPut(t *testing.T) {
 func TestPutErrorsOnWrongObjects(t *testing.T) {
 	master, client := twoSites(t)
 	docs := buildChain(t, master, 1, 4)
-	if err := master.engine.Put(docs[0]); !errors.Is(err, ErrNotReplica) {
+	if err := master.engine.Put(telemetry.SpanContext{}, docs[0]); !errors.Is(err, ErrNotReplica) {
 		t.Fatalf("put on master: %v", err)
 	}
-	if err := client.engine.Put(&doc{}); !errors.Is(err, heap.ErrUnknownObject) {
+	if err := client.engine.Put(telemetry.SpanContext{}, &doc{}); !errors.Is(err, heap.ErrUnknownObject) {
 		t.Fatalf("put on unknown: %v", err)
 	}
 }
@@ -772,7 +772,7 @@ func TestRefreshClusterMemberRefreshesWholeCluster(t *testing.T) {
 
 	// Refreshing ONE member pulls the whole cluster (it is the unit of
 	// replication and update).
-	if err := client.engine.Refresh(b); err != nil {
+	if err := client.engine.Refresh(telemetry.SpanContext{}, b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Name != "a-v2" || b.Name != "b-v2" {

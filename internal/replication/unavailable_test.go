@@ -8,6 +8,7 @@ import (
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 	"obiwan/internal/wire"
 )
@@ -45,12 +46,12 @@ func TestDisconnectedOperationsReturnErrUnavailable(t *testing.T) {
 	if err := client.engine.MarkUpdated(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.engine.Put(a); !errors.Is(err, ErrUnavailable) {
+	if err := client.engine.Put(telemetry.SpanContext{}, a); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("put while disconnected: want ErrUnavailable, got %v", err)
 	}
 
 	// Refresh fails typed too.
-	if err := client.engine.Refresh(a); !errors.Is(err, ErrUnavailable) {
+	if err := client.engine.Refresh(telemetry.SpanContext{}, a); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("refresh while disconnected: want ErrUnavailable, got %v", err)
 	}
 
@@ -65,13 +66,13 @@ func TestDisconnectedOperationsReturnErrUnavailable(t *testing.T) {
 	if b.Name != "doc-1" {
 		t.Fatalf("demanded %q, want doc-1", b.Name)
 	}
-	if err := client.engine.Put(a); err != nil {
+	if err := client.engine.Put(telemetry.SpanContext{}, a); err != nil {
 		t.Fatalf("put after reconnect: %v", err)
 	}
 	if string(docs[0].Body) != "edited offline" {
 		t.Fatalf("master body %q after put", docs[0].Body)
 	}
-	if err := client.engine.Refresh(a); err != nil {
+	if err := client.engine.Refresh(telemetry.SpanContext{}, a); err != nil {
 		t.Fatalf("refresh after reconnect: %v", err)
 	}
 }

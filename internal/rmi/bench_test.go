@@ -104,13 +104,13 @@ func BenchmarkCallTelemetry(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := client.CallTraced(sc, ref, "Total"); err != nil {
+		if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.CallTraced(sc, ref, "Total"); err != nil {
+			if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -199,13 +199,13 @@ func BenchmarkCallAttribution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := client.CallTraced(sc, ref, "Total"); err != nil {
+		if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.CallTraced(sc, ref, "Total"); err != nil {
+			if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -212,31 +212,27 @@ func (c *clientConn) unregister(id uint64) {
 }
 
 // Call invokes method on the remote object behind ref and waits for its
-// results, using the runtime's default timeout.
+// results, untraced and under the runtime's default timeout.
 func (rt *Runtime) Call(ref RemoteRef, method string, args ...any) ([]any, error) {
-	return rt.CallTracedTimeout(telemetry.SpanContext{}, ref, rt.callTimeout, method, args...)
+	return rt.CallWithin(telemetry.SpanContext{}, ref, 0, method, args...)
 }
 
-// DefaultCallTimeout returns the runtime's default per-call deadline —
-// what Call and CallTraced use. Callers composing retry/failover loops on
-// top of explicit-deadline calls use it to keep interactive semantics.
+// DefaultCallTimeout returns the runtime's default per-call deadline, for
+// callers that run their own deadline arithmetic across several calls
+// (the replication layer's failover loop).
 func (rt *Runtime) DefaultCallTimeout() time.Duration { return rt.callTimeout }
 
-// CallTimeout is Call with an explicit deadline for this invocation.
-func (rt *Runtime) CallTimeout(ref RemoteRef, timeout time.Duration, method string, args ...any) ([]any, error) {
-	return rt.CallTracedTimeout(telemetry.SpanContext{}, ref, timeout, method, args...)
-}
-
-// CallTraced is Call under a causal parent: the invocation is recorded as
-// an "rmi:<method>" span beneath sc, and the span's context travels in the
-// Call frame so the server's serve span (and anything it causes) joins the
-// same trace. An invalid sc degrades to a plain Call.
-func (rt *Runtime) CallTraced(sc telemetry.SpanContext, ref RemoteRef, method string, args ...any) ([]any, error) {
-	return rt.CallTracedTimeout(sc, ref, rt.callTimeout, method, args...)
-}
-
-// CallTracedTimeout is CallTraced with an explicit deadline.
-func (rt *Runtime) CallTracedTimeout(sc telemetry.SpanContext, ref RemoteRef, timeout time.Duration, method string, args ...any) ([]any, error) {
+// CallWithin is the one full form of Call: within a trace and within a
+// deadline, each with a zero value that means Call's behaviour. A valid sc
+// makes the invocation an "rmi:<method>" span beneath it, and the span's
+// context travels in the Call frame so the server's serve span (and
+// anything it causes) joins the same trace; the zero sc is untraced. A
+// positive timeout is the overall deadline for this invocation, retries
+// and backoff included; zero means the runtime's default.
+func (rt *Runtime) CallWithin(sc telemetry.SpanContext, ref RemoteRef, timeout time.Duration, method string, args ...any) ([]any, error) {
+	if timeout == 0 {
+		timeout = rt.callTimeout
+	}
 	start := rt.clock.Now()
 	results, tid, err := rt.doCall(sc, ref, start, timeout, method, args)
 	rtt := rt.clock.Now().Sub(start)

@@ -58,7 +58,7 @@ func TestTracedCallAllocationsPinned(t *testing.T) {
 	defer root.End()
 	allocs := func(sc telemetry.SpanContext) float64 {
 		return testing.AllocsPerRun(2000, func() {
-			if _, err := client.CallTraced(sc, ref, "Total"); err != nil {
+			if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
 				t.Fatal(err)
 			}
 		})

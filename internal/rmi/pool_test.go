@@ -442,7 +442,7 @@ func TestDispatchInlineHasNoQueuePhase(t *testing.T) {
 			t.Errorf("a runtime on a virtual clock has width %d, want 1", server.width)
 		}
 		ref, _ := server.Export(&calculator{}, "Calculator")
-		if _, err := client.CallTraced(telemetry.SpanContext{TraceID: 1, SpanID: 2}, ref, "Total"); err != nil {
+		if _, err := client.CallWithin(telemetry.SpanContext{TraceID: 1, SpanID: 2}, ref, 0, "Total"); err != nil {
 			t.Error(err)
 		}
 		serves := spansNamed(hub.Spans(0), "serve:Total")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"obiwan/internal/netsim"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -146,7 +147,7 @@ func TestTimeoutThenLateReply(t *testing.T) {
 	server, client, _ := newRetryPair(t, fastRetry(8, 30*time.Millisecond))
 	counter := &onceCounter{}
 	ref, _ := server.Export(counter, "Counter")
-	res, err := client.CallTimeout(ref, 2*time.Second, "Hit", int64(100))
+	res, err := client.CallWithin(telemetry.SpanContext{}, ref, 2*time.Second, "Hit", int64(100))
 	if err != nil {
 		t.Fatalf("slow call: %v", err)
 	}
@@ -221,7 +222,7 @@ func TestOverallDeadlineCapsBackoff(t *testing.T) {
 	}
 	net.Disconnect("client", "server")
 	start := time.Now()
-	_, err := client.CallTimeout(ref, 50*time.Millisecond, "Total")
+	_, err := client.CallWithin(telemetry.SpanContext{}, ref, 50*time.Millisecond, "Total")
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)

@@ -9,6 +9,7 @@ import (
 
 	"obiwan/internal/codec"
 	"obiwan/internal/netsim"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 	"obiwan/internal/wire"
 )
@@ -309,7 +310,7 @@ func TestUnexport(t *testing.T) {
 func TestCallTimeout(t *testing.T) {
 	server, client, _ := newPair(t)
 	ref, _ := server.Export(&calculator{}, "Calculator")
-	_, err := client.CallTimeout(ref, 20*time.Millisecond, "Slow", int64(500))
+	_, err := client.CallWithin(telemetry.SpanContext{}, ref, 20*time.Millisecond, "Slow", int64(500))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}

@@ -59,7 +59,7 @@ func TestTraceRetriedCallIsOneLogicalSpan(t *testing.T) {
 	))
 
 	root := clientHub.StartRoot("test")
-	if _, err := client.CallTraced(root.Context(), ref, "Accumulate", int64(5)); err != nil {
+	if _, err := client.CallWithin(root.Context(), ref, 0, "Accumulate", int64(5)); err != nil {
 		t.Fatalf("traced call with dropped reply: %v", err)
 	}
 	root.End()
@@ -130,7 +130,7 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 	ref, _ := server.Export(&calculator{}, "Calculator")
 
 	sc := telemetry.SpanContext{TraceID: 42, SpanID: 99}
-	if _, err := client.CallTraced(sc, ref, "Add", int64(1), int64(1)); err != nil {
+	if _, err := client.CallWithin(sc, ref, 0, "Add", int64(1), int64(1)); err != nil {
 		t.Fatal(err)
 	}
 	serves := spansNamed(serverHub.Spans(0), "serve:Add")

@@ -15,15 +15,25 @@ const UpdateSinkIface = "obiwan.UpdateSink"
 // site's second export (the invalidation sink is the first).
 const updateSinkID rmi.ObjID = 2
 
-// updateSink receives disseminated updates over RMI and applies them to
-// the local replicas.
+// updateSink receives disseminated updates over RMI.
 type updateSink struct {
-	applier *dissemination.Applier
+	site *Site
 }
 
 // Push applies one update.
-func (k *updateSink) Push(u *dissemination.Update) error {
-	return k.applier.Apply(u)
+func (k *updateSink) Push(u *dissemination.Update) error { return k.site.applyPushed(u) }
+
+// applyPushed applies one disseminated update to the local replica and,
+// as a refresh would, clears the staleness mark the image answers: an
+// invalidation naming a version the push has now delivered.
+func (s *Site) applyPushed(u *dissemination.Update) error {
+	if err := s.applier.Apply(u); err != nil {
+		return err
+	}
+	if v, stale := s.stale.IsStale(objmodel.OID(u.OID)); stale && v <= u.Version {
+		s.stale.Clear(objmodel.OID(u.OID))
+	}
+	return nil
 }
 
 // EnableDissemination turns this site into an update publisher: every
@@ -53,7 +63,7 @@ func (s *Site) EnableDissemination() *dissemination.Publisher {
 // deliverUpdate pushes one update into a subscriber site's update sink.
 func (s *Site) deliverUpdate(holder string, u *dissemination.Update) error {
 	if holder == s.name {
-		return s.applier.Apply(u)
+		return s.applyPushed(u)
 	}
 	ref := rmi.RemoteRef{Addr: transport.Addr(holder), ID: updateSinkID, Iface: UpdateSinkIface}
 	_, err := s.rt.Call(ref, "Push", u)
@@ -91,16 +101,4 @@ func (p policyPair) ReplicaCreated(oid objmodel.OID, site string, v uint64) {
 func (p policyPair) MasterUpdated(oid objmodel.OID, v uint64) {
 	p.a.MasterUpdated(oid, v)
 	p.b.MasterUpdated(oid, v)
-}
-
-// Applier returns the site's dissemination applier (always present; it
-// backs the update sink).
-func (s *Site) Applier() *dissemination.Applier { return s.applier }
-
-// Publisher returns the site's publisher, or nil if EnableDissemination
-// was never called.
-func (s *Site) Publisher() *dissemination.Publisher {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.publisher
 }

@@ -28,9 +28,6 @@ func TestSiteDisseminationPush(t *testing.T) {
 	}
 
 	pub := server.EnableDissemination()
-	if server.Publisher() != pub {
-		t.Fatal("publisher accessor")
-	}
 	if again := server.EnableDissemination(); again != pub {
 		t.Fatal("EnableDissemination must be idempotent")
 	}
@@ -143,5 +140,61 @@ func TestSiteDisseminationComposesWithPolicyAndInvalidation(t *testing.T) {
 	}
 	if master.Text != "alice v2" {
 		t.Fatalf("master: %q", master.Text)
+	}
+}
+
+// TestDurablePushedUpdateRetractsDirtyRecord: a pushed update that lands
+// on a dirty replica installs exactly as a refresh does. The overwritten
+// edit's journal record is retracted (so a crash does not resurrect it for
+// SyncDirty to put over the master's newer state), the lease stamp is
+// renewed, and the staleness mark the invalidation left is cleared.
+func TestDurablePushedUpdateRetractsDirtyRecord(t *testing.T) {
+	w := newWorld(t)
+	server := w.site("server", WithInvalidation())
+	master := &note{Text: "v1"}
+	if err := server.Bind("doc", master); err != nil {
+		t.Fatal(err)
+	}
+	server.EnableDissemination().Subscribe("mobile")
+
+	dir := t.TempDir()
+	mobile := w.site("mobile", WithDurability(dir))
+	ref, err := mobile.Lookup("doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := objmodel.Deref[*note](ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := mobile.Heap().EntryOf(replica)
+	fetched := entry.FetchedAt()
+
+	replica.Text = "local edit the push overwrites"
+	if err := mobile.MarkUpdated(replica); err != nil {
+		t.Fatal(err)
+	}
+	master.Write("v2")
+	if err := server.MarkUpdated(master); err != nil {
+		t.Fatal(err)
+	}
+	if replica.Text != "v2" || entry.Dirty() {
+		t.Fatalf("pushed replica: text %q dirty %v", replica.Text, entry.Dirty())
+	}
+	if !entry.FetchedAt().After(fetched) {
+		t.Fatal("a pushed update must renew the lease stamp")
+	}
+	if v, stale := mobile.StaleSet().IsStale(entry.OID); stale {
+		t.Fatalf("replica still marked stale at v%d after the push delivered v%d", v, entry.Version())
+	}
+	if n, err := mobile.RefreshStale(); n != 0 || err != nil {
+		t.Fatalf("RefreshStale re-fetched %d replicas the push had made fresh (err %v)", n, err)
+	}
+
+	mobile.Kill()
+	reborn := w.site("mobile", WithDurability(dir))
+	if dirty := reborn.DirtyReplicas(); len(dirty) != 0 {
+		t.Fatalf("reborn subscriber holds %d dirty replicas (text %q): the overwritten edit came back",
+			len(dirty), dirty[0].(*note).Text)
 	}
 }

@@ -107,7 +107,7 @@ func (s *Site) AntiEntropy(peer string) (*eventual.SyncStats, error) {
 // antiEntropySession is the session body, run under sc's trace context.
 func (s *Site) antiEntropySession(sc telemetry.SpanContext, peer string, ev *eventual.Store) (*eventual.SyncStats, error) {
 	ref := antiEntropyRef(peer)
-	out, err := s.rt.CallTraced(sc, ref, "Summary")
+	out, err := s.rt.CallWithin(sc, ref, 0, "Summary")
 	if err != nil {
 		return nil, fmt.Errorf("site: anti-entropy with %s: %w", peer, err)
 	}
@@ -120,7 +120,7 @@ func (s *Site) antiEntropySession(sc telemetry.SpanContext, peer string, ev *eve
 		Summary: *ev.Summary(),
 		Batch:   *ev.BuildBatch(peerSum),
 	}
-	out, err = s.rt.CallTraced(sc, ref, "Exchange", req)
+	out, err = s.rt.CallWithin(sc, ref, 0, "Exchange", req)
 	if err != nil {
 		return nil, fmt.Errorf("site: anti-entropy with %s: %w", peer, err)
 	}

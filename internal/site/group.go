@@ -254,7 +254,7 @@ func (g *Group) WaitLeader(timeout time.Duration) (transport.Addr, error) {
 // call routes one consensus RPC to a peer's consensus service.
 func (g *Group) call(peer, method string, args ...any) ([]any, error) {
 	ref := rmi.RemoteRef{Addr: transport.Addr(peer), ID: consensusID, Iface: consensus.Iface}
-	return g.site.rt.CallTimeout(ref, g.callTimeout, method, args...)
+	return g.site.rt.CallWithin(telemetry.SpanContext{}, ref, g.callTimeout, method, args...)
 }
 
 // redirect maps consensus-layer refusals to the replication-layer typed

@@ -358,7 +358,7 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 	}
 	s.engine = replication.NewEngine(rt, s.heap, engineOpts...)
 	s.applier = dissemination.NewApplier(s.engine)
-	upRef, err := rt.Export(&updateSink{applier: s.applier}, UpdateSinkIface)
+	upRef, err := rt.Export(&updateSink{site: s}, UpdateSinkIface)
 	if err != nil {
 		_ = rt.Close()
 		return nil, fmt.Errorf("site %q: export update sink: %w", name, err)
@@ -672,26 +672,19 @@ func (s *Site) LookupSpec(name string, spec replication.GetSpec) (*objmodel.Ref,
 // Replicate demands ref's target with an explicit spec (the run-time mode
 // decision of §2.1).
 func (s *Site) Replicate(ref *objmodel.Ref, spec replication.GetSpec) (any, error) {
-	return s.engine.Replicate(ref, spec)
-}
-
-// ReplicateTraced is Replicate under an explicit trace context: the demand
-// protocol's fault/assemble/materialize spans nest beneath sc instead of
-// rooting a fresh trace.
-func (s *Site) ReplicateTraced(sc telemetry.SpanContext, ref *objmodel.Ref, spec replication.GetSpec) (any, error) {
-	return s.engine.ReplicateTraced(sc, ref, spec)
+	return s.engine.Replicate(telemetry.SpanContext{}, ref, spec)
 }
 
 // Put ships a replica's state back to its master.
-func (s *Site) Put(obj any) error { return s.engine.Put(obj) }
+func (s *Site) Put(obj any) error { return s.engine.Put(telemetry.SpanContext{}, obj) }
 
 // PutCluster ships the whole cluster containing obj back to its master.
-func (s *Site) PutCluster(obj any) error { return s.engine.PutCluster(obj) }
+func (s *Site) PutCluster(obj any) error { return s.engine.PutCluster(telemetry.SpanContext{}, obj) }
 
 // Refresh re-fetches a replica's state from its master and clears its
 // staleness mark.
 func (s *Site) Refresh(obj any) error {
-	if err := s.engine.Refresh(obj); err != nil {
+	if err := s.engine.Refresh(telemetry.SpanContext{}, obj); err != nil {
 		return err
 	}
 	if e, ok := s.heap.EntryOf(obj); ok {
@@ -716,32 +709,27 @@ func (s *Site) DirtyReplicas() []any {
 }
 
 // SyncDirty puts every dirty replica back to its master — the
-// reconnection step of the paper's mobile scenario. Cluster members are
-// shipped once per cluster. It returns the number of objects synced and
-// the first error encountered (sync continues past errors so one
-// conflicted object does not strand the rest).
+// reconnection step of the paper's mobile scenario — each as the unit it
+// arrived in, a cluster once however many members are dirty. It returns
+// the number of units synced and the first error encountered (sync
+// continues past errors so one conflicted object does not strand the rest).
 func (s *Site) SyncDirty() (int, error) {
 	var firstErr error
 	synced := 0
-	doneClusters := make(map[objmodel.OID]bool)
+	tried := make(map[objmodel.OID]bool) // cluster roots
 	entries := s.heap.Entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].OID < entries[j].OID })
 	for _, e := range entries {
 		if e.Role != heap.Replica || !e.Dirty() {
 			continue
 		}
-		var err error
-		if e.ClusterMember() {
-			root := e.ClusterRoot()
-			if doneClusters[root] {
+		if root := e.ClusterRoot(); root != 0 {
+			if tried[root] {
 				continue
 			}
-			doneClusters[root] = true
-			err = s.engine.PutCluster(e.Obj)
-		} else {
-			err = s.engine.Put(e.Obj)
+			tried[root] = true
 		}
-		if err != nil {
+		if err := s.engine.PutCluster(telemetry.SpanContext{}, e.Obj); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("sync %v: %w", e.OID, err)
 			}
@@ -753,56 +741,63 @@ func (s *Site) SyncDirty() (int, error) {
 	return synced, firstErr
 }
 
-// RefreshStale refreshes every replica marked stale by invalidations.
-// It returns the number refreshed and the first error encountered.
-func (s *Site) RefreshStale() (int, error) {
+// refreshAll refreshes every entry, past errors, counting in done.
+func (s *Site) refreshAll(entries []*heap.Entry, done *telemetry.Counter) (int, error) {
 	var firstErr error
 	refreshed := 0
-	for _, oid := range s.stale.Stale() {
-		e, ok := s.heap.Get(oid)
-		if !ok {
-			s.stale.Clear(oid) // evicted: nothing to refresh
-			continue
-		}
+	for _, e := range entries {
 		if err := s.Refresh(e.Obj); err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("refresh %v: %w", oid, err)
+				firstErr = fmt.Errorf("refresh %v: %w", e.OID, err)
 			}
 			continue
 		}
 		refreshed++
-		s.met.refreshedStale.Inc()
+		done.Inc()
 	}
 	return refreshed, firstErr
 }
 
-// LeaseExpired returns the replicas whose lease has run out. Without a
-// configured lease it returns nil.
-func (s *Site) LeaseExpired() []any {
+// RefreshStale refreshes every replica marked stale by invalidations.
+// It returns the number refreshed and the first error encountered.
+func (s *Site) RefreshStale() (int, error) {
+	var stale []*heap.Entry
+	for _, oid := range s.stale.Stale() {
+		if e, ok := s.heap.Get(oid); ok {
+			stale = append(stale, e)
+		} else {
+			s.stale.Clear(oid) // evicted: nothing to refresh
+		}
+	}
+	return s.refreshAll(stale, s.met.refreshedStale)
+}
+
+// leaseExpired returns the replicas whose lease has run out.
+func (s *Site) leaseExpired() []*heap.Entry {
 	if s.lease == nil {
 		return nil
 	}
-	var out []any
+	var out []*heap.Entry
 	for _, e := range s.heap.Entries() {
 		if e.Role == heap.Replica && s.lease.Expired(e.FetchedAt()) {
-			out = append(out, e.Obj)
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// RefreshExpired refreshes every lease-expired replica.
-func (s *Site) RefreshExpired() (int, error) {
-	var firstErr error
-	refreshed := 0
-	for _, obj := range s.LeaseExpired() {
-		if err := s.Refresh(obj); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		refreshed++
+// LeaseExpired returns the replicas whose lease has run out. Without a
+// configured lease it returns nil.
+func (s *Site) LeaseExpired() []any {
+	var out []any
+	for _, e := range s.leaseExpired() {
+		out = append(out, e.Obj)
 	}
-	return refreshed, firstErr
+	return out
+}
+
+// RefreshExpired refreshes every lease-expired replica. It returns the
+// number refreshed and the first error encountered.
+func (s *Site) RefreshExpired() (int, error) {
+	return s.refreshAll(s.leaseExpired(), nil)
 }

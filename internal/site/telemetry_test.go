@@ -76,7 +76,7 @@ func runFaultChainScenario(t *testing.T) []*telemetry.TraceNode {
 	spec := replication.GetSpec{Mode: replication.Incremental, Batch: 1}
 	ref0 := gamma.Engine().RefFromDescriptor(d0, spec)
 	root := hubs["gamma"].StartRoot("scenario")
-	obj0, err := gamma.ReplicateTraced(root.Context(), ref0, spec)
+	obj0, err := gamma.Engine().Replicate(root.Context(), ref0, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func runFaultChainScenario(t *testing.T) []*telemetry.TraceNode {
 	if !ok {
 		t.Fatalf("replicated %T", obj0)
 	}
-	if _, err := gamma.ReplicateTraced(root.Context(), rep0.Next, spec); err != nil {
+	if _, err := gamma.Engine().Replicate(root.Context(), rep0.Next, spec); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -159,7 +159,7 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 	}
 
 	root := mobileHub.StartRoot("session")
-	obj, err := mobile.ReplicateTraced(root.Context(), ref, replication.DefaultSpec)
+	obj, err := mobile.Engine().Replicate(root.Context(), ref, replication.DefaultSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 
 	// Refresh under the same trace: the demand lands on the reborn
 	// incarnation, whose serve/assemble spans join the same rooted tree.
-	if err := mobile.Engine().RefreshTraced(root.Context(), replica); err != nil {
+	if err := mobile.Engine().Refresh(root.Context(), replica); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -237,7 +237,7 @@ func TestSiteWithoutTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Traced entry points still work — spans just collapse to no-ops.
-	if _, err := mobile.ReplicateTraced(telemetry.SpanContext{}, ref, replication.DefaultSpec); err != nil {
+	if _, err := mobile.Engine().Replicate(telemetry.SpanContext{}, ref, replication.DefaultSpec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := objmodel.Deref[*note](ref); err != nil {

@@ -37,6 +37,7 @@ import (
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -495,10 +496,8 @@ func (t *Txn) push() error {
 		var err error
 		if entry.Role == heap.Master {
 			err = t.mgr.eng.MarkUpdated(obj)
-		} else if entry.ClusterMember() {
-			err = t.mgr.eng.PutCluster(obj)
 		} else {
-			err = t.mgr.eng.Put(obj)
+			err = t.mgr.eng.PutCluster(telemetry.SpanContext{}, obj) // the unit it arrived in
 		}
 		if err != nil {
 			return err

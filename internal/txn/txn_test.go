@@ -10,6 +10,7 @@ import (
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -140,7 +141,7 @@ func TestLocalValidationDetectsInterleaving(t *testing.T) {
 	if err := f.master.MarkUpdated(f.acct); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.client.Refresh(r); err != nil {
+	if err := f.client.Refresh(telemetry.SpanContext{}, r); err != nil {
 		t.Fatal(err)
 	}
 

@@ -207,17 +207,7 @@ func TestFacadeDissemination(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Manual wiring through the facade constructors (the site-level
-	// EnableDissemination path is covered in internal/site).
-	applier := NewApplier(mobile)
-	pub := NewPublisher(server, func(site string, u *Update) error {
-		if site != "mobile" {
-			t.Fatalf("unexpected subscriber %q", site)
-		}
-		return applier.Apply(u)
-	})
-	server.Engine().SetPolicy(pub)
-	pub.Subscribe("mobile")
+	server.EnableDissemination().Subscribe("mobile")
 
 	master.Write("v2")
 	if err := server.MarkUpdated(master); err != nil {
