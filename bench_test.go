@@ -243,8 +243,9 @@ func BenchmarkReplicationPayload(b *testing.B) {
 // replicationPayload16kBytes pins what BenchmarkReplicationPayload/size=16384
 // allocates per op (50 x 16 KiB, transitive, both sites): 8.5 MB before
 // frames were sized, decode borrowed and CaptureState stopped copying out,
-// 3.47 MB now. It only ever goes down.
-const replicationPayload16kBytes = 3_600_000
+// 3.46 MB before the reply frame referenced the captured states in place,
+// 2.64 MB now. It only ever goes down.
+const replicationPayload16kBytes = 2_700_000
 
 func TestReplicationPayloadAllocationPinned(t *testing.T) {
 	if raceflag.Enabled {

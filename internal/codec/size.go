@@ -21,8 +21,9 @@ func sizeVarint(v int64) int { return sizeUvarint(uint64(v)<<1 ^ uint64(v>>63)) 
 func sizePrefixed(n int) int { return sizeUvarint(uint64(n)) + n }
 
 // sizeValue returns the number of bytes Value appends for rv: a tag, then
-// the self-describing form.
-func sizeValue(reg *Registry, rv reflect.Value) int {
+// the self-describing form. With a vector (vec non-nil) it counts what
+// VectorValue appends: the bytes that stay inline.
+func sizeValue(reg *Registry, rv reflect.Value, vec *Vector) int {
 	if rv.Kind() == reflect.Interface {
 		rv = rv.Elem()
 	}
@@ -33,41 +34,42 @@ func sizeValue(reg *Registry, rv reflect.Value) int {
 		for rv.Kind() == reflect.Pointer && !rv.IsNil() {
 			rv = rv.Elem()
 		}
-		return 1 + sizePrefixed(len(name)) + sizeReflect(reg, rv)
+		return 1 + sizePrefixed(len(name)) + sizeReflect(reg, rv, vec)
 	}
 	switch rv.Kind() {
 	case reflect.Slice, reflect.Array:
-		if rv.Type() == bytesType {
-			return 1 + sizePrefixed(rv.Len())
+		if t := rv.Type(); t == bytesType || t == frozenType {
+			return 1 + sizeReflect(reg, rv, vec)
 		}
 		n := 1 + sizeUvarint(uint64(rv.Len()))
 		for i := 0; i < rv.Len(); i++ {
-			n += sizeValue(reg, rv.Index(i))
+			n += sizeValue(reg, rv.Index(i), vec)
 		}
 		return n
 	case reflect.Map:
 		n := 1 + sizeUvarint(uint64(rv.Len()))
 		for iter := rv.MapRange(); iter.Next(); {
-			n += sizeReflect(reg, iter.Key()) + sizeValue(reg, iter.Value())
+			n += sizeReflect(reg, iter.Key(), vec) + sizeValue(reg, iter.Value(), vec)
 		}
 		return n
 	case reflect.Bool:
 		return 1 // the tag is the value
 	}
-	return 1 + sizeReflect(reg, rv) // a number or a string, as encodeReflect writes it
+	return 1 + sizeReflect(reg, rv, vec) // a number or a string, as encodeReflect writes it
 }
 
 // sizeReflect returns the number of bytes encodeReflect appends for rv (the
 // type-directed form, no tags), so that Value can reserve room for a whole
 // registered struct before it writes the first field. The walk copies
 // nothing; it reads lengths. The figure is exact except for a Marshaler and
-// a time.Time, which are charged marshalerSize.
-func sizeReflect(reg *Registry, rv reflect.Value) int {
+// a time.Time, which are charged marshalerSize. A byte slice a vector
+// references (vec.inPlace) costs its length prefix alone.
+func sizeReflect(reg *Registry, rv reflect.Value, vec *Vector) int {
 	if rv.Kind() == reflect.Pointer {
 		if rv.IsNil() {
 			return 1
 		}
-		return 1 + sizeReflect(reg, rv.Elem())
+		return 1 + sizeReflect(reg, rv.Elem(), vec)
 	}
 	if _, ok := asMarshaler(rv); ok || rv.Type() == timeType {
 		return marshalerSize
@@ -85,33 +87,36 @@ func sizeReflect(reg *Registry, rv reflect.Value) int {
 		return sizePrefixed(rv.Len())
 	case reflect.Slice:
 		if rv.Type().Elem().Kind() == reflect.Uint8 {
+			if vec.inPlace(rv) {
+				return sizeUvarint(uint64(rv.Len()))
+			}
 			return sizePrefixed(rv.Len())
 		}
 		n := sizeUvarint(uint64(rv.Len()))
 		for i := 0; i < rv.Len(); i++ {
-			n += sizeReflect(reg, rv.Index(i))
+			n += sizeReflect(reg, rv.Index(i), vec)
 		}
 		return n
 	case reflect.Array:
 		n := 0
 		for i := 0; i < rv.Len(); i++ {
-			n += sizeReflect(reg, rv.Index(i))
+			n += sizeReflect(reg, rv.Index(i), vec)
 		}
 		return n
 	case reflect.Map:
 		n := sizeUvarint(uint64(rv.Len()))
 		for iter := rv.MapRange(); iter.Next(); {
-			n += sizeReflect(reg, iter.Key()) + sizeReflect(reg, iter.Value())
+			n += sizeReflect(reg, iter.Key(), vec) + sizeReflect(reg, iter.Value(), vec)
 		}
 		return n
 	case reflect.Struct:
 		n := 0
 		for _, f := range shippedFields(rv.Type()) {
-			n += sizeReflect(reg, rv.Field(f.index))
+			n += sizeReflect(reg, rv.Field(f.index), vec)
 		}
 		return n
 	case reflect.Interface:
-		return sizeValue(reg, rv)
+		return sizeValue(reg, rv, vec)
 	}
 	return 0
 }

@@ -86,7 +86,7 @@ func TestSizeMatchesEncoder(t *testing.T) {
 		if err := e.Value(reg, tc.v); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, wrote := sizeValue(reg, reflect.ValueOf(tc.v)), e.Len()
+		got, wrote := sizeValue(reg, reflect.ValueOf(tc.v), nil), e.Len()
 		if got < wrote || got > wrote+tc.slack {
 			t.Errorf("%s: sized at %d, Value wrote %d (slack allowed %d)", tc.name, got, wrote, tc.slack)
 		}
@@ -95,7 +95,7 @@ func TestSizeMatchesEncoder(t *testing.T) {
 		v := []any{&wirePoint{X: x, Y: y, Label: label, Tags: tags}, data, u, fl, label,
 			map[string]any{label: tags}}
 		e := NewEncoder(0)
-		return e.Value(reg, v) == nil && sizeValue(reg, reflect.ValueOf(v)) == e.Len()
+		return e.Value(reg, v) == nil && sizeValue(reg, reflect.ValueOf(v), nil) == e.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

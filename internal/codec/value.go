@@ -36,7 +36,18 @@ const (
 //
 // Value is the encoding used for RMI arguments and results, mirroring how
 // Java RMI serializes call frames.
-func (e *Encoder) Value(reg *Registry, v any) error {
+func (e *Encoder) Value(reg *Registry, v any) error { return e.value(reg, v, nil) }
+
+// VectorValue is Value for an encoding that is sent as a vector: a Frozen
+// slice of at least minReferenced bytes, wherever it lies in v, is written
+// as its length prefix alone and recorded in vec, to be sent from where it
+// lies (Vector.Parts). The bytes on the wire are Value's. A nil vec is
+// Value.
+func (e *Encoder) VectorValue(reg *Registry, v any, vec *Vector) error {
+	return e.value(reg, v, vec)
+}
+
+func (e *Encoder) value(reg *Registry, v any, vec *Vector) error {
 	if v == nil {
 		e.buf = append(e.buf, tagNil)
 		return nil
@@ -87,11 +98,15 @@ func (e *Encoder) Value(reg *Registry, v any) error {
 		e.buf = append(e.buf, tagBytes)
 		e.WriteBytes(x)
 		return nil
+	case Frozen:
+		e.buf = append(e.buf, tagBytes)
+		e.writeByteSlice(reflect.ValueOf(v), vec)
+		return nil
 	case []any:
 		e.buf = append(e.buf, tagSlice)
 		e.WriteUvarint(uint64(len(x)))
 		for i, el := range x {
-			if err := e.Value(reg, el); err != nil {
+			if err := e.value(reg, el, vec); err != nil {
 				return fmt.Errorf("slice element %d: %w", i, err)
 			}
 		}
@@ -101,7 +116,7 @@ func (e *Encoder) Value(reg *Registry, v any) error {
 		e.WriteUvarint(uint64(len(x)))
 		for _, k := range sortedKeys(x) {
 			e.WriteString(k)
-			if err := e.Value(reg, x[k]); err != nil {
+			if err := e.value(reg, x[k], vec); err != nil {
 				return fmt.Errorf("map key %q: %w", k, err)
 			}
 		}
@@ -117,7 +132,7 @@ func (e *Encoder) Value(reg *Registry, v any) error {
 			e.buf = append(e.buf, tagSlice)
 			e.WriteUvarint(uint64(rv.Len()))
 			for i := 0; i < rv.Len(); i++ {
-				if err := e.Value(reg, rv.Index(i).Interface()); err != nil {
+				if err := e.value(reg, rv.Index(i).Interface(), vec); err != nil {
 					return fmt.Errorf("slice element %d: %w", i, err)
 				}
 			}
@@ -141,7 +156,7 @@ func (e *Encoder) Value(reg *Registry, v any) error {
 				for _, k := range keys {
 					e.WriteString(k)
 					kv := rv.MapIndex(reflect.ValueOf(k).Convert(rv.Type().Key()))
-					if err := e.Value(reg, kv.Interface()); err != nil {
+					if err := e.value(reg, kv.Interface(), vec); err != nil {
 						return fmt.Errorf("map key %q: %w", k, err)
 					}
 				}
@@ -166,9 +181,10 @@ func (e *Encoder) Value(reg *Registry, v any) error {
 	// A registered struct is where the bytes are (a replication payload, a
 	// put request): make room for all of it at once. Appended to field by
 	// field, a 1.6 MB payload regrows its frame a dozen times, 1.25x each,
-	// and every regrowth is a frame-sized allocation and copy.
-	e.buf = slices.Grow(e.buf, sizeReflect(reg, rv))
-	return e.encodeReflect(reg, rv)
+	// and every regrowth is a frame-sized allocation and copy. What a vector
+	// references takes no room.
+	e.buf = slices.Grow(e.buf, sizeReflect(reg, rv, vec))
+	return e.encodeReflect(reg, rv, vec)
 }
 
 func (e *Encoder) taggedInt(v int64) error {
@@ -275,7 +291,9 @@ func sortedKeys(m map[string]any) []string {
 
 // EncodeStruct encodes v (a struct or pointer to struct) with the
 // type-directed reflection codec. Both sites must agree on the Go type; use
-// Value for self-describing encoding.
+// Value for self-describing encoding. Like Value for a registered struct, it
+// makes room for the whole of v before it writes the first field, so an
+// encoder started empty allocates its buffer once.
 func (e *Encoder) EncodeStruct(reg *Registry, v any) error {
 	rv := reflect.ValueOf(v)
 	for rv.Kind() == reflect.Pointer {
@@ -284,7 +302,8 @@ func (e *Encoder) EncodeStruct(reg *Registry, v any) error {
 		}
 		rv = rv.Elem()
 	}
-	return e.encodeReflect(reg, rv)
+	e.buf = slices.Grow(e.buf, sizeReflect(reg, rv, nil))
+	return e.encodeReflect(reg, rv, nil)
 }
 
 // DecodeStruct decodes into v, which must be a non-nil pointer to the same
@@ -301,14 +320,15 @@ func (d *Decoder) DecodeStruct(reg *Registry, v any) error {
 // Types implementing Marshaler take over their own encoding (checked on
 // both the value and its address). Pointers always carry a presence byte
 // first, so nil and custom-marshaled pointees stay symmetric on the wire.
-func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value) error {
+// vec is VectorValue's, nil for a contiguous encoding.
+func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value, vec *Vector) error {
 	if rv.Kind() == reflect.Pointer {
 		if rv.IsNil() {
 			e.WriteBool(false)
 			return nil
 		}
 		e.WriteBool(true)
-		return e.encodeReflect(reg, rv.Elem())
+		return e.encodeReflect(reg, rv.Elem(), vec)
 	}
 	if m, ok := asMarshaler(rv); ok {
 		return m.MarshalOBI(e)
@@ -331,18 +351,18 @@ func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value) error {
 		e.WriteString(rv.String())
 	case reflect.Slice:
 		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			e.WriteBytes(rv.Bytes())
+			e.writeByteSlice(rv, vec)
 			return nil
 		}
 		e.WriteUvarint(uint64(rv.Len()))
 		for i := 0; i < rv.Len(); i++ {
-			if err := e.encodeReflect(reg, rv.Index(i)); err != nil {
+			if err := e.encodeReflect(reg, rv.Index(i), vec); err != nil {
 				return fmt.Errorf("[%d]: %w", i, err)
 			}
 		}
 	case reflect.Array:
 		for i := 0; i < rv.Len(); i++ {
-			if err := e.encodeReflect(reg, rv.Index(i)); err != nil {
+			if err := e.encodeReflect(reg, rv.Index(i), vec); err != nil {
 				return fmt.Errorf("[%d]: %w", i, err)
 			}
 		}
@@ -353,24 +373,24 @@ func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value) error {
 		}
 		e.WriteUvarint(uint64(len(keys)))
 		for _, k := range keys {
-			if err := e.encodeReflect(reg, k); err != nil {
+			if err := e.encodeReflect(reg, k, vec); err != nil {
 				return fmt.Errorf("map key %v: %w", k, err)
 			}
-			if err := e.encodeReflect(reg, rv.MapIndex(k)); err != nil {
+			if err := e.encodeReflect(reg, rv.MapIndex(k), vec); err != nil {
 				return fmt.Errorf("map[%v]: %w", k, err)
 			}
 		}
 	case reflect.Struct:
 		for _, f := range shippedFields(rv.Type()) {
-			if err := e.encodeReflect(reg, rv.Field(f.index)); err != nil {
+			if err := e.encodeReflect(reg, rv.Field(f.index), vec); err != nil {
 				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
 	case reflect.Interface:
 		if rv.IsNil() {
-			return e.Value(reg, nil)
+			return e.value(reg, nil, vec)
 		}
-		return e.Value(reg, rv.Interface())
+		return e.value(reg, rv.Interface(), vec)
 	default:
 		return fmt.Errorf("codec: unsupported kind %v", rv.Kind())
 	}

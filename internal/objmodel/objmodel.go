@@ -123,15 +123,17 @@ func (i *Info) New() any { return reflect.New(i.Type).Interface() }
 
 // CaptureState serializes obj's exported fields (its replica state).
 // Reference fields encode as their target OIDs. The result is the encoder's
-// own buffer, handed to the caller with its capacity clipped to its length:
-// the state is copied once, out of the object, and not a second time out of
-// the encoder.
-func CaptureState(reg *codec.Registry, obj any) ([]byte, error) {
-	e := codec.NewEncoder(128)
+// own buffer, allocated once (EncodeStruct sizes it before the first field)
+// and handed over as it is: the state is copied once, out of the object, and
+// not a second time out of the encoder. It is Frozen, so a frame may send it
+// from where it lies, and its capacity is the size class it pins (16 394
+// bytes of state hold an 18 432-byte block).
+func CaptureState(reg *codec.Registry, obj any) (codec.Frozen, error) {
+	var e codec.Encoder
 	if err := e.EncodeStruct(reg, obj); err != nil {
 		return nil, fmt.Errorf("objmodel: capture %T: %w", obj, err)
 	}
-	return e.Bytes()[:e.Len():e.Len()], nil
+	return e.Bytes(), nil
 }
 
 // RestoreState decodes state into obj (a pointer to a registered struct).

@@ -376,22 +376,35 @@ func (e *Engine) exportProxyIn(entry *heap.Entry) (rmi.RemoteRef, error) {
 	return ref, nil
 }
 
-// captureEntry serializes an entry's state under its state lock.
-func (e *Engine) captureEntry(entry *heap.Entry) ([]byte, error) {
+// captureEntry serializes an entry's state and reads the version it is at
+// in one state-locked section. Every install writes the pair in one such
+// section too (restoreEntry, installReplica), so a shipped record never
+// carries one version's state stamped with another's number, which would
+// let a later put based on it pass the base-version check and overwrite the
+// newer state.
+func (e *Engine) captureEntry(entry *heap.Entry) (codec.Frozen, uint64, error) {
 	entry.LockState()
 	defer entry.UnlockState()
-	return objmodel.CaptureState(e.reg, entry.Obj)
+	state, err := objmodel.CaptureState(e.reg, entry.Obj)
+	return state, entry.Version(), err
 }
 
 // restoreEntry restores an entry's state and rebinds its references under
-// its state lock.
-func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objmodel.OID]FrontierRef, spec GetSpec) error {
+// its state lock; with bump it also bumps the version in that section (see
+// captureEntry) and returns the new one.
+func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objmodel.OID]FrontierRef, spec GetSpec, bump bool) (uint64, error) {
 	entry.LockState()
 	defer entry.UnlockState()
 	if err := objmodel.RestoreState(e.reg, entry.Obj, state); err != nil {
-		return err
+		return 0, err
 	}
-	return e.bindRefs(entry.Obj, frontier, spec)
+	if err := e.bindRefs(entry.Obj, frontier, spec); err != nil {
+		return 0, err
+	}
+	if !bump {
+		return 0, nil
+	}
+	return entry.BumpVersion(), nil
 }
 
 // assemble builds the payload for a demand on root with spec. It runs at
@@ -447,14 +460,14 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 	}
 
 	for _, en := range entries {
-		state, err := e.captureEntry(en)
+		state, version, err := e.captureEntry(en)
 		if err != nil {
 			return nil, err
 		}
 		rec := ObjectRecord{
 			OID:      uint64(en.OID),
 			TypeName: en.TypeName,
-			Version:  en.Version(),
+			Version:  version,
 			State:    state,
 		}
 		if !spec.Clustered {
@@ -679,11 +692,13 @@ func (e *Engine) installReplica(held *heap.Entry, rec *ObjectRecord, now time.Ti
 	}
 	held.LockState()
 	err := objmodel.RestoreState(e.reg, held.Obj, rec.State)
+	if err == nil {
+		held.SetVersion(rec.Version) // with the state it goes with (captureEntry)
+	}
 	held.UnlockState()
 	if err != nil {
 		return nil, err
 	}
-	held.SetVersion(rec.Version)
 	held.Touch(now)
 	held.SetDirty(false)
 	return held, e.journalCleanReplica(held.OID, rec.Version)
@@ -1004,14 +1019,14 @@ func (e *Engine) putAcked(entry *heap.Entry, v uint64) error {
 // buildPutRequest captures a replica's state plus the frontier entries the
 // master needs to rebind references it may not know.
 func (e *Engine) buildPutRequest(entry *heap.Entry) (PutRequest, error) {
-	state, err := e.captureEntry(entry)
+	state, version, err := e.captureEntry(entry)
 	if err != nil {
 		return PutRequest{}, err
 	}
 	frontier, err := walkFrontier(entry, entry.Obj, make(map[objmodel.OID]bool), nil, e.frontierFor)
 	return PutRequest{
 		OID:         uint64(entry.OID),
-		BaseVersion: entry.Version(),
+		BaseVersion: version,
 		State:       state,
 		Frontier:    frontier,
 	}, err
@@ -1059,10 +1074,10 @@ func (e *Engine) admitPut(req *PutRequest) (entry *heap.Entry, crc uint64, reply
 // Deterministic in (entry state, req), which is what lets group members
 // replay it independently and stay identical.
 func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64) (*PutReply, error) {
-	if err := e.restoreEntry(entry, req.State, frontierMap(req.Frontier), DefaultSpec); err != nil {
+	v, err := e.restoreEntry(entry, req.State, frontierMap(req.Frontier), DefaultSpec, true)
+	if err != nil {
 		return nil, err
 	}
-	v := entry.BumpVersion()
 	e.mu.Lock()
 	e.appliedPuts[entry.OID] = appliedPut{base: req.BaseVersion, crc: crc, version: v}
 	e.mu.Unlock()
@@ -1165,7 +1180,8 @@ func (e *Engine) ForgetCluster(root objmodel.OID) {
 // is heap-managed.
 func (e *Engine) CaptureSnapshot(obj any) ([]byte, error) {
 	if entry, ok := e.heap.EntryOf(obj); ok {
-		return e.captureEntry(entry)
+		state, _, err := e.captureEntry(entry)
+		return state, err
 	}
 	return objmodel.CaptureState(e.reg, obj)
 }
@@ -1191,7 +1207,8 @@ func (e *Engine) BuildFrontier(obj any) ([]FrontierRef, error) {
 func (e *Engine) RestoreWithFrontier(obj any, state []byte, frontier []FrontierRef) error {
 	fmap := frontierMap(frontier)
 	if entry, ok := e.heap.EntryOf(obj); ok {
-		return e.restoreEntry(entry, state, fmap, DefaultSpec)
+		_, err := e.restoreEntry(entry, state, fmap, DefaultSpec, false)
+		return err
 	}
 	if err := objmodel.RestoreState(e.reg, obj, state); err != nil {
 		return err

@@ -201,12 +201,16 @@ func (e *Engine) NotifyMasterUpdated(oid objmodel.OID, newVersion uint64) {
 }
 
 // restoreAgreed installs the state snapshot an agreed register or bump
-// carries; a command without one leaves the object as it is.
-func (e *Engine) restoreAgreed(entry *heap.Entry, state []byte, frontier []FrontierRef) error {
+// carries, bumping the version with it when asked (the new version is
+// returned); a command without a snapshot leaves the state as it is.
+func (e *Engine) restoreAgreed(entry *heap.Entry, state []byte, frontier []FrontierRef, bump bool) (uint64, error) {
 	if len(state) == 0 {
-		return nil
+		if !bump {
+			return 0, nil
+		}
+		return entry.BumpVersion(), nil
 	}
-	return e.restoreEntry(entry, state, frontierMap(frontier), DefaultSpec)
+	return e.restoreEntry(entry, state, frontierMap(frontier), DefaultSpec, bump)
 }
 
 // ApplyReplicatedRegister is the deterministic replay of an agreed master
@@ -222,7 +226,7 @@ func (e *Engine) ApplyReplicatedRegister(obj any, oid objmodel.OID, typeName str
 	if !ok {
 		return nil, fmt.Errorf("replication: registered %v vanished", oid)
 	}
-	if err := e.restoreAgreed(entry, state, frontier); err != nil {
+	if _, err := e.restoreAgreed(entry, state, frontier, false); err != nil {
 		return nil, err
 	}
 	if proxyID != 0 {
@@ -260,8 +264,5 @@ func (e *Engine) ApplyReplicatedBump(oid objmodel.OID, state []byte, frontier []
 	if !ok {
 		return 0, fmt.Errorf("%w: %v", heap.ErrUnknownObject, oid)
 	}
-	if err := e.restoreAgreed(entry, state, frontier); err != nil {
-		return 0, err
-	}
-	return entry.BumpVersion(), nil
+	return e.restoreAgreed(entry, state, frontier, true)
 }

@@ -90,8 +90,10 @@ type ObjectRecord struct {
 	TypeName string
 	// Version is the master version this state reflects.
 	Version uint64
-	// State is the codec-encoded exported fields (refs as OIDs).
-	State []byte
+	// State is the codec-encoded exported fields (refs as OIDs), captured
+	// under the entry's state lock together with Version. Frozen: a reply
+	// frame sends it from where it lies.
+	State codec.Frozen
 	// Provider is the object's own proxy-in for later Put/refresh. Zero
 	// when the payload is clustered: members share the ClusterProvider.
 	Provider rmi.RemoteRef
@@ -140,8 +142,9 @@ type PutRequest struct {
 	// BaseVersion is the master version the replica last saw; consistency
 	// policies use it to detect lost updates.
 	BaseVersion uint64
-	// State is the replica's current state.
-	State []byte
+	// State is the replica's current state, captured together with
+	// BaseVersion. Frozen: the call frame sends it from where it lies.
+	State codec.Frozen
 	// Frontier resolves any references in State that the master site may
 	// not know (e.g. objects mastered at the putting site).
 	Frontier []FrontierRef

@@ -286,7 +286,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 		return results, wireSC.TraceID, err
 	}
 
-	frame, err := wire.EncodeCall(rt.reg, &wire.Call{
+	frame, err := wire.EncodeFrame(rt.reg, &wire.Call{
 		ID: id, Target: uint64(ref.ID), Method: method, Client: rt.clientID,
 		TraceID: wireSC.TraceID, SpanID: wireSC.SpanID, Args: args,
 	})
@@ -344,7 +344,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			continue
 		}
 		conn.sendMu.Lock()
-		sendErr := conn.conn.Send(frame)
+		sendErr := sendFrame(conn.conn, frame)
 		conn.sendMu.Unlock()
 		if sendErr != nil {
 			conn.unregister(id)
@@ -364,7 +364,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			return finish(nil, lastErr)
 		}
 		rt.met.calls.Inc()
-		rt.met.bytesSent.Add(uint64(len(frame)))
+		rt.met.bytesSent.Add(uint64(frame.Len()))
 
 		// Wait for the reply: bounded by the per-try budget when the policy
 		// sets one (lost replies are then recovered by re-sending), always

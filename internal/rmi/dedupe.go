@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"obiwan/internal/netsim"
+	"obiwan/internal/wire"
 )
 
 // The duplicate-suppression table makes retried calls exactly-once from the
@@ -25,10 +26,13 @@ import (
 //     incarnation, so by then the client has long since stopped retrying it.
 //   - By bytes: beyond maxDedupeBytesPerClient of recorded frames the oldest
 //     entries give up their frame and stay behind as tombstones; the frame
-//     completed last is always kept, whatever its size. A retry that finds a
-//     tombstone is refused with wire.FaultReplyEvicted instead of being
-//     executed again: at-most-once holds unconditionally, exactly-once
-//     whenever the reply being retried is still inside the budget.
+//     completed last is always kept, whatever its size. A frame is counted
+//     at what it pins (wire.Frame.Pinned): a vector's referenced states are
+//     counted at their size classes, so the budget bounds memory. A retry
+//     that finds a tombstone is refused with wire.FaultReplyEvicted instead
+//     of being executed again: at-most-once holds unconditionally,
+//     exactly-once whenever the reply being retried is still inside the
+//     budget.
 //
 // A client's whole log goes when a higher incarnation of the same address
 // calls (see admitLocked). Nothing is dropped for mere silence: the server
@@ -45,16 +49,17 @@ const (
 // a virtual clock, so the scheduler can advance time past it (the first
 // execution may need a timer to make progress).
 //
-// The entry knows its log and id so that complete needs no second lookup.
-// With them it fills the 128-byte size class it was in when it had a mutex
-// of its own; smaller, it would share the 112-byte class with the client's
+// The entry knows its log so that complete needs no second lookup, but not
+// its call id, which complete is handed: a wire.Frame is a slice and a
+// pointer, and an id beside it would push the entry into the 144-byte
+// class. At 128 bytes it fills the class it was in when it had a mutex of
+// its own; smaller, it would share the 112-byte class with the client's
 // replyWaiter, whose freed slots leave the retained entries thinly spread
 // over twice the spans (measured: +11 % heap in use after 4096 null calls).
 type dedupeEntry struct {
 	cond    netsim.Cond
 	log     *clientLog
-	id      uint64
-	frame   []byte
+	frame   wire.Frame
 	done    bool
 	evicted bool // done, and the frame has been given up to the byte budget
 }
@@ -64,7 +69,7 @@ type clientLog struct {
 	entries map[uint64]*dedupeEntry
 	order   []uint64 // completed ids, oldest completion first
 	held    int      // order[held:] still hold their frames
-	bytes   int      // the sum of those frames' lengths
+	bytes   int      // what those frames pin
 
 	client string // the key in dedupeTable.clients
 	inc    uint64 // incarnation number, when the id has one
@@ -103,7 +108,7 @@ func (t *dedupeTable) begin(client string, id uint64) (*dedupeEntry, bool) {
 	if e, ok := cl.entries[id]; ok {
 		return e, true
 	}
-	e := &dedupeEntry{log: cl, id: id}
+	e := &dedupeEntry{log: cl}
 	e.cond.Init(t.clock, &t.mu)
 	cl.entries[id] = e
 	return e, false
@@ -143,20 +148,21 @@ func (t *dedupeTable) admitLocked(client string) *clientLog {
 	return cl
 }
 
-// complete records e's response frame, releases all waiting duplicates and
-// brings the log back inside its bounds.
-func (t *dedupeTable) complete(e *dedupeEntry, frame []byte) {
+// complete records the response frame of e, the entry begin returned for
+// id, releases all waiting duplicates and brings the log back inside its
+// bounds.
+func (t *dedupeTable) complete(e *dedupeEntry, id uint64, frame wire.Frame) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e.frame, e.done = frame, true
 	e.cond.Broadcast()
 	cl := e.log
-	cl.order = append(cl.order, e.id)
-	cl.bytes += len(frame)
+	cl.order = append(cl.order, id)
+	cl.bytes += frame.Pinned()
 	for cl.bytes > maxDedupeBytesPerClient && cl.held < len(cl.order)-1 {
 		old := cl.entries[cl.order[cl.held]]
-		cl.bytes -= len(old.frame)
-		old.frame, old.evicted = nil, true
+		cl.bytes -= old.frame.Pinned()
+		old.frame, old.evicted = wire.Frame{}, true
 		cl.held++
 	}
 	for len(cl.order) > maxDedupePerClient {
@@ -164,16 +170,16 @@ func (t *dedupeTable) complete(e *dedupeEntry, frame []byte) {
 		if cl.held > 0 {
 			cl.held--
 		} else {
-			cl.bytes -= len(cl.entries[oldest].frame)
+			cl.bytes -= cl.entries[oldest].frame.Pinned()
 		}
 		delete(cl.entries, oldest)
 		cl.order = cl.order[1:]
 	}
 }
 
-// await blocks until the entry completes and returns the recorded frame;
-// ok is false when the frame has been evicted.
-func (t *dedupeTable) await(e *dedupeEntry) (frame []byte, ok bool) {
+// await blocks until the entry completes and returns the recorded frame,
+// the one every replay sends; ok is false when it has been evicted.
+func (t *dedupeTable) await(e *dedupeEntry) (frame wire.Frame, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for !e.done {

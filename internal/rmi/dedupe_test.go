@@ -21,13 +21,19 @@ func finish(t *testing.T, tbl *dedupeTable, client string, id uint64, frame []by
 	if dup {
 		t.Fatalf("%s id %d: unexpected duplicate", client, id)
 	}
-	tbl.complete(e, frame)
+	tbl.complete(e, id, wire.FrameOf(frame))
 	return e
+}
+
+// text is a one-buffer frame's bytes, as a string.
+func text(f wire.Frame) string {
+	one, _ := f.Buffers()
+	return string(one)
 }
 
 // audit recomputes what a client's log retains from its entries and reports
 // where the books disagree with it or break a bound: the retained bytes are
-// the sum of the retained frames' lengths, exactly the entries behind
+// the sum of what the retained frames pin, exactly the entries behind
 // order[held:] hold one, and the sum is inside the budget unless the newest
 // frame alone is what exceeds it. It may run on any goroutine.
 func audit(t *testing.T, tbl *dedupeTable, client string) (bytes, frames int) {
@@ -36,11 +42,11 @@ func audit(t *testing.T, tbl *dedupeTable, client string) (bytes, frames int) {
 	defer tbl.mu.Unlock()
 	cl := tbl.clients[client]
 	for _, e := range cl.entries {
-		if e.evicted && (!e.done || e.frame != nil) {
+		if e.evicted && (!e.done || e.frame.Pinned() != 0) {
 			t.Errorf("tombstone in a wrong state: %+v", e)
 		}
 		if e.done && !e.evicted {
-			bytes += len(e.frame)
+			bytes += e.frame.Pinned()
 			frames++
 		}
 	}
@@ -49,7 +55,7 @@ func audit(t *testing.T, tbl *dedupeTable, client string) (bytes, frames int) {
 		if e := cl.entries[id]; i < cl.held && !e.evicted {
 			t.Errorf("id %d is before the held mark but keeps its frame", id)
 		} else if i >= cl.held {
-			held += len(e.frame)
+			held += e.frame.Pinned()
 		}
 	}
 	if cl.bytes != bytes || held != bytes || frames != len(cl.order)-cl.held {
@@ -57,7 +63,7 @@ func audit(t *testing.T, tbl *dedupeTable, client string) (bytes, frames int) {
 			cl.bytes, len(cl.order)-cl.held, bytes, frames, held)
 	}
 	if n := len(cl.order); n > 0 {
-		newest := len(cl.entries[cl.order[n-1]].frame)
+		newest := cl.entries[cl.order[n-1]].frame.Pinned()
 		if bytes > maxDedupeBytesPerClient && bytes != newest {
 			t.Errorf("%d bytes retained: over the %d budget by more than the newest frame (%d)",
 				bytes, maxDedupeBytesPerClient, newest)
@@ -91,9 +97,9 @@ func TestDedupeInFlightWait(t *testing.T) {
 		if !ok {
 			t.Error("a frame inside the budget must be replayed")
 		}
-		got <- string(frame)
+		got <- text(frame)
 	}()
-	tbl.complete(e1, []byte("reply"))
+	tbl.complete(e1, 7, wire.FrameOf([]byte("reply")))
 	if frame := <-got; frame != "reply" {
 		t.Fatalf("duplicate sees frame %q", frame)
 	}
@@ -138,8 +144,8 @@ func TestDedupeEviction(t *testing.T) {
 			t.Fatalf("id %d must still be a duplicate of its first arrival", id)
 		}
 		frame, ok := tbl.await(e)
-		if want := id > 2; ok != want || (len(frame) == mib) != want {
-			t.Fatalf("id %d: frame of %d bytes, ok %v; want retained %v", id, len(frame), ok, want)
+		if want := id > 2; ok != want || (frame.Len() == mib) != want {
+			t.Fatalf("id %d: frame of %d bytes, ok %v; want retained %v", id, frame.Len(), ok, want)
 		}
 	}
 	// One reply larger than the whole budget displaces every older frame
@@ -184,9 +190,9 @@ func TestDedupeNeverEvictsInFlight(t *testing.T) {
 	if done || evicted {
 		t.Fatalf("in-flight entry was touched: done %v evicted %v", done, evicted)
 	}
-	tbl.complete(first, []byte("late"))
-	if frame, ok := tbl.await(first); !ok || string(frame) != "late" {
-		t.Fatalf("the call that completed last must keep its frame, got %q ok %v", frame, ok)
+	tbl.complete(first, 1, wire.FrameOf([]byte("late")))
+	if frame, ok := tbl.await(first); !ok || text(frame) != "late" {
+		t.Fatalf("the call that completed last must keep its frame, got %q ok %v", text(frame), ok)
 	}
 	audit(t, tbl, "c#1")
 }
@@ -204,12 +210,16 @@ func TestDedupeBooksUnderConcurrency(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
-			var inflight []*dedupeEntry
+			type call struct {
+				e  *dedupeEntry
+				id uint64
+			}
+			var inflight []call
 			closeOne := func() {
 				k := rng.Intn(len(inflight))
-				e := inflight[k]
+				c := inflight[k]
 				inflight = append(inflight[:k], inflight[k+1:]...)
-				tbl.complete(e, make([]byte, rng.Intn(3<<19)))
+				tbl.complete(c.e, c.id, wire.FrameOf(make([]byte, rng.Intn(3<<19))))
 				audit(t, tbl, "c#1")
 			}
 			for i := 0; i < each; i++ {
@@ -219,7 +229,7 @@ func TestDedupeBooksUnderConcurrency(t *testing.T) {
 					t.Errorf("id %d: unexpected duplicate", id)
 					return
 				}
-				if inflight = append(inflight, e); len(inflight) == 4 {
+				if inflight = append(inflight, call{e, id}); len(inflight) == 4 {
 					closeOne()
 				}
 			}
@@ -297,9 +307,9 @@ func TestSupersededIncarnationPruned(t *testing.T) {
 	e, _ := tbl.begin("a:1#6", 2)
 	finish(t, tbl, "a:1#7", 1, []byte("x"))
 	resident("a:1#7", "a:1#d2", "b:1#9", "raw")
-	tbl.complete(e, []byte("orphan"))
-	if frame, ok := tbl.await(e); !ok || string(frame) != "orphan" {
-		t.Fatalf("orphaned call: frame %q ok %v", frame, ok)
+	tbl.complete(e, 2, wire.FrameOf([]byte("orphan")))
+	if frame, ok := tbl.await(e); !ok || text(frame) != "orphan" {
+		t.Fatalf("orphaned call: frame %q ok %v", text(frame), ok)
 	}
 	resident("a:1#7", "a:1#d2", "b:1#9", "raw")
 }

@@ -88,10 +88,10 @@ func (p *connPool) dispatch(job inbound) {
 	}
 	// Refused before dedupe.begin: the call leaves no trace here, so the
 	// caller's retry (same id) is a first arrival whenever it gets in.
-	p.reply(wire.EncodeFault(&wire.Fault{
+	p.reply(wire.FrameOf(wire.EncodeFault(&wire.Fault{
 		ID: job.call.ID, Code: wire.FaultBusy,
 		Message: fmt.Sprintf("connection already serves %d calls", p.rt.width-1),
-	}))
+	})))
 }
 
 // work is a worker's life: serve the call it was started or woken with,
@@ -125,7 +125,7 @@ func (p *connPool) serve(job inbound) {
 	p.reply(p.rt.dispatchOnce(job.call, job.recvAt))
 }
 
-func (p *connPool) reply(frame []byte) {
+func (p *connPool) reply(frame wire.Frame) {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
 	select {
@@ -133,11 +133,21 @@ func (p *connPool) reply(frame []byte) {
 		return
 	default:
 	}
-	if err := p.conn.Send(frame); err != nil {
+	if err := sendFrame(p.conn, frame); err != nil {
 		p.rt.met.sendErrors.Inc()
 	} else {
-		p.rt.met.bytesSent.Add(uint64(len(frame)))
+		p.rt.met.bytesSent.Add(uint64(frame.Len()))
 	}
+}
+
+// sendFrame sends one frame on conn: a single buffer through Send, a vector
+// through transport.SendVector, which writes it without joining it.
+func sendFrame(conn transport.Conn, frame wire.Frame) error {
+	one, parts := frame.Buffers()
+	if parts != nil {
+		return transport.SendVector(conn, parts)
+	}
+	return conn.Send(one)
 }
 
 // drain retires the parked workers and waits for the serving ones; the

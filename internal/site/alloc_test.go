@@ -110,13 +110,15 @@ func allocatedBy(prep, fn func(round int)) uint64 {
 // receive buffer takes its place).
 const (
 	// 10.5 before frames were sized, decode borrowed and CaptureState
-	// stopped copying out; 4.2 now: state capture 1.1 (size-class slack),
-	// reply frame 1, queue copy 1, the replicas' own bytes 1, the rest
-	// small objects.
-	clusterDemandAllocFactor = 4.5
-	// 7.6 before; 5.3 now. A 4 KiB put carries ~2 KB of fixed cost (spans,
-	// call bookkeeping, the reply), so its factor stays above the demand's.
-	putAllocFactor = 5.5
+	// stopped copying out; 4.2 before the reply frame referenced the
+	// captured states instead of copying them (a vector); 3.21 now: state
+	// capture 1.125 (size-class slack), queue copy 1, the replicas' own
+	// bytes 1, the rest small objects.
+	clusterDemandAllocFactor = 3.4
+	// 7.6 before; 5.1 before the call frame referenced the captured state;
+	// 3.95 now. A 4 KiB put carries ~2 KB of fixed cost (spans, call
+	// bookkeeping, the reply), so its factor stays above the demand's.
+	putAllocFactor = 4.1
 )
 
 // TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster

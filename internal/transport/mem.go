@@ -340,24 +340,30 @@ type memConn struct {
 }
 
 func (c *memConn) Send(p []byte) error {
-	if err := validateSize(len(p)); err != nil {
+	one := [1][]byte{p}
+	return c.sendVector(one[:])
+}
+
+// sendVector copies the parts into the message's queue slot, the one copy
+// the simulated link makes of any message.
+func (c *memConn) sendVector(parts [][]byte) error {
+	n, err := vectorLen(parts)
+	if err != nil {
 		return err
 	}
 	if c.net.hostDown(c.local, c.remote) {
 		return netsim.ErrDisconnected
 	}
-	delay, err := c.outLink.Plan(len(p))
+	delay, err := c.outLink.Plan(n)
 	if memTrace {
 		fmt.Fprintf(os.Stderr, "TRACE %d %s->%s %dB +%v err=%v\n",
-			c.net.clock.Now().UnixNano(), c.local, c.remote, len(p), delay, err)
+			c.net.clock.Now().UnixNano(), c.local, c.remote, n, delay, err)
 	}
 	if err != nil {
 		return err
 	}
-	// Copy: the caller may reuse its buffer after Send returns.
-	data := make([]byte, len(p))
-	copy(data, p)
-	return c.out.push(queuedMsg{data: data, due: c.net.clock.Now().Add(delay)})
+	// Copy: the caller may reuse its buffers after Send returns.
+	return c.out.push(queuedMsg{data: join(parts, n), due: c.net.clock.Now().Add(delay)})
 }
 
 func (c *memConn) Recv() ([]byte, error) {

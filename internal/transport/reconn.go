@@ -126,12 +126,23 @@ func shouldRedial(err error) bool {
 }
 
 func (c *reconnConn) Send(p []byte) error {
+	return c.send(func(conn Conn) error { return conn.Send(p) })
+}
+
+// sendVector forwards the vector to the live connection.
+func (c *reconnConn) sendVector(parts [][]byte) error {
+	return c.send(func(conn Conn) error { return SendVector(conn, parts) })
+}
+
+// send runs one send on the live connection, redialling while it fails
+// with the connection dead.
+func (c *reconnConn) send(on func(Conn) error) error {
 	conn, gen, err := c.current()
 	if err != nil {
 		return err
 	}
 	for {
-		sendErr := conn.Send(p)
+		sendErr := on(conn)
 		if sendErr == nil || !shouldRedial(sendErr) {
 			return sendErr
 		}

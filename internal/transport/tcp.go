@@ -71,11 +71,13 @@ type tcpConn struct {
 
 	sendMu  sync.Mutex
 	sendHdr [4]byte
-	// sendVec backs sendBufs, the header+payload pair handed to the kernel
-	// in one writev. Both live here, under sendMu, because a net.Buffers
-	// built per Send escapes through WriteTo and costs a heap object per
-	// frame.
-	sendVec  [2][]byte
+	// sendVec backs sendBufs, the header and the message's parts handed to
+	// the kernel in one writev. Both live here, under sendMu, because a
+	// net.Buffers built per Send escapes through WriteTo and costs a heap
+	// object per frame. sendVec starts on sendArr, room for a header and
+	// one buffer, and keeps what the longest vector grew it to.
+	sendArr  [2][]byte
+	sendVec  [][]byte
 	sendBufs net.Buffers
 
 	recvMu sync.Mutex
@@ -84,20 +86,29 @@ type tcpConn struct {
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, r: bufio.NewReaderSize(c, recvBufSize)}
+	t := &tcpConn{c: c, r: bufio.NewReaderSize(c, recvBufSize)}
+	t.sendVec = t.sendArr[:0]
+	return t
 }
 
 func (t *tcpConn) Send(p []byte) error {
-	if err := validateSize(len(p)); err != nil {
+	one := [1][]byte{p}
+	return t.sendVector(one[:])
+}
+
+// sendVector writes the header and every part in one writev.
+func (t *tcpConn) sendVector(parts [][]byte) error {
+	n, err := vectorLen(parts)
+	if err != nil {
 		return err
 	}
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	binary.BigEndian.PutUint32(t.sendHdr[:], uint32(len(p)))
-	t.sendVec[0], t.sendVec[1] = t.sendHdr[:], p
-	t.sendBufs = t.sendVec[:]
-	_, err := t.sendBufs.WriteTo(t.c)
-	t.sendVec[1] = nil // p belongs to the caller again
+	binary.BigEndian.PutUint32(t.sendHdr[:], uint32(n))
+	t.sendVec = append(append(t.sendVec[:0], t.sendHdr[:]), parts...)
+	t.sendBufs = t.sendVec
+	_, err = t.sendBufs.WriteTo(t.c)
+	clear(t.sendVec) // the parts belong to the caller again
 	if err != nil {
 		// A failed or short write leaves the stream mid-frame: the next
 		// header would land inside this frame's payload. The connection is

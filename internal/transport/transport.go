@@ -51,7 +51,8 @@ const MaxMessageSize = 64 << 20
 //
 // Frame ownership: Send must not retain p after it returns, so the caller
 // may reuse or modify the slice at once; the slice Recv returns belongs
-// to the caller, and no later Recv touches it.
+// to the caller, and no later Recv touches it. A message may also be sent
+// as a vector of parts (SendVector), borrowed on the same terms.
 type Conn interface {
 	// Send transmits one message. It blocks for the link's transmission
 	// time (flow control) but not for propagation. A failed Send never
@@ -113,6 +114,50 @@ func IsTransient(err error) bool {
 		return true
 	}
 	return false
+}
+
+// vectorConn is a Conn of this package: it sends a vector without joining
+// it (TCP: one writev; mem: the one copy into the queue slot it makes of any
+// message; reconnecting: forwarded).
+type vectorConn interface {
+	sendVector(parts [][]byte) error
+}
+
+// SendVector sends parts on c as one message, their concatenation, with
+// Send's guarantees: a message over MaxMessageSize is refused before
+// anything is written, and a failure part-way leaves c closed. The parts are
+// borrowed until SendVector returns. A Conn from outside this package — a
+// decorator such as a tracer — has only Send, so it receives the message
+// joined, here; this package's own Conns never join one (the mem transport
+// copies every message into its queue slot, a vector's parts included).
+func SendVector(c Conn, parts [][]byte) error {
+	if vc, ok := c.(vectorConn); ok {
+		return vc.sendVector(parts)
+	}
+	n, err := vectorLen(parts)
+	if err != nil {
+		return err
+	}
+	return c.Send(join(parts, n))
+}
+
+// join copies parts, n bytes in all, into one new buffer.
+func join(parts [][]byte, n int) []byte {
+	b := make([]byte, 0, n)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// vectorLen is the length of the message parts make, checked against the
+// framing limit.
+func vectorLen(parts [][]byte) (int, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n, validateSize(n)
 }
 
 // validateSize rejects messages that exceed the framing limit.

@@ -59,10 +59,10 @@ func FuzzCallRoundTrip(f *testing.F) {
 }
 
 // fuzzRecord is a registered struct that carries byte slices the way a
-// replication payload does: one per record, more in a nested slice.
+// replication payload does: one per record, Frozen, more in a nested slice.
 type fuzzRecord struct {
 	OID   uint64
-	State []byte
+	State codec.Frozen
 	Parts [][]byte
 	Next  *fuzzRecord
 }
@@ -126,7 +126,9 @@ func reencode(t *testing.T, reg *codec.Registry, msg any) []byte {
 // any frame it and a copying decode fail together or return equal values;
 // every []byte Decode returns has no spare capacity (an append cannot reach
 // the frame); and an object restored from borrowed state shares nothing
-// with the frame, so the frame can be scribbled over afterwards.
+// with the frame, so the frame can be scribbled over afterwards. What was
+// decoded, encoded again as the frame it is sent as (a vector when a state
+// is long enough), joins to its contiguous encoding.
 func FuzzBorrowedDecode(f *testing.F) {
 	reg := codec.NewRegistry()
 	reg.MustRegister("fuzz.record", fuzzRecord{})
@@ -139,7 +141,7 @@ func FuzzBorrowedDecode(f *testing.F) {
 	}
 	rec := &fuzzRecord{OID: 7, State: state(fuzzObj{Name: "obj", Body: []byte("sixteen byte body"), N: -9}),
 		Parts: [][]byte{[]byte("a"), nil, make([]byte, 300)},
-		Next:  &fuzzRecord{State: state(fuzzObj{Name: "next"})}}
+		Next:  &fuzzRecord{State: state(fuzzObj{Name: "next", Body: bytes.Repeat([]byte("long body "), 500)})}}
 	for _, results := range [][]any{
 		{rec},
 		{[]byte("top-level bytes"), "s", int64(1)},
@@ -171,8 +173,23 @@ func FuzzBorrowedDecode(f *testing.F) {
 		if errB != nil {
 			return
 		}
-		if b, c := reencode(t, reg, borrowed), reencode(t, reg, copied); !bytes.Equal(b, c) {
+		b, c := reencode(t, reg, borrowed), reencode(t, reg, copied)
+		if !bytes.Equal(b, c) {
 			t.Fatalf("borrowing and copying decodes differ:\n%x\n%x", b, c)
+		}
+		switch borrowed.(type) {
+		case *Call, *Reply:
+			f, err := EncodeFrame(reg, borrowed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := f.buf
+			if f.vec != nil {
+				v = bytes.Join(f.vec.parts, nil)
+			}
+			if !bytes.Equal(v, b) || f.Len() != len(b) {
+				t.Fatalf("the frame's vector joins to %d bytes (Len %d), its contiguous encoding is %d", len(v), f.Len(), len(b))
+			}
 		}
 		var first []byte
 		eachBytes(reflect.ValueOf(borrowed), func(b []byte) {

@@ -14,6 +14,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 
 	"obiwan/internal/codec"
@@ -116,37 +117,123 @@ type Fault struct {
 	Message string
 }
 
-// EncodeCall serializes c using reg for argument values.
-func EncodeCall(reg *codec.Registry, c *Call) ([]byte, error) {
-	e := codec.NewEncoder(64 + 16*len(c.Args))
-	e.WriteRaw([]byte{KindCall})
-	e.WriteUvarint(c.ID)
-	e.WriteUvarint(c.Target)
-	e.WriteString(c.Method)
-	e.WriteString(c.Client)
-	e.WriteUvarint(c.TraceID)
-	e.WriteUvarint(c.SpanID)
-	e.WriteUvarint(uint64(len(c.Args)))
-	for i, a := range c.Args {
-		if err := e.Value(reg, a); err != nil {
-			return nil, fmt.Errorf("wire: call %s arg %d: %w", c.Method, i, err)
-		}
-	}
-	return e.Bytes(), nil
+// Frame is one encoded call or reply as it is sent. Most frames are one
+// buffer. A frame whose values carry codec.Frozen states long enough to be
+// worth it (codec.Vector) is a vector instead: a head buffer holding
+// everything else, cut where each state belongs, with the state referenced
+// where it lies. transport.SendVector sends it as one message, the bytes the
+// contiguous encoding would have been; the receiver cannot tell.
+//
+// Holding a frame holds what its vector references: the states are Frozen,
+// so a frame kept for a retry or a replay sends the same bytes again.
+type Frame struct {
+	buf []byte  // the whole frame, or the head its vector is cut from
+	vec *vector // nil for a frame of one buffer
 }
 
-// EncodeReply serializes r.
+type vector struct {
+	parts  [][]byte // head pieces and referenced states, in wire order
+	len    int
+	pinned int
+	// three backs parts when there are three, a frame with one state (a
+	// put call): such a frame costs one allocation over its contiguous form.
+	three [3][]byte
+}
+
+// FrameOf is the frame of one buffer, b.
+func FrameOf(b []byte) Frame { return Frame{buf: b} }
+
+// Buffers returns the frame as it is handed to the transport: its one
+// buffer, or (nil, parts) for a vector, to be sent by transport.SendVector.
+func (f Frame) Buffers() (one []byte, parts [][]byte) {
+	if f.vec != nil {
+		return nil, f.vec.parts
+	}
+	return f.buf, nil
+}
+
+// Len is the frame's length on the wire.
+func (f Frame) Len() int {
+	if f.vec != nil {
+		return f.vec.len
+	}
+	return len(f.buf)
+}
+
+// Pinned is what holding the frame keeps alive: its buffer's capacity and,
+// for a vector, each referenced state's (a 16 394-byte state pins its
+// 18 432-byte size class).
+func (f Frame) Pinned() int {
+	if f.vec != nil {
+		return f.vec.pinned
+	}
+	return cap(f.buf)
+}
+
+// EncodeCall serializes c as one contiguous buffer, using reg for argument
+// values.
+func EncodeCall(reg *codec.Registry, c *Call) ([]byte, error) {
+	f, err := encode(reg, c, nil)
+	return f.buf, err
+}
+
+// EncodeReply serializes r as one contiguous buffer.
 func EncodeReply(reg *codec.Registry, r *Reply) ([]byte, error) {
-	e := codec.NewEncoder(32 + 16*len(r.Results))
-	e.WriteRaw([]byte{KindReply})
-	e.WriteUvarint(r.ID)
-	e.WriteUvarint(uint64(len(r.Results)))
-	for i, v := range r.Results {
-		if err := e.Value(reg, v); err != nil {
-			return nil, fmt.Errorf("wire: reply result %d: %w", i, err)
+	f, err := encode(reg, r, nil)
+	return f.buf, err
+}
+
+// EncodeFrame serializes msg, a *Call or a *Reply, as the Frame it is sent
+// as: a vector when its values carry Frozen states worth referencing, one
+// buffer otherwise (with no allocation beyond EncodeCall's or EncodeReply's).
+func EncodeFrame(reg *codec.Registry, msg any) (Frame, error) {
+	var vec codec.Vector
+	return encode(reg, msg, &vec)
+}
+
+// encode is the one encoder of calls and replies: contiguous when vec is
+// nil, as a vector otherwise.
+func encode(reg *codec.Registry, msg any, vec *codec.Vector) (Frame, error) {
+	var e *codec.Encoder
+	var values []any
+	switch m := msg.(type) {
+	case *Call:
+		e = codec.NewEncoder(64 + 16*len(m.Args))
+		e.WriteRaw([]byte{KindCall})
+		e.WriteUvarint(m.ID)
+		e.WriteUvarint(m.Target)
+		e.WriteString(m.Method)
+		e.WriteString(m.Client)
+		e.WriteUvarint(m.TraceID)
+		e.WriteUvarint(m.SpanID)
+		values = m.Args
+	case *Reply:
+		e = codec.NewEncoder(32 + 16*len(m.Results))
+		e.WriteRaw([]byte{KindReply})
+		e.WriteUvarint(m.ID)
+		values = m.Results
+	default:
+		return Frame{}, errors.New("wire: only a call or a reply is encoded as a frame")
+	}
+	e.WriteUvarint(uint64(len(values)))
+	for i, v := range values {
+		if err := e.VectorValue(reg, v, vec); err != nil {
+			if c, ok := msg.(*Call); ok {
+				return Frame{}, fmt.Errorf("wire: call %s arg %d: %w", c.Method, i, err)
+			}
+			return Frame{}, fmt.Errorf("wire: reply result %d: %w", i, err)
 		}
 	}
-	return e.Bytes(), nil
+	head := e.Bytes()
+	if vec.Len() == 0 {
+		return Frame{buf: head}, nil
+	}
+	v := &vector{pinned: cap(head) + vec.Retained()}
+	v.parts = vec.AppendParts(v.three[:0], head)
+	for _, p := range v.parts {
+		v.len += len(p)
+	}
+	return Frame{buf: head, vec: v}, nil
 }
 
 // EncodeFault serializes f.
