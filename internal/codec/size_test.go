@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -34,7 +33,7 @@ type sized struct {
 }
 
 // TestSizeMatchesEncoder: Value reserves room for a registered struct from
-// sizeReflect (and, for its interface fields, sizeValue), so neither may
+// sizeReflect (and, for its interface fields, valueSize), so neither may
 // ever be below what is then written (a reservation a few bytes short costs
 // a whole second frame), and both are exact wherever no Marshaler or
 // time.Time is involved.
@@ -86,7 +85,7 @@ func TestSizeMatchesEncoder(t *testing.T) {
 		if err := e.Value(reg, tc.v); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, wrote := sizeValue(reg, reflect.ValueOf(tc.v), nil), e.Len()
+		got, wrote := valueSize(reg, tc.v, nil), e.Len()
 		if got < wrote || got > wrote+tc.slack {
 			t.Errorf("%s: sized at %d, Value wrote %d (slack allowed %d)", tc.name, got, wrote, tc.slack)
 		}
@@ -95,7 +94,7 @@ func TestSizeMatchesEncoder(t *testing.T) {
 		v := []any{&wirePoint{X: x, Y: y, Label: label, Tags: tags}, data, u, fl, label,
 			map[string]any{label: tags}}
 		e := NewEncoder(0)
-		return e.Value(reg, v) == nil && sizeValue(reg, reflect.ValueOf(v), nil) == e.Len()
+		return e.Value(reg, v) == nil && valueSize(reg, v, nil) == e.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"time"
 )
-
-// timeType gets bespoke wire treatment: time.Time's fields are unexported,
-// so the generic struct walk would silently encode nothing.
-var timeType = reflect.TypeOf(time.Time{})
 
 // Wire tags for the self-describing Value encoding. The tag space is
 // append-only; never renumber released tags.
@@ -100,7 +95,7 @@ func (e *Encoder) value(reg *Registry, v any, vec *Vector) error {
 		return nil
 	case Frozen:
 		e.buf = append(e.buf, tagBytes)
-		e.writeByteSlice(reflect.ValueOf(v), vec)
+		e.writeByteSlice(x, true, vec)
 		return nil
 	case []any:
 		e.buf = append(e.buf, tagSlice)
@@ -122,53 +117,13 @@ func (e *Encoder) value(reg *Registry, v any, vec *Vector) error {
 		}
 		return nil
 	}
-	// Typed slices and string-keyed maps encode like their canonical
-	// counterparts ([]any / map[string]any) via reflection; they decode as
-	// the canonical forms.
+	// A registered type travels by name. Typed slices and string-keyed maps
+	// encode like their canonical counterparts ([]any / map[string]any) via
+	// reflection; they decode as the canonical forms.
 	rv := reflect.ValueOf(v)
-	switch rv.Kind() {
-	case reflect.Slice, reflect.Array:
-		if _, registered := reg.NameOf(v); !registered {
-			e.buf = append(e.buf, tagSlice)
-			e.WriteUvarint(uint64(rv.Len()))
-			for i := 0; i < rv.Len(); i++ {
-				if err := e.value(reg, rv.Index(i).Interface(), vec); err != nil {
-					return fmt.Errorf("slice element %d: %w", i, err)
-				}
-			}
-			return nil
-		}
-	case reflect.Map:
-		if rv.Type().Key().Kind() == reflect.String {
-			if _, registered := reg.NameOf(v); !registered {
-				keys := make([]string, 0, rv.Len())
-				iter := rv.MapRange()
-				for iter.Next() {
-					keys = append(keys, iter.Key().String())
-				}
-				for i := 1; i < len(keys); i++ {
-					for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-						keys[j], keys[j-1] = keys[j-1], keys[j]
-					}
-				}
-				e.buf = append(e.buf, tagMap)
-				e.WriteUvarint(uint64(len(keys)))
-				for _, k := range keys {
-					e.WriteString(k)
-					kv := rv.MapIndex(reflect.ValueOf(k).Convert(rv.Type().Key()))
-					if err := e.value(reg, kv.Interface(), vec); err != nil {
-						return fmt.Errorf("map key %q: %w", k, err)
-					}
-				}
-				return nil
-			}
-		}
-	}
-
-	// Fall back to the registry for named types.
-	name, ok := reg.NameOf(v)
+	name, ok := reg.nameOfType(rv.Type())
 	if !ok {
-		return fmt.Errorf("codec: unsupported value type %T (not registered)", v)
+		return e.valueReflect(reg, rv, vec)
 	}
 	e.buf = append(e.buf, tagNamed)
 	e.WriteString(name)
@@ -178,13 +133,42 @@ func (e *Encoder) value(reg *Registry, v any, vec *Vector) error {
 		}
 		rv = rv.Elem()
 	}
+	p := planOf(rv.Type())
 	// A registered struct is where the bytes are (a replication payload, a
 	// put request): make room for all of it at once. Appended to field by
 	// field, a 1.6 MB payload regrows its frame a dozen times, 1.25x each,
 	// and every regrowth is a frame-sized allocation and copy. What a vector
 	// references takes no room.
-	e.buf = slices.Grow(e.buf, sizeReflect(reg, rv, vec))
-	return e.encodeReflect(reg, rv, vec)
+	e.buf = slices.Grow(e.buf, sizeReflect(reg, p, rv, vec))
+	return e.encodeReflect(reg, p, rv, vec)
+}
+
+// valueReflect is Value for an unregistered value that is not one of the
+// canonical forms: a typed slice or array, or a string-keyed map.
+func (e *Encoder) valueReflect(reg *Registry, rv reflect.Value, vec *Vector) error {
+	switch {
+	case rv.Kind() == reflect.Slice || rv.Kind() == reflect.Array:
+		e.buf = append(e.buf, tagSlice)
+		e.WriteUvarint(uint64(rv.Len()))
+		for i := 0; i < rv.Len(); i++ {
+			if err := e.value(reg, rv.Index(i).Interface(), vec); err != nil {
+				return fmt.Errorf("slice element %d: %w", i, err)
+			}
+		}
+		return nil
+	case rv.Kind() == reflect.Map && rv.Type().Key().Kind() == reflect.String:
+		keys, _ := sortedMapKeys(rv, reflect.String)
+		e.buf = append(e.buf, tagMap)
+		e.WriteUvarint(uint64(len(keys)))
+		for _, k := range keys {
+			e.WriteString(k.String())
+			if err := e.value(reg, rv.MapIndex(k).Interface(), vec); err != nil {
+				return fmt.Errorf("map key %q: %w", k.String(), err)
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("codec: unsupported value type %v (not registered)", rv.Type())
 }
 
 func (e *Encoder) taggedInt(v int64) error {
@@ -265,7 +249,7 @@ func (d *Decoder) Value(reg *Registry) (any, error) {
 			return nil, fmt.Errorf("codec: unknown wire type %q", name)
 		}
 		pv := reflect.New(t)
-		if err := d.decodeReflect(reg, pv.Elem()); err != nil {
+		if err := d.decodeReflect(reg, planOf(t), pv.Elem()); err != nil {
 			return nil, fmt.Errorf("named type %q: %w", name, err)
 		}
 		return pv.Interface(), nil
@@ -302,8 +286,9 @@ func (e *Encoder) EncodeStruct(reg *Registry, v any) error {
 		}
 		rv = rv.Elem()
 	}
-	e.buf = slices.Grow(e.buf, sizeReflect(reg, rv, nil))
-	return e.encodeReflect(reg, rv, nil)
+	p := planOf(rv.Type())
+	e.buf = slices.Grow(e.buf, sizeReflect(reg, p, rv, nil))
+	return e.encodeReflect(reg, p, rv, nil)
 }
 
 // DecodeStruct decodes into v, which must be a non-nil pointer to the same
@@ -313,32 +298,36 @@ func (d *Decoder) DecodeStruct(reg *Registry, v any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("codec: DecodeStruct needs a non-nil pointer, got %T", v)
 	}
-	return d.decodeReflect(reg, rv.Elem())
+	rv = rv.Elem()
+	return d.decodeReflect(reg, planOf(rv.Type()), rv)
 }
 
-// encodeReflect is the type-directed codec: it walks rv's static structure.
-// Types implementing Marshaler take over their own encoding (checked on
-// both the value and its address). Pointers always carry a presence byte
-// first, so nil and custom-marshaled pointees stay symmetric on the wire.
-// vec is VectorValue's, nil for a contiguous encoding.
-func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value, vec *Vector) error {
-	if rv.Kind() == reflect.Pointer {
+// encodeReflect is the type-directed codec: it walks rv's static structure
+// along p, its type's plan. Types implementing Marshaler take over their own
+// encoding (on the value, or on its address when it has one). Pointers
+// always carry a presence byte first, so nil and custom-marshaled pointees
+// stay symmetric on the wire. vec is VectorValue's, nil for a contiguous
+// encoding.
+func (e *Encoder) encodeReflect(reg *Registry, p *plan, rv reflect.Value, vec *Vector) error {
+	if p.kind == reflect.Pointer {
 		if rv.IsNil() {
 			e.WriteBool(false)
 			return nil
 		}
 		e.WriteBool(true)
-		return e.encodeReflect(reg, rv.Elem(), vec)
+		return e.encodeReflect(reg, p.elem, rv.Elem(), vec)
 	}
-	if m, ok := asMarshaler(rv); ok {
-		return m.MarshalOBI(e)
+	if p.marshals(rv) {
+		if p.marshal == marshalAddr {
+			rv = rv.Addr()
+		}
+		return rv.Interface().(Marshaler).MarshalOBI(e)
 	}
-	if rv.Type() == timeType {
-		t := rv.Interface().(time.Time)
-		e.WriteVarint(t.UnixNano())
+	if p.time {
+		e.WriteVarint(rv.Interface().(time.Time).UnixNano())
 		return nil
 	}
-	switch rv.Kind() {
+	switch p.kind {
 	case reflect.Bool:
 		e.WriteBool(rv.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -350,56 +339,54 @@ func (e *Encoder) encodeReflect(reg *Registry, rv reflect.Value, vec *Vector) er
 	case reflect.String:
 		e.WriteString(rv.String())
 	case reflect.Slice:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			e.writeByteSlice(rv, vec)
+		if p.bytes {
+			e.writeByteSlice(rv.Bytes(), p.frozen, vec)
 			return nil
 		}
 		e.WriteUvarint(uint64(rv.Len()))
 		for i := 0; i < rv.Len(); i++ {
-			if err := e.encodeReflect(reg, rv.Index(i), vec); err != nil {
+			if err := e.encodeReflect(reg, p.elem, rv.Index(i), vec); err != nil {
 				return fmt.Errorf("[%d]: %w", i, err)
 			}
 		}
 	case reflect.Array:
 		for i := 0; i < rv.Len(); i++ {
-			if err := e.encodeReflect(reg, rv.Index(i), vec); err != nil {
+			if err := e.encodeReflect(reg, p.elem, rv.Index(i), vec); err != nil {
 				return fmt.Errorf("[%d]: %w", i, err)
 			}
 		}
 	case reflect.Map:
-		keys, err := sortedMapKeys(rv)
+		keys, err := sortedMapKeys(rv, p.key.kind)
 		if err != nil {
 			return err
 		}
 		e.WriteUvarint(uint64(len(keys)))
 		for _, k := range keys {
-			if err := e.encodeReflect(reg, k, vec); err != nil {
+			if err := e.encodeReflect(reg, p.key, k, vec); err != nil {
 				return fmt.Errorf("map key %v: %w", k, err)
 			}
-			if err := e.encodeReflect(reg, rv.MapIndex(k), vec); err != nil {
+			if err := e.encodeReflect(reg, p.elem, rv.MapIndex(k), vec); err != nil {
 				return fmt.Errorf("map[%v]: %w", k, err)
 			}
 		}
 	case reflect.Struct:
-		for _, f := range shippedFields(rv.Type()) {
-			if err := e.encodeReflect(reg, rv.Field(f.index), vec); err != nil {
+		for _, f := range p.fields {
+			if err := e.encodeReflect(reg, f.plan, rv.Field(f.index), vec); err != nil {
 				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
 	case reflect.Interface:
-		if rv.IsNil() {
-			return e.value(reg, nil, vec)
-		}
 		return e.value(reg, rv.Interface(), vec)
 	default:
-		return fmt.Errorf("codec: unsupported kind %v", rv.Kind())
+		return fmt.Errorf("codec: unsupported kind %v", p.kind)
 	}
 	return nil
 }
 
-// decodeReflect decodes into rv, which must be addressable.
-func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
-	if rv.Kind() == reflect.Pointer {
+// decodeReflect decodes into rv, which must be addressable, along p, its
+// type's plan.
+func (d *Decoder) decodeReflect(reg *Registry, p *plan, rv reflect.Value) error {
+	if p.kind == reflect.Pointer {
 		present, err := d.ReadBool()
 		if err != nil {
 			return err
@@ -408,17 +395,17 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 			rv.SetZero()
 			return nil
 		}
-		pv := reflect.New(rv.Type().Elem())
-		if err := d.decodeReflect(reg, pv.Elem()); err != nil {
+		pv := reflect.New(p.elem.typ)
+		if err := d.decodeReflect(reg, p.elem, pv.Elem()); err != nil {
 			return err
 		}
 		rv.Set(pv)
 		return nil
 	}
-	if u, ok := asUnmarshaler(rv); ok {
-		return u.UnmarshalOBI(d)
+	if p.unmarshal && rv.CanAddr() {
+		return rv.Addr().Interface().(Unmarshaler).UnmarshalOBI(d)
 	}
-	if rv.Type() == timeType {
+	if p.time {
 		ns, err := d.ReadVarint()
 		if err != nil {
 			return err
@@ -426,7 +413,7 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 		rv.Set(reflect.ValueOf(time.Unix(0, ns)))
 		return nil
 	}
-	switch rv.Kind() {
+	switch p.kind {
 	case reflect.Bool:
 		b, err := d.ReadBool()
 		if err != nil {
@@ -439,7 +426,7 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 			return err
 		}
 		if rv.OverflowInt(v) {
-			return fmt.Errorf("%w: int overflow %d into %v", ErrCorrupt, v, rv.Type())
+			return fmt.Errorf("%w: int overflow %d into %v", ErrCorrupt, v, p.typ)
 		}
 		rv.SetInt(v)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
@@ -448,7 +435,7 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 			return err
 		}
 		if rv.OverflowUint(v) {
-			return fmt.Errorf("%w: uint overflow %d into %v", ErrCorrupt, v, rv.Type())
+			return fmt.Errorf("%w: uint overflow %d into %v", ErrCorrupt, v, p.typ)
 		}
 		rv.SetUint(v)
 	case reflect.Float32, reflect.Float64:
@@ -464,7 +451,7 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 		}
 		rv.SetString(s)
 	case reflect.Slice:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
+		if p.bytes {
 			b, err := d.ReadBytes()
 			if err != nil {
 				return err
@@ -476,43 +463,43 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		out := reflect.MakeSlice(rv.Type(), n, n)
+		out := reflect.MakeSlice(p.typ, n, n)
 		for i := 0; i < n; i++ {
-			if err := d.decodeReflect(reg, out.Index(i)); err != nil {
+			if err := d.decodeReflect(reg, p.elem, out.Index(i)); err != nil {
 				return fmt.Errorf("[%d]: %w", i, err)
 			}
 		}
 		rv.Set(out)
 	case reflect.Array:
 		for i := 0; i < rv.Len(); i++ {
-			if err := d.decodeReflect(reg, rv.Index(i)); err != nil {
+			if err := d.decodeReflect(reg, p.elem, rv.Index(i)); err != nil {
 				return fmt.Errorf("[%d]: %w", i, err)
 			}
 		}
 	case reflect.Map:
-		if !supportedMapKey(rv.Type().Key().Kind()) {
-			return fmt.Errorf("codec: unsupported map key type %v", rv.Type().Key())
+		if !supportedMapKey(p.key.kind) {
+			return fmt.Errorf("codec: unsupported map key type %v", p.key.typ)
 		}
 		n, err := d.countedLen()
 		if err != nil {
 			return err
 		}
-		out := reflect.MakeMapWithSize(rv.Type(), n)
+		out := reflect.MakeMapWithSize(p.typ, n)
 		for i := 0; i < n; i++ {
-			kv := reflect.New(rv.Type().Key()).Elem()
-			if err := d.decodeReflect(reg, kv); err != nil {
+			kv := reflect.New(p.key.typ).Elem()
+			if err := d.decodeReflect(reg, p.key, kv); err != nil {
 				return fmt.Errorf("map key %d: %w", i, err)
 			}
-			ev := reflect.New(rv.Type().Elem()).Elem()
-			if err := d.decodeReflect(reg, ev); err != nil {
+			ev := reflect.New(p.elem.typ).Elem()
+			if err := d.decodeReflect(reg, p.elem, ev); err != nil {
 				return fmt.Errorf("map[%v]: %w", kv, err)
 			}
 			out.SetMapIndex(kv, ev)
 		}
 		rv.Set(out)
 	case reflect.Struct:
-		for _, f := range shippedFields(rv.Type()) {
-			if err := d.decodeReflect(reg, rv.Field(f.index)); err != nil {
+		for _, f := range p.fields {
+			if err := d.decodeReflect(reg, f.plan, rv.Field(f.index)); err != nil {
 				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
@@ -526,41 +513,14 @@ func (d *Decoder) decodeReflect(reg *Registry, rv reflect.Value) error {
 			return nil
 		}
 		vv := reflect.ValueOf(v)
-		if !vv.Type().AssignableTo(rv.Type()) {
-			return fmt.Errorf("%w: %v not assignable to %v", ErrTypeMismatch, vv.Type(), rv.Type())
+		if !vv.Type().AssignableTo(p.typ) {
+			return fmt.Errorf("%w: %v not assignable to %v", ErrTypeMismatch, vv.Type(), p.typ)
 		}
 		rv.Set(vv)
 	default:
-		return fmt.Errorf("codec: unsupported kind %v", rv.Kind())
+		return fmt.Errorf("codec: unsupported kind %v", p.kind)
 	}
 	return nil
-}
-
-// shippedField is one field of a struct that travels: exported, and not
-// tagged `obiwan:"-"`.
-type shippedField struct {
-	index int
-	name  string
-}
-
-var shippedByType sync.Map // reflect.Type -> []shippedField
-
-// shippedFields returns the fields of struct type t that travel, in
-// declaration order. The list is computed once per type: the encoder, the
-// decoder and the sizing walk each visit every field of every struct, and
-// reflect.Type.Field builds a StructField and parses its tag on every call.
-func shippedFields(t reflect.Type) []shippedField {
-	if fs, ok := shippedByType.Load(t); ok {
-		return fs.([]shippedField)
-	}
-	var fs []shippedField
-	for i := 0; i < t.NumField(); i++ {
-		if f := t.Field(i); f.IsExported() && f.Tag.Get("obiwan") != "-" {
-			fs = append(fs, shippedField{index: i, name: f.Name})
-		}
-	}
-	shippedByType.Store(t, fs)
-	return fs
 }
 
 // supportedMapKey reports whether a map key kind has a deterministic wire
@@ -576,10 +536,9 @@ func supportedMapKey(k reflect.Kind) bool {
 	}
 }
 
-// sortedMapKeys returns rv's keys in deterministic order (strings
-// lexicographic, integers numeric).
-func sortedMapKeys(rv reflect.Value) ([]reflect.Value, error) {
-	kind := rv.Type().Key().Kind()
+// sortedMapKeys returns the keys of rv, a map whose keys are of kind kind, in
+// deterministic order (strings lexicographic, integers numeric).
+func sortedMapKeys(rv reflect.Value, kind reflect.Kind) ([]reflect.Value, error) {
 	if !supportedMapKey(kind) {
 		return nil, fmt.Errorf("codec: unsupported map key type %v", rv.Type().Key())
 	}
@@ -599,24 +558,4 @@ func sortedMapKeys(rv reflect.Value) ([]reflect.Value, error) {
 		}
 	}
 	return keys, nil
-}
-
-func asMarshaler(rv reflect.Value) (Marshaler, bool) {
-	if rv.Type().Implements(marshalerType) {
-		if rv.Kind() == reflect.Pointer && rv.IsNil() {
-			return nil, false
-		}
-		return rv.Interface().(Marshaler), true
-	}
-	if rv.CanAddr() && rv.Addr().Type().Implements(marshalerType) {
-		return rv.Addr().Interface().(Marshaler), true
-	}
-	return nil, false
-}
-
-func asUnmarshaler(rv reflect.Value) (Unmarshaler, bool) {
-	if rv.CanAddr() && rv.Addr().Type().Implements(unmarshalerType) {
-		return rv.Addr().Interface().(Unmarshaler), true
-	}
-	return nil, false
 }

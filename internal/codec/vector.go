@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"reflect"
-	"slices"
-)
+import "slices"
 
 // Frozen is a byte slice that nobody writes once it has been built: not its
 // bytes, and not its spare capacity either, so nothing appends to it. A
@@ -30,8 +27,6 @@ type Frozen []byte
 // 16 KiB member of a cluster reply are referenced.
 const minReferenced = 2 << 10
 
-var frozenType = reflect.TypeOf(Frozen(nil))
-
 // Vector records what an encoder asked for a vector (VectorValue) left
 // where it lies: each Frozen slice of at least minReferenced bytes, and the
 // point in the encoder's bytes it belongs at, behind its length prefix. The
@@ -55,10 +50,11 @@ func (v *Vector) ref(i int) vectorRef {
 }
 
 // inPlace is the one referencing predicate, shared by the encoder and the
-// sizing walk: an encoder asked for a vector (v non-nil) leaves rv's bytes
-// where they lie when rv is a Frozen slice of at least minReferenced bytes.
-func (v *Vector) inPlace(rv reflect.Value) bool {
-	return v != nil && rv.Type() == frozenType && rv.Len() >= minReferenced
+// sizing walk: an encoder asked for a vector (v non-nil) leaves n bytes of
+// a byte slice where they lie when the slice is Frozen (its plan says so)
+// and n is at least minReferenced.
+func (v *Vector) inPlace(frozen bool, n int) bool {
+	return v != nil && frozen && n >= minReferenced
 }
 
 // AppendParts appends to dst an encoding as the vector it is: head, the
@@ -98,16 +94,16 @@ func (v *Vector) Retained() int {
 	return n
 }
 
-// writeByteSlice appends rv, a byte slice, behind its length prefix; an
-// encoder asked for a vector writes the prefix alone when vec.inPlace(rv)
-// and records rv to be sent from where it lies.
-func (e *Encoder) writeByteSlice(rv reflect.Value, vec *Vector) {
-	if !vec.inPlace(rv) {
-		e.WriteBytes(rv.Bytes())
+// writeByteSlice appends b behind its length prefix; an encoder asked for a
+// vector writes the prefix alone when vec.inPlace(frozen, len(b)) and
+// records b to be sent from where it lies.
+func (e *Encoder) writeByteSlice(b []byte, frozen bool, vec *Vector) {
+	if !vec.inPlace(frozen, len(b)) {
+		e.WriteBytes(b)
 		return
 	}
-	e.WriteUvarint(uint64(rv.Len()))
-	r := vectorRef{at: len(e.buf), b: rv.Bytes()}
+	e.WriteUvarint(uint64(len(b)))
+	r := vectorRef{at: len(e.buf), b: b}
 	if vec.n == 0 {
 		vec.first = r
 	} else {

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -57,7 +56,7 @@ func TestVectorValueIsValueInPlace(t *testing.T) {
 		if err := e.VectorValue(reg, tc.v, &vec); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := sizeValue(reg, reflect.ValueOf(tc.v), &vec); got != e.Len() {
+		if got := valueSize(reg, tc.v, &vec); got != e.Len() {
 			t.Errorf("%s: sized at %d with a vector, %d bytes stayed inline", tc.name, got, e.Len())
 		}
 		parts := vec.AppendParts(nil, e.Bytes())
