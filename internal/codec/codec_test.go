@@ -434,7 +434,7 @@ func TestRegistryNames(t *testing.T) {
 	if len(names) != 2 || names[0] != "a.type" || names[1] != "b.type" {
 		t.Fatalf("names: %v", names)
 	}
-	if _, ok := reg.TypeOf("missing"); ok {
+	if _, ok := reg.typeOf([]byte("missing")); ok {
 		t.Fatal("missing name should not resolve")
 	}
 	if name, ok := reg.NameOf(&wirePoint{}); !ok || name != "b.type" {
@@ -581,7 +581,7 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 	if err := Register("codec_test.defreg", defRegProbe{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := DefaultRegistry().TypeOf("codec_test.defreg"); !ok {
+	if _, ok := DefaultRegistry().typeOf([]byte("codec_test.defreg")); !ok {
 		t.Fatal("default registry lookup")
 	}
 	MustRegister("codec_test.defreg", defRegProbe{}) // idempotent

@@ -107,11 +107,12 @@ func (r *Registry) nameOfType(t reflect.Type) (string, bool) {
 	return name, ok
 }
 
-// TypeOf returns the Go type registered under name.
-func (r *Registry) TypeOf(name string) (reflect.Type, bool) {
+// typeOf returns the Go type registered under name, a name still in a
+// frame: the map lookup of the converted bytes does not allocate a string.
+func (r *Registry) typeOf(name []byte) (reflect.Type, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t, ok := r.byName[name]
+	t, ok := r.byName[string(name)]
 	return t, ok
 }
 

@@ -240,11 +240,13 @@ func (d *Decoder) Value(reg *Registry) (any, error) {
 		}
 		return out, nil
 	case tagNamed:
-		name, err := d.ReadString()
+		// The name is looked up where it lies in the frame, not copied out.
+		n, err := d.readLen()
 		if err != nil {
 			return nil, err
 		}
-		t, ok := reg.TypeOf(name)
+		name := d.take(n)
+		t, ok := reg.typeOf(name)
 		if !ok {
 			return nil, fmt.Errorf("codec: unknown wire type %q", name)
 		}

@@ -883,7 +883,8 @@ func (s *Store) recoverBase(b *baseRec) error {
 				return fmt.Errorf("eventual: recover base %d: %w", b.OID, err)
 			}
 		} else {
-			h.AddReplica(info.New(), oid, b.TypeName, 1)
+			e, _ := h.AddReplica(info.New(), oid, b.TypeName, 1)
+			e.Touch(s.eng.Runtime().Clock().Now())
 		}
 	}
 	t, known := s.objs[oid]

@@ -282,7 +282,8 @@ func (h *Heap) AddMasterWithOID(obj any, oid objmodel.OID, typeName string, vers
 // AddReplica registers obj as a replica of the master identified by oid.
 // If a replica for oid already exists the existing entry is returned with
 // ok=false, so callers can update it in place instead (identity dedupe:
-// re-replication binds to the existing replica).
+// re-replication binds to the existing replica). A fresh entry's fetch time
+// is the caller's to stamp (Touch), from the site's clock.
 func (h *Heap) AddReplica(obj any, oid objmodel.OID, typeName string, version uint64) (e *Entry, fresh bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -290,12 +291,11 @@ func (h *Heap) AddReplica(obj any, oid objmodel.OID, typeName string, version ui
 		return existing, false
 	}
 	e = &Entry{
-		OID:       oid,
-		Obj:       obj,
-		TypeName:  typeName,
-		Role:      Replica,
-		version:   version,
-		fetchedAt: time.Now(),
+		OID:      oid,
+		Obj:      obj,
+		TypeName: typeName,
+		Role:     Replica,
+		version:  version,
 	}
 	h.byOID[oid] = e
 	h.byObj[obj] = e

@@ -6,7 +6,9 @@
 //   - local method invocation (LMI) through an OBIWAN reference, where the
 //     same call frame is applied to a local replica instead.
 //
-// Method tables are computed once per concrete type and cached.
+// Each method is worked out once, as a plan, and the plans of a type are
+// cached. The reflective path is also the reference a hand-written
+// dispatcher (Args1, Args2, CheckArity, Result, NoSuchMethod) is held to.
 package invoke
 
 import (
@@ -44,35 +46,48 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Cause }
 
 var (
-	errType = reflect.TypeOf((*error)(nil)).Elem()
+	errType = reflect.TypeFor[error]()
 
-	tableMu sync.RWMutex
-	tables  = make(map[reflect.Type]map[string]reflect.Method)
+	// plans caches each type's *Plan, built on the type's first call.
+	plans sync.Map
 )
 
-// MethodTable returns the exported method set of t, cached. Types with no
-// exported methods are rejected.
-func MethodTable(t reflect.Type) (map[string]reflect.Method, error) {
-	tableMu.RLock()
-	cached, ok := tables[t]
-	tableMu.RUnlock()
-	if ok {
-		return cached, nil
+// Plan is the exported method set of one receiver type, each method worked
+// out once.
+type Plan struct {
+	methods map[string]*methodPlan
+}
+
+// methodPlan is what a call of one method needs besides its receiver and
+// arguments.
+type methodPlan struct {
+	fn       reflect.Value  // Method.Func: the receiver is its first argument
+	params   []reflect.Type // declared parameters, receiver excluded
+	variadic bool
+	errOut   bool // the last result is an error, stripped from the results
+}
+
+// PlanOf returns the plan of t's exported methods, built on first use and
+// cached. Types with no exported methods are rejected.
+func PlanOf(t reflect.Type) (*Plan, error) {
+	if p, ok := plans.Load(t); ok {
+		return p.(*Plan), nil
 	}
-	methods := make(map[string]reflect.Method, t.NumMethod())
-	for i := 0; i < t.NumMethod(); i++ {
-		m := t.Method(i)
-		if m.IsExported() {
-			methods[m.Name] = m
-		}
-	}
-	if len(methods) == 0 {
+	if t.NumMethod() == 0 {
 		return nil, fmt.Errorf("invoke: type %v has no exported methods", t)
 	}
-	tableMu.Lock()
-	tables[t] = methods
-	tableMu.Unlock()
-	return methods, nil
+	p := &Plan{methods: make(map[string]*methodPlan, t.NumMethod())}
+	for i := 0; i < t.NumMethod(); i++ {
+		m := t.Method(i)
+		mt := m.Type
+		mp := &methodPlan{fn: m.Func, variadic: mt.IsVariadic(), errOut: mt.NumOut() > 0 && mt.Out(mt.NumOut()-1) == errType}
+		for j := 1; j < mt.NumIn(); j++ {
+			mp.params = append(mp.params, mt.In(j))
+		}
+		p.methods[m.Name] = mp
+	}
+	actual, _ := plans.LoadOrStore(t, p)
+	return actual.(*Plan), nil
 }
 
 // Call invokes method on recv with decoded wire arguments, adapting each
@@ -80,57 +95,65 @@ func MethodTable(t reflect.Type) (map[string]reflect.Method, error) {
 // stripped: nil vanishes, non-nil comes back as a KindApp *Error.
 func Call(recv any, method string, args []any) ([]any, error) {
 	rv := reflect.ValueOf(recv)
-	table, err := MethodTable(rv.Type())
+	p, err := PlanOf(rv.Type())
 	if err != nil {
 		return nil, &Error{Kind: KindNoSuchMethod, Method: method, Message: err.Error()}
 	}
-	return CallWithTable(rv, table, method, args)
+	m := p.methods[method]
+	if m == nil {
+		return nil, NoSuchMethod(recv, method)
+	}
+	return m.call(rv, method, reflect.Value{}, args)
 }
 
-// CallWithTable is Call with a pre-resolved receiver value and method table,
-// for dispatchers that cache both.
-func CallWithTable(recv reflect.Value, table map[string]reflect.Method, method string, args []any) ([]any, error) {
-	m, ok := table[method]
-	if !ok {
-		return nil, &Error{
-			Kind: KindNoSuchMethod, Method: method,
-			Message: fmt.Sprintf("%v has no method %s", recv.Type(), method),
-		}
+// CallWithLead is the reflective skeleton's dispatch: method on recv, a
+// value of the plan's type, where a method whose first declared parameter is
+// of type L receives lead there and args after it. The skeleton's L is
+// telemetry.SpanContext, which invoke cannot name: telemetry's own tests
+// import objmodel, which imports invoke.
+func CallWithLead[L any](p *Plan, recv reflect.Value, method string, lead L, args []any) ([]any, error) {
+	m := p.methods[method]
+	if m == nil {
+		return nil, NoSuchMethod(recv.Interface(), method)
 	}
-	mt := m.Type
-	wantArgs := mt.NumIn() - 1 // parameter 0 is the receiver
-	variadic := mt.IsVariadic()
-	if (!variadic && len(args) != wantArgs) || (variadic && len(args) < wantArgs-1) {
-		return nil, &Error{
-			Kind: KindBadArgs, Method: method,
-			Message: fmt.Sprintf("wants %d args, got %d", wantArgs, len(args)),
-		}
+	var lv reflect.Value
+	if len(m.params) > 0 && m.params[0] == reflect.TypeFor[L]() {
+		lv = reflect.ValueOf(lead)
 	}
-	in := make([]reflect.Value, 0, len(args)+1)
-	in = append(in, recv)
-	for i, a := range args {
-		var pt reflect.Type
-		if variadic && i >= wantArgs-1 {
-			pt = mt.In(mt.NumIn() - 1).Elem()
-		} else {
-			pt = mt.In(i + 1)
+	return m.call(recv, method, lv, args)
+}
+
+// call runs the method with lead, when valid, ahead of args. The receiver
+// and the arguments are passed in a stack array unless there are many.
+func (m *methodPlan) call(recv reflect.Value, method string, lead reflect.Value, args []any) ([]any, error) {
+	var stack [6]reflect.Value
+	in := append(stack[:0], recv)
+	if lead.IsValid() {
+		in = append(in, lead)
+	}
+	got := len(in) - 1 + len(args)
+	if want := len(m.params); (!m.variadic && got != want) || (m.variadic && got < want-1) {
+		return nil, badCount(method, want, got)
+	}
+	last := len(m.params) - 1
+	for _, a := range args {
+		i := len(in) - 1 // the parameter a is for
+		pt := m.params[min(i, last)]
+		if m.variadic && i >= last {
+			pt = pt.Elem()
 		}
 		av, err := ConvertArg(a, pt)
 		if err != nil {
-			return nil, &Error{
-				Kind: KindBadArgs, Method: method,
-				Message: fmt.Sprintf("arg %d: %v", i, err),
-			}
+			return nil, badArg(method, i, err)
 		}
 		in = append(in, av)
 	}
 
-	out := m.Func.Call(in)
+	out := m.fn.Call(in)
 
-	if n := len(out); n > 0 && mt.Out(n-1) == errType {
+	if n := len(out); m.errOut {
 		if errv := out[n-1]; !errv.IsNil() {
-			cause := errv.Interface().(error)
-			return nil, &Error{Kind: KindApp, Method: method, Message: cause.Error(), Cause: cause}
+			return nil, appError(method, errv.Interface().(error))
 		}
 		out = out[:n-1]
 	}
@@ -184,6 +207,10 @@ func ConvertArg(a any, pt reflect.Type) (reflect.Value, error) {
 	case reflect.Float32, reflect.Float64:
 		if f, ok := a.(float64); ok {
 			out := reflect.New(pt).Elem()
+			// ±Inf and NaN pass: only a finite value too large for pt fails.
+			if out.OverflowFloat(f) {
+				return reflect.Value{}, fmt.Errorf("value %g overflows %v", f, pt)
+			}
 			out.SetFloat(f)
 			return out, nil
 		}
@@ -210,6 +237,76 @@ func ConvertArg(a any, pt reflect.Type) (reflect.Value, error) {
 		}
 	}
 	return reflect.Value{}, fmt.Errorf("%T not assignable to %v", a, pt)
+}
+
+// Args1 converts a call's one argument to A for a dispatcher written by
+// hand, checked as a reflective call checks it. lead counts the parameters
+// the dispatcher supplies itself ahead of args (a span context), as a
+// reflective call does in its argument count and bad-argument numbers.
+func Args1[A any](method string, args []any, lead int) (a A, err error) {
+	if err = CheckArity(method, args, lead, lead+1); err == nil {
+		a, err = arg[A](method, args, lead, 0)
+	}
+	return a, err
+}
+
+// Args2 is Args1 for a call of two arguments.
+func Args2[A, B any](method string, args []any, lead int) (a A, b B, err error) {
+	if err = CheckArity(method, args, lead, lead+2); err == nil {
+		if a, err = arg[A](method, args, lead, 0); err == nil {
+			b, err = arg[B](method, args, lead, 1)
+		}
+	}
+	return a, b, err
+}
+
+// arg converts args[i] to T, accepting exactly what ConvertArg accepts for
+// a parameter of type T: a value that already is a T as it is.
+func arg[T any](method string, args []any, lead, i int) (v T, err error) {
+	if t, ok := args[i].(T); ok {
+		return t, nil
+	}
+	rv, err := ConvertArg(args[i], reflect.TypeFor[T]())
+	if err != nil {
+		return v, badArg(method, lead+i, err)
+	}
+	return rv.Interface().(T), nil
+}
+
+// CheckArity is a reflective call's argument-count check for a method of n
+// parameters, the first lead of which a hand-written dispatcher supplies.
+func CheckArity(method string, args []any, lead, n int) error {
+	if got := lead + len(args); got != n {
+		return badCount(method, n, got)
+	}
+	return nil
+}
+
+// Result is a reflective call's reply for a method that returned (v, err),
+// for a dispatcher written by hand: the one result, or err as KindApp.
+func Result(method string, v any, err error) ([]any, error) {
+	if err != nil {
+		return nil, appError(method, err)
+	}
+	return []any{v}, nil
+}
+
+// NoSuchMethod is the error a reflective call of a method recv lacks
+// reports.
+func NoSuchMethod(recv any, method string) error {
+	return &Error{Kind: KindNoSuchMethod, Method: method, Message: fmt.Sprintf("%T has no method %s", recv, method)}
+}
+
+func badCount(method string, want, got int) error {
+	return &Error{Kind: KindBadArgs, Method: method, Message: fmt.Sprintf("wants %d args, got %d", want, got)}
+}
+
+func badArg(method string, i int, err error) error {
+	return &Error{Kind: KindBadArgs, Method: method, Message: fmt.Sprintf("arg %d: %v", i, err)}
+}
+
+func appError(method string, cause error) error {
+	return &Error{Kind: KindApp, Method: method, Message: cause.Error(), Cause: cause}
 }
 
 func wireInt(a any) (int64, bool) {

@@ -44,8 +44,6 @@ type Info struct {
 	Name string
 	// Type is the struct type (pointer stripped).
 	Type reflect.Type
-	// Methods is the exported method set of *Type, used for LMI dispatch.
-	Methods map[string]reflect.Method
 }
 
 var (
@@ -69,14 +67,15 @@ func RegisterType(name string, sample any) error {
 	if t == nil || t.Kind() != reflect.Struct {
 		return fmt.Errorf("objmodel: %q: sample must be a struct or pointer to struct, got %T", name, sample)
 	}
-	methods, err := invoke.MethodTable(reflect.PointerTo(t))
-	if err != nil {
+	// Planning *T's methods rejects a type without any, and LMI on its
+	// objects then finds the plan built.
+	if _, err := invoke.PlanOf(reflect.PointerTo(t)); err != nil {
 		return fmt.Errorf("objmodel: %q: %w", name, err)
 	}
 	if err := codec.Register(name, sample); err != nil {
 		return fmt.Errorf("objmodel: %w", err)
 	}
-	info := &Info{Name: name, Type: t, Methods: methods}
+	info := &Info{Name: name, Type: t}
 	typesMu.Lock()
 	defer typesMu.Unlock()
 	if prev, ok := typesByName[name]; ok && prev.Type != t {

@@ -70,9 +70,6 @@ func TestInfoLookup(t *testing.T) {
 	if info.Type.Name() != "node" {
 		t.Fatalf("type: %v", info.Type)
 	}
-	if _, ok := info.Methods["First"]; !ok {
-		t.Fatalf("method table: %v", info.Methods)
-	}
 	byObj, ok := InfoOf(&node{})
 	if !ok || byObj != info {
 		t.Fatal("InfoOf mismatch")

@@ -98,6 +98,52 @@ func (p *ProxyIn) Version() uint64 {
 	return p.entry.Version()
 }
 
+var _ rmi.Dispatcher = (*ProxyIn)(nil)
+
+// Dispatch implements rmi.Dispatcher: the proxy-in's skeleton, written out,
+// so a demand, put or invoke reaches its method without reflection. It
+// answers the methods above and no other (Dispatch itself is not remotely
+// callable), accepts exactly the arguments a reflective skeleton would, and
+// reports the same errors, numbered counting the span context it supplies.
+func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error) {
+	switch method {
+	case "Get":
+		spec, requester, err := invoke.Args2[*GetSpec, string](method, args, 1)
+		if err != nil {
+			return nil, err
+		}
+		payload, err := p.Get(sc, spec, requester)
+		return invoke.Result(method, payload, err)
+	case "Put":
+		req, err := invoke.Args1[*PutRequest](method, args, 1)
+		if err != nil {
+			return nil, err
+		}
+		reply, err := p.Put(sc, req)
+		return invoke.Result(method, reply, err)
+	case "PutCluster":
+		req, err := invoke.Args1[*ClusterPutRequest](method, args, 1)
+		if err != nil {
+			return nil, err
+		}
+		versions, err := p.PutCluster(sc, req)
+		return invoke.Result(method, versions, err)
+	case "Invoke":
+		name, callArgs, err := invoke.Args2[string, []any](method, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		out, err := p.Invoke(name, callArgs)
+		return invoke.Result(method, out, err)
+	case "Version":
+		if err := invoke.CheckArity(method, args, 0, 0); err != nil {
+			return nil, err
+		}
+		return []any{p.Version()}, nil
+	}
+	return nil, invoke.NoSuchMethod(p, method)
+}
+
 // ProxyOut is the client-side half of a proxy pair: it stands in for a not
 // yet replicated object. A method invocation through a Ref backed by a
 // ProxyOut is an object fault; ResolveFault performs the paper's demand

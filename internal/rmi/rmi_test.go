@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"obiwan/internal/codec"
+	"obiwan/internal/invoke"
 	"obiwan/internal/netsim"
 	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
@@ -176,6 +177,67 @@ func TestBadArgs(t *testing.T) {
 	_, err = client.Call(ref, "Narrow", int64(300)) // overflows int8
 	if !errors.As(err, &re) || re.Code != wire.FaultBadArgs {
 		t.Fatalf("overflow: %v", err)
+	}
+}
+
+// selfDispatch dispatches its own calls. Its exported Reflected method is
+// never reached: a Dispatcher's skeleton does not reflect.
+type selfDispatch struct{ sc telemetry.SpanContext }
+
+func (d *selfDispatch) Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error) {
+	d.sc = sc
+	switch method {
+	case "Twice":
+		n, err := invoke.Args1[int64](method, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		return []any{2 * n}, nil
+	case "Fail":
+		return invoke.Result(method, nil, errors.New("refused"))
+	}
+	return nil, invoke.NoSuchMethod(d, method)
+}
+
+func (d *selfDispatch) Reflected() string { return "reflection" }
+
+// TestDispatcherServesItsOwnCalls: an exported Dispatcher is its own
+// skeleton, with no method plan, and its errors reach the caller as the
+// faults a reflective skeleton would send.
+func TestDispatcherServesItsOwnCalls(t *testing.T) {
+	server, client, hub := hubPair(t)
+	d := &selfDispatch{}
+	if sk, err := newSkeleton(d); err != nil || sk != Dispatcher(d) {
+		t.Fatalf("skeleton of a Dispatcher: %v %v", sk, err)
+	}
+	ref, err := server.Export(d, "Self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := hub.StartRoot("self")
+	defer root.End()
+	res, err := client.CallWithin(root.Context(), ref, 0, "Twice", int64(21))
+	if err != nil || len(res) != 1 || res[0] != int64(42) {
+		t.Fatalf("Twice: %v %v", res, err)
+	}
+	if !d.sc.Valid() || d.sc.TraceID != root.Context().TraceID {
+		t.Fatalf("dispatcher saw span context %+v, want one in trace %d", d.sc, root.Context().TraceID)
+	}
+	var re *RemoteError
+	for _, c := range []struct {
+		method string
+		args   []any
+		code   string
+	}{
+		{"Twice", []any{"x"}, wire.FaultBadArgs},
+		{"Twice", nil, wire.FaultBadArgs},
+		{"Fail", nil, wire.FaultApp},
+		{"Reflected", nil, wire.FaultNoSuchMethod},
+		{"Nope", nil, wire.FaultNoSuchMethod},
+	} {
+		if _, err := client.Call(ref, c.method, c.args...); !errors.As(err, &re) || re.Code != c.code {
+			t.Fatalf("%s%v: %v, want fault %s", c.method, c.args, err, c.code)
+		}
 	}
 }
 

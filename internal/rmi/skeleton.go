@@ -10,59 +10,58 @@ import (
 	"obiwan/internal/wire"
 )
 
-// spanContextType marks methods that opt into receiving the serve-side
-// trace context as their first parameter.
-var spanContextType = reflect.TypeOf(telemetry.SpanContext{})
-
-// skeleton is the server-side dispatcher for one exported object: the Go
-// analogue of the skeleton classes Java RMI generated. Dispatch itself is
-// shared with local method invocation via package invoke.
-type skeleton struct {
-	recv    reflect.Value
-	methods map[string]reflect.Method
-	// wantsSC marks methods whose first parameter is telemetry.SpanContext.
-	// The skeleton injects the serve span's context there — the caller never
-	// sends it — so replication handlers can parent their own spans under
-	// the inbound call without the trace context leaking into the remote
-	// method signature seen by clients. When telemetry is off the injected
-	// context is the zero value, keeping argument counts stable either way.
-	wantsSC map[string]bool
+// Dispatcher is an exported object that dispatches its own inbound calls: a
+// skeleton written out ahead of time, the Go analogue of the skeleton
+// classes Java RMI generated. sc is the serve span's context (zero when the
+// call is untraced). A Dispatcher reports what a reflective skeleton of the
+// same object would: a bad argument as an *invoke.Error of KindBadArgs, a
+// method it does not have as KindNoSuchMethod, and a method's own error as
+// KindApp (invoke's Args1, Args2, CheckArity, NoSuchMethod and Result build
+// them), so the faults on the wire are the same either way. Export checks
+// for it once; a Dispatcher's calls never reach reflection.
+type Dispatcher interface {
+	Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error)
 }
 
-// newSkeleton builds a skeleton for obj. Objects with no exported methods
-// are rejected: they could never serve a call.
-func newSkeleton(obj any) (*skeleton, error) {
+// skeleton is the reflective Dispatcher Export builds for any other object:
+// its exported methods, each planned once per type by package invoke, the
+// dispatch it shares with local method invocation. A method whose first
+// parameter is telemetry.SpanContext receives the serve span's context
+// there; the caller never sends it, so replication handlers can parent
+// their own spans under the inbound call without the trace context leaking
+// into the remote method signature seen by clients.
+type skeleton struct {
+	recv reflect.Value
+	plan *invoke.Plan
+}
+
+func (sk *skeleton) Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error) {
+	return invoke.CallWithLead(sk.plan, sk.recv, method, sc, args)
+}
+
+// newSkeleton returns obj's dispatcher: obj itself when it is a Dispatcher,
+// a reflective skeleton otherwise. Objects with no exported methods are
+// rejected: they could never serve a call.
+func newSkeleton(obj any) (Dispatcher, error) {
 	if obj == nil {
 		return nil, fmt.Errorf("rmi: cannot export nil")
 	}
+	if d, ok := obj.(Dispatcher); ok {
+		return d, nil
+	}
 	rv := reflect.ValueOf(obj)
-	methods, err := invoke.MethodTable(rv.Type())
+	plan, err := invoke.PlanOf(rv.Type())
 	if err != nil {
 		return nil, fmt.Errorf("rmi: %w", err)
 	}
-	wantsSC := make(map[string]bool)
-	for name, m := range methods {
-		// m.Type includes the receiver at In(0); In(1) is the first
-		// declared parameter.
-		if m.Type.NumIn() >= 2 && m.Type.In(1) == spanContextType {
-			wantsSC[name] = true
-		}
-	}
-	return &skeleton{recv: rv, methods: methods, wantsSC: wantsSC}, nil
+	return &skeleton{recv: rv, plan: plan}, nil
 }
 
-// invoke runs method with args and returns either result values or a wire
-// fault. sc is the serve span's context, prepended to args for methods
-// declaring a leading telemetry.SpanContext parameter. A trailing error
-// result is stripped: nil vanishes, non-nil becomes a FaultApp (the
-// remote-exception path).
-func (sk *skeleton) invoke(method string, args []any, sc telemetry.SpanContext) ([]any, *wire.Fault) {
-	if sk.wantsSC[method] {
-		withSC := make([]any, 0, len(args)+1)
-		withSC = append(withSC, sc)
-		args = append(withSC, args...)
-	}
-	results, err := invoke.CallWithTable(sk.recv, sk.methods, method, args)
+// serve runs method with args on d and returns either result values or a
+// wire fault. A method's error becomes a FaultApp (the remote-exception
+// path); a missing method or a bad argument its own fault code.
+func serve(d Dispatcher, method string, args []any, sc telemetry.SpanContext) ([]any, *wire.Fault) {
+	results, err := d.Dispatch(sc, method, args)
 	if err == nil {
 		return results, nil
 	}

@@ -116,9 +116,10 @@ const (
 	// bytes 1, the rest small objects.
 	clusterDemandAllocFactor = 3.4
 	// 7.6 before; 5.1 before the call frame referenced the captured state;
-	// 3.95 now. A 4 KiB put carries ~2 KB of fixed cost (spans, call
-	// bookkeeping, the reply), so its factor stays above the demand's.
-	putAllocFactor = 4.1
+	// 3.95 before the proxy-in dispatched its own calls; 3.88 now. A 4 KiB
+	// put carries ~2 KB of fixed cost (spans, call bookkeeping, the reply),
+	// so its factor stays above the demand's.
+	putAllocFactor = 3.9
 )
 
 // TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster
@@ -245,8 +246,9 @@ func faultAllocs(t *testing.T, opts ...Option) float64 {
 // faultAllocsOff is what a single-object fault allocates with telemetry
 // off. Exact, and it only ever goes down. (83 while span attributes
 // were formatted before the nil-span check, 68 while the server made a
-// closure per served call.)
-const faultAllocsOff = 67
+// closure per served call, 67 while the proxy-in's Get went through the
+// reflective skeleton and the codec copied each wire type name out.)
+const faultAllocsOff = 57
 
 // TestFaultTelemetryAllocationsPinned: what a site records about a fault
 // with nobody reading it costs five spans (fault, rmi:Get, materialize;

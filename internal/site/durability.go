@@ -379,6 +379,7 @@ func (d *durability) recover(raw [][]byte) error {
 			return fmt.Errorf("site: recover replica %d: unknown type %q", rec.OID, rec.TypeName)
 		}
 		entry, _ := h.AddReplica(info.New(), objmodel.OID(rec.OID), rec.TypeName, rec.Version)
+		entry.Touch(d.site.rt.Clock().Now())
 		entry.SetProvider(rec.Provider, objmodel.OID(rec.ClusterRoot))
 		if rec.ClusterRoot != 0 {
 			eng.RestoreClusterMember(objmodel.OID(rec.ClusterRoot), objmodel.OID(rec.OID))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"obiwan/internal/codec"
 	"obiwan/internal/consistency"
@@ -15,6 +16,7 @@ import (
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
+	"obiwan/internal/transport"
 	"obiwan/internal/wal"
 )
 
@@ -246,6 +248,64 @@ func TestDurableClientRecoversOfflineEdits(t *testing.T) {
 	}
 	if len(reborn.DirtyReplicas()) != 0 {
 		t.Fatal("synced replica must be clean")
+	}
+}
+
+// TestDurableDirtyReplicaFetchedAtSiteClock: a dirty replica recovered from
+// the journal has its fetch time from the site's clock, as every replica the
+// engine installs does, not from the wall clock: under a virtual clock its
+// lease age and eviction order stay in virtual time.
+func TestDurableDirtyReplicaFetchedAtSiteClock(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	defer clock.Stop()
+	net := transport.NewMemNetworkClock(netsim.Loopback, 1, clock)
+	dir := t.TempDir()
+
+	var server, reborn *Site
+	clock.Run(func() {
+		var err error
+		if server, err = New("server", net, WithIncarnation(1)); err != nil {
+			t.Error(err)
+			return
+		}
+		mobile, err := New("mobile", net, WithDurability(dir))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		d, err := server.Export(&note{Text: "v1"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		replica, err := objmodel.Deref[*note](mobile.Engine().RefFromDescriptor(d, mobile.spec))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		replica.Text = "offline edit"
+		if err := mobile.MarkUpdated(replica); err != nil {
+			t.Error(err)
+			return
+		}
+		mobile.Kill()
+		clock.Sleep(time.Hour)
+		if reborn, err = New("mobile", net, WithDurability(dir)); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	defer clock.Run(func() { _ = reborn.Close(); _ = server.Close() })
+
+	dirty := reborn.DirtyReplicas()
+	if len(dirty) != 1 {
+		t.Fatalf("reborn client has %d dirty replicas, want 1", len(dirty))
+	}
+	entry, _ := reborn.Heap().EntryOf(dirty[0])
+	if got, want := entry.FetchedAt(), clock.Now(); !got.Equal(want) {
+		t.Fatalf("recovered replica fetched at %v, want the site clock's %v", got, want)
 	}
 }
 

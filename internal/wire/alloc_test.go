@@ -21,7 +21,8 @@ const (
 	stepReplyEncodeAllocs = 3
 	// The Decoder, the Reply, its results, the Payload, its record and
 	// frontier slices and every string on the way (the states are borrowed).
-	stepReplyDecodeAllocs = 16
+	// 16 while the Payload's wire name was copied out of the frame.
+	stepReplyDecodeAllocs = 15
 	// The Encoder and its buffer.
 	nodeEncodeAllocs = 2
 	// The node decoded into, the Decoder, the payload bytes (a copying

@@ -19,7 +19,6 @@
 #   internal/telemetry/runtimebridge.go  samples the Go runtime of this process on a
 #                                 real ticker; deterministic harnesses switch it off
 #   internal/wal/wal.go           fsync timing is real disk time by nature
-#   internal/heap/heap.go         real-clock shim (injected clock otherwise)
 #   internal/qos/qos.go           real-clock shim (injected clock otherwise)
 #   internal/consistency/consistency.go  real-clock shim
 #   internal/chaos/chaos.go       Within: a real-time watchdog, so a hung virtual
@@ -39,7 +38,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight|runtimebridge)\.go$|^\./internal/wal/wal\.go$|^\./internal/heap/heap\.go$|^\./internal/qos/qos\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/(runners|ablation)\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
+allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight|runtimebridge)\.go$|^\./internal/wal/wal\.go$|^\./internal/qos/qos\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/(runners|ablation)\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
 
 # grep -n output is file:line:text; filter on the file field alone, and
 # drop lines that are only a comment.
