@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"obiwan/internal/nameserver"
-	"obiwan/internal/netsim"
+	"obiwan/internal/chaos"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
-	"obiwan/internal/rmi"
 	"obiwan/internal/site"
 	"obiwan/internal/transport"
 )
@@ -33,9 +31,9 @@ type failoverRun struct {
 	putBytes    uint64
 }
 
-// failoverBound caps every await in the experiment; on the virtual clock
-// it only fires if the group genuinely cannot elect.
-const failoverBound = 30 * time.Second
+// electStep is how often the experiment polls for a serving leader, and
+// so the resolution of the elect series.
+const electStep = 2 * time.Millisecond
 
 // failoverObject is the payload size of every chain node.
 const failoverObject = 1024
@@ -50,11 +48,11 @@ func RunFailover(cfg Config) ([]Point, error) {
 	var single, group failoverRun
 	var points []Point
 	for _, seed := range cfg.FailoverSeeds {
-		s, err := runFailoverWorld(cfg, seed, false)
+		s, err := measureFailover(cfg, seed, false)
 		if err != nil {
 			return nil, fmt.Errorf("seed %d single: %w", seed, err)
 		}
-		g, err := runFailoverWorld(cfg, seed, true)
+		g, err := measureFailover(cfg, seed, true)
 		if err != nil {
 			return nil, fmt.Errorf("seed %d group3: %w", seed, err)
 		}
@@ -96,191 +94,125 @@ func accumulate(sum *failoverRun, r failoverRun) {
 	sum.putBytes += r.putBytes
 }
 
-// runFailoverWorld builds one virtual-clock world — a 3-member master
+// measureFailover builds one virtual-clock world — a 3-member master
 // group when group is true, a lone master otherwise — runs the steady
 // workload, and (group only) kills the leader and times the election.
-func runFailoverWorld(cfg Config, seed int64, group bool) (failoverRun, error) {
-	clock := netsim.NewVirtualClock()
-	net := transport.NewMemNetworkClock(cfg.Profile, seed, clock)
-	var (
-		run   failoverRun
-		sites []*site.Site
-		nsrt  *rmi.Runtime
-		err   error
-	)
-	clock.Run(func() {
-		run, sites, nsrt, err = failoverBody(cfg, seed, group, clock, net)
-	})
-	clock.Run(func() {
-		for i := len(sites) - 1; i >= 0; i-- {
-			_ = sites[i].Close()
-		}
-	})
-	clock.Stop()
-	if nsrt != nil {
-		// After Stop: closing the standalone runtime must not park an
-		// untracked goroutine on the virtual clock.
-		_ = nsrt.Close()
-	}
-	return run, err
-}
-
-func failoverBody(cfg Config, seed int64, group bool, clock netsim.Clock, net *transport.MemNetwork) (failoverRun, []*site.Site, *rmi.Runtime, error) {
+func measureFailover(cfg Config, seed int64, group bool) (failoverRun, error) {
+	w := chaos.NewVirtualWorld(seed, cfg.Profile)
+	defer w.Close()
 	var run failoverRun
-	nsrt, err := rmi.NewRuntime(net, "ns")
-	if err != nil {
-		return run, nil, nil, err
-	}
-	if _, _, err := nameserver.Serve(nsrt); err != nil {
-		_ = nsrt.Close()
-		return run, nil, nsrt, err
-	}
-	// Deterministic retries (no jitter), enough to ride out a redirect.
-	retry := rmi.RetryPolicy{
-		MaxAttempts: 8,
-		BaseBackoff: 500 * time.Microsecond,
-		MaxBackoff:  5 * time.Millisecond,
-		Multiplier:  2,
-	}
-
-	members := []transport.Addr{"m1"}
-	if group {
-		members = []transport.Addr{"m1", "m2", "m3"}
-	}
-	gcfg := site.GroupConfig{Name: "grp", Members: members, Seed: seed}
-	var sites []*site.Site
-	for _, m := range members {
-		opts := []site.Option{
-			site.WithNameServer("ns"),
-			site.WithIncarnation(1),
-			site.WithRetry(retry),
+	err := w.Within(func() error {
+		if err := w.ServeNames(); err != nil {
+			return err
 		}
+		var members []*site.Site
+		var master *site.Site
+		var err error
 		if group {
-			opts = append(opts, site.WithMasterGroup(gcfg))
+			gcfg := site.GroupConfig{Name: "grp", Members: []transport.Addr{"m1", "m2", "m3"}, Seed: seed}
+			if members, err = w.NewGroup(gcfg, site.WithNameServer("ns")); err == nil {
+				master, err = w.AwaitLeader(members, electStep)
+			}
+		} else {
+			master, err = w.NewSite("m1", site.WithNameServer("ns"), site.WithIncarnation(1))
 		}
-		s, err := site.New(string(m), net, opts...)
 		if err != nil {
-			return run, sites, nsrt, err
+			return err
 		}
-		sites = append(sites, s)
-	}
 
-	master := sites[0]
-	if group {
-		if master, err = awaitServing(clock, sites); err != nil {
-			return run, sites, nsrt, err
-		}
-	}
-
-	// Master-side chain: register, link, and agree the links through the
-	// group log (MarkUpdated on a grouped master routes through consensus,
-	// so every member can serve the wired state after a failover).
-	nodes := make([]*Node, cfg.FailoverChain)
-	for i := range nodes {
-		nodes[i] = &Node{Payload: make([]byte, failoverObject)}
-		if err := master.Register(nodes[i]); err != nil {
-			return run, sites, nsrt, err
-		}
-	}
-	for i := 0; i < len(nodes)-1; i++ {
-		ref, err := master.NewRef(nodes[i+1])
-		if err != nil {
-			return run, sites, nsrt, err
-		}
-		nodes[i].Next = ref
-		if err := master.MarkUpdated(nodes[i]); err != nil {
-			return run, sites, nsrt, err
-		}
-	}
-	if err := master.Bind("bench/head", nodes[0]); err != nil {
-		return run, sites, nsrt, err
-	}
-
-	client, err := site.New("client", net,
-		site.WithNameServer("ns"), site.WithIncarnation(1), site.WithRetry(retry))
-	if err != nil {
-		return run, sites, nsrt, err
-	}
-	sites = append(sites, client)
-	ref, err := client.LookupSpec("bench/head", replication.DefaultSpec)
-	if err != nil {
-		return run, sites, nsrt, err
-	}
-
-	calls0, bytes0 := wireCounters(client, sites)
-	start := clock.Now()
-	if err := walkList(ref, cfg.FailoverChain); err != nil {
-		return run, sites, nsrt, err
-	}
-	run.demand = clock.Now().Sub(start)
-	calls1, bytes1 := wireCounters(client, sites)
-	run.demandCalls, run.demandBytes = calls1-calls0, bytes1-bytes0
-
-	head, err := objmodel.Deref[*Node](ref)
-	if err != nil {
-		return run, sites, nsrt, err
-	}
-	payload := make([]byte, failoverObject)
-	start = clock.Now()
-	for i := 0; i < cfg.FailoverPuts; i++ {
-		payload[0] = byte(i)
-		head.SetPayload(payload)
-		if err := client.MarkUpdated(head); err != nil {
-			return run, sites, nsrt, err
-		}
-		if n, err := client.SyncDirty(); err != nil || n != 1 {
-			return run, sites, nsrt, fmt.Errorf("put %d: synced=%d err=%w", i, n, err)
-		}
-	}
-	run.put = clock.Now().Sub(start)
-	calls2, bytes2 := wireCounters(client, sites)
-	run.putCalls, run.putBytes = calls2-calls1, bytes2-bytes1
-
-	if !group {
-		return run, sites, nsrt, nil
-	}
-
-	// Permanent loss of the leader; the window closes when a survivor
-	// holds a live serve lease.
-	killedAt := clock.Now()
-	master.Kill()
-	var survivors []*site.Site
-	for _, s := range sites[:len(members)] {
-		if s != master {
-			survivors = append(survivors, s)
-		}
-	}
-	if _, err := awaitServing(clock, survivors); err != nil {
-		return run, sites, nsrt, err
-	}
-	run.elect = clock.Now().Sub(killedAt)
-
-	// The successor really serves: one more put must land through it.
-	payload[0] = 0xff
-	head.SetPayload(payload)
-	if err := client.MarkUpdated(head); err != nil {
-		return run, sites, nsrt, err
-	}
-	if n, err := client.SyncDirty(); err != nil || n != 1 {
-		return run, sites, nsrt, fmt.Errorf("put after failover: synced=%d err=%w", n, err)
-	}
-	return run, sites, nsrt, nil
-}
-
-// awaitServing polls the members until one holds a live serve lease.
-func awaitServing(clock netsim.Clock, members []*site.Site) (*site.Site, error) {
-	deadline := clock.Now().Add(failoverBound)
-	for {
-		for _, s := range members {
-			if s.Group().CheckServe() == nil {
-				return s, nil
+		// Master-side chain: register, link, and agree the links through the
+		// group log (MarkUpdated on a grouped master routes through consensus,
+		// so every member can serve the wired state after a failover).
+		nodes := make([]*Node, cfg.FailoverChain)
+		for i := range nodes {
+			nodes[i] = &Node{Payload: make([]byte, failoverObject)}
+			if err := master.Register(nodes[i]); err != nil {
+				return err
 			}
 		}
-		if !clock.Now().Before(deadline) {
-			return nil, fmt.Errorf("no serving leader among %d members within %v", len(members), failoverBound)
+		for i := 0; i < len(nodes)-1; i++ {
+			ref, err := master.NewRef(nodes[i+1])
+			if err != nil {
+				return err
+			}
+			nodes[i].Next = ref
+			if err := master.MarkUpdated(nodes[i]); err != nil {
+				return err
+			}
 		}
-		clock.Sleep(2 * time.Millisecond)
-	}
+		if err := master.Bind("bench/head", nodes[0]); err != nil {
+			return err
+		}
+
+		client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+		if err != nil {
+			return err
+		}
+		ref, err := client.LookupSpec("bench/head", replication.DefaultSpec)
+		if err != nil {
+			return err
+		}
+
+		calls0, bytes0 := wireCounters(client, w.Sites())
+		start := w.Clock.Now()
+		if err := walkList(ref, cfg.FailoverChain); err != nil {
+			return err
+		}
+		run.demand = w.Clock.Now().Sub(start)
+		calls1, bytes1 := wireCounters(client, w.Sites())
+		run.demandCalls, run.demandBytes = calls1-calls0, bytes1-bytes0
+
+		head, err := objmodel.Deref[*Node](ref)
+		if err != nil {
+			return err
+		}
+		payload := make([]byte, failoverObject)
+		start = w.Clock.Now()
+		for i := 0; i < cfg.FailoverPuts; i++ {
+			payload[0] = byte(i)
+			head.SetPayload(payload)
+			if err := client.MarkUpdated(head); err != nil {
+				return err
+			}
+			if n, err := client.SyncDirty(); err != nil || n != 1 {
+				return fmt.Errorf("put %d: synced=%d err=%w", i, n, err)
+			}
+		}
+		run.put = w.Clock.Now().Sub(start)
+		calls2, bytes2 := wireCounters(client, w.Sites())
+		run.putCalls, run.putBytes = calls2-calls1, bytes2-bytes1
+
+		if !group {
+			return nil
+		}
+
+		// Permanent loss of the leader; the window closes when a survivor
+		// holds a live serve lease.
+		killedAt := w.Clock.Now()
+		master.Kill()
+		var survivors []*site.Site
+		for _, s := range members {
+			if s != master {
+				survivors = append(survivors, s)
+			}
+		}
+		if _, err := w.AwaitLeader(survivors, electStep); err != nil {
+			return err
+		}
+		run.elect = w.Clock.Now().Sub(killedAt)
+
+		// The successor really serves: one more put must land through it.
+		payload[0] = 0xff
+		head.SetPayload(payload)
+		if err := client.MarkUpdated(head); err != nil {
+			return err
+		}
+		if n, err := client.SyncDirty(); err != nil || n != 1 {
+			return fmt.Errorf("put after failover: synced=%d err=%w", n, err)
+		}
+		return nil
+	})
+	return run, err
 }
 
 // wireCounters sums the client's outbound call count and every runtime's

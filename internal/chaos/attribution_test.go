@@ -6,7 +6,6 @@ import (
 
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
-	"obiwan/internal/rmi"
 	"obiwan/internal/site"
 	"obiwan/internal/transport"
 )
@@ -20,21 +19,19 @@ import (
 // Under the virtual clock that render is a pure function of the seed.
 func runSlowCriticalPath(t *testing.T, seed int64) string {
 	t.Helper()
-	w := NewWorldClock(seed, netsim.NewVirtualClock())
+	w := NewVirtualWorld(seed, netsim.Loopback)
 	defer w.Close()
 
-	var nsrt *rmi.Runtime
 	var out string
-	err := w.Within(watchdog, func() error {
-		var err error
-		if nsrt, err = serveNames(w); err != nil {
+	err := w.Within(func() error {
+		if err := w.ServeNames(); err != nil {
 			return err
 		}
-		members, err := newGroupSites(w, seed)
+		members, err := w.NewGroup(groupCfg(seed), site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
-		leader, err := awaitLeader(w, members, failoverBound)
+		leader, err := w.AwaitLeader(members, leaderPoll)
 		if err != nil {
 			return err
 		}
@@ -75,7 +72,7 @@ func runSlowCriticalPath(t *testing.T, seed int64) string {
 		if _, err := WalkAll(head, 50); err != nil {
 			return err
 		}
-		if _, err := awaitLeader(w, survivors, failoverBound); err != nil {
+		if _, err := w.AwaitLeader(survivors, leaderPoll); err != nil {
 			return err
 		}
 
@@ -102,9 +99,6 @@ func runSlowCriticalPath(t *testing.T, seed int64) string {
 		out = b.String()
 		return nil
 	})
-	if nsrt != nil {
-		t.Cleanup(func() { _ = nsrt.Close() })
-	}
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

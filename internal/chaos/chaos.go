@@ -14,16 +14,21 @@
 //
 //   - every demand either completes (retries crossing the outage
 //     transparently) or fails typed with replication.ErrUnavailable;
-//   - no operation hangs (see Within);
+//   - no operation hangs (see World.Within);
 //   - no retried call is applied twice at the master (see Counter).
+//
+// Its World is also the one builder of seeded virtual deployments that
+// internal/swarm and bench's failover experiment stand on.
 package chaos
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"obiwan/internal/nameserver"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
@@ -66,74 +71,164 @@ func DefaultRetry() rmi.RetryPolicy {
 }
 
 // World is one simulated deployment: a seeded in-memory network, the
-// sites running on it, and the fault schedules attached to its links.
-// A world runs on a netsim.Clock — the real one by default, or a
-// VirtualClock (NewWorldClock), under which the same scenarios execute as
-// a discrete-event simulation: identical failure histories, near-zero wall
-// time.
+// sites running on it, the fault schedules attached to its links, and
+// optionally a standalone name server. A world runs on a netsim.Clock —
+// the real one (NewWorld), or a VirtualClock (NewVirtualWorld), under
+// which the same scenarios execute as a discrete-event simulation:
+// identical failure histories, near-zero wall time. Every harness in the
+// repository that stands up a seeded virtual deployment (the chaos
+// suite, internal/swarm, bench's failover experiment) does it here.
 type World struct {
 	Seed  int64
 	Net   *transport.MemNetwork
 	Clock netsim.Clock
 
-	sites  []*site.Site
-	scheds []*netsim.FaultSchedule
+	vc      *netsim.VirtualClock // nil on the real clock
+	release sync.Once            // lifts the construction hold (see Run)
+	names   *rmi.Runtime         // ServeNames' runtime, nil until then
+	scheds  []*netsim.FaultSchedule
+
+	mu    sync.Mutex // sites: a running scenario may start more
+	sites []*site.Site
 }
 
-// NewWorld creates a world on the real clock whose link randomness (and,
-// by convention, its scenario randomness) derives from seed.
+// watchdog is the real-time budget of every Within: a virtual world that
+// deadlocks burns no virtual time, so only a wall clock can catch it. It
+// is sized for the slowest caller, a thousand-site swarm under -race.
+const watchdog = 2 * time.Minute
+
+// leaderBound is the acceptance window for electing a serving leader:
+// AwaitLeader fails once it passes on the world's clock. Groups elect in
+// milliseconds of simulated time, so it fires only if a group cannot elect.
+const leaderBound = 10 * time.Second
+
+// NewWorld creates a world on the real clock over loopback links, whose
+// link randomness (and, by convention, its scenario randomness) derives
+// from seed.
 func NewWorld(seed int64) *World {
-	return NewWorldClock(seed, netsim.Real())
+	return &World{Seed: seed, Clock: netsim.Real(), Net: transport.NewMemNetworkSeeded(netsim.Loopback, seed)}
 }
 
-// NewWorldClock is NewWorld on an explicit clock. With a
-// *netsim.VirtualClock every simulated delay — link latency, retry
-// backoff, scheduled outages — is an event on the virtual timeline, and
-// scenario code must run tracked (see Run).
-func NewWorldClock(seed int64, clock netsim.Clock) *World {
-	return &World{
-		Seed:  seed,
-		Clock: clock,
-		Net:   transport.NewMemNetworkClock(netsim.Loopback, seed, clock),
-	}
-}
-
-// Virtual reports whether the world runs on a virtual clock.
-func (w *World) Virtual() bool {
-	_, ok := w.Clock.(*netsim.VirtualClock)
-	return ok
+// NewVirtualWorld creates a world on a fresh virtual clock whose links
+// start on profile p. Every simulated delay — link latency, retry backoff,
+// scheduled outages — is an event on the virtual timeline.
+//
+// The clock is held from construction until the first Run (or Within)
+// body is enqueued, so sites may be built untracked before it: a
+// timer-owning site (a group member, say) then cannot advance virtual
+// time in a real-time race with the rest of construction, and the first
+// body starts at virtual time zero after everything built before it.
+func NewVirtualWorld(seed int64, p netsim.Profile) *World {
+	vc := netsim.NewVirtualClock()
+	vc.Hold()
+	return &World{Seed: seed, Clock: vc, vc: vc, Net: transport.NewMemNetworkClock(p, seed, vc)}
 }
 
 // Run executes fn as simulated work: tracked by the virtual clock when the
 // world has one (blocking in real time until fn returns), directly
-// otherwise. All site operations in a virtual world — including NewSite,
-// Close, and Kill — must happen inside Run, because they park on the
-// clock.
+// otherwise. Site operations that park on a virtual clock — everything
+// after construction, Close and Kill included — must happen inside Run.
+// The first Run lifts the construction hold after enqueuing fn.
 func (w *World) Run(fn func() error) error {
-	vc, ok := w.Clock.(*netsim.VirtualClock)
-	if !ok {
+	if w.vc == nil {
 		return fn()
 	}
-	var err error
-	vc.Run(func() { err = fn() })
-	return err
+	done := make(chan error, 1)
+	w.vc.Go(func() { done <- fn() })
+	w.release.Do(w.vc.Release)
+	return <-done
 }
+
+// VirtualClock returns the world's virtual clock, or nil on the real clock.
+func (w *World) VirtualClock() *netsim.VirtualClock { return w.vc }
 
 // NewSite starts a site in this world with the chaos retry policy and a
 // telemetry hub on the world's clock — in a virtual world, span times and
 // phase attributions are then simulated time, deterministic per seed (an
-// explicit site.WithRetry or site.WithTelemetry in opts overrides).
+// explicit site.WithRetry or site.WithTelemetry in opts overrides). No
+// world site starts the wall-clock runtime sampler: its readings differ
+// between runs and would reach the wire in scrapes.
 func (w *World) NewSite(name string, opts ...site.Option) (*site.Site, error) {
-	opts = append([]site.Option{
-		site.WithRetry(DefaultRetry()),
-		site.WithTelemetry(telemetry.NewHub(name, telemetry.WithClock(w.Clock.Now))),
-	}, opts...)
-	s, err := site.New(name, w.Net, opts...)
+	return w.start(name, site.WithTelemetry(telemetry.NewHub(name, telemetry.WithClock(w.Clock.Now))), opts)
+}
+
+// NewBareSite starts a site as NewSite does but with telemetry off, so no
+// hub is built for it: the cheap form for a fleet of sites nobody scrapes.
+func (w *World) NewBareSite(name string, opts ...site.Option) (*site.Site, error) {
+	return w.start(name, site.WithoutTelemetry(), opts)
+}
+
+func (w *World) start(name string, tel site.Option, opts []site.Option) (*site.Site, error) {
+	opts = append([]site.Option{site.WithRetry(DefaultRetry()), tel}, opts...)
+	s, err := site.New(name, w.Net, append(opts, site.WithoutRuntimeSampler())...)
 	if err != nil {
 		return nil, err
 	}
+	w.mu.Lock()
 	w.sites = append(w.sites, s)
+	w.mu.Unlock()
 	return s, nil
+}
+
+// NewGroup starts one site per member of cfg, each a member of the master
+// group cfg describes, and returns them in cfg.Members order. Incarnations
+// are pinned so reruns in one process stay byte-identical on the wire.
+// opts apply to every member.
+func (w *World) NewGroup(cfg site.GroupConfig, opts ...site.Option) ([]*site.Site, error) {
+	members := make([]*site.Site, 0, len(cfg.Members))
+	for _, m := range cfg.Members {
+		s, err := w.NewSite(string(m), append([]site.Option{site.WithIncarnation(1), site.WithMasterGroup(cfg)}, opts...)...)
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, s)
+	}
+	return members, nil
+}
+
+// AwaitLeader polls members every step until one of them holds a live
+// serve lease (a local check, no RPC) and returns it; after a kill, pass
+// only the survivors. step is the resolution of any failover latency
+// measured across the wait. It parks on the world's clock, so call it
+// inside Run.
+func (w *World) AwaitLeader(members []*site.Site, step time.Duration) (*site.Site, error) {
+	deadline := w.Clock.Now().Add(leaderBound)
+	for {
+		for _, s := range members {
+			if s.Group().CheckServe() == nil {
+				return s, nil
+			}
+		}
+		if !w.Clock.Now().Before(deadline) {
+			return nil, fmt.Errorf("chaos: no serving leader among %d members within %v", len(members), leaderBound)
+		}
+		w.Clock.Sleep(step)
+	}
+}
+
+// ServeNames starts the world's standalone name server at address "ns";
+// sites reach it with site.WithNameServer("ns"). Close shuts it down
+// after the clock has stopped, so the shutdown never parks an untracked
+// goroutine on it. Call it inside Run.
+func (w *World) ServeNames() error {
+	rt, err := rmi.NewRuntime(w.Net, "ns")
+	if err != nil {
+		return err
+	}
+	if _, _, err := nameserver.Serve(rt); err != nil {
+		_ = rt.Close()
+		return err
+	}
+	w.names = rt
+	return nil
+}
+
+// Sites returns every site the world started, dead ones included, in
+// start order.
+func (w *World) Sites() []*site.Site {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]*site.Site(nil), w.sites...)
 }
 
 // NewDurableSite starts a crash-durable site journaling to dir. Starting
@@ -150,18 +245,22 @@ func (w *World) NewDurableSite(name, dir string, opts ...site.Option) (*site.Sit
 // Close remains safe to call afterwards (it is a no-op).
 func (w *World) Kill(s *site.Site) { s.Kill() }
 
-// Close shuts every site down, newest first. In a virtual world the
-// shutdowns run tracked (site teardown drains in-flight simulated work),
-// and the clock is stopped afterwards.
+// Close shuts every site down, newest first, then the name server. In a
+// virtual world the shutdowns run tracked (site teardown drains in-flight
+// simulated work), and the clock is stopped before the name server goes.
 func (w *World) Close() {
-	_ = w.Run(func() error {
-		for i := len(w.sites) - 1; i >= 0; i-- {
-			_ = w.sites[i].Close()
+	sites := w.Sites()
+	_ = w.Within(func() error {
+		for i := len(sites) - 1; i >= 0; i-- {
+			_ = sites[i].Close()
 		}
 		return nil
 	})
-	if vc, ok := w.Clock.(*netsim.VirtualClock); ok {
-		vc.Stop()
+	if w.vc != nil {
+		w.vc.Stop()
+	}
+	if w.names != nil {
+		_ = w.names.Close()
 	}
 }
 
@@ -190,33 +289,24 @@ func (w *World) Trace() []string {
 // budget — the failure mode the suite exists to rule out.
 var ErrHung = errors.New("chaos: operation hung")
 
-// Within runs op under a watchdog: if op does not return within d, Within
-// returns ErrHung (the op goroutine is abandoned; tests treat ErrHung as
-// fatal, so the leak dies with the process).
-func Within(d time.Duration, op func() error) error {
+// Within runs op as simulated work (see Run) under the world's real-time
+// watchdog: if op does not return in time, Within returns ErrHung, with
+// the virtual clock's state appended for diagnosis. The op goroutine is
+// abandoned; callers treat ErrHung as fatal, so the leak dies with the
+// process.
+func (w *World) Within(op func() error) error {
 	done := make(chan error, 1)
-	go func() { done <- op() }()
+	go func() { done <- w.Run(op) }()
 	select {
 	case err := <-done:
 		return err
-	case <-time.After(d):
-		return fmt.Errorf("%w: no result after %v", ErrHung, d)
-	}
-}
-
-// Within is the world-aware watchdog: op runs as simulated work (see Run)
-// while the wall-clock budget d guards against a wedged simulation — a
-// virtual world that deadlocks burns no virtual time, so only a real-time
-// watchdog can catch it. On a hang the clock state is appended to the
-// error for diagnosis.
-func (w *World) Within(d time.Duration, op func() error) error {
-	err := Within(d, func() error { return w.Run(op) })
-	if errors.Is(err, ErrHung) {
-		if vc, ok := w.Clock.(*netsim.VirtualClock); ok {
-			return fmt.Errorf("%w (%s)", err, vc.Snapshot())
+	case <-time.After(watchdog):
+		err := fmt.Errorf("%w: no result after %v", ErrHung, watchdog)
+		if w.vc != nil {
+			err = fmt.Errorf("%w (%s)", err, w.vc.Snapshot())
 		}
+		return err
 	}
-	return err
 }
 
 // BuildChain registers n master nodes a→b→c… at s and returns them head

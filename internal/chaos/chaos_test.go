@@ -14,11 +14,6 @@ import (
 	"obiwan/internal/site"
 )
 
-// watchdog bounds every scenario in wall-clock time: anything slower than
-// this is a hang. Virtual-clock scenarios finish orders of magnitude
-// sooner; the budget exists for the day they deadlock instead.
-const watchdog = 30 * time.Second
-
 // clockMode selects the time source a scenario runs on. Every scenario in
 // this suite runs under both: the virtual mode is the fast deterministic
 // layer, the real mode is the slow smoke layer (skipped under -short) that
@@ -48,7 +43,7 @@ func forEachClock(t *testing.T, run func(t *testing.T, mode clockMode)) {
 
 func (m clockMode) newWorld(seed int64) *World {
 	if m.virtual {
-		return NewWorldClock(seed, netsim.NewVirtualClock())
+		return NewVirtualWorld(seed, netsim.Loopback)
 	}
 	return NewWorld(seed)
 }
@@ -68,7 +63,7 @@ func runDisconnectDemandReconnect(t *testing.T, mode clockMode, seed int64) ([]s
 	defer w.Close()
 
 	var retries uint64
-	err := w.Within(watchdog, func() error {
+	err := w.Within(func() error {
 		master, err := w.NewSite("master")
 		if err != nil {
 			return err
@@ -149,7 +144,7 @@ func TestRetriedCallsExecuteExactlyOnce(t *testing.T) {
 		defer w.Close()
 		counter := &Counter{}
 		var master, client *site.Site
-		err := w.Within(watchdog, func() error {
+		err := w.Within(func() error {
 			var err error
 			if master, err = w.NewSite("master"); err != nil {
 				return err
@@ -223,7 +218,7 @@ func TestPutAppliesOnceUnderReplyLoss(t *testing.T) {
 		defer w.Close()
 		policy := &countingPolicy{}
 		var client *site.Site
-		err := w.Within(watchdog, func() error {
+		err := w.Within(func() error {
 			master, err := w.NewSite("master", site.WithPolicy(policy))
 			if err != nil {
 				return err
@@ -285,7 +280,7 @@ func TestPersistentPartitionFailsTypedThenHeals(t *testing.T) {
 	forEachClock(t, func(t *testing.T, mode clockMode) {
 		w := mode.newWorld(3)
 		defer w.Close()
-		err := w.Within(watchdog, func() error {
+		err := w.Within(func() error {
 			master, err := w.NewSite("master")
 			if err != nil {
 				return err
@@ -371,7 +366,7 @@ func runShape(t *testing.T, mode clockMode, sh graphShape, seed int64) []string 
 	t.Helper()
 	w := mode.newWorld(seed)
 	defer w.Close()
-	err := w.Within(watchdog, func() error {
+	err := w.Within(func() error {
 		master, err := w.NewSite("master")
 		if err != nil {
 			return err
@@ -458,7 +453,7 @@ func TestSyncDirtyAfterOutage(t *testing.T) {
 	forEachClock(t, func(t *testing.T, mode clockMode) {
 		w := mode.newWorld(19)
 		defer w.Close()
-		err := w.Within(watchdog, func() error {
+		err := w.Within(func() error {
 			master, err := w.NewSite("master")
 			if err != nil {
 				return err

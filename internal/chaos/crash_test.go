@@ -7,10 +7,8 @@ import (
 	"sort"
 	"testing"
 
-	"obiwan/internal/nameserver"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
-	"obiwan/internal/rmi"
 	"obiwan/internal/site"
 	"obiwan/internal/telemetry"
 )
@@ -27,25 +25,8 @@ import (
 //   - offline edits journaled by a durable client before its own crash
 //     reconcile via SyncDirty after rebirth.
 //
-// Like the link-fault suite, every scenario runs under both clocks; the
-// scenario bodies run inside one tracked w.Within closure, and the
-// standalone name-server runtime is closed via t.Cleanup — after the
-// deferred w.Close has stopped a virtual clock, so the close never parks
-// an untracked goroutine on it.
-
-// serveNames starts a standalone name server at "ns" on the world's
-// network and returns its runtime for the caller to close at cleanup.
-func serveNames(w *World) (*rmi.Runtime, error) {
-	nsrt, err := rmi.NewRuntime(w.Net, "ns")
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := nameserver.Serve(nsrt); err != nil {
-		_ = nsrt.Close()
-		return nil, err
-	}
-	return nsrt, nil
-}
+// Like the link-fault suite, every scenario runs under both clocks, and
+// the scenario bodies run inside one tracked w.Within closure.
 
 // journalChain builds a chain at s and marks every linked node updated so
 // the reference wiring is journaled (durability makes mutations durable
@@ -75,11 +56,9 @@ func runKillRestartMidDemand(t *testing.T, mode clockMode, seed int64, dir strin
 	w := mode.newWorld(seed)
 	defer w.Close()
 
-	var nsrt *rmi.Runtime
 	var summary []string
-	err := w.Within(watchdog, func() error {
-		var err error
-		if nsrt, err = serveNames(w); err != nil {
+	err := w.Within(func() error {
+		if err := w.ServeNames(); err != nil {
 			return err
 		}
 		master, err := w.NewDurableSite("master", dir, site.WithNameServer("ns"))
@@ -168,9 +147,6 @@ func runKillRestartMidDemand(t *testing.T, mode clockMode, seed int64, dir strin
 		summary = append(summary, entries...)
 		return nil
 	})
-	if nsrt != nil {
-		t.Cleanup(func() { _ = nsrt.Close() })
-	}
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -200,10 +176,8 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 		defer w.Close()
 		dir := t.TempDir()
 
-		var nsrt *rmi.Runtime
-		err := w.Within(watchdog, func() error {
-			var err error
-			if nsrt, err = serveNames(w); err != nil {
+		err := w.Within(func() error {
+			if err := w.ServeNames(); err != nil {
 				return err
 			}
 			master, err := w.NewDurableSite("master", dir, site.WithNameServer("ns"))
@@ -317,9 +291,6 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 			}
 			return nil
 		})
-		if nsrt != nil {
-			t.Cleanup(func() { _ = nsrt.Close() })
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,10 +306,8 @@ func TestDurableClientCrashRecoversOfflineEdits(t *testing.T) {
 		defer w.Close()
 		dir := t.TempDir()
 
-		var nsrt *rmi.Runtime
-		err := w.Within(watchdog, func() error {
-			var err error
-			if nsrt, err = serveNames(w); err != nil {
+		err := w.Within(func() error {
+			if err := w.ServeNames(); err != nil {
 				return err
 			}
 			master, err := w.NewSite("master", site.WithNameServer("ns"))
@@ -393,9 +362,6 @@ func TestDurableClientCrashRecoversOfflineEdits(t *testing.T) {
 			}
 			return nil
 		})
-		if nsrt != nil {
-			t.Cleanup(func() { _ = nsrt.Close() })
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"obiwan/internal/eventual"
 	"obiwan/internal/objmodel"
-	"obiwan/internal/rmi"
 	"obiwan/internal/site"
 	"obiwan/internal/transport"
 )
@@ -117,11 +116,10 @@ func runWeaklyConnectedSwarm(t *testing.T, mode clockMode, seed int64, crash boo
 	w := mode.newWorld(seed)
 	defer w.Close()
 
-	var nsrt *rmi.Runtime
 	var res swarmResult
-	err := w.Within(watchdog, func() error {
+	err := w.Within(func() error {
 		var err error
-		if nsrt, err = serveNames(w); err != nil {
+		if err = w.ServeNames(); err != nil {
 			return err
 		}
 		names := make([]string, nSites)
@@ -277,9 +275,6 @@ func runWeaklyConnectedSwarm(t *testing.T, mode clockMode, seed int64, crash boo
 		}
 		return nil
 	})
-	if nsrt != nil {
-		t.Cleanup(func() { _ = nsrt.Close() })
-	}
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

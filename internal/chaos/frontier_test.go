@@ -78,9 +78,9 @@ func wantFrontier(s *site.Site, n *Node) ([]replication.FrontierRef, error) {
 func TestFrontierWalkDescribers(t *testing.T) {
 	for _, sh := range shapes() {
 		t.Run(sh.name, func(t *testing.T) {
-			w := NewWorldClock(1, netsim.NewVirtualClock())
+			w := NewVirtualWorld(1, netsim.Loopback)
 			defer w.Close()
-			err := w.Within(watchdog, func() error {
+			err := w.Within(func() error {
 				master, err := w.NewSite("master")
 				if err != nil {
 					return err

@@ -10,7 +10,6 @@ import (
 
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
-	"obiwan/internal/rmi"
 	"obiwan/internal/site"
 	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
@@ -47,41 +46,8 @@ func groupCfg(seed int64) site.GroupConfig {
 	}
 }
 
-// newGroupSites brings up the full membership. Incarnations are pinned so
-// reruns in one process stay byte-identical on the wire.
-func newGroupSites(w *World, seed int64) ([]*site.Site, error) {
-	cfg := groupCfg(seed)
-	sites := make([]*site.Site, 0, len(cfg.Members))
-	for _, m := range cfg.Members {
-		s, err := w.NewSite(string(m),
-			site.WithNameServer("ns"),
-			site.WithIncarnation(1),
-			site.WithMasterGroup(cfg))
-		if err != nil {
-			return nil, err
-		}
-		sites = append(sites, s)
-	}
-	return sites, nil
-}
-
-// awaitLeader polls the given members until one of them holds a live serve
-// lease (local check, no RPC) and returns it. After a kill, pass only the
-// survivors.
-func awaitLeader(w *World, members []*site.Site, timeout time.Duration) (*site.Site, error) {
-	deadline := w.Clock.Now().Add(timeout)
-	for {
-		for _, s := range members {
-			if s.Group().CheckServe() == nil {
-				return s, nil
-			}
-		}
-		if !w.Clock.Now().Before(deadline) {
-			return nil, fmt.Errorf("no serving leader among %d members within %v", len(members), timeout)
-		}
-		w.Clock.Sleep(5 * time.Millisecond)
-	}
-}
+// leaderPoll is how often the scenarios poll for a serving leader.
+const leaderPoll = 5 * time.Millisecond
 
 // without filters one site out of a membership slice.
 func without(members []*site.Site, dead *site.Site) []*site.Site {
@@ -144,18 +110,16 @@ func runGroupLeaderKillMidDemand(t *testing.T, mode clockMode, seed int64) []str
 	w := mode.newWorld(seed)
 	defer w.Close()
 
-	var nsrt *rmi.Runtime
 	var summary []string
-	err := w.Within(watchdog, func() error {
-		var err error
-		if nsrt, err = serveNames(w); err != nil {
+	err := w.Within(func() error {
+		if err := w.ServeNames(); err != nil {
 			return err
 		}
-		members, err := newGroupSites(w, seed)
+		members, err := w.NewGroup(groupCfg(seed), site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
-		leader, err := awaitLeader(w, members, failoverBound)
+		leader, err := w.AwaitLeader(members, leaderPoll)
 		if err != nil {
 			return err
 		}
@@ -197,7 +161,7 @@ func runGroupLeaderKillMidDemand(t *testing.T, mode clockMode, seed int64) []str
 		if n != 6 {
 			return fmt.Errorf("walk across failover reached %d nodes, want 6", n)
 		}
-		newLeader, err := awaitLeader(w, survivors, failoverBound)
+		newLeader, err := w.AwaitLeader(survivors, leaderPoll)
 		if err != nil {
 			return err
 		}
@@ -249,9 +213,6 @@ func runGroupLeaderKillMidDemand(t *testing.T, mode clockMode, seed int64) []str
 		summary = append(summary, heapLines(newLeader)...)
 		return nil
 	})
-	if nsrt != nil {
-		t.Cleanup(func() { _ = nsrt.Close() })
-	}
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -281,17 +242,15 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 		w := mode.newWorld(67)
 		defer w.Close()
 
-		var nsrt *rmi.Runtime
-		err := w.Within(watchdog, func() error {
-			var err error
-			if nsrt, err = serveNames(w); err != nil {
+		err := w.Within(func() error {
+			if err := w.ServeNames(); err != nil {
 				return err
 			}
-			members, err := newGroupSites(w, 67)
+			members, err := w.NewGroup(groupCfg(67), site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}
-			leader, err := awaitLeader(w, members, failoverBound)
+			leader, err := w.AwaitLeader(members, leaderPoll)
 			if err != nil {
 				return err
 			}
@@ -341,7 +300,12 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			appliedVersion := headEntry.Version()
 
 			// A follower refuses the same put with the typed redirect, hint
-			// pointing at the leader, surviving the RMI boundary.
+			// pointing at the leader, surviving the RMI boundary. It must
+			// have applied the head's registration first, or on a loaded
+			// real clock it answers that the object is not exported.
+			if err := awaitGroupSync(w, members, failoverBound); err != nil {
+				return err
+			}
 			follower := without(members, leader)[0]
 			fprov := prov
 			fprov.Addr = follower.Addr()
@@ -370,7 +334,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			if synced, err := client.SyncDirty(); err != nil || synced != 1 {
 				return fmt.Errorf("sync across failover: synced=%d err=%v", synced, err)
 			}
-			newLeader, err := awaitLeader(w, survivors, failoverBound)
+			newLeader, err := w.AwaitLeader(survivors, leaderPoll)
 			if err != nil {
 				return err
 			}
@@ -427,9 +391,6 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			}
 			return nil
 		})
-		if nsrt != nil {
-			t.Cleanup(func() { _ = nsrt.Close() })
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,17 +406,15 @@ func TestGroupRefreshRepinsAfterFailover(t *testing.T) {
 	w := clockMode{virtual: true}.newWorld(71)
 	defer w.Close()
 
-	var nsrt *rmi.Runtime
-	err := w.Within(watchdog, func() error {
-		var err error
-		if nsrt, err = serveNames(w); err != nil {
+	err := w.Within(func() error {
+		if err := w.ServeNames(); err != nil {
 			return err
 		}
-		members, err := newGroupSites(w, 71)
+		members, err := w.NewGroup(groupCfg(71), site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
-		leader, err := awaitLeader(w, members, failoverBound)
+		leader, err := w.AwaitLeader(members, leaderPoll)
 		if err != nil {
 			return err
 		}
@@ -484,7 +443,7 @@ func TestGroupRefreshRepinsAfterFailover(t *testing.T) {
 		}
 
 		w.Kill(leader)
-		newLeader, err := awaitLeader(w, without(members, leader), failoverBound)
+		newLeader, err := w.AwaitLeader(without(members, leader), leaderPoll)
 		if err != nil {
 			return err
 		}
@@ -503,9 +462,6 @@ func TestGroupRefreshRepinsAfterFailover(t *testing.T) {
 		}
 		return nil
 	})
-	if nsrt != nil {
-		t.Cleanup(func() { _ = nsrt.Close() })
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,17 +476,15 @@ func TestGroupRebindAfterFailover(t *testing.T) {
 		w := mode.newWorld(71)
 		defer w.Close()
 
-		var nsrt *rmi.Runtime
-		err := w.Within(watchdog, func() error {
-			var err error
-			if nsrt, err = serveNames(w); err != nil {
+		err := w.Within(func() error {
+			if err := w.ServeNames(); err != nil {
 				return err
 			}
-			members, err := newGroupSites(w, 71)
+			members, err := w.NewGroup(groupCfg(71), site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}
-			leader, err := awaitLeader(w, members, failoverBound)
+			leader, err := w.AwaitLeader(members, leaderPoll)
 			if err != nil {
 				return err
 			}
@@ -544,7 +498,7 @@ func TestGroupRebindAfterFailover(t *testing.T) {
 
 			w.Kill(leader)
 			survivors := without(members, leader)
-			newLeader, err := awaitLeader(w, survivors, failoverBound)
+			newLeader, err := w.AwaitLeader(survivors, leaderPoll)
 			if err != nil {
 				return err
 			}
@@ -574,9 +528,6 @@ func TestGroupRebindAfterFailover(t *testing.T) {
 			_ = newLeader
 			return nil
 		})
-		if nsrt != nil {
-			t.Cleanup(func() { _ = nsrt.Close() })
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 
 	master.Telemetry().StartRoot("before-outage").End()
 	var cursor uint64
-	err = Within(watchdog, func() error {
+	err = w.Within(func() error {
 		chunk, err := watcher.Scrape(cursor, 0, 0)
 		if err != nil {
 			return err
@@ -60,7 +60,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	// Partition. The poll fails; crucially the cursor does not advance.
 	w.Net.Disconnect("client", "master")
 	master.Telemetry().StartRoot("during-outage").End()
-	err = Within(watchdog, func() error {
+	err = w.Within(func() error {
 		_, err := watcher.Scrape(cursor, 0, 0)
 		return err
 	})
@@ -72,7 +72,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	// outage arrives now, once; nothing is re-delivered.
 	w.Net.Reconnect("client", "master")
 	master.Telemetry().StartRoot("after-outage").End()
-	err = Within(watchdog, func() error {
+	err = w.Within(func() error {
 		chunk, err := watcher.Scrape(cursor, 0, 0)
 		if err != nil {
 			return err
@@ -134,7 +134,7 @@ func TestFlightDumpCapturesStrandedDemand(t *testing.T) {
 
 	// The follow-on demand strands: retries exhaust into ErrUnavailable.
 	session := client.Telemetry().StartRoot("session")
-	err = Within(watchdog, func() error {
+	err = w.Within(func() error {
 		_, derr := client.Engine().Replicate(session.Context(), root.Kids[0], spec1())
 		return derr
 	})

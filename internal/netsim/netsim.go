@@ -207,7 +207,7 @@ func (l *Link) Plan(size int) (time.Duration, error) {
 	defer l.mu.Unlock()
 	var extra time.Duration
 	if l.sched != nil {
-		d := l.sched.step(l.down)
+		d := l.sched.step(now, l.down)
 		if d.setDown {
 			l.down = d.down
 		}

@@ -18,8 +18,9 @@ import (
 // call, including ones rejected while down, advances the count), which is
 // fully deterministic: the same sequence of sends fires the same events at
 // the same points regardless of wall-clock scheduling. Events may instead
-// be keyed by elapsed wall time since the schedule was attached; those are
-// convenient for soak tests but only as deterministic as the host clock.
+// be keyed by time elapsed on the link's clock since the schedule's first
+// send; on a VirtualClock those are as deterministic as send counts, on
+// the real clock only as deterministic as the host.
 //
 // A schedule records every event it fires. Comparing Trace outputs across
 // runs is how the chaos suite asserts "same seed ⇒ same failure history".
@@ -61,8 +62,9 @@ type FaultEvent struct {
 	// this value (1-based: AtSend 1 affects the first send after attach).
 	// Zero means the event is keyed by AtElapsed instead.
 	AtSend uint64
-	// AtElapsed fires the event once this much wall time has passed since
-	// the schedule was attached (checked on each send attempt).
+	// AtElapsed fires the event once this much time has passed on the
+	// link's clock since the schedule's first send (checked on each send
+	// attempt).
 	AtElapsed time.Duration
 	// Action is what happens.
 	Action FaultAction
@@ -187,15 +189,16 @@ type decision struct {
 	linkDown bool
 }
 
-// step advances the schedule by one send attempt and returns what should
-// happen to the triggering message. linkDown is the link's current
-// administrative state; the returned decision reports the new state.
-func (s *FaultSchedule) step(linkDown bool) decision {
+// step advances the schedule by one send attempt made at now (on the
+// link's clock) and returns what should happen to the triggering message.
+// linkDown is the link's current administrative state; the returned
+// decision reports the new state.
+func (s *FaultSchedule) step(now time.Time, linkDown bool) decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.armed {
 		s.armed = true
-		s.start = time.Now()
+		s.start = now
 	}
 	s.sends++
 	d := decision{linkDown: linkDown}
@@ -207,7 +210,7 @@ func (s *FaultSchedule) step(linkDown bool) decision {
 		if ev.AtSend > 0 {
 			triggered = s.sends >= ev.AtSend
 		} else {
-			triggered = time.Since(s.start) >= ev.AtElapsed
+			triggered = now.Sub(s.start) >= ev.AtElapsed
 		}
 		if !triggered {
 			continue

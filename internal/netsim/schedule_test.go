@@ -96,17 +96,27 @@ func TestScheduleRejectedSendsAdvanceTheClock(t *testing.T) {
 	}
 }
 
+// TestScheduleElapsedKeyedEvent: an elapsed-keyed event fires by the
+// link's clock. On a virtual clock, 15 ms of virtual time pass in no real
+// time, and the event must fire all the same.
 func TestScheduleElapsedKeyedEvent(t *testing.T) {
-	l := NewLink(Loopback, 1)
+	c := NewVirtualClock()
+	defer c.Stop()
+	l := NewLinkClock(Loopback, 1, c)
 	l.SetSchedule(NewFaultSchedule(
 		FaultEvent{AtElapsed: 10 * time.Millisecond, Action: ActDisconnect},
 	))
-	if _, err := l.Plan(1); err != nil {
-		t.Fatalf("before deadline: %v", err)
+	var before, after error
+	c.Run(func() {
+		_, before = l.Plan(1)
+		c.Sleep(15 * time.Millisecond)
+		_, after = l.Plan(1)
+	})
+	if before != nil {
+		t.Fatalf("before deadline: %v", before)
 	}
-	time.Sleep(15 * time.Millisecond)
-	if _, err := l.Plan(1); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("after deadline: want disconnected, got %v", err)
+	if !errors.Is(after, ErrDisconnected) {
+		t.Fatalf("after deadline: want disconnected, got %v", after)
 	}
 }
 

@@ -33,8 +33,7 @@ type estimate struct {
 	ewmaRTT  time.Duration
 	samples  uint64
 	failures uint64
-	lastFail time.Time
-	lastOK   time.Time
+	failing  bool // the last outcome observed was a failure
 }
 
 // Monitor aggregates RMI round-trip observations per peer site. Plug its
@@ -62,13 +61,11 @@ func (m *Monitor) Observe(addr transport.Addr, _ string, rtt time.Duration, err 
 		e = &estimate{}
 		m.peers[addr] = e
 	}
-	now := time.Now()
+	e.failing = err != nil
 	if err != nil {
 		e.failures++
-		e.lastFail = now
 		return
 	}
-	e.lastOK = now
 	e.samples++
 	if e.ewmaRTT == 0 {
 		e.ewmaRTT = rtt
@@ -97,7 +94,7 @@ func (m *Monitor) Healthy(addr transport.Addr) bool {
 	if !ok {
 		return true
 	}
-	return e.lastFail.IsZero() || e.lastOK.After(e.lastFail)
+	return !e.failing
 }
 
 // Failures returns the failure count observed for addr.

@@ -45,7 +45,6 @@ func TestMonitorHealthTracksLastOutcome(t *testing.T) {
 	if m.Failures(peer) != 1 {
 		t.Fatalf("failures: %d", m.Failures(peer))
 	}
-	time.Sleep(time.Millisecond)
 	m.Observe(peer, "M", 5*time.Millisecond, nil)
 	if !m.Healthy(peer) {
 		t.Fatal("healthy again after recovery")

@@ -280,41 +280,60 @@ func TestFirstWriterWinsConflict(t *testing.T) {
 	}
 }
 
+// TestLeaseExpiry: a lease ages on the site's clock, so on a virtual
+// clock 70 ms of virtual time expire a 50 ms lease with no real wait.
 func TestLeaseExpiry(t *testing.T) {
-	w := newWorld(t)
-	server := w.site("server")
-	mobile := w.site("mobile", WithLease(50*time.Millisecond))
+	clock := netsim.NewVirtualClock()
+	defer clock.Stop()
+	net := transport.NewMemNetworkClock(netsim.Loopback, 1, clock)
+
+	var err error
+	clock.Run(func() { err = leaseExpiry(clock, net) })
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func leaseExpiry(clock *netsim.VirtualClock, net *transport.MemNetwork) error {
+	server, err := New("server", net)
+	if err != nil {
+		return err
+	}
+	defer server.Close()
+	mobile, err := New("mobile", net, WithLease(50*time.Millisecond))
+	if err != nil {
+		return err
+	}
+	defer mobile.Close()
 
 	master := &note{Text: "v1"}
-	if err := server.Bind("doc", master); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := mobile.Lookup("doc")
+	d, err := server.Export(master)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	replica, err := objmodel.Deref[*note](ref)
+	replica, err := objmodel.Deref[*note](mobile.Engine().RefFromDescriptor(d, mobile.spec))
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if got := mobile.LeaseExpired(); len(got) != 0 {
-		t.Fatalf("fresh replica expired: %v", got)
+		return fmt.Errorf("fresh replica expired: %v", got)
 	}
 	master.Write("v2")
-	time.Sleep(70 * time.Millisecond)
+	clock.Sleep(70 * time.Millisecond)
 	if got := mobile.LeaseExpired(); len(got) != 1 {
-		t.Fatalf("expired: %v", got)
+		return fmt.Errorf("expired: %v", got)
 	}
 	n, err := mobile.RefreshExpired()
 	if err != nil || n != 1 {
-		t.Fatalf("refresh expired: %d %v", n, err)
+		return fmt.Errorf("refresh expired: %d %v", n, err)
 	}
 	if replica.Text != "v2" {
-		t.Fatalf("after lease refresh: %q", replica.Text)
+		return fmt.Errorf("after lease refresh: %q", replica.Text)
 	}
 	if got := mobile.LeaseExpired(); len(got) != 0 {
-		t.Fatal("refresh must renew the lease")
+		return errors.New("refresh must renew the lease")
 	}
+	return nil
 }
 
 func TestAutoModeCrossesOverWithQoS(t *testing.T) {

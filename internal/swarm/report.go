@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"obiwan/internal/site"
+	"obiwan/internal/netsim"
 	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
@@ -84,7 +84,7 @@ func (sw *Swarm) buildReport(scenario string) *Report {
 		Scenario:    scenario,
 		Seed:        sw.Opts.Seed,
 		Sites:       sw.Opts.Sites,
-		Profile:     sw.Opts.Profile.Name,
+		Profile:     netsim.LAN10.Name,
 		SimSeconds:  sw.Clock.Elapsed().Seconds(),
 		WallSeconds: time.Since(sw.wallStart).Seconds(),
 		Events:      sw.Clock.Advances(),
@@ -98,12 +98,12 @@ func (sw *Swarm) buildReport(scenario string) *Report {
 		r.FailoverMS = float64(sw.failover) / float64(time.Millisecond)
 	}
 	r.Fleet = sw.obs
-	sites := append([]*site.Site(nil), sw.all...)
 	for _, st := range sw.docs {
 		r.PutsAcked += st.acked
 		r.PutsTried += st.attempted
 	}
 	sw.mu.Unlock()
+	sites := sw.world.Sites()
 
 	if r.WallSeconds > 0 {
 		r.Speedup = r.SimSeconds / r.WallSeconds
@@ -136,7 +136,7 @@ func (sw *Swarm) buildReport(scenario string) *Report {
 			}
 		}
 	}
-	if snap := sw.Hub.Telemetry().ProfileSnapshot(sw.Opts.ProfileTopK); snap != nil {
+	if snap := sw.Hub.Telemetry().ProfileSnapshot(profileTopK); snap != nil {
 		r.HotObjects = snap.Objects
 	}
 	return r

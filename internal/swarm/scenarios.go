@@ -20,7 +20,6 @@ import (
 // durability (leaves are ephemeral; their documents are mastered at the
 // hub, so nothing is lost but the dirty edit in flight).
 func Churn(o Options) (*Report, []string, error) {
-	o = o.withDefaults()
 	return run("churn", o, func(sw *Swarm, wg *netsim.WaitGroup, until time.Time) {
 		rng := rand.New(rand.NewSource(o.Seed ^ 0x636875726e)) // "churn"
 		for {
@@ -43,7 +42,6 @@ func Churn(o Options) (*Report, []string, error) {
 // the same instant: all initial demands land within the first op gap, and
 // the report's hot-object ranking shows what the hub absorbed.
 func FlashCrowd(o Options) (*Report, []string, error) {
-	o = o.withDefaults()
 	return run("flash-crowd", o, nil)
 }
 
@@ -52,7 +50,6 @@ func FlashCrowd(o Options) (*Report, []string, error) {
 // the host moved — then reconnects on the degraded link. Operations
 // during the window fail typed; everything converges after.
 func Roam(o Options) (*Report, []string, error) {
-	o = o.withDefaults()
 	return run("roam", o, func(sw *Swarm, wg *netsim.WaitGroup, until time.Time) {
 		rng := rand.New(rand.NewSource(o.Seed ^ 0x726f616d)) // "roam"
 		hub := sw.Hub.Addr()
@@ -80,7 +77,6 @@ func Roam(o Options) (*Report, []string, error) {
 // and moves to the next class. The hub is never partitioned, so the
 // healthy remainder keeps replicating throughout.
 func RollingPartitions(o Options) (*Report, []string, error) {
-	o = o.withDefaults()
 	const waves = 4
 	return run("rolling-partitions", o, func(sw *Swarm, wg *netsim.WaitGroup, until time.Time) {
 		wave := 0
@@ -113,7 +109,6 @@ func RollingPartitions(o Options) (*Report, []string, error) {
 // version, convergence, bounded staleness — must hold at the end. The
 // report carries the measured failover latency.
 func LeaderFailover(o Options) (*Report, []string, error) {
-	o = o.withDefaults()
 	if o.HubGroup < 2 {
 		o.HubGroup = 3
 	}

@@ -34,12 +34,12 @@ import (
 	"sync"
 	"time"
 
+	"obiwan/internal/chaos"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
 	"obiwan/internal/site"
-	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 )
 
@@ -59,22 +59,17 @@ func init() {
 	objmodel.MustRegisterType("swarm.Doc", (*Doc)(nil))
 }
 
-// Options parameterizes a scenario. The zero value is not usable; start
-// from Defaults (or fill every field) — scenario constructors apply
-// Defaults for anything left zero.
+// Options parameterizes a scenario. The zero value is not usable: start
+// from Defaults and change what the scenario needs.
 type Options struct {
 	Seed  int64
 	Sites int // leaf count (the hub is extra)
 
-	// Profile is the QoS of every hub↔leaf link.
-	Profile netsim.Profile
 	// Duration is the simulated length of the op phase.
 	Duration time.Duration
 	// MeanOpGap is the average virtual time between one leaf's operations
 	// (actual gaps are uniform in [MeanOpGap/2, 3·MeanOpGap/2)).
 	MeanOpGap time.Duration
-	// SharedDepth is the length of the shared chain all leaves read.
-	SharedDepth int
 
 	// KillEvery is the mean gap between churn kills (churn scenario).
 	KillEvery time.Duration
@@ -82,12 +77,6 @@ type Options struct {
 	DisturbEvery time.Duration
 	// DisturbWindow is how long a roam outage or partition wave lasts.
 	DisturbWindow time.Duration
-
-	// Watchdog is the real-time budget: a virtual scenario that deadlocks
-	// burns no virtual time, so only a wall clock can catch it.
-	Watchdog time.Duration
-	// ProfileTopK is how many hot objects the capacity report keeps.
-	ProfileTopK int
 
 	// HubGroup, when >= 2, replaces the single hub with a consensus-
 	// replicated master group of that many members (hub0, hub1, ...).
@@ -97,13 +86,13 @@ type Options struct {
 	HubGroup int
 
 	// Observe turns the scenario into a fleet observatory run: every leaf
-	// carries a virtual-clocked telemetry hub, the (first) hub site runs
+	// carries a virtual-clocked telemetry hub, every hub site runs
 	// invalidation-based consistency plus a fleet.Collector over the
-	// initial roster, and the collector — not the scenario's assertions —
-	// measures staleness and convergence at two probe points (after the
-	// op phase, and after every survivor refreshed). The probes land in
-	// Report.Fleet. Everything stays deterministic per seed: scrapes run
-	// serially in the scenario body on the virtual clock.
+	// initial roster, and the first hub's collector — not the scenario's
+	// assertions — measures staleness and convergence at two probe points
+	// (after the op phase, and after every survivor refreshed). The probes
+	// land in Report.Fleet. Everything stays deterministic per seed:
+	// scrapes run serially in the scenario body on the virtual clock.
 	Observe bool
 }
 
@@ -112,52 +101,21 @@ func Defaults(seed int64) Options {
 	return Options{
 		Seed:          seed,
 		Sites:         100,
-		Profile:       netsim.LAN10,
 		Duration:      10 * time.Second,
 		MeanOpGap:     2 * time.Second,
-		SharedDepth:   4,
 		KillEvery:     2 * time.Second,
 		DisturbEvery:  time.Second,
 		DisturbWindow: 500 * time.Millisecond,
-		Watchdog:      2 * time.Minute,
-		ProfileTopK:   8,
 	}
 }
 
-func (o Options) withDefaults() Options {
-	d := Defaults(o.Seed)
-	if o.Sites == 0 {
-		o.Sites = d.Sites
-	}
-	if o.Profile.Name == "" {
-		o.Profile = d.Profile
-	}
-	if o.Duration == 0 {
-		o.Duration = d.Duration
-	}
-	if o.MeanOpGap == 0 {
-		o.MeanOpGap = d.MeanOpGap
-	}
-	if o.SharedDepth == 0 {
-		o.SharedDepth = d.SharedDepth
-	}
-	if o.KillEvery == 0 {
-		o.KillEvery = d.KillEvery
-	}
-	if o.DisturbEvery == 0 {
-		o.DisturbEvery = d.DisturbEvery
-	}
-	if o.DisturbWindow == 0 {
-		o.DisturbWindow = d.DisturbWindow
-	}
-	if o.Watchdog == 0 {
-		o.Watchdog = d.Watchdog
-	}
-	if o.ProfileTopK == 0 {
-		o.ProfileTopK = d.ProfileTopK
-	}
-	return o
-}
+// The fixed shape of every scenario. Every hub↔leaf link starts on
+// netsim.LAN10.
+const (
+	sharedDepth = 4                    // length of the shared chain all leaves read
+	profileTopK = 8                    // hot objects the capacity report keeps
+	leaderPoll  = 5 * time.Millisecond // how often a hub group is polled for its leader
+)
 
 // retryPolicy is the leaf/hub policy: deterministic (no jitter), with a
 // per-try timeout so a dropped reply is recovered by re-sending rather
@@ -246,13 +204,14 @@ type leaf struct {
 func (l *leaf) addr() transport.Addr { return transport.Addr(l.name) }
 
 // Swarm is one scenario deployment: hub, leaves, and the bookkeeping the
-// invariants are checked against.
+// invariants are checked against, in a virtual world.
 type Swarm struct {
 	Opts  Options
 	Clock *netsim.VirtualClock
 	Net   *transport.MemNetwork
 	Hub   *site.Site   // single hub, or the first group member
 	hubs  []*site.Site // every hub member (len 1 without a group)
+	world *chaos.World // owns the sites, the watchdog and the teardown
 
 	applies    *applyLog
 	sharedOID  objmodel.OID
@@ -262,7 +221,6 @@ type Swarm struct {
 	hubDead     []bool // parallel to hubs
 	docs        []*docState
 	leaves      []*leaf // current incarnation per id
-	all         []*site.Site
 	log         []OpRecord
 	ops         int
 	unavailable int
@@ -289,65 +247,41 @@ func leafName(id, gen int) string {
 	return fmt.Sprintf("s%04d.g%d", id, gen)
 }
 
-// Build constructs the deployment: virtual clock, seeded network, the
-// hub with its virtual-clocked telemetry hub, one master document per
-// leaf plus the shared chain, and all leaf sites. Building parks nothing,
-// so it runs untracked; the simulation starts when the scenario body runs
-// under run().
+// Build constructs the deployment in a fresh virtual world: the hub (or
+// hub group), one master document per leaf plus the shared chain, and all
+// leaf sites. It runs untracked, under the world's construction hold; the
+// simulation starts when the scenario body runs under run().
 func Build(o Options) (*Swarm, error) {
-	o = o.withDefaults()
-	clock := netsim.NewVirtualClock()
-	// Dispatch stays frozen until run() enqueues the scenario body: group
-	// hub members spawn consensus timer loops at construction, and letting
-	// those advance virtual time while Build is still running untracked
-	// would race the body's start time. run()/within() release the hold.
-	clock.Hold()
-	net := transport.NewMemNetworkClock(o.Profile, o.Seed, clock)
+	w := chaos.NewVirtualWorld(o.Seed, netsim.LAN10)
 	sw := &Swarm{
 		Opts:      o,
-		Clock:     clock,
-		Net:       net,
+		Clock:     w.VirtualClock(),
+		Net:       w.Net,
+		world:     w,
 		applies:   newApplyLog(),
 		wallStart: time.Now(),
 	}
-
-	hubNames := []string{"hub"}
+	members := []transport.Addr{"hub"}
 	if o.HubGroup >= 2 {
-		hubNames = make([]string, o.HubGroup)
-		for i := range hubNames {
-			hubNames[i] = fmt.Sprintf("hub%d", i)
+		members = make([]transport.Addr, o.HubGroup)
+		for i := range members {
+			members[i] = transport.Addr(fmt.Sprintf("hub%d", i))
 		}
 	}
-	members := make([]transport.Addr, len(hubNames))
-	for i, n := range hubNames {
-		members[i] = transport.Addr(n)
-	}
-	for _, name := range hubNames {
-		opts := []site.Option{
-			site.WithPolicy(sw.applies),
-			site.WithRetry(retryPolicy()),
-			site.WithIncarnation(1),
-			site.WithTelemetry(telemetry.NewHub(name, telemetry.WithClock(clock.Now))),
-			// No wall-clock go.* sampling: sampled process state differs
-			// between runs, and observatory scrapes would carry it onto
-			// the (virtually timed) wire.
-			site.WithoutRuntimeSampler(),
-		}
-		if o.Observe && name == hubNames[0] {
+	for i, m := range members {
+		opts := []site.Option{site.WithPolicy(sw.applies), site.WithRetry(retryPolicy()), site.WithIncarnation(1)}
+		if o.Observe && i == 0 {
 			// The first hub is the observatory: invalidations give the
 			// staleness gauge a real signal, and the collector scrapes the
 			// initial roster (every hub member plus every gen-0 leaf; churn
 			// replacements surface as scrape errors on the dead address).
-			roster := make([]transport.Addr, 0, len(hubNames)+o.Sites)
-			for _, n := range hubNames {
-				roster = append(roster, transport.Addr(n))
-			}
+			roster := append([]transport.Addr(nil), members...)
 			for id := 0; id < o.Sites; id++ {
 				roster = append(roster, transport.Addr(leafName(id, 0)))
 			}
 			opts = append(opts, site.WithInvalidation(), site.WithFleet(roster))
 		}
-		if len(hubNames) > 1 {
+		if len(members) > 1 {
 			opts = append(opts, site.WithMasterGroup(site.GroupConfig{
 				Name:            "hub",
 				Members:         members,
@@ -355,13 +289,12 @@ func Build(o Options) (*Swarm, error) {
 				Seed:            o.Seed,
 			}))
 		}
-		hub, err := site.New(name, net, opts...)
+		hub, err := w.NewSite(string(m), opts...)
 		if err != nil {
-			sw.abortBuild()
+			sw.Close()
 			return nil, err
 		}
 		sw.hubs = append(sw.hubs, hub)
-		sw.all = append(sw.all, hub)
 	}
 	sw.Hub = sw.hubs[0]
 	sw.hubDead = make([]bool, len(sw.hubs))
@@ -375,7 +308,7 @@ func Build(o Options) (*Swarm, error) {
 	for id := 0; id < o.Sites; id++ {
 		sw.docs[id] = &docState{id: id}
 		if _, err := sw.newLeaf(id, 0); err != nil {
-			sw.abortBuild()
+			sw.Close()
 			return nil, err
 		}
 	}
@@ -396,26 +329,17 @@ func (sw *Swarm) liveHubs() []*site.Site {
 }
 
 // awaitHubLeader returns the hub site currently allowed to serve masters:
-// the single hub, or the group member holding a live lease (polled
-// locally, no RPC). It parks on the clock, so call it only inside the
-// tracked simulation.
+// the single hub, or the live group member holding a serve lease. It
+// parks on the clock, so call it only inside the tracked simulation.
 func (sw *Swarm) awaitHubLeader() (*site.Site, error) {
 	if !sw.groupMode() {
 		return sw.Hub, nil
 	}
-	deadline := sw.Clock.Now().Add(30 * time.Second)
-	for {
-		for _, h := range sw.liveHubs() {
-			if h.Group().CheckServe() == nil {
-				return h, nil
-			}
-		}
-		if !sw.Clock.Now().Before(deadline) {
-			return nil, errors.New("swarm: no serving hub leader within 30s")
-		}
-		sw.Clock.Sleep(5 * time.Millisecond)
-	}
+	return sw.world.AwaitLeader(sw.liveHubs(), leaderPoll)
 }
+
+// Close tears the deployment down (see chaos.World.Close).
+func (sw *Swarm) Close() { sw.world.Close() }
 
 // killHub permanently crash-stops one hub member (no rebirth — this is
 // how a scenario proves the group survives losing a site for good).
@@ -442,7 +366,7 @@ func (sw *Swarm) bootstrap() error {
 	}
 	o := sw.Opts
 
-	chain := make([]*Doc, o.SharedDepth)
+	chain := make([]*Doc, sharedDepth)
 	for i := range chain {
 		chain[i] = &Doc{Label: fmt.Sprintf("shared-%d", i), Data: []byte{byte(i)}}
 		if err := leader.Register(chain[i]); err != nil {
@@ -502,17 +426,13 @@ func (sw *Swarm) newLeaf(id, gen int) (*leaf, error) {
 		site.WithRetry(retryPolicy()),
 		site.WithIncarnation(1), // the address is unique per incarnation already
 	}
+	// Only observatory runs give leaves a telemetry hub, so the collector
+	// has per-site metrics to federate.
+	newSite := sw.world.NewBareSite
 	if sw.Opts.Observe {
-		// Observatory runs give every leaf a virtual-clocked hub so the
-		// collector has per-site metrics to federate — minus the wall-clock
-		// go.* sampler, whose readings would perturb scrape reply sizes.
-		opts = append(opts,
-			site.WithTelemetry(telemetry.NewHub(name, telemetry.WithClock(sw.Clock.Now))),
-			site.WithoutRuntimeSampler())
-	} else {
-		opts = append(opts, site.WithoutTelemetry())
+		newSite = sw.world.NewSite
 	}
-	s, err := site.New(name, sw.Net, opts...)
+	s, err := newSite(name, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("swarm: leaf %s: %w", name, err)
 	}
@@ -525,31 +445,8 @@ func (sw *Swarm) newLeaf(id, gen int) (*leaf, error) {
 	}
 	sw.mu.Lock()
 	sw.leaves[id] = l
-	sw.all = append(sw.all, s)
 	sw.mu.Unlock()
 	return l, nil
-}
-
-func (sw *Swarm) abortBuild() {
-	for i := len(sw.all) - 1; i >= 0; i-- {
-		_ = sw.all[i].Close()
-	}
-	sw.Clock.Stop()
-}
-
-// Close tears the deployment down: sites close as tracked simulated work
-// (draining in-flight events), then the clock stops.
-func (sw *Swarm) Close() {
-	_ = within(sw.Clock, sw.Opts.Watchdog, func() error {
-		sw.mu.Lock()
-		sites := append([]*site.Site(nil), sw.all...)
-		sw.mu.Unlock()
-		for i := len(sites) - 1; i >= 0; i-- {
-			_ = sites[i].Close()
-		}
-		return nil
-	})
-	sw.Clock.Stop()
 }
 
 // record appends to the fleet op log.
@@ -834,25 +731,6 @@ func (sw *Swarm) finalChecks() error {
 	return sw.fatal
 }
 
-// ErrHung marks a scenario that blew its real-time watchdog.
-var ErrHung = errors.New("swarm: scenario hung")
-
-// within runs op as tracked simulated work under a wall-clock watchdog.
-// The body is enqueued before the clock's construction hold is released,
-// so it always starts at virtual time zero with a deterministic event
-// order relative to goroutines spawned during Build.
-func within(clock *netsim.VirtualClock, d time.Duration, op func() error) error {
-	done := make(chan error, 1)
-	clock.Go(func() { done <- op() })
-	clock.Release()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		return fmt.Errorf("%w: no result after %v (%s)", ErrHung, d, clock.Snapshot())
-	}
-}
-
 // run executes a scenario: all leaf loops plus an optional disturber,
 // then healing is assumed done and the invariants are checked. It
 // returns the capacity report and the deterministic event stream.
@@ -863,7 +741,7 @@ func run(name string, o Options, disturb func(sw *Swarm, wg *netsim.WaitGroup, u
 	}
 	defer sw.Close()
 
-	err = within(sw.Clock, sw.Opts.Watchdog, func() error {
+	err = sw.world.Within(func() error {
 		if err := sw.bootstrap(); err != nil {
 			return err
 		}
