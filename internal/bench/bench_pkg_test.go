@@ -2,9 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"obiwan/internal/invoke"
 	"obiwan/internal/netsim"
 	"obiwan/internal/replication"
 )
@@ -272,5 +274,18 @@ func TestRunPrefetchShape(t *testing.T) {
 	}
 	if walk <= 0 || prefetched <= 0 {
 		t.Fatalf("series missing: %+v", points)
+	}
+}
+
+// TestReplicableMethodsCallDirect: every method of Node takes invoke's typed
+// call, registration having planned it; one that falls back to reflection
+// is named.
+func TestReplicableMethodsCallDirect(t *testing.T) {
+	p, err := invoke.PlanOf(reflect.TypeFor[*Node]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Reflective(); len(r) > 0 {
+		t.Fatalf("methods on the reflective path: %v", r)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"obiwan/internal/invoke"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
@@ -507,4 +508,17 @@ func TestSyncDirtyAfterOutage(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestReplicableMethodsCallDirect: every method of Node takes invoke's typed
+// call, registration having planned it; one that falls back to reflection
+// is named.
+func TestReplicableMethodsCallDirect(t *testing.T) {
+	p, err := invoke.PlanOf(reflect.TypeFor[*Node]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Reflective(); len(r) > 0 {
+		t.Fatalf("methods on the reflective path: %v", r)
+	}
 }

@@ -7,13 +7,17 @@
 //     same call frame is applied to a local replica instead.
 //
 // Each method is worked out once, as a plan, and the plans of a type are
-// cached. The reflective path is also the reference a hand-written
-// dispatcher (Args1, Args2, CheckArity, Result, NoSuchMethod) is held to.
+// cached. A registered type's plan (PlanDirect) calls each method of a known
+// shape directly, with no reflect.Value.Call. The reflective path is the
+// fallback for every other method and the reference a hand-written
+// dispatcher (Args1, Args2, CheckArity, Result, NoSuchMethod) and the typed
+// calls are held to.
 package invoke
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -64,7 +68,8 @@ type methodPlan struct {
 	fn       reflect.Value  // Method.Func: the receiver is its first argument
 	params   []reflect.Type // declared parameters, receiver excluded
 	variadic bool
-	errOut   bool // the last result is an error, stripped from the results
+	errOut   bool   // the last result is an error, stripped from the results
+	direct   direct // the typed call, when PlanDirect found the method's shape
 }
 
 // PlanOf returns the plan of t's exported methods, built on first use and
@@ -73,6 +78,33 @@ func PlanOf(t reflect.Type) (*Plan, error) {
 	if p, ok := plans.Load(t); ok {
 		return p.(*Plan), nil
 	}
+	p, err := build(t)
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := plans.LoadOrStore(t, p)
+	return actual.(*Plan), nil
+}
+
+// PlanDirect builds the plan of P's exported methods as PlanOf does, gives
+// each method whose signature is in the shape table (directOf) its typed
+// call, and publishes the plan in place of any cached for P. A published
+// plan is never changed: a call that loaded the reflective plan finishes on
+// it, and both give the same results and errors.
+func PlanDirect[P any]() (*Plan, error) {
+	t := reflect.TypeFor[P]()
+	p, err := build(t)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range p.methods {
+		m.direct = directOf[P](m.fn.Interface())
+	}
+	plans.Store(t, p)
+	return p, nil
+}
+
+func build(t reflect.Type) (*Plan, error) {
 	if t.NumMethod() == 0 {
 		return nil, fmt.Errorf("invoke: type %v has no exported methods", t)
 	}
@@ -86,16 +118,28 @@ func PlanOf(t reflect.Type) (*Plan, error) {
 		}
 		p.methods[m.Name] = mp
 	}
-	actual, _ := plans.LoadOrStore(t, p)
-	return actual.(*Plan), nil
+	return p, nil
+}
+
+// Reflective names, sorted, the plan's methods that have no typed call and
+// go through reflect.Value.Call.
+func (p *Plan) Reflective() []string {
+	var names []string
+	for name, m := range p.methods {
+		if m.direct == nil {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
 // Call invokes method on recv with decoded wire arguments, adapting each
 // argument to the declared parameter type. A trailing error result is
-// stripped: nil vanishes, non-nil comes back as a KindApp *Error.
+// stripped: nil vanishes, non-nil comes back as a KindApp *Error. A method
+// with a typed call (PlanDirect) runs it; any other goes through reflection.
 func Call(recv any, method string, args []any) ([]any, error) {
-	rv := reflect.ValueOf(recv)
-	p, err := PlanOf(rv.Type())
+	p, err := PlanOf(reflect.TypeOf(recv))
 	if err != nil {
 		return nil, &Error{Kind: KindNoSuchMethod, Method: method, Message: err.Error()}
 	}
@@ -103,7 +147,69 @@ func Call(recv any, method string, args []any) ([]any, error) {
 	if m == nil {
 		return nil, NoSuchMethod(recv, method)
 	}
-	return m.call(rv, method, reflect.Value{}, args)
+	if m.direct != nil {
+		return m.direct(recv, method, args)
+	}
+	return m.call(reflect.ValueOf(recv), method, reflect.Value{}, args)
+}
+
+// direct is a method's typed call; recv is a value of the plan's type.
+type direct func(recv any, method string, args []any) ([]any, error)
+
+// directOf is the typed call of fn, a method of P with the receiver as its
+// first parameter, or nil when fn's signature is not in the table. The table
+// is closed: it holds the shapes the repository's replicable types have and
+// nothing guessed, and a method of any other shape stays reflective. Each
+// call checks and converts its arguments through CheckArity and Args1, so it
+// accepts and refuses what the reflective call does, with the same errors.
+func directOf[P any](fn any) direct {
+	switch f := fn.(type) {
+	case func(P):
+		return func(recv any, method string, args []any) ([]any, error) {
+			if err := CheckArity(method, args, 0, 0); err != nil {
+				return nil, err
+			}
+			f(recv.(P))
+			return []any{}, nil
+		}
+	case func(P) int:
+		return direct0(f)
+	case func(P) int64:
+		return direct0(f)
+	case func(P) uint32:
+		return direct0(f)
+	case func(P) string:
+		return direct0(f)
+	case func(P, string):
+		return direct1(f)
+	case func(P, int64):
+		return direct1(f)
+	case func(P, []byte):
+		return direct1(f)
+	}
+	return nil
+}
+
+// direct0 calls a method of no arguments and one result.
+func direct0[P, R any](f func(P) R) direct {
+	return func(recv any, method string, args []any) ([]any, error) {
+		if err := CheckArity(method, args, 0, 0); err != nil {
+			return nil, err
+		}
+		return []any{f(recv.(P))}, nil
+	}
+}
+
+// direct1 calls a method of one argument and no result.
+func direct1[P, A any](f func(P, A)) direct {
+	return func(recv any, method string, args []any) ([]any, error) {
+		a, err := Args1[A](method, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		f(recv.(P), a)
+		return []any{}, nil
+	}
 }
 
 // CallWithLead is the reflective skeleton's dispatch: method on recv, a

@@ -129,25 +129,187 @@ func TestPlanCallPassesSpanContext(t *testing.T) {
 	}
 }
 
-// callNoArgAllocs is what Call of a method with no arguments and one int
-// result allocates: the results slice, reflect's own result slice and the
-// boxed int. Only ever goes down (4 while the call's argument slice was
-// made per call).
+// callNoArgAllocs is what a reflective Call of a method with no arguments
+// and one int result allocates: the results slice, reflect's own result
+// slice and the boxed int. Only ever goes down (4 while the call's argument
+// slice was made per call).
 const callNoArgAllocs = 3
+
+// callDirectAllocs is the same call on a type planned by PlanDirect: the
+// results slice and the boxed int.
+const callDirectAllocs = 2
 
 func TestCallAllocationsPinned(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not repeatable under the race detector")
 	}
-	recv := &valRecv{1 << 20} // past the runtime's preallocated small ints
-	got := testing.AllocsPerRun(1000, func() {
-		if _, err := Call(recv, "Get", nil); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		recv   any
+		method string
+		pin    int
+	}{
+		// 1<<20 is past the runtime's preallocated small ints.
+		{"reflective", &valRecv{1 << 20}, "Get", callNoArgAllocs},
+		{"direct", &shapes{Words: 1 << 20}, "WordCount", callDirectAllocs},
+	} {
+		got := testing.AllocsPerRun(1000, func() {
+			if _, err := Call(c.recv, c.method, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(c.pin) {
+			t.Errorf("%s: a no-argument call allocates %.1f objects, pinned at %d", c.name, got, c.pin)
 		}
-	})
-	if got > callNoArgAllocs {
-		t.Fatalf("a no-argument call allocates %.1f objects, pinned at %d", got, callNoArgAllocs)
 	}
+}
+
+// shapes has one method of each shape in the direct-call table, named and
+// typed as the examples' and the benchmark's replicable types have them.
+// Every method panics while boom is set.
+type shapes struct {
+	Name, Note string
+	Cents      int64
+	Words      int
+	Done       bool
+	Payload    []byte
+	boom       bool
+}
+
+func init() {
+	if _, err := PlanDirect[*shapes](); err != nil {
+		panic(err)
+	}
+}
+
+func (s *shapes) check() {
+	if s.boom {
+		panic("boom")
+	}
+}
+
+func (s *shapes) Title() string          { s.check(); return s.Name }
+func (s *shapes) Complete(note string)   { s.check(); s.Note = note }
+func (s *shapes) Trade(cents int64)      { s.check(); s.Cents = cents }
+func (s *shapes) Price() int64           { s.check(); return s.Cents }
+func (s *shapes) WordCount() int         { s.check(); return s.Words }
+func (s *shapes) Finish()                { s.check(); s.Done = true }
+func (s *shapes) CRC() uint32            { s.check(); return uint32(len(s.Payload)) }
+func (s *shapes) SetPayload(data []byte) { s.check(); s.Payload = data }
+
+// TestDirectCoversEveryReplicableShape: each signature the examples and the
+// benchmark's node declare takes the typed call.
+func TestDirectCoversEveryReplicableShape(t *testing.T) {
+	p, err := PlanOf(reflect.TypeFor[*shapes]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Reflective(); len(r) > 0 {
+		t.Fatalf("methods on the reflective path: %v", r)
+	}
+}
+
+// mixed has methods on and off the table.
+type mixed struct{}
+
+func (*mixed) Touch() int           { return 1 }
+func (*mixed) First() byte          { return 1 }
+func (*mixed) Fail() error          { return nil }
+func (*mixed) Echo(s string) string { return s }
+func (*mixed) Pair(int64, int64)    {}
+func (*mixed) Named() namedString   { return "" }
+func (*mixed) Rest(...string)       {}
+func (*mixed) Narrow(int32)         {}
+
+// TestPlanDirectPublishesANewPlan: a method off the table stays reflective,
+// and PlanDirect replaces a cached reflective plan without changing it.
+func TestPlanDirectPublishesANewPlan(t *testing.T) {
+	old, err := PlanOf(reflect.TypeFor[*mixed]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PlanDirect[*mixed]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := PlanOf(reflect.TypeFor[*mixed]()); got != p || got == old {
+		t.Fatal("PlanDirect's plan is not the one cached")
+	}
+	want := []string{"Echo", "Fail", "First", "Named", "Narrow", "Pair", "Rest"}
+	if r := p.Reflective(); !reflect.DeepEqual(r, want) {
+		t.Fatalf("reflective methods %v, want %v", r, want)
+	}
+	if r := old.Reflective(); len(r) != 8 {
+		t.Fatalf("the published reflective plan changed: %v", r)
+	}
+}
+
+// TestDirectMatchesReflective holds each typed call to the reflective call
+// of the same method: equal results (dynamic types and the empty slice of a
+// method with no result included), equal receiver state, equal *Error kind
+// and message, and the same panic.
+func TestDirectMatchesReflective(t *testing.T) {
+	p, err := PlanOf(reflect.TypeFor[*shapes]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors := [][]any{
+		nil,                // right for no argument, arity for one
+		{"text"},           // right for string
+		{int64(-7)},        // right for int64
+		{uint64(9)},        // converted to int64
+		{[]byte("b")},      // right for []byte
+		{nil},              // nil: a nil []byte, refused elsewhere
+		{uint64(1 << 63)},  // overflows int64
+		{1.5},              // wrong type everywhere
+		{[]any{int64(1)}},  // element-wise into []byte
+		{"text", int64(1)}, // arity everywhere
+	}
+	for name, m := range p.methods {
+		if m.direct == nil {
+			t.Fatalf("%s has no typed call", name)
+		}
+		for _, boom := range []bool{false, true} {
+			for _, args := range vectors {
+				dRecv := &shapes{Name: "n", Cents: 3, Words: 1 << 20, Payload: []byte("p"), boom: boom}
+				rRecv := &shapes{Name: "n", Cents: 3, Words: 1 << 20, Payload: []byte("p"), boom: boom}
+				dRes, dErr, dPanic := outcome(func() ([]any, error) { return m.direct(dRecv, name, args) })
+				rRes, rErr, rPanic := outcome(func() ([]any, error) {
+					return m.call(reflect.ValueOf(rRecv), name, reflect.Value{}, args)
+				})
+				what := fmt.Sprintf("%s%v boom=%v", name, args, boom)
+				if !reflect.DeepEqual(dRes, rRes) {
+					t.Errorf("%s: direct %#v, reflective %#v", what, dRes, rRes)
+				}
+				if describe(dErr) != describe(rErr) {
+					t.Errorf("%s: direct error %s, reflective %s", what, describe(dErr), describe(rErr))
+				}
+				if dPanic != rPanic {
+					t.Errorf("%s: direct panicked %v, reflective %v", what, dPanic, rPanic)
+				}
+				if !reflect.DeepEqual(dRecv, rRecv) {
+					t.Errorf("%s: direct left %+v, reflective %+v", what, dRecv, rRecv)
+				}
+			}
+		}
+	}
+}
+
+// outcome runs call, reporting a panic's value instead of propagating it.
+func outcome(call func() ([]any, error)) (res []any, err error, panicked any) {
+	defer func() { panicked = recover() }()
+	res, err = call()
+	return res, err, nil
+}
+
+// describe is an error as the wire sees it: an *Error's kind, method and
+// message.
+func describe(err error) string {
+	var ie *Error
+	if !errors.As(err, &ie) {
+		return fmt.Sprint(err)
+	}
+	return fmt.Sprintf("kind %d %s: %s", ie.Kind, ie.Method, ie.Message)
 }
 
 func TestCallHappyPath(t *testing.T) {

@@ -59,7 +59,12 @@ var (
 // exported method (objects are manipulated only through methods). The type
 // is simultaneously registered with the codec so its state can travel.
 // Registration is idempotent for the same name/type pair.
-func RegisterType(name string, sample any) error {
+//
+// The type's methods are planned here, once: when S is T or *T, each method
+// of a shape invoke's table holds is called directly, with no reflection, on
+// LMI and behind the master's proxy-in (invoke.PlanDirect). A sample whose
+// static type is any registers on the reflective path.
+func RegisterType[S any](name string, sample S) error {
 	t := reflect.TypeOf(sample)
 	for t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
@@ -69,7 +74,7 @@ func RegisterType(name string, sample any) error {
 	}
 	// Planning *T's methods rejects a type without any, and LMI on its
 	// objects then finds the plan built.
-	if _, err := invoke.PlanOf(reflect.PointerTo(t)); err != nil {
+	if _, err := planMethods[S](t); err != nil {
 		return fmt.Errorf("objmodel: %q: %w", name, err)
 	}
 	if err := codec.Register(name, sample); err != nil {
@@ -86,9 +91,21 @@ func RegisterType(name string, sample any) error {
 	return nil
 }
 
+// planMethods plans the methods of *t, with typed calls when S names t or
+// *t statically.
+func planMethods[S any](t reflect.Type) (*invoke.Plan, error) {
+	switch reflect.TypeFor[S]() {
+	case t:
+		return invoke.PlanDirect[*S]()
+	case reflect.PointerTo(t):
+		return invoke.PlanDirect[S]()
+	}
+	return invoke.PlanOf(reflect.PointerTo(t))
+}
+
 // MustRegisterType is RegisterType but panics on error; for package-scoped
 // registration.
-func MustRegisterType(name string, sample any) {
+func MustRegisterType[S any](name string, sample S) {
 	if err := RegisterType(name, sample); err != nil {
 		panic(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"obiwan/internal/codec"
+	"obiwan/internal/invoke"
+	"obiwan/internal/raceflag"
 )
 
 // node is a list element, the paper's canonical workload shape.
@@ -60,6 +62,33 @@ func TestRegisterTypeValidation(t *testing.T) {
 	if err := RegisterType("objmodel_test.node", (*tree)(nil)); err == nil {
 		t.Fatal("name collision must be rejected")
 	}
+}
+
+// shape is registered by TestRegisterTypePlansByStaticType alone.
+type shape struct{}
+
+func (*shape) Kind() string { return "shape" }
+
+// TestRegisterTypePlansByStaticType: a sample whose static type is any
+// registers on the reflective path; one typed T (or *T) gives the methods
+// their typed calls.
+func TestRegisterTypePlansByStaticType(t *testing.T) {
+	check := func(registered error, want []string) {
+		t.Helper()
+		if registered != nil {
+			t.Fatal(registered)
+		}
+		p, err := invoke.PlanOf(reflect.TypeFor[*shape]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := p.Reflective(); !reflect.DeepEqual(r, want) {
+			t.Fatalf("reflective methods %v, want %v", r, want)
+		}
+	}
+	var untyped any = (*shape)(nil)
+	check(RegisterType("objmodel_test.shape", untyped), []string{"Kind"})
+	check(RegisterType("objmodel_test.shape", shape{}), nil)
 }
 
 func TestInfoLookup(t *testing.T) {
@@ -232,13 +261,14 @@ type fakeRemote struct {
 	mu    sync.Mutex
 	calls []string
 	res   []any
+	err   error
 }
 
 func (f *fakeRemote) RemoteInvoke(method string, args []any) ([]any, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls = append(f.calls, method)
-	return f.res, nil
+	return f.res, f.err
 }
 
 func TestFaultingRefResolvesOnce(t *testing.T) {
@@ -524,6 +554,57 @@ func TestRefBindFaultAndAccessors(t *testing.T) {
 	}
 	if r.Faulter() != nil {
 		t.Fatal("faulter must clear after resolution")
+	}
+}
+
+// TestRefErrorPathsReadOIDUnderLock: the errors of a failed fault, a failed
+// remote invoke and a type mismatch name the oid read under the ref's lock,
+// so building them does not race a concurrent rebind (go test -race).
+func TestRefErrorPathsReadOIDUnderLock(t *testing.T) {
+	failing := &fakeFaulter{err: errors.New("link down")}
+	for name, c := range map[string]struct {
+		f    Faulter
+		fail func(r *Ref) error
+	}{
+		"fault":  {failing, func(r *Ref) error { _, err := r.Resolve(); return err }},
+		"remote": {failing, func(r *Ref) error { r.SetMode(ModeRemote); _, err := r.Invoke("Kind"); return err }},
+		"deref":  {&fakeFaulter{obj: &tree{}}, func(r *Ref) error { _, err := Deref[*node](r); return err }},
+	} {
+		r := NewFaultingRef(1, c.f, &fakeRemote{err: errors.New("refused")})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := range 200 {
+				r.BindFault(OID(i+1), c.f, nil)
+			}
+		}()
+		for range 200 {
+			if err := c.fail(r); err == nil {
+				t.Errorf("%s: no error", name)
+				break
+			}
+		}
+		<-done
+	}
+}
+
+// lmiAllocs is what Ref.Invoke allocates for a no-argument method with a
+// string result on a resolved ref of a registered type: the results slice
+// and the boxed string. Only ever goes down.
+const lmiAllocs = 2
+
+func TestLMIAllocationsPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	r := NewLocalRef(&tree{}, 1)
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := r.Invoke("Kind"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > lmiAllocs {
+		t.Fatalf("LMI allocates %.1f objects, pinned at %d", got, lmiAllocs)
 	}
 }
 

@@ -233,7 +233,7 @@ func (r *Ref) Resolve() (any, error) {
 
 	local, remote, err := f.ResolveFault()
 	if err != nil {
-		return nil, fmt.Errorf("objmodel: fault on %v: %w", r.oid, err)
+		return nil, fmt.Errorf("objmodel: fault on %v: %w", r.OID(), err)
 	}
 	r.mu.Lock()
 	r.local = local
@@ -276,7 +276,7 @@ func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
 	if useRemote {
 		results, err := remote.RemoteInvoke(method, args)
 		if err != nil {
-			return nil, fmt.Errorf("objmodel: remote invoke %s on %v: %w", method, r.oid, err)
+			return nil, fmt.Errorf("objmodel: remote invoke %s on %v: %w", method, oid, err)
 		}
 		return results, nil
 	}
@@ -298,7 +298,7 @@ func Deref[T any](r *Ref) (T, error) {
 	}
 	t, ok := obj.(T)
 	if !ok {
-		return zero, fmt.Errorf("objmodel: %v holds %T, not %T", r.oid, obj, zero)
+		return zero, fmt.Errorf("objmodel: %v holds %T, not %T", r.OID(), obj, zero)
 	}
 	return t, nil
 }

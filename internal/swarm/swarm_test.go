@@ -3,9 +3,11 @@ package swarm
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"obiwan/internal/invoke"
 	"obiwan/internal/netsim"
 )
 
@@ -258,4 +260,17 @@ func TestReportSpeedup(t *testing.T) {
 		t.Fatal("no clock events recorded")
 	}
 	_ = netsim.VirtualBase // keep the import honest if asserts change
+}
+
+// TestReplicableMethodsCallDirect: every method of Doc takes invoke's typed
+// call, registration having planned it; one that falls back to reflection
+// is named.
+func TestReplicableMethodsCallDirect(t *testing.T) {
+	p, err := invoke.PlanOf(reflect.TypeFor[*Doc]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Reflective(); len(r) > 0 {
+		t.Fatalf("methods on the reflective path: %v", r)
+	}
 }

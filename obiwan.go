@@ -244,13 +244,15 @@ type MemNetwork = transport.MemNetwork
 
 // RegisterType registers an application object type under a stable wire
 // name. Call it once per type, before any replication (an init function is
-// the conventional place).
-func RegisterType(name string, sample any) error {
+// the conventional place). Pass a typed sample such as (*T)(nil): the
+// methods of the common shapes are then called without reflection, while a
+// sample whose static type is any registers on the reflective path.
+func RegisterType[S any](name string, sample S) error {
 	return objmodel.RegisterType(name, sample)
 }
 
 // MustRegisterType is RegisterType but panics on error.
-func MustRegisterType(name string, sample any) {
+func MustRegisterType[S any](name string, sample S) {
 	objmodel.MustRegisterType(name, sample)
 }
 

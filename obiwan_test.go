@@ -2,7 +2,10 @@ package obiwan
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+
+	"obiwan/internal/invoke"
 )
 
 // memo is the facade test type.
@@ -189,6 +192,18 @@ func TestFacadeRegisterTypeErrors(t *testing.T) {
 	}
 	if err := RegisterType("obiwan_test.memo", (*memo)(nil)); err != nil {
 		t.Fatalf("idempotent: %v", err)
+	}
+}
+
+// TestFacadeRegistrationCallsDirect: the facade hands registration the
+// sample's static type, so memo's methods take invoke's typed calls.
+func TestFacadeRegistrationCallsDirect(t *testing.T) {
+	p, err := invoke.PlanOf(reflect.TypeFor[*memo]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := p.Reflective(); len(r) > 0 {
+		t.Fatalf("methods on the reflective path: %v", r)
 	}
 }
 
