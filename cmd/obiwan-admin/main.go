@@ -20,11 +20,12 @@
 //	obiwan-admin -site host:port fleet slow         # fleet-wide worst demands
 //	obiwan-admin -site host:port fleet attribution  # "where does p99 go" profile
 //
-// The fleet subcommands address a site running a fleet collector; `fleet
-// top` forces a fresh scrape of every peer before rendering, `fleet
-// alerts` prints the watchdog's retained alert backlog, `fleet slow` and
-// `fleet attribution` serve the collector's federated slow traces and
-// critical-path phase profile.
+// The fleet subcommands address a site running a fleet collector and are
+// client-side views over its one fleet endpoint, Fleet: `fleet top` asks
+// it to scrape every peer first and renders the snapshot, `fleet alerts`
+// prints the watchdog's retained alert backlog, `fleet slow` and `fleet
+// attribution` the collector's federated slow traces (at most -max,
+// 0 = 8) and critical-path phase profile.
 //
 // `slow` prints each tail exemplar as its phase-annotated critical path:
 // which site and span the time went to, split into protocol phases
@@ -127,6 +128,22 @@ type traceDump struct {
 	Spans []telemetry.SpanRecord
 }
 
+// slowView is the slow and fleet slow view: the answering site and its
+// ranked slow traces.
+type slowView struct {
+	Site      string
+	TakenAtNS int64
+	Traces    []telemetry.SlowTrace
+}
+
+// alertView is the fleet alerts view of a fleet chunk.
+type alertView struct {
+	Site      string
+	TakenAtNS int64
+	Dropped   uint64
+	Alerts    []telemetry.Alert
+}
+
 func run(w io.Writer, siteAddr, cmd string, o runOpts) (int, error) {
 	network := transport.NewTCPNetwork()
 	rt, err := rmi.NewRuntime(network, "127.0.0.1:0")
@@ -204,60 +221,17 @@ func run(w io.Writer, siteAddr, cmd string, o runOpts) (int, error) {
 			max = 8
 		}
 		obs := []telemetry.SiteObservation{{Site: chunk.Site, Metrics: chunk.Metrics}}
-		return renderSlow(w, &admin.SlowChunk{
+		return renderSlow(w, slowView{
 			Site:      chunk.Site,
 			TakenAtNS: chunk.TakenAtNS,
 			Traces:    telemetry.RankSlow(obs, chunk.Spans, max),
 		}, o.jsonOut)
-	case "fleet top":
-		snap, err := client.Fleet(true)
+	case "fleet top", "fleet alerts", "fleet slow", "fleet attribution":
+		chunk, err := client.Fleet(cmd == "fleet top", o.maxSpans)
 		if err != nil {
 			return 0, err
 		}
-		if o.jsonOut {
-			return 0, renderJSON(w, snap)
-		}
-		_, err = io.WriteString(w, snap.Format())
-		return 0, err
-	case "fleet alerts":
-		chunk, err := client.FleetAlerts()
-		if err != nil {
-			return 0, err
-		}
-		if o.jsonOut {
-			if err := renderJSON(w, chunk); err != nil {
-				return 0, err
-			}
-		} else {
-			fmt.Fprintf(w, "site %q watchdog:\n", chunk.Site)
-			if _, err := io.WriteString(w, telemetry.FormatAlerts(chunk.Alerts, chunk.Dropped)); err != nil {
-				return 0, err
-			}
-		}
-		if len(chunk.Alerts) > 0 {
-			return exitFindings, nil
-		}
-		return 0, nil
-	case "fleet slow":
-		chunk, err := client.FleetSlow(o.maxSpans)
-		if err != nil {
-			return 0, err
-		}
-		return renderSlow(w, chunk, o.jsonOut)
-	case "fleet attribution":
-		prof, err := client.FleetAttribution()
-		if err != nil {
-			return 0, err
-		}
-		if o.jsonOut {
-			return 0, renderJSON(w, prof)
-		}
-		if prof.Paths == 0 {
-			fmt.Fprintln(w, "no complete traces scraped yet (telemetry disabled or no traffic)")
-			return 0, nil
-		}
-		_, err = io.WriteString(w, prof.Format())
-		return 0, err
+		return renderFleet(w, cmd, chunk, o.jsonOut)
 	case "report", "objects":
 		report, err := client.Report()
 		if err != nil {
@@ -279,9 +253,51 @@ func renderJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// renderSlow prints a slow-trace chunk — each tail exemplar as its
+// renderFleet prints one fleet view of a fleet chunk: top the snapshot,
+// alerts the watchdog backlog, slow the ranked traces, attribution the
+// phase profile. alerts and slow signal findings via the exit code.
+func renderFleet(w io.Writer, cmd string, chunk *admin.FleetChunk, jsonOut bool) (int, error) {
+	switch cmd {
+	case "fleet top":
+		if jsonOut {
+			return 0, renderJSON(w, chunk.Snapshot)
+		}
+		_, err := io.WriteString(w, chunk.Snapshot.Format())
+		return 0, err
+	case "fleet alerts":
+		if jsonOut {
+			if err := renderJSON(w, alertView{chunk.Site, chunk.TakenAtNS, chunk.Dropped, chunk.Alerts}); err != nil {
+				return 0, err
+			}
+		} else {
+			fmt.Fprintf(w, "site %q watchdog:\n", chunk.Site)
+			if _, err := io.WriteString(w, telemetry.FormatAlerts(chunk.Alerts, chunk.Dropped)); err != nil {
+				return 0, err
+			}
+		}
+		if len(chunk.Alerts) > 0 {
+			return exitFindings, nil
+		}
+		return 0, nil
+	case "fleet slow":
+		return renderSlow(w, slowView{chunk.Site, chunk.TakenAtNS, chunk.Slow}, jsonOut)
+	default: // fleet attribution
+		prof := chunk.Attribution
+		if jsonOut {
+			return 0, renderJSON(w, prof)
+		}
+		if prof.Paths == 0 {
+			fmt.Fprintln(w, "no complete traces scraped yet (telemetry disabled or no traffic)")
+			return 0, nil
+		}
+		_, err := io.WriteString(w, prof.Format())
+		return 0, err
+	}
+}
+
+// renderSlow prints a slow-trace view — each tail exemplar as its
 // phase-annotated critical path — and signals findings via the exit code.
-func renderSlow(w io.Writer, chunk *admin.SlowChunk, jsonOut bool) (int, error) {
+func renderSlow(w io.Writer, chunk slowView, jsonOut bool) (int, error) {
 	if jsonOut {
 		if err := renderJSON(w, chunk); err != nil {
 			return 0, err

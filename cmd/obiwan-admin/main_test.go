@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"obiwan/internal/admin"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/site"
 	"obiwan/internal/telemetry"
@@ -231,7 +230,7 @@ func TestAdminCLISlowJSONAndExitCodes(t *testing.T) {
 	if code != 3 {
 		t.Fatalf("json slow: code=%d, want 3", code)
 	}
-	var chunk admin.SlowChunk
+	var chunk slowView
 	if err := json.Unmarshal(buf.Bytes(), &chunk); err != nil {
 		t.Fatalf("slow -json did not parse: %v\n%s", err, buf.String())
 	}

@@ -13,7 +13,7 @@ import (
 // This file is the telemetry read path of the admin service: the one
 // cursor-based scrape endpoint that fleet collectors, watchers and the
 // obiwan-admin views (metrics, trace, top, watch, slow) all pull from,
-// and the fleet endpoints a collector-bearing site answers with. The
+// and the one fleet endpoint a collector-bearing site answers with. The
 // scrape rides the same well-known export as the rest of the admin
 // service, so a collector can address any site knowing only its
 // transport address.
@@ -49,33 +49,31 @@ type ScrapeChunk struct {
 	Spans   []telemetry.SpanRecord
 }
 
-// AlertChunk wraps the watchdog's alert backlog for the wire. Dropped
-// counts alerts the bounded backlog has evicted since the collector
-// started — nonzero means the listed alerts are a window, not the
-// history.
-type AlertChunk struct {
+// FleetChunk is one read of a collector-bearing site's fleet state: the
+// aggregated snapshot, the watchdog's alert backlog, the fleet's ranked
+// slow traces and its critical-path attribution profile. The obiwan-admin
+// fleet views (top, alerts, slow, attribution) are client-side views of it.
+type FleetChunk struct {
 	Site      string
 	TakenAtNS int64
-	Dropped   uint64
-	Alerts    []telemetry.Alert
-}
-
-// SlowChunk wraps slow-trace results (tail exemplars resolved to their
-// spans): the fleet's on the wire when assembled by a collector, or one
-// site's when ranked client-side from its drained scrape.
-type SlowChunk struct {
-	Site      string
-	TakenAtNS int64
-	Traces    []telemetry.SlowTrace
+	// Snapshot is the aggregate of the most recent scrape round (nil when
+	// the collector has not scraped yet).
+	Snapshot *telemetry.FleetSnapshot
+	// Dropped counts alerts the bounded backlog has evicted since the
+	// collector started — nonzero means Alerts is a window, not the
+	// history.
+	Dropped     uint64
+	Alerts      []telemetry.Alert
+	Slow        []telemetry.SlowTrace
+	Attribution *telemetry.AttributionProfile
 }
 
 func init() {
 	codec.MustRegister("obiwan.admin.ScrapeChunk", ScrapeChunk{})
-	codec.MustRegister("obiwan.admin.AlertChunk", AlertChunk{})
-	codec.MustRegister("obiwan.admin.SlowChunk", SlowChunk{})
+	codec.MustRegister("obiwan.admin.FleetChunk", FleetChunk{})
 }
 
-// ErrNoFleet is returned by the fleet endpoints of a site that runs no
+// ErrNoFleet is returned by the fleet endpoint of a site that runs no
 // collector.
 var ErrNoFleet = errors.New("admin: no fleet collector at this site")
 
@@ -83,19 +81,11 @@ var ErrNoFleet = errors.New("admin: no fleet collector at this site")
 // lives here (not in the fleet package) so the admin service can serve
 // fleet state without importing its producer.
 type FleetSource interface {
-	// FleetSnapshot returns the aggregated fleet view. With refresh set
-	// the source scrapes its peers first; otherwise it serves the view
-	// assembled by the most recent scrape.
-	FleetSnapshot(refresh bool) (*telemetry.FleetSnapshot, error)
-	// FleetAlerts returns the watchdog's retained alerts, oldest first,
-	// plus the count of alerts evicted from the bounded backlog.
-	FleetAlerts() ([]telemetry.Alert, uint64)
-	// FleetSlow returns the fleet's worst recent traced demands — tail
-	// exemplars from every scraped site, resolved against the
-	// collector's span buffer — at most max (all when max <= 0).
-	FleetSlow(max int) []telemetry.SlowTrace
-	// Attribution returns the fleet's aggregated critical-path profile.
-	Attribution() *telemetry.AttributionProfile
+	// Fleet builds one chunk (Site and TakenAtNS left for the service to
+	// stamp). With refresh set the source scrapes its peers first;
+	// otherwise it serves the state the most recent scrape assembled. At
+	// most maxSlow slow traces (all when maxSlow <= 0).
+	Fleet(refresh bool, maxSlow int) *FleetChunk
 }
 
 // Scrape returns one federation chunk: metrics, the topK hottest object
@@ -122,54 +112,19 @@ func (s *Service) Scrape(cursor uint64, maxSpans uint64, topK uint64) *ScrapeChu
 	}
 }
 
-// Fleet returns the aggregated fleet snapshot from this site's
-// collector (ErrNoFleet when it runs none). refresh forces a fresh
-// scrape of every peer before answering.
-func (s *Service) Fleet(refresh bool) (*telemetry.FleetSnapshot, error) {
+// Fleet returns this site's collector's view of the fleet (ErrNoFleet
+// when it runs none): refresh forces a fresh scrape of every peer before
+// answering, and maxSlow bounds the ranked slow traces (0: 8).
+func (s *Service) Fleet(refresh bool, maxSlow uint64) (*FleetChunk, error) {
 	if s.fleet == nil {
 		return nil, ErrNoFleet
 	}
-	return s.fleet.FleetSnapshot(refresh)
-}
-
-// FleetAlerts returns the fleet watchdog's retained alerts and how many
-// the bounded backlog has dropped.
-func (s *Service) FleetAlerts() (*AlertChunk, error) {
-	if s.fleet == nil {
-		return nil, ErrNoFleet
+	if maxSlow == 0 {
+		maxSlow = 8
 	}
-	alerts, dropped := s.fleet.FleetAlerts()
-	return &AlertChunk{
-		Site:      s.name,
-		TakenAtNS: s.tel.Now().UnixNano(),
-		Dropped:   dropped,
-		Alerts:    alerts,
-	}, nil
-}
-
-// FleetSlow returns the fleet-wide worst recent traced demands from this
-// site's collector (ErrNoFleet when it runs none).
-func (s *Service) FleetSlow(max uint64) (*SlowChunk, error) {
-	if s.fleet == nil {
-		return nil, ErrNoFleet
-	}
-	if max == 0 {
-		max = 8
-	}
-	return &SlowChunk{
-		Site:      s.name,
-		TakenAtNS: s.tel.Now().UnixNano(),
-		Traces:    s.fleet.FleetSlow(int(max)),
-	}, nil
-}
-
-// FleetAttribution returns the fleet's aggregated critical-path profile
-// from this site's collector (ErrNoFleet when it runs none).
-func (s *Service) FleetAttribution() (*telemetry.AttributionProfile, error) {
-	if s.fleet == nil {
-		return nil, ErrNoFleet
-	}
-	return s.fleet.Attribution(), nil
+	chunk := s.fleet.Fleet(refresh, int(maxSlow))
+	chunk.Site, chunk.TakenAtNS = s.name, s.tel.Now().UnixNano()
+	return chunk, nil
 }
 
 // Scrape fetches one federation chunk from the remote site.
@@ -185,58 +140,17 @@ func (c *Client) Scrape(cursor uint64, maxSpans uint64, topK uint64) (*ScrapeChu
 	return chunk, nil
 }
 
-// Fleet fetches the remote site's aggregated fleet snapshot.
-func (c *Client) Fleet(refresh bool) (*telemetry.FleetSnapshot, error) {
-	res, err := c.call("Fleet", refresh)
+// Fleet fetches the remote site's fleet chunk.
+func (c *Client) Fleet(refresh bool, maxSlow uint64) (*FleetChunk, error) {
+	res, err := c.call("Fleet", refresh, maxSlow)
 	if err != nil {
 		return nil, err
 	}
-	snap, ok := res[0].(*telemetry.FleetSnapshot)
-	if !ok {
-		return nil, errUnexpected(res[0])
-	}
-	return snap, nil
-}
-
-// FleetAlerts fetches the remote site's watchdog alerts.
-func (c *Client) FleetAlerts() (*AlertChunk, error) {
-	res, err := c.call("FleetAlerts")
-	if err != nil {
-		return nil, err
-	}
-	chunk, ok := res[0].(*AlertChunk)
+	chunk, ok := res[0].(*FleetChunk)
 	if !ok {
 		return nil, errUnexpected(res[0])
 	}
 	return chunk, nil
-}
-
-// FleetSlow fetches the fleet-wide worst traced demands from the remote
-// site's collector.
-func (c *Client) FleetSlow(max uint64) (*SlowChunk, error) {
-	res, err := c.call("FleetSlow", max)
-	if err != nil {
-		return nil, err
-	}
-	chunk, ok := res[0].(*SlowChunk)
-	if !ok {
-		return nil, errUnexpected(res[0])
-	}
-	return chunk, nil
-}
-
-// FleetAttribution fetches the fleet's aggregated critical-path profile
-// from the remote site's collector.
-func (c *Client) FleetAttribution() (*telemetry.AttributionProfile, error) {
-	res, err := c.call("FleetAttribution")
-	if err != nil {
-		return nil, err
-	}
-	prof, ok := res[0].(*telemetry.AttributionProfile)
-	if !ok {
-		return nil, errUnexpected(res[0])
-	}
-	return prof, nil
 }
 
 // drainPage is how many spans Drain asks for per round trip: the default

@@ -380,8 +380,7 @@ func TestOnePeerFleetRanksLikeThePeersOwnChunk(t *testing.T) {
 	defer mobile.Close()
 	tracedDemandAndPut(t, master, mobile)
 
-	master.Fleet().ScrapeOnce()
-	fleetSlow := master.Fleet().FleetSlow(0)
+	fleetSlow := master.Fleet().Fleet(true, 0).Slow
 	chunk, err := master.Admin("mobile").Drain(0)
 	if err != nil {
 		t.Fatal(err)
@@ -396,15 +395,15 @@ func TestOnePeerFleetRanksLikeThePeersOwnChunk(t *testing.T) {
 	}
 }
 
-// TestRemoteSurfaceIsEightEndpoints: every exported method of the service
+// TestRemoteSurfaceIsFiveEndpoints: every exported method of the service
 // is remote-callable, so the method set is the admin wire surface.
-func TestRemoteSurfaceIsEightEndpoints(t *testing.T) {
+func TestRemoteSurfaceIsFiveEndpoints(t *testing.T) {
 	typ := reflect.TypeOf(&admin.Service{})
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {
 		got = append(got, typ.Method(i).Name)
 	}
-	want := "Fleet FleetAlerts FleetAttribution FleetSlow Flight Ping Report Scrape"
+	want := "Fleet Flight Ping Report Scrape"
 	if strings.Join(got, " ") != want {
 		t.Fatalf("admin.Service endpoints:\n got %s\nwant %s", strings.Join(got, " "), want)
 	}
@@ -453,7 +452,7 @@ func TestCallPathHasOneSpellingPerOperation(t *testing.T) {
 // hang or a timeout.
 func TestRemovedMethodFailsTyped(t *testing.T) {
 	_, ps, _ := watchPair(t, "folded", "old-client")
-	for _, method := range []string{"Metrics", "Traces", "Watch", "Profile", "Slow"} {
+	for _, method := range []string{"Metrics", "Traces", "Watch", "Profile", "Slow", "FleetAlerts", "FleetSlow", "FleetAttribution"} {
 		_, err := ps.Runtime().Call(site.AdminRef("folded"), method)
 		var re *rmi.RemoteError
 		if !errors.As(err, &re) || re.Code != wire.FaultNoSuchMethod {

@@ -89,13 +89,13 @@ func runSlowCriticalPath(t *testing.T, seed int64) string {
 			return err
 		}
 
-		hub.Fleet().ScrapeOnce()
+		chunk := hub.Fleet().Fleet(true, 3)
 		var b strings.Builder
-		for _, st := range hub.Fleet().FleetSlow(3) {
+		for _, st := range chunk.Slow {
 			b.WriteString(st.Format())
 			b.WriteByte('\n')
 		}
-		b.WriteString(hub.Fleet().Attribution().Format())
+		b.WriteString(chunk.Attribution.Format())
 		out = b.String()
 		return nil
 	})

@@ -65,9 +65,6 @@ var (
 	// ErrCommitGap is returned when a commit record would leave a hole in
 	// the commit sequence — the sender violated CSN-order delivery.
 	ErrCommitGap = errors.New("eventual: commit sequence gap")
-	// ErrNotPrimary is returned by operations reserved for the object's
-	// primary (the site mastering it).
-	ErrNotPrimary = errors.New("eventual: not the primary for object")
 )
 
 // UpdateID is the global identity and tentative-order timestamp of one

@@ -234,55 +234,35 @@ func (c *Collector) evaluateLocked(snap *telemetry.FleetSnapshot, nowNS int64) {
 	}
 }
 
-// FleetSnapshot implements admin.FleetSource: the latest aggregate,
-// scraping first when refresh is set or nothing has been scraped yet.
-func (c *Collector) FleetSnapshot(refresh bool) (*telemetry.FleetSnapshot, error) {
-	c.mu.Lock()
-	last := c.last
-	c.mu.Unlock()
-	if refresh || last == nil {
-		return c.ScrapeOnce(), nil
+// Fleet implements admin.FleetSource. With refresh set it scrapes every
+// peer first; otherwise it reads what the last round assembled (a nil
+// Snapshot before the first). Slow ranks every peer's tail exemplars as
+// of that snapshot against the span buffer (telemetry.RankSlow, at most
+// maxSlow, all when <= 0), so each trace carries its cross-site spans;
+// Attribution profiles every complete trace in the buffer. Both are pure
+// functions of the buffered spans, so a quiesced virtual-clock fleet
+// yields a byte-stable chunk.
+func (c *Collector) Fleet(refresh bool, maxSlow int) *admin.FleetChunk {
+	if refresh {
+		c.ScrapeOnce()
 	}
-	return last, nil
-}
-
-// FleetAlerts implements admin.FleetSource: the retained alert backlog,
-// oldest first, plus how many alerts the bounded backlog has evicted
-// since the collector started — so an operator reading a full window
-// knows it is a window, not the whole history.
-func (c *Collector) FleetAlerts() ([]telemetry.Alert, uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]telemetry.Alert(nil), c.alerts...), c.alertsDropped
-}
-
-// FleetSlow implements admin.FleetSource: the fleet's worst recent traced
-// demands — the tail exemplars of every peer's metrics as of the last
-// completed scrape round, ranked by telemetry.RankSlow and resolved
-// against the collector's span buffer, so each result carries the
-// cross-site spans needed to print its critical path. At most max
-// results (all when max <= 0).
-func (c *Collector) FleetSlow(max int) []telemetry.SlowTrace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.last == nil {
-		return nil
+	chunk := &admin.FleetChunk{
+		Snapshot: c.last,
+		Dropped:  c.alertsDropped,
+		Alerts:   append([]telemetry.Alert(nil), c.alerts...),
 	}
-	return telemetry.RankSlow(c.last.Sites, c.spans, max)
-}
-
-// Attribution implements admin.FleetSource: the fleet's aggregated
-// critical-path profile, built by extracting the slowest causal chain of
-// every complete trace in the collector's span buffer. The profile is a
-// pure function of the buffered spans, so a quiesced virtual-clock fleet
-// yields a byte-stable answer.
-func (c *Collector) Attribution() *telemetry.AttributionProfile {
-	c.mu.Lock()
-	spans := append([]telemetry.SpanRecord(nil), c.spans...)
+	// A scrape appends past len and an eviction reallocates, so the
+	// buffered spans read below never change under this reader.
+	spans := c.spans
 	c.mu.Unlock()
+	if chunk.Snapshot != nil {
+		chunk.Slow = telemetry.RankSlow(chunk.Snapshot.Sites, spans, maxSlow)
+	}
 	b := telemetry.NewAttributionBuilder()
 	b.AddTrees(telemetry.BuildTrees(spans))
-	return b.Profile("fleet", c.rt.Clock().Now().UnixNano())
+	chunk.Attribution = b.Profile("fleet", c.rt.Clock().Now().UnixNano())
+	return chunk
 }
 
 // Scrapes returns how many scrape rounds have completed.

@@ -5,7 +5,7 @@
 // rapid changes in the quality of service of the underlying network" (§5).
 //
 // A Monitor ingests the round-trip observations the RMI runtime emits and
-// keeps a per-peer EWMA of RTT plus a failure window. The Advisor turns
+// keeps a per-peer EWMA of RTT plus the last outcome. The Advisor turns
 // those estimates into the ModeAuto crossover decision, using the cost
 // model behind figure 4:
 //
@@ -30,10 +30,9 @@ import (
 
 // estimate is the per-peer link state.
 type estimate struct {
-	ewmaRTT  time.Duration
-	samples  uint64
-	failures uint64
-	failing  bool // the last outcome observed was a failure
+	ewmaRTT time.Duration
+	samples uint64
+	failing bool // the last outcome observed was a failure
 }
 
 // Monitor aggregates RMI round-trip observations per peer site. Plug its
@@ -50,9 +49,9 @@ func NewMonitor() *Monitor {
 	return &Monitor{peers: make(map[transport.Addr]*estimate), alpha: 0.3}
 }
 
-// Observe ingests one call outcome. Failed calls count as failures and do
-// not update the RTT estimate (their duration reflects timeouts, not the
-// link).
+// Observe ingests one call outcome. Failed calls mark the peer unhealthy
+// and do not update the RTT estimate (their duration reflects timeouts,
+// not the link).
 func (m *Monitor) Observe(addr transport.Addr, _ string, rtt time.Duration, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -63,7 +62,6 @@ func (m *Monitor) Observe(addr transport.Addr, _ string, rtt time.Duration, err 
 	}
 	e.failing = err != nil
 	if err != nil {
-		e.failures++
 		return
 	}
 	e.samples++
@@ -95,16 +93,6 @@ func (m *Monitor) Healthy(addr transport.Addr) bool {
 		return true
 	}
 	return !e.failing
-}
-
-// Failures returns the failure count observed for addr.
-func (m *Monitor) Failures(addr transport.Addr) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.peers[addr]; ok {
-		return e.failures
-	}
-	return 0
 }
 
 // Advisor turns Monitor estimates into ModeAuto decisions for one peer

@@ -42,9 +42,6 @@ func TestMonitorHealthTracksLastOutcome(t *testing.T) {
 	if m.Healthy(peer) {
 		t.Fatal("unhealthy after failure")
 	}
-	if m.Failures(peer) != 1 {
-		t.Fatalf("failures: %d", m.Failures(peer))
-	}
 	m.Observe(peer, "M", 5*time.Millisecond, nil)
 	if !m.Healthy(peer) {
 		t.Fatal("healthy again after recovery")

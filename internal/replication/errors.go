@@ -87,12 +87,3 @@ func NotLeaderHint(err error) (hint transport.Addr, ok bool) {
 	}
 	return "", false
 }
-
-// isNotLeader reports whether err is a not-leader failure in any form.
-func isNotLeader(err error) bool {
-	if errors.Is(err, ErrNotLeader) {
-		return true
-	}
-	_, ok := NotLeaderHint(err)
-	return ok
-}

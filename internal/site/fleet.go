@@ -7,14 +7,16 @@ import (
 
 // WithFleet makes this site a fleet observatory: it runs a
 // fleet.Collector that scrapes the admin service of every listed peer
-// over RMI, serves the aggregated fleet view (and per-site breakdowns)
-// through this site's own admin endpoints — `obiwan-admin fleet top`
-// and `fleet alerts` — and evaluates the SLO watchdog rules on every
-// scrape, recording violations in this site's flight recorder. Extra
-// fleet options tune the rule set and ranking depth.
+// over RMI, serves the aggregated fleet view (and per-site breakdowns),
+// the watchdog's alerts, the fleet's slow traces and its attribution
+// profile as one chunk through this site's own admin Fleet endpoint —
+// what `obiwan-admin fleet top|alerts|slow|attribution` read — and
+// evaluates the SLO watchdog rules on every scrape, recording violations
+// in this site's flight recorder. Extra fleet options tune the rule set
+// and ranking depth.
 //
-// The collector is pull-based: nothing is scraped until ScrapeOnce, a
-// fleet endpoint with refresh, or Start(interval) runs the background
+// The collector is pull-based: nothing is scraped until ScrapeOnce, the
+// Fleet endpoint with refresh, or Start(interval) runs the background
 // loop. Sites not listed — and sites built without this option — carry
 // no collector machinery at all, keeping the disabled path at baseline.
 func WithFleet(peers []transport.Addr, opts ...fleet.Option) Option {

@@ -115,7 +115,7 @@ func TestFleetUnreachablePeerDegrades(t *testing.T) {
 
 // TestFleetEndpointsOverRMI: any site can ask the hub for the federated
 // view and the watchdog backlog through the well-known admin export —
-// the transport path `obiwan-admin fleet top` / `fleet alerts` uses.
+// the transport path every `obiwan-admin fleet` view uses.
 func TestFleetEndpointsOverRMI(t *testing.T) {
 	// Threshold 0 on the RMI latency p99 makes every site with any
 	// traffic an offender, so the watchdog deterministically fires.
@@ -123,16 +123,15 @@ func TestFleetEndpointsOverRMI(t *testing.T) {
 		{Name: "any-latency", Kind: fleet.RuleP99, Metric: "rmi.call.latency_ns", FleetWide: true},
 	}))
 	client := admin.NewClient(mobile.Runtime(), AdminRef("hub"))
-	snap, err := client.Fleet(true)
+	chunk, err := client.Fleet(true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Sites) != 3 || snap.Scrapes == 0 {
+	if snap := chunk.Snapshot; len(snap.Sites) != 3 || snap.Scrapes == 0 {
 		t.Fatalf("fleet over RMI: %d sites, %d scrapes", len(snap.Sites), snap.Scrapes)
 	}
-	chunk, err := client.FleetAlerts()
-	if err != nil {
-		t.Fatal(err)
+	if chunk.Site != "hub" {
+		t.Fatalf("fleet chunk answered by %q, want the hub", chunk.Site)
 	}
 	if len(chunk.Alerts) == 0 {
 		t.Fatal("zero-threshold p99 rule fired no alerts")
@@ -148,10 +147,10 @@ func TestFleetEndpointsOverRMI(t *testing.T) {
 		t.Fatalf("fleet-wide evaluation missing: %+v", chunk.Alerts)
 	}
 
-	// A site with no collector answers the same endpoints with ErrNoFleet
+	// A site with no collector answers the same endpoint with ErrNoFleet
 	// travelling as a remote fault, not a hang or a panic.
 	plainClient := admin.NewClient(mobile.Runtime(), AdminRef("server"))
-	if _, err := plainClient.Fleet(false); err == nil ||
+	if _, err := plainClient.Fleet(false, 0); err == nil ||
 		!strings.Contains(err.Error(), "no fleet collector") {
 		t.Fatalf("collector-less site: %v", err)
 	}
@@ -326,6 +325,36 @@ func BenchmarkCallFleet(b *testing.B) {
 	b.Run("observed", func(b *testing.B) { bench(b, true) })
 }
 
+// TestFleetChunkWhileScraping: the collector's one read runs beside its
+// scrapes. The chunk ranks and attributes the span buffer outside the
+// collector's lock while scrapes append to it; under -race this checks
+// that no appended span lands where a reader is looking.
+func TestFleetChunkWhileScraping(t *testing.T) {
+	_, hub, server, _ := fleetWorld(t)
+	col := hub.Fleet()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			server.Telemetry().StartRoot("op").End()
+			col.ScrapeOnce()
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		if chunk := col.Fleet(false, 0); chunk.Attribution == nil {
+			t.Fatal("a fleet chunk without an attribution profile")
+		}
+	}
+	if paths := col.Fleet(false, 0).Attribution.Paths; paths < 20 {
+		t.Fatalf("the profile holds %d paths, want the 20 scraped ops at least", paths)
+	}
+}
+
 // TestFleetAlertBacklogOverflow: the watchdog backlog is bounded — when
 // more alerts fire than it retains, the oldest fall off the front, the
 // eviction is counted (never silent), the count travels over the admin
@@ -340,8 +369,8 @@ func TestFleetAlertBacklogOverflow(t *testing.T) {
 	var alerts []telemetry.Alert
 	var dropped uint64
 	for i := 0; i < 120; i++ {
-		col.ScrapeOnce()
-		if alerts, dropped = col.FleetAlerts(); dropped > 0 {
+		chunk := col.Fleet(true, 1)
+		if alerts, dropped = chunk.Alerts, chunk.Dropped; dropped > 0 {
 			break
 		}
 	}
@@ -358,7 +387,7 @@ func TestFleetAlertBacklogOverflow(t *testing.T) {
 	}
 	// Over the admin endpoint: the chunk carries the dropped count, and
 	// the rendered table warns that the window is incomplete.
-	chunk, err := admin.NewClient(mobile.Runtime(), AdminRef("hub")).FleetAlerts()
+	chunk, err := admin.NewClient(mobile.Runtime(), AdminRef("hub")).Fleet(false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,25 +432,23 @@ func TestFleetSlowAndAttributionOverRMI(t *testing.T) {
 
 	// Fleet-wide: the hub ranks exemplars across all scraped sites and
 	// resolves spans from its buffer — spans that crossed sites included.
-	fleetSlow, err := admin.NewClient(mobile.Runtime(), AdminRef("hub")).FleetSlow(4)
+	fleetChunk, err := admin.NewClient(mobile.Runtime(), AdminRef("hub")).Fleet(false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fleetSlow.Traces) == 0 {
-		t.Fatal("fleet slow is empty after a scrape")
+	fleetSlow := fleetChunk.Slow
+	if len(fleetSlow) == 0 || len(fleetSlow) > 4 {
+		t.Fatalf("fleet slow after a scrape, at most 4: %d traces", len(fleetSlow))
 	}
-	for i := 1; i < len(fleetSlow.Traces); i++ {
-		if fleetSlow.Traces[i].ValueNS > fleetSlow.Traces[i-1].ValueNS {
-			t.Fatalf("fleet slow not value-descending: %+v", fleetSlow.Traces)
+	for i := 1; i < len(fleetSlow); i++ {
+		if fleetSlow[i].ValueNS > fleetSlow[i-1].ValueNS {
+			t.Fatalf("fleet slow not value-descending: %+v", fleetSlow)
 		}
 	}
 
 	// Aggregated attribution: at least the demand paths land, and the
 	// profile renders deterministically.
-	prof, err := admin.NewClient(mobile.Runtime(), AdminRef("hub")).FleetAttribution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := fleetChunk.Attribution
 	if prof.Paths == 0 {
 		t.Fatalf("attribution profile extracted no paths: %+v", prof)
 	}

@@ -65,15 +65,14 @@ const (
 	probeConverged
 )
 
-// observe runs one collector scrape and files the probe. No-op unless the
-// run is an observatory run.
+// observe reads one freshly scraped fleet chunk from the collector and
+// files the probe. No-op unless the run is an observatory run.
 func (sw *Swarm) observe(at probePoint) {
 	if !sw.Opts.Observe {
 		return
 	}
-	col := sw.Hub.Fleet()
-	snap := col.ScrapeOnce()
-	p := reduceProbe(snap)
+	chunk := sw.Hub.Fleet().Fleet(true, 0)
+	p := reduceProbe(chunk.Snapshot)
 	sw.mu.Lock()
 	if sw.obs == nil {
 		sw.obs = &FleetObservation{}
@@ -83,11 +82,10 @@ func (sw *Swarm) observe(at probePoint) {
 		sw.obs.AfterOps = p
 	case probeConverged:
 		sw.obs.Converged = p
-		sw.obs.Attribution = col.Attribution()
+		sw.obs.Attribution = chunk.Attribution
 	}
-	alerts, dropped := col.FleetAlerts()
-	sw.obs.Alerts = len(alerts)
-	sw.obs.AlertsDropped = dropped
+	sw.obs.Alerts = len(chunk.Alerts)
+	sw.obs.AlertsDropped = chunk.Dropped
 	sw.mu.Unlock()
 }
 

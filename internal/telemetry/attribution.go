@@ -13,8 +13,8 @@ import (
 // This file is the critical-path attribution layer: given trace trees
 // (BuildTrees), extract the single slowest causal chain of each trace
 // with per-phase time attribution, and aggregate many such paths into an
-// order-independent per-phase profile ("where does p99 go") that
-// federates through the same merge layer as MetricsSnapshot.
+// order-independent per-phase profile ("where does p99 go") whose
+// distributions are ordinary histogram values.
 
 // PathStep is one span on a critical path. SelfNS is the span's duration
 // minus the descended child's — the time this step itself is responsible
@@ -301,9 +301,9 @@ func RankSlow(sites []SiteObservation, spans []SpanRecord, max int) []SlowTrace 
 
 // AttributionProfile aggregates critical paths into per-phase time
 // distributions: one histogram per phase of per-path phase nanoseconds,
-// plus the "total" histogram of whole-path durations. Like the other
-// federated forms, merging profiles is order-independent, so a collector
-// folds per-site (or per-scrape) profiles as they arrive.
+// plus the "total" histogram of whole-path durations. Each is a
+// HistogramValue, so two profiles' distributions merge phase by phase
+// through HistogramValue.Merge.
 type AttributionProfile struct {
 	Site      string
 	TakenAtNS int64
@@ -354,43 +354,6 @@ func (b *AttributionBuilder) Profile(site string, atNS int64) *AttributionProfil
 			out.Total = h
 			continue
 		}
-		out.Phases = append(out.Phases, h)
-	}
-	sort.Slice(out.Phases, func(i, j int) bool { return out.Phases[i].Name < out.Phases[j].Name })
-	return out
-}
-
-// Merge combines two attribution profiles: path counts sum, per-phase
-// histograms merge by phase name, and the result is sorted by name —
-// order-independent, like MetricsSnapshot.Merge. Either side may be nil.
-func (p *AttributionProfile) Merge(o *AttributionProfile) *AttributionProfile {
-	if p == nil {
-		p = &AttributionProfile{}
-	}
-	if o == nil {
-		o = &AttributionProfile{}
-	}
-	out := &AttributionProfile{
-		TakenAtNS: max(p.TakenAtNS, o.TakenAtNS),
-		Paths:     p.Paths + o.Paths,
-		Total:     p.Total.Merge(o.Total),
-	}
-	if p.Site == o.Site {
-		out.Site = p.Site
-	}
-	byName := make(map[string]HistogramValue, len(p.Phases)+len(o.Phases))
-	for _, h := range p.Phases {
-		byName[h.Name] = h
-	}
-	for _, h := range o.Phases {
-		if have, ok := byName[h.Name]; ok {
-			byName[h.Name] = have.Merge(h)
-		} else {
-			byName[h.Name] = h
-		}
-	}
-	out.Phases = make([]HistogramValue, 0, len(byName))
-	for _, h := range byName {
 		out.Phases = append(out.Phases, h)
 	}
 	sort.Slice(out.Phases, func(i, j int) bool { return out.Phases[i].Name < out.Phases[j].Name })

@@ -270,29 +270,26 @@ func randomCriticalPath(rng *rand.Rand) CriticalPath {
 	return cp
 }
 
-// TestAttributionProfileMergeOrderIndependent: folding per-site
-// profiles in any order yields identical path counts, per-phase
-// histograms, and shares — the collector's Attribution() fold.
-func TestAttributionProfileMergeOrderIndependent(t *testing.T) {
+// TestAttributionBuilderOrderIndependent: folding the same critical paths
+// into a builder in any order yields identical path counts, per-phase
+// histograms and shares — so the collector's profile does not depend on
+// the order its scrapes buffered the traces in.
+func TestAttributionBuilderOrderIndependent(t *testing.T) {
 	f := func(seed, shuffleSeed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		profiles := make([]*AttributionProfile, n)
+		n := 2 + rng.Intn(12)
+		paths := make([]CriticalPath, n)
 		forward := make([]int, n)
-		for i := range profiles {
-			b := NewAttributionBuilder()
-			for j, paths := 0, 1+rng.Intn(8); j < paths; j++ {
-				b.Add(randomCriticalPath(rng))
-			}
-			profiles[i] = b.Profile("s", 0)
+		for i := range paths {
+			paths[i] = randomCriticalPath(rng)
 			forward[i] = i
 		}
 		fold := func(order []int) *AttributionProfile {
-			var out *AttributionProfile
+			b := NewAttributionBuilder()
 			for _, i := range order {
-				out = out.Merge(profiles[i])
+				b.Add(paths[i])
 			}
-			return out
+			return b.Profile("s", 0)
 		}
 		a, b := fold(forward), fold(shuffledOrder(n, shuffleSeed))
 		if !reflect.DeepEqual(a, b) {

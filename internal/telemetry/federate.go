@@ -74,35 +74,6 @@ func (h HistogramValue) Merge(o HistogramValue) HistogramValue {
 	return out
 }
 
-// bucketQuantile is quantile() over exported bucket/bound pairs instead
-// of the raw shard array: the answer is the upper bound of the bucket
-// holding the q-th sample, clamped into [min, max]. Buckets must be
-// sorted by bound, as Merge and Histogram.snapshot both produce.
-func bucketQuantile(buckets []BucketCount, total uint64, q float64, min, max int64) int64 {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for _, b := range buckets {
-		cum += b.Count
-		if cum > rank {
-			le := b.Le
-			if le < min {
-				le = min
-			}
-			if le > max {
-				le = max
-			}
-			return le
-		}
-	}
-	return max
-}
-
 // Merge combines two metrics snapshots into a new one: counters and
 // gauges sum by name (a fleet total — per-site values stay visible in
 // the collector's per-site breakdown), histograms merge by name, and

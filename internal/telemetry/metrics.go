@@ -127,10 +127,8 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	s := &h.shards[h.pick.Add(1)%histShards]
-	s.count.Add(1)
-	s.sum.Add(v)
-	s.buckets[bits.Len64(uint64(v))].Add(1)
+	// min and max first: a snapshot that sees this sample counted must
+	// also see it bounded, or it would report Min > Max.
 	for {
 		cur := h.min.Load()
 		if v >= cur || h.min.CompareAndSwap(cur, v) {
@@ -143,6 +141,10 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
+	s := &h.shards[h.pick.Add(1)%histShards]
+	s.count.Add(1)
+	s.sum.Add(v)
+	s.buckets[bits.Len64(uint64(v))].Add(1)
 }
 
 // ObserveExemplar records one value and, when it lands in the retained
@@ -223,9 +225,9 @@ func (h *Histogram) snapshot(name string) HistogramValue {
 		}
 		out.Buckets = append(out.Buckets, BucketCount{Le: le, Count: n})
 	}
-	out.P50 = quantile(merged[:], out.Count, 0.50, out.Min, out.Max)
-	out.P90 = quantile(merged[:], out.Count, 0.90, out.Min, out.Max)
-	out.P99 = quantile(merged[:], out.Count, 0.99, out.Min, out.Max)
+	out.P50 = bucketQuantile(out.Buckets, out.Count, 0.50, out.Min, out.Max)
+	out.P90 = bucketQuantile(out.Buckets, out.Count, 0.90, out.Min, out.Max)
+	out.P99 = bucketQuantile(out.Buckets, out.Count, 0.99, out.Min, out.Max)
 	h.exMu.Lock()
 	if len(h.ex) > 0 {
 		out.Exemplars = append([]Exemplar(nil), h.ex...)
@@ -247,22 +249,23 @@ func sortExemplars(ex []Exemplar) {
 	})
 }
 
-// quantile estimates the q-th quantile from power-of-two buckets: the
+// bucketQuantile estimates the q-th quantile from exported buckets: the
 // answer is the upper bound of the bucket holding the q-th sample,
-// clamped into [min, max].
-func quantile(buckets []uint64, total uint64, q float64, min, max int64) int64 {
+// clamped into [min, max]. Buckets must be sorted by bound, as
+// Histogram.snapshot and HistogramValue.Merge both produce.
+func bucketQuantile(buckets []BucketCount, total uint64, q float64, min, max int64) int64 {
+	if total == 0 {
+		return 0
+	}
 	rank := uint64(q * float64(total))
 	if rank >= total {
 		rank = total - 1
 	}
 	var cum uint64
-	for b, n := range buckets {
-		cum += n
+	for _, b := range buckets {
+		cum += b.Count
 		if cum > rank {
-			le := int64(math.MaxInt64)
-			if b < 63 {
-				le = (int64(1) << b) - 1
-			}
+			le := b.Le
 			if le < min {
 				le = min
 			}

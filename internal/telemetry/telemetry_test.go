@@ -225,6 +225,34 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotRacingFirstObservation: a snapshot spun against a
+// fresh histogram's first observations reports Min ≤ P50 ≤ P90 ≤ P99 ≤ Max
+// whenever it counts a sample — Observe bounds a sample before it counts
+// it, so no snapshot sees a count with the empty-histogram sentinels.
+func TestHistogramSnapshotRacingFirstObservation(t *testing.T) {
+	for i := int64(0); i < 2000; i++ {
+		h := newHistogram()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for v := int64(1); v <= 4; v++ {
+				h.Observe(v*1000 + i)
+			}
+		}()
+		for finished := false; !finished; {
+			select {
+			case <-done:
+				finished = true
+			default:
+			}
+			v := h.snapshot("lat_ns")
+			if v.Count > 0 && !(v.Min <= v.P50 && v.P50 <= v.P90 && v.P90 <= v.P99 && v.P99 <= v.Max) {
+				t.Fatalf("histogram %d: impossible snapshot %+v", i, v)
+			}
+		}
+	}
+}
+
 func TestSnapshotFormatAndCodecRoundTrip(t *testing.T) {
 	h := NewHub("fmt-site", WithClock(fakeClock()))
 	h.Metrics().Counter("repl.faults").Add(3)
