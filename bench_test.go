@@ -244,7 +244,10 @@ func BenchmarkReplicationPayload(b *testing.B) {
 // allocates per op (50 x 16 KiB, transitive, both sites): 8.5 MB before
 // frames were sized, decode borrowed and CaptureState stopped copying out,
 // 3.46 MB before the reply frame referenced the captured states in place,
-// 2.64 MB now. It only ever goes down.
+// 2.64 MB now. It only ever goes down. A transitive payload of several
+// objects is restored by copy on purpose (its replicas are evicted one at
+// a time, and one adopted state would pin the whole frame), so adoption
+// does not move it.
 const replicationPayload16kBytes = 2_700_000
 
 func TestReplicationPayloadAllocationPinned(t *testing.T) {

@@ -15,6 +15,11 @@ import "slices"
 //
 // On the wire a Frozen slice is a byte slice, referenced or not: encoding
 // follows the kind, and a decoder cannot tell the difference.
+//
+// The promise binds the sender's slice, not the bytes that arrive: a
+// received Frozen slice is a window on the receiver's own frame, and the
+// install that restores it may hand those bytes to the object
+// (objmodel.AdoptState), which then writes them as it writes any field.
 type Frozen []byte
 
 // minReferenced is the shortest Frozen slice an encoder asked for a vector
@@ -26,6 +31,13 @@ type Frozen []byte
 // 64-byte object state therefore stays inline; a 4 KiB put state and every
 // 16 KiB member of a cluster reply are referenced.
 const minReferenced = 2 << 10
+
+// StaysInPlace reports whether n bytes are enough for bytes to be kept
+// where they lie instead of copied: the encoder references a Frozen slice
+// that long (Vector.inPlace), and a restore adopts a received state that
+// long (objmodel.AdoptState). Below it a copy costs less than what keeping
+// the bytes in place does.
+func StaysInPlace(n int) bool { return n >= minReferenced }
 
 // Vector records what an encoder asked for a vector (VectorValue) left
 // where it lies: each Frozen slice of at least minReferenced bytes, and the
@@ -52,9 +64,9 @@ func (v *Vector) ref(i int) vectorRef {
 // inPlace is the one referencing predicate, shared by the encoder and the
 // sizing walk: an encoder asked for a vector (v non-nil) leaves n bytes of
 // a byte slice where they lie when the slice is Frozen (its plan says so)
-// and n is at least minReferenced.
+// and StaysInPlace(n).
 func (v *Vector) inPlace(frozen bool, n int) bool {
-	return v != nil && frozen && n >= minReferenced
+	return v != nil && frozen && StaysInPlace(n)
 }
 
 // AppendParts appends to dst an encoding as the vector it is: head, the

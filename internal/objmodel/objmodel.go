@@ -155,10 +155,30 @@ func CaptureState(reg *codec.Registry, obj any) (codec.Frozen, error) {
 // RestoreState decodes state into obj (a pointer to a registered struct).
 // Reference fields come back unbound, carrying only their OIDs; the caller
 // (the replication materializer) binds them. The decoder copies: obj's byte
-// slices are the object's own and share nothing with state, which is often a
-// slice of a received frame (see wire.Decode) that the caller lets go of.
+// slices are the object's own and share nothing with state, so state may be
+// read again (a snapshot restored twice, a log replayed) or belong to a
+// buffer whose other contents live on without obj. AdoptState is the
+// restore that keeps a received state's bytes instead.
 func RestoreState(reg *codec.Registry, obj any, state []byte) error {
-	if err := codec.NewDecoder(state).DecodeStruct(reg, obj); err != nil {
+	return restore(codec.NewDecoder(state), reg, obj)
+}
+
+// AdoptState is RestoreState for a state that is the caller's to give away,
+// together with the whole buffer it lies in: the rest of that buffer must
+// share obj's fate (DESIGN.md §4, "Decoded values alias the frame"), and
+// nothing may read or write the buffer afterwards. A state that
+// codec.StaysInPlace is decoded borrowing, so obj's byte slices become
+// windows on it, each with its capacity clipped to its length; a shorter one
+// is copied, as RestoreState does.
+func AdoptState(reg *codec.Registry, obj any, state []byte) error {
+	if !codec.StaysInPlace(len(state)) {
+		return RestoreState(reg, obj, state)
+	}
+	return restore(codec.NewBorrowingDecoder(state), reg, obj)
+}
+
+func restore(d *codec.Decoder, reg *codec.Registry, obj any) error {
+	if err := d.DecodeStruct(reg, obj); err != nil {
 		return fmt.Errorf("objmodel: restore %T: %w", obj, err)
 	}
 	return nil

@@ -391,11 +391,16 @@ func (e *Engine) captureEntry(entry *heap.Entry) (codec.Frozen, uint64, error) {
 
 // restoreEntry restores an entry's state and rebinds its references under
 // its state lock; with bump it also bumps the version in that section (see
-// captureEntry) and returns the new one.
-func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objmodel.OID]FrontierRef, spec GetSpec, bump bool) (uint64, error) {
+// captureEntry) and returns the new one. With adopt the object keeps the
+// state's bytes (objmodel.AdoptState).
+func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objmodel.OID]FrontierRef, spec GetSpec, bump, adopt bool) (uint64, error) {
+	restore := objmodel.RestoreState
+	if adopt {
+		restore = objmodel.AdoptState
+	}
 	entry.LockState()
 	defer entry.UnlockState()
-	if err := objmodel.RestoreState(e.reg, entry.Obj, state); err != nil {
+	if err := restore(e.reg, entry.Obj, state); err != nil {
 		return 0, err
 	}
 	if err := e.bindRefs(entry.Obj, frontier, spec); err != nil {
@@ -590,6 +595,12 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 	now := e.rt.Clock().Now()
 	touched := make([]*heap.Entry, 0, len(p.Objects))
 	var memberOIDs []objmodel.OID
+	// p is a reply frame's alone (wire.Decode borrows), so a fresh replica
+	// may keep its state where it arrived when nothing else in the frame
+	// outlives it differently: cluster members are evicted only together,
+	// and a one-object frame is mostly its state. A batch of several
+	// objects copies, since EvictColdest drops its members one at a time.
+	adopt := p.Clustered || len(p.Objects) == 1
 
 	// Pass 1: instantiate or refresh every shipped object, so that pass 2
 	// can bind intra-payload references to live instances.
@@ -603,7 +614,7 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 		if held != nil && held.Role == heap.Master {
 			continue // state bounced back to this site's own master: keep ours
 		}
-		entry, err := e.installReplica(held, rec, now)
+		entry, err := e.installReplica(held, rec, now, adopt)
 		if err != nil {
 			return nil, err
 		}
@@ -670,17 +681,24 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 // version with a renewed lease, and retract the journaled dirty edit the
 // image overwrote, if any. held is the replica's entry; nil means the
 // object is not held yet, and it is instantiated from the image (the
-// caller owes the new entry its provider). References are bound
-// afterwards (bindEntry), once every object they may lead to is in place.
-func (e *Engine) installReplica(held *heap.Entry, rec *ObjectRecord, now time.Time) (*heap.Entry, error) {
+// caller owes the new entry its provider); with adopt it takes the image's
+// bytes as its own (objmodel.AdoptState), which the caller allows only when
+// the rest of the frame shares the new replica's fate. A held replica is
+// always restored by copy. References are bound afterwards (bindEntry),
+// once every object they may lead to is in place.
+func (e *Engine) installReplica(held *heap.Entry, rec *ObjectRecord, now time.Time, adopt bool) (*heap.Entry, error) {
 	if held == nil {
 		info, ok := objmodel.InfoByName(rec.TypeName)
 		if !ok {
 			return nil, fmt.Errorf("replication: unknown type %q in payload", rec.TypeName)
 		}
 		obj := info.New()
+		restore := objmodel.RestoreState
+		if adopt {
+			restore = objmodel.AdoptState
+		}
 		// Unpublished until AddReplica: no state lock to take.
-		if err := objmodel.RestoreState(e.reg, obj, rec.State); err != nil {
+		if err := restore(e.reg, obj, rec.State); err != nil {
 			return nil, err
 		}
 		var fresh bool
@@ -708,7 +726,7 @@ func (e *Engine) installReplica(held *heap.Entry, rec *ObjectRecord, now time.Ti
 // dissemination) over the replica at entry, binding its references
 // through frontier: what a refresh does with a fetched payload record.
 func (e *Engine) InstallPushed(entry *heap.Entry, rec *ObjectRecord, frontier []FrontierRef) error {
-	if _, err := e.installReplica(entry, rec, e.rt.Clock().Now()); err != nil {
+	if _, err := e.installReplica(entry, rec, e.rt.Clock().Now(), false); err != nil {
 		return err
 	}
 	return e.bindEntry(entry, frontierMap(frontier), DefaultSpec)
@@ -1072,9 +1090,12 @@ func (e *Engine) admitPut(req *PutRequest) (entry *heap.Entry, crc uint64, reply
 // installPut is the install step: restore the shipped state, bump the
 // version, and record the guard triple a retry will be answered from.
 // Deterministic in (entry state, req), which is what lets group members
-// replay it independently and stay identical.
-func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64) (*PutReply, error) {
-	v, err := e.restoreEntry(entry, req.State, frontierMap(req.Frontier), DefaultSpec, true)
+// replay it independently and stay identical. With adopt the master keeps
+// req.State's bytes: the caller owns the buffer behind req, and crc was
+// taken before the install, so a later edit of the master cannot move
+// the guard.
+func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64, adopt bool) (*PutReply, error) {
+	v, err := e.restoreEntry(entry, req.State, frontierMap(req.Frontier), DefaultSpec, true, adopt)
 	if err != nil {
 		return nil, err
 	}
@@ -1086,8 +1107,8 @@ func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64) (*Pu
 
 // applyPut applies an inbound update at a single master (called by
 // ProxyIn). sc parents the "put.apply" span — the serve span of the
-// inbound Put.
-func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *PutReply, err error) {
+// inbound Put. adopt is installPut's.
+func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest, adopt bool) (reply *PutReply, err error) {
 	span := e.tel.StartSpan(sc, "put.apply")
 	span.AnnotateOID("oid", req.OID)
 	defer func() {
@@ -1104,7 +1125,7 @@ func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest) (reply *Put
 		return nil, err
 	}
 	if reply == nil {
-		if reply, err = e.installPut(entry, req, crc); err != nil {
+		if reply, err = e.installPut(entry, req, crc, adopt); err != nil {
 			return nil, err
 		}
 		// The journal write is the durability cost of the put: encode +
@@ -1207,7 +1228,7 @@ func (e *Engine) BuildFrontier(obj any) ([]FrontierRef, error) {
 func (e *Engine) RestoreWithFrontier(obj any, state []byte, frontier []FrontierRef) error {
 	fmap := frontierMap(frontier)
 	if entry, ok := e.heap.EntryOf(obj); ok {
-		_, err := e.restoreEntry(entry, state, fmap, DefaultSpec, false)
+		_, err := e.restoreEntry(entry, state, fmap, DefaultSpec, false, false)
 		return err
 	}
 	if err := objmodel.RestoreState(e.reg, obj, state); err != nil {

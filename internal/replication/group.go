@@ -210,7 +210,7 @@ func (e *Engine) restoreAgreed(entry *heap.Entry, state []byte, frontier []Front
 		}
 		return entry.BumpVersion(), nil
 	}
-	return e.restoreEntry(entry, state, frontierMap(frontier), DefaultSpec, bump)
+	return e.restoreEntry(entry, state, frontierMap(frontier), DefaultSpec, bump, false)
 }
 
 // ApplyReplicatedRegister is the deterministic replay of an agreed master
@@ -242,13 +242,15 @@ func (e *Engine) ApplyReplicatedRegister(obj any, oid objmodel.OID, typeName str
 // admission (the leader ran it before proposing — see PreparePut), the
 // journal (the group log is the record) and the MasterUpdated hook (the
 // gate fires it at the leader only). Every member's guard table stays
-// identical because it is itself a pure function of the agreed log.
+// identical because it is itself a pure function of the agreed log. req is
+// the member's own copying decode of one log command, so the master adopts
+// its state.
 func (e *Engine) ApplyReplicatedPut(req *PutRequest) (*PutReply, error) {
 	entry, crc, reply, err := e.recordedPut(req)
 	if err != nil || reply != nil {
 		return reply, err
 	}
-	if reply, err = e.installPut(entry, req, crc); err != nil {
+	if reply, err = e.installPut(entry, req, crc, true); err != nil {
 		return nil, err
 	}
 	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})

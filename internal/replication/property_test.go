@@ -309,7 +309,7 @@ func TestQuickPutPathsEquivalent(t *testing.T) {
 		return w
 	}
 	single := func(e *Engine, req *PutRequest) (*PutReply, error) {
-		return e.applyPut(telemetry.SpanContext{}, req)
+		return e.applyPut(telemetry.SpanContext{}, req, true)
 	}
 	grouped := func(e *Engine, req *PutRequest) (*PutReply, error) {
 		reply, done, err := e.PreparePut(req)

@@ -49,17 +49,19 @@ func (p *ProxyIn) Put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, err
 	if objmodel.OID(req.OID) != p.entry.OID {
 		return nil, fmt.Errorf("proxy-in %v: put addressed to %d", p.entry.OID, req.OID)
 	}
-	return p.put(sc, req)
+	return p.put(sc, req, true)
 }
 
 // put applies one inbound put, single or cluster member: agreed through
 // the group log when this proxy-in serves a group-mastered object, applied
-// directly otherwise.
-func (p *ProxyIn) put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, error) {
+// directly otherwise. adopt says whether the master may keep req.State's
+// bytes: yes for a single put, whose call frame is mostly that state; no
+// for a cluster member, whose frame feeds many masters that live apart.
+func (p *ProxyIn) put(sc telemetry.SpanContext, req *PutRequest, adopt bool) (*PutReply, error) {
 	if g := p.eng.masterGate(); g != nil && p.entry.Role == heap.Master {
 		return g.RoutePut(sc, req)
 	}
-	return p.eng.applyPut(sc, req)
+	return p.eng.applyPut(sc, req, adopt)
 }
 
 // PutCluster applies a whole-cluster update. Members must belong to the
@@ -72,7 +74,7 @@ func (p *ProxyIn) PutCluster(sc telemetry.SpanContext, req *ClusterPutRequest) (
 	}
 	versions := make([]any, 0, len(req.Members))
 	for i := range req.Members {
-		reply, err := p.put(sc, &req.Members[i])
+		reply, err := p.put(sc, &req.Members[i], false)
 		if err != nil {
 			return nil, fmt.Errorf("cluster member %d (oid %v): %w", i, objmodel.OID(req.Members[i].OID), err)
 		}

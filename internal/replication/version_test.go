@@ -59,7 +59,7 @@ func TestShippedStateCarriesItsOwnVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := &PutRequest{OID: uint64(entry.OID), BaseVersion: base + k - 1, State: state}
-		if _, err := master.engine.installPut(entry, req, stateCRC(state)); err != nil {
+		if _, err := master.engine.installPut(entry, req, stateCRC(state), false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -63,10 +64,17 @@ func init() {
 // exportChain registers a chain of n blobs of size bytes at master and
 // exports its head.
 func exportChain(t *testing.T, master *Site, n, size int) replication.Descriptor {
+	_, head := blobChain(t, master, n, size)
+	return head
+}
+
+// blobChain is exportChain that also returns the masters; blob i holds
+// size bytes of the value i+1.
+func blobChain(t *testing.T, master *Site, n, size int) ([]*blob, replication.Descriptor) {
 	t.Helper()
 	chain := make([]*blob, n)
 	for i := range chain {
-		chain[i] = &blob{Data: make([]byte, size)}
+		chain[i] = &blob{Data: bytes.Repeat([]byte{byte(i + 1)}, size)}
 		if err := master.Register(chain[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +90,7 @@ func exportChain(t *testing.T, master *Site, n, size int) replication.Descriptor
 	if err != nil {
 		t.Fatal(err)
 	}
-	return head
+	return chain, head
 }
 
 // allocatedBy returns the heap bytes fn allocates, process-wide: the least
@@ -111,15 +119,17 @@ func allocatedBy(prep, fn func(round int)) uint64 {
 const (
 	// 10.5 before frames were sized, decode borrowed and CaptureState
 	// stopped copying out; 4.2 before the reply frame referenced the
-	// captured states instead of copying them (a vector); 3.21 now: state
-	// capture 1.125 (size-class slack), queue copy 1, the replicas' own
-	// bytes 1, the rest small objects.
-	clusterDemandAllocFactor = 3.4
+	// captured states instead of copying them (a vector); 3.21 before the
+	// fresh replicas adopted their states where the frame put them; 2.21
+	// now: state capture 1.125 (size-class slack), queue copy 1, the rest
+	// small objects.
+	clusterDemandAllocFactor = 2.3
 	// 7.6 before; 5.1 before the call frame referenced the captured state;
-	// 3.95 before the proxy-in dispatched its own calls; 3.88 now. A 4 KiB
+	// 3.95 before the proxy-in dispatched its own calls; 3.88 before the
+	// master adopted the put's state from its call frame; 2.88 now. A 4 KiB
 	// put carries ~2 KB of fixed cost (spans, call bookkeeping, the reply),
 	// so its factor stays above the demand's.
-	putAllocFactor = 3.9
+	putAllocFactor = 3.0
 )
 
 // TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster

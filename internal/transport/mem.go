@@ -316,6 +316,7 @@ func (q *msgQueue) pop() (queuedMsg, error) {
 		return queuedMsg{}, ErrClosed
 	}
 	m := q.items[0]
+	q.items[0] = queuedMsg{} // the receiver owns the frame now: keep no hold on it
 	q.items = q.items[1:]
 	q.mu.Unlock()
 	return m, nil
