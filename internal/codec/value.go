@@ -538,6 +538,12 @@ func supportedMapKey(k reflect.Kind) bool {
 	}
 }
 
+// SortedMapKeys returns rv's keys in the order the codec encodes them, or
+// an error for a key type it cannot encode.
+func SortedMapKeys(rv reflect.Value) ([]reflect.Value, error) {
+	return sortedMapKeys(rv, rv.Type().Key().Kind())
+}
+
 // sortedMapKeys returns the keys of rv, a map whose keys are of kind kind, in
 // deterministic order (strings lexicographic, integers numeric).
 func sortedMapKeys(rv reflect.Value, kind reflect.Kind) ([]reflect.Value, error) {

@@ -377,8 +377,9 @@ func (h *Heap) Traverse(root any, limit TraverseLimit) ([]*Entry, error) {
 		if limit.MaxDepth > 0 && item.depth >= limit.MaxDepth {
 			continue
 		}
+		var buf [4]*objmodel.Ref
 		item.e.LockState()
-		refs := objmodel.RefsOf(item.e.Obj)
+		refs := objmodel.AppendRefs(buf[:0], item.e.Obj)
 		item.e.UnlockState()
 		for _, ref := range refs {
 			if !ref.IsResolved() {

@@ -364,3 +364,47 @@ func TestOIDStringIsStable(t *testing.T) {
 		t.Fatalf("oid: %s want %s", e.OID, want)
 	}
 }
+
+// folder reaches its children through a map only.
+type folder struct {
+	ByName map[string]*objmodel.Ref
+}
+
+func (f *folder) Len() int { return len(f.ByName) }
+
+func init() {
+	objmodel.MustRegisterType("heap_test.folder", (*folder)(nil))
+}
+
+// TestTraverseThroughMapRefsIsDeterministic: a traversal bounded below the
+// reachable count picks the same objects on every run when they hang off a
+// map, the ones under the smallest keys, as the codec orders a map.
+func TestTraverseThroughMapRefsIsDeterministic(t *testing.T) {
+	h := New(1)
+	root := &folder{ByName: map[string]*objmodel.Ref{}}
+	if _, err := h.AddMaster(root); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		kid := &item{N: i}
+		e, err := h.AddMaster(kid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.ByName[fmt.Sprintf("k%02d", i)] = objmodel.NewLocalRef(kid, e.OID)
+	}
+	for run := 0; run < 50; run++ {
+		entries, err := h.Traverse(root, TraverseLimit{MaxObjects: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 5 {
+			t.Fatalf("run %d visited %d, want 5", run, len(entries))
+		}
+		for i, e := range entries[1:] {
+			if n := e.Obj.(*item).N; n != i {
+				t.Fatalf("run %d: object %d is item %d, want %d", run, i+1, n, i)
+			}
+		}
+	}
+}

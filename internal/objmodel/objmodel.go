@@ -187,83 +187,72 @@ func restore(d *codec.Decoder, reg *codec.Registry, obj any) error {
 // RefsOf returns every non-nil *Ref reachable through obj's exported
 // fields: direct fields, elements of slices/arrays/maps, and fields of
 // nested structs (a nested struct is part of the same OBIWAN object).
-// It does not follow Refs — the targets are separate objects.
+// It does not follow Refs — the targets are separate objects. The order
+// is fixed: fields in declaration order, elements in index order, and map
+// entries in the order the codec encodes their keys (sorted), so a
+// bounded traversal and a payload's frontier are the same on every run.
 //
 // Discovery is driven by a cached per-type plan (see refplan.go), so
 // payload-only fields cost nothing per call.
-func RefsOf(obj any) []*Ref {
+func RefsOf(obj any) []*Ref { return AppendRefs(nil, obj) }
+
+// AppendRefs is RefsOf appending to dst, so a caller can walk into a
+// buffer of its own (a stack array for the common few refs).
+func AppendRefs(dst []*Ref, obj any) []*Ref {
 	v := reflect.ValueOf(obj)
 	for v.Kind() == reflect.Pointer {
 		if v.IsNil() {
-			return nil
+			return dst
 		}
 		v = v.Elem()
 	}
-	if v.Kind() != reflect.Struct {
-		var refs []*Ref
-		collectRefs(v, &refs)
-		return refs
-	}
-	plan := planFor(v.Type())
-	if len(plan.fields) == 0 {
-		return nil
-	}
-	var refs []*Ref
-	for _, f := range plan.fields {
-		fv := v.Field(f.index)
-		if f.kind == refDirect {
-			if !fv.IsNil() {
-				refs = append(refs, fv.Interface().(*Ref))
-			}
-			continue
-		}
-		collectRefs(fv, &refs)
-	}
-	return refs
+	return collectRefs(v, dst)
 }
 
-func collectRefs(v reflect.Value, out *[]*Ref) {
+func collectRefs(v reflect.Value, out []*Ref) []*Ref {
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
-			return
+			return out
 		}
 		if v.Type() == refType {
-			*out = append(*out, v.Interface().(*Ref))
-			return
+			return append(out, v.Interface().(*Ref))
 		}
-		collectRefs(v.Elem(), out)
+		return collectRefs(v.Elem(), out)
 	case reflect.Struct:
-		plan := planFor(v.Type())
-		for _, f := range plan.fields {
+		for _, f := range planFor(v.Type()).fields {
 			fv := v.Field(f.index)
 			if f.kind == refDirect {
 				if !fv.IsNil() {
-					*out = append(*out, fv.Interface().(*Ref))
+					out = append(out, fv.Interface().(*Ref))
 				}
 				continue
 			}
-			collectRefs(fv, out)
+			out = collectRefs(fv, out)
 		}
 	case reflect.Slice, reflect.Array:
 		// Element types that cannot hold refs are skipped wholesale.
 		if !couldContainRef(v.Type().Elem()) {
-			return
+			return out
 		}
 		for i := 0; i < v.Len(); i++ {
-			collectRefs(v.Index(i), out)
+			out = collectRefs(v.Index(i), out)
 		}
 	case reflect.Map:
 		if !couldContainRef(v.Type().Elem()) {
-			return
+			return out
 		}
-		iter := v.MapRange()
-		for iter.Next() {
-			collectRefs(iter.Value(), out)
+		keys, err := codec.SortedMapKeys(v)
+		if err != nil {
+			keys = v.MapKeys() // the codec cannot ship this map, so no payload depends on its order
+		}
+		for _, k := range keys {
+			out = collectRefs(v.MapIndex(k), out)
 		}
 	case reflect.Interface:
 		if !v.IsNil() {
-			collectRefs(v.Elem(), out)
+			return collectRefs(v.Elem(), out)
 		}
 	}
+	return out
 }

@@ -504,10 +504,11 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 // other to out. The descriptors are built after the lock is released. A
 // describer answers the zero FrontierRef for a reference that needs none.
 func walkFrontier(lock *heap.Entry, obj any, seen map[objmodel.OID]bool, out []FrontierRef, describe func(*objmodel.Ref) (FrontierRef, error)) ([]FrontierRef, error) {
+	var buf [4]*objmodel.Ref
 	if lock != nil {
 		lock.LockState()
 	}
-	refs := objmodel.RefsOf(obj)
+	refs := objmodel.AppendRefs(buf[:0], obj)
 	if lock != nil {
 		lock.UnlockState()
 	}
@@ -755,7 +756,8 @@ func frontierMap(frontier []FrontierRef) map[objmodel.OID]FrontierRef {
 // bindRefs binds every unresolved reference of obj: to a local object when
 // the target is here, otherwise to a frontier proxy-out.
 func (e *Engine) bindRefs(obj any, frontier map[objmodel.OID]FrontierRef, spec GetSpec) error {
-	for _, ref := range objmodel.RefsOf(obj) {
+	var buf [4]*objmodel.Ref
+	for _, ref := range objmodel.AppendRefs(buf[:0], obj) {
 		e.observeRef(ref)
 		if ref.IsResolved() {
 			continue

@@ -93,7 +93,7 @@ func (p *Prefetcher) walk(root *objmodel.Ref, budget int) {
 				return
 			}
 		}
-		queue = append(queue, objmodel.RefsOf(obj)...)
+		queue = objmodel.AppendRefs(queue, obj)
 	}
 }
 

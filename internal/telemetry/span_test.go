@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -16,20 +18,30 @@ import (
 	"obiwan/internal/raceflag"
 )
 
-// TestSpanSizePinned: the ring retains 4096 spans per site, so the span's
-// size class is live heap. 192 bytes holds two numeric attributes and two
-// phases inline; a 384-byte layout measured +10 % live heap on the
-// benchmark's walk_step1.
+// TestSpanSizePinned: the ring retains 4096 records per site by value, so
+// the record's size is live heap. 184 bytes holds two numeric attributes
+// and two phases inline (a 384-byte span measured +10 % live heap on the
+// benchmark's walk_step1). An idle hub holds no slab: a site that records
+// nothing pays for none of its ring.
 func TestSpanSizePinned(t *testing.T) {
-	if got := unsafe.Sizeof(Span{}); got > 208 {
-		t.Fatalf("Span is %d bytes, pinned at 208", got)
+	if got := unsafe.Sizeof(spanData{}); got > 184 {
+		t.Fatalf("a ring record is %d bytes, pinned at 184", got)
+	}
+	h := NewHub("idle")
+	h.Spans(0)
+	h.SpansSince(0, 0)
+	for i, slab := range h.tracer.slabs {
+		if slab != nil {
+			t.Fatalf("an idle hub holds slab %d", i)
+		}
 	}
 }
 
 // TestRecordingAllocationsPinned: with nobody reading, a span of the demand
-// path's shape is the one allocation Tracer.start makes, a counted flight
-// event is none, and a first touch at a full profiler is none (the evicted
-// record serves the newcomer).
+// path's shape allocates nothing (it lives in its caller's frame until End
+// copies it into the ring), a fresh ring allocates one slab per spanSlabLen
+// spans and nothing once full, a counted flight event is none, and a first
+// touch at a full profiler is none (the evicted record serves the newcomer).
 func TestRecordingAllocationsPinned(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not repeatable under the race detector")
@@ -45,7 +57,7 @@ func TestRecordingAllocationsPinned(t *testing.T) {
 		max  float64
 		fn   func()
 	}{
-		{"a span with two numbers and two phases", 1, func() {
+		{"a span with two numbers and two phases", 0, func() {
 			s := h.StartPrefixed(root, PrefixServe, "Get")
 			s.AnnotateOID("oid", oid)
 			s.AnnotateUint("objects", 1)
@@ -62,6 +74,127 @@ func TestRecordingAllocationsPinned(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(1000, c.fn); got > c.max {
 			t.Fatalf("%s allocates %.1f objects, pinned at %.0f", c.what, got, c.max)
+		}
+	}
+	// Mallocs is process-wide: the least of three readings cannot be
+	// inflated by a straggler goroutine.
+	const slabs, spans = 2, 4 * spanSlabLen
+	least := ^uint64(0)
+	for round := 0; round < 3; round++ {
+		fresh := NewHub("fresh", WithSpanCapacity(slabs*spanSlabLen))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < spans; i++ {
+			s := fresh.StartPrefixed(root, PrefixServe, "Get")
+			s.AnnotateOID("oid", oid)
+			s.Phase(PhaseServe, 1)
+			s.End()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least > slabs {
+		t.Fatalf("%d spans on a fresh %d-slab ring allocate %d objects, pinned at %d (one per slab)", spans, slabs, least, slabs)
+	}
+}
+
+// oldRing is the span ring as one array of capacity records, written in
+// place once full: the model whose answers the slab ring must match.
+type oldRing struct {
+	ring  []string
+	next  int
+	total uint64
+}
+
+func (r *oldRing) commit(name string) {
+	r.total++
+	if len(r.ring) < cap(r.ring) {
+		r.ring = append(r.ring, name)
+		return
+	}
+	r.ring[r.next] = name
+	r.next = (r.next + 1) % len(r.ring)
+}
+
+func (r *oldRing) since(cursor uint64, max int) (names []string, next, missed uint64) {
+	oldest := r.total - uint64(len(r.ring))
+	if cursor > r.total {
+		cursor = r.total
+	}
+	if cursor < oldest {
+		missed = oldest - cursor
+		cursor = oldest
+	}
+	n := r.total - cursor
+	if max > 0 && uint64(max) < n {
+		n = uint64(max)
+	}
+	names = []string{}
+	for i := uint64(0); i < n; i++ {
+		pos := int(cursor + i - oldest)
+		if len(r.ring) == cap(r.ring) {
+			pos = (r.next + pos) % len(r.ring)
+		}
+		names = append(names, r.ring[pos])
+	}
+	return names, cursor + n, missed
+}
+
+func (r *oldRing) snapshot(max int) []string {
+	cursor := uint64(0)
+	if max > 0 && len(r.ring) > max {
+		cursor = r.total - uint64(max)
+	}
+	names, _, _ := r.since(cursor, max)
+	return names
+}
+
+// TestSpanRingWrapsAcrossSlabs: a ring whose capacity is not a multiple of
+// the slab length wraps across its slab boundaries, allocates each slab
+// once, and answers Spans and SpansSince (records, cursors, missed counts)
+// exactly as the one-array ring did, before, at and past every boundary.
+func TestSpanRingWrapsAcrossSlabs(t *testing.T) {
+	const capacity = spanSlabLen + 100
+	h := NewHub("s", WithSpanCapacity(capacity))
+	model := &oldRing{ring: make([]string, 0, capacity)}
+	names := func(recs []SpanRecord) []string {
+		out := []string{}
+		for _, r := range recs {
+			out = append(out, r.Name)
+		}
+		return out
+	}
+	var firstSlabs [][]spanData
+	const slab, ring = uint64(spanSlabLen), uint64(capacity)
+	for _, total := range []uint64{0, 1, slab - 1, slab, slab + 1, ring - 1, ring, ring + 1, ring + slab, 2*ring + 3, 5*ring + slab + 7} {
+		for model.total < total {
+			name := strconv.FormatUint(model.total, 10)
+			h.StartRoot(name).End()
+			model.commit(name)
+		}
+		for _, max := range []int{0, 1, 7, spanSlabLen, capacity, capacity + 1} {
+			if got, want := names(h.Spans(max)), model.snapshot(max); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %d spans, Spans(%d) = %v, want %v", total, max, got, want)
+			}
+			for _, cursor := range []uint64{0, total - min(total, ring) - 1, total - min(total, ring), total / 2, total - 1, total, total + 5} {
+				recs, next, missed := h.SpansSince(cursor, max)
+				want, wantNext, wantMissed := model.since(cursor, max)
+				if got := names(recs); !reflect.DeepEqual(got, want) || next != wantNext || missed != wantMissed {
+					t.Fatalf("after %d spans, SpansSince(%d, %d) = %v next %d missed %d, want %v next %d missed %d",
+						total, cursor, max, got, next, missed, want, wantNext, wantMissed)
+				}
+			}
+		}
+		if total == ring {
+			firstSlabs = append([][]spanData(nil), h.tracer.slabs...)
+		}
+	}
+	if len(firstSlabs) != 2 || len(firstSlabs[0]) != spanSlabLen || len(firstSlabs[1]) != 100 {
+		t.Fatalf("a %d-record ring holds %d slabs", capacity, len(firstSlabs))
+	}
+	for i, slab := range h.tracer.slabs {
+		if &slab[0] != &firstSlabs[i][0] {
+			t.Fatalf("slab %d was reallocated after the ring wrapped", i)
 		}
 	}
 }
@@ -243,10 +376,11 @@ func TestFlightCountsRenderOnRead(t *testing.T) {
 
 // TestSpanRingReadWhileWritten is for the race detector: readers render
 // records from the ring while eight goroutines start, annotate and end
-// spans. Every span a drain returns is whole.
+// spans, which fills the ring's slabs, allocating them, and wraps it across
+// their boundary. Every span a drain returns is whole.
 func TestSpanRingReadWhileWritten(t *testing.T) {
 	const writers, each = 8, 500
-	h := NewHub("s", WithSpanCapacity(64))
+	h := NewHub("s", WithSpanCapacity(spanSlabLen+100))
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

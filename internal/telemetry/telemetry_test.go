@@ -143,15 +143,19 @@ func TestSpanErrAndAttrs(t *testing.T) {
 	}
 }
 
-// TestEndedSpanIsImmutable pins the contract the pointer ring rests on:
-// the ring shares the record with the span, so nothing the span's owner
-// does after End may reach it — not a late annotation, not a second End.
+// TestEndedSpanIsImmutable pins the contract of End: it copies the span
+// into the ring once, so nothing the span's owner does afterwards reaches
+// the record — not a late annotation, not a second End — while the span
+// still answers its Context.
 func TestEndedSpanIsImmutable(t *testing.T) {
 	h := NewHub("s", WithClock(fakeClock()))
 	sp := h.StartRoot("put")
 	sp.Annotate("oid", "1:2")
 	sp.End()
 	want := h.Spans(0)[0]
+	if sc := sp.Context(); sc.TraceID != want.TraceID || sc.SpanID != want.SpanID || !sc.Valid() {
+		t.Fatalf("ended span's context %+v, record %+v", sc, want)
+	}
 	sp.Annotate("late", "x")
 	sp.Phase(PhaseServe, time.Second)
 	sp.SetErr(errors.New("late"))

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"obiwan/internal/codec"
 )
@@ -163,8 +164,8 @@ func (a spanAttr) render() string {
 }
 
 // What a span holds inline. The demand and put paths record at most two
-// numeric attributes and two phases per span, so there a span is the one
-// allocation Tracer.start makes.
+// numeric attributes and two phases per span, so there a span allocates
+// nothing of its own.
 const (
 	inlineAttrs  = 2
 	inlinePhases = 2
@@ -181,15 +182,23 @@ type spanOverflow struct {
 // path: every method is a nil-receiver no-op, so instrumented code never
 // branches on whether telemetry is on.
 //
-// A span belongs to the goroutine that started it until End; after End it
-// is shared with the tracer's ring and never written again. It keeps
-// numbers, and strings as the caller gave them; the SpanRecord (site name,
-// joined name, "key=value" strings) is rendered when a snapshot is taken.
-// The ring retains 4096 spans per site, so the 192-byte size class is
-// live heap: TestSpanSizePinned.
+// An open span lives in the frame of the code that started it: the Hub's
+// Start methods inline into their caller, so the Span they allocate stays
+// on the caller's stack unless the caller lets the pointer escape. It
+// belongs to that goroutine until End, which copies its spanData into the
+// tracer's ring and marks it ended: later Annotate, Phase, SetErr and End
+// calls are no-ops, and Context still answers. A span keeps numbers, and
+// strings as the caller gave them; the SpanRecord (site name, joined name,
+// "key=value" strings) is rendered when a snapshot is taken.
 type Span struct {
 	tr *Tracer // nil once ended
+	spanData
+}
 
+// spanData is a span's content, and the ring's record of a finished one.
+// The ring retains 4096 of them per site by value, so its size is live
+// heap: TestSpanSizePinned.
+type spanData struct {
 	traceID, spanID, parent uint64
 	startNS, endNS          int64
 	name, err               string
@@ -278,9 +287,9 @@ func (s *Span) SetErr(err error) {
 	s.err = err.Error()
 }
 
-// End finishes the span and commits it to the tracer's ring. The ring
-// holds the span itself, so from here on it is immutable: later Annotate,
-// Phase, SetErr and End calls are no-ops.
+// End finishes the span and copies it into the tracer's ring, once: the
+// span is ended from here on, so later Annotate, Phase, SetErr and End
+// calls are no-ops.
 func (s *Span) End() {
 	if s == nil || s.ended() {
 		return
@@ -288,11 +297,11 @@ func (s *Span) End() {
 	tr := s.tr
 	s.tr = nil
 	s.endNS = tr.clock().UnixNano()
-	tr.commit(s)
+	tr.commit(&s.spanData)
 }
 
 // record renders the finished span as its exported SpanRecord.
-func (s *Span) record(site string) SpanRecord {
+func (s *spanData) record(site string) SpanRecord {
 	r := SpanRecord{
 		TraceID: s.traceID, SpanID: s.spanID, Parent: s.parent,
 		Site: site, Name: spanPrefixes[s.prefix] + s.name,
@@ -320,6 +329,12 @@ func (s *Span) record(site string) SpanRecord {
 // defaultSpanCapacity bounds the finished-span ring.
 const defaultSpanCapacity = 4096
 
+// spanSlabLen is how many records one slab of the span ring holds: as many
+// as fit in 32 KiB, the largest small-object size class, so a slab of 178
+// wastes 16 bytes. A larger slab is rounded up to whole 8 KiB pages: 256
+// records took 49152 bytes, 192 a record, what a heap object per span cost.
+const spanSlabLen = 32 << 10 / int(unsafe.Sizeof(spanData{}))
+
 // Tracer mints and records spans for one site, behind its Hub. Safe for
 // concurrent use.
 type Tracer struct {
@@ -329,12 +344,13 @@ type Tracer struct {
 	seq    atomic.Uint64 // span ids minted
 
 	mu sync.Mutex
-	// ring holds the finished spans themselves, so an idle site holds
-	// capacity×8 bytes of ring, not capacity records (545 KB of
-	// pointer-bearing memory that every GC cycle scanned).
-	ring  []*Span
-	next  int
-	total uint64 // spans ever committed; all but the last len(ring) are gone
+	// slabs hold the ring's records by value: the n-th span ever committed
+	// is at position n % capacity, in slab position/spanSlabLen. A slab is
+	// allocated when the ring first reaches it and never regrown, so an
+	// idle site holds none and each record's bytes are paid once.
+	slabs    [][]spanData
+	capacity int
+	total    uint64 // spans ever committed; all but the last capacity are gone
 }
 
 // newTracer builds a tracer whose span ids are salted with the site name:
@@ -349,37 +365,43 @@ func newTracer(site string, clock func() time.Time, capacity int) *Tracer {
 		capacity = defaultSpanCapacity
 	}
 	return &Tracer{
-		site:   site,
-		idBase: uint64(fnv32(site)) << 32,
-		clock:  clock,
-		ring:   make([]*Span, 0, capacity),
+		site:     site,
+		idBase:   uint64(fnv32(site)) << 32,
+		clock:    clock,
+		slabs:    make([][]spanData, (capacity+spanSlabLen-1)/spanSlabLen),
+		capacity: capacity,
 	}
 }
 
-// start begins a span named prefix+name. An invalid parent starts a new
-// trace rooted at this span (its trace id is its span id).
-func (t *Tracer) start(parent SpanContext, prefix SpanPrefix, name string) *Span {
+// start begins s, a zero Span, as a span named prefix+name. An invalid
+// parent starts a new trace rooted at this span (its trace id is its span
+// id).
+func (t *Tracer) start(s *Span, parent SpanContext, prefix SpanPrefix, name string) {
 	id := t.idBase | (t.seq.Add(1) & 0xffffffff)
-	s := &Span{tr: t, traceID: id, spanID: id, prefix: prefix, name: name, startNS: t.clock().UnixNano()}
+	s.tr, s.traceID, s.spanID, s.prefix, s.name = t, id, id, prefix, name
 	if parent.Valid() {
 		s.traceID, s.parent = parent.TraceID, parent.SpanID
 	}
-	return s
+	s.startNS = t.clock().UnixNano()
 }
 
-// commit stores a finished span in the ring, evicting the oldest when
-// full. s must not be written after this call.
-func (t *Tracer) commit(s *Span) {
+// commit copies a finished span into the ring, over the oldest record
+// when the ring is full.
+func (t *Tracer) commit(s *spanData) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, s)
-		return
+	pos := int(t.total % uint64(t.capacity))
+	slab := t.slabs[pos/spanSlabLen]
+	if slab == nil { // the ring fills in order, so pos starts this slab
+		slab = make([]spanData, min(spanSlabLen, t.capacity-pos))
+		t.slabs[pos/spanSlabLen] = slab
 	}
-	t.ring[t.next] = s
-	t.next = (t.next + 1) % len(t.ring)
+	slab[pos%spanSlabLen] = *s
+	t.total++
 }
+
+// retained is how many records the ring holds.
+func (t *Tracer) retained() uint64 { return min(t.total, uint64(t.capacity)) }
 
 // Snapshot returns up to max finished spans, oldest first (all of them
 // when max <= 0).
@@ -387,7 +409,7 @@ func (t *Tracer) Snapshot(max int) []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cursor := uint64(0)
-	if max > 0 && len(t.ring) > max {
+	if max > 0 && t.retained() > uint64(max) {
 		cursor = t.total - uint64(max)
 	}
 	spans, _, _ := t.sinceLocked(cursor, max)
@@ -408,9 +430,9 @@ func (t *Tracer) SnapshotSince(cursor uint64, max int) (spans []SpanRecord, next
 }
 
 // sinceLocked is SnapshotSince under t.mu: records are rendered here,
-// under the lock, from spans nothing writes any more.
+// under the lock that commit copies them in under.
 func (t *Tracer) sinceLocked(cursor uint64, max int) (spans []SpanRecord, next uint64, missed uint64) {
-	oldest := t.total - uint64(len(t.ring))
+	oldest := t.total - t.retained()
 	if cursor > t.total {
 		cursor = t.total
 	}
@@ -423,12 +445,9 @@ func (t *Tracer) sinceLocked(cursor uint64, max int) (spans []SpanRecord, next u
 		n = uint64(max)
 	}
 	spans = make([]SpanRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		pos := int(cursor + i - oldest)
-		if len(t.ring) == cap(t.ring) {
-			pos = (t.next + pos) % len(t.ring)
-		}
-		spans = append(spans, t.ring[pos].record(t.site))
+	for i := cursor; i < cursor+n; i++ {
+		pos := int(i % uint64(t.capacity))
+		spans = append(spans, t.slabs[pos/spanSlabLen][pos%spanSlabLen].record(t.site))
 	}
 	return spans, cursor + n, missed
 }
