@@ -72,3 +72,25 @@ func BenchmarkValueRoundTripCallFrame(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeMap encodes a struct holding a map[string]int, whose keys
+// the encoder sorts: go test -run xxx -bench EncodeMap ./internal/codec
+func BenchmarkEncodeMap(b *testing.B) {
+	reg := NewRegistry()
+	type holds struct{ M map[string]int }
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			v := holds{M: make(map[string]int, n)}
+			for i := 0; i < n; i++ {
+				v.M[fmt.Sprintf("key-%06d", (i*7919)%n)] = i
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var e Encoder
+				if err := e.EncodeStruct(reg, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -114,14 +114,15 @@ func (e *Encoder) WriteRaw(b []byte) {
 // Decoder reads values from a byte slice. Decoders must not be used
 // concurrently.
 //
-// One Decoder is heap-allocated per frame, so the struct stays in the
-// 32-byte size class: off is 32 bits wide (inputs are frames and log
-// records, bounded far below 4 GiB by transport.MaxMessageSize) to leave
-// room for borrow.
+// No method hands the Decoder to anything it cannot see (an Unmarshaler
+// gets the bytes), so one made by NewDecoder or NewBorrowingDecoder stays in
+// its caller's frame. off is 32 bits wide: inputs are frames and log
+// records, bounded far below 4 GiB by transport.MaxMessageSize.
 type Decoder struct {
 	buf    []byte
 	off    uint32
-	borrow bool // ReadBytes aliases buf instead of copying
+	borrow bool  // ReadBytes aliases buf instead of copying
+	memo   *Memo // nil: every string is a fresh copy
 }
 
 // NewDecoder returns a decoder over buf. The decoder does not copy buf; the
@@ -143,6 +144,12 @@ func NewDecoder(buf []byte) *Decoder {
 func NewBorrowingDecoder(buf []byte) *Decoder {
 	d := NewDecoder(buf)
 	d.borrow = true
+	return d
+}
+
+// WithMemo makes d decode its strings through m (see Memo) and returns d.
+func (d *Decoder) WithMemo(m *Memo) *Decoder {
+	d.memo = m
 	return d
 }
 
@@ -235,13 +242,14 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// ReadString decodes a length-prefixed string.
+// ReadString decodes a length-prefixed string. It is a copy, never a window
+// on the input: a fresh one, or the memo's copy of an earlier one.
 func (d *Decoder) ReadString() (string, error) {
 	n, err := d.readLen()
 	if err != nil {
 		return "", err
 	}
-	return string(d.take(n)), nil
+	return d.memo.string(d.take(n)), nil
 }
 
 // ReadBytes decodes a length-prefixed byte slice. The result is a copy and

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"strings"
@@ -264,18 +265,18 @@ type customWire struct {
 	N int
 }
 
-func (c customWire) MarshalOBI(e *Encoder) error {
-	e.WriteVarint(int64(c.N) * 2) // deliberately non-default form
-	return nil
+func (c customWire) MarshalOBI(dst []byte) ([]byte, error) {
+	return binary.AppendVarint(dst, int64(c.N)*2), nil // deliberately non-default form
 }
 
-func (c *customWire) UnmarshalOBI(d *Decoder) error {
+func (c *customWire) UnmarshalOBI(src []byte) (int, error) {
+	d := NewDecoder(src)
 	v, err := d.ReadVarint()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	c.N = int(v / 2)
-	return nil
+	return d.Offset(), nil
 }
 
 func TestMarshalerOverridesReflection(t *testing.T) {

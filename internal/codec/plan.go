@@ -32,7 +32,7 @@ type marshalMode uint8
 const (
 	marshalNone  marshalMode = iota
 	marshalValue             // typ is a Marshaler
-	marshalAddr              // only *typ is: an addressable value marshals itself
+	marshalAddr              // only *typ is: a value marshals through its address, or a copy's
 )
 
 // field is one struct field that travels: exported, and not tagged
@@ -102,11 +102,4 @@ func build(t reflect.Type, building map[reflect.Type]*plan) *plan {
 		}
 	}
 	return p
-}
-
-// marshals reports whether rv, a value of p's type, encodes itself: a
-// Marshaler on its address needs an addressable value, and one that is not
-// (a struct passed by value) is encoded by its kind.
-func (p *plan) marshals(rv reflect.Value) bool {
-	return p.marshal == marshalValue || p.marshal == marshalAddr && rv.CanAddr()
 }

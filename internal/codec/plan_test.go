@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,9 +63,19 @@ func TestPlanRecursiveType(t *testing.T) {
 // addrTag is a Marshaler on its address only.
 type addrTag struct{ S string }
 
-func (a *addrTag) MarshalOBI(e *Encoder) error {
+func (a *addrTag) MarshalOBI(dst []byte) ([]byte, error) {
+	e := Encoder{buf: dst}
 	e.WriteString("tag:" + a.S)
-	return nil
+	return e.buf, nil
+}
+
+func (a *addrTag) UnmarshalOBI(src []byte) (int, error) {
+	d := NewDecoder(src)
+	s, err := d.ReadString()
+	if tag, ok := strings.CutPrefix(s, "tag:"); ok {
+		a.S = tag
+	}
+	return d.Offset(), err
 }
 
 type holdsAddrTag struct {
@@ -73,9 +84,9 @@ type holdsAddrTag struct {
 }
 
 // TestPlanAddressMarshalerByValue: a Marshaler on the address marshals a
-// value that has one. Inside a struct passed by value the field is not
-// addressable, so it is encoded by its kind, as a struct of one string; the
-// sizing walk agrees with the encoder either way.
+// value that has none too (a field of a struct passed by value), through an
+// addressable copy, so the bytes are the same by value and by pointer; the
+// sizing walk charges the hook marshalerSize either way.
 func TestPlanAddressMarshalerByValue(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister("test.holdsAddrTag", holdsAddrTag{})
@@ -84,10 +95,10 @@ func TestPlanAddressMarshalerByValue(t *testing.T) {
 		name, want string
 		encode     func(e *Encoder) error
 	}{
-		// N is zig-zag 02; the tag is a string "x", or "tag:x" from MarshalOBI.
-		{"EncodeStruct by value", "02" + "0178", func(e *Encoder) error { return e.EncodeStruct(reg, v) }},
+		// N is zig-zag 02; the tag is the string "tag:x" from MarshalOBI.
+		{"EncodeStruct by value", "02" + "057461673a78", func(e *Encoder) error { return e.EncodeStruct(reg, v) }},
 		{"EncodeStruct by pointer", "02" + "057461673a78", func(e *Encoder) error { return e.EncodeStruct(reg, &v) }},
-		{"Value by value", "0a11746573742e686f6c64734164647254616702" + "0178", func(e *Encoder) error { return e.Value(reg, v) }},
+		{"Value by value", "0a11746573742e686f6c64734164647254616702" + "057461673a78", func(e *Encoder) error { return e.Value(reg, v) }},
 		{"Value by pointer", "0a11746573742e686f6c64734164647254616702" + "057461673a78", func(e *Encoder) error { return e.Value(reg, &v) }},
 	} {
 		e := NewEncoder(0)
@@ -107,12 +118,39 @@ func TestPlanAddressMarshalerByValue(t *testing.T) {
 		if err := e.EncodeStruct(reg, x); err != nil {
 			t.Fatal(err)
 		}
-		slack := 0
-		if rv.CanAddr() {
-			slack = marshalerSize
-		}
-		if got := sizeReflect(reg, planOf(rv.Type()), rv, nil); got < e.Len() || got > e.Len()+slack {
+		if got := sizeReflect(reg, planOf(rv.Type()), rv, nil); got < e.Len() || got > e.Len()+marshalerSize {
 			t.Errorf("%T: sized at %d, EncodeStruct wrote %d", x, got, e.Len())
+		}
+	}
+}
+
+// TestAddressMarshalerRoundTripsByValue: a field whose hook is on its
+// pointer comes back whether its struct was encoded by value or by pointer,
+// and the fields after it with it.
+func TestAddressMarshalerRoundTripsByValue(t *testing.T) {
+	type tagged struct {
+		N   int8
+		Tag addrTag
+		M   int8
+	}
+	reg := NewRegistry()
+	reg.MustRegister("test.tagged", tagged{})
+	in := tagged{N: 1, Tag: addrTag{S: "x"}, M: 7}
+	for _, x := range []any{in, &in} {
+		e := NewEncoder(0)
+		if err := e.EncodeStruct(reg, x); err != nil {
+			t.Fatal(err)
+		}
+		var out tagged
+		if err := NewDecoder(e.Bytes()).DecodeStruct(reg, &out); err != nil || out != in {
+			t.Errorf("EncodeStruct(%T) decodes to %+v (%v), want %+v", x, out, err, in)
+		}
+		e.Reset()
+		if err := e.Value(reg, x); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := NewDecoder(e.Bytes()).Value(reg); err != nil || *got.(*tagged) != in {
+			t.Errorf("Value(%T) decodes to %+v (%v), want %+v", x, got, err, in)
 		}
 	}
 }

@@ -11,14 +11,20 @@ import (
 // Marshaler/Unmarshaler bypass the reflection-based struct codec; OBIWAN uses
 // this for reference fields, whose wire form is an object identifier rather
 // than the pointed-to data (the "swizzling" of the persistent-object
-// literature the paper cites).
+// literature the paper cites). MarshalOBI appends the wire form to dst and
+// returns the extended slice. The hook sees bytes, never the Encoder or
+// Decoder, so neither crosses an interface and both stay in their callers'
+// frames.
 type Marshaler interface {
-	MarshalOBI(e *Encoder) error
+	MarshalOBI(dst []byte) ([]byte, error)
 }
 
-// Unmarshaler is the decoding counterpart of Marshaler.
+// Unmarshaler is the decoding counterpart of Marshaler: UnmarshalOBI parses
+// its wire form from the front of src and reports how many bytes it
+// consumed; a count outside [0, len(src)] is ErrCorrupt. src aliases the
+// frame, so the hook must not keep it.
 type Unmarshaler interface {
-	UnmarshalOBI(d *Decoder) error
+	UnmarshalOBI(src []byte) (n int, err error)
 }
 
 var (

@@ -100,7 +100,7 @@ func sizeReflect(reg *Registry, p *plan, rv reflect.Value, vec *Vector) int {
 		}
 		return 1 + sizeReflect(reg, p.elem, rv.Elem(), vec)
 	}
-	if p.time || p.marshals(rv) {
+	if p.time || p.marshal != marshalNone {
 		return marshalerSize
 	}
 	switch p.kind {

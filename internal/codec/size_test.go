@@ -198,10 +198,3 @@ func TestBorrowingDecoderAliasesItsInput(t *testing.T) {
 		t.Fatalf("copying decoder shares bytes with its input: %q %q %+v", plain, inValue, n)
 	}
 }
-
-// TestDecoderStaysInItsSizeClass: one Decoder is heap-allocated per frame.
-func TestDecoderStaysInItsSizeClass(t *testing.T) {
-	if s := unsafe.Sizeof(Decoder{}); s > 32 {
-		t.Fatalf("Decoder is %d bytes: past the 32-byte size class, every frame decode costs 16 bytes more", s)
-	}
-}

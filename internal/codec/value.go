@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
@@ -265,13 +266,7 @@ func sortedKeys(m map[string]any) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Insertion sort: RMI frames carry few keys and this avoids pulling in
-	// sort for the hot encode path.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }
 
@@ -306,10 +301,9 @@ func (d *Decoder) DecodeStruct(reg *Registry, v any) error {
 
 // encodeReflect is the type-directed codec: it walks rv's static structure
 // along p, its type's plan. Types implementing Marshaler take over their own
-// encoding (on the value, or on its address when it has one). Pointers
-// always carry a presence byte first, so nil and custom-marshaled pointees
-// stay symmetric on the wire. vec is VectorValue's, nil for a contiguous
-// encoding.
+// encoding (see marshal). Pointers always carry a presence byte first, so
+// nil and custom-marshaled pointees stay symmetric on the wire. vec is
+// VectorValue's, nil for a contiguous encoding.
 func (e *Encoder) encodeReflect(reg *Registry, p *plan, rv reflect.Value, vec *Vector) error {
 	if p.kind == reflect.Pointer {
 		if rv.IsNil() {
@@ -319,11 +313,8 @@ func (e *Encoder) encodeReflect(reg *Registry, p *plan, rv reflect.Value, vec *V
 		e.WriteBool(true)
 		return e.encodeReflect(reg, p.elem, rv.Elem(), vec)
 	}
-	if p.marshals(rv) {
-		if p.marshal == marshalAddr {
-			rv = rv.Addr()
-		}
-		return rv.Interface().(Marshaler).MarshalOBI(e)
+	if p.marshal != marshalNone {
+		return e.marshal(p, rv)
 	}
 	if p.time {
 		e.WriteVarint(rv.Interface().(time.Time).UnixNano())
@@ -385,6 +376,40 @@ func (e *Encoder) encodeReflect(reg *Registry, p *plan, rv reflect.Value, vec *V
 	return nil
 }
 
+// marshal appends rv's own encoding. A Marshaler on the address marshals a
+// value that has none (a field of a struct passed by value) through an
+// addressable copy, as the decoder, which always has an address, reads it.
+func (e *Encoder) marshal(p *plan, rv reflect.Value) error {
+	if p.marshal == marshalAddr {
+		if !rv.CanAddr() {
+			c := reflect.New(p.typ).Elem()
+			c.Set(rv)
+			rv = c
+		}
+		rv = rv.Addr()
+	}
+	b, err := rv.Interface().(Marshaler).MarshalOBI(e.buf)
+	if err != nil {
+		return err
+	}
+	e.buf = b
+	return nil
+}
+
+// unmarshal hands the rest of the input to rv's Unmarshaler and moves past
+// what it reports consumed.
+func (d *Decoder) unmarshal(p *plan, rv reflect.Value) error {
+	n, err := rv.Addr().Interface().(Unmarshaler).UnmarshalOBI(d.buf[d.off:])
+	if err != nil {
+		return err
+	}
+	if n < 0 || n > d.Remaining() {
+		return fmt.Errorf("%w: %v unmarshaled %d of %d bytes", ErrCorrupt, p.typ, n, d.Remaining())
+	}
+	d.off += uint32(n)
+	return nil
+}
+
 // decodeReflect decodes into rv, which must be addressable, along p, its
 // type's plan.
 func (d *Decoder) decodeReflect(reg *Registry, p *plan, rv reflect.Value) error {
@@ -404,8 +429,8 @@ func (d *Decoder) decodeReflect(reg *Registry, p *plan, rv reflect.Value) error 
 		rv.Set(pv)
 		return nil
 	}
-	if p.unmarshal && rv.CanAddr() {
-		return rv.Addr().Interface().(Unmarshaler).UnmarshalOBI(d)
+	if p.unmarshal {
+		return d.unmarshal(p, rv)
 	}
 	if p.time {
 		ns, err := d.ReadVarint()
@@ -551,19 +576,13 @@ func sortedMapKeys(rv reflect.Value, kind reflect.Kind) ([]reflect.Value, error)
 		return nil, fmt.Errorf("codec: unsupported map key type %v", rv.Type().Key())
 	}
 	keys := rv.MapKeys()
-	var less func(a, b reflect.Value) bool
 	switch {
 	case kind == reflect.String:
-		less = func(a, b reflect.Value) bool { return a.String() < b.String() }
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.String(), b.String()) })
 	case kind >= reflect.Int && kind <= reflect.Int64:
-		less = func(a, b reflect.Value) bool { return a.Int() < b.Int() }
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.Int(), b.Int()) })
 	default:
-		less = func(a, b reflect.Value) bool { return a.Uint() < b.Uint() }
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) })
 	}
 	return keys, nil
 }

@@ -1,6 +1,7 @@
 package objmodel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -303,25 +304,26 @@ func Deref[T any](r *Ref) (T, error) {
 	return t, nil
 }
 
-// MarshalOBI encodes the ref as its target OID. The surrounding payload
-// carries the information needed to rebind it at the receiving site.
-func (r *Ref) MarshalOBI(e *codec.Encoder) error {
+// MarshalOBI appends the ref's wire form, its target OID as one uvarint.
+// The surrounding payload carries the information needed to rebind it at
+// the receiving site.
+func (r *Ref) MarshalOBI(dst []byte) ([]byte, error) {
 	r.mu.Lock()
 	oid := r.oid
 	r.mu.Unlock()
 	if oid == 0 {
-		return fmt.Errorf("objmodel: cannot serialize a never-bound Ref")
+		return dst, fmt.Errorf("objmodel: cannot serialize a never-bound Ref")
 	}
-	e.WriteUvarint(uint64(oid))
-	return nil
+	return binary.AppendUvarint(dst, uint64(oid)), nil
 }
 
-// UnmarshalOBI decodes a ref into the unbound state (OID only). The
-// replication materializer binds it to a local object or proxy-out.
-func (r *Ref) UnmarshalOBI(d *codec.Decoder) error {
+// UnmarshalOBI parses a ref's uvarint into the unbound state (OID only).
+// The replication materializer binds it to a local object or proxy-out.
+func (r *Ref) UnmarshalOBI(src []byte) (int, error) {
+	d := codec.NewDecoder(src)
 	v, err := d.ReadUvarint()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.mu.Lock()
 	r.oid = OID(v)
@@ -329,7 +331,7 @@ func (r *Ref) UnmarshalOBI(d *codec.Decoder) error {
 	r.faulter = nil
 	r.remote = nil
 	r.mu.Unlock()
-	return nil
+	return d.Offset(), nil
 }
 
 func (r *Ref) String() string {

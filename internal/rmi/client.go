@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"obiwan/internal/codec"
 	"obiwan/internal/netsim"
 	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
@@ -142,9 +143,11 @@ func (rt *Runtime) dropConn(c *clientConn) {
 }
 
 // readLoop demultiplexes replies to waiting callers until the connection
-// dies, then fails everything still pending.
+// dies, then fails everything still pending. It decodes every reply through
+// the connection's one string memo, its own.
 func (c *clientConn) readLoop() {
 	defer c.rt.wg.Done()
+	var memo codec.Memo
 	for {
 		frame, err := c.conn.Recv()
 		if err != nil {
@@ -152,7 +155,7 @@ func (c *clientConn) readLoop() {
 			return
 		}
 		c.rt.met.bytesRecv.Add(uint64(len(frame)))
-		msg, err := wire.Decode(c.rt.reg, frame)
+		msg, err := wire.DecodeMemo(c.rt.reg, &memo, frame)
 		if err != nil {
 			c.shutdown(fmt.Errorf("rmi: bad frame from %q: %w", c.addr, err))
 			return

@@ -134,9 +134,11 @@ const (
 // clusterDemandAllocsPerMember pins the heap objects one cluster demand
 // allocates per member, both sites included; it only ever goes down. 13.5
 // while each reference walk (the master's traversal, its frontier walk and
-// the replica's binding) returned a fresh slice; 10.5 now (readings spread
+// the replica's binding) returned a fresh slice; 10.5 while each member's
+// capture and restore heap-allocated a codec header and its type name and
+// provider strings were copied out of the reply; 7.5 now (readings spread
 // by ±0.05 between runs).
-const clusterDemandAllocsPerMember = 10.6
+const clusterDemandAllocsPerMember = 7.6
 
 // TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster
 // (the paper's Fig. 6 regime, the benchmark's walk_cluster16k).
@@ -269,8 +271,12 @@ func faultAllocs(t *testing.T, opts ...Option) float64 {
 // were formatted before the nil-span check, 68 while the server made a
 // closure per served call, 67 while the proxy-in's Get went through the
 // reflective skeleton and the codec copied each wire type name out, 57
-// while each reference walk returned a fresh slice.)
-const faultAllocsOff = 55
+// while each reference walk returned a fresh slice, 55 while the six
+// codec headers of a fault (call and reply, each encoded and decoded, the
+// capture and the restore) reached the heap through the Marshaler hook and
+// nine strings (type names, provider addresses, the method name, the client
+// id) were copied out of every frame instead of out of a connection memo.)
+const faultAllocsOff = 40
 
 // TestFaultTelemetryAllocationsPinned: what a site records about a fault
 // with nobody reading it allocates nothing. Its five spans (fault, rmi:Get,

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,20 +15,25 @@ import (
 // The codec's allocation counts on the walk_step1 shapes: the reply of one
 // single-object demand (the golden "step reply") and the object it carries
 // (the golden node). Each only ever goes down: lower it when a change
-// removes an allocation. The counts are the ones measured before codec
-// walks ran on per-type plans, which changed none of them.
+// removes an allocation. Per-type plans changed none of them; the Encoder
+// and Decoder headers left the heap when the Marshaler hook stopped taking
+// them (one fewer each).
 const (
-	// The encoder, its first buffer and the frame the Payload is grown into.
-	stepReplyEncodeAllocs = 3
-	// The Decoder, the Reply, its results, the Payload, its record and
-	// frontier slices and every string on the way (the states are borrowed).
-	// 16 while the Payload's wire name was copied out of the frame.
-	stepReplyDecodeAllocs = 15
-	// The Encoder and its buffer.
-	nodeEncodeAllocs = 2
-	// The node decoded into, the Decoder, the payload bytes (a copying
-	// decoder) and the Ref.
-	nodeDecodeAllocs = 4
+	// Its first buffer and the frame the Payload is grown into.
+	stepReplyEncodeAllocs = 2
+	// The Reply, its results, the Payload, its record and frontier slices
+	// and every string on the way (the states are borrowed). 16 while the
+	// Payload's wire name was copied out of the frame.
+	stepReplyDecodeAllocs = 14
+	// The same through a connection memo that has seen the frame: its six
+	// strings (two type names, two provider addresses, two interface
+	// names) are the memo's.
+	stepReplyWarmDecodeAllocs = stepReplyDecodeAllocs - 6
+	// The buffer.
+	nodeEncodeAllocs = 1
+	// The node decoded into, the payload bytes (a copying decoder) and the
+	// Ref.
+	nodeDecodeAllocs = 3
 )
 
 type codecStep struct {
@@ -36,7 +42,7 @@ type codecStep struct {
 	fn   func() error
 }
 
-// stepShapes are the four codec operations on the walk_step1 shapes, each
+// stepShapes are the codec operations on the walk_step1 shapes, each
 // with its pinned allocation count.
 func stepShapes(tb testing.TB) []codecStep {
 	var reply *wire.Reply
@@ -52,9 +58,14 @@ func stepShapes(tb testing.TB) []codecStep {
 	}
 	state := reply.Results[0].(*replication.Payload).Objects[0].State
 	node := &goldenNode{Payload: make([]byte, 64), Next: objmodel.NewLocalRef(nil, 1002)}
+	var memo codec.Memo
+	if _, err := wire.DecodeMemo(reg, &memo, frame); err != nil {
+		tb.Fatal(err)
+	}
 	return []codecStep{
 		{"step reply encode", stepReplyEncodeAllocs, func() error { _, err := wire.EncodeReply(reg, reply); return err }},
 		{"step reply decode", stepReplyDecodeAllocs, func() error { _, err := wire.Decode(reg, frame); return err }},
+		{"step reply decode, warm memo", stepReplyWarmDecodeAllocs, func() error { _, err := wire.DecodeMemo(reg, &memo, frame); return err }},
 		{"node EncodeStruct", nodeEncodeAllocs, func() error { return codec.NewEncoder(128).EncodeStruct(reg, node) }},
 		{"node DecodeStruct", nodeDecodeAllocs, func() error { return codec.NewDecoder(state).DecodeStruct(reg, &goldenNode{}) }},
 	}
@@ -89,6 +100,43 @@ func BenchmarkStepCodec(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := s.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeUniqueStrings prices the connection memo where it cannot
+// help: call frames whose three strings (method, client id, an argument)
+// never repeat, so each is a miss that also forgets an older string. The
+// rows are no memo, the memo missing on every string, and the memo on one
+// frame over and over (every string a hit): go test -run xxx -bench
+// DecodeUniqueStrings -cpu 1 ./internal/wire
+func BenchmarkDecodeUniqueStrings(b *testing.B) {
+	reg := codec.NewRegistry()
+	frames := make([][]byte, 4096)
+	for i := range frames {
+		f, err := wire.EncodeCall(reg, &wire.Call{ID: uint64(i), Target: 17, Method: fmt.Sprintf("Method%05d", i),
+			Client: fmt.Sprintf("10.0.%d.%d:40002#1", i/256, i%256), Args: []any{fmt.Sprintf("argument-%05d", i)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames[i] = f
+	}
+	var memo codec.Memo
+	for _, bc := range []struct {
+		name   string
+		decode func(i int) error
+	}{
+		{"no_memo", func(i int) error { _, err := wire.Decode(reg, frames[i%len(frames)]); return err }},
+		{"memo_misses", func(i int) error { _, err := wire.DecodeMemo(reg, &memo, frames[i%len(frames)]); return err }},
+		{"memo_hits", func(int) error { _, err := wire.DecodeMemo(reg, &memo, frames[0]); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.decode(i); err != nil {
 					b.Fatal(err)
 				}
 			}

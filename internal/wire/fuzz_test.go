@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"obiwan/internal/codec"
@@ -224,6 +225,53 @@ func FuzzBorrowedDecode(f *testing.F) {
 		after, err := objmodel.CaptureState(reg, &obj)
 		if err != nil || !bytes.Equal(before, after) {
 			t.Fatalf("scribbling over the frame changed the restored object: %v\n%x\n%x", err, before, after)
+		}
+	})
+}
+
+// FuzzMemoDecode is the differential check on the connection memo: a frame
+// decoded through a memo that has seen other frames and, the second time,
+// this one fails with a fresh decode or returns the same values.
+func FuzzMemoDecode(f *testing.F) {
+	reg := codec.NewRegistry()
+	long := strings.Repeat("past the memo's bound ", 4)
+	var seeds [][]byte
+	for i, vals := range [][]any{
+		{"127.0.0.1:40002", int64(1)},
+		{long, map[string]any{"k": "v", "127.0.0.1:40002": long, "": ""}},
+		{[]any{"a", "b", "a", ""}, []byte("bytes")},
+	} {
+		call, err := EncodeCall(reg, &Call{ID: uint64(i), Target: 2, Method: "Get", Client: "127.0.0.1:40002#1", Args: vals})
+		if err != nil {
+			f.Fatal(err)
+		}
+		reply, err := EncodeReply(reg, &Reply{ID: uint64(i), Results: vals})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, call, reply)
+	}
+	seeds = append(seeds, EncodeFault(&Fault{ID: 1, Code: FaultApp, Message: "boom"}))
+	for _, s := range seeds {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, errF := Decode(reg, bytes.Clone(data))
+		var memo codec.Memo
+		for _, s := range seeds {
+			if _, err := DecodeMemo(reg, &memo, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			warm, errW := DecodeMemo(reg, &memo, bytes.Clone(data))
+			if (errF == nil) != (errW == nil) {
+				t.Fatalf("round %d: fresh decode: %v; through the memo: %v", round, errF, errW)
+			}
+			if errF == nil && !bytes.Equal(reencode(t, reg, warm), reencode(t, reg, fresh)) {
+				t.Fatalf("round %d: the memo's decode differs from a fresh one", round)
+			}
 		}
 	})
 }

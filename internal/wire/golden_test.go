@@ -3,8 +3,10 @@ package wire_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,31 +34,32 @@ type goldenNode struct {
 // goldenStamp is a Marshaler on its value.
 type goldenStamp struct{ N uint32 }
 
-func (s goldenStamp) MarshalOBI(e *codec.Encoder) error {
-	e.WriteUvarint(uint64(s.N) + 1000)
-	return nil
+func (s goldenStamp) MarshalOBI(dst []byte) ([]byte, error) {
+	return binary.AppendUvarint(dst, uint64(s.N)+1000), nil
 }
 
-func (s *goldenStamp) UnmarshalOBI(d *codec.Decoder) error {
+func (s *goldenStamp) UnmarshalOBI(src []byte) (int, error) {
+	d := codec.NewDecoder(src)
 	v, err := d.ReadUvarint()
 	s.N = uint32(v - 1000)
-	return err
+	return d.Offset(), err
 }
 
 // goldenTag is a Marshaler on its address only.
 type goldenTag struct{ S string }
 
-func (t *goldenTag) MarshalOBI(e *codec.Encoder) error {
-	e.WriteString("tag:" + t.S)
-	return nil
+func (t *goldenTag) MarshalOBI(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len("tag:")+len(t.S)))
+	return append(append(dst, "tag:"...), t.S...), nil
 }
 
-func (t *goldenTag) UnmarshalOBI(d *codec.Decoder) error {
+func (t *goldenTag) UnmarshalOBI(src []byte) (int, error) {
+	d := codec.NewDecoder(src)
 	s, err := d.ReadString()
 	if len(s) >= 4 {
 		t.S = s[4:]
 	}
-	return err
+	return d.Offset(), err
 }
 
 type goldenLeaf struct {
@@ -285,6 +288,41 @@ func TestGoldenWireFrames(t *testing.T) {
 		}
 		if !bytes.Equal(again, got) {
 			t.Errorf("%s: decoded and encoded again, the frame differs:\n%x\n%x", g.name, again, got)
+		}
+	}
+}
+
+// TestGoldenFramesDecodeThroughOneMemo: one connection memo decodes every
+// golden frame twice, in turn, and each decode equals a fresh decoder's:
+// the second round is answered from strings the first one stored.
+func TestGoldenFramesDecodeThroughOneMemo(t *testing.T) {
+	var memo codec.Memo
+	golden := goldenFrames(t)
+	for round := 0; round < 2; round++ {
+		for _, g := range golden {
+			frame, _, err := encodeGolden(g.reg, g.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var warm any
+			isFrame := false
+			switch g.msg.(type) {
+			case *wire.Call, *wire.Reply:
+				isFrame = true
+				warm, err = wire.DecodeMemo(g.reg, &memo, bytes.Clone(frame))
+			default:
+				warm, err = codec.NewDecoder(frame).WithMemo(&memo).Value(g.reg)
+			}
+			if err != nil {
+				t.Fatalf("round %d, %s: %v", round, g.name, err)
+			}
+			fresh, err := decodeGolden(g.reg, frame, isFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm, fresh) {
+				t.Errorf("round %d, %s: decoded through the memo\n%+v\nfresh\n%+v", round, g.name, warm, fresh)
+			}
 		}
 	}
 }

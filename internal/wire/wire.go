@@ -253,7 +253,15 @@ func EncodeFault(f *Fault) []byte {
 // decoded value is live. transport.Conn.Recv gives its frame to the caller
 // on exactly those terms.
 func Decode(reg *codec.Registry, frame []byte) (any, error) {
-	return decode(reg, codec.NewBorrowingDecoder(frame))
+	return DecodeMemo(reg, nil, frame)
+}
+
+// DecodeMemo is Decode for one connection's reader, which decodes each of
+// its frames through its one memo: a string the connection has decoded
+// before (a method name, a client id, a type name, an address) comes back
+// as the memo's copy instead of a new one (codec.Memo).
+func DecodeMemo(reg *codec.Registry, memo *codec.Memo, frame []byte) (any, error) {
+	return decode(reg, codec.NewBorrowingDecoder(frame).WithMemo(memo))
 }
 
 func decode(reg *codec.Registry, d *codec.Decoder) (any, error) {
