@@ -67,7 +67,7 @@ func runSlowCriticalPath(t *testing.T, seed int64) string {
 		// Permanent leader loss mid-walk: the remaining demands cross the
 		// election, so their spans carry elect.wait (and retry.backoff)
 		// on the fault chain.
-		w.Kill(leader)
+		leader.Kill()
 		survivors := without(members, leader)
 		if _, err := WalkAll(head, 50); err != nil {
 			return err

@@ -15,7 +15,9 @@
 //   - every demand either completes (retries crossing the outage
 //     transparently) or fails typed with replication.ErrUnavailable;
 //   - no operation hangs (see World.Within);
-//   - no retried call is applied twice at the master (see Counter).
+//   - no retried call executes twice at the master (see Counter), and no
+//     put is installed twice (decided by internal/check over the master's
+//     installs).
 //
 // Its World is also the one builder of seeded virtual deployments that
 // internal/swarm and bench's failover experiment stand on.
@@ -231,20 +233,6 @@ func (w *World) Sites() []*site.Site {
 	return append([]*site.Site(nil), w.sites...)
 }
 
-// NewDurableSite starts a crash-durable site journaling to dir. Starting
-// it again over the same dir after Kill (or Close) is the restart path:
-// the new incarnation recovers the old one's masters, dirty replicas,
-// exports, and name bindings from the WAL.
-func (w *World) NewDurableSite(name, dir string, opts ...site.Option) (*site.Site, error) {
-	return w.NewSite(name, append(opts, site.WithDurability(dir))...)
-}
-
-// Kill hard-stops a site in place — the process-crash analogue of a link
-// fault: in-flight calls against it fail, nothing is flushed, and a
-// durable site's WAL directory is left exactly as the crash left it.
-// Close remains safe to call afterwards (it is a no-op).
-func (w *World) Kill(s *site.Site) { s.Kill() }
-
 // Close shuts every site down, newest first, then the name server. In a
 // virtual world the shutdowns run tracked (site teardown drains in-flight
 // simulated work), and the clock is stopped before the name server goes.
@@ -313,94 +301,62 @@ func (w *World) Within(op func() error) error {
 // first — the list shape of the quickstart and disconnected examples.
 func BuildChain(s *site.Site, prefix string, n int) ([]*Node, error) {
 	nodes := make([]*Node, n)
+	edges := make([][2]int, 0, n)
 	for i := range nodes {
 		nodes[i] = &Node{Label: fmt.Sprintf("%s-%d", prefix, i), Data: []byte{byte(i)}}
-		if err := s.Register(nodes[i]); err != nil {
-			return nil, err
+		if i > 0 {
+			edges = append(edges, [2]int{i - 1, i})
 		}
 	}
-	for i := 0; i < n-1; i++ {
-		ref, err := s.NewRef(nodes[i+1])
-		if err != nil {
-			return nil, err
-		}
-		nodes[i].Kids = append(nodes[i].Kids, ref)
-	}
-	return nodes, nil
+	return nodes, wire(s, nodes, edges)
 }
 
 // BuildTree registers a complete tree of the given depth and fanout
 // (collabdoc's document/section shape) and returns its root and total
 // node count. Depth 1 is a single node.
 func BuildTree(s *site.Site, prefix string, depth, fanout int) (*Node, int, error) {
-	count := 0
-	var build func(level int, path string) (*Node, error)
-	build = func(level int, path string) (*Node, error) {
-		n := &Node{Label: fmt.Sprintf("%s-%s", prefix, path), Data: []byte(path)}
-		if err := s.Register(n); err != nil {
-			return nil, err
+	var nodes []*Node
+	var edges [][2]int
+	var grow func(level int, path string) int
+	grow = func(level int, path string) int {
+		i := len(nodes)
+		nodes = append(nodes, &Node{Label: prefix + "-" + path, Data: []byte(path)})
+		for k := 0; level < depth && k < fanout; k++ {
+			edges = append(edges, [2]int{i, grow(level+1, fmt.Sprintf("%s.%d", path, k))})
 		}
-		count++
-		if level < depth {
-			for i := 0; i < fanout; i++ {
-				kid, err := build(level+1, fmt.Sprintf("%s.%d", path, i))
-				if err != nil {
-					return nil, err
-				}
-				ref, err := s.NewRef(kid)
-				if err != nil {
-					return nil, err
-				}
-				n.Kids = append(n.Kids, ref)
-			}
-		}
-		return n, nil
+		return i
 	}
-	root, err := build(1, "r")
-	if err != nil {
-		return nil, 0, err
-	}
-	return root, count, nil
+	grow(1, "r")
+	return nodes[0], len(nodes), wire(s, nodes, edges)
 }
 
 // BuildDiamond registers the four-node diamond A→{B,C}→D — shared
 // substructure, so D is reached through two paths but must replicate once.
 // It returns [A, B, C, D].
 func BuildDiamond(s *site.Site, prefix string) ([]*Node, error) {
-	mk := func(tag string) (*Node, error) {
-		n := &Node{Label: prefix + "-" + tag, Data: []byte(tag)}
-		return n, s.Register(n)
+	nodes := make([]*Node, 4)
+	for i, tag := range []string{"a", "b", "c", "d"} {
+		nodes[i] = &Node{Label: prefix + "-" + tag, Data: []byte(tag)}
 	}
-	a, err := mk("a")
-	if err != nil {
-		return nil, err
+	return nodes, wire(s, nodes, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
+}
+
+// wire registers nodes at s in order, then gives each edge's first node a
+// reference to its second, in edge order.
+func wire(s *site.Site, nodes []*Node, edges [][2]int) error {
+	for _, n := range nodes {
+		if err := s.Register(n); err != nil {
+			return err
+		}
 	}
-	b, err := mk("b")
-	if err != nil {
-		return nil, err
-	}
-	c, err := mk("c")
-	if err != nil {
-		return nil, err
-	}
-	d, err := mk("d")
-	if err != nil {
-		return nil, err
-	}
-	link := func(from, to *Node) error {
-		ref, err := s.NewRef(to)
+	for _, e := range edges {
+		ref, err := s.NewRef(nodes[e[1]])
 		if err != nil {
 			return err
 		}
-		from.Kids = append(from.Kids, ref)
-		return nil
+		nodes[e[0]].Kids = append(nodes[e[0]].Kids, ref)
 	}
-	for _, e := range []struct{ f, t *Node }{{a, b}, {a, c}, {b, d}, {c, d}} {
-		if err := link(e.f, e.t); err != nil {
-			return nil, err
-		}
-	}
-	return []*Node{a, b, c, d}, nil
+	return nil
 }
 
 // WalkAll dereferences every reference reachable from root, re-walking
@@ -409,36 +365,35 @@ func BuildDiamond(s *site.Site, prefix string) ([]*Node, error) {
 // returns the number of distinct nodes reached. Untyped errors — and
 // exceeding maxRounds — abort the walk.
 func WalkAll(root *Node, maxRounds int) (int, error) {
-	var lastErr error
+	var err error
 	for round := 0; round <= maxRounds; round++ {
 		visited := make(map[*Node]bool)
-		var walk func(n *Node) error
-		walk = func(n *Node) error {
-			if visited[n] {
-				return nil
-			}
-			visited[n] = true
-			for i, ref := range n.Kids {
-				kid, err := objmodel.Deref[*Node](ref)
-				if err != nil {
-					return fmt.Errorf("deref %s kid %d: %w", n.Label, i, err)
-				}
-				if err := walk(kid); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		err := walk(root)
-		if err == nil {
+		if err = walk(root, visited); err == nil {
 			return len(visited), nil
 		}
 		if !errors.Is(err, replication.ErrUnavailable) {
 			return 0, err
 		}
-		lastErr = err
 	}
-	return 0, fmt.Errorf("walk did not converge in %d rounds: %w", maxRounds, lastErr)
+	return 0, fmt.Errorf("walk did not converge in %d rounds: %w", maxRounds, err)
+}
+
+// walk dereferences every reference reachable from n not yet visited.
+func walk(n *Node, visited map[*Node]bool) error {
+	if visited[n] {
+		return nil
+	}
+	visited[n] = true
+	for i, ref := range n.Kids {
+		kid, err := objmodel.Deref[*Node](ref)
+		if err != nil {
+			return fmt.Errorf("deref %s kid %d: %w", n.Label, i, err)
+		}
+		if err := walk(kid, visited); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Counter is an RMI service counting real executions: the server-side

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"obiwan/internal/check"
 	"obiwan/internal/invoke"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
@@ -197,33 +197,23 @@ func TestRetriedCallsExecuteExactlyOnce(t *testing.T) {
 	})
 }
 
-// countingPolicy counts ApplyPut acceptances at the master. Atomic: the
-// hook runs in the server's dispatch goroutine, the test reads it after.
-type countingPolicy struct {
-	applies atomic.Int64
-}
-
-func (p *countingPolicy) ApplyPut(objmodel.OID, uint64, uint64) error {
-	p.applies.Add(1)
-	return nil
-}
-func (p *countingPolicy) ReplicaCreated(objmodel.OID, string, uint64) {}
-func (p *countingPolicy) MasterUpdated(objmodel.OID, uint64)          {}
-
 // TestPutAppliesOnceUnderReplyLoss: a put whose reply is lost is re-sent
-// and must not be applied twice — the master's consistency policy sees
-// exactly one ApplyPut and the master version advances exactly once.
+// and must not be installed twice — internal/check, over the master's
+// installs, finds the put installed once, at the version the client saw
+// acknowledged. The real-clock leg serves at the shipped dispatch width,
+// the virtual one inline.
 func TestPutAppliesOnceUnderReplyLoss(t *testing.T) {
 	forEachClock(t, func(t *testing.T, mode clockMode) {
 		w := mode.newWorld(11)
 		defer w.Close()
-		policy := &countingPolicy{}
+		var history check.History
 		var client *site.Site
 		err := w.Within(func() error {
-			master, err := w.NewSite("master", site.WithPolicy(policy))
+			master, err := w.NewSite("master")
 			if err != nil {
 				return err
 			}
+			history.Watch("master", master.Engine())
 			p := DefaultRetry()
 			p.PerTryTimeout = 40 * time.Millisecond
 			if client, err = w.NewSite("client", site.WithRetry(p)); err != nil {
@@ -256,8 +246,9 @@ func TestPutAppliesOnceUnderReplyLoss(t *testing.T) {
 			if err := client.Put(replica); err != nil {
 				return fmt.Errorf("put with lost reply: %w", err)
 			}
-			if got := policy.applies.Load(); got != 1 {
-				return fmt.Errorf("master applied the put %d times, want exactly 1", got)
+			en, _ := client.Heap().EntryOf(replica)
+			if err := history.Check([]check.Put{{Client: "client", OID: en.OID, Version: en.Version()}}, "master"); err != nil {
+				return err
 			}
 			if string(nodes[0].Data) != "edited" {
 				return fmt.Errorf("master data %q after put", nodes[0].Data)

@@ -61,7 +61,7 @@ func runKillRestartMidDemand(t *testing.T, mode clockMode, seed int64, dir strin
 		if err := w.ServeNames(); err != nil {
 			return err
 		}
-		master, err := w.NewDurableSite("master", dir, site.WithNameServer("ns"))
+		master, err := w.NewSite("master", site.WithDurability(dir), site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
@@ -91,7 +91,7 @@ func runKillRestartMidDemand(t *testing.T, mode clockMode, seed int64, dir strin
 			return err
 		}
 
-		w.Kill(master)
+		master.Kill()
 
 		// The outstanding demand fails typed (the enclosing watchdog rules
 		// out a hang).
@@ -101,7 +101,7 @@ func runKillRestartMidDemand(t *testing.T, mode clockMode, seed int64, dir strin
 
 		// Rebirth from disk. site.New replays the WAL, re-exports proxy-ins
 		// at their recorded ids, and re-binds "doc/head" at the name server.
-		reborn, err := w.NewDurableSite("master", dir, site.WithNameServer("ns"))
+		reborn, err := w.NewSite("master", site.WithDurability(dir), site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
@@ -180,7 +180,7 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 			if err := w.ServeNames(); err != nil {
 				return err
 			}
-			master, err := w.NewDurableSite("master", dir, site.WithNameServer("ns"))
+			master, err := w.NewSite("master", site.WithDurability(dir), site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}
@@ -235,7 +235,7 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 			if err := client.MarkUpdated(second); err != nil {
 				return err
 			}
-			w.Kill(master)
+			master.Kill()
 
 			if _, err := client.SyncDirty(); !errors.Is(err, replication.ErrUnavailable) {
 				return fmt.Errorf("sync against killed master: want ErrUnavailable, got %v", err)
@@ -244,7 +244,7 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 				return errors.New("failed sync must keep the replica dirty")
 			}
 
-			reborn, err := w.NewDurableSite("master", dir, site.WithNameServer("ns"))
+			reborn, err := w.NewSite("master", site.WithDurability(dir), site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}
@@ -322,7 +322,7 @@ func TestDurableClientCrashRecoversOfflineEdits(t *testing.T) {
 				return err
 			}
 
-			mobile, err := w.NewDurableSite("mobile", dir, site.WithNameServer("ns"))
+			mobile, err := w.NewSite("mobile", site.WithDurability(dir), site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}
@@ -344,10 +344,10 @@ func TestDurableClientCrashRecoversOfflineEdits(t *testing.T) {
 			if _, err := mobile.SyncDirty(); !errors.Is(err, replication.ErrUnavailable) {
 				return fmt.Errorf("sync while partitioned: want ErrUnavailable, got %v", err)
 			}
-			w.Kill(mobile)
+			mobile.Kill()
 
 			w.Net.Reconnect("mobile", "master")
-			reborn, err := w.NewDurableSite("mobile", dir, site.WithNameServer("ns"))
+			reborn, err := w.NewSite("mobile", site.WithDurability(dir), site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}

@@ -127,7 +127,7 @@ func runWeaklyConnectedSwarm(t *testing.T, mode clockMode, seed int64, crash boo
 		for i := range sites {
 			names[i] = fmt.Sprintf("e%d", i+1)
 			if crash && i == 2 {
-				sites[i], err = w.NewDurableSite(names[i], dir, site.WithEventual(), site.WithNameServer("ns"))
+				sites[i], err = w.NewSite(names[i], site.WithDurability(dir), site.WithEventual(), site.WithNameServer("ns"))
 			} else {
 				sites[i], err = w.NewSite(names[i], site.WithEventual(), site.WithNameServer("ns"))
 			}
@@ -220,8 +220,8 @@ func runWeaklyConnectedSwarm(t *testing.T, mode clockMode, seed int64, crash boo
 				return err
 			}
 			preTent := ev.TentativeCount(oid)
-			w.Kill(sites[2])
-			if sites[2], err = w.NewDurableSite(names[2], dir, site.WithEventual(), site.WithNameServer("ns")); err != nil {
+			sites[2].Kill()
+			if sites[2], err = w.NewSite(names[2], site.WithDurability(dir), site.WithEventual(), site.WithNameServer("ns")); err != nil {
 				return fmt.Errorf("rebirth of %s: %w", names[2], err)
 			}
 			ev = sites[2].Eventual()

@@ -151,7 +151,7 @@ func runGroupLeaderKillMidDemand(t *testing.T, mode clockMode, seed int64) []str
 		// Permanent loss: the leader is killed and never reborn. The
 		// remaining walk crosses the election transparently.
 		killedAt := w.Clock.Now()
-		w.Kill(leader)
+		leader.Kill()
 		survivors := without(members, leader)
 
 		n, err := WalkAll(head, 50)
@@ -328,7 +328,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			if err := client.MarkUpdated(second); err != nil {
 				return err
 			}
-			w.Kill(leader)
+			leader.Kill()
 			survivors := without(members, leader)
 
 			if synced, err := client.SyncDirty(); err != nil || synced != 1 {
@@ -442,7 +442,7 @@ func TestGroupRefreshRepinsAfterFailover(t *testing.T) {
 			return fmt.Errorf("replica pinned to %s before the kill, want the leader %s", got, leader.Addr())
 		}
 
-		w.Kill(leader)
+		leader.Kill()
 		newLeader, err := w.AwaitLeader(without(members, leader), leaderPoll)
 		if err != nil {
 			return err
@@ -496,7 +496,7 @@ func TestGroupRebindAfterFailover(t *testing.T) {
 				return err
 			}
 
-			w.Kill(leader)
+			leader.Kill()
 			survivors := without(members, leader)
 			newLeader, err := w.AwaitLeader(survivors, leaderPoll)
 			if err != nil {

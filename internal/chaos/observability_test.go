@@ -130,7 +130,7 @@ func TestFlightDumpCapturesStrandedDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w.Kill(master)
+	master.Kill()
 
 	// The follow-on demand strands: retries exhaust into ErrUnavailable.
 	session := client.Telemetry().StartRoot("session")

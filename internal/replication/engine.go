@@ -1144,8 +1144,8 @@ func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest, adopt bool)
 			span.Phase(telemetry.PhaseFsync, e.rt.Clock().Now().Sub(jStart))
 		}
 		e.getPolicy().MasterUpdated(entry.OID, reply.NewVersion)
+		e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion, Base: req.BaseVersion, Checksum: crc})
 	}
-	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})
 	return reply, nil
 }
 

@@ -18,7 +18,9 @@ const (
 	EventPayloadAssembled
 	// EventPayloadMaterialized: this site installed a replica payload.
 	EventPayloadMaterialized
-	// EventPutApplied: this site (as master) applied an inbound update.
+	// EventPutApplied: this site (as master) installed an inbound update;
+	// a retry answered from the exactly-once guard installs nothing and
+	// emits nothing.
 	EventPutApplied
 	// EventPutShipped: this site (as replica holder) shipped an update.
 	EventPutShipped
@@ -70,6 +72,9 @@ type Event struct {
 	Requester string
 	// Version is the resulting version for put events.
 	Version uint64
+	// Base and Checksum are an installed put's exactly-once guard key:
+	// the replica version it was based on and its state's checksum.
+	Base, Checksum uint64
 }
 
 func (e Event) String() string {

@@ -150,6 +150,40 @@ func TestEventTraceOfAPut(t *testing.T) {
 	}
 }
 
+// TestGuardAnswerEmitsNoPutApplied: a retried put answered from the
+// exactly-once guard installs nothing, so neither the single master nor a
+// group leader's admission reports it as applied. The one install carries
+// its guard key.
+func TestGuardAnswerEmitsNoPutApplied(t *testing.T) {
+	master, client := twoSites(t)
+	serverLog := &eventLog{}
+	master.engine.AddEventObserver(serverLog.observe)
+
+	docs := buildChain(t, master, 1, 8)
+	a, err := derefDoc(t, exportHead(t, master, client, docs[0], DefaultSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Name = "edited"
+	entry, _ := client.heap.EntryOf(a)
+	req, err := client.engine.buildPutRequest(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the put, then its retry
+		if reply, err := master.engine.applyPut(telemetry.SpanContext{}, &req, false); err != nil || reply.NewVersion != 2 {
+			t.Fatalf("apply %d: %+v, %v", i, reply, err)
+		}
+	}
+	if reply, done, err := master.engine.PreparePut(&req); err != nil || !done || reply.NewVersion != 2 {
+		t.Fatalf("grouped retry: %+v, done=%v, %v", reply, done, err)
+	}
+	got := serverLog.byKind(EventPutApplied)
+	if len(got) != 1 || got[0].Version != 2 || got[0].Base != req.BaseVersion || got[0].Checksum != stateCRC(req.State) {
+		t.Fatalf("put-applied: %+v, want one install of v2 keyed (v%d, %016x)", got, req.BaseVersion, stateCRC(req.State))
+	}
+}
+
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EventFaultResolved, EventPayloadAssembled, EventPayloadMaterialized,

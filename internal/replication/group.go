@@ -10,6 +10,7 @@ import (
 	"obiwan/internal/rmi"
 	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
+	"obiwan/internal/wire"
 )
 
 // This file is the engine's master-group surface. A site that joins a
@@ -128,6 +129,10 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 	tried := map[transport.Addr]bool{cur.Addr: true}
 	for {
 		hint, redirect := NotLeaderHint(err)
+		// A member that has not replayed the master's registration yet
+		// has not exported it: the call did not run there, so go on.
+		var re *rmi.RemoteError
+		redirect = redirect || errors.As(err, &re) && re.Code == wire.FaultNoSuchObject
 		transient := rotate && (transport.IsTransient(err) || errors.Is(err, rmi.ErrTimeout))
 		if !redirect && !transient {
 			return nil, cur, err
@@ -184,12 +189,8 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 // this, then proposes the request, then fires NotifyMasterUpdated with
 // the result.
 func (e *Engine) PreparePut(req *PutRequest) (reply *PutReply, done bool, err error) {
-	entry, _, reply, err := e.admitPut(req)
-	if err != nil || reply == nil {
-		return nil, false, err
-	}
-	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})
-	return reply, true, nil
+	_, _, reply, err = e.admitPut(req)
+	return reply, reply != nil, err
 }
 
 // NotifyMasterUpdated fires the consistency policy's MasterUpdated hook.
@@ -253,7 +254,7 @@ func (e *Engine) ApplyReplicatedPut(req *PutRequest) (*PutReply, error) {
 	if reply, err = e.installPut(entry, req, crc, true); err != nil {
 		return nil, err
 	}
-	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion})
+	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion, Base: req.BaseVersion, Checksum: crc})
 	return reply, nil
 }
 

@@ -119,3 +119,28 @@ func TestBusyProviderIsUnavailableNotRefused(t *testing.T) {
 		t.Fatalf("application fault must not read as unavailable: %v", err)
 	}
 }
+
+// TestDemandSkipsGroupMemberWithoutTheMaster: a master-group member that
+// has not replayed a master's registration has not exported it, so it
+// answers a demand with no-such-object. The call did not run there; the
+// client goes on to the next member instead of failing the fault.
+func TestDemandSkipsGroupMemberWithoutTheMaster(t *testing.T) {
+	net := transport.NewMemNetwork(netsim.Loopback)
+	master := newTestSite(t, net, "s2", 2)
+	client := newTestSite(t, net, "s1", 1)
+	newTestSite(t, net, "s3", 3) // the member that has not caught up
+	docs := buildChain(t, master, 1, 8)
+	desc, err := master.engine.ExportObject(docs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc.Provider.Addr, desc.Group = "s3", []transport.Addr{"s3", "s2"}
+
+	got, err := derefDoc(t, client.engine.RefFromDescriptor(desc, DefaultSpec))
+	if err != nil {
+		t.Fatalf("demand with a lagging first member: %v", err)
+	}
+	if got.Name != docs[0].Name {
+		t.Fatalf("demanded %q, want %q", got.Name, docs[0].Name)
+	}
+}

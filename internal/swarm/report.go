@@ -88,19 +88,28 @@ func (sw *Swarm) buildReport(scenario string) *Report {
 		SimSeconds:  sw.Clock.Elapsed().Seconds(),
 		WallSeconds: time.Since(sw.wallStart).Seconds(),
 		Events:      sw.Clock.Advances(),
-		Ops:         sw.ops,
-		Unavailable: sw.unavailable,
-		Kills:       sw.kills,
-		Spawns:      sw.spawns,
+		Ops:         len(sw.log),
 	}
 	if sw.groupMode() {
 		r.HubGroup = len(sw.hubs)
 		r.FailoverMS = float64(sw.failover) / float64(time.Millisecond)
 	}
 	r.Fleet = sw.obs
-	for _, st := range sw.docs {
-		r.PutsAcked += st.acked
-		r.PutsTried += st.attempted
+	for _, rec := range sw.log {
+		switch {
+		case rec.Op == "kill":
+			r.Kills++
+		case rec.Op == "spawn":
+			r.Spawns++
+		case rec.Err == "unavailable":
+			r.Unavailable++
+		}
+		if rec.OID != 0 {
+			r.PutsTried++
+		}
+		if rec.Version != 0 {
+			r.PutsAcked++
+		}
 	}
 	sw.mu.Unlock()
 	sites := sw.world.Sites()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"obiwan/internal/netsim"
+	"obiwan/internal/site"
 )
 
 // The four canonical fleet scenarios. Each returns the capacity report,
@@ -62,12 +63,12 @@ func Roam(o Options) (*Report, []string, error) {
 			sw.mu.Lock()
 			l := sw.leaves[rng.Intn(o.Sites)]
 			sw.mu.Unlock()
-			sw.record(l.name, "roam", "down+"+netsim.Wireless.Name, nil)
+			sw.record(OpRecord{Site: l.name, Op: "roam", Detail: "down+" + netsim.Wireless.Name}, nil)
 			sw.Net.Disconnect(hub, l.addr())
 			sw.Clock.Sleep(o.DisturbWindow)
 			sw.Net.SetProfile(hub, l.addr(), netsim.Wireless)
 			sw.Net.Reconnect(hub, l.addr())
-			sw.record(l.name, "roam", "up", nil)
+			sw.record(OpRecord{Site: l.name, Op: "roam", Detail: "up"}, nil)
 		}
 	})
 }
@@ -89,13 +90,13 @@ func RollingPartitions(o Options) (*Report, []string, error) {
 			wave++
 			members := sw.waveMembers(g, waves)
 			for _, l := range members {
-				sw.record(l.name, "partition", "", nil)
+				sw.record(OpRecord{Site: l.name, Op: "partition"}, nil)
 				sw.Net.PartitionHost(l.addr())
 			}
 			sw.Clock.Sleep(o.DisturbWindow)
 			for _, l := range members {
 				sw.Net.HealHost(l.addr())
-				sw.record(l.name, "heal", "", nil)
+				sw.record(OpRecord{Site: l.name, Op: "heal"}, nil)
 			}
 		}
 	})
@@ -105,9 +106,9 @@ func RollingPartitions(o Options) (*Report, []string, error) {
 // (HubGroup members, default 3) and permanently kills the group's leader
 // partway through the op phase. The surviving majority elects a successor,
 // leaf demands and puts fail over transparently (the dead member is never
-// reborn), and every fleet invariant — exactly-once puts by agreed
-// version, convergence, bounded staleness — must hold at the end. The
-// report carries the measured failover latency.
+// reborn), and every fleet invariant — exactly-once puts, no
+// acknowledged write missing, convergence, bounded staleness — must hold
+// at the end. The report carries the measured failover latency.
 func LeaderFailover(o Options) (*Report, []string, error) {
 	if o.HubGroup < 2 {
 		o.HubGroup = 3
@@ -122,19 +123,25 @@ func LeaderFailover(o Options) (*Report, []string, error) {
 			sw.fail(err)
 			return
 		}
-		sw.killHub(leader)
-		t0 := sw.Clock.Now()
-		next, err := sw.awaitHubLeader()
-		if err != nil {
-			sw.fail(err)
-			return
-		}
-		d := sw.Clock.Now().Sub(t0)
-		sw.mu.Lock()
-		sw.failover = d
-		sw.mu.Unlock()
-		sw.record(next.Name(), "elect", fmt.Sprintf("after=%v", d), nil)
+		sw.killLeader(leader)
 	})
+}
+
+// killLeader permanently kills the group's serving leader and waits for a
+// successor, recording the failover latency.
+func (sw *Swarm) killLeader(leader *site.Site) {
+	sw.killHub(leader)
+	t0 := sw.Clock.Now()
+	next, err := sw.awaitHubLeader()
+	if err != nil {
+		sw.fail(err)
+		return
+	}
+	d := sw.Clock.Now().Sub(t0)
+	sw.mu.Lock()
+	sw.failover = d
+	sw.mu.Unlock()
+	sw.record(OpRecord{Site: next.Name(), Op: "elect", Detail: fmt.Sprintf("after=%v", d)}, nil)
 }
 
 // waveMembers returns the current incarnations whose id falls in residue

@@ -14,10 +14,9 @@
 //
 // Invariants every scenario asserts (see finalChecks):
 //
-//   - exactly-once puts: for every document, the master's apply count is
-//     bounded by the fleet's acked and attempted put counts
-//     (acked ≤ applies ≤ attempted — a duplicate apply or a lost acked
-//     put both break the bounds);
+//   - exactly-once puts and no acknowledged write missing, decided by
+//     internal/check from the run's typed history: the put records of the
+//     op log, and every hub member's installs;
 //   - convergence after reconnect: once all faults heal, a final put from
 //     every surviving leaf lands, and the master's data equals the last
 //     acked write;
@@ -35,6 +34,7 @@ import (
 	"time"
 
 	"obiwan/internal/chaos"
+	"obiwan/internal/check"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
@@ -132,13 +132,17 @@ func retryPolicy() rmi.RetryPolicy {
 }
 
 // OpRecord is one entry of the fleet-wide operation log — the scenario's
-// deterministic event stream. T is virtual time since scenario start.
+// deterministic event stream. T is virtual time since scenario start. A
+// put or final record also names the document's OID and the Version its
+// master acknowledged (0 when the put failed); String leaves both out.
 type OpRecord struct {
-	T      time.Duration
-	Site   string
-	Op     string // demand, put, refresh, kill, spawn, roam, partition, heal, final
-	Detail string
-	Err    string // "" on success; the typed class otherwise
+	T       time.Duration
+	Site    string
+	Op      string // demand, put, refresh, kill, spawn, roam, partition, heal, final
+	Detail  string
+	Err     string // "" on success; the typed class otherwise
+	OID     objmodel.OID
+	Version uint64
 }
 
 func (r OpRecord) String() string {
@@ -150,43 +154,6 @@ func (r OpRecord) String() string {
 		s += " err=" + r.Err
 	}
 	return s
-}
-
-// applyLog is the hub's consistency policy: it counts ApplyPut
-// acceptances per object, the server-side half of the exactly-once
-// invariant.
-type applyLog struct {
-	mu      sync.Mutex
-	applies map[objmodel.OID]int
-}
-
-func newApplyLog() *applyLog { return &applyLog{applies: make(map[objmodel.OID]int)} }
-
-func (p *applyLog) ApplyPut(oid objmodel.OID, base, next uint64) error {
-	p.mu.Lock()
-	p.applies[oid]++
-	p.mu.Unlock()
-	return nil
-}
-func (p *applyLog) ReplicaCreated(objmodel.OID, string, uint64) {}
-func (p *applyLog) MasterUpdated(objmodel.OID, uint64)          {}
-
-func (p *applyLog) count(oid objmodel.OID) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.applies[oid]
-}
-
-// docState is the per-document ledger, shared across a leaf's
-// incarnations: how many puts were attempted and acked for this document
-// fleet-side, and what the last acked payload was.
-type docState struct {
-	id        int
-	oid       objmodel.OID
-	desc      replication.Descriptor
-	attempted int
-	acked     int
-	lastAcked string
 }
 
 // leaf is one live leaf site (one incarnation).
@@ -213,22 +180,16 @@ type Swarm struct {
 	hubs  []*site.Site // every hub member (len 1 without a group)
 	world *chaos.World // owns the sites, the watchdog and the teardown
 
-	applies    *applyLog
-	sharedOID  objmodel.OID
+	history    check.History // every hub member's installs
 	sharedDesc replication.Descriptor
 
-	mu          sync.Mutex
-	hubDead     []bool // parallel to hubs
-	docs        []*docState
-	leaves      []*leaf // current incarnation per id
-	log         []OpRecord
-	ops         int
-	unavailable int
-	kills       int
-	spawns      int
-	failover    time.Duration // virtual time to re-elect after a hub kill
-	obs         *FleetObservation
-	fatal       error
+	mu       sync.Mutex
+	docs     []replication.Descriptor // each leaf's document, by leaf id
+	leaves   []*leaf                  // current incarnation per id
+	log      []OpRecord
+	failover time.Duration // virtual time to re-elect after a hub kill
+	obs      *FleetObservation
+	fatal    error
 
 	wallStart time.Time
 }
@@ -258,7 +219,6 @@ func Build(o Options) (*Swarm, error) {
 		Clock:     w.VirtualClock(),
 		Net:       w.Net,
 		world:     w,
-		applies:   newApplyLog(),
 		wallStart: time.Now(),
 	}
 	members := []transport.Addr{"hub"}
@@ -269,7 +229,7 @@ func Build(o Options) (*Swarm, error) {
 		}
 	}
 	for i, m := range members {
-		opts := []site.Option{site.WithPolicy(sw.applies), site.WithRetry(retryPolicy()), site.WithIncarnation(1)}
+		opts := []site.Option{site.WithRetry(retryPolicy()), site.WithIncarnation(1)}
 		if o.Observe && i == 0 {
 			// The first hub is the observatory: invalidations give the
 			// staleness gauge a real signal, and the collector scrapes the
@@ -294,19 +254,17 @@ func Build(o Options) (*Swarm, error) {
 			sw.Close()
 			return nil, err
 		}
+		sw.history.Watch(hub.Name(), hub.Engine())
 		sw.hubs = append(sw.hubs, hub)
 	}
 	sw.Hub = sw.hubs[0]
-	sw.hubDead = make([]bool, len(sw.hubs))
 
-	// Leaf sites and the per-document ledgers. Master registration happens
-	// in bootstrap(), inside the tracked simulation — a hub group cannot
-	// register anything before its first election, and elections need the
-	// clock running.
-	sw.docs = make([]*docState, o.Sites)
+	// Leaf sites. Master registration happens in bootstrap(), inside the
+	// tracked simulation — a hub group cannot register anything before its
+	// first election, and elections need the clock running.
+	sw.docs = make([]replication.Descriptor, o.Sites)
 	sw.leaves = make([]*leaf, o.Sites)
 	for id := 0; id < o.Sites; id++ {
-		sw.docs[id] = &docState{id: id}
 		if _, err := sw.newLeaf(id, 0); err != nil {
 			sw.Close()
 			return nil, err
@@ -315,13 +273,17 @@ func Build(o Options) (*Swarm, error) {
 	return sw, nil
 }
 
-// liveHubs returns the hub members not yet killed.
+// liveHubs returns the hub members the op log records no kill of.
 func (sw *Swarm) liveHubs() []*site.Site {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	dead := make(map[string]bool)
+	for _, r := range sw.log {
+		dead[r.Site] = dead[r.Site] || r.Op == "kill"
+	}
 	var out []*site.Site
-	for i, h := range sw.hubs {
-		if !sw.hubDead[i] {
+	for _, h := range sw.hubs {
+		if !dead[h.Name()] {
 			out = append(out, h)
 		}
 	}
@@ -344,15 +306,7 @@ func (sw *Swarm) Close() { sw.world.Close() }
 // killHub permanently crash-stops one hub member (no rebirth — this is
 // how a scenario proves the group survives losing a site for good).
 func (sw *Swarm) killHub(h *site.Site) {
-	sw.mu.Lock()
-	for i, hh := range sw.hubs {
-		if hh == h {
-			sw.hubDead[i] = true
-		}
-	}
-	sw.kills++
-	sw.mu.Unlock()
-	sw.record(h.Name(), "kill", "hub", nil)
+	sw.record(OpRecord{Site: h.Name(), Op: "kill", Detail: "hub"}, nil)
 	h.Kill()
 }
 
@@ -364,8 +318,6 @@ func (sw *Swarm) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	o := sw.Opts
-
 	chain := make([]*Doc, sharedDepth)
 	for i := range chain {
 		chain[i] = &Doc{Label: fmt.Sprintf("shared-%d", i), Data: []byte{byte(i)}}
@@ -390,30 +342,18 @@ func (sw *Swarm) bootstrap() error {
 			}
 		}
 	}
-	en, ok := leader.Heap().EntryOf(chain[0])
-	if !ok {
-		return errors.New("swarm: shared head has no heap entry")
-	}
-	sw.sharedOID = en.OID
 	if sw.sharedDesc, err = leader.Export(chain[0]); err != nil {
 		return err
 	}
 
-	for id := 0; id < o.Sites; id++ {
+	for id := range sw.docs {
 		doc := &Doc{Label: fmt.Sprintf("doc-%04d", id), Data: []byte("v0")}
 		if err := leader.Register(doc); err != nil {
 			return err
 		}
-		desc, err := leader.Export(doc)
-		if err != nil {
+		if sw.docs[id], err = leader.Export(doc); err != nil {
 			return err
 		}
-		den, ok := leader.Heap().EntryOf(doc)
-		if !ok {
-			return fmt.Errorf("swarm: doc %d has no heap entry", id)
-		}
-		sw.docs[id].oid = den.OID
-		sw.docs[id].desc = desc
 	}
 	return nil
 }
@@ -449,23 +389,13 @@ func (sw *Swarm) newLeaf(id, gen int) (*leaf, error) {
 	return l, nil
 }
 
-// record appends to the fleet op log.
-func (sw *Swarm) record(siteName, op, detail string, err error) {
-	rec := OpRecord{
-		T:      sw.Clock.Now().Sub(netsim.VirtualBase),
-		Site:   siteName,
-		Op:     op,
-		Detail: detail,
-	}
-	if err != nil {
-		rec.Err = errClass(err)
-	}
+// record stamps rec with the virtual time and err's class and appends it
+// to the fleet op log.
+func (sw *Swarm) record(rec OpRecord, err error) {
+	rec.T = sw.Clock.Now().Sub(netsim.VirtualBase)
+	rec.Err = errClass(err)
 	sw.mu.Lock()
 	sw.log = append(sw.log, rec)
-	sw.ops++
-	if rec.Err == "unavailable" {
-		sw.unavailable++
-	}
 	sw.mu.Unlock()
 }
 
@@ -510,65 +440,50 @@ func (sw *Swarm) isKilled(l *leaf) bool {
 	return l.killed
 }
 
-// handleOpErr classifies an operation error: nil and unavailability keep
-// the leaf going, a kill ends its loop quietly, anything else is fatal
-// for the scenario. It reports whether the leaf loop should stop.
-func (sw *Swarm) handleOpErr(l *leaf, op, detail string, err error) bool {
+// handleOpErr records l's operation rec and classifies its error: nil and
+// unavailability keep the leaf going, a kill ends its loop quietly,
+// anything else is fatal for the scenario. It reports whether the leaf
+// loop should stop.
+func (sw *Swarm) handleOpErr(l *leaf, rec OpRecord, err error) bool {
 	if sw.isKilled(l) {
 		return true // whatever the error, this incarnation is dead
 	}
-	sw.record(l.name, op, detail, err)
+	rec.Site = l.name
+	sw.record(rec, err)
 	if err == nil || errors.Is(err, replication.ErrUnavailable) || isNotLeader(err) {
 		return false
 	}
-	sw.fail(fmt.Errorf("swarm: %s %s: %w", l.name, op, err))
+	sw.fail(fmt.Errorf("swarm: %s %s: %w", l.name, rec.Op, err))
 	return true
 }
 
-func (sw *Swarm) spec() replication.GetSpec {
-	return replication.GetSpec{Mode: replication.Incremental, Batch: 1}
-}
+// demandSpec replicates one object per fault.
+var demandSpec = replication.GetSpec{Mode: replication.Incremental, Batch: 1}
 
 // demand replicates the leaf's own document and the shared head.
-func (sw *Swarm) demand(l *leaf) error {
-	st := sw.docs[l.id]
+func (sw *Swarm) demand(l *leaf) (err error) {
 	if l.mine == nil {
-		ref := l.s.Engine().RefFromDescriptor(st.desc, sw.spec())
-		mine, err := objmodel.Deref[*Doc](ref)
-		if err != nil {
-			return err
-		}
-		l.mine = mine
+		l.mine, err = objmodel.Deref[*Doc](l.s.Engine().RefFromDescriptor(sw.docs[l.id], demandSpec))
 	}
-	if l.shared == nil {
-		ref := l.s.Engine().RefFromDescriptor(sw.sharedDesc, sw.spec())
-		shared, err := objmodel.Deref[*Doc](ref)
-		if err != nil {
-			return err
-		}
-		l.shared = shared
+	if l.shared == nil && err == nil {
+		l.shared, err = objmodel.Deref[*Doc](l.s.Engine().RefFromDescriptor(sw.sharedDesc, demandSpec))
 	}
-	return nil
+	return err
 }
 
-// putOwn writes the next payload to the leaf's document and syncs it.
-func (sw *Swarm) putOwn(l *leaf, payload string) error {
-	st := sw.docs[l.id]
+// putOwn writes payload to the leaf's document and syncs it, returning
+// the put's op record with the version the master acknowledged.
+func (sw *Swarm) putOwn(l *leaf, op, payload string) (OpRecord, error) {
+	rec := OpRecord{Site: l.name, Op: op, Detail: payload, OID: objmodel.OID(sw.docs[l.id].OID)}
 	l.mine.Data = []byte(payload)
-	if err := l.s.MarkUpdated(l.mine); err != nil {
-		return err
+	err := l.s.MarkUpdated(l.mine)
+	if err == nil {
+		err = l.s.Put(l.mine)
 	}
-	sw.mu.Lock()
-	st.attempted++
-	sw.mu.Unlock()
-	if err := l.s.Put(l.mine); err != nil {
-		return err
+	if en, ok := l.s.Heap().EntryOf(l.mine); ok && err == nil {
+		rec.Version = en.Version()
 	}
-	sw.mu.Lock()
-	st.acked++
-	st.lastAcked = payload
-	sw.mu.Unlock()
-	return nil
+	return rec, err
 }
 
 // leafLoop is one leaf incarnation's scheduled workload: demand first,
@@ -586,7 +501,7 @@ func (sw *Swarm) leafLoop(l *leaf, until time.Time) {
 			return
 		}
 		if l.mine == nil || l.shared == nil {
-			if sw.handleOpErr(l, "demand", "", sw.demand(l)) {
+			if sw.handleOpErr(l, OpRecord{Op: "demand"}, sw.demand(l)) {
 				return
 			}
 			continue
@@ -594,12 +509,12 @@ func (sw *Swarm) leafLoop(l *leaf, until time.Time) {
 		switch l.rng.Intn(3) {
 		case 0, 1:
 			seq++
-			payload := fmt.Sprintf("%s#%d", l.name, seq)
-			if sw.handleOpErr(l, "put", payload, sw.putOwn(l, payload)) {
+			rec, err := sw.putOwn(l, "put", fmt.Sprintf("%s#%d", l.name, seq))
+			if sw.handleOpErr(l, rec, err) {
 				return
 			}
 		default:
-			if sw.handleOpErr(l, "refresh", "shared", l.s.Refresh(l.shared)) {
+			if sw.handleOpErr(l, OpRecord{Op: "refresh", Detail: "shared"}, l.s.Refresh(l.shared)) {
 				return
 			}
 		}
@@ -616,9 +531,8 @@ func (sw *Swarm) killLeaf(id int) {
 		return
 	}
 	l.killed = true
-	sw.kills++
 	sw.mu.Unlock()
-	sw.record(l.name, "kill", "", nil)
+	sw.record(OpRecord{Site: l.name, Op: "kill"}, nil)
 	l.s.Kill()
 }
 
@@ -631,10 +545,7 @@ func (sw *Swarm) spawnLeaf(id int, wg *netsim.WaitGroup, until time.Time) error 
 	if err != nil {
 		return err
 	}
-	sw.mu.Lock()
-	sw.spawns++
-	sw.mu.Unlock()
-	sw.record(l.name, "spawn", "", nil)
+	sw.record(OpRecord{Site: l.name, Op: "spawn"}, nil)
 	wg.Add(1)
 	sw.Clock.Go(func() {
 		defer wg.Done()
@@ -644,8 +555,8 @@ func (sw *Swarm) spawnLeaf(id int, wg *netsim.WaitGroup, until time.Time) error 
 }
 
 // finalChecks runs after every disturbance has healed: a final put per
-// surviving leaf, the staleness bound on the shared document, and the
-// exactly-once audit of the apply log.
+// surviving leaf, the staleness bound on the shared document, the
+// history's audit, and convergence.
 func (sw *Swarm) finalChecks() error {
 	// All reads and bumps go through whichever hub member currently
 	// serves — after a hub kill that is the elected successor.
@@ -655,7 +566,7 @@ func (sw *Swarm) finalChecks() error {
 	}
 	// Bump the shared document so convergence is observable: every leaf
 	// must refresh up to this exact version.
-	headEntry, ok := leader.Heap().Get(sw.sharedOID)
+	headEntry, ok := leader.Heap().Get(objmodel.OID(sw.sharedDesc.OID))
 	if !ok {
 		return errors.New("swarm: shared head has no heap entry")
 	}
@@ -678,11 +589,11 @@ func (sw *Swarm) finalChecks() error {
 				return fmt.Errorf("swarm: %s demand after heal: %w", l.name, err)
 			}
 		}
-		payload := fmt.Sprintf("%s#final", l.name)
-		if err := sw.putOwn(l, payload); err != nil {
+		rec, err := sw.putOwn(l, "final", l.name+"#final")
+		if err != nil {
 			return fmt.Errorf("swarm: %s final put: %w", l.name, err)
 		}
-		sw.record(l.name, "final", payload, nil)
+		sw.record(rec, nil)
 		if err := l.s.Refresh(l.shared); err != nil {
 			return fmt.Errorf("swarm: %s final refresh: %w", l.name, err)
 		}
@@ -696,34 +607,30 @@ func (sw *Swarm) finalChecks() error {
 		}
 	}
 
-	// Exactly-once audit + convergence: the master holds the last acked
-	// payload, applied a bounded number of times.
-	for _, st := range sw.docs {
-		applies := sw.applies.count(st.oid)
-		men, ok := leader.Heap().Get(st.oid)
+	// The audit, then convergence: the serving master holds each
+	// document's last acked payload.
+	var acked []check.Put
+	lastAcked := make(map[objmodel.OID]string)
+	sw.mu.Lock()
+	for _, r := range sw.log {
+		if r.Version != 0 {
+			acked = append(acked, check.Put{Client: r.Site, OID: r.OID, Version: r.Version})
+			lastAcked[r.OID] = r.Detail
+		}
+	}
+	sw.mu.Unlock()
+	if err := sw.history.Check(acked, leader.Name()); err != nil {
+		return err
+	}
+	for id, desc := range sw.docs {
+		oid := objmodel.OID(desc.OID)
+		men, ok := leader.Heap().Get(oid)
 		if !ok {
-			return fmt.Errorf("swarm: doc %04d has no master entry at the serving hub", st.id)
+			return fmt.Errorf("swarm: doc %04d has no master entry at the serving hub", id)
 		}
-		if sw.groupMode() {
-			// Admission (the policy hook) can legitimately run more than
-			// once per client put when a leader dies between admitting and
-			// committing, so the group-mode audit is on agreed STATE: every
-			// distinct put bumps the replicated version exactly once.
-			v := men.Version()
-			if v < 1+uint64(st.acked) || v > 1+uint64(st.attempted) {
-				return fmt.Errorf("swarm: doc %04d at agreed v%d with %d acked / %d attempted puts (exactly-once broken)",
-					st.id, v, st.acked, st.attempted)
-			}
-			if applies < st.acked {
-				return fmt.Errorf("swarm: doc %04d admitted %d puts but %d were acked", st.id, applies, st.acked)
-			}
-		} else if applies < st.acked || applies > st.attempted {
-			return fmt.Errorf("swarm: doc %04d applied %d times with %d acked / %d attempted puts (exactly-once broken)",
-				st.id, applies, st.acked, st.attempted)
-		}
-		if got := string(men.Obj.(*Doc).Data); got != st.lastAcked {
+		if got := string(men.Obj.(*Doc).Data); got != lastAcked[oid] {
 			return fmt.Errorf("swarm: doc %04d master holds %q, last acked write was %q (convergence broken)",
-				st.id, got, st.lastAcked)
+				id, got, lastAcked[oid])
 		}
 	}
 	sw.mu.Lock()

@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,55 +40,71 @@ func TestChurnThousandSites(t *testing.T) {
 	}
 }
 
-// TestChurnDeterministic is the determinism regression: a 500-site churn
-// scenario run twice from the same seed yields byte-identical event
-// streams (op log plus hub telemetry spans), and a different seed yields
-// a different stream.
-func TestChurnDeterministic(t *testing.T) {
-	o := Defaults(9)
-	o.Sites = 500
-	o.Duration = 30 * time.Second
-	o.MeanOpGap = 6 * time.Second
-	o.KillEvery = 3 * time.Second
-
-	_, stream1, err := Churn(o)
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
-	_, stream2, err := Churn(o)
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
-	if len(stream1) == 0 {
-		t.Fatal("empty event stream")
-	}
-	if len(stream1) != len(stream2) {
-		t.Fatalf("stream lengths diverge: %d vs %d", len(stream1), len(stream2))
-	}
-	for i := range stream1 {
-		if stream1[i] != stream2[i] {
-			t.Fatalf("streams diverge at line %d:\nrun1: %s\nrun2: %s", i, stream1[i], stream2[i])
-		}
-	}
-
-	o2 := o
-	o2.Seed = 10
-	_, stream3, err := Churn(o2)
-	if err != nil {
-		t.Fatalf("run 3: %v", err)
-	}
-	if len(stream3) == len(stream1) {
-		same := true
-		for i := range stream1 {
-			if stream1[i] != stream3[i] {
-				same = false
-				break
+// TestScenariosDeterministic is the determinism regression: each scenario
+// run twice from the same seed yields byte-identical event streams (op log
+// plus hub telemetry spans) and the same failover latency, and a different
+// seed yields a different stream.
+func TestScenariosDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Options) (*Report, []string, error)
+		seed int64
+		tune func(*Options)
+	}{
+		{"churn", Churn, 9, func(o *Options) {
+			o.Sites, o.Duration, o.MeanOpGap, o.KillEvery = 500, 30*time.Second, 6*time.Second, 3*time.Second
+		}},
+		{"roam", Roam, 7, func(o *Options) {
+			o.Sites, o.Duration, o.DisturbEvery, o.DisturbWindow = 120, 20*time.Second, 400*time.Millisecond, 1500*time.Millisecond
+		}},
+		{"rolling-partitions", RollingPartitions, 11, func(o *Options) {
+			o.Sites, o.Duration, o.DisturbEvery, o.DisturbWindow = 200, 20*time.Second, 2*time.Second, 1200*time.Millisecond
+		}},
+		{"leader-failover", LeaderFailover, 17, func(o *Options) {
+			o.Sites, o.DisturbEvery = 60, 3*time.Second
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			streamOf := func(seed int64) ([]string, float64) {
+				t.Helper()
+				o := Defaults(seed)
+				tc.tune(&o)
+				r, stream, err := tc.run(o)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if len(stream) == 0 {
+					t.Fatal("empty event stream")
+				}
+				return stream, r.FailoverMS
 			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical streams — the seed is not reaching the scenario")
+			stream1, failover1 := streamOf(tc.seed)
+			stream2, failover2 := streamOf(tc.seed)
+			if d := divergence(stream1, stream2); d != "" {
+				t.Fatalf("same seed, streams diverge: %s", d)
+			}
+			if failover1 != failover2 {
+				t.Fatalf("failover latency diverged: %.3fms vs %.3fms", failover1, failover2)
+			}
+			if stream3, _ := streamOf(tc.seed + 1); divergence(stream1, stream3) == "" {
+				t.Fatal("different seeds produced identical streams — the seed is not reaching the scenario")
+			}
+		})
+	}
+}
+
+// divergence describes where two streams first differ, or is "" when
+// they are equal.
+func divergence(a, b []string) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("at line %d:\nrun1: %s\nrun2: %s", i, a[i], b[i])
 		}
 	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("lengths %d vs %d", len(a), len(b))
+	}
+	return ""
 }
 
 // TestFlashCrowdCapacityReport: every leaf demands the same hot document
@@ -202,40 +219,6 @@ func TestLeaderFailoverFleet(t *testing.T) {
 	}
 	if data, err := os.ReadFile(path); err != nil || len(data) == 0 {
 		t.Fatalf("artifact unreadable: %v", err)
-	}
-}
-
-// TestLeaderFailoverDeterministic: the failover scenario replays
-// bit-identically from a seed — election timing, the kill, and every op
-// record included.
-func TestLeaderFailoverDeterministic(t *testing.T) {
-	o := Defaults(17)
-	o.Sites = 60
-	o.Duration = 10 * time.Second
-	o.MeanOpGap = 2 * time.Second
-	o.DisturbEvery = 3 * time.Second
-
-	r1, stream1, err := LeaderFailover(o)
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
-	r2, stream2, err := LeaderFailover(o)
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
-	if len(stream1) == 0 {
-		t.Fatal("empty event stream")
-	}
-	if len(stream1) != len(stream2) {
-		t.Fatalf("stream lengths diverge: %d vs %d", len(stream1), len(stream2))
-	}
-	for i := range stream1 {
-		if stream1[i] != stream2[i] {
-			t.Fatalf("streams diverge at line %d:\nrun1: %s\nrun2: %s", i, stream1[i], stream2[i])
-		}
-	}
-	if r1.FailoverMS != r2.FailoverMS {
-		t.Fatalf("failover latency diverged: %.3fms vs %.3fms", r1.FailoverMS, r2.FailoverMS)
 	}
 }
 
