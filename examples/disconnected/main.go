@@ -132,7 +132,7 @@ func run() error {
 	}
 
 	// Editing keeps working too, inside a relaxed transaction.
-	mgr := obiwan.NewTxnManager(laptop)
+	mgr := laptop.TxnManager()
 	tx := mgr.Begin()
 	if err := tx.Write(head); err != nil {
 		return err

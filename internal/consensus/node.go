@@ -278,9 +278,6 @@ func New(cfg Config) (*Node, error) {
 // ID returns this member's identity.
 func (n *Node) ID() string { return n.cfg.ID }
 
-// Members returns the static group membership.
-func (n *Node) Members() []string { return append([]string(nil), n.cfg.Members...) }
-
 // Term returns the current term.
 func (n *Node) Term() uint64 {
 	n.mu.Lock()

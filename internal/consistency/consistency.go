@@ -254,13 +254,6 @@ func (s *StaleSet) Clear(oid objmodel.OID) {
 	}
 }
 
-// Len returns the number of currently stale entries.
-func (s *StaleSet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.stale)
-}
-
 // Stale returns all currently stale OIDs, sorted, so refresh rounds that
 // walk the ledger issue their RMIs in a deterministic order.
 func (s *StaleSet) Stale() []objmodel.OID {

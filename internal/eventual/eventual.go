@@ -111,9 +111,6 @@ type Update struct {
 	CSN uint64
 }
 
-// Committed reports whether the update holds a commit position.
-func (u *Update) Committed() bool { return u.CSN != 0 }
-
 // UpdateFunc is a deterministic update function: it mutates obj in place
 // based on obj's current state and args. An error aborts the applying
 // operation (the update stays in the log and is retried on replay); errors
@@ -150,25 +147,6 @@ func MustRegisterUpdate(name string, fn UpdateFunc) {
 	if err := RegisterUpdate(name, fn); err != nil {
 		panic(err)
 	}
-}
-
-// HasUpdate reports whether name is a registered update function.
-func HasUpdate(name string) bool {
-	fnMu.RLock()
-	defer fnMu.RUnlock()
-	_, ok := fnReg[name]
-	return ok
-}
-
-// ApplyRegistered runs the registered update function name against obj
-// directly — for callers applying an update outside any log (e.g. the
-// transaction manager's fallback on unmanaged objects).
-func ApplyRegistered(obj any, name string, args []byte) error {
-	fn, err := lookupUpdate(name)
-	if err != nil {
-		return err
-	}
-	return fn(obj, args)
 }
 
 // lookupUpdate resolves a registered update function.

@@ -233,9 +233,6 @@ func (s *Store) SetJournal(j Journal) {
 	s.jmu.Unlock()
 }
 
-// Engine returns the underlying replication engine.
-func (s *Store) Engine() *replication.Engine { return s.eng }
-
 // Track enrolls obj — which must already live in the site's heap, as a
 // master (making this site the object's primary) or a replica — into the
 // update log. Its current state becomes the committed base at frontier 0,
@@ -290,15 +287,6 @@ func (s *Store) Tracked() []objmodel.OID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Primary reports whether this site assigns commit sequence numbers for
-// oid.
-func (s *Store) Primary(oid objmodel.OID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.objs[oid]
-	return ok && t.primary
 }
 
 // Append creates a local update — fn(args) against obj — stamps it with

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"obiwan/internal/admin"
 	"obiwan/internal/rmi"
@@ -20,8 +19,8 @@ import (
 	"obiwan/internal/transport"
 )
 
-// defaultTopK bounds the aggregated hot-object ranking.
-const defaultTopK = 16
+// topK bounds the aggregated hot-object ranking.
+const topK = 16
 
 // maxAlerts bounds the watchdog's retained alert backlog; older alerts
 // fall off the front (counted in alertsDropped, surfaced as the
@@ -57,7 +56,6 @@ type peerState struct {
 // deterministic function of fleet state. Safe for concurrent use.
 type Collector struct {
 	rt     *rmi.Runtime
-	topK   int
 	rules  []Rule
 	flight *telemetry.FlightRecorder
 
@@ -71,21 +69,15 @@ type Collector struct {
 	total         uint64 // completed scrape rounds
 
 	droppedCtr *telemetry.Counter // fleet.alerts.dropped on the host hub; nil no-op
-
-	loopStop chan struct{}
 }
 
 // Option configures a Collector.
 type Option func(*c0)
 
 type c0 struct {
-	topK   int
 	rules  []Rule
 	flight *telemetry.FlightRecorder
 }
-
-// WithTopK sets the aggregated hot-object ranking depth (default 16).
-func WithTopK(k int) Option { return func(o *c0) { o.topK = k } }
 
 // WithRules installs the watchdog rule set (default DefaultRules).
 func WithRules(rules []Rule) Option { return func(o *c0) { o.rules = rules } }
@@ -98,13 +90,12 @@ func WithFlight(f *telemetry.FlightRecorder) Option { return func(o *c0) { o.fli
 // New builds a collector that scrapes peers through rt. The peer list
 // is copied and sorted; duplicates are dropped.
 func New(rt *rmi.Runtime, peers []transport.Addr, opts ...Option) *Collector {
-	cfg := c0{topK: defaultTopK, rules: DefaultRules()}
+	cfg := c0{rules: DefaultRules()}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	c := &Collector{
 		rt:     rt,
-		topK:   cfg.topK,
 		rules:  cfg.rules,
 		flight: cfg.flight,
 		states: make(map[transport.Addr]*peerState),
@@ -139,7 +130,7 @@ func (c *Collector) ScrapeOnce() *telemetry.FleetSnapshot {
 		c.mu.Lock()
 		cursor := c.states[peer].cursor
 		c.mu.Unlock()
-		chunk, err := admin.NewClient(c.rt, admin.Ref(peer)).Scrape(cursor, 0, uint64(c.topK))
+		chunk, err := admin.NewClient(c.rt, admin.Ref(peer)).Scrape(cursor, 0, topK)
 		c.mu.Lock()
 		st := c.states[peer]
 		if err != nil {
@@ -188,7 +179,7 @@ func (c *Collector) ScrapeOnce() *telemetry.FleetSnapshot {
 		profile = profile.Merge(st.profile, 0)
 	}
 	// One final re-rank-and-truncate now that every site has contributed.
-	profile = profile.Merge(nil, c.topK)
+	profile = profile.Merge(nil, topK)
 	merged.Site, merged.TakenAtNS = "fleet", now
 	profile.Site, profile.TakenAtNS = "fleet", now
 	snap.Metrics, snap.Profile = merged, profile
@@ -263,47 +254,4 @@ func (c *Collector) Fleet(refresh bool, maxSlow int) *admin.FleetChunk {
 	b.AddTrees(telemetry.BuildTrees(spans))
 	chunk.Attribution = b.Profile("fleet", c.rt.Clock().Now().UnixNano())
 	return chunk
-}
-
-// Scrapes returns how many scrape rounds have completed.
-func (c *Collector) Scrapes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
-// Start launches the background scrape loop on the runtime's clock:
-// one ScrapeOnce every interval until Stop. Start is idempotent while
-// running.
-func (c *Collector) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	c.mu.Lock()
-	if c.loopStop != nil {
-		c.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	c.loopStop = stop
-	c.mu.Unlock()
-	clock := c.rt.Clock()
-	clock.Go(func() {
-		for {
-			if !clock.SleepUntilCancel(clock.Now().Add(interval), stop) {
-				return
-			}
-			c.ScrapeOnce()
-		}
-	})
-}
-
-// Stop halts the background loop (no-op when not started).
-func (c *Collector) Stop() {
-	c.mu.Lock()
-	if c.loopStop != nil {
-		close(c.loopStop)
-		c.loopStop = nil
-	}
-	c.mu.Unlock()
 }

@@ -183,13 +183,6 @@ func (l *Link) SetSchedule(s *FaultSchedule) {
 	l.sched = s
 }
 
-// Schedule returns the attached fault schedule, or nil.
-func (l *Link) Schedule() *FaultSchedule {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sched
-}
-
 // Stats returns a snapshot of the link's counters.
 func (l *Link) Stats() Stats {
 	l.mu.Lock()

@@ -203,9 +203,6 @@ func payloadBytes(p *Payload) int {
 	return n
 }
 
-// Telemetry returns the engine's hub (nil when telemetry is disabled).
-func (e *Engine) Telemetry() *telemetry.Hub { return e.tel }
-
 // Heap returns the engine's object store.
 func (e *Engine) Heap() *heap.Heap { return e.heap }
 

@@ -226,7 +226,7 @@ func (w *poolWorld) settle(what string, cond func() bool) {
 // runs strictly after it, in frame order.
 func TestPoolHeldHandlerAndFrameOrder(t *testing.T) {
 	onPools(t, []int{1, 4}, func(w *poolWorld) {
-		client := w.client("client", NoRetry())
+		client := w.client("client", RetryPolicy{MaxAttempts: 1})
 		defer client.Close()
 		a := w.bg(func() { w.call(client, "Hold", "a") })
 		w.gate.await("a+")
@@ -310,8 +310,8 @@ func TestPoolGoroutinesBounded(t *testing.T) {
 // again and it runs once, as a first arrival, when a worker frees up.
 func TestPoolBusyIsRefusedNotExecuted(t *testing.T) {
 	onPools(t, []int{3}, func(w *poolWorld) {
-		// Two workers, both held: a NoRetry caller sees the refusal itself.
-		strict := w.client("strict", NoRetry())
+		// Two workers, both held: a one-attempt caller sees the refusal itself.
+		strict := w.client("strict", RetryPolicy{MaxAttempts: 1})
 		defer strict.Close()
 		a := w.bg(func() { w.call(strict, "Hold", "a") })
 		b := w.bg(func() { w.call(strict, "Hold", "b") })

@@ -51,10 +51,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// NoRetry is the pre-resilience behavior: one attempt, failures surface
-// immediately.
-func NoRetry() RetryPolicy { return RetryPolicy{MaxAttempts: 1} }
-
 // normalized fills zero fields with defaults so arithmetic is safe.
 func (p RetryPolicy) normalized() RetryPolicy {
 	if p.MaxAttempts < 1 {

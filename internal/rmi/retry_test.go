@@ -236,7 +236,7 @@ func TestOverallDeadlineCapsBackoff(t *testing.T) {
 }
 
 func TestNoRetryFailsFast(t *testing.T) {
-	server, client, net := newRetryPair(t, NoRetry())
+	server, client, net := newRetryPair(t, RetryPolicy{MaxAttempts: 1})
 	ref, _ := server.Export(&calculator{}, "Calculator")
 	if _, err := client.Call(ref, "Total"); err != nil {
 		t.Fatal(err)
@@ -245,10 +245,10 @@ func TestNoRetryFailsFast(t *testing.T) {
 		netsim.FaultEvent{AtSend: 1, Action: netsim.ActDrop},
 	))
 	if _, err := client.Call(ref, "Total"); !errors.Is(err, netsim.ErrDropped) {
-		t.Fatalf("NoRetry must surface the first failure, got %v", err)
+		t.Fatalf("one attempt must surface the first failure, got %v", err)
 	}
 	if cs := client.Stats(); cs.Retries != 0 {
-		t.Fatalf("NoRetry made %d retries", cs.Retries)
+		t.Fatalf("one attempt made %d retries", cs.Retries)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestTraceRetriedCallIsOneLogicalSpan(t *testing.T) {
 }
 
 func TestUntracedCallsCarryNoContextAndCostNoSpans(t *testing.T) {
-	server, client, _, serverHub, clientHub := newTracedPair(t, NoRetry())
+	server, client, _, serverHub, clientHub := newTracedPair(t, RetryPolicy{MaxAttempts: 1})
 	ref, _ := server.Export(&calculator{}, "Calculator")
 	if _, err := client.Call(ref, "Add", int64(2), int64(3)); err != nil {
 		t.Fatal(err)
@@ -147,8 +147,8 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 // frames read on a client connection included, which rmi.bytes.recv used
 // to miss — and without a hub Stats reports exactly what it would with one.
 func TestStatsReadTheHubCounters(t *testing.T) {
-	server, client, net, _, clientHub := newTracedPair(t, NoRetry())
-	bare, err := newRuntime(net, "bare", WithRetryPolicy(NoRetry())) // no hub
+	server, client, net, _, clientHub := newTracedPair(t, RetryPolicy{MaxAttempts: 1})
+	bare, err := newRuntime(net, "bare", WithRetryPolicy(RetryPolicy{MaxAttempts: 1})) // no hub
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,8 +147,7 @@ func (s *Site) TruncateLog() (int, error) {
 }
 
 // TxnManager returns the site's transaction manager, creating it on first
-// use: wired to the update log (Txn.Apply on tracked objects appends
-// update functions), and on durable sites to the pending-commit journal —
+// use: on durable sites it is wired to the pending-commit journal, so
 // parked disconnected commits survive a crash and are re-adopted here.
 func (s *Site) TxnManager() *txn.Manager {
 	s.mu.Lock()
@@ -157,9 +156,6 @@ func (s *Site) TxnManager() *txn.Manager {
 		return s.txnMgr
 	}
 	m := txn.NewManager(s.engine)
-	if s.eventual != nil {
-		m.SetEventual(s.eventual)
-	}
 	if s.durable != nil {
 		m.SetPendingJournal(s.durable)
 		for _, p := range s.durable.parkedSnapshot() {

@@ -334,7 +334,7 @@ func TestParkedTxnSurvivesKill(t *testing.T) {
 	w := newWorld(t)
 	server := w.site("server")
 	dir := t.TempDir()
-	client := w.site("client", WithDurability(dir), WithRetry(rmi.NoRetry()))
+	client := w.site("client", WithDurability(dir), WithRetry(rmi.RetryPolicy{MaxAttempts: 1}))
 
 	master := &note{Text: "v1"}
 	if err := server.Bind("doc", master); err != nil {
@@ -369,7 +369,7 @@ func TestParkedTxnSurvivesKill(t *testing.T) {
 
 	// Rebirth: the parked commit and its dirty write set come back from
 	// the WAL, and the adopted transaction flushes to the master.
-	reborn := w.site("client", WithDurability(dir), WithRetry(rmi.NoRetry()))
+	reborn := w.site("client", WithDurability(dir), WithRetry(rmi.RetryPolicy{MaxAttempts: 1}))
 	mgr2 := reborn.TxnManager()
 	if got := len(mgr2.Pending()); got != 1 {
 		t.Fatalf("recovered pending = %d, want 1", got)

@@ -12,13 +12,12 @@ import (
 // profile as one chunk through this site's own admin Fleet endpoint —
 // what `obiwan-admin fleet top|alerts|slow|attribution` read — and
 // evaluates the SLO watchdog rules on every scrape, recording violations
-// in this site's flight recorder. Extra fleet options tune the rule set
-// and ranking depth.
+// in this site's flight recorder. Extra fleet options tune the rule set.
 //
-// The collector is pull-based: nothing is scraped until ScrapeOnce, the
-// Fleet endpoint with refresh, or Start(interval) runs the background
-// loop. Sites not listed — and sites built without this option — carry
-// no collector machinery at all, keeping the disabled path at baseline.
+// The collector is pull-based: nothing is scraped until ScrapeOnce or the
+// Fleet endpoint with refresh runs. Sites not listed — and sites built
+// without this option — carry no collector machinery at all, keeping the
+// disabled path at baseline.
 func WithFleet(peers []transport.Addr, opts ...fleet.Option) Option {
 	return func(o *options) {
 		o.fleetPeers = peers

@@ -232,25 +232,6 @@ func newGroup(s *Site, o *options) (*Group, error) {
 	return g, nil
 }
 
-// Name returns the group's name.
-func (g *Group) Name() string { return g.name }
-
-// Node exposes the underlying consensus participant (tests, telemetry).
-func (g *Group) Node() *consensus.Node { return g.node }
-
-// Leader returns the current known leader's address ("" during elections).
-func (g *Group) Leader() transport.Addr { return transport.Addr(g.node.Leader()) }
-
-// IsLeader reports whether this member currently leads the group.
-func (g *Group) IsLeader() bool { return g.node.IsLeader() }
-
-// WaitLeader blocks until the group has a leader (any member) and returns
-// its address.
-func (g *Group) WaitLeader(timeout time.Duration) (transport.Addr, error) {
-	l, err := g.node.WaitLeader(timeout)
-	return transport.Addr(l), err
-}
-
 // call routes one consensus RPC to a peer's consensus service.
 func (g *Group) call(peer, method string, args ...any) ([]any, error) {
 	ref := rmi.RemoteRef{Addr: transport.Addr(peer), ID: consensusID, Iface: consensus.Iface}

@@ -55,7 +55,6 @@ type options struct {
 	invalidate  bool
 	lease       *consistency.Lease
 	defaultSpec replication.GetSpec
-	fetchFactor float64
 	callTimeout time.Duration
 	retry       *rmi.RetryPolicy
 	walDir      string
@@ -97,14 +96,11 @@ func WithDefaultSpec(spec replication.GetSpec) Option {
 	return func(o *options) { o.defaultSpec = spec }
 }
 
-// WithFetchFactor tunes the ModeAuto crossover (see qos.Advisor).
-func WithFetchFactor(f float64) Option { return func(o *options) { o.fetchFactor = f } }
-
 // WithCallTimeout sets the RMI per-call timeout.
 func WithCallTimeout(d time.Duration) Option { return func(o *options) { o.callTimeout = d } }
 
 // WithRetry sets the RMI retry policy for this site's outbound calls
-// (default rmi.DefaultRetryPolicy; use rmi.NoRetry to fail fast).
+// (default rmi.DefaultRetryPolicy; use rmi.RetryPolicy{MaxAttempts: 1} to fail fast).
 func WithRetry(p rmi.RetryPolicy) Option { return func(o *options) { o.retry = &p } }
 
 // WithDurability makes the site crash-durable: master mutations, dirty
@@ -158,8 +154,6 @@ type Site struct {
 	applier *dissemination.Applier
 	tel     *telemetry.Hub // nil when built WithoutTelemetry
 
-	// fetchFactor seeds the ModeAuto advisors (see qos.Advisor).
-	fetchFactor float64
 	// stopSampler halts the runtime-stats sampling goroutine; no-op func
 	// when telemetry is off.
 	stopSampler func()
@@ -195,7 +189,6 @@ type Site struct {
 func New(name string, network transport.Network, opts ...Option) (*Site, error) {
 	o := &options{
 		defaultSpec: replication.DefaultSpec,
-		fetchFactor: 2,
 		callTimeout: 10 * time.Second,
 	}
 	for _, opt := range opts {
@@ -263,15 +256,14 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 	}
 
 	s := &Site{
-		name:        name,
-		rt:          rt,
-		heap:        heap.New(o.siteID),
-		monitor:     monitor,
-		stale:       consistency.NewStaleSet(),
-		lease:       o.lease,
-		spec:        o.defaultSpec,
-		fetchFactor: o.fetchFactor,
-		tel:         hub,
+		name:    name,
+		rt:      rt,
+		heap:    heap.New(o.siteID),
+		monitor: monitor,
+		stale:   consistency.NewStaleSet(),
+		lease:   o.lease,
+		spec:    o.defaultSpec,
+		tel:     hub,
 	}
 	if s.lease != nil && s.lease.Clock == nil {
 		// Leases age on the runtime's clock, not the wall clock, so expiry
@@ -483,11 +475,7 @@ func hashSiteID(name string) uint16 {
 // by the site's replication profiler: measured demand latency replaces
 // the assumed fetch factor once the site has observed real demands.
 func (s *Site) crossover(peer transport.Addr, oid objmodel.OID, calls uint64) bool {
-	adv := qos.NewProfiledAdvisor(s.monitor, peer, s.tel.Profiler())
-	if s.fetchFactor > 0 {
-		adv.FetchFactor = s.fetchFactor
-	}
-	return adv.Crossover(oid, calls)
+	return qos.NewProfiledAdvisor(s.monitor, peer, s.tel.Profiler()).Crossover(oid, calls)
 }
 
 // notifyHolder delivers an invalidation to a holder site's sink.
@@ -557,9 +545,6 @@ func (s *Site) Close() error {
 		if s.stopSampler != nil {
 			s.stopSampler()
 		}
-		if s.fleet != nil {
-			s.fleet.Stop()
-		}
 		if s.durable != nil {
 			s.durable.stop()
 			// Best-effort: the log alone already holds everything the
@@ -593,9 +578,6 @@ func (s *Site) Kill() {
 	s.closeOnce.Do(func() {
 		if s.stopSampler != nil {
 			s.stopSampler()
-		}
-		if s.fleet != nil {
-			s.fleet.Stop()
 		}
 		if s.durable != nil {
 			s.durable.stop()

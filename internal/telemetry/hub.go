@@ -57,14 +57,6 @@ func NewHub(site string, opts ...HubOption) *Hub {
 // Enabled reports whether telemetry is on.
 func (h *Hub) Enabled() bool { return h != nil }
 
-// Site returns the owning site's name ("" when disabled).
-func (h *Hub) Site() string {
-	if h == nil {
-		return ""
-	}
-	return h.site
-}
-
 // Metrics returns the registry (nil when disabled — instruments resolved
 // from it are nil and no-op).
 func (h *Hub) Metrics() *Metrics {

@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 
-	"obiwan/internal/eventual"
 	"obiwan/internal/heap"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
@@ -104,7 +103,6 @@ type Manager struct {
 	nextID  uint64
 	pending []*Txn
 	pj      PendingJournal
-	ev      *eventual.Store
 }
 
 // NewManager builds a transaction manager over a site's engine.
@@ -117,22 +115,6 @@ func (m *Manager) SetPendingJournal(pj PendingJournal) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pj = pj
-}
-
-// SetEventual routes update-function intents (Txn.Apply) on log-managed
-// objects through the weakly-connected store: their commits append to the
-// update log — which works fully disconnected — instead of shipping raw
-// state to the master.
-func (m *Manager) SetEventual(s *eventual.Store) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ev = s
-}
-
-func (m *Manager) eventualStore() *eventual.Store {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ev
 }
 
 func (m *Manager) pendingJournal() PendingJournal {
@@ -251,19 +233,7 @@ type Txn struct {
 	preimage map[objmodel.OID][]byte
 	// writes: objects the transaction intends to put.
 	writes map[objmodel.OID]any
-	// applies: update-function intents against log-managed objects, in
-	// call order; committed by appending to the eventual store's log.
-	applies []applyIntent
 }
-
-type applyIntent struct {
-	obj  any
-	fn   string
-	args []byte
-}
-
-// ID returns the transaction id (site-local).
-func (t *Txn) ID() uint64 { return t.id }
 
 // Status returns the transaction's state.
 func (t *Txn) Status() Status {
@@ -323,49 +293,11 @@ func (t *Txn) Write(obj any) error {
 	return nil
 }
 
-// Apply enrolls an update-function intent: run the registered function fn
-// with args against obj at commit. If obj is managed by the site's
-// weakly-connected store (Manager.SetEventual), commit appends the update
-// to the log — tentatively applied at once, committed by the object's
-// primary through anti-entropy — which succeeds fully disconnected and
-// merges with concurrent edits instead of conflicting. Unmanaged objects
-// fall back to write semantics: fn runs immediately and the resulting
-// state ships to the master at commit like any Write.
-func (t *Txn) Apply(obj any, fn string, args []byte) error {
-	if !eventual.HasUpdate(fn) {
-		return fmt.Errorf("%w: %q", eventual.ErrUnknownUpdateFunc, fn)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.status != Active {
-		return ErrClosed
-	}
-	entry, ok := t.mgr.eng.Heap().EntryOf(obj)
-	if !ok {
-		return heap.ErrUnknownObject
-	}
-	if ev := t.mgr.eventualStore(); ev != nil && ev.Managed(entry.OID) {
-		t.applies = append(t.applies, applyIntent{obj: obj, fn: fn, args: args})
-		return nil
-	}
-	if _, err := t.enroll(obj); err != nil {
-		return err
-	}
-	if err := eventual.ApplyRegistered(obj, fn, args); err != nil {
-		return err
-	}
-	t.writes[entry.OID] = obj
-	entry.SetDirty(true)
-	return nil
-}
-
 // Commit validates and applies the transaction. Read-set validation is
 // local; write application is per-master Put, judged by the master's
 // consistency policy. While disconnected the transaction parks as Pending
 // and Commit returns nil: local work proceeds, FlushPending finishes the
-// job later. Update-function intents (Apply on log-managed objects)
-// append to the update log first — that part of the commit never needs
-// connectivity.
+// job later.
 func (t *Txn) Commit() error {
 	t.mu.Lock()
 	if t.status != Active {
@@ -390,23 +322,7 @@ func (t *Txn) Commit() error {
 				ErrConflict, oid, readV, entry.Version())
 		}
 	}
-	intents := t.applies
 	t.mu.Unlock()
-
-	// Log-managed intents first: appending to the update log is local and
-	// connectivity-free. A failure here is a programming error (unknown
-	// function was pre-checked, tracking was checked at Apply).
-	if ev := t.mgr.eventualStore(); ev != nil {
-		for _, in := range intents {
-			if _, err := ev.Append(in.obj, in.fn, in.args); err != nil {
-				t.mu.Lock()
-				t.rollbackLocked()
-				t.status = Aborted
-				t.mu.Unlock()
-				return fmt.Errorf("%w: %w", ErrConflict, err)
-			}
-		}
-	}
 
 	err := t.push()
 	switch {

@@ -251,9 +251,6 @@ func Open(dir string) (*Store, *Recovered, error) {
 	return s, rec, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Incarnation returns this opening's incarnation number (≥1, strictly
 // increasing across Opens of the same directory).
 func (s *Store) Incarnation() uint64 { return s.incarnation }

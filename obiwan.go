@@ -272,11 +272,6 @@ func ServeNameServer(rt *rmi.Runtime) (*nameserver.Server, rmi.RemoteRef, error)
 // name server in-process; sites build their own.
 var NewRuntime = rmi.NewRuntime
 
-// NewTxnManager builds a transaction manager over a site.
-func NewTxnManager(s *Site) *txn.Manager {
-	return txn.NewManager(s.Engine())
-}
-
 // Convert adapts v — which may be a native Go value (local invocation) or
 // a canonical wire value (remote invocation: int64/uint64/float64/string/
 // []byte/[]any/map[string]any/*Struct) — to type T. It is the conversion

@@ -172,7 +172,7 @@ func TestFacadeTxn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewTxnManager(mobile)
+	mgr := mobile.TxnManager()
 	tx := mgr.Begin()
 	if err := tx.Write(replica); err != nil {
 		t.Fatal(err)
