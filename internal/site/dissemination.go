@@ -1,6 +1,8 @@
 package site
 
 import (
+	"slices"
+
 	"obiwan/internal/dissemination"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
@@ -10,10 +12,6 @@ import (
 
 // UpdateSinkIface is the symbolic interface name of a site's update sink.
 const UpdateSinkIface = "obiwan.UpdateSink"
-
-// updateSinkID is the well-known object id of the update sink: always a
-// site's second export (the invalidation sink is the first).
-const updateSinkID rmi.ObjID = 2
 
 // updateSink receives disseminated updates over RMI.
 type updateSink struct {
@@ -42,22 +40,19 @@ func (s *Site) applyPushed(u *dissemination.Update) error {
 // subscriber's update sink (exported by every site); subscribers apply
 // updates to their replicas automatically.
 //
-// The publisher composes with the site's configured consistency policy:
-// put acceptance is still decided by it. Call once; subsequent calls
-// return the same publisher.
+// The engine is handed a new chain, the site's policy chain with the
+// publisher appended: Tentative (WithEventual), the WithPolicy policy,
+// Invalidation (WithInvalidation), then the publisher. Put acceptance is
+// still decided by the members before it, and every member keeps hearing
+// every hook. Call once; subsequent calls return the same publisher.
 func (s *Site) EnableDissemination() *dissemination.Publisher {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.publisher != nil {
-		return s.publisher
+	if s.publisher == nil {
+		s.publisher = dissemination.NewPublisher(s.engine, s.deliverUpdate)
+		s.engine.SetPolicy(append(slices.Clip(s.policies), s.publisher))
 	}
-	pub := dissemination.NewPublisher(s.engine, s.deliverUpdate)
-	if s.basePolicy != nil {
-		pub.Base = s.basePolicy
-	}
-	s.installPolicyLocked(pub)
-	s.publisher = pub
-	return pub
+	return s.publisher
 }
 
 // deliverUpdate pushes one update into a subscriber site's update sink.
@@ -70,35 +65,29 @@ func (s *Site) deliverUpdate(holder string, u *dissemination.Update) error {
 	return err
 }
 
-// installPolicyLocked layers a new policy over the engine while keeping
-// any previously layered hooks (invalidation) in the chain. Caller holds
-// s.mu.
-func (s *Site) installPolicyLocked(p replication.Policy) {
-	if s.inval != nil && p != s.inval {
-		// Keep invalidation in the chain: it wraps the new policy.
-		s.inval.Base = p
-		s.engine.SetPolicy(policyPair{a: s.inval, b: p})
-		return
+// policyChain is a site's consistency policy: its members in order. A put
+// is rejected by the first member that rejects it, and every member hears
+// every ReplicaCreated and MasterUpdated, in the same order. A chain is
+// never modified once the engine holds it.
+type policyChain []replication.Policy
+
+func (c policyChain) ApplyPut(oid objmodel.OID, cur, base uint64) error {
+	for _, p := range c {
+		if err := p.ApplyPut(oid, cur, base); err != nil {
+			return err
+		}
 	}
-	s.engine.SetPolicy(p)
+	return nil
 }
 
-// policyPair fans notification hooks out to two policies while letting the
-// first decide put acceptance through its own chain.
-type policyPair struct {
-	a, b replication.Policy
+func (c policyChain) ReplicaCreated(oid objmodel.OID, site string, v uint64) {
+	for _, p := range c {
+		p.ReplicaCreated(oid, site, v)
+	}
 }
 
-func (p policyPair) ApplyPut(oid objmodel.OID, cur, base uint64) error {
-	return p.a.ApplyPut(oid, cur, base)
-}
-
-func (p policyPair) ReplicaCreated(oid objmodel.OID, site string, v uint64) {
-	p.a.ReplicaCreated(oid, site, v)
-	p.b.ReplicaCreated(oid, site, v)
-}
-
-func (p policyPair) MasterUpdated(oid objmodel.OID, v uint64) {
-	p.a.MasterUpdated(oid, v)
-	p.b.MasterUpdated(oid, v)
+func (c policyChain) MasterUpdated(oid objmodel.OID, v uint64) {
+	for _, p := range c {
+		p.MasterUpdated(oid, v)
+	}
 }

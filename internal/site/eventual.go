@@ -15,12 +15,6 @@ import (
 // anti-entropy service.
 const AntiEntropyIface = "obiwan.AntiEntropy"
 
-// antiEntropyID is the well-known object id of the anti-entropy service.
-// Exported only on sites built WithEventual, at a fixed id so peers can
-// address it without discovery (ids 1–3 are the sinks and admin, 4 the
-// consensus endpoint of grouped sites).
-const antiEntropyID rmi.ObjID = 5
-
 // ErrNoEventual is returned by weakly-connected operations on sites built
 // without WithEventual.
 var ErrNoEventual = errors.New("site: eventual consistency not enabled (use WithEventual)")

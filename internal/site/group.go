@@ -47,11 +47,6 @@ import (
 // with a typed not-leader hint); consistency-policy hooks run at the
 // leader only.
 
-// consensusID is the well-known object id of a grouped site's consensus
-// service: always exported fourth, after the invalidation sink (1), the
-// update sink (2), and the admin service (3).
-const consensusID rmi.ObjID = 4
-
 // groupProxyBase anchors the deterministic proxy-in id space of grouped
 // masters. Ids count DOWN from just below this base in apply order, so
 // they can never collide with the runtime's sequential Export allocator
@@ -153,8 +148,8 @@ type Group struct {
 var _ replication.MasterGate = (*Group)(nil)
 
 // newGroup builds the site's group membership: consensus store (durable
-// under the site's WAL dir, in-memory otherwise), node, and the RMI export
-// of the consensus service at its well-known id.
+// under the site's WAL dir, in-memory otherwise) and node. New exports the
+// node's service at consensusID.
 func newGroup(s *Site, o *options) (*Group, error) {
 	cfg := o.group
 	self := s.rt.Addr()
@@ -220,15 +215,6 @@ func newGroup(s *Site, o *options) (*Group, error) {
 		return nil, fmt.Errorf("site %q: %w", s.name, err)
 	}
 	g.node = node
-	ref, err := s.rt.ExportWithID(consensusID, consensus.NewService(node), consensus.Iface)
-	if err != nil {
-		node.Close()
-		return nil, fmt.Errorf("site %q: export consensus service: %w", s.name, err)
-	}
-	if ref.ID != consensusID {
-		node.Close()
-		return nil, fmt.Errorf("site %q: consensus service landed at id %d, want %d", s.name, ref.ID, consensusID)
-	}
 	return g, nil
 }
 

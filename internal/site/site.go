@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"obiwan/internal/admin"
+	"obiwan/internal/consensus"
 	"obiwan/internal/consistency"
 	"obiwan/internal/dissemination"
 	"obiwan/internal/eventual"
@@ -37,9 +38,17 @@ import (
 // SinkIface is the symbolic interface name of a site's invalidation sink.
 const SinkIface = "obiwan.InvalidationSink"
 
-// sinkID is the well-known object id of the invalidation sink: it is
-// always a site's first export.
-const sinkID rmi.ObjID = 1
+// Well-known object ids, at which New exports each service so that peers
+// address it without discovery. The admin package owns the admin id, so
+// fleet collectors reach peers without importing this one. ExportWithID
+// advances the id allocator as Export would: later proxy-ins follow.
+const (
+	sinkID        rmi.ObjID = 1
+	updateSinkID  rmi.ObjID = 2
+	adminID                 = admin.WellKnownID
+	consensusID   rmi.ObjID = 4
+	antiEntropyID rmi.ObjID = 5
+)
 
 // ErrNoNameServer is returned by name operations on sites built without
 // a name server.
@@ -80,8 +89,12 @@ func WithPolicy(p replication.Policy) Option { return func(o *options) { o.polic
 
 // WithInvalidation enables invalidation-based consistency: this site (as a
 // master) notifies replica holders on every update, and (as a client)
-// exports a sink that records invalidations in the stale ledger. Composes
-// with WithPolicy: the configured policy decides put acceptance.
+// records in the stale ledger what its sink receives (every site exports
+// one). The site composes its policies into one chain, in this order:
+// Tentative (WithEventual), the WithPolicy policy, Invalidation, then the
+// publisher once EnableDissemination runs. A put is rejected by the first
+// member that rejects it, and every member hears every ReplicaCreated and
+// MasterUpdated, so a WithPolicy policy's hooks fire under every option.
 func WithInvalidation() Option { return func(o *options) { o.invalidate = true } }
 
 // WithLease installs a client-side lease: replicas older than ttl are
@@ -149,7 +162,6 @@ type Site struct {
 	ns      *nameserver.Client
 	stale   *consistency.StaleSet
 	lease   *consistency.Lease
-	inval   *consistency.Invalidation
 	spec    replication.GetSpec
 	applier *dissemination.Applier
 	tel     *telemetry.Hub // nil when built WithoutTelemetry
@@ -175,9 +187,10 @@ type Site struct {
 	eventual *eventual.Store  // nil unless built WithEventual
 	txnMgr   *txn.Manager     // lazily built by TxnManager
 
-	mu         sync.Mutex
-	basePolicy replication.Policy
-	publisher  *dissemination.Publisher
+	policies policyChain // the engine's chain until EnableDissemination
+
+	mu        sync.Mutex
+	publisher *dissemination.Publisher
 
 	closeOnce sync.Once
 	closeErr  error
@@ -186,7 +199,7 @@ type Site struct {
 // New starts a site named name on network. The name doubles as the
 // listen address on simulated networks; on TCP pass "host:port" via the
 // name and a human name via the options if desired.
-func New(name string, network transport.Network, opts ...Option) (*Site, error) {
+func New(name string, network transport.Network, opts ...Option) (_ *Site, err error) {
 	o := &options{
 		defaultSpec: replication.DefaultSpec,
 		callTimeout: 10 * time.Second,
@@ -212,6 +225,29 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 		hub = nil
 	}
 
+	// If New fails, whatever it has built by then is released here, in
+	// Close's order: the consensus node, the runtime, the WAL.
+	var (
+		store     *wal.Store
+		recovered *wal.Recovered
+		rt        *rmi.Runtime
+		s         *Site
+	)
+	defer func() {
+		if err == nil {
+			return
+		}
+		if s != nil && s.group != nil {
+			_ = s.group.close()
+		}
+		if rt != nil {
+			_ = rt.Close()
+		}
+		if store != nil {
+			store.Close()
+		}
+	}()
+
 	// Durable sites open their WAL before anything else: the persisted
 	// incarnation number must flow into the RMI client identity, and the
 	// directory is pinned to the site id so a WAL can never replay into a
@@ -219,16 +255,12 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 	// journal entirely — the consensus log (opened under the same dir by
 	// newGroup) subsumes master durability, and replaying both would
 	// double-apply.
-	var store *wal.Store
-	var recovered *wal.Recovered
 	if o.walDir != "" && o.group == nil {
-		var err error
 		store, recovered, err = wal.Open(o.walDir)
 		if err != nil {
 			return nil, fmt.Errorf("site %q: open wal: %w", name, err)
 		}
-		if err := store.BindSiteID(o.siteID); err != nil {
-			store.Close()
+		if err = store.BindSiteID(o.siteID); err != nil {
 			return nil, fmt.Errorf("site %q: %w", name, err)
 		}
 	}
@@ -247,15 +279,12 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 	} else if o.incarnation != 0 {
 		rtOpts = append(rtOpts, rmi.WithIncarnation(o.incarnation))
 	}
-	rt, err := rmi.NewRuntime(network, transport.Addr(name), rtOpts...)
+	rt, err = rmi.NewRuntime(network, transport.Addr(name), rtOpts...)
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
 		return nil, fmt.Errorf("site %q: %w", name, err)
 	}
 
-	s := &Site{
+	s = &Site{
 		name:    name,
 		rt:      rt,
 		heap:    heap.New(o.siteID),
@@ -302,63 +331,34 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 		})
 	}
 
-	// The invalidation sink is always exported first and the update sink
-	// second, so every site can be notified at well-known ids — whether or
-	// not it enables the corresponding policy itself.
-	sinkRef, err := rt.Export(&invalidationSink{stale: s.stale}, SinkIface)
-	if err != nil {
-		_ = rt.Close()
-		return nil, fmt.Errorf("site %q: export sink: %w", name, err)
-	}
-	if sinkRef.ID != sinkID {
-		_ = rt.Close()
-		return nil, fmt.Errorf("site %q: sink landed at id %d, want %d", name, sinkRef.ID, sinkID)
-	}
-
-	policy := o.policy
+	// The policy chain, in WithInvalidation's order. With no member the
+	// engine keeps its accept-all default.
 	if o.eventual {
 		// Log-managed objects must change only through update functions:
 		// a raw state put would fork from the committed prefix. Tentative
-		// sits innermost so the rejection precedes any invalidation
-		// fan-out, and in basePolicy so later layers (dissemination)
-		// compose on top of it. The closure late-binds the store, which
-		// needs the engine and so is built a few lines down.
-		tent := consistency.NewTentative(func(oid objmodel.OID) bool {
+		// leads the chain, so it rejects such a put before any other
+		// member decides. The closure late-binds the store, which needs
+		// the engine and so is built a few lines down.
+		s.policies = append(s.policies, consistency.NewTentative(func(oid objmodel.OID) bool {
 			ev := s.eventual
 			return ev != nil && ev.Managed(oid)
-		})
-		if policy != nil {
-			tent.Base = policy
-		}
-		policy = tent
+		}))
 	}
-	s.basePolicy = policy
+	if o.policy != nil {
+		s.policies = append(s.policies, o.policy)
+	}
+	if o.invalidate {
+		s.policies = append(s.policies, consistency.NewInvalidation(s.notifyHolder))
+	}
 	engineOpts := []replication.Option{
 		replication.WithCrossover(s.crossover),
 		replication.WithTelemetry(hub),
 	}
-	if o.invalidate {
-		inval := consistency.NewInvalidation(s.notifyHolder)
-		if policy != nil {
-			inval.Base = policy
-		}
-		s.inval = inval
-		policy = inval
-	}
-	if policy != nil {
-		engineOpts = append(engineOpts, replication.WithPolicy(policy))
+	if len(s.policies) > 0 {
+		engineOpts = append(engineOpts, replication.WithPolicy(s.policies))
 	}
 	s.engine = replication.NewEngine(rt, s.heap, engineOpts...)
 	s.applier = dissemination.NewApplier(s.engine)
-	upRef, err := rt.Export(&updateSink{site: s}, UpdateSinkIface)
-	if err != nil {
-		_ = rt.Close()
-		return nil, fmt.Errorf("site %q: export update sink: %w", name, err)
-	}
-	if upRef.ID != updateSinkID {
-		_ = rt.Close()
-		return nil, fmt.Errorf("site %q: update sink landed at id %d, want %d", name, upRef.ID, updateSinkID)
-	}
 
 	var fleetSrc admin.FleetSource // stays a nil interface without a collector
 	if len(o.fleetPeers) > 0 {
@@ -366,27 +366,8 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 		s.fleet = fleet.New(rt, o.fleetPeers, fleetOpts...)
 		fleetSrc = s.fleet
 	}
-	adminRef, err := rt.Export(admin.NewService(name, rt, s.heap, s.engine, hub, fleetSrc), admin.Iface)
-	if err != nil {
-		_ = rt.Close()
-		return nil, fmt.Errorf("site %q: export admin: %w", name, err)
-	}
-	if adminRef.ID != adminID {
-		_ = rt.Close()
-		return nil, fmt.Errorf("site %q: admin landed at id %d, want %d", name, adminRef.ID, adminID)
-	}
-
 	if o.eventual {
 		s.eventual = eventual.NewStore(name, s.engine, hub)
-		aeRef, err := rt.ExportWithID(antiEntropyID, &antiEntropySink{store: s.eventual}, AntiEntropyIface)
-		if err != nil {
-			_ = rt.Close()
-			return nil, fmt.Errorf("site %q: export anti-entropy: %w", name, err)
-		}
-		if aeRef.ID != antiEntropyID {
-			_ = rt.Close()
-			return nil, fmt.Errorf("site %q: anti-entropy landed at id %d, want %d", name, aeRef.ID, antiEntropyID)
-		}
 	}
 
 	if o.nsAddr != "" {
@@ -394,13 +375,30 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 	}
 
 	if o.group != nil {
-		g, err := newGroup(s, o)
+		s.group, err = newGroup(s, o)
 		if err != nil {
-			_ = rt.Close()
 			return nil, err
 		}
-		s.group = g
-		s.engine.SetMasterGate(g)
+		s.engine.SetMasterGate(s.group)
+	}
+
+	// The well-known services; only a grouped site serves consensusID and
+	// only a WithEventual site antiEntropyID.
+	_, err = rt.ExportWithID(sinkID, &invalidationSink{stale: s.stale}, SinkIface)
+	if err == nil {
+		_, err = rt.ExportWithID(updateSinkID, &updateSink{site: s}, UpdateSinkIface)
+	}
+	if err == nil {
+		_, err = rt.ExportWithID(adminID, admin.NewService(name, rt, s.heap, s.engine, hub, fleetSrc), admin.Iface)
+	}
+	if err == nil && s.group != nil {
+		_, err = rt.ExportWithID(consensusID, consensus.NewService(s.group.node), consensus.Iface)
+	}
+	if err == nil && s.eventual != nil {
+		_, err = rt.ExportWithID(antiEntropyID, &antiEntropySink{store: s.eventual}, AntiEntropyIface)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("site %q: export well-known service: %w", name, err)
 	}
 
 	if store != nil {
@@ -409,18 +407,14 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 		// Recovery runs before the journal is installed (it must not
 		// re-journal what it replays); the immediate compaction then
 		// snapshots the rebuilt state and empties the log.
-		if err := d.recover(recovered.Records()); err != nil {
-			_ = rt.Close()
-			store.Close()
+		if err = d.recover(recovered.Records()); err != nil {
 			return nil, fmt.Errorf("site %q: recover: %w", name, err)
 		}
 		s.engine.SetJournal(d)
 		if s.eventual != nil {
 			s.eventual.SetJournal(d)
 		}
-		if err := d.compactNow(); err != nil {
-			_ = rt.Close()
-			store.Close()
+		if err = d.compactNow(); err != nil {
 			return nil, fmt.Errorf("site %q: compact after recovery: %w", name, err)
 		}
 		d.startCompactor()
@@ -440,12 +434,6 @@ func New(name string, network transport.Network, opts ...Option) (*Site, error) 
 	}
 	return s, nil
 }
-
-// adminID is the well-known object id of the admin service: always a
-// site's third export (after the invalidation and update sinks). The
-// value is owned by the admin package so fleet collectors can address
-// peers without importing the site layer.
-const adminID = admin.WellKnownID
 
 // AdminRef builds the reference to the admin service of the site at addr.
 func AdminRef(addr transport.Addr) rmi.RemoteRef { return admin.Ref(addr) }

@@ -133,9 +133,15 @@ var NewSite = site.New
 var (
 	// WithNameServer points the site at a name server address.
 	WithNameServer = site.WithNameServer
-	// WithPolicy installs a master-side consistency policy.
+	// WithPolicy installs a master-side consistency policy. A site chains
+	// its policies in one order: the tentative guard (WithEventual), this
+	// policy, invalidation (WithInvalidation), then the publisher once
+	// EnableDissemination runs. The first member to reject a put rejects
+	// it, and every member hears every hook, so this policy's hooks fire
+	// under every option.
 	WithPolicy = site.WithPolicy
-	// WithInvalidation enables invalidation-based consistency.
+	// WithInvalidation enables invalidation-based consistency: the
+	// invalidation member of the chain WithPolicy describes.
 	WithInvalidation = site.WithInvalidation
 	// WithDefaultSpec sets the spec Lookup uses.
 	WithDefaultSpec = site.WithDefaultSpec
