@@ -257,6 +257,17 @@ func BenchmarkCallWithBytes(b *testing.B) {
 
 func BenchmarkCallConcurrent(b *testing.B) {
 	server, client := benchPair(b)
+	benchCallConcurrent(b, server, client)
+}
+
+// BenchmarkCallConcurrentTCP is the same eight callers over TCP loopback,
+// where the frames they have waiting go out together, one writev a batch.
+func BenchmarkCallConcurrentTCP(b *testing.B) {
+	server, client := tcpPair(b)
+	benchCallConcurrent(b, server, client)
+}
+
+func benchCallConcurrent(b *testing.B, server, client *Runtime) {
 	ref, err := server.Export(&calculator{}, "Calculator")
 	if err != nil {
 		b.Fatal(err)

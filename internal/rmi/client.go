@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"obiwan/internal/codec"
@@ -75,8 +76,8 @@ type clientConn struct {
 	rt   *Runtime
 	addr transport.Addr
 	conn transport.Conn
-
-	sendMu sync.Mutex // serializes frame writes
+	out  sender       // every call frame leaves through it
+	live atomic.Int32 // calls between register and the end of their wait
 
 	mu      sync.Mutex
 	pending map[uint64]*replyWaiter // call id → waiter
@@ -125,6 +126,7 @@ func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, error) {
 		conn:    conn,
 		pending: make(map[uint64]*replyWaiter),
 	}
+	c.out.init(rt.clock, conn, rt.batched)
 	rt.conns[addr] = c
 	rt.mu.Unlock()
 
@@ -196,22 +198,23 @@ func (c *clientConn) shutdown(cause error) {
 }
 
 // register enrolls a call id before sending, so the reply cannot race the
-// registration.
-func (c *clientConn) register(id uint64) (*replyWaiter, error) {
+// registration, and reports whether another call is live on c (see live).
+func (c *clientConn) register(id uint64) (*replyWaiter, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead != nil {
-		return nil, c.dead
+		return nil, false, c.dead
 	}
 	w := newReplyWaiter(c.rt.clock)
 	c.pending[id] = w
-	return w, nil
+	return w, c.live.Add(1) > 1, nil
 }
 
 func (c *clientConn) unregister(id uint64) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
+	c.live.Add(-1)
 }
 
 // Call invokes method on the remote object behind ref and waits for its
@@ -338,7 +341,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			}
 			return finish(nil, err)
 		}
-		w, err := conn.register(id)
+		w, others, err := conn.register(id)
 		if err != nil {
 			// The pooled connection died before its read loop retired it;
 			// the pool has been (or is being) cleaned, so the next attempt
@@ -346,10 +349,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			lastErr = err
 			continue
 		}
-		conn.sendMu.Lock()
-		sendErr := sendFrame(conn.conn, frame)
-		conn.sendMu.Unlock()
-		if sendErr != nil {
+		if sendErr := conn.out.send(frame, others); sendErr != nil {
 			conn.unregister(id)
 			rt.met.sendErrors.Inc()
 			lastErr = fmt.Errorf("rmi: send %s to %q: %w", method, ref.Addr, sendErr)
@@ -402,6 +402,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			}
 			return finish(nil, lastErr)
 		}
+		conn.live.Add(-1)
 		switch m := msg.(type) {
 		case *wire.Reply:
 			return finish(m.Results, nil)

@@ -187,13 +187,3 @@ func (t *dedupeTable) await(e *dedupeEntry) (frame wire.Frame, ok bool) {
 	}
 	return e.frame, !e.evicted
 }
-
-// size returns the number of tracked calls for a client (tests).
-func (t *dedupeTable) size(client string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cl, ok := t.clients[client]; ok {
-		return len(cl.entries)
-	}
-	return 0
-}

@@ -15,6 +15,16 @@ import (
 
 // finish runs one call through the table as dispatchOnce does and returns
 // its entry.
+// size returns the number of tracked calls for a client (tests).
+func (t *dedupeTable) size(client string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cl, ok := t.clients[client]; ok {
+		return len(cl.entries)
+	}
+	return 0
+}
+
 func finish(t *testing.T, tbl *dedupeTable, client string, id uint64, frame []byte) *dedupeEntry {
 	t.Helper()
 	e, dup := tbl.begin(client, id)

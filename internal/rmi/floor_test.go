@@ -114,9 +114,10 @@ func TestCallIDsUniqueUnderConcurrency(t *testing.T) {
 }
 
 // TestConcurrentCallsOverTCPInterleaveNoFrames: eight callers share one
-// TCP connection each way, serialized by the client conn's sendMu and the
-// server conn's reply sendMu. Every echo must come back whole and to its
-// own caller; payload sizes sit on both sides of the 4 KiB read buffer.
+// TCP connection each way, their calls and the server's replies leaving
+// through each end's one sender, batched. Every echo must come back whole
+// and to its own caller; payload sizes sit on both sides of the 4 KiB read
+// buffer.
 func TestConcurrentCallsOverTCPInterleaveNoFrames(t *testing.T) {
 	server, client := tcpPair(t)
 	ref, err := server.Export(&calculator{}, "Calculator")

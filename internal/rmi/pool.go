@@ -3,6 +3,7 @@ package rmi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"obiwan/internal/netsim"
@@ -36,10 +37,9 @@ type inbound struct {
 // That is what a virtual clock runs (NewRuntime), where one goroutine is
 // runnable at a time and a hand-off would buy an event, not parallelism.
 type connPool struct {
-	rt   *Runtime
-	conn transport.Conn
-
-	sendMu sync.Mutex // replies from concurrent workers serialize here
+	rt         *Runtime
+	out        sender       // every reply leaves through it
+	unanswered atomic.Int32 // calls dispatched and not yet answered
 
 	mu      sync.Mutex
 	idle    []*poolWorker // parked, most recently parked last
@@ -56,7 +56,8 @@ type poolWorker struct {
 }
 
 func newConnPool(rt *Runtime, conn transport.Conn) *connPool {
-	p := &connPool{rt: rt, conn: conn}
+	p := &connPool{rt: rt}
+	p.out.init(rt.clock, conn, rt.batched)
 	p.drained.Init(rt.clock, &p.mu)
 	return p
 }
@@ -64,6 +65,7 @@ func newConnPool(rt *Runtime, conn transport.Conn) *connPool {
 // dispatch routes one call: to a parked worker, to a new one, inline, or
 // back to the caller as busy. Only the connection's reader calls it.
 func (p *connPool) dispatch(job inbound) {
+	p.unanswered.Add(1)
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
 		w := p.idle[n-1]
@@ -83,7 +85,7 @@ func (p *connPool) dispatch(job inbound) {
 	}
 	p.mu.Unlock()
 	if p.rt.width == 1 {
-		p.serve(job)
+		p.reply(p.rt.dispatchOnce(job.call, job.recvAt))
 		return
 	}
 	// Refused before dedupe.begin: the call leaves no trace here, so the
@@ -99,7 +101,7 @@ func (p *connPool) dispatch(job inbound) {
 // connection is going away.
 func (p *connPool) work(w *poolWorker) {
 	for {
-		p.serve(w.job)
+		p.reply(p.rt.dispatchOnce(w.job.call, w.job.recvAt))
 		p.mu.Lock()
 		w.job = inbound{}
 		if !p.closing && len(p.idle) < idleFloor {
@@ -120,34 +122,19 @@ func (p *connPool) work(w *poolWorker) {
 	}
 }
 
-// serve runs one call and sends its response frame.
-func (p *connPool) serve(job inbound) {
-	p.reply(p.rt.dispatchOnce(job.call, job.recvAt))
-}
-
+// reply sends a call's response frame; the call is answered.
 func (p *connPool) reply(frame wire.Frame) {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
+	defer p.unanswered.Add(-1)
 	select {
 	case <-p.rt.closed:
 		return
 	default:
 	}
-	if err := sendFrame(p.conn, frame); err != nil {
+	if err := p.out.send(frame, p.unanswered.Load() > 1); err != nil {
 		p.rt.met.sendErrors.Inc()
 	} else {
 		p.rt.met.bytesSent.Add(uint64(frame.Len()))
 	}
-}
-
-// sendFrame sends one frame on conn: a single buffer through Send, a vector
-// through transport.SendVector, which writes it without joining it.
-func sendFrame(conn transport.Conn, frame wire.Frame) error {
-	one, parts := frame.Buffers()
-	if parts != nil {
-		return transport.SendVector(conn, parts)
-	}
-	return conn.Send(one)
 }
 
 // drain retires the parked workers and waits for the serving ones; the

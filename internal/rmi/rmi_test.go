@@ -350,6 +350,13 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 	}
 }
 
+// ExportCount returns the number of currently exported objects.
+func (rt *Runtime) ExportCount() int {
+	rt.exportsMu.RLock()
+	defer rt.exportsMu.RUnlock()
+	return len(rt.exports)
+}
+
 func TestUnexport(t *testing.T) {
 	server, client, _ := newPair(t)
 	ref, _ := server.Export(&calculator{}, "Calculator")

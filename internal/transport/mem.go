@@ -345,6 +345,13 @@ func (c *memConn) Send(p []byte) error {
 	return c.sendVector(one[:])
 }
 
+// sendBatch sends the messages one by one, each with its own error.
+func (c *memConn) sendBatch(msgs [][][]byte, errs []error) {
+	for i, parts := range msgs {
+		errs[i] = c.sendVector(parts)
+	}
+}
+
 // sendVector copies the parts into the message's queue slot, the one copy
 // the simulated link makes of any message.
 func (c *memConn) sendVector(parts [][]byte) error {

@@ -51,9 +51,10 @@ func WithRedialHook(fn func()) ReconnOption {
 //
 // The Conn contract is unchanged: at most one goroutine may call Send and
 // one may call Recv at a time. Messages sent on a retired connection are
-// lost, not replayed — exactly the semantics of a TCP reconnect — so the
-// caller's protocol must tolerate resending (see the rmi retry policy and
-// its server-side duplicate suppression).
+// lost, not replayed — exactly the semantics of a TCP reconnect — but a
+// failed batch goes again whole, so the caller's protocol must tolerate
+// resending (see the rmi retry policy and its server-side duplicate
+// suppression).
 func NewReconnecting(net Network, local, remote Addr, onConnect func(Conn) error, opts ...ReconnOption) (Conn, error) {
 	c := &reconnConn{net: net, local: local, remote: remote, onConnect: onConnect}
 	for _, opt := range opts {
@@ -129,9 +130,24 @@ func (c *reconnConn) Send(p []byte) error {
 	return c.send(func(conn Conn) error { return conn.Send(p) })
 }
 
-// sendVector forwards the vector to the live connection.
-func (c *reconnConn) sendVector(parts [][]byte) error {
-	return c.send(func(conn Conn) error { return SendVector(conn, parts) })
+// sendBatch forwards the batch to the live connection, and sends it again
+// whole on a fresh one when it fails with the connection dead: a message
+// the dead one delivered first then arrives twice (see NewReconnecting).
+func (c *reconnConn) sendBatch(msgs [][][]byte, errs []error) {
+	err := c.send(func(conn Conn) error {
+		SendBatch(conn, msgs, errs)
+		for _, err := range errs {
+			if shouldRedial(err) {
+				return err
+			}
+		}
+		return nil
+	})
+	for i := range errs {
+		if err != nil { // closed, or the redial failed
+			errs[i] = err
+		}
+	}
 }
 
 // send runs one send on the live connection, redialling while it fails

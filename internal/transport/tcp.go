@@ -69,14 +69,13 @@ const recvBufSize = 4096
 type tcpConn struct {
 	c net.Conn
 
-	sendMu  sync.Mutex
-	sendHdr [4]byte
-	// sendVec backs sendBufs, the header and the message's parts handed to
-	// the kernel in one writev. Both live here, under sendMu, because a
-	// net.Buffers built per Send escapes through WriteTo and costs a heap
-	// object per frame. sendVec starts on sendArr, room for a header and
-	// one buffer, and keeps what the longest vector grew it to.
-	sendArr  [2][]byte
+	// A write's scratch (a net.Buffers built per write would escape): the
+	// headers, and the headers and parts handed to the kernel in one writev.
+	// Room for two frames of one buffer, then what the largest batch grew.
+	sendMu   sync.Mutex
+	sendHdr  [2 * 4]byte
+	sendArr  [2 * 2][]byte
+	sendHdrs []byte
 	sendVec  [][]byte
 	sendBufs net.Buffers
 
@@ -87,36 +86,50 @@ type tcpConn struct {
 
 func newTCPConn(c net.Conn) *tcpConn {
 	t := &tcpConn{c: c, r: bufio.NewReaderSize(c, recvBufSize)}
-	t.sendVec = t.sendArr[:0]
+	t.sendHdrs, t.sendVec = t.sendHdr[:0], t.sendArr[:0]
 	return t
 }
 
 func (t *tcpConn) Send(p []byte) error {
-	one := [1][]byte{p}
-	return t.sendVector(one[:])
+	msgs, errs := [1][][]byte{{p}}, [1]error{}
+	t.sendBatch(msgs[:], errs[:])
+	return errs[0]
 }
 
-// sendVector writes the header and every part in one writev.
-func (t *tcpConn) sendVector(parts [][]byte) error {
-	n, err := vectorLen(parts)
-	if err != nil {
-		return err
-	}
+// sendBatch writes every message, each behind its own header, in one
+// writev. A message over MaxMessageSize is refused before the write.
+func (t *tcpConn) sendBatch(msgs [][][]byte, errs []error) {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	binary.BigEndian.PutUint32(t.sendHdr[:], uint32(n))
-	t.sendVec = append(append(t.sendVec[:0], t.sendHdr[:]), parts...)
-	t.sendBufs = t.sendVec
-	_, err = t.sendBufs.WriteTo(t.c)
-	clear(t.sendVec) // the parts belong to the caller again
-	if err != nil {
-		// A failed or short write leaves the stream mid-frame: the next
-		// header would land inside this frame's payload. The connection is
-		// unusable, so close it; both ends then see ErrClosed and redial.
-		_ = t.c.Close()
-		return t.mapErr(err)
+	t.sendHdrs, t.sendVec = t.sendHdrs[:0], t.sendVec[:0]
+	for i, parts := range msgs {
+		n, err := vectorLen(parts)
+		if errs[i] = err; err != nil {
+			continue
+		}
+		h := len(t.sendHdrs)
+		t.sendHdrs = binary.BigEndian.AppendUint32(t.sendHdrs, uint32(n))
+		t.sendVec = append(append(t.sendVec, t.sendHdrs[h:h+4:h+4]), parts...)
 	}
-	return nil
+	if len(t.sendVec) == 0 {
+		return // every message refused
+	}
+	t.sendBufs = t.sendVec
+	_, err := t.sendBufs.WriteTo(t.c)
+	clear(t.sendVec) // the parts belong to the caller again
+	if err == nil {
+		return
+	}
+	// A failed or short write leaves the stream mid-frame: the next header
+	// would land inside a frame's payload. The connection is unusable, so
+	// close it; both ends then see ErrClosed and redial.
+	_ = t.c.Close()
+	err = fmt.Errorf("%w: %w", ErrClosed, err)
+	for i := range errs {
+		if errs[i] == nil {
+			errs[i] = err
+		}
+	}
 }
 
 func (t *tcpConn) Recv() ([]byte, error) {

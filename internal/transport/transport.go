@@ -47,12 +47,13 @@ const MaxMessageSize = 64 << 20
 // state (TCP's header scratch, write vector and read buffer) that two
 // concurrent senders or receivers would share. Callers that multiplex —
 // rmi's many in-flight calls on one connection — serialize their own
-// sends (rmi's sendMu).
+// sends (rmi's sender, which batches them: SendBatch).
 //
 // Frame ownership: Send must not retain p after it returns, so the caller
 // may reuse or modify the slice at once; the slice Recv returns belongs
 // to the caller, and no later Recv touches it. A message may also be sent
-// as a vector of parts (SendVector), borrowed on the same terms.
+// as a vector of parts (SendVector), and messages as a batch (SendBatch),
+// borrowed on the same terms.
 type Conn interface {
 	// Send transmits one message. It blocks for the link's transmission
 	// time (flow control) but not for propagation. A failed Send never
@@ -116,29 +117,43 @@ func IsTransient(err error) bool {
 	return false
 }
 
-// vectorConn is a Conn of this package: it sends a vector without joining
-// it (TCP: one writev; mem: the one copy into the queue slot it makes of any
-// message; reconnecting: forwarded).
-type vectorConn interface {
-	sendVector(parts [][]byte) error
+// batchConn is a Conn of this package: it sends a batch of messages, each a
+// vector of parts, without joining any (TCP: one writev; mem: each message
+// copied into its queue slot, one by one; reconnecting: forwarded).
+type batchConn interface {
+	sendBatch(msgs [][][]byte, errs []error)
 }
 
-// SendVector sends parts on c as one message, their concatenation, with
-// Send's guarantees: a message over MaxMessageSize is refused before
-// anything is written, and a failure part-way leaves c closed. The parts are
-// borrowed until SendVector returns. A Conn from outside this package — a
-// decorator such as a tracer — has only Send, so it receives the message
-// joined, here; this package's own Conns never join one (the mem transport
-// copies every message into its queue slot, a vector's parts included).
+// SendVector sends parts on c as one message, their concatenation: a batch
+// of one (SendBatch).
 func SendVector(c Conn, parts [][]byte) error {
-	if vc, ok := c.(vectorConn); ok {
-		return vc.sendVector(parts)
+	var errs [1]error
+	SendBatch(c, [][][]byte{parts}, errs[:])
+	return errs[0]
+}
+
+// SendBatch sends msgs on c in order, each message the concatenation of its
+// parts, and sets errs[i] (as long as msgs) to message i's outcome, with
+// Send's guarantees: a message over MaxMessageSize is refused alone, before
+// anything is written; a write that fails part-way leaves c closed and fails
+// every message it carried. On TCP a batch is one write, each message behind
+// its own header. The mem network and a Conn from outside this package (a
+// decorator: it has only Send and gets a vector joined, here) send one by
+// one, each message with its own error. Parts are borrowed until it returns.
+func SendBatch(c Conn, msgs [][][]byte, errs []error) {
+	if bc, ok := c.(batchConn); ok {
+		bc.sendBatch(msgs, errs)
+		return
 	}
-	n, err := vectorLen(parts)
-	if err != nil {
-		return err
+	for i, parts := range msgs {
+		n, err := vectorLen(parts)
+		if err == nil && len(parts) == 1 {
+			err = c.Send(parts[0])
+		} else if err == nil {
+			err = c.Send(join(parts, n))
+		}
+		errs[i] = err
 	}
-	return c.Send(join(parts, n))
 }
 
 // join copies parts, n bytes in all, into one new buffer.

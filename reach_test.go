@@ -669,8 +669,6 @@ var deadAllowlist = map[string]string{
 	"replication.Prefetcher.Wait":            "test-support",
 	"replication.ProxyOut.OID":               "test-support",
 	"replication.ProxyOut.Provider":          "test-support",
-	"rmi.Runtime.ExportCount":                "test-support",
-	"rmi.dedupeTable.size":                   "test-support",
 	"site.Site.DirtyReplicas":                "test-support",
 	"site.Site.Eventual":                     "test-support",
 	"site.Site.Evict":                        "readme 324",
