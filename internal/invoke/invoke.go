@@ -6,12 +6,14 @@
 //   - local method invocation (LMI) through an OBIWAN reference, where the
 //     same call frame is applied to a local replica instead.
 //
-// Each method is worked out once, as a plan, and the plans of a type are
-// cached. A registered type's plan (PlanDirect) calls each method of a known
-// shape directly, with no reflect.Value.Call. The reflective path is the
-// fallback for every other method and the reference a hand-written
-// dispatcher (Args1, Args2, CheckArity, Result, NoSuchMethod) and the typed
-// calls are held to.
+// Each method is worked out once, as a handle (Method), and the methods of a
+// type are cached together as its plan. A registered type's plan
+// (PlanDirect) calls each method of a known shape directly, with no
+// reflect.Value.Call. The reflective path is the fallback for every other
+// method and the reference a hand-written dispatcher (Args1, Args2,
+// CheckArity, Result, NoSuchMethod) and the typed calls are held to. A
+// caller that calls one method repeatedly keeps its handle (Lookup, Fits)
+// and skips the plan cache; Call is a Lookup and an Invoke.
 package invoke
 
 import (
@@ -59,12 +61,15 @@ var (
 // Plan is the exported method set of one receiver type, each method worked
 // out once.
 type Plan struct {
-	methods map[string]*methodPlan
+	methods map[string]*Method
 }
 
-// methodPlan is what a call of one method needs besides its receiver and
-// arguments.
-type methodPlan struct {
+// Method is one exported method of one receiver type: what a call needs
+// besides its receiver and arguments. A handle is never changed once its
+// plan is published.
+type Method struct {
+	typ      reflect.Type // the receiver type
+	name     string
 	fn       reflect.Value  // Method.Func: the receiver is its first argument
 	params   []reflect.Type // declared parameters, receiver excluded
 	variadic bool
@@ -108,11 +113,11 @@ func build(t reflect.Type) (*Plan, error) {
 	if t.NumMethod() == 0 {
 		return nil, fmt.Errorf("invoke: type %v has no exported methods", t)
 	}
-	p := &Plan{methods: make(map[string]*methodPlan, t.NumMethod())}
+	p := &Plan{methods: make(map[string]*Method, t.NumMethod())}
 	for i := 0; i < t.NumMethod(); i++ {
 		m := t.Method(i)
 		mt := m.Type
-		mp := &methodPlan{fn: m.Func, variadic: mt.IsVariadic(), errOut: mt.NumOut() > 0 && mt.Out(mt.NumOut()-1) == errType}
+		mp := &Method{typ: t, name: m.Name, fn: m.Func, variadic: mt.IsVariadic(), errOut: mt.NumOut() > 0 && mt.Out(mt.NumOut()-1) == errType}
 		for j := 1; j < mt.NumIn(); j++ {
 			mp.params = append(mp.params, mt.In(j))
 		}
@@ -139,6 +144,16 @@ func (p *Plan) Reflective() []string {
 // stripped: nil vanishes, non-nil comes back as a KindApp *Error. A method
 // with a typed call (PlanDirect) runs it; any other goes through reflection.
 func Call(recv any, method string, args []any) ([]any, error) {
+	m, err := Lookup(recv, method)
+	if err != nil {
+		return nil, err
+	}
+	return m.Invoke(recv, args)
+}
+
+// Lookup returns the handle of method on recv's type, from the type's plan
+// (built on first use), or the error Call reports for it.
+func Lookup(recv any, method string) (*Method, error) {
 	p, err := PlanOf(reflect.TypeOf(recv))
 	if err != nil {
 		return nil, &Error{Kind: KindNoSuchMethod, Method: method, Message: err.Error()}
@@ -147,10 +162,24 @@ func Call(recv any, method string, args []any) ([]any, error) {
 	if m == nil {
 		return nil, NoSuchMethod(recv, method)
 	}
+	return m, nil
+}
+
+// Fits reports whether m is the method named method of recv's type, so that
+// m.Invoke(recv, ...) is the call Lookup(recv, method) would give. A handle
+// from a type's reflective plan still fits after PlanDirect republishes the
+// type: both give the same results. A nil handle fits nothing.
+func (m *Method) Fits(recv any, method string) bool {
+	return m != nil && m.name == method && m.typ == reflect.TypeOf(recv)
+}
+
+// Invoke calls the method on recv, a value of the handle's type, as Call
+// does.
+func (m *Method) Invoke(recv any, args []any) ([]any, error) {
 	if m.direct != nil {
-		return m.direct(recv, method, args)
+		return m.direct(recv, m.name, args)
 	}
-	return m.call(reflect.ValueOf(recv), method, reflect.Value{}, args)
+	return m.call(reflect.ValueOf(recv), reflect.Value{}, args)
 }
 
 // direct is a method's typed call; recv is a value of the plan's type.
@@ -226,12 +255,13 @@ func CallWithLead[L any](p *Plan, recv reflect.Value, method string, lead L, arg
 	if len(m.params) > 0 && m.params[0] == reflect.TypeFor[L]() {
 		lv = reflect.ValueOf(lead)
 	}
-	return m.call(recv, method, lv, args)
+	return m.call(recv, lv, args)
 }
 
 // call runs the method with lead, when valid, ahead of args. The receiver
 // and the arguments are passed in a stack array unless there are many.
-func (m *methodPlan) call(recv reflect.Value, method string, lead reflect.Value, args []any) ([]any, error) {
+func (m *Method) call(recv reflect.Value, lead reflect.Value, args []any) ([]any, error) {
+	method := m.name
 	var stack [6]reflect.Value
 	in := append(stack[:0], recv)
 	if lead.IsValid() {

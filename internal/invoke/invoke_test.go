@@ -129,6 +129,46 @@ func TestPlanCallPassesSpanContext(t *testing.T) {
 	}
 }
 
+// TestMethodHandleFitsItsTypeAndName: a handle fits receivers of its own
+// type under its own name only, and invoking it is Call.
+func TestMethodHandleFitsItsTypeAndName(t *testing.T) {
+	s := &svc{}
+	m, err := Lookup(s, "Greet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := Lookup(&svc{}, "Greet"); again != m {
+		t.Fatal("the same type and name must give the same handle")
+	}
+	if !m.Fits(&svc{}, "Greet") {
+		t.Fatal("handle does not fit its own type and name")
+	}
+	var nilHandle *Method
+	for what, fits := range map[string]bool{
+		"other name": m.Fits(s, "Record"),
+		"other type": m.Fits(&valRecv{}, "Greet"),
+		"value recv": m.Fits(svc{}, "Greet"),
+		"nil recv":   m.Fits(nil, "Greet"),
+		"nil handle": nilHandle.Fits(s, "Greet"),
+	} {
+		if fits {
+			t.Errorf("%s: handle fits", what)
+		}
+	}
+	got, err := m.Invoke(s, []any{"bo"})
+	want, wantErr := Call(s, "Greet", []any{"bo"})
+	if !reflect.DeepEqual(got, want) || err != nil || wantErr != nil {
+		t.Fatalf("Invoke = %v, %v; Call = %v, %v", got, err, want, wantErr)
+	}
+	if _, err := Lookup(s, "Nope"); describe(err) != describe(NoSuchMethod(s, "Nope")) {
+		t.Fatalf("missing method: %v", err)
+	}
+	var ie *Error
+	if _, err := Lookup(42, "Nope"); !errors.As(err, &ie) || ie.Kind != KindNoSuchMethod {
+		t.Fatalf("method-less type: %v", err)
+	}
+}
+
 // callNoArgAllocs is what a reflective Call of a method with no arguments
 // and one int result allocates: the results slice, reflect's own result
 // slice and the boxed int. Only ever goes down (4 while the call's argument
@@ -275,7 +315,7 @@ func TestDirectMatchesReflective(t *testing.T) {
 				rRecv := &shapes{Name: "n", Cents: 3, Words: 1 << 20, Payload: []byte("p"), boom: boom}
 				dRes, dErr, dPanic := outcome(func() ([]any, error) { return m.direct(dRecv, name, args) })
 				rRes, rErr, rPanic := outcome(func() ([]any, error) {
-					return m.call(reflect.ValueOf(rRecv), name, reflect.Value{}, args)
+					return m.call(reflect.ValueOf(rRecv), reflect.Value{}, args)
 				})
 				what := fmt.Sprintf("%s%v boom=%v", name, args, boom)
 				if !reflect.DeepEqual(dRes, rRes) {

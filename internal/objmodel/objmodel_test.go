@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"obiwan/internal/codec"
 	"obiwan/internal/invoke"
@@ -41,9 +42,16 @@ type treeMeta struct {
 
 func (t *tree) Kind() string { return "tree" }
 
+// bush declares tree's method with another result, so a call dispatched on
+// the wrong type's handle shows.
+type bush struct{ Leaves int }
+
+func (b *bush) Kind() string { return "bush" }
+
 func init() {
 	MustRegisterType("objmodel_test.node", (*node)(nil))
 	MustRegisterType("objmodel_test.tree", (*tree)(nil))
+	MustRegisterType("objmodel_test.bush", (*bush)(nil))
 }
 
 func TestRegisterTypeValidation(t *testing.T) {
@@ -598,13 +606,95 @@ func TestLMIAllocationsPinned(t *testing.T) {
 		t.Skip("allocation counts are not repeatable under the race detector")
 	}
 	r := NewLocalRef(&tree{}, 1)
-	got := testing.AllocsPerRun(1000, func() {
+	hit := testing.AllocsPerRun(1000, func() {
 		if _, err := r.Invoke("Kind"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > lmiAllocs {
-		t.Fatalf("LMI allocates %.1f objects, pinned at %d", got, lmiAllocs)
+	// A miss: every call follows a rebind to a target of the other type,
+	// so the cached handle never fits and is looked up and stored again.
+	targets, i := []any{&tree{}, &bush{}}, 0
+	miss := testing.AllocsPerRun(1000, func() {
+		i++
+		r.BindLocal(targets[i%2], OID(i%2+1))
+		if _, err := r.Invoke("Kind"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for what, got := range map[string]float64{"hit": hit, "miss": miss} {
+		if got > lmiAllocs {
+			t.Errorf("LMI (%s) allocates %.1f objects, pinned at %d", what, got, lmiAllocs)
+		}
+	}
+}
+
+// refBytes is the size of a Ref on a 64-bit platform: one per replicated
+// reference slot, so a field added to it is paid by every replica. Only
+// ever goes down.
+const refBytes = 104
+
+func TestRefSizePinned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Ref{}); got > refBytes {
+		t.Fatalf("a Ref is %d bytes, pinned at %d", got, refBytes)
+	}
+}
+
+// TestRefHandleFollowsRebinds: while one goroutine invokes a method that
+// tree and bush both declare, another rebinds the ref between a tree, a
+// bush and a proxy-out and switches its mode. Every local result is the
+// one of the type bound when the call read the ref (a handle of the other
+// type would panic on the receiver or answer for the wrong type), and the
+// ref counts every call once (go test -race).
+func TestRefHandleFollowsRebinds(t *testing.T) {
+	tr, bu := &tree{}, &bush{}
+	remote := &fakeRemote{res: []any{"remote"}}
+	faulter := &fakeFaulter{obj: bu}
+	r := NewLocalRef(tr, 1)
+	r.SetRemote(remote)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			switch i % 4 {
+			case 0:
+				r.BindLocal(tr, 1)
+			case 1:
+				r.BindLocal(bu, 2)
+			case 2:
+				r.BindFault(3, faulter, nil)
+			case 3:
+				r.SetMode(InvocationMode(i / 4 % 3))
+			}
+		}
+	}()
+	const calls = 5000
+	seen := map[any]int{}
+	for range calls {
+		res, err := r.Invoke("Kind")
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		seen[res[0]]++
+	}
+	close(stop)
+	<-done
+	for got := range seen {
+		if got != "tree" && got != "bush" && got != "remote" {
+			t.Errorf("result %v", got)
+		}
+	}
+	if got := r.Calls(); got != calls {
+		t.Fatalf("Calls() = %d after %d invocations", got, calls)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"obiwan/internal/codec"
 	"obiwan/internal/invoke"
@@ -91,13 +90,18 @@ type Ref struct {
 	mode     InvocationMode
 	observer InvokeObserver
 
-	// faultMu serializes fault resolution so concurrent first calls issue
-	// one demand.
-	faultMu sync.Mutex
+	// method is the handle of the last method invoked on a local target. It
+	// is checked against the target and the method name on every use
+	// (Fits), so a rebind need not clear it.
+	method *invoke.Method
 
 	// calls counts invocations through this ref, feeding the Auto policy's
 	// crossover model (figure 4).
-	calls atomic.Uint64
+	calls uint64
+
+	// faultMu serializes fault resolution so concurrent first calls issue
+	// one demand.
+	faultMu sync.Mutex
 }
 
 var _ codec.Marshaler = (*Ref)(nil)
@@ -144,7 +148,11 @@ func (r *Ref) SetMode(m InvocationMode) {
 }
 
 // Calls returns how many invocations have gone through this ref.
-func (r *Ref) Calls() uint64 { return r.calls.Load() }
+func (r *Ref) Calls() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.calls
+}
 
 // BindLocal splices a local target into the slot — the paper's
 // updateMember step. Any proxy-out backing the slot is detached (and
@@ -248,33 +256,43 @@ func (r *Ref) Resolve() (any, error) {
 
 // Invoke calls method on the ref's target following the invocation mode:
 // LMI on the (possibly just-replicated) local object, or RMI to the master.
+// A call on a local target reads the ref in one critical section and goes
+// through the cached method handle, entering neither Resolve nor the plan
+// cache. The observer hears an LMI once the target is local, so a failed
+// fault is not counted.
 func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
-	n := r.calls.Add(1)
-
 	r.mu.Lock()
-	mode := r.mode
-	remote := r.remote
-	local := r.local
-	faulter := r.faulter
-	observer := r.observer
-	oid := r.oid
-	r.mu.Unlock()
-
-	useRemote := false
-	switch mode {
-	case ModeRemote:
-		useRemote = remote != nil
-	case ModeAuto:
-		if local == nil && remote != nil {
-			if ad, ok := faulter.(AutoDecider); ok {
-				useRemote = !ad.PreferLocal(n)
+	r.calls++
+	n, mode, local, remote, faulter, observer, oid := r.calls, r.mode, r.local, r.remote, r.faulter, r.observer, r.oid
+	if local != nil && (mode != ModeRemote || remote == nil) {
+		m := r.method
+		var err error
+		if !m.Fits(local, method) {
+			if m, err = invoke.Lookup(local, method); err == nil {
+				r.method = m
 			}
 		}
+		r.mu.Unlock()
+		if observer != nil {
+			observer(oid, false)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return m.Invoke(local, args)
 	}
-	if observer != nil {
-		observer(oid, useRemote)
+	r.mu.Unlock()
+
+	useRemote := mode == ModeRemote && remote != nil
+	if mode == ModeAuto && remote != nil {
+		if ad, ok := faulter.(AutoDecider); ok {
+			useRemote = !ad.PreferLocal(n)
+		}
 	}
 	if useRemote {
+		if observer != nil {
+			observer(oid, true)
+		}
 		results, err := remote.RemoteInvoke(method, args)
 		if err != nil {
 			return nil, fmt.Errorf("objmodel: remote invoke %s on %v: %w", method, oid, err)
@@ -285,6 +303,9 @@ func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
 	obj, err := r.Resolve()
 	if err != nil {
 		return nil, err
+	}
+	if observer != nil {
+		observer(oid, false)
 	}
 	return invoke.Call(obj, method, args)
 }

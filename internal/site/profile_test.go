@@ -7,6 +7,7 @@ import (
 	"obiwan/internal/admin"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
+	"obiwan/internal/rmi"
 	"obiwan/internal/telemetry"
 )
 
@@ -121,6 +122,34 @@ func TestProfileCountsLMIvsRMI(t *testing.T) {
 	}
 	if p.Faults != 1 {
 		t.Fatalf("faults=%d, want 1 (the ModeLocal switch)", p.Faults)
+	}
+}
+
+// TestProfileSkipsFailedFaults: an invocation whose fault fails never ran
+// on a local copy, so it is not counted as an LMI.
+func TestProfileSkipsFailedFaults(t *testing.T) {
+	w := newWorld(t)
+	server := w.site("server")
+	mobile := w.site("mobile", WithRetry(rmi.RetryPolicy{MaxAttempts: 1}))
+
+	d, err := server.Export(&note{Text: "hello"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := mobile.Engine().RefFromDescriptor(d, replication.DefaultSpec)
+	if err := server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ref.Invoke("Read"); err == nil {
+			t.Fatal("invoke with the master closed succeeded")
+		}
+	}
+	if ref.IsResolved() {
+		t.Fatal("ref resolved with the master closed")
+	}
+	if p, ok := mobile.Telemetry().ProfileSnapshot(0).Get(uint64(d.OID)); ok && (p.LMICalls != 0 || p.Faults != 0) {
+		t.Fatalf("lmi=%d faults=%d after three failed faults, want 0/0", p.LMICalls, p.Faults)
 	}
 }
 
