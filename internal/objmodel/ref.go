@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"obiwan/internal/codec"
@@ -64,11 +65,84 @@ type AutoDecider interface {
 	PreferLocal(n uint64) bool
 }
 
-// InvokeObserver receives one notification per invocation through a Ref:
-// the target's identity and whether the call went remote (RMI) or ran on
-// a local copy (LMI). The replication engine installs one to feed the
-// per-object profiler; objmodel stays telemetry-agnostic.
-type InvokeObserver func(oid OID, remote bool)
+// InvokeSink takes a site's invocation counts: its profiler (objmodel
+// stays telemetry-agnostic). An RMI is pushed as it is sent. LMIs wait in
+// an InvokeLog until the sink drains it.
+type InvokeSink interface {
+	RecordInvoke(oid uint64, remote bool)
+	DrainLMIs() // called by a full log
+}
+
+// InvokeLog lists a site's refs holding LMIs not yet drained. A Ref counts
+// an LMI under the lock Invoke already holds and joins the log on its first
+// LMI since the last drain. Lock order: the sink's, the log's, a ref's.
+type InvokeLog struct {
+	sink    InvokeSink
+	mu      sync.Mutex
+	pending []lmiCount // at most invokeLogBound
+}
+
+// lmiCount is a ref whose count the drain reads, or (ref nil) a count that
+// a rebind or the count's maximum took out of a ref.
+type lmiCount struct {
+	ref *Ref
+	oid OID
+	n   uint64
+}
+
+// invokeLogBound bounds a log. Its entries are allocated with the log, so
+// no LMI grows it.
+const invokeLogBound = 64
+
+// NewInvokeLog returns an empty log whose counts go to sink.
+func NewInvokeLog(sink InvokeSink) *InvokeLog {
+	return &InvokeLog{sink: sink, pending: make([]lmiCount, 0, invokeLogBound)}
+}
+
+// Observe makes r count its invocations into l (a nil log: none). A ref
+// without a log counts nothing, for one nil check inside the mutex hold
+// Invoke already takes.
+func (l *InvokeLog) Observe(r *Ref) {
+	if l != nil {
+		r.mu.Lock()
+		r.log = l
+		r.mu.Unlock()
+	}
+}
+
+// add appends c (a nil log adds nothing), draining a full log first.
+func (l *InvokeLog) add(c lmiCount) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	for len(l.pending) >= invokeLogBound {
+		l.mu.Unlock()
+		l.sink.DrainLMIs()
+		l.mu.Lock()
+	}
+	l.pending = append(l.pending, c)
+	l.mu.Unlock()
+}
+
+// Drain hands add each pending count in the order it joined and empties
+// the log, which then holds no ref. The sink calls it under its own lock.
+func (l *InvokeLog) Drain(add func(oid, n uint64)) {
+	l.mu.Lock()
+	for _, c := range l.pending {
+		if r := c.ref; r != nil {
+			r.mu.Lock()
+			c.oid, c.n, r.lmis, r.queued = r.oid, uint64(r.lmis), 0, false
+			r.mu.Unlock()
+		}
+		if c.n > 0 {
+			add(uint64(c.oid), c.n)
+		}
+	}
+	clear(l.pending)
+	l.pending = l.pending[:0]
+	l.mu.Unlock()
+}
 
 // ErrUnboundRef is returned when an unresolved Ref has no faulter to
 // demand its target from.
@@ -82,13 +156,15 @@ var ErrUnboundRef = errors.New("objmodel: unbound reference")
 //
 // A Ref is safe for concurrent use. The zero Ref is unbound.
 type Ref struct {
-	mu       sync.Mutex
-	oid      OID
-	local    any
-	faulter  Faulter
-	remote   RemoteInvoker
-	mode     InvocationMode
-	observer InvokeObserver
+	mu      sync.Mutex
+	oid     OID
+	local   any
+	faulter Faulter
+	remote  RemoteInvoker
+	mode    InvocationMode
+	queued  bool   // on log since the last drain
+	lmis    uint32 // LMIs not yet drained, counted against oid
+	log     *InvokeLog
 
 	// method is the handle of the last method invoked on a local target. It
 	// is checked against the target and the method name on every use
@@ -160,22 +236,52 @@ func (r *Ref) Calls() uint64 {
 // working after resolution.
 func (r *Ref) BindLocal(target any, oid OID) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	l, c := r.setOID(oid)
 	r.local = target
-	r.oid = oid
 	r.faulter = nil
+	r.mu.Unlock()
+	l.add(c)
 }
 
 // BindFault points the slot at a proxy-out.
 func (r *Ref) BindFault(oid OID, f Faulter, remote RemoteInvoker) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.oid = oid
+	l, c := r.setOID(oid)
 	r.faulter = f
 	if remote != nil {
 		r.remote = remote
 	}
 	r.local = nil
+	r.mu.Unlock()
+	l.add(c)
+}
+
+// setOID rebinds r to oid. LMIs counted under the old OID keep it: the
+// caller adds the returned count to the log once it unlocks r.mu.
+func (r *Ref) setOID(oid OID) (l *InvokeLog, c lmiCount) {
+	if oid != r.oid && r.lmis > 0 {
+		l, c, r.lmis = r.log, lmiCount{oid: r.oid, n: uint64(r.lmis)}, 0
+	}
+	r.oid = oid
+	return l, c
+}
+
+// countLMI counts one LMI and returns what the caller adds to r's log once
+// it unlocks r.mu (nil log: nothing): r itself on its first LMI since the
+// last drain, or its count at the count's maximum.
+func (r *Ref) countLMI() (*InvokeLog, lmiCount) {
+	switch {
+	case r.log == nil:
+	case !r.queued:
+		r.lmis, r.queued = r.lmis+1, true
+		return r.log, lmiCount{ref: r}
+	case r.lmis == math.MaxUint32-1:
+		r.lmis = 0
+		return r.log, lmiCount{oid: r.oid, n: math.MaxUint32}
+	default:
+		r.lmis++
+	}
+	return nil, lmiCount{}
 }
 
 // SetRemote installs the remote invoker used by ModeRemote.
@@ -183,15 +289,6 @@ func (r *Ref) SetRemote(remote RemoteInvoker) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.remote = remote
-}
-
-// SetInvokeObserver installs (or clears, with nil) the per-invocation
-// observer. The unobserved fast path costs one nil check inside the
-// mutex hold Invoke already takes.
-func (r *Ref) SetInvokeObserver(fn InvokeObserver) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.observer = fn
 }
 
 // Remote returns the ref's remote invoker, if any.
@@ -214,29 +311,21 @@ func (r *Ref) Faulter() Faulter {
 // if the target is not yet replicated here.
 func (r *Ref) Resolve() (any, error) {
 	r.mu.Lock()
-	if r.local != nil {
-		obj := r.local
-		r.mu.Unlock()
+	obj := r.local
+	r.mu.Unlock()
+	if obj != nil {
 		return obj, nil
 	}
-	f := r.faulter
-	r.mu.Unlock()
-	if f == nil {
-		return nil, ErrUnboundRef
-	}
-
 	r.faultMu.Lock()
 	defer r.faultMu.Unlock()
 	// Another goroutine may have resolved while we waited.
 	r.mu.Lock()
-	if r.local != nil {
-		obj := r.local
-		r.mu.Unlock()
-		return obj, nil
-	}
-	f = r.faulter
+	obj, f := r.local, r.faulter
 	r.mu.Unlock()
-	if f == nil {
+	switch {
+	case obj != nil:
+		return obj, nil
+	case f == nil:
 		return nil, ErrUnboundRef
 	}
 
@@ -258,13 +347,14 @@ func (r *Ref) Resolve() (any, error) {
 // LMI on the (possibly just-replicated) local object, or RMI to the master.
 // A call on a local target reads the ref in one critical section and goes
 // through the cached method handle, entering neither Resolve nor the plan
-// cache. The observer hears an LMI once the target is local, so a failed
-// fault is not counted.
+// cache. An LMI is counted once the target is local, so a failed fault is
+// not counted.
 func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
 	r.mu.Lock()
 	r.calls++
-	n, mode, local, remote, faulter, observer, oid := r.calls, r.mode, r.local, r.remote, r.faulter, r.observer, r.oid
+	n, mode, local, remote, faulter, log, oid := r.calls, r.mode, r.local, r.remote, r.faulter, r.log, r.oid
 	if local != nil && (mode != ModeRemote || remote == nil) {
+		l, c := r.countLMI()
 		m := r.method
 		var err error
 		if !m.Fits(local, method) {
@@ -273,8 +363,8 @@ func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
 			}
 		}
 		r.mu.Unlock()
-		if observer != nil {
-			observer(oid, false)
+		if l != nil {
+			l.add(c)
 		}
 		if err != nil {
 			return nil, err
@@ -290,8 +380,8 @@ func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
 		}
 	}
 	if useRemote {
-		if observer != nil {
-			observer(oid, true)
+		if log != nil {
+			log.sink.RecordInvoke(uint64(oid), true)
 		}
 		results, err := remote.RemoteInvoke(method, args)
 		if err != nil {
@@ -304,9 +394,10 @@ func (r *Ref) Invoke(method string, args ...any) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if observer != nil {
-		observer(oid, false)
-	}
+	r.mu.Lock()
+	l, c := r.countLMI()
+	r.mu.Unlock()
+	l.add(c)
 	return invoke.Call(obj, method, args)
 }
 
@@ -347,11 +438,12 @@ func (r *Ref) UnmarshalOBI(src []byte) (int, error) {
 		return 0, err
 	}
 	r.mu.Lock()
-	r.oid = OID(v)
+	l, c := r.setOID(OID(v))
 	r.local = nil
 	r.faulter = nil
 	r.remote = nil
 	r.mu.Unlock()
+	l.add(c)
 	return d.Offset(), nil
 }
 

@@ -100,7 +100,7 @@ type Engine struct {
 	tel       *telemetry.Hub
 	prof      *telemetry.Profiler       // nil no-op when tel is nil
 	flight    *telemetry.FlightRecorder // nil no-op when tel is nil
-	invokeObs objmodel.InvokeObserver   // nil when profiling is off
+	invokeLog *objmodel.InvokeLog       // nil when profiling is off
 
 	// Protocol instruments, resolved once; all nil no-ops when tel is nil.
 	met struct {
@@ -160,20 +160,10 @@ func NewEngine(rt *rmi.Runtime, h *heap.Heap, opts ...Option) *Engine {
 	e.prof = e.tel.Profiler()
 	e.flight = e.tel.Flight()
 	if e.prof != nil {
-		prof := e.prof
-		e.invokeObs = func(oid objmodel.OID, remote bool) {
-			prof.RecordInvoke(uint64(oid), remote)
-		}
+		e.invokeLog = objmodel.NewInvokeLog(e.prof)
+		e.prof.PullFrom(e.invokeLog)
 	}
 	return e
-}
-
-// observeRef installs the profiler's LMI/RMI invoke observer on a ref the
-// engine created or bound. No-op when profiling is off.
-func (e *Engine) observeRef(r *objmodel.Ref) {
-	if e.invokeObs != nil {
-		r.SetInvokeObserver(e.invokeObs)
-	}
 }
 
 // failUnavailable classifies an RMI failure on op for oid: transient and
@@ -273,7 +263,7 @@ func (e *Engine) NewRef(target any) (*objmodel.Ref, error) {
 			r.SetRemote(&remoteInvoker{eng: e, provider: prov, oid: entry.OID})
 		}
 	}
-	e.observeRef(r)
+	e.invokeLog.Observe(r)
 	return r, nil
 }
 
@@ -332,7 +322,7 @@ func (e *Engine) RefFromDescriptor(d Descriptor, spec GetSpec) *objmodel.Ref {
 	e.recordGroup(objmodel.OID(d.OID), d.Group)
 	pout := e.newProxyOut(objmodel.OID(d.OID), d.Provider, spec.normalize())
 	r := objmodel.NewFaultingRef(objmodel.OID(d.OID), pout, pout)
-	e.observeRef(r)
+	e.invokeLog.Observe(r)
 	return r
 }
 
@@ -755,7 +745,7 @@ func frontierMap(frontier []FrontierRef) map[objmodel.OID]FrontierRef {
 func (e *Engine) bindRefs(obj any, frontier map[objmodel.OID]FrontierRef, spec GetSpec) error {
 	var buf [4]*objmodel.Ref
 	for _, ref := range objmodel.AppendRefs(buf[:0], obj) {
-		e.observeRef(ref)
+		e.invokeLog.Observe(ref)
 		if ref.IsResolved() {
 			continue
 		}

@@ -301,3 +301,40 @@ func TestFaultTelemetryAllocationsPinned(t *testing.T) {
 		t.Fatalf("telemetry adds %.2f allocations to a fault (%.2f on, %.2f off), pinned at 0", on-off, on, off)
 	}
 }
+
+// TestObservedLMIAllocationsPinned: an LMI through a resolved ref on a
+// default site, its profiler on, allocates what an LMI through a ref
+// nobody observes does; this is the path the benchmark's lmi_ns times. A
+// cycle of an LMI that joins the profiler's log and a drain of that log
+// allocates nothing more once warm.
+func TestObservedLMIAllocationsPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	w := newWorld(t)
+	server, mobile := w.site("server"), w.site("mobile")
+	d, err := server.Export(&note{Text: "hello"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := mobile.Engine().RefFromDescriptor(d, replication.DefaultSpec)
+	obj, err := ref.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lmi := func(r *objmodel.Ref) func() {
+		return func() {
+			if _, err := r.Invoke("Read"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	observed, prof := lmi(ref), mobile.Telemetry().Profiler()
+	unobserved := testing.AllocsPerRun(1000, lmi(objmodel.NewLocalRef(obj, objmodel.OID(d.OID))))
+	hit := testing.AllocsPerRun(1000, observed)
+	cycle := testing.AllocsPerRun(1000, func() { observed(); prof.Len() })
+	t.Logf("an LMI allocates %.1f objects unobserved, %.1f observed, %.1f with a drain", unobserved, hit, cycle)
+	if hit != unobserved || cycle != unobserved {
+		t.Fatalf("observing an LMI adds %.1f allocations, a join and drain %.1f; pinned at 0", hit-unobserved, cycle-unobserved)
+	}
+}

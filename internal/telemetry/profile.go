@@ -144,8 +144,13 @@ const defaultProfileCapacity = 256
 // hot-object profiles. A nil *Profiler (telemetry disabled) no-ops on
 // every method, matching the Hub's nil-receiver fast path. Safe for
 // concurrent use.
+//
+// LMIs are pulled, not pushed: refs count them into their site's log, and
+// every method drains that log before it reads or evicts by heat.
 type Profiler struct {
 	mu       sync.Mutex
+	lmis     LMISource           // nil: nothing to pull
+	fold     func(oid, n uint64) // Drain's argument, made once so a drain allocates nothing
 	capacity int
 	objects  map[uint64]*ObjectProfile
 	// cold orders the tracked profiles for eviction: once the table is
@@ -168,10 +173,41 @@ func NewProfiler(capacity int) *Profiler {
 	if capacity <= 0 {
 		capacity = defaultProfileCapacity
 	}
-	return &Profiler{
+	p := &Profiler{
 		capacity: capacity,
 		objects:  make(map[uint64]*ObjectProfile, capacity),
 		cold:     make([]coldEntry, 0, capacity),
+	}
+	p.fold = func(oid, n uint64) { p.get(oid).LMICalls += n }
+	return p
+}
+
+// LMISource is a site's log of LMIs not yet counted (objmodel.InvokeLog).
+// Drain hands add each pending count, in the order it joined, and empties
+// the log.
+type LMISource interface {
+	Drain(add func(oid, n uint64))
+}
+
+// PullFrom makes the profiler drain src before it reads or evicts by heat.
+// A site's engine sets it once, at start.
+func (p *Profiler) PullFrom(src LMISource) {
+	p.mu.Lock()
+	p.lmis = src
+	p.mu.Unlock()
+}
+
+// DrainLMIs folds the LMIs waiting in the log into their profiles.
+func (p *Profiler) DrainLMIs() {
+	p.lock()
+	p.mu.Unlock()
+}
+
+// lock takes p.mu and drains the log.
+func (p *Profiler) lock() {
+	p.mu.Lock()
+	if p.lmis != nil {
+		p.lmis.Drain(p.fold)
 	}
 }
 
@@ -246,40 +282,39 @@ func (p *Profiler) get(oid uint64) *ObjectProfile {
 	return o
 }
 
+// update applies f to oid's profile under p.mu (a nil profiler does
+// nothing).
+func (p *Profiler) update(oid uint64, f func(o *ObjectProfile)) {
+	if p == nil {
+		return
+	}
+	p.lock()
+	f(p.get(oid))
+	p.mu.Unlock()
+}
+
 // RecordFault records one resolved object fault: fromHeap marks faults
 // absorbed by the local heap; for remote demands, objects/bytes size the
 // payload and elapsed is the demand's wall time.
 func (p *Profiler) RecordFault(oid uint64, fromHeap, clustered bool, objects, bytes int, elapsed time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	o := p.get(oid)
-	o.Faults++
-	if fromHeap {
-		o.HeapHits++
-	} else {
-		o.RemoteDemands++
-		if clustered {
-			o.ClusterDemands++
+	p.update(oid, func(o *ObjectProfile) {
+		o.Faults++
+		if fromHeap {
+			o.HeapHits++
+		} else {
+			p.demand(o, clustered, objects, bytes, elapsed)
 		}
-		o.DemandObjects += uint64(objects)
-		o.DemandBytes += uint64(bytes)
-		o.FaultNS += int64(elapsed)
-		p.totFaultNS += int64(elapsed)
-		p.totDemands++
-	}
-	p.mu.Unlock()
+	})
 }
 
 // RecordRefresh records one replica refresh — a remote demand without a
 // fault (the replica was already here and re-fetched its state).
 func (p *Profiler) RecordRefresh(oid uint64, clustered bool, objects, bytes int, elapsed time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	o := p.get(oid)
+	p.update(oid, func(o *ObjectProfile) { p.demand(o, clustered, objects, bytes, elapsed) })
+}
+
+// demand counts one remote demand for o. Callers hold p.mu.
+func (p *Profiler) demand(o *ObjectProfile, clustered bool, objects, bytes int, elapsed time.Duration) {
 	o.RemoteDemands++
 	if clustered {
 		o.ClusterDemands++
@@ -289,56 +324,38 @@ func (p *Profiler) RecordRefresh(oid uint64, clustered bool, objects, bytes int,
 	o.FaultNS += int64(elapsed)
 	p.totFaultNS += int64(elapsed)
 	p.totDemands++
-	p.mu.Unlock()
 }
 
 // RecordServe records one demand this site answered as provider.
 func (p *Profiler) RecordServe(oid uint64, objects, bytes int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	o := p.get(oid)
-	o.Serves++
-	o.ServeObjects += uint64(objects)
-	o.ServeBytes += uint64(bytes)
-	p.mu.Unlock()
+	p.update(oid, func(o *ObjectProfile) {
+		o.Serves++
+		o.ServeObjects += uint64(objects)
+		o.ServeBytes += uint64(bytes)
+	})
 }
 
 // RecordInvoke records one invocation through a ref naming oid: LMI when
-// it ran on a local copy, RMI when it was master-directed.
+// it ran on a local copy, RMI when it was master-directed. Refs push only
+// their RMIs; the profiler pulls their LMIs from its invoke log.
 func (p *Profiler) RecordInvoke(oid uint64, remote bool) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	o := p.get(oid)
-	if remote {
-		o.RMICalls++
-	} else {
-		o.LMICalls++
-	}
-	p.mu.Unlock()
+	p.update(oid, func(o *ObjectProfile) {
+		if remote {
+			o.RMICalls++
+		} else {
+			o.LMICalls++
+		}
+	})
 }
 
 // RecordPutShipped records one update shipped to oid's master.
 func (p *Profiler) RecordPutShipped(oid uint64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.get(oid).PutsShipped++
-	p.mu.Unlock()
+	p.update(oid, func(o *ObjectProfile) { o.PutsShipped++ })
 }
 
 // RecordPutApplied records one update applied at this site as master.
 func (p *Profiler) RecordPutApplied(oid uint64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.get(oid).PutsApplied++
-	p.mu.Unlock()
+	p.update(oid, func(o *ObjectProfile) { o.PutsApplied++ })
 }
 
 // FaultCost returns the observed cost of one remote demand for oid: the
@@ -350,7 +367,7 @@ func (p *Profiler) FaultCost(oid uint64) (cost time.Duration, ok bool) {
 	if p == nil {
 		return 0, false
 	}
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	if o, have := p.objects[oid]; have && o.RemoteDemands > 0 {
 		return time.Duration(o.FaultNS / int64(o.RemoteDemands)), true
@@ -366,7 +383,7 @@ func (p *Profiler) Len() int {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	return len(p.objects)
 }
@@ -378,7 +395,7 @@ func (p *Profiler) Snapshot(site string, nowNS int64, topK int) *ProfileSnapshot
 	if p == nil {
 		return out
 	}
-	p.mu.Lock()
+	p.lock()
 	out.Tracked = uint64(len(p.objects))
 	out.Evicted = p.evicted
 	out.Objects = make([]ObjectProfile, 0, len(p.objects))
