@@ -17,9 +17,6 @@ import (
 	"obiwan/internal/telemetry"
 )
 
-// Iface is the symbolic RMI interface name of the admin service.
-const Iface = "obiwan.Admin"
-
 // ObjectInfo describes one heap entry.
 type ObjectInfo struct {
 	OID           string

@@ -24,7 +24,7 @@ const WellKnownID rmi.ObjID = 3
 
 // Ref builds the reference to the admin service of the site at addr.
 func Ref(addr transport.Addr) rmi.RemoteRef {
-	return rmi.RemoteRef{Addr: addr, ID: WellKnownID, Iface: Iface}
+	return rmi.RemoteRef{Addr: addr, ID: WellKnownID}
 }
 
 // CursorEnd is a cursor past every span a site will ever commit: a

@@ -157,7 +157,7 @@ func TestRetriedCallsExecuteExactlyOnce(t *testing.T) {
 			if client, err = w.NewSite("client", site.WithRetry(p)); err != nil {
 				return err
 			}
-			ref, err := master.Runtime().Export(counter, "chaos.Counter")
+			ref, err := master.Runtime().Export(counter)
 			if err != nil {
 				return err
 			}

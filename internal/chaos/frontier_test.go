@@ -55,7 +55,7 @@ func wantFrontier(s *site.Site, n *Node) ([]replication.FrontierRef, error) {
 		if !ok {
 			return nil, fmt.Errorf("%s: target not in heap", n.Label)
 		}
-		fr.Provider, fr.TypeName = entry.Provider(), entry.TypeName
+		fr.Provider = entry.Provider()
 		if fr.Provider.IsZero() {
 			d, err := s.Export(obj)
 			if err != nil {

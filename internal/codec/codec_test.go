@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"obiwan/internal/raceflag"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -435,7 +437,7 @@ func TestRegistryNames(t *testing.T) {
 	if len(names) != 2 || names[0] != "a.type" || names[1] != "b.type" {
 		t.Fatalf("names: %v", names)
 	}
-	if _, ok := reg.typeOf([]byte("missing")); ok {
+	if _, ok := reg.typeOf(TypeID("missing")); ok {
 		t.Fatal("missing name should not resolve")
 	}
 	if name, ok := reg.NameOf(&wirePoint{}); !ok || name != "b.type" {
@@ -576,13 +578,61 @@ func TestWriteByteAndReadRaw(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesTypeIDCollision: "test.T479599" and "test.T662382"
+// hash to the same FNV-1a 32-bit id, so the second name cannot register in
+// a registry that holds the first: a value of either type would decode as
+// the other. A name registered again for its own type is still a no-op.
+func TestRegisterRefusesTypeIDCollision(t *testing.T) {
+	if TypeID("test.T479599") != TypeID("test.T662382") {
+		t.Fatalf("the pair no longer collides: %#08x, %#08x", TypeID("test.T479599"), TypeID("test.T662382"))
+	}
+	reg := NewRegistry()
+	reg.MustRegister("test.T479599", wirePoint{})
+	if err := reg.Register("test.T662382", nested{}); err == nil || !strings.Contains(err.Error(), "collides") {
+		t.Fatalf("a colliding name registered: %v", err)
+	}
+	if err := reg.Register("test.T479599", wirePoint{}); err != nil {
+		t.Fatalf("registering a name again for its own type: %v", err)
+	}
+	if names := reg.Names(); len(names) != 1 {
+		t.Fatalf("names after the refusal: %v", names)
+	}
+}
+
+// TestNamedValueDecodeAllocations: a registered value travels as its tag
+// and a 4-byte type id, and the decoder finds its type by that id without
+// allocating: a registered empty struct decodes with no allocation at all.
+func TestNamedValueDecodeAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
+	type empty struct{}
+	reg := NewRegistry()
+	reg.MustRegister("test.empty", empty{})
+	e := NewEncoder(0)
+	if err := e.Value(reg, empty{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Bytes()) != 5 {
+		t.Fatalf("a registered empty struct encodes as %x, want its tag and a 4-byte id", e.Bytes())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewDecoder(e.Bytes()).Value(reg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a registered empty struct allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestDefaultRegistryHelpers(t *testing.T) {
 	// Package-level Register/MustRegister hit the process-wide registry.
 	type defRegProbe struct{ A int }
 	if err := Register("codec_test.defreg", defRegProbe{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := DefaultRegistry().typeOf([]byte("codec_test.defreg")); !ok {
+	if _, ok := DefaultRegistry().typeOf(TypeID("codec_test.defreg")); !ok {
 		t.Fatal("default registry lookup")
 	}
 	MustRegister("codec_test.defreg", defRegProbe{}) // idempotent

@@ -1,6 +1,9 @@
 package codec
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // FuzzDecodeValue checks that the self-describing decoder never panics or
 // over-reads on arbitrary input. Run with `go test -fuzz=FuzzDecodeValue`;
@@ -26,7 +29,14 @@ func FuzzDecodeValue(f *testing.F) {
 	seed(func(e *Encoder) { _ = e.Value(reg, map[string]any{"k": int64(1)}) })
 	seed(func(e *Encoder) { _ = e.Value(reg, &wirePoint{X: 1, Tags: []string{"t"}}) })
 	f.Add([]byte{0xff, 0x00, 0x01})
-	f.Add([]byte{tagNamed, 0x04, 'f', 'u', 'z', 'z'})
+	// A registered type's id, then a cut-off body; an id nothing holds; an
+	// id cut short.
+	seed(func(e *Encoder) {
+		e.buf = binary.LittleEndian.AppendUint32(append(e.buf, tagNamed), TypeID("fuzz.point"))
+		e.WriteVarint(1)
+	})
+	seed(func(e *Encoder) { e.buf = binary.LittleEndian.AppendUint32(append(e.buf, tagNamed), TypeID("fuzz")) })
+	f.Add([]byte{tagNamed, 0x04, 'f'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)

@@ -1,9 +1,9 @@
 package codec
 
 // Memo sizes. They are constants, not options: a connection's frames repeat
-// a handful of short strings (method names, client ids, wire type and
-// interface names, provider addresses), which 64 slots hold with room to
-// spare.
+// a handful of short strings (method names, client ids, the object type
+// names of replica records, provider addresses on other sites), which 64
+// slots hold with room to spare.
 const (
 	memoSets   = 16
 	memoWays   = 4
@@ -30,10 +30,7 @@ func (m *Memo) string(b []byte) string {
 	if m == nil || len(b) > memoMaxLen {
 		return string(b)
 	}
-	h := uint32(2166136261) // FNV-1a: fixed, so what a workload allocates is repeatable
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
+	h := fnv1a(b)
 	i := h % memoSets
 	for w, s := range &m.sets[i] {
 		if m.hash[i][w] == h && s == string(b) {

@@ -95,11 +95,12 @@ func TestPlanAddressMarshalerByValue(t *testing.T) {
 		name, want string
 		encode     func(e *Encoder) error
 	}{
-		// N is zig-zag 02; the tag is the string "tag:x" from MarshalOBI.
+		// N is zig-zag 02; the tag is the string "tag:x" from MarshalOBI; a
+		// Value leads with tagNamed and the name's TypeID, little-endian.
 		{"EncodeStruct by value", "02" + "057461673a78", func(e *Encoder) error { return e.EncodeStruct(reg, v) }},
 		{"EncodeStruct by pointer", "02" + "057461673a78", func(e *Encoder) error { return e.EncodeStruct(reg, &v) }},
-		{"Value by value", "0a11746573742e686f6c64734164647254616702" + "057461673a78", func(e *Encoder) error { return e.Value(reg, v) }},
-		{"Value by pointer", "0a11746573742e686f6c64734164647254616702" + "057461673a78", func(e *Encoder) error { return e.Value(reg, &v) }},
+		{"Value by value", "0a325475c2" + "02" + "057461673a78", func(e *Encoder) error { return e.Value(reg, v) }},
+		{"Value by pointer", "0a325475c2" + "02" + "057461673a78", func(e *Encoder) error { return e.Value(reg, &v) }},
 	} {
 		e := NewEncoder(0)
 		if err := tc.encode(e); err != nil {

@@ -35,28 +35,53 @@ var (
 // Registry maps stable wire names to Go types so that two sites can exchange
 // struct values without sharing memory. It plays the role that class names
 // and dynamic class loading play for Java serialization in the original
-// OBIWAN prototype.
+// OBIWAN prototype. A registered value travels as its name's type id
+// (TypeID), not as the name.
 //
 // A Registry is safe for concurrent use.
 type Registry struct {
 	mu     sync.RWMutex
-	byName map[string]reflect.Type
-	byType map[reflect.Type]string
+	byID   map[uint32]registered
+	byType map[reflect.Type]registered
+}
+
+// registered is one registration: a Go type, its wire name and its id.
+type registered struct {
+	t    reflect.Type
+	name string
+	id   uint32
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		byName: make(map[string]reflect.Type),
-		byType: make(map[reflect.Type]string),
+		byID:   make(map[uint32]registered),
+		byType: make(map[reflect.Type]registered),
 	}
+}
+
+// TypeID is the 4-byte id a value registered under name travels as: the
+// FNV-1a 32-bit hash of the name. It is a function of the name alone, so
+// two sites that register the same names agree on every id without
+// exchanging them; Register refuses a name whose id another name holds.
+func TypeID(name string) uint32 { return fnv1a(name) }
+
+// fnv1a is the FNV-1a 32-bit hash: fixed, so ids and what a workload
+// allocates are repeatable.
+func fnv1a[T string | []byte](s T) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // Register binds name to the dynamic type of sample. If sample is a pointer,
 // the element type is registered; values are always decoded as pointers to
 // the registered type when the caller asks for a pointer. Registering the
 // same name twice with the same type is a no-op; re-registering a name with
-// a different type is reported as an error.
+// a different type is reported as an error, and so is a name whose TypeID
+// equals that of a name already registered.
 func (r *Registry) Register(name string, sample any) error {
 	if name == "" {
 		return fmt.Errorf("codec: empty registration name")
@@ -68,19 +93,23 @@ func (r *Registry) Register(name string, sample any) error {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
+	reg := registered{t: t, name: name, id: TypeID(name)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.byName[name]; ok {
-		if prev == t {
+	if prev, ok := r.byID[reg.id]; ok {
+		switch {
+		case prev.name != name:
+			return fmt.Errorf("codec: name %q collides with %q on type id %#08x", name, prev.name, reg.id)
+		case prev.t == t:
 			return nil
 		}
-		return fmt.Errorf("codec: name %q already registered for %v, cannot rebind to %v", name, prev, t)
+		return fmt.Errorf("codec: name %q already registered for %v, cannot rebind to %v", name, prev.t, t)
 	}
-	if prev, ok := r.byType[t]; ok && prev != name {
-		return fmt.Errorf("codec: type %v already registered as %q, cannot rebind to %q", t, prev, name)
+	if prev, ok := r.byType[t]; ok {
+		return fmt.Errorf("codec: type %v already registered as %q, cannot rebind to %q", t, prev.name, name)
 	}
-	r.byName[name] = t
-	r.byType[t] = name
+	r.byID[reg.id] = reg
+	r.byType[t] = reg
 	return nil
 }
 
@@ -100,35 +129,36 @@ func (r *Registry) NameOf(v any) (string, bool) {
 	if t == nil {
 		return "", false
 	}
-	return r.nameOfType(t)
+	reg, ok := r.lookupType(t)
+	return reg.name, ok
 }
 
-func (r *Registry) nameOfType(t reflect.Type) (string, bool) {
+// lookupType returns the registration of t (pointer indirections stripped).
+func (r *Registry) lookupType(t reflect.Type) (registered, bool) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	name, ok := r.byType[t]
-	return name, ok
+	reg, ok := r.byType[t]
+	return reg, ok
 }
 
-// typeOf returns the Go type registered under name, a name still in a
-// frame: the map lookup of the converted bytes does not allocate a string.
-func (r *Registry) typeOf(name []byte) (reflect.Type, bool) {
+// typeOf returns the registration whose type id is id.
+func (r *Registry) typeOf(id uint32) (registered, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t, ok := r.byName[string(name)]
-	return t, ok
+	reg, ok := r.byID[id]
+	return reg, ok
 }
 
 // Names returns all registered wire names, sorted. Useful for diagnostics.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
+	names := make([]string, 0, len(r.byID))
+	for _, reg := range r.byID {
+		names = append(names, reg.name)
 	}
 	sort.Strings(names)
 	return names

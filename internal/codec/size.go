@@ -62,8 +62,7 @@ func valueSize(reg *Registry, v any, vec *Vector) int {
 		return n
 	}
 	rv := reflect.ValueOf(v)
-	name, ok := reg.nameOfType(rv.Type())
-	if !ok { // a typed slice or string-keyed map, or what Value refuses
+	if _, ok := reg.lookupType(rv.Type()); !ok { // a typed slice or string-keyed map, or what Value refuses
 		switch {
 		case rv.Kind() == reflect.Slice || rv.Kind() == reflect.Array:
 			n := 1 + sizeUvarint(uint64(rv.Len()))
@@ -83,7 +82,7 @@ func valueSize(reg *Registry, v any, vec *Vector) int {
 	for rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		rv = rv.Elem()
 	}
-	return 1 + sizePrefixed(len(name)) + sizeReflect(reg, planOf(rv.Type()), rv, vec)
+	return 1 + 4 + sizeReflect(reg, planOf(rv.Type()), rv, vec)
 }
 
 // sizeReflect returns the number of bytes encodeReflect appends for rv, a

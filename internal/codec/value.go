@@ -2,6 +2,7 @@ package codec
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
@@ -21,7 +22,7 @@ const (
 	tagBytes  byte = 0x07
 	tagSlice  byte = 0x08 // count + Values
 	tagMap    byte = 0x09 // count + (string key, Value) pairs
-	tagNamed  byte = 0x0a // registered type: name + type-directed payload
+	tagNamed  byte = 0x0a // registered type: 4-byte TypeID (LE) + type-directed payload
 )
 
 // Value encodes v in self-describing form so a peer can decode it without
@@ -118,19 +119,19 @@ func (e *Encoder) value(reg *Registry, v any, vec *Vector) error {
 		}
 		return nil
 	}
-	// A registered type travels by name. Typed slices and string-keyed maps
-	// encode like their canonical counterparts ([]any / map[string]any) via
-	// reflection; they decode as the canonical forms.
+	// A registered type travels by its name's id. Typed slices and
+	// string-keyed maps encode like their canonical counterparts ([]any /
+	// map[string]any) via reflection; they decode as the canonical forms.
 	rv := reflect.ValueOf(v)
-	name, ok := reg.nameOfType(rv.Type())
+	named, ok := reg.lookupType(rv.Type())
 	if !ok {
 		return e.valueReflect(reg, rv, vec)
 	}
 	e.buf = append(e.buf, tagNamed)
-	e.WriteString(name)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, named.id)
 	for rv.Kind() == reflect.Pointer {
 		if rv.IsNil() {
-			return fmt.Errorf("codec: nil pointer of registered type %q", name)
+			return fmt.Errorf("codec: nil pointer of registered type %q", named.name)
 		}
 		rv = rv.Elem()
 	}
@@ -241,19 +242,17 @@ func (d *Decoder) Value(reg *Registry) (any, error) {
 		}
 		return out, nil
 	case tagNamed:
-		// The name is looked up where it lies in the frame, not copied out.
-		n, err := d.readLen()
-		if err != nil {
-			return nil, err
+		if d.Remaining() < 4 {
+			return nil, ErrTruncated
 		}
-		name := d.take(n)
-		t, ok := reg.typeOf(name)
+		id := binary.LittleEndian.Uint32(d.take(4))
+		named, ok := reg.typeOf(id)
 		if !ok {
-			return nil, fmt.Errorf("codec: unknown wire type %q", name)
+			return nil, fmt.Errorf("codec: unknown wire type id %#08x", id)
 		}
-		pv := reflect.New(t)
-		if err := d.decodeReflect(reg, planOf(t), pv.Elem()); err != nil {
-			return nil, fmt.Errorf("named type %q: %w", name, err)
+		pv := reflect.New(named.t)
+		if err := d.decodeReflect(reg, planOf(named.t), pv.Elem()); err != nil {
+			return nil, fmt.Errorf("named type %q: %w", named.name, err)
 		}
 		return pv.Interface(), nil
 	default:

@@ -14,7 +14,7 @@ import (
 // fuzzer can corrupt a real store's tail. Pinned by TestWalLayoutPinned.
 const (
 	walLogName  = "wal.log"
-	walLogMagic = "OBIWAL1\n"
+	walLogMagic = "OBIWAL2\n"
 )
 
 func TestWalLayoutPinned(t *testing.T) {

@@ -882,9 +882,6 @@ type Service struct {
 // NewService wraps a node for export.
 func NewService(n *Node) *Service { return &Service{n: n} }
 
-// Iface is the symbolic RMI interface name of the consensus service.
-const Iface = "obiwan.Consensus"
-
 // RequestVote serves a peer's vote solicitation.
 func (s *Service) RequestVote(req *VoteRequest) (*VoteReply, error) {
 	return s.n.HandleRequestVote(req)

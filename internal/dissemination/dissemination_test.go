@@ -55,7 +55,7 @@ func setup(t *testing.T) *fixture {
 
 	// Deliver via a real RMI sink at the client.
 	sink := &updateSink{app: f.app}
-	sinkRef, err := crt.Export(sink, "test.UpdateSink")
+	sinkRef, err := crt.Export(sink)
 	if err != nil {
 		t.Fatal(err)
 	}

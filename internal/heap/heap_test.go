@@ -111,7 +111,7 @@ func TestRemove(t *testing.T) {
 func TestEntryMetadata(t *testing.T) {
 	h := New(1)
 	e, _ := h.AddReplica(&item{}, 42, "heap_test.item", 1)
-	prov := rmi.RemoteRef{Addr: "s2", ID: 3, Iface: "I"}
+	prov := rmi.RemoteRef{Addr: "s2", ID: 3}
 	e.SetProvider(prov, 0)
 	if e.Provider() != prov || e.ClusterMember() || e.ClusterRoot() != 0 {
 		t.Fatalf("provider: %+v", e)

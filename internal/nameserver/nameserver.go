@@ -32,9 +32,6 @@ var (
 	ErrAlreadyBound = errors.New("nameserver: name already bound")
 )
 
-// Iface is the symbolic RMI interface name of the name server.
-const Iface = "obiwan.NameServer"
-
 // WellKnownID is the object id the name server exports under when it is
 // the first export of its runtime (the standalone deployment). Clients that
 // only know the address construct the reference with WellKnownRef.
@@ -42,7 +39,7 @@ const WellKnownID rmi.ObjID = 1
 
 // WellKnownRef builds the reference to a standalone name server at addr.
 func WellKnownRef(addr transport.Addr) rmi.RemoteRef {
-	return rmi.RemoteRef{Addr: addr, ID: WellKnownID, Iface: Iface}
+	return rmi.RemoteRef{Addr: addr, ID: WellKnownID}
 }
 
 // Server is the registry implementation. It is exported over RMI; all its
@@ -62,7 +59,7 @@ func NewServer() *Server {
 // reference matches WellKnownRef.
 func Serve(rt *rmi.Runtime) (*Server, rmi.RemoteRef, error) {
 	s := NewServer()
-	ref, err := rt.Export(s, Iface)
+	ref, err := rt.Export(s)
 	if err != nil {
 		return nil, rmi.RemoteRef{}, fmt.Errorf("nameserver: %w", err)
 	}

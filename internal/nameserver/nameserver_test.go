@@ -42,7 +42,7 @@ func desc(oid uint64) replication.Descriptor {
 
 func descAt(addr transport.Addr, oid uint64) replication.Descriptor {
 	return replication.Descriptor{
-		Provider: rmi.RemoteRef{Addr: addr, ID: rmi.ObjID(oid), Iface: "obiwan.IProvideRemote"},
+		Provider: rmi.RemoteRef{Addr: addr, ID: rmi.ObjID(oid)},
 		OID:      oid,
 		TypeName: "test.doc",
 	}

@@ -157,7 +157,7 @@ func TestProxyInExportAllocationsPinned(t *testing.T) {
 	p := freshProxyIn(t)
 	rt := p.eng.rt
 	got := testing.AllocsPerRun(1000, func() {
-		ref, err := rt.Export(p, "obiwan.IProvideRemote")
+		ref, err := rt.Export(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -337,7 +337,7 @@ func (e *Engine) exportProxyIn(entry *heap.Entry) (rmi.RemoteRef, error) {
 	e.mu.Unlock()
 
 	pin := &ProxyIn{eng: e, entry: entry}
-	ref, err := e.rt.Export(pin, "obiwan.IProvideRemote")
+	ref, err := e.rt.Export(pin)
 	if err != nil {
 		return rmi.RemoteRef{}, fmt.Errorf("replication: export proxy-in for %v: %w", entry.OID, err)
 	}
@@ -435,7 +435,6 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 	}
 
 	p := &Payload{
-		RootOID:   uint64(root.OID),
 		Objects:   make([]ObjectRecord, 0, len(entries)),
 		Clustered: spec.Clustered,
 		Spec:      spec,
@@ -477,6 +476,7 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 		}
 		e.getPolicy().ReplicaCreated(en.OID, requester, rec.Version)
 	}
+	p.swapAddr(e.rt.Addr(), "")
 	e.emit(Event{
 		Kind: EventPayloadAssembled, OID: root.OID, Objects: len(p.Objects),
 		Bytes: payloadBytes(p), Frontier: len(p.Frontier), Clustered: p.Clustered,
@@ -562,7 +562,7 @@ func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 	if prov.IsZero() {
 		return FrontierRef{}, fmt.Errorf("replication: no route to %v", toid)
 	}
-	return FrontierRef{OID: uint64(toid), Provider: prov, TypeName: te.TypeName}, nil
+	return FrontierRef{OID: uint64(toid), Provider: prov}, nil
 }
 
 // materialize installs a payload into the local heap: replicas are created
@@ -572,7 +572,7 @@ func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 // assemble on the provider, then materialize back here.
 func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, err error) {
 	span := e.tel.StartSpan(sc, "materialize")
-	span.AnnotateOID("oid", p.RootOID)
+	span.AnnotateOID("oid", p.Root())
 	span.AnnotateUint("objects", uint64(len(p.Objects)))
 	defer func() {
 		span.SetErr(err)
@@ -608,7 +608,7 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 		}
 		if held == nil {
 			if p.Clustered {
-				entry.SetProvider(p.ClusterProvider, objmodel.OID(p.RootOID))
+				entry.SetProvider(p.ClusterProvider, objmodel.OID(p.Root()))
 			} else {
 				entry.SetProvider(rec.Provider, 0)
 			}
@@ -617,7 +617,7 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 	}
 
 	if p.Clustered && len(memberOIDs) > 0 {
-		rootOID := objmodel.OID(p.RootOID)
+		rootOID := objmodel.OID(p.Root())
 		e.mu.Lock()
 		e.clusters[rootOID] = memberOIDs
 		for _, m := range memberOIDs {
@@ -652,9 +652,9 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 		}
 	}
 
-	rootEntry, ok := e.heap.Get(objmodel.OID(p.RootOID))
+	rootEntry, ok := e.heap.Get(objmodel.OID(p.Root()))
 	if !ok {
-		return nil, fmt.Errorf("replication: payload root %d missing after materialization", p.RootOID)
+		return nil, fmt.Errorf("replication: payload root %d missing after materialization", p.Root())
 	}
 	e.emit(Event{
 		Kind: EventPayloadMaterialized, OID: rootEntry.OID, Objects: len(p.Objects),
@@ -871,6 +871,8 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 	if !ok {
 		return nil, prov, fmt.Errorf("replication: %s %v: unexpected reply %T", names.op, oid, res[0])
 	}
+	// The member that answered wrote its own address as empty (assemble).
+	payload.swapAddr("", winner.Addr)
 	if root, err = e.materialize(span.Context(), payload); err != nil {
 		return nil, prov, err
 	}

@@ -231,7 +231,7 @@ func (e *Engine) recoveryFrontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 	// restart the reference must re-fault through the master, so there is
 	// nothing durable to record for it either.
 	if prov := te.Provider(); te.Role != heap.Master && !prov.IsZero() {
-		return FrontierRef{OID: uint64(ref.OID()), Provider: prov, TypeName: te.TypeName}, nil
+		return FrontierRef{OID: uint64(ref.OID()), Provider: prov}, nil
 	}
 	return FrontierRef{}, nil
 }
@@ -255,7 +255,7 @@ func (e *Engine) RestoreProxyIn(oid objmodel.OID, id uint64) error {
 		return fmt.Errorf("replication: restore proxy-in: %w: %v", heap.ErrUnknownObject, oid)
 	}
 	pin := &ProxyIn{eng: e, entry: entry}
-	ref, err := e.rt.ExportWithID(rmi.ObjID(id), pin, "obiwan.IProvideRemote")
+	ref, err := e.rt.ExportWithID(rmi.ObjID(id), pin)
 	if err != nil {
 		return fmt.Errorf("replication: restore proxy-in %v at id %d: %w", oid, id, err)
 	}

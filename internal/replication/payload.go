@@ -107,15 +107,16 @@ type FrontierRef struct {
 	// Provider is the proxy-in (at the master site, or wherever the target
 	// lives) that a future demand should Get from.
 	Provider rmi.RemoteRef
-	// TypeName is the target's registered type, for diagnostics.
-	TypeName string
 }
 
 // Payload is the unit of replication shipped by ProxyIn.Get.
+//
+// A provider address that equals the replying site's own travels empty:
+// the receiver knows it already, having sent the Get there, and fills it
+// in (swapAddr) before it installs anything. Group and providers on
+// other sites stay explicit, so a frame decodes on its own, replayed or not.
 type Payload struct {
-	// RootOID is the demanded object.
-	RootOID uint64
-	// Objects are the shipped replicas, root first (BFS order).
+	// Objects are the shipped replicas, the demanded root first (BFS order).
 	Objects []ObjectRecord
 	// Frontier describes every reference leaving the shipped set.
 	Frontier []FrontierRef
@@ -132,6 +133,34 @@ type Payload struct {
 	// proxy-in object ids, so the receiver can fail any provider in this
 	// payload over to another member by swapping the address alone.
 	Group []transport.Addr
+}
+
+// Root is the demanded object's OID, the first shipped; 0 for a payload
+// that ships nothing, which no assembly produces.
+func (p *Payload) Root() uint64 {
+	if len(p.Objects) == 0 {
+		return 0
+	}
+	return p.Objects[0].OID
+}
+
+// swapAddr rewrites every provider address in p that reads from as to: the
+// replier elides its own (from its address, to "") and the receiver puts
+// back the address of the member that answered (from "", to it). A zero
+// reference (a cluster member's Provider) is left as it is.
+func (p *Payload) swapAddr(from, to transport.Addr) {
+	swap := func(r *rmi.RemoteRef) {
+		if r.Addr == from && r.ID != 0 {
+			r.Addr = to
+		}
+	}
+	for i := range p.Objects {
+		swap(&p.Objects[i].Provider)
+	}
+	for i := range p.Frontier {
+		swap(&p.Frontier[i].Provider)
+	}
+	swap(&p.ClusterProvider)
 }
 
 // PutRequest ships a replica's state back to its master (method put of the

@@ -54,7 +54,7 @@ func BenchmarkCallNullTCP(b *testing.B) {
 }
 
 func benchCallNull(b *testing.B, server, client *Runtime) {
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func hubPair(tb testing.TB) (*Runtime, *Runtime, *telemetry.Hub) {
 func BenchmarkCallTelemetry(b *testing.B) {
 	run := func(b *testing.B, server, client *Runtime, sc telemetry.SpanContext) {
 		b.Helper()
-		ref, err := server.Export(&calculator{}, "Calculator")
+		ref, err := server.Export(&calculator{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkCallTelemetry(b *testing.B) {
 func BenchmarkCallProfile(b *testing.B) {
 	run := func(b *testing.B, server, client *Runtime) {
 		b.Helper()
-		ref, err := server.Export(&calculator{}, "Calculator")
+		ref, err := server.Export(&calculator{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func BenchmarkCallProfile(b *testing.B) {
 func BenchmarkCallAttribution(b *testing.B) {
 	run := func(b *testing.B, server, client *Runtime, sc telemetry.SpanContext) {
 		b.Helper()
-		ref, err := server.Export(&calculator{}, "Calculator")
+		ref, err := server.Export(&calculator{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkCallAttribution(b *testing.B) {
 
 func BenchmarkCallWithBytes(b *testing.B) {
 	server, client := benchPair(b)
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func BenchmarkCallConcurrentTCP(b *testing.B) {
 }
 
 func benchCallConcurrent(b *testing.B, server, client *Runtime) {
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		b.Fatal(err)
 	}

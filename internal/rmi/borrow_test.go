@@ -19,7 +19,7 @@ import (
 // -race: nothing else may read or write a frame once Recv returned it.
 func TestCallerOwnsBorrowedResults(t *testing.T) {
 	server, client, net := newRetryPair(t, fastRetry(6, 40*time.Millisecond))
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}

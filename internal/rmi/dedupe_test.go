@@ -334,7 +334,7 @@ func TestRestartedClientSupersedesItsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	var ids []string
 	for life := 0; life < 3; life++ {
 		client, err := newRuntime(net, "client")
@@ -396,7 +396,7 @@ func TestEvictedReplyIsRefusedNotReexecuted(t *testing.T) {
 		}
 		defer client.Close()
 		b := &blobber{runs: map[string]int{}}
-		ref, _ := server.Export(b, "Blobber")
+		ref, _ := server.Export(b)
 		const reply = 3 << 20 // two fit the 4 MiB budget only if the older goes
 		if _, err := client.Call(ref, "Blob", "warm", int64(1)); err != nil {
 			t.Error(err)

@@ -29,7 +29,7 @@ func TestNullCallAllocationsPinned(t *testing.T) {
 		t.Skip("allocation counts are not repeatable under the race detector")
 	}
 	server, client := benchPair(t) // zero-latency mem transport
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestTracedCallAllocationsPinned(t *testing.T) {
 		t.Skip("allocation counts are not repeatable under the race detector")
 	}
 	server, client, hub := hubPair(t)
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTracedCallAllocationsPinned(t *testing.T) {
 func TestCallIDsUniqueUnderConcurrency(t *testing.T) {
 	server, client, _ := newPair(t)
 	calc := &calculator{}
-	ref, err := server.Export(calc, "Calculator")
+	ref, err := server.Export(calc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCallIDsUniqueUnderConcurrency(t *testing.T) {
 // buffer.
 func TestConcurrentCallsOverTCPInterleaveNoFrames(t *testing.T) {
 	server, client := tcpPair(t)
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func (n countedNet) Clock() netsim.Clock { return n.clock }
 func TestUntracedCallClockReadsPinned(t *testing.T) {
 	clock := &countedClock{Clock: netsim.Real()}
 	server, client := pairOn(t, countedNet{transport.NewMemNetwork(netsim.Profile{Name: "zero"}), clock}, "server", "client")
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestConnectionMemosDecodeAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}

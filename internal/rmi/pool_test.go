@@ -172,7 +172,7 @@ func onPools(t *testing.T, widths []int, body func(w *poolWorld)) {
 					}
 					defer w.server.Close()
 					w.gate = newGate(w.clock)
-					w.ref, _ = w.server.Export(w.gate, "Gate")
+					w.ref, _ = w.server.Export(w.gate)
 					body(w)
 				})
 			})
@@ -258,9 +258,9 @@ func TestPoolHeldHandlerAndFrameOrder(t *testing.T) {
 // second one, so what is pinned is the floor, whatever the call count.)
 func TestPoolGoroutinesBounded(t *testing.T) {
 	server, client := benchPair(t)
-	calc, _ := server.Export(&calculator{}, "Calculator")
+	calc, _ := server.Export(&calculator{})
 	g := newGate(netsim.Real())
-	held, _ := server.Export(g, "Gate")
+	held, _ := server.Export(g)
 	if _, err := client.Call(calc, "Total"); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestDispatchInlineHasNoQueuePhase(t *testing.T) {
 		if server.width != 1 {
 			t.Errorf("a runtime on a virtual clock has width %d, want 1", server.width)
 		}
-		ref, _ := server.Export(&calculator{}, "Calculator")
+		ref, _ := server.Export(&calculator{})
 		if _, err := client.CallWithin(telemetry.SpanContext{TraceID: 1, SpanID: 2}, ref, 0, "Total"); err != nil {
 			t.Error(err)
 		}

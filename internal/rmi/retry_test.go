@@ -73,7 +73,7 @@ func TestBackoffTable(t *testing.T) {
 func TestRetryAfterDroppedRequest(t *testing.T) {
 	server, client, net := newRetryPair(t, fastRetry(4, 0))
 	calc := &calculator{}
-	ref, _ := server.Export(calc, "Calculator")
+	ref, _ := server.Export(calc)
 	if _, err := client.Call(ref, "Accumulate", int64(7)); err != nil { // warm the connection
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRetryAfterDroppedReply(t *testing.T) {
 	// executing again.
 	server, client, net := newRetryPair(t, fastRetry(4, 30*time.Millisecond))
 	calc := &calculator{}
-	ref, _ := server.Export(calc, "Calculator")
+	ref, _ := server.Export(calc)
 	if _, err := client.Call(ref, "Accumulate", int64(7)); err != nil { // warm the connection
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTimeoutThenLateReply(t *testing.T) {
 	// reply answers every arrival and the client call succeeds.
 	server, client, _ := newRetryPair(t, fastRetry(8, 30*time.Millisecond))
 	counter := &onceCounter{}
-	ref, _ := server.Export(counter, "Counter")
+	ref, _ := server.Export(counter)
 	res, err := client.CallWithin(telemetry.SpanContext{}, ref, 2*time.Second, "Hit", int64(100))
 	if err != nil {
 		t.Fatalf("slow call: %v", err)
@@ -177,7 +177,7 @@ func TestTimeoutThenLateReply(t *testing.T) {
 
 func TestRetryExhaustion(t *testing.T) {
 	server, client, net := newRetryPair(t, fastRetry(3, 0))
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil { // warm the connection
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestOverallDeadlineCapsBackoff(t *testing.T) {
 		MaxBackoff:  300 * time.Millisecond,
 		Multiplier:  1,
 	})
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil { // warm the connection
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOverallDeadlineCapsBackoff(t *testing.T) {
 
 func TestNoRetryFailsFast(t *testing.T) {
 	server, client, net := newRetryPair(t, RetryPolicy{MaxAttempts: 1})
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestNoRetryFailsFast(t *testing.T) {
 
 func TestApplicationFaultsNeverRetry(t *testing.T) {
 	server, client, _ := newRetryPair(t, fastRetry(5, 0))
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Div", int64(1), int64(0)); err == nil {
 		t.Fatal("want application fault")
 	}

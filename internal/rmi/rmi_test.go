@@ -92,11 +92,11 @@ func newPair(t *testing.T) (server, client *Runtime, net *transport.MemNetwork) 
 
 func TestBasicCall(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, err := server.Export(&calculator{}, "Calculator")
+	ref, err := server.Export(&calculator{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Iface != "Calculator" || ref.Addr != "server" {
+	if ref.Addr != "server" {
 		t.Fatalf("ref: %v", ref)
 	}
 	res, err := client.Call(ref, "Add", int64(2), int64(3))
@@ -111,7 +111,7 @@ func TestBasicCall(t *testing.T) {
 func TestVoidAndStatefulCall(t *testing.T) {
 	server, client, _ := newPair(t)
 	calc := &calculator{}
-	ref, _ := server.Export(calc, "Calculator")
+	ref, _ := server.Export(calc)
 	for i := int64(1); i <= 4; i++ {
 		if _, err := client.Call(ref, "Accumulate", i); err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestVoidAndStatefulCall(t *testing.T) {
 
 func TestAppErrorBecomesRemoteError(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	_, err := client.Call(ref, "Div", int64(1), int64(0))
 	var re *RemoteError
 	if !errors.As(err, &re) {
@@ -146,7 +146,7 @@ func TestAppErrorBecomesRemoteError(t *testing.T) {
 
 func TestNoSuchMethodAndObject(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 
 	_, err := client.Call(ref, "Nope")
 	var re *RemoteError
@@ -154,7 +154,7 @@ func TestNoSuchMethodAndObject(t *testing.T) {
 		t.Fatalf("want no-such-method, got %v", err)
 	}
 
-	bogus := RemoteRef{Addr: "server", ID: 9999, Iface: "X"}
+	bogus := RemoteRef{Addr: "server", ID: 9999}
 	_, err = client.Call(bogus, "Add", int64(1), int64(2))
 	if !errors.As(err, &re) || re.Code != wire.FaultNoSuchObject {
 		t.Fatalf("want no-such-object, got %v", err)
@@ -163,7 +163,7 @@ func TestNoSuchMethodAndObject(t *testing.T) {
 
 func TestBadArgs(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	var re *RemoteError
 
 	_, err := client.Call(ref, "Add", int64(1)) // too few
@@ -210,7 +210,7 @@ func TestDispatcherServesItsOwnCalls(t *testing.T) {
 	if sk, err := newSkeleton(d); err != nil || sk != Dispatcher(d) {
 		t.Fatalf("skeleton of a Dispatcher: %v %v", sk, err)
 	}
-	ref, err := server.Export(d, "Self")
+	ref, err := server.Export(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDispatcherServesItsOwnCalls(t *testing.T) {
 
 func TestNumericConversion(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	res, err := client.Call(ref, "Narrow", int64(-5))
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestNumericConversion(t *testing.T) {
 
 func TestVariadic(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	res, err := client.Call(ref, "Sum", int64(1), int64(2), int64(3))
 	if err != nil || res[0] != int64(6) {
 		t.Fatalf("sum: %v %v", res, err)
@@ -269,7 +269,7 @@ func TestVariadic(t *testing.T) {
 
 func TestStructArgsAndResults(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	res, err := client.Call(ref, "Swap", &pair{A: 1, B: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestStructArgsAndResults(t *testing.T) {
 
 func TestStringsAndBytes(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	res, err := client.Call(ref, "Echo", "hi", []byte{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -296,11 +296,11 @@ func TestRemoteRefTravelsInArgs(t *testing.T) {
 	// A reference exported at one site is passed through another and used.
 	server, client, _ := newPair(t)
 	calc := &calculator{}
-	calcRef, _ := server.Export(calc, "Calculator")
+	calcRef, _ := server.Export(calc)
 
 	// relay returns whatever ref it was given.
 	relay := &refRelay{}
-	relayRef, _ := server.Export(relay, "Relay")
+	relayRef, _ := server.Export(relay)
 	res, err := client.Call(relayRef, "Bounce", calcRef)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func (r *refRelay) Bounce(ref RemoteRef) RemoteRef { return ref }
 
 func TestConcurrentCallsMultiplex(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -359,7 +359,7 @@ func (rt *Runtime) ExportCount() int {
 
 func TestUnexport(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestUnexport(t *testing.T) {
 
 func TestCallTimeout(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	_, err := client.CallWithin(telemetry.SpanContext{}, ref, 20*time.Millisecond, "Slow", int64(500))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
@@ -387,7 +387,7 @@ func TestCallTimeout(t *testing.T) {
 
 func TestDisconnectFailsCallsAndReconnectRecovers(t *testing.T) {
 	server, client, net := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestServerRestartRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestServerRestartRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server2.Close()
-	ref2, _ := server2.Export(&calculator{}, "Calculator")
+	ref2, _ := server2.Export(&calculator{})
 	if _, err := client.Call(ref2, "Total"); err != nil {
 		t.Fatalf("call after server restart: %v", err)
 	}
@@ -441,10 +441,10 @@ func TestCallOnZeroRef(t *testing.T) {
 
 func TestExportRejectsBadObjects(t *testing.T) {
 	server, _, _ := newPair(t)
-	if _, err := server.Export(nil, "X"); err == nil {
+	if _, err := server.Export(nil); err == nil {
 		t.Fatal("nil export must fail")
 	}
-	if _, err := server.Export(42, "X"); err == nil {
+	if _, err := server.Export(42); err == nil {
 		t.Fatal("method-less export must fail")
 	}
 }
@@ -469,7 +469,7 @@ func TestObserverSeesRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestObserverSeesRTT(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	server, client, _ := newPair(t)
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	for i := 0; i < 3; i++ {
 		if _, err := client.Call(ref, "Total"); err != nil {
 			t.Fatal(err)
@@ -509,7 +509,7 @@ func TestRMICostMatchesCalibratedLAN(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Total"); err != nil { // warm the connection
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestRuntimeCloseIdempotent(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Export(&calculator{}, "C"); !errors.Is(err, ErrRuntimeClosed) {
+	if _, err := rt.Export(&calculator{}); !errors.Is(err, ErrRuntimeClosed) {
 		t.Fatalf("export after close: %v", err)
 	}
 }
@@ -555,7 +555,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	res, err := client.Call(ref, "Add", int64(40), int64(2))
 	if err != nil || res[0] != int64(42) {
 		t.Fatalf("tcp call: %v %v", res, err)
@@ -569,7 +569,7 @@ func TestServerRejectsPeersWithoutHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 
 	// A raw peer that speaks frames but skips the preamble: its call must
 	// go unanswered and the connection must be dropped by the server.
@@ -591,19 +591,23 @@ func TestServerRejectsPeersWithoutHello(t *testing.T) {
 		t.Fatalf("server must drop preamble-less peers, got %v", err)
 	}
 
-	// A peer with the wrong protocol version is dropped too.
-	conn2, err := net.Dial("rogue2", "server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	bad := append([]byte{}, wire.EncodeHello()...)
-	bad[len(bad)-1] = 99 // clobber the version varint
-	if err := conn2.Send(bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn2.Recv(); !errors.Is(err, transport.ErrClosed) {
-		t.Fatalf("server must drop version mismatches, got %v", err)
+	// A peer at another protocol revision is dropped too: the previous
+	// one, whose values carried names this revision cannot decode, and
+	// one from the future.
+	for _, version := range []byte{wire.ProtocolVersion - 1, 99} {
+		conn2, err := net.Dial(transport.Addr(fmt.Sprintf("rogue-v%d", version)), "server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn2.Close()
+		bad := append([]byte{}, wire.EncodeHello()...)
+		bad[len(bad)-1] = version // the version varint
+		if err := conn2.Send(bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn2.Recv(); !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("server must drop a revision-%d peer, got %v", version, err)
+		}
 	}
 
 	// Well-behaved clients still work.

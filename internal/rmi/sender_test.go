@@ -350,7 +350,7 @@ func TestSenderBatchesOfOneUnderVirtualClock(t *testing.T) {
 			return
 		}
 		defer client.Close()
-		ref, _ := server.Export(&calculator{}, "Calculator")
+		ref, _ := server.Export(&calculator{})
 		if _, err := client.Call(ref, "Total"); err != nil { // dials
 			t.Error(err)
 			return
@@ -434,7 +434,7 @@ func TestSendBatchResentWholeAfterRedialServedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	calc := &calculator{}
-	ref, _ := server.Export(calc, "Calculator")
+	ref, _ := server.Export(calc)
 	conn, err := transport.NewReconnecting(cut, "client", "server", func(c transport.Conn) error {
 		return c.Send(wire.EncodeHello())
 	})

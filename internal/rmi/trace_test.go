@@ -50,7 +50,7 @@ func TestTraceRetriedCallIsOneLogicalSpan(t *testing.T) {
 	// server span — the suppressed duplicate mints nothing.
 	server, client, net, serverHub, clientHub := newTracedPair(t, fastRetry(4, 30*time.Millisecond))
 	calc := &calculator{}
-	ref, _ := server.Export(calc, "Calculator")
+	ref, _ := server.Export(calc)
 	if _, err := client.Call(ref, "Accumulate", int64(7)); err != nil { // warm, untraced
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTraceRetriedCallIsOneLogicalSpan(t *testing.T) {
 
 func TestUntracedCallsCarryNoContextAndCostNoSpans(t *testing.T) {
 	server, client, _, serverHub, clientHub := newTracedPair(t, RetryPolicy{MaxAttempts: 1})
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	if _, err := client.Call(ref, "Add", int64(2), int64(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 	}
 	defer client.Close()
 	defer server.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 
 	sc := telemetry.SpanContext{TraceID: 42, SpanID: 99}
 	if _, err := client.CallWithin(sc, ref, 0, "Add", int64(1), int64(1)); err != nil {
@@ -153,7 +153,7 @@ func TestStatsReadTheHubCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	ref, _ := server.Export(&calculator{}, "Calculator")
+	ref, _ := server.Export(&calculator{})
 	for _, rt := range []*Runtime{client, bare} {
 		for i := 0; i < 20; i++ {
 			if _, err := rt.Call(ref, "Add", int64(i), int64(1)); err != nil {

@@ -53,7 +53,7 @@ func TestVectorReplyOverRawTCP(t *testing.T) {
 		states = append(states, bytes.Repeat([]byte{byte(i + 1), 0x5a, byte(i)}, n/3))
 	}
 	srv := &clusterServer{reply: &cluster{Root: 7, States: states, Tail: "end"}}
-	ref, _ := server.Export(srv, "Cluster")
+	ref, _ := server.Export(srv)
 	reg := server.Registry()
 	call, err := wire.EncodeCall(reg, &wire.Call{ID: 41, Target: uint64(ref.ID), Method: "Cluster", Client: "raw#1"})
 	if err != nil {

@@ -170,6 +170,14 @@ func TestClusterDemandAllocationPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = mobile.Close() })
+		// New leaves its start-up goroutines (the accept loop, the runtime
+		// sampler) runnable on this P; yield so they run to where they park
+		// now, not once the demand blocks inside the reading. On a loaded
+		// host no other P picks them up first, and a fresh site per round
+		// put their allocations in all three readings (7.63 per member).
+		for i := 0; i < 4; i++ {
+			runtime.Gosched()
+		}
 	}
 	fresh(-1)
 	demand(-1) // warm: type plans, the connection, lazy package state

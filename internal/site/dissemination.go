@@ -10,9 +10,6 @@ import (
 	"obiwan/internal/transport"
 )
 
-// UpdateSinkIface is the symbolic interface name of a site's update sink.
-const UpdateSinkIface = "obiwan.UpdateSink"
-
 // updateSink receives disseminated updates over RMI.
 type updateSink struct {
 	site *Site
@@ -60,7 +57,7 @@ func (s *Site) deliverUpdate(holder string, u *dissemination.Update) error {
 	if holder == s.name {
 		return s.applyPushed(u)
 	}
-	ref := rmi.RemoteRef{Addr: transport.Addr(holder), ID: updateSinkID, Iface: UpdateSinkIface}
+	ref := rmi.RemoteRef{Addr: transport.Addr(holder), ID: updateSinkID}
 	_, err := s.rt.Call(ref, "Push", u)
 	return err
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -472,25 +474,24 @@ func TestDurableRestartKeepsIdentityAndFrontier(t *testing.T) {
 }
 
 // pinnedWALRecords is one record of each of the eight WAL kinds, byte for
-// byte as the commit before this one wrote them — through record types of
-// this package (walMasterRec, walDirtyRec, walEventualRec) that mirrored
-// the journal types field for field. The journal types are now encoded
-// directly; these bytes are what says the format did not move. Together
-// they describe one site "server": a master note (version 3, a guard
-// triple, a reference out to 0x42/9) exported at proxy-in id 40 and bound
-// as "pinned", a dirty replica of 0x42/7, a parked transaction over it,
-// and an update-log version vector {1: 7}.
+// byte as record format 2 (wal.Open's OBIWAL2) writes them: these bytes are
+// what says the format did not move. Format 1 differed only in the names
+// it carried (format1Master). Together they describe one site "server": a
+// master note (version 3, a guard triple, a reference out to 0x42/9)
+// exported at proxy-in id 40 and bound as "pinned", a dirty replica of
+// 0x42/7, a parked transaction over it, and an update-log version vector
+// {1: 7}.
 var pinnedWALRecords = []struct {
 	kind uint64
 	hex  string
 	rec  func() any // the type this commit decodes and encodes the kind as
 }{
-	{recMaster, "0181808080808080bf7d0e736974655f746573742e6e6f746503170d70696e6e6564206d6173746572018980808080808021018980808080808021066f726967696e09156f626977616e2e4950726f7669646552656d6f74650e736974655f746573742e6e6f746502effdb6f50d03",
+	{recMaster, "0181808080808080bf7d0e736974655f746573742e6e6f746503170d70696e6e6564206d6173746572018980808080808021018980808080808021066f726967696e0902effdb6f50d03",
 		func() any { return new(replication.JournalMaster) }},
-	{recDirty, "0287808080808080210e736974655f746573742e6e6f7465050e0c6f66666c696e65206564697400066f726967696e09156f626977616e2e4950726f7669646552656d6f74650000",
+	{recDirty, "0287808080808080210e736974655f746573742e6e6f7465050e0c6f66666c696e65206564697400066f726967696e090000",
 		func() any { return new(replication.JournalReplica) }},
 	{recClean, "036306", func() any { return new(walCleanRec) }},
-	{recBind, "040670696e6e65640673657276657228156f626977616e2e4950726f7669646552656d6f746581808080808080bf7d0e736974655f746573742e6e6f746500",
+	{recBind, "040670696e6e6564067365727665722881808080808080bf7d0e736974655f746573742e6e6f746500",
 		func() any { return new(walBindRec) }},
 	{recProxy, "0581808080808080bf7d28", func() any { return new(walProxyRec) }},
 	{recPending, "0604018780808080808021", func() any { return new(walPendingRec) }},
@@ -584,5 +585,49 @@ func TestPinnedWALDirectoryRecovers(t *testing.T) {
 	}
 	if got, err := objmodel.Deref[*note](ref); err != nil || got.Text != "pinned master" {
 		t.Fatalf("lookup through the recovered binding: %v, %v", got, err)
+	}
+}
+
+// format1Master is pinnedWALRecords' master record as record format 1 wrote
+// it: its frontier reference also carried the interface name
+// "obiwan.IProvideRemote" and the target's type name.
+const format1Master = "0181808080808080bf7d0e736974655f746573742e6e6f746503170d70696e6e6564206d6173746572018980808080808021018980808080808021066f726967696e09156f626977616e2e4950726f7669646552656d6f74650e736974655f746573742e6e6f746502effdb6f50d03"
+
+// TestOldFormatWALDirectoryRefused: a durable site directory in record
+// format 1 (a manifest, a snapshot and a log) is refused with
+// wal.ErrOldFormat before anything decodes it, and every file in it is left
+// byte-identical: no incarnation bump, no torn-tail truncation, no new file.
+func TestOldFormatWALDirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	rec, _ := hex.DecodeString(format1Master)
+	files := map[string][]byte{
+		"manifest": append([]byte("OBIMAN1\n"), 1, 0),
+		"snapshot": wal.AppendFrame([]byte("OBISNP1\n"), rec),
+		// A torn tail, which a format-2 open would truncate away.
+		"wal.log": append(wal.AppendFrame([]byte("OBIWAL1\n"), rec), 0xff, 0xff),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := newWorld(t)
+	if s, err := New("server", w.net, WithNameServer("ns"), WithDurability(dir)); !errors.Is(err, wal.ErrOldFormat) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("site over a format-1 directory: %v, want wal.ErrOldFormat", err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != len(files) {
+		t.Errorf("directory holds %d entries after the refusal, want %d", len(left), len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed: %x, want %x (err %v)", name, got, want, err)
+		}
 	}
 }

@@ -11,10 +11,6 @@ import (
 	"obiwan/internal/txn"
 )
 
-// AntiEntropyIface is the symbolic interface name of a site's
-// anti-entropy service.
-const AntiEntropyIface = "obiwan.AntiEntropy"
-
 // ErrNoEventual is returned by weakly-connected operations on sites built
 // without WithEventual.
 var ErrNoEventual = errors.New("site: eventual consistency not enabled (use WithEventual)")
@@ -66,7 +62,7 @@ func (s *Site) Apply(obj any, fn string, args []byte) (eventual.UpdateID, error)
 
 // antiEntropyRef builds the reference to peer's anti-entropy service.
 func antiEntropyRef(peer string) rmi.RemoteRef {
-	return rmi.RemoteRef{Addr: transport.Addr(peer), ID: antiEntropyID, Iface: AntiEntropyIface}
+	return rmi.RemoteRef{Addr: transport.Addr(peer), ID: antiEntropyID}
 }
 
 // AntiEntropy runs one pairwise anti-entropy session with peer (a site

@@ -220,7 +220,7 @@ func newGroup(s *Site, o *options) (*Group, error) {
 
 // call routes one consensus RPC to a peer's consensus service.
 func (g *Group) call(peer, method string, args ...any) ([]any, error) {
-	ref := rmi.RemoteRef{Addr: transport.Addr(peer), ID: consensusID, Iface: consensus.Iface}
+	ref := rmi.RemoteRef{Addr: transport.Addr(peer), ID: consensusID}
 	return g.site.rt.CallWithin(telemetry.SpanContext{}, ref, g.callTimeout, method, args...)
 }
 

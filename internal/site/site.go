@@ -35,9 +35,6 @@ import (
 	"obiwan/internal/wal"
 )
 
-// SinkIface is the symbolic interface name of a site's invalidation sink.
-const SinkIface = "obiwan.InvalidationSink"
-
 // Well-known object ids, at which New exports each service so that peers
 // address it without discovery. The admin package owns the admin id, so
 // fleet collectors reach peers without importing this one. ExportWithID
@@ -384,18 +381,18 @@ func New(name string, network transport.Network, opts ...Option) (_ *Site, err e
 
 	// The well-known services; only a grouped site serves consensusID and
 	// only a WithEventual site antiEntropyID.
-	_, err = rt.ExportWithID(sinkID, &invalidationSink{stale: s.stale}, SinkIface)
+	_, err = rt.ExportWithID(sinkID, &invalidationSink{stale: s.stale})
 	if err == nil {
-		_, err = rt.ExportWithID(updateSinkID, &updateSink{site: s}, UpdateSinkIface)
+		_, err = rt.ExportWithID(updateSinkID, &updateSink{site: s})
 	}
 	if err == nil {
-		_, err = rt.ExportWithID(adminID, admin.NewService(name, rt, s.heap, s.engine, hub, fleetSrc), admin.Iface)
+		_, err = rt.ExportWithID(adminID, admin.NewService(name, rt, s.heap, s.engine, hub, fleetSrc))
 	}
 	if err == nil && s.group != nil {
-		_, err = rt.ExportWithID(consensusID, consensus.NewService(s.group.node), consensus.Iface)
+		_, err = rt.ExportWithID(consensusID, consensus.NewService(s.group.node))
 	}
 	if err == nil && s.eventual != nil {
-		_, err = rt.ExportWithID(antiEntropyID, &antiEntropySink{store: s.eventual}, AntiEntropyIface)
+		_, err = rt.ExportWithID(antiEntropyID, &antiEntropySink{store: s.eventual})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("site %q: export well-known service: %w", name, err)
@@ -472,7 +469,7 @@ func (s *Site) notifyHolder(holder string, oid objmodel.OID, version uint64) err
 		s.stale.MarkStale(oid, version)
 		return nil
 	}
-	ref := rmi.RemoteRef{Addr: transport.Addr(holder), ID: sinkID, Iface: SinkIface}
+	ref := rmi.RemoteRef{Addr: transport.Addr(holder), ID: sinkID}
 	_, err := s.rt.Call(ref, "Invalidate", uint64(oid), version)
 	return err
 }

@@ -36,9 +36,12 @@ func (h *Hub) StartRuntimeSampler(interval time.Duration) (stop func()) {
 		interval = 10 * time.Second
 	}
 	h.SampleRuntime()
+	// The ticker is made here, not in the goroutine: what starting the
+	// sampler allocates is the caller's, not whatever runs when the
+	// goroutine is first scheduled.
+	t := time.NewTicker(interval)
 	done := make(chan struct{})
 	go func() {
-		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {

@@ -30,6 +30,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,9 +46,15 @@ const (
 	snapName     = "snapshot"
 	manifestName = "manifest"
 
-	logMagic  = "OBIWAL1\n"
-	snapMagic = "OBISNP1\n"
-	manMagic  = "OBIMAN1\n"
+	// The log and snapshot magics name the record format. Format 2 holds
+	// records whose values carry no names (wire protocol revision 3);
+	// format 1's named their types, interfaces and frontier types. The
+	// manifest's layout did not change with it.
+	logMagic         = "OBIWAL2\n"
+	snapMagic        = "OBISNP2\n"
+	format1LogMagic  = "OBIWAL1\n"
+	format1SnapMagic = "OBISNP1\n"
+	manMagic         = "OBIMAN1\n"
 
 	// frameHeader is the per-record overhead: u32 length + u32 CRC32C.
 	frameHeader = 8
@@ -70,6 +77,10 @@ var (
 	// ErrSiteIDMismatch is returned by BindSiteID when the directory
 	// already belongs to a different site id.
 	ErrSiteIDMismatch = errors.New("wal: site id mismatch")
+	// ErrOldFormat is returned by Open for a directory written in an
+	// older record format. Open decodes no record of such a directory and
+	// writes nothing to it.
+	ErrOldFormat = errors.New("wal: directory written in an older record format")
 )
 
 // castagnoli is the CRC32C table (hardware-accelerated on amd64/arm64).
@@ -169,11 +180,28 @@ func (s *Store) SetSyncObserver(fn func(wait, fsync time.Duration)) {
 // Open opens (creating if needed) the durability directory at dir, bumps
 // and persists the incarnation counter, and replays what is on disk. The
 // returned store is positioned to append after the last good log record.
+// A directory in an older record format is refused (ErrOldFormat) before
+// the incarnation is bumped: it is left as it was.
 func Open(dir string) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	s := &Store{dir: dir}
+
+	// Both files are read, and an older format refused, before anything in
+	// the directory is written.
+	snap, snapErr := os.ReadFile(filepath.Join(dir, snapName))
+	if snapErr != nil && !errors.Is(snapErr, os.ErrNotExist) {
+		return nil, nil, fmt.Errorf("wal: %w", snapErr)
+	}
+	logPath := filepath.Join(dir, logName)
+	raw, err := os.ReadFile(logPath)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	if bytes.HasPrefix(snap, []byte(format1SnapMagic)) || bytes.HasPrefix(raw, []byte(format1LogMagic)) {
+		return nil, nil, fmt.Errorf("%w: record format 1", ErrOldFormat)
+	}
 
 	inc, siteID, err := s.readManifest()
 	if err != nil {
@@ -186,7 +214,7 @@ func Open(dir string) (*Store, *Recovered, error) {
 	}
 
 	rec := &Recovered{}
-	if snap, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
+	if snapErr == nil {
 		if len(snap) < len(snapMagic) || string(snap[:len(snapMagic)]) != snapMagic {
 			return nil, nil, fmt.Errorf("%w: bad snapshot header", ErrCorrupt)
 		}
@@ -197,18 +225,10 @@ func Open(dir string) (*Store, *Recovered, error) {
 			return nil, nil, fmt.Errorf("%w: snapshot damaged at offset %d", ErrCorrupt, good)
 		}
 		rec.Snapshot = records
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 
-	logPath := filepath.Join(dir, logName)
 	f, err := os.OpenFile(logPath, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	raw, err := os.ReadFile(logPath)
-	if err != nil {
-		_ = f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	switch {

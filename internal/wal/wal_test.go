@@ -271,6 +271,23 @@ func TestBadHeadersRejected(t *testing.T) {
 	}
 }
 
+// TestOldFormatRefused: a log or a snapshot in record format 1 is refused
+// with ErrOldFormat, and no manifest is written beside it.
+func TestOldFormatRefused(t *testing.T) {
+	for _, old := range []struct{ file, magic string }{{logName, format1LogMagic}, {snapName, format1SnapMagic}} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, old.file), AppendFrame([]byte(old.magic), []byte("rec")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir); !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("%s in format 1: %v, want ErrOldFormat", old.file, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s in format 1: a manifest was written (%v)", old.file, err)
+		}
+	}
+}
+
 func TestOversizedRecordRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)

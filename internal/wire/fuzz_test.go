@@ -68,6 +68,21 @@ type fuzzRecord struct {
 	Next  *fuzzRecord
 }
 
+// fuzzStep has the layout of a step reply's payload where it matters here:
+// a record's state and the providers it names, which are the replier's own
+// (address empty, the receiver fills it in) or another site's.
+type fuzzStep struct {
+	OID       uint64
+	State     codec.Frozen
+	Providers []fuzzRef
+}
+
+// fuzzRef has a remote reference's layout.
+type fuzzRef struct {
+	Addr string
+	ID   uint64
+}
+
 // fuzzObj is an application object whose state a fuzzRecord carries.
 type fuzzObj struct {
 	Name string
@@ -133,6 +148,7 @@ func reencode(t *testing.T, reg *codec.Registry, msg any) []byte {
 func FuzzBorrowedDecode(f *testing.F) {
 	reg := codec.NewRegistry()
 	reg.MustRegister("fuzz.record", fuzzRecord{})
+	reg.MustRegister("fuzz.step", fuzzStep{})
 	state := func(o fuzzObj) []byte {
 		s, err := objmodel.CaptureState(reg, &o)
 		if err != nil {
@@ -148,6 +164,8 @@ func FuzzBorrowedDecode(f *testing.F) {
 		{[]byte("top-level bytes"), "s", int64(1)},
 		{[]any{[]byte("nested"), map[string]any{"k": []byte("in a map"), "r": rec}}},
 		{[]byte{}, []any{}},
+		{&fuzzStep{OID: 1001, State: state(fuzzObj{Name: "step", Body: make([]byte, 64)}),
+			Providers: []fuzzRef{{ID: 17}, {ID: 18}, {Addr: "127.0.0.1:40003", ID: 41}}}},
 	} {
 		reply, err := EncodeReply(reg, &Reply{ID: 9, Results: results})
 		if err != nil {

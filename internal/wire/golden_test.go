@@ -108,8 +108,12 @@ func goldenState(t testing.TB, n int, oid objmodel.OID) codec.Frozen {
 }
 
 func goldenRef(id rmi.ObjID) rmi.RemoteRef {
-	return rmi.RemoteRef{Addr: "127.0.0.1:40001", ID: id, Iface: "replication.ProxyIn"}
+	return rmi.RemoteRef{Addr: "127.0.0.1:40001", ID: id}
 }
+
+// selfRef is a proxy-in of the replying site as its reply carries it: the
+// address is elided, and the receiver fills in the site that answered.
+func selfRef(id rmi.ObjID) rmi.RemoteRef { return rmi.RemoteRef{ID: id} }
 
 // goldenFrames returns each golden message: a *wire.Call or *wire.Reply, or
 // a codec Value (anything else), with the registry it is encoded with.
@@ -121,17 +125,15 @@ func goldenFrames(t testing.TB) []struct {
 	reg := codec.DefaultRegistry()
 	spec := replication.GetSpec{Mode: replication.Incremental, Batch: 1}
 	step := &replication.Payload{
-		RootOID: 1001,
 		Objects: []replication.ObjectRecord{{OID: 1001, TypeName: "benchmark.Node", Version: 1,
-			State: goldenState(t, 64, 1002), Provider: goldenRef(17)}},
-		Frontier: []replication.FrontierRef{{OID: 1002, Provider: goldenRef(18), TypeName: "benchmark.Node"}},
+			State: goldenState(t, 64, 1002), Provider: selfRef(17)}},
+		Frontier: []replication.FrontierRef{{OID: 1002, Provider: selfRef(18)}},
 		Spec:     spec,
 	}
 	cluster := &replication.Payload{
-		RootOID:         2001,
 		Clustered:       true,
-		ClusterProvider: goldenRef(40),
-		Frontier:        []replication.FrontierRef{{OID: 2004, Provider: goldenRef(41), TypeName: "benchmark.Node"}},
+		ClusterProvider: selfRef(40),
+		Frontier:        []replication.FrontierRef{{OID: 2004, Provider: selfRef(41)}},
 		Spec:            replication.GetSpec{Mode: replication.Incremental, Batch: 3, Clustered: true},
 		Group:           []transport.Addr{"127.0.0.1:40001", "127.0.0.1:40003"},
 	}
@@ -141,7 +143,7 @@ func goldenFrames(t testing.TB) []struct {
 			Version: uint64(3 + i), State: goldenState(t, 3<<10, oid+1)})
 	}
 	put := &replication.PutRequest{OID: 3001, BaseVersion: 9, State: goldenState(t, 4<<10, 3002),
-		Frontier: []replication.FrontierRef{{OID: 3002, Provider: goldenRef(50), TypeName: "benchmark.Node"}}}
+		Frontier: []replication.FrontierRef{{OID: 3002, Provider: goldenRef(50)}}}
 	clusterPut := &replication.ClusterPutRequest{Members: []replication.PutRequest{
 		{OID: 2001, BaseVersion: 3, State: goldenState(t, 64, 2002)},
 		{OID: 2002, BaseVersion: 4, State: goldenState(t, 3<<10, 2003)},
@@ -181,28 +183,28 @@ func goldenFrames(t testing.TB) []struct {
 	}
 }
 
-// goldenHex is each golden frame's encoding at the commit that introduced
-// it, in hex. A state the frame sends from where it lies (a vector part) is
+// goldenHex is each golden frame's encoding at protocol revision 3, in
+// hex. A state the frame sends from where it lies (a vector part) is
 // written as [length:SHA-256] instead, to keep the file readable; the state
 // is a CaptureState, so its hash pins the struct encoding too. The frames
 // only change with a ProtocolVersion bump.
 var goldenHex = map[string]string{
-	"get call":   "01291103476574113132372e302e302e313a343030303223310000020a136f626977616e2e7265706c2e4765745370656300020000060f3132372e302e302e313a3430303032",
-	"step reply": "0229010a136f626977616e2e7265706c2e5061796c6f6164e90701e9070e62656e63686d61726b2e4e6f646501444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901ea070f3132372e302e302e313a343030303111137265706c69636174696f6e2e50726f7879496e01ea070f3132372e302e302e313a343030303112137265706c69636174696f6e2e50726f7879496e0e62656e63686d61726b2e4e6f6465000000000002000000",
-	"cluster reply": "022a010a136f626977616e2e7265706c2e5061796c6f6164d10f03d10f0e62656e63686d61726b2e4e6f6465038518" +
+	"get call":   "01291103476574113132372e302e302e313a343030303223310000020ad7291f7c00020000060f3132372e302e302e313a3430303032",
+	"step reply": "0229010ae6dfebc101e9070e62656e63686d61726b2e4e6f646501444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901ea07001101ea0700120000000002000000",
+	"cluster reply": "022a010ae6dfebc103d10f0e62656e63686d61726b2e4e6f6465038518" +
 		"[3077:9da0c57bfd8f59a285adde66241e46c148a38ac04d9e809fcafb09d46c297801]" +
-		"000000d20f0e62656e63686d61726b2e4e6f6465048518" +
+		"0000d20f0e62656e63686d61726b2e4e6f6465048518" +
 		"[3077:794c5ec3bde709bfab655e6e7e10a50d7f0fa38999620c34ef07799e96ddb287]" +
-		"000000d30f0e62656e63686d61726b2e4e6f6465058518" +
+		"0000d30f0e62656e63686d61726b2e4e6f6465058518" +
 		"[3077:fea50cc50c0697c794cb497c87ff9dee5a3bfa2a5fda0e3bca117855e9dc8284]" +
-		"00000001d40f0f3132372e302e302e313a343030303129137265706c69636174696f6e2e50726f7879496e0e62656e63686d61726b2e4e6f6465010f3132372e302e302e313a343030303128137265706c69636174696f6e2e50726f7879496e00060001020f3132372e302e302e313a34303030310f3132372e302e302e313a3430303033",
-	"put call": "012b3203507574113132372e302e302e313a3430303032233181808080b01582808080b015010a166f626977616e2e7265706c2e50757452657175657374b917098520" +
+		"000001d40f002901002800060001020f3132372e302e302e313a34303030310f3132372e302e302e313a3430303033",
+	"put call": "012b3203507574113132372e302e302e313a3430303032233181808080b01582808080b015010abea327dfb917098520" +
 		"[4101:7f9483756d5d7dbf413bed3a5d94a045dbc2dcb7eadde2efccfe1f17b0ea16f8]" +
-		"01ba170f3132372e302e302e313a343030303132137265706c69636174696f6e2e50726f7879496e0e62656e63686d61726b2e4e6f6465",
-	"cluster put call": "012c280a507574436c7573746572113132372e302e302e313a343030303223310000010a1d6f626977616e2e7265706c2e436c75737465725075745265717565737402d10f03444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901d20f00d20f048518" +
+		"01ba170f3132372e302e302e313a343030303132",
+	"cluster put call": "012c280a507574436c7573746572113132372e302e302e313a343030303223310000010a607d36c102d10f03444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901d20f00d20f048518" +
 		"[3077:794c5ec3bde709bfab655e6e7e10a50d7f0fa38999620c34ef07799e96ddb287]" +
 		"00",
-	"every kind": "0a0c676f6c64656e2e6b696e647301ffffffffff3fff01ffff0380808080808080808001000000000000f83f00000000000002c00668c3a96c6c6f04000102ff03016100036363630d808080800803050b6d696e757320746872656500047a65726f12046e696e6503016106036f6e65016203040163080202000a0b676f6c64656e2e6c656166d704046c65616600aaf4bdb38cf1d5bb1c01aaf4bdb38cf1d5bb1c01000000000000000000000000000000000000000000046c696e6b0000000000000a0b676f6c64656e2e6c656166020000aa9c94ed93f1d5bb1c0000ea07097461673a696e6e657200ef07087461673a6164647201077461673a707472",
+	"every kind": "0a99117cf201ffffffffff3fff01ffff0380808080808080808001000000000000f83f00000000000002c00668c3a96c6c6f04000102ff03016100036363630d808080800803050b6d696e757320746872656500047a65726f12046e696e6503016106036f6e65016203040163080202000a1aa06511d704046c65616600aaf4bdb38cf1d5bb1c01aaf4bdb38cf1d5bb1c01000000000000000000000000000000000000000000046c696e6b0000000000000a1aa06511020000aa9c94ed93f1d5bb1c0000ea07097461673a696e6e657200ef07087461673a6164647201077461673a707472",
 }
 
 // encodeGolden encodes msg the ways it is sent: a frame through EncodeFrame

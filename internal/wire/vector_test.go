@@ -27,7 +27,6 @@ type plainRecord struct {
 }
 
 type plainPayload struct {
-	RootOID         uint64
 	Objects         []plainRecord
 	Frontier        []replication.FrontierRef
 	Clustered       bool
@@ -96,16 +95,16 @@ func TestQuickVectorFrameIsTheContiguousFrame(t *testing.T) {
 			return b
 		}
 		ref := func() rmi.RemoteRef {
-			return rmi.RemoteRef{Addr: transport.Addr("site-" + string(rune('a'+rng.Intn(26)))), ID: rmi.ObjID(rng.Uint64()), Iface: "I"}
+			return rmi.RemoteRef{Addr: transport.Addr("site-" + string(rune('a'+rng.Intn(26)))), ID: rmi.ObjID(rng.Uint64())}
 		}
 		frontier := make([]replication.FrontierRef, rng.Intn(3))
 		for i := range frontier {
-			frontier[i] = replication.FrontierRef{OID: rng.Uint64(), Provider: ref(), TypeName: "t"}
+			frontier[i] = replication.FrontierRef{OID: rng.Uint64(), Provider: ref()}
 		}
-		p := &replication.Payload{RootOID: rng.Uint64(), Frontier: frontier, Clustered: rng.Intn(2) == 0,
+		p := &replication.Payload{Frontier: frontier, Clustered: rng.Intn(2) == 0,
 			ClusterProvider: ref(), Spec: replication.GetSpec{Batch: rng.Intn(200), Clustered: true},
 			Group: []transport.Addr{"g1", "g2"}}
-		pp := &plainPayload{RootOID: p.RootOID, Frontier: frontier, Clustered: p.Clustered,
+		pp := &plainPayload{Frontier: frontier, Clustered: p.Clustered,
 			ClusterProvider: p.ClusterProvider, Spec: p.Spec, Group: p.Group}
 		for i := rng.Intn(6); i > 0; i-- {
 			rec := replication.ObjectRecord{OID: rng.Uint64(), TypeName: "node", Version: rng.Uint64(), State: state(), Provider: ref()}

@@ -36,7 +36,12 @@ const (
 //
 //	1 — initial frame layout
 //	2 — Call frames carry a causal trace context (TraceID, SpanID)
-const ProtocolVersion = 2
+//	3 — names leave the values: a registered type travels as its 4-byte
+//	    codec.TypeID instead of its name, a remote reference carries no
+//	    interface name, a frontier descriptor no type name, a payload no
+//	    root OID (its first object is the root), and a step reply writes
+//	    the replier's own address as empty (replication.Payload)
+const ProtocolVersion = 3
 
 // helloMagic guards against cross-protocol traffic reaching an RMI port.
 const helloMagic = "OBI1"
