@@ -160,18 +160,14 @@ type env struct {
 	client *replication.Engine
 }
 
-// newEnv builds a fresh deployment over profile. Both runtimes carry a
-// pinned incarnation, so every call frame names its client in the same
-// number of bytes: with the process-wide counter, a client created after
-// the counter gained a digit sent one byte more per call, and a point's
-// BytesSent depended on how many runtimes the process had made before it.
+// newEnv builds a fresh deployment over profile.
 func newEnv(profile netsim.Profile) (*env, error) {
 	net := transport.NewMemNetwork(profile)
-	srt, err := rmi.NewRuntime(net, "s2", rmi.WithIncarnation(1))
+	srt, err := rmi.NewRuntime(net, "s2")
 	if err != nil {
 		return nil, err
 	}
-	crt, err := rmi.NewRuntime(net, "s1", rmi.WithIncarnation(1))
+	crt, err := rmi.NewRuntime(net, "s1")
 	if err != nil {
 		_ = srt.Close()
 		return nil, err

@@ -1,9 +1,9 @@
 package codec
 
 // Memo sizes. They are constants, not options: a connection's frames repeat
-// a handful of short strings (method names, client ids, the object type
-// names of replica records, provider addresses on other sites), which 64
-// slots hold with room to spare.
+// a handful of short strings (method names, the object type names of replica
+// records, provider addresses on other sites), which 64 slots hold with room
+// to spare.
 const (
 	memoSets   = 16
 	memoWays   = 4

@@ -58,14 +58,12 @@ func TestDispatchMatchesReflectiveSkeleton(t *testing.T) {
 		method string
 		args   []any
 	}{
-		{"Get", []any{spec, "s1"}},
-		{"Get", []any{nil, "s1"}},
-		{"Get", []any{*spec, "s1"}},
-		{"Get", []any{"spec", "s1"}},
-		{"Get", []any{spec, nil}},
-		{"Get", []any{spec, int64(1)}},
 		{"Get", []any{spec}},
-		{"Get", []any{spec, "s1", "extra"}},
+		{"Get", []any{nil}},
+		{"Get", []any{*spec}},
+		{"Get", []any{"spec"}},
+		{"Get", []any{int64(1)}},
+		{"Get", []any{spec, "s1"}}, // a revision-3 caller named itself here
 		{"Get", nil},
 		{"Put", []any{put}},
 		{"Put", []any{nil}},
@@ -91,14 +89,14 @@ func TestDispatchMatchesReflectiveSkeleton(t *testing.T) {
 		{"Version", nil},
 		{"Version", []any{int64(1)}},
 		{"Nope", nil},
-		{"get", []any{spec, "s1"}},
+		{"get", []any{spec}},
 		{"put", []any{put}},
 		{"", nil},
 	}
 	sc := telemetry.SpanContext{TraceID: 7, SpanID: 9}
 	for _, c := range cases {
 		typed := freshProxyIn(t)
-		typedRes, typedErr := typed.Dispatch(sc, c.method, c.args)
+		typedRes, typedErr := typed.Dispatch(sc, "s1", c.method, c.args)
 
 		reflective := freshProxyIn(t)
 		plan, err := invoke.PlanOf(reflect.TypeOf(reflective))
@@ -131,7 +129,7 @@ func TestDispatchAnswersEveryProxyInMethod(t *testing.T) {
 		if name == "Dispatch" {
 			continue // the skeleton itself, not a remote method
 		}
-		_, err := p.Dispatch(telemetry.SpanContext{}, name, junk)
+		_, err := p.Dispatch(telemetry.SpanContext{}, "s1", name, junk)
 		_, refErr := invoke.CallWithLead(plan, reflect.ValueOf(p), name, telemetry.SpanContext{}, junk)
 		var ie *invoke.Error
 		if !errors.As(err, &ie) || ie.Kind != invoke.KindBadArgs || describe(err) != describe(refErr) {
@@ -139,7 +137,7 @@ func TestDispatchAnswersEveryProxyInMethod(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"Dispatch", "put", "Touch", "GET"} {
-		_, err := p.Dispatch(telemetry.SpanContext{}, name, nil)
+		_, err := p.Dispatch(telemetry.SpanContext{}, "s1", name, nil)
 		var ie *invoke.Error
 		if !errors.As(err, &ie) || ie.Kind != invoke.KindNoSuchMethod {
 			t.Errorf("%s: %v, want no such method", name, err)

@@ -84,7 +84,7 @@ func elideSites(t *testing.T, kind string, n int) ([]*testSite, *dropNet) {
 // arrived, before any fetch fills it in.
 func rawGet(t *testing.T, client *testSite, prov rmi.RemoteRef) *Payload {
 	t.Helper()
-	res, err := client.rt.Call(prov, "Get", &DefaultSpec, client.name)
+	res, err := client.rt.Call(prov, "Get", &DefaultSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -863,7 +863,7 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 			return entry.Obj, prov, nil
 		}
 	}
-	res, winner, err := e.callFailover(span, oid, prov, BulkTimeout, true, "Get", &spec, string(e.rt.Addr()))
+	res, winner, err := e.callFailover(span, oid, prov, BulkTimeout, true, "Get", &spec)
 	if err != nil {
 		return nil, prov, fmt.Errorf("replication: %s %v from %v: %w", names.op, oid, prov, e.failUnavailable(names.op, oid, span.Context(), err))
 	}

@@ -140,7 +140,7 @@ func TestProxyInGetNilSpecDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Passing nil spec over RMI uses the default (batch 1).
-	res, err := client.rt.Call(desc.Provider, "Get", nil, "s1")
+	res, err := client.rt.Call(desc.Provider, "Get", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

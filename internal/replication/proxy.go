@@ -8,6 +8,7 @@ import (
 	"obiwan/internal/objmodel"
 	"obiwan/internal/rmi"
 	"obiwan/internal/telemetry"
+	"obiwan/internal/transport"
 )
 
 // ProxyIn is the master-side half of a proxy pair: an RMI-exported object
@@ -21,11 +22,17 @@ type ProxyIn struct {
 }
 
 // Get assembles and returns the replica payload for this object per spec.
-// requester identifies the demanding site for consistency bookkeeping.
 // The leading SpanContext is never sent by callers: the RMI skeleton
 // injects the serve span's context there (zero when the call was
 // untraced), which parents the assembly under the demanding site's fault.
-func (p *ProxyIn) Get(sc telemetry.SpanContext, spec *GetSpec, requester string) (*Payload, error) {
+// Get names no requester; Dispatch, which serves every remote demand, hands
+// the calling site's address to the consistency bookkeeping (get).
+func (p *ProxyIn) Get(sc telemetry.SpanContext, spec *GetSpec) (*Payload, error) {
+	return p.get(sc, spec, "")
+}
+
+// get is Get for requester, the demanding site.
+func (p *ProxyIn) get(sc telemetry.SpanContext, spec *GetSpec, requester transport.Addr) (*Payload, error) {
 	if err := p.eng.gateServe(p.entry); err != nil {
 		return nil, err
 	}
@@ -33,7 +40,7 @@ func (p *ProxyIn) Get(sc telemetry.SpanContext, spec *GetSpec, requester string)
 		s := DefaultSpec
 		spec = &s
 	}
-	payload, err := p.eng.assemble(sc, p.entry, *spec, requester)
+	payload, err := p.eng.assemble(sc, p.entry, *spec, string(requester))
 	if err != nil {
 		return nil, fmt.Errorf("proxy-in %v: %w", p.entry.OID, err)
 	}
@@ -107,14 +114,14 @@ var _ rmi.Dispatcher = (*ProxyIn)(nil)
 // answers the methods above and no other (Dispatch itself is not remotely
 // callable), accepts exactly the arguments a reflective skeleton would, and
 // reports the same errors, numbered counting the span context it supplies.
-func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error) {
+func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error) {
 	switch method {
 	case "Get":
-		spec, requester, err := invoke.Args2[*GetSpec, string](method, args, 1)
+		spec, err := invoke.Args1[*GetSpec](method, args, 1)
 		if err != nil {
 			return nil, err
 		}
-		payload, err := p.Get(sc, spec, requester)
+		payload, err := p.get(sc, spec, caller)
 		return invoke.Result(method, payload, err)
 	case "Put":
 		req, err := invoke.Args1[*PutRequest](method, args, 1)

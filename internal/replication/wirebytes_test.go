@@ -13,19 +13,22 @@ import (
 // plus frames received at the mobile site, on the mem network. Like the
 // allocation pins, each is a ceiling that only ever goes down: lower it
 // when a change takes bytes off a frame. The counts are exact: both sites
-// are fresh and the mobile's client id is pinned (rmi.WithIncarnation),
-// so no reading depends on what ran before in the process.
+// are fresh, and since protocol revision 4 a call frame names no client
+// (its connection's Hello does, once), so no reading depends on what ran
+// before in the process.
 const (
 	// faultWireBytes is a single-object fault of a doc with a 64 B body,
 	// the benchmark's walk_step1 shape: a Get call and its step reply.
 	// 266.94 at protocol revision 2, whose frames carried the codec type
 	// names, an interface name per provider, the frontier's type name, the
-	// replier's own address per provider and the root OID; 163.94 now.
-	faultWireBytes = 163.94
+	// replier's own address per provider and the root OID; 163.94 at
+	// revision 3, whose Get call named its caller twice (the frame's client
+	// id and the requester argument); 153.94 now.
+	faultWireBytes = 153.94
 	// nullCallWireBytes is a call of a method with no arguments and no
-	// results, and its reply: it carries no named value and no reference,
-	// so revision 3 did not move it.
-	nullCallWireBytes = 21
+	// results, and its reply: 21 at revision 3, whose call frame carried the
+	// client id "s1#1"; 15 now.
+	nullCallWireBytes = 15
 )
 
 // wirePinSites starts a master "s2" and a mobile "s1" on a zero-latency
@@ -35,7 +38,7 @@ func wirePinSites(t *testing.T) (master, mobile *testSite) {
 	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
 	sites := make([]*testSite, 2)
 	for i, name := range []string{"s2", "s1"} {
-		rt, err := rmi.NewRuntime(net, transport.Addr(name), rmi.WithIncarnation(1))
+		rt, err := rmi.NewRuntime(net, transport.Addr(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,22 +94,37 @@ type toucher struct{}
 func (*toucher) Touch() {}
 
 // TestNullCallWireBytesPinned: a call with no arguments and no results
-// moves at most nullCallWireBytes.
+// moves at most nullCallWireBytes, and exactly as much again after the
+// process has made and closed 10 000 more runtimes, one at a time.
 func TestNullCallWireBytesPinned(t *testing.T) {
-	master, mobile := wirePinSites(t)
-	ref, err := master.rt.Export(&toucher{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	call := func() {
-		if _, err := mobile.rt.Call(ref, "Touch"); err != nil {
+	nullCall := func() float64 {
+		master, mobile := wirePinSites(t)
+		ref, err := master.rt.Export(&toucher{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		call := func() {
+			if _, err := mobile.rt.Call(ref, "Touch"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // the connection and its preamble
+		return mobileWireBytes(mobile, 100, call)
 	}
-	call() // the connection and its preamble
-	got := mobileWireBytes(mobile, 100, call)
+	got := nullCall()
 	t.Logf("a null call moves %.2f wire bytes", got)
 	if got > nullCallWireBytes {
 		t.Fatalf("a null call moves %.2f wire bytes, pinned at %d", got, nullCallWireBytes)
+	}
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	for i := 0; i < 10000; i++ {
+		rt, err := rmi.NewRuntime(net, "churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = rt.Close()
+	}
+	if again := nullCall(); again != got {
+		t.Fatalf("a null call moves %.2f wire bytes after 10 000 more runtimes, %.2f before", again, got)
 	}
 }

@@ -107,7 +107,7 @@ func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, error) {
 
 	// Dial outside the lock: the simulated network may sleep.
 	conn, err := transport.NewReconnecting(rt.network, rt.local, addr, func(c transport.Conn) error {
-		return c.Send(wire.EncodeHello())
+		return c.Send(wire.EncodeHello(rt.id))
 	}, transport.WithRedialHook(func() { rt.met.reconnects.Inc() }))
 	if err != nil {
 		return nil, fmt.Errorf("rmi: dial %q: %w", addr, err)
@@ -293,7 +293,7 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 	}
 
 	frame, err := wire.EncodeFrame(rt.reg, &wire.Call{
-		ID: id, Target: uint64(ref.ID), Method: method, Client: rt.clientID,
+		ID: id, Target: uint64(ref.ID), Method: method,
 		TraceID: wireSC.TraceID, SpanID: wireSC.SpanID, Args: args,
 	})
 	if err != nil {

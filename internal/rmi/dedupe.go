@@ -1,8 +1,6 @@
 package rmi
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 
 	"obiwan/internal/netsim"
@@ -11,11 +9,12 @@ import (
 
 // The duplicate-suppression table makes retried calls exactly-once from the
 // application's view. A client that re-sends a call (its reply was lost, or
-// the connection died between send and receive) reuses the call's
-// (Client, ID) identity; the server executes the first arrival and answers
-// every later one from the recorded response frame — including arrivals on
-// a different connection after a redial, and arrivals while the first
-// execution is still running (those wait for it to finish).
+// the connection died between send and receive) reuses the call's ID, on a
+// connection whose Hello named the same wire.Identity; the server executes
+// the first arrival and answers every later one from the recorded response
+// frame — including arrivals on a different connection after a redial, and
+// arrivals while the first execution is still running (those wait for it to
+// finish).
 //
 // What a client's log retains is bounded twice, both bounds applying to
 // completed calls in the order they completed; a call still executing is in
@@ -71,8 +70,13 @@ type clientLog struct {
 	held    int      // order[held:] still hold their frames
 	bytes   int      // what those frames pin
 
-	client string // the key in dedupeTable.clients
-	inc    uint64 // incarnation number, when the id has one
+	client wire.Identity // the key in dedupeTable.clients
+}
+
+// line is an address's incarnation namespace: ephemeral or durable.
+type line struct {
+	addr    string
+	durable bool
 }
 
 // dedupeTable is the server-side suppression table, keyed by client
@@ -80,25 +84,25 @@ type clientLog struct {
 type dedupeTable struct {
 	clock   netsim.Clock
 	mu      sync.Mutex
-	clients map[string]*clientLog
-	// lines indexes the resident logs by address and incarnation namespace
-	// ("addr#", "addr#d"), so that a new incarnation finds the ones it
-	// supersedes without a scan of clients.
-	lines map[string][]*clientLog
+	clients map[wire.Identity]*clientLog
+	// lines indexes the resident logs by address and namespace, so that a
+	// new incarnation finds the ones it supersedes without a scan of
+	// clients.
+	lines map[line][]*clientLog
 }
 
 func newDedupeTable(clock netsim.Clock) *dedupeTable {
 	return &dedupeTable{
 		clock:   clock,
-		clients: make(map[string]*clientLog),
-		lines:   make(map[string][]*clientLog),
+		clients: make(map[wire.Identity]*clientLog),
+		lines:   make(map[line][]*clientLog),
 	}
 }
 
 // begin registers (client, id) and reports whether it was already present.
 // The caller owns a fresh entry: it must record the response frame with
 // complete. For a duplicate, the caller awaits and replays the frame.
-func (t *dedupeTable) begin(client string, id uint64) (*dedupeEntry, bool) {
+func (t *dedupeTable) begin(client wire.Identity, id uint64) (*dedupeEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cl, ok := t.clients[client]
@@ -116,27 +120,18 @@ func (t *dedupeTable) begin(client string, id uint64) (*dedupeEntry, bool) {
 
 // admitLocked opens a log for a client seen for the first time and drops the
 // logs that client supersedes: those of lower incarnations of the same
-// address in the same namespace ("addr#N" from the process counter,
-// "addr#dN" persisted by a durable site). The address can only have been
-// bound again once its previous holder was gone, so nothing retries from
-// those any more. A frame that still arrives from one of them opens a log of
-// its own; it never displaces a higher incarnation's.
-func (t *dedupeTable) admitLocked(client string) *clientLog {
+// address in the same namespace (ephemeral, drawn from the clock, or durable,
+// persisted by a site's WAL). The address can only have been bound again
+// once its previous holder was gone, so nothing retries from those any more.
+// A frame that still arrives from one of them opens a log of its own; it
+// never displaces a higher incarnation's.
+func (t *dedupeTable) admitLocked(client wire.Identity) *clientLog {
 	cl := &clientLog{entries: make(map[uint64]*dedupeEntry), client: client}
 	t.clients[client] = cl
-	cut := strings.LastIndexByte(client, '#') + 1
-	if cut < len(client) && client[cut] == 'd' {
-		cut++
-	}
-	inc, err := strconv.ParseUint(client[cut:], 10, 64)
-	if cut == 0 || err != nil {
-		return cl // not an incarnation id: nothing it could supersede
-	}
-	cl.inc = inc
-	line := client[:cut]
-	resident, n := t.lines[line], 0
+	l := line{client.Addr, client.Durable}
+	resident, n := t.lines[l], 0
 	for _, old := range resident {
-		if old.inc < inc {
+		if old.client.Incarnation < client.Incarnation {
 			delete(t.clients, old.client)
 			continue
 		}
@@ -144,7 +139,7 @@ func (t *dedupeTable) admitLocked(client string) *clientLog {
 		n++
 	}
 	clear(resident[n:]) // let go of the dropped logs
-	t.lines[line] = append(resident[:n], cl)
+	t.lines[l] = append(resident[:n], cl)
 	return cl
 }
 

@@ -3,6 +3,8 @@ package rmi
 import (
 	"errors"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,10 +15,17 @@ import (
 	"obiwan/internal/wire"
 )
 
-// finish runs one call through the table as dispatchOnce does and returns
-// its entry.
+// idOf is the Identity a test names "addr#N" (ephemeral incarnation N),
+// "addr#dN" (durable incarnation N) or "addr" (incarnation 0).
+func idOf(name string) wire.Identity {
+	addr, inc, _ := strings.Cut(name, "#")
+	durable := strings.HasPrefix(inc, "d")
+	n, _ := strconv.ParseUint(strings.TrimPrefix(inc, "d"), 10, 64)
+	return wire.Identity{Addr: addr, Incarnation: n, Durable: durable}
+}
+
 // size returns the number of tracked calls for a client (tests).
-func (t *dedupeTable) size(client string) int {
+func (t *dedupeTable) size(client wire.Identity) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cl, ok := t.clients[client]; ok {
@@ -25,9 +34,11 @@ func (t *dedupeTable) size(client string) int {
 	return 0
 }
 
+// finish runs one call through the table as dispatchOnce does and returns
+// its entry.
 func finish(t *testing.T, tbl *dedupeTable, client string, id uint64, frame []byte) *dedupeEntry {
 	t.Helper()
-	e, dup := tbl.begin(client, id)
+	e, dup := tbl.begin(idOf(client), id)
 	if dup {
 		t.Fatalf("%s id %d: unexpected duplicate", client, id)
 	}
@@ -50,7 +61,7 @@ func audit(t *testing.T, tbl *dedupeTable, client string) (bytes, frames int) {
 	t.Helper()
 	tbl.mu.Lock()
 	defer tbl.mu.Unlock()
-	cl := tbl.clients[client]
+	cl := tbl.clients[idOf(client)]
 	for _, e := range cl.entries {
 		if e.evicted && (!e.done || e.frame.Pinned() != 0) {
 			t.Errorf("tombstone in a wrong state: %+v", e)
@@ -87,11 +98,11 @@ func audit(t *testing.T, tbl *dedupeTable, client string) (bytes, frames int) {
 
 func TestDedupeInFlightWait(t *testing.T) {
 	tbl := newDedupeTable(netsim.Real())
-	e1, dup := tbl.begin("c#1", 7)
+	e1, dup := tbl.begin(idOf("c#1"), 7)
 	if dup {
 		t.Fatal("first begin must not be a duplicate")
 	}
-	e2, dup := tbl.begin("c#1", 7)
+	e2, dup := tbl.begin(idOf("c#1"), 7)
 	if !dup || e2 != e1 {
 		t.Fatal("second begin must return the in-flight entry")
 	}
@@ -114,7 +125,7 @@ func TestDedupeInFlightWait(t *testing.T) {
 		t.Fatalf("duplicate sees frame %q", frame)
 	}
 	// A different client shares nothing.
-	if _, dup := tbl.begin("d#1", 7); dup {
+	if _, dup := tbl.begin(idOf("d#1"), 7); dup {
 		t.Fatal("ids must be scoped per client")
 	}
 }
@@ -124,13 +135,13 @@ func TestDedupeEviction(t *testing.T) {
 	for id := uint64(1); id <= maxDedupePerClient+10; id++ {
 		finish(t, tbl, "c#1", id, nil) // completed: eligible for eviction
 	}
-	if got := tbl.size("c#1"); got != maxDedupePerClient {
+	if got := tbl.size(idOf("c#1")); got != maxDedupePerClient {
 		t.Fatalf("table size %d, want cap %d", got, maxDedupePerClient)
 	}
 	audit(t, tbl, "c#1")
 	// Ids past the count cap read as fresh calls (they would re-execute,
 	// which is why the cap is far beyond any live retry window).
-	if _, dup := tbl.begin("c#1", 1); dup {
+	if _, dup := tbl.begin(idOf("c#1"), 1); dup {
 		t.Fatal("an id past the count cap must not be seen as duplicate")
 	}
 
@@ -145,11 +156,11 @@ func TestDedupeEviction(t *testing.T) {
 	if bytes, frames := audit(t, tbl, "b#1"); bytes != 4*mib || frames != 4 {
 		t.Fatalf("retained %d bytes in %d frames, want 4 MiB in 4", bytes, frames)
 	}
-	if got := tbl.size("b#1"); got != 6 {
+	if got := tbl.size(idOf("b#1")); got != 6 {
 		t.Fatalf("%d entries, want 6: a tombstone stays in the table", got)
 	}
 	for id := uint64(1); id <= 6; id++ {
-		e, dup := tbl.begin("b#1", id)
+		e, dup := tbl.begin(idOf("b#1"), id)
 		if !dup || e != entries[id] {
 			t.Fatalf("id %d must still be a duplicate of its first arrival", id)
 		}
@@ -174,14 +185,14 @@ func TestDedupeEviction(t *testing.T) {
 		finish(t, tbl, "b#1", id, nil)
 	}
 	audit(t, tbl, "b#1")
-	if _, dup := tbl.begin("b#1", 8); dup {
+	if _, dup := tbl.begin(idOf("b#1"), 8); dup {
 		t.Fatal("id 8 is past the count cap and must be gone")
 	}
 }
 
 func TestDedupeNeverEvictsInFlight(t *testing.T) {
 	tbl := newDedupeTable(netsim.Real())
-	first, _ := tbl.begin("c#1", 1) // stays in flight
+	first, _ := tbl.begin(idOf("c#1"), 1) // stays in flight
 	for id := uint64(2); id <= maxDedupePerClient+10; id++ {
 		finish(t, tbl, "c#1", id, nil)
 	}
@@ -190,7 +201,7 @@ func TestDedupeNeverEvictsInFlight(t *testing.T) {
 		finish(t, tbl, "c#1", id, make([]byte, 1<<20))
 	}
 	audit(t, tbl, "c#1")
-	e, dup := tbl.begin("c#1", 1)
+	e, dup := tbl.begin(idOf("c#1"), 1)
 	if !dup || e != first {
 		t.Fatal("in-flight entry must survive eviction pressure")
 	}
@@ -234,7 +245,7 @@ func TestDedupeBooksUnderConcurrency(t *testing.T) {
 			}
 			for i := 0; i < each; i++ {
 				id := uint64(c*each + i + 1)
-				e, dup := tbl.begin("c#1", id)
+				e, dup := tbl.begin(idOf("c#1"), id)
 				if dup {
 					t.Errorf("id %d: unexpected duplicate", id)
 					return
@@ -249,7 +260,7 @@ func TestDedupeBooksUnderConcurrency(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if got := tbl.size("c#1"); got != callers*each {
+	if got := tbl.size(idOf("c#1")); got != callers*each {
 		t.Fatalf("%d entries, want %d", got, callers*each)
 	}
 	bytes, frames := audit(t, tbl, "c#1")
@@ -275,12 +286,12 @@ func TestSupersededIncarnationPruned(t *testing.T) {
 			indexed += len(logs)
 			for _, cl := range logs[len(logs):cap(logs)] {
 				if cl != nil {
-					t.Fatalf("the index still points at the dropped log of %s", cl.client)
+					t.Fatalf("the index still points at the dropped log of %+v", cl.client)
 				}
 			}
 		}
 		for _, c := range want {
-			if _, ok := tbl.clients[c]; !ok {
+			if _, ok := tbl.clients[idOf(c)]; !ok {
 				t.Fatalf("log of %s is gone, want %v resident", c, want)
 			}
 		}
@@ -291,7 +302,7 @@ func TestSupersededIncarnationPruned(t *testing.T) {
 	finish(t, tbl, "a:1#3", 1, []byte("x"))
 	finish(t, tbl, "a:1#d1", 1, []byte("x")) // durable ids: a namespace of their own
 	finish(t, tbl, "b:1#9", 1, []byte("x"))  // another address
-	finish(t, tbl, "raw", 1, []byte("x"))    // no incarnation: supersedes nothing, never superseded
+	finish(t, tbl, "raw", 1, []byte("x"))    // incarnation 0: supersedes nothing
 	resident("a:1#3", "a:1#d1", "b:1#9", "raw")
 
 	finish(t, tbl, "a:1#5", 1, []byte("x"))
@@ -302,7 +313,7 @@ func TestSupersededIncarnationPruned(t *testing.T) {
 	// duplicates.
 	finish(t, tbl, "a:1#3", 2, []byte("x"))
 	resident("a:1#3", "a:1#5", "a:1#d1", "b:1#9", "raw")
-	if _, dup := tbl.begin("a:1#5", 1); !dup {
+	if _, dup := tbl.begin(idOf("a:1#5"), 1); !dup {
 		t.Fatal("a late frame of incarnation 3 evicted the log of incarnation 5")
 	}
 
@@ -314,7 +325,7 @@ func TestSupersededIncarnationPruned(t *testing.T) {
 
 	// A call in flight when its log is dropped still completes, on the
 	// unlinked log, and releases its duplicates.
-	e, _ := tbl.begin("a:1#6", 2)
+	e, _ := tbl.begin(idOf("a:1#6"), 2)
 	finish(t, tbl, "a:1#7", 1, []byte("x"))
 	resident("a:1#7", "a:1#d2", "b:1#9", "raw")
 	tbl.complete(e, 2, wire.FrameOf([]byte("orphan")))
@@ -335,7 +346,7 @@ func TestRestartedClientSupersedesItsLog(t *testing.T) {
 	}
 	defer server.Close()
 	ref, _ := server.Export(&calculator{})
-	var ids []string
+	var ids []wire.Identity
 	for life := 0; life < 3; life++ {
 		client, err := newRuntime(net, "client")
 		if err != nil {
@@ -344,13 +355,43 @@ func TestRestartedClientSupersedesItsLog(t *testing.T) {
 		if _, err := client.Call(ref, "Add", int64(1), int64(2)); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, client.clientID)
+		ids = append(ids, client.id)
 		_ = client.Close()
 	}
 	server.dedupe.mu.Lock()
 	defer server.dedupe.mu.Unlock()
 	if _, ok := server.dedupe.clients[ids[2]]; !ok || len(server.dedupe.clients) != 1 {
 		t.Fatalf("server keeps %d logs after lives %v, want the last one's only", len(server.dedupe.clients), ids)
+	}
+}
+
+// TestNewProcessIsANewIncarnation: a runtime that binds the address a
+// runtime of an earlier process held is a later incarnation of it, though
+// the process-local state starts afresh (here: reset, as in a new process).
+// A peer therefore runs the new life's call 1 instead of answering it with
+// the reply it recorded for the old life's call 1.
+func TestNewProcessIsANewIncarnation(t *testing.T) {
+	net := transport.NewMemNetwork(netsim.Loopback)
+	server, err := newRuntime(net, "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	ref, _ := server.Export(&calculator{})
+	for _, word := range []string{"first", "second"} {
+		lastEphemeral.Store(0) // what a new process starts from
+		client, err := newRuntime(net, "cli")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.Call(ref, "Echo", word, []byte(nil))
+		_ = client.Close()
+		if err != nil || res[0] != word {
+			t.Fatalf("the life that sent %q got %v (%v)", word, res, err)
+		}
+	}
+	if st := server.Stats(); st.CallsServed != 2 || st.DupsSuppressed != 0 {
+		t.Fatalf("server %+v, want both calls served", st)
 	}
 }
 

@@ -38,8 +38,9 @@ type inbound struct {
 // runnable at a time and a hand-off would buy an event, not parallelism.
 type connPool struct {
 	rt         *Runtime
-	out        sender       // every reply leaves through it
-	unanswered atomic.Int32 // calls dispatched and not yet answered
+	caller     wire.Identity // the connection's Hello named it: every call is its
+	out        sender        // every reply leaves through it
+	unanswered atomic.Int32  // calls dispatched and not yet answered
 
 	mu      sync.Mutex
 	idle    []*poolWorker // parked, most recently parked last
@@ -55,8 +56,8 @@ type poolWorker struct {
 	job  inbound
 }
 
-func newConnPool(rt *Runtime, conn transport.Conn) *connPool {
-	p := &connPool{rt: rt}
+func newConnPool(rt *Runtime, conn transport.Conn, caller wire.Identity) *connPool {
+	p := &connPool{rt: rt, caller: caller}
 	p.out.init(rt.clock, conn, rt.batched)
 	p.drained.Init(rt.clock, &p.mu)
 	return p
@@ -85,7 +86,7 @@ func (p *connPool) dispatch(job inbound) {
 	}
 	p.mu.Unlock()
 	if p.rt.width == 1 {
-		p.reply(p.rt.dispatchOnce(job.call, job.recvAt))
+		p.reply(p.rt.dispatchOnce(p.caller, job.call, job.recvAt))
 		return
 	}
 	// Refused before dedupe.begin: the call leaves no trace here, so the
@@ -101,7 +102,7 @@ func (p *connPool) dispatch(job inbound) {
 // connection is going away.
 func (p *connPool) work(w *poolWorker) {
 	for {
-		p.reply(p.rt.dispatchOnce(w.job.call, w.job.recvAt))
+		p.reply(p.rt.dispatchOnce(p.caller, w.job.call, w.job.recvAt))
 		p.mu.Lock()
 		w.job = inbound{}
 		if !p.closing && len(p.idle) < idleFloor {

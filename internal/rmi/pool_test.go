@@ -321,7 +321,7 @@ func TestPoolBusyIsRefusedNotExecuted(t *testing.T) {
 		if !errors.As(err, &re) || re.Code != wire.FaultBusy {
 			w.t.Errorf("call on a saturated connection returned %v, want a %s RemoteError", err, wire.FaultBusy)
 		}
-		if n := w.server.dedupe.size(strict.clientID); n != 2 {
+		if n := w.server.dedupe.size(strict.id); n != 2 {
 			w.t.Errorf("dedupe table holds %d calls of the refused client, want the 2 held", n)
 		}
 		if ss := w.server.Stats(); ss.CallsServed != 2 {
@@ -339,7 +339,7 @@ func TestPoolBusyIsRefusedNotExecuted(t *testing.T) {
 		w.gate.await("d+", "e+")
 		f := w.bg(func() { w.call(client, "Mark", "f") })
 		w.settle("a refusal to be retried", func() bool { return client.Stats().Retries > 0 })
-		if n := w.server.dedupe.size(client.clientID); n != 2 {
+		if n := w.server.dedupe.size(client.id); n != 2 {
 			w.t.Errorf("dedupe table holds %d calls while f is refused, want 2", n)
 		}
 		if ss := w.server.Stats(); ss.CallsServed != 4 {
@@ -351,7 +351,7 @@ func TestPoolBusyIsRefusedNotExecuted(t *testing.T) {
 		if got := w.gate.events(); strings.Count(got, "f") != 1 {
 			w.t.Errorf("gate saw %q, want f exactly once", got)
 		}
-		if n, ids := w.server.dedupe.size(client.clientID), client.nextSeq.Load(); n != 3 || ids != 3 {
+		if n, ids := w.server.dedupe.size(client.id), client.nextSeq.Load(); n != 3 || ids != 3 {
 			w.t.Errorf("%d calls in the dedupe table under %d ids, want 3 and 3", n, ids)
 		}
 		cs, ss := client.Stats(), w.server.Stats()
@@ -375,20 +375,21 @@ func TestPoolDuplicateOfInFlightCallWaits(t *testing.T) {
 		}
 		defer conn.Close()
 		frame, err := wire.EncodeCall(w.server.Registry(), &wire.Call{
-			ID: 7, Target: uint64(w.ref.ID), Method: "Hold", Client: "raw#1", Args: []any{"a"},
+			ID: 7, Target: uint64(w.ref.ID), Method: "Hold", Args: []any{"a"},
 		})
 		if err != nil {
 			w.t.Error(err)
 			return
 		}
-		for _, f := range [][]byte{wire.EncodeHello(), frame} {
+		hello := wire.EncodeHello(wire.Identity{Addr: "raw", Incarnation: 1})
+		for _, f := range [][]byte{hello, frame} {
 			if err := conn.Send(f); err != nil {
 				w.t.Error(err)
 				return
 			}
 		}
 		w.gate.await("a+")
-		sent := uint64(len(wire.EncodeHello()) + 2*len(frame))
+		sent := uint64(len(hello) + 2*len(frame))
 		if err := conn.Send(frame); err != nil {
 			w.t.Error(err)
 			return

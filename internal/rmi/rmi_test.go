@@ -182,10 +182,13 @@ func TestBadArgs(t *testing.T) {
 
 // selfDispatch dispatches its own calls. Its exported Reflected method is
 // never reached: a Dispatcher's skeleton does not reflect.
-type selfDispatch struct{ sc telemetry.SpanContext }
+type selfDispatch struct {
+	sc     telemetry.SpanContext
+	caller transport.Addr
+}
 
-func (d *selfDispatch) Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error) {
-	d.sc = sc
+func (d *selfDispatch) Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error) {
+	d.sc, d.caller = sc, caller
 	switch method {
 	case "Twice":
 		n, err := invoke.Args1[int64](method, args, 0)
@@ -202,8 +205,9 @@ func (d *selfDispatch) Dispatch(sc telemetry.SpanContext, method string, args []
 func (d *selfDispatch) Reflected() string { return "reflection" }
 
 // TestDispatcherServesItsOwnCalls: an exported Dispatcher is its own
-// skeleton, with no method plan, and its errors reach the caller as the
-// faults a reflective skeleton would send.
+// skeleton, with no method plan, is handed the span context and the
+// caller's address, and its errors reach the caller as the faults a
+// reflective skeleton would send.
 func TestDispatcherServesItsOwnCalls(t *testing.T) {
 	server, client, hub := hubPair(t)
 	d := &selfDispatch{}
@@ -222,6 +226,9 @@ func TestDispatcherServesItsOwnCalls(t *testing.T) {
 	}
 	if !d.sc.Valid() || d.sc.TraceID != root.Context().TraceID {
 		t.Fatalf("dispatcher saw span context %+v, want one in trace %d", d.sc, root.Context().TraceID)
+	}
+	if d.caller != client.Addr() {
+		t.Fatalf("dispatcher saw caller %q, want %q, the address the client's Hello named", d.caller, client.Addr())
 	}
 	var re *RemoteError
 	for _, c := range []struct {
@@ -592,16 +599,21 @@ func TestServerRejectsPeersWithoutHello(t *testing.T) {
 	}
 
 	// A peer at another protocol revision is dropped too: the previous
-	// one, whose values carried names this revision cannot decode, and
-	// one from the future.
+	// one, whose Hello ends at the version (it names no caller; its calls
+	// do), and one from the future.
+	hello := wire.EncodeHello(wire.Identity{Addr: "rogue", Incarnation: 1})
+	const versionAt = 5 // after the kind byte and the magic
 	for _, version := range []byte{wire.ProtocolVersion - 1, 99} {
 		conn2, err := net.Dial(transport.Addr(fmt.Sprintf("rogue-v%d", version)), "server")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn2.Close()
-		bad := append([]byte{}, wire.EncodeHello()...)
-		bad[len(bad)-1] = version // the version varint
+		bad := append([]byte{}, hello...)
+		if version < wire.ProtocolVersion {
+			bad = bad[:versionAt+1]
+		}
+		bad[versionAt] = version
 		if err := conn2.Send(bad); err != nil {
 			t.Fatal(err)
 		}

@@ -436,7 +436,7 @@ func TestSendBatchResentWholeAfterRedialServedOnce(t *testing.T) {
 	calc := &calculator{}
 	ref, _ := server.Export(calc)
 	conn, err := transport.NewReconnecting(cut, "client", "server", func(c transport.Conn) error {
-		return c.Send(wire.EncodeHello())
+		return c.Send(wire.EncodeHello(wire.Identity{Addr: "batch", Incarnation: 1}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestSendBatchResentWholeAfterRedialServedOnce(t *testing.T) {
 	var msgs [][][]byte
 	for id := uint64(1); id <= 3; id++ {
 		f, err := wire.EncodeCall(server.Registry(), &wire.Call{
-			ID: id, Target: uint64(ref.ID), Method: "Accumulate", Client: "batch#1", Args: []any{int64(1)},
+			ID: id, Target: uint64(ref.ID), Method: "Accumulate", Args: []any{int64(1)},
 		})
 		if err != nil {
 			t.Fatal(err)

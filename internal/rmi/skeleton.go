@@ -7,20 +7,22 @@ import (
 
 	"obiwan/internal/invoke"
 	"obiwan/internal/telemetry"
+	"obiwan/internal/transport"
 	"obiwan/internal/wire"
 )
 
 // Dispatcher is an exported object that dispatches its own inbound calls: a
 // skeleton written out ahead of time, the Go analogue of the skeleton
 // classes Java RMI generated. sc is the serve span's context (zero when the
-// call is untraced). A Dispatcher reports what a reflective skeleton of the
-// same object would: a bad argument as an *invoke.Error of KindBadArgs, a
-// method it does not have as KindNoSuchMethod, and a method's own error as
-// KindApp (invoke's Args1, Args2, CheckArity, NoSuchMethod and Result build
-// them), so the faults on the wire are the same either way. Export checks
-// for it once; a Dispatcher's calls never reach reflection.
+// call is untraced) and caller the calling runtime's address, as its
+// connection's Hello named it. A Dispatcher reports what a reflective
+// skeleton of the same object would: a bad argument as an *invoke.Error of
+// KindBadArgs, a method it does not have as KindNoSuchMethod, and a method's
+// own error as KindApp (invoke's Args1, Args2, CheckArity, NoSuchMethod and
+// Result build them), so the faults on the wire are the same either way.
+// Export checks for it once; a Dispatcher's calls never reach reflection.
 type Dispatcher interface {
-	Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error)
+	Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error)
 }
 
 // skeleton is the reflective Dispatcher Export builds for any other object:
@@ -29,13 +31,14 @@ type Dispatcher interface {
 // parameter is telemetry.SpanContext receives the serve span's context
 // there; the caller never sends it, so replication handlers can parent
 // their own spans under the inbound call without the trace context leaking
-// into the remote method signature seen by clients.
+// into the remote method signature seen by clients. No method receives the
+// caller's address.
 type skeleton struct {
 	recv reflect.Value
 	plan *invoke.Plan
 }
 
-func (sk *skeleton) Dispatch(sc telemetry.SpanContext, method string, args []any) ([]any, error) {
+func (sk *skeleton) Dispatch(sc telemetry.SpanContext, _ transport.Addr, method string, args []any) ([]any, error) {
 	return invoke.CallWithLead(sk.plan, sk.recv, method, sc, args)
 }
 
@@ -60,8 +63,8 @@ func newSkeleton(obj any) (Dispatcher, error) {
 // serve runs method with args on d and returns either result values or a
 // wire fault. A method's error becomes a FaultApp (the remote-exception
 // path); a missing method or a bad argument its own fault code.
-func serve(d Dispatcher, method string, args []any, sc telemetry.SpanContext) ([]any, *wire.Fault) {
-	results, err := d.Dispatch(sc, method, args)
+func serve(d Dispatcher, sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, *wire.Fault) {
+	results, err := d.Dispatch(sc, caller, method, args)
 	if err == nil {
 		return results, nil
 	}

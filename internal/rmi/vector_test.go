@@ -38,8 +38,8 @@ func (s *clusterServer) Cluster() *cluster {
 
 // TestVectorReplyOverRawTCP: a raw socket that calls for a cluster reads
 // exactly the contiguous reply frame, though the server sent it as a vector
-// referencing the states the method returned. A retry under the same
-// (client, id), on a fresh connection as after a redial, reads the same
+// referencing the states the method returned. A retry of the same id under
+// the same Hello identity, on a fresh connection as after a redial, reads the same
 // bytes again, replayed from the dedupe table, which keeps that vector; the
 // method ran once.
 func TestVectorReplyOverRawTCP(t *testing.T) {
@@ -55,7 +55,7 @@ func TestVectorReplyOverRawTCP(t *testing.T) {
 	srv := &clusterServer{reply: &cluster{Root: 7, States: states, Tail: "end"}}
 	ref, _ := server.Export(srv)
 	reg := server.Registry()
-	call, err := wire.EncodeCall(reg, &wire.Call{ID: 41, Target: uint64(ref.ID), Method: "Cluster", Client: "raw#1"})
+	call, err := wire.EncodeCall(reg, &wire.Call{ID: 41, Target: uint64(ref.ID), Method: "Cluster"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,14 @@ func TestVectorReplyOverRawTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := wire.Identity{Addr: "raw", Incarnation: 1}
 	ask := func() []byte {
 		c, err := net.Dial("tcp", string(server.Addr()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		for _, p := range [][]byte{wire.EncodeHello(), call} {
+		for _, p := range [][]byte{wire.EncodeHello(raw), call} {
 			hdr := binary.BigEndian.AppendUint32(nil, uint32(len(p)))
 			if _, err := c.Write(append(hdr, p...)); err != nil {
 				t.Fatal(err)
@@ -91,7 +92,7 @@ func TestVectorReplyOverRawTCP(t *testing.T) {
 		t.Fatalf("the raw peer read %d bytes, not the %d-byte contiguous reply", len(first), len(want))
 	}
 	server.dedupe.mu.Lock()
-	kept := server.dedupe.clients["raw#1"].entries[41].frame
+	kept := server.dedupe.clients[raw].entries[41].frame
 	server.dedupe.mu.Unlock()
 	_, parts := kept.Buffers()
 	for i, s := range states {

@@ -283,8 +283,10 @@ func faultAllocs(t *testing.T, opts ...Option) float64 {
 // codec headers of a fault (call and reply, each encoded and decoded, the
 // capture and the restore) reached the heap through the Marshaler hook and
 // nine strings (type names, provider addresses, the method name, the client
-// id) were copied out of every frame instead of out of a connection memo.)
-const faultAllocsOff = 40
+// id) were copied out of every frame instead of out of a connection memo,
+// 40 while the Get call passed the requester's address as an argument,
+// boxed into an interface at either end.)
+const faultAllocsOff = 38
 
 // TestFaultTelemetryAllocationsPinned: what a site records about a fault
 // with nobody reading it allocates nothing. Its five spans (fault, rmi:Get,

@@ -123,13 +123,13 @@ func WithRetry(p rmi.RetryPolicy) Option { return func(o *options) { o.retry = &
 // number, so peers never confuse it with its previous life.
 func WithDurability(dir string) Option { return func(o *options) { o.walDir = dir } }
 
-// WithIncarnation pins the site's RMI client incarnation instead of the
-// process-global counter. Deterministic harnesses (internal/swarm) need
-// this: the incarnation is embedded in every call frame's client identity,
-// so counter values that differ between runs change frame sizes and hence
-// simulated transfer times. Sites whose addresses are already unique per
-// rebirth can pin any constant. Ignored for durable sites, which persist
-// their own incarnation in the WAL.
+// WithIncarnation pins the site's RMI client incarnation instead of one
+// drawn from the real clock. The incarnation travels once per connection,
+// at a fixed width, in the Hello, so it moves no frame's size; a pin is in
+// the durable namespace, so a site reborn at its address must pin a higher
+// one. Sites whose addresses are already unique per rebirth can pin any
+// constant. Ignored for durable sites, which persist their own incarnation
+// in the WAL.
 func WithIncarnation(n uint64) Option { return func(o *options) { o.incarnation = n } }
 
 // WithTelemetry installs a custom telemetry hub — typically one built with

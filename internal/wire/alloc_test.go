@@ -108,17 +108,17 @@ func BenchmarkStepCodec(b *testing.B) {
 }
 
 // BenchmarkDecodeUniqueStrings prices the connection memo where it cannot
-// help: call frames whose three strings (method, client id, an argument)
-// never repeat, so each is a miss that also forgets an older string. The
-// rows are no memo, the memo missing on every string, and the memo on one
-// frame over and over (every string a hit): go test -run xxx -bench
+// help: call frames whose two strings (method, an argument) never repeat,
+// so each is a miss that also forgets an older string. The rows are no
+// memo, the memo missing on every string, and the memo on one frame over
+// and over (every string a hit): go test -run xxx -bench
 // DecodeUniqueStrings -cpu 1 ./internal/wire
 func BenchmarkDecodeUniqueStrings(b *testing.B) {
 	reg := codec.NewRegistry()
 	frames := make([][]byte, 4096)
 	for i := range frames {
 		f, err := wire.EncodeCall(reg, &wire.Call{ID: uint64(i), Target: 17, Method: fmt.Sprintf("Method%05d", i),
-			Client: fmt.Sprintf("10.0.%d.%d:40002#1", i/256, i%256), Args: []any{fmt.Sprintf("argument-%05d", i)}})
+			Args: []any{fmt.Sprintf("argument-%05d", i)}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,7 +131,7 @@ func reencode(t *testing.T, reg *codec.Registry, msg any) []byte {
 	case *Fault:
 		frame = EncodeFault(m)
 	case *Hello:
-		frame = binary.AppendUvarint([]byte{KindHello}, m.Version)
+		frame = fmt.Appendf(binary.AppendUvarint([]byte{KindHello}, m.Version), "%+v", m.Identity)
 	}
 	if err != nil {
 		t.Fatalf("a decoded %T does not encode: %v", msg, err)
@@ -172,14 +173,17 @@ func FuzzBorrowedDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(reply)
-		call, err := EncodeCall(reg, &Call{ID: 1, Target: 2, Method: "Put", Client: "c#1", Args: results})
+		call, err := EncodeCall(reg, &Call{ID: 1, Target: 2, Method: "Put", Args: results})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(call)
 	}
 	f.Add(EncodeFault(&Fault{ID: 1, Code: FaultReplyEvicted, Message: "gone"}))
-	f.Add(EncodeHello())
+	hello := EncodeHello(Identity{Addr: "127.0.0.1:40002", Incarnation: 1 << 60, Durable: true})
+	f.Add(hello)
+	f.Add(hello[:len(hello)-4])   // the identity cut short, inside its incarnation
+	f.Add(append(hello[:5:5], 3)) // a revision-3 Hello: no identity
 	f.Add([]byte{KindReply, 0x01, 0x01, 0x07, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -259,7 +263,7 @@ func FuzzMemoDecode(f *testing.F) {
 		{long, map[string]any{"k": "v", "127.0.0.1:40002": long, "": ""}},
 		{[]any{"a", "b", "a", ""}, []byte("bytes")},
 	} {
-		call, err := EncodeCall(reg, &Call{ID: uint64(i), Target: 2, Method: "Get", Client: "127.0.0.1:40002#1", Args: vals})
+		call, err := EncodeCall(reg, &Call{ID: uint64(i), Target: 2, Method: "Get", Args: vals})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -171,25 +171,25 @@ func goldenFrames(t testing.TB) []struct {
 		reg  *codec.Registry
 		msg  any
 	}{
-		{"get call", reg, &wire.Call{ID: 41, Target: 17, Method: "Get", Client: "127.0.0.1:40002#1",
-			Args: []any{&spec, "127.0.0.1:40002"}}},
+		{"hello", reg, &wire.Hello{Version: wire.ProtocolVersion,
+			Identity: wire.Identity{Addr: "127.0.0.1:40002", Incarnation: 1034587800123456789}}},
+		{"get call", reg, &wire.Call{ID: 41, Target: 17, Method: "Get", Args: []any{&spec}}},
 		{"step reply", reg, &wire.Reply{ID: 41, Results: []any{step}}},
 		{"cluster reply", reg, &wire.Reply{ID: 42, Results: []any{cluster}}},
-		{"put call", reg, &wire.Call{ID: 43, Target: 50, Method: "Put", Client: "127.0.0.1:40002#1",
-			TraceID: 0xab00000001, SpanID: 0xab00000002, Args: []any{put}}},
-		{"cluster put call", reg, &wire.Call{ID: 44, Target: 40, Method: "PutCluster", Client: "127.0.0.1:40002#1",
-			Args: []any{clusterPut}}},
+		{"put call", reg, &wire.Call{ID: 43, Target: 50, Method: "Put", TraceID: 0xab00000001, SpanID: 0xab00000002, Args: []any{put}}},
+		{"cluster put call", reg, &wire.Call{ID: 44, Target: 40, Method: "PutCluster", Args: []any{clusterPut}}},
 		{"every kind", local, kinds},
 	}
 }
 
-// goldenHex is each golden frame's encoding at protocol revision 3, in
+// goldenHex is each golden frame's encoding at protocol revision 4, in
 // hex. A state the frame sends from where it lies (a vector part) is
 // written as [length:SHA-256] instead, to keep the file readable; the state
 // is a CaptureState, so its hash pins the struct encoding too. The frames
 // only change with a ProtocolVersion bump.
 var goldenHex = map[string]string{
-	"get call":   "01291103476574113132372e302e302e313a343030303223310000020ad7291f7c00020000060f3132372e302e302e313a3430303032",
+	"hello":      "044f424931040f3132372e302e302e313a34303030320e5b981f6b4fbd1500",
+	"get call":   "012911034765740000010ad7291f7c00020000",
 	"step reply": "0229010ae6dfebc101e9070e62656e63686d61726b2e4e6f646501444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901ea07001101ea0700120000000002000000",
 	"cluster reply": "022a010ae6dfebc103d10f0e62656e63686d61726b2e4e6f6465038518" +
 		"[3077:9da0c57bfd8f59a285adde66241e46c148a38ac04d9e809fcafb09d46c297801]" +
@@ -198,10 +198,10 @@ var goldenHex = map[string]string{
 		"0000d30f0e62656e63686d61726b2e4e6f6465058518" +
 		"[3077:fea50cc50c0697c794cb497c87ff9dee5a3bfa2a5fda0e3bca117855e9dc8284]" +
 		"000001d40f002901002800060001020f3132372e302e302e313a34303030310f3132372e302e302e313a3430303033",
-	"put call": "012b3203507574113132372e302e302e313a3430303032233181808080b01582808080b015010abea327dfb917098520" +
+	"put call": "012b320350757481808080b01582808080b015010abea327dfb917098520" +
 		"[4101:7f9483756d5d7dbf413bed3a5d94a045dbc2dcb7eadde2efccfe1f17b0ea16f8]" +
 		"01ba170f3132372e302e302e313a343030303132",
-	"cluster put call": "012c280a507574436c7573746572113132372e302e302e313a343030303223310000010a607d36c102d10f03444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901d20f00d20f048518" +
+	"cluster put call": "012c280a507574436c75737465720000010a607d36c102d10f03444040474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f901d20f00d20f048518" +
 		"[3077:794c5ec3bde709bfab655e6e7e10a50d7f0fa38999620c34ef07799e96ddb287]" +
 		"00",
 	"every kind": "0a99117cf201ffffffffff3fff01ffff0380808080808080808001000000000000f83f00000000000002c00668c3a96c6c6f04000102ff03016100036363630d808080800803050b6d696e757320746872656500047a65726f12046e696e6503016106036f6e65016203040163080202000a1aa06511d704046c65616600aaf4bdb38cf1d5bb1c01aaf4bdb38cf1d5bb1c01000000000000000000000000000000000000000000046c696e6b0000000000000a1aa06511020000aa9c94ed93f1d5bb1c0000ea07097461673a696e6e657200ef07087461673a6164647201077461673a707472",
@@ -215,6 +215,9 @@ func encodeGolden(reg *codec.Registry, msg any) ([]byte, string, error) {
 	var one, head []byte
 	var parts [][]byte
 	switch m := msg.(type) {
+	case *wire.Hello:
+		one = wire.EncodeHello(m.Identity)
+		head = one
 	case *wire.Call, *wire.Reply:
 		f, err := wire.EncodeFrame(reg, m)
 		if err != nil {
@@ -276,8 +279,9 @@ func TestGoldenWireFrames(t *testing.T) {
 			t.Errorf("%s: the encoding moved (%d bytes):\n%s", g.name, len(got), rendered)
 			continue
 		}
-		_, isFrame := g.msg.(*wire.Call)
-		if _, ok := g.msg.(*wire.Reply); ok {
+		isFrame := false
+		switch g.msg.(type) {
+		case *wire.Hello, *wire.Call, *wire.Reply:
 			isFrame = true
 		}
 		back, err := decodeGolden(g.reg, got, isFrame)
@@ -309,7 +313,7 @@ func TestGoldenFramesDecodeThroughOneMemo(t *testing.T) {
 			var warm any
 			isFrame := false
 			switch g.msg.(type) {
-			case *wire.Call, *wire.Reply:
+			case *wire.Hello, *wire.Call, *wire.Reply:
 				isFrame = true
 				warm, err = wire.DecodeMemo(g.reg, &memo, bytes.Clone(frame))
 			default:

@@ -119,13 +119,13 @@ func TestQuickVectorFrameIsTheContiguousFrame(t *testing.T) {
 			states = append(states, rec.State)
 		}
 		reply := &wire.Reply{ID: rng.Uint64(), Results: []any{p, "ok"}}
-		call := &wire.Call{ID: rng.Uint64(), Target: 3, Method: "Put", Client: "c#1", TraceID: 1, SpanID: 2, Args: []any{put, int64(-1)}}
+		call := &wire.Call{ID: rng.Uint64(), Target: 3, Method: "Put", TraceID: 1, SpanID: 2, Args: []any{put, int64(-1)}}
 		for _, tc := range []struct {
 			msg, plainMsg any
 			states        []codec.Frozen
 		}{
 			{reply, &wire.Reply{ID: reply.ID, Results: []any{pp, "ok"}}, states},
-			{call, &wire.Call{ID: call.ID, Target: 3, Method: "Put", Client: "c#1", TraceID: 1, SpanID: 2, Args: []any{pput, int64(-1)}}, []codec.Frozen{put.State}},
+			{call, &wire.Call{ID: call.ID, Target: 3, Method: "Put", TraceID: 1, SpanID: 2, Args: []any{pput, int64(-1)}}, []codec.Frozen{put.State}},
 		} {
 			frame, err := wire.EncodeFrame(reg, tc.msg)
 			if err != nil {

@@ -14,6 +14,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -41,22 +42,49 @@ const (
 //	    interface name, a frontier descriptor no type name, a payload no
 //	    root OID (its first object is the root), and a step reply writes
 //	    the replier's own address as empty (replication.Payload)
-const ProtocolVersion = 3
+//	4 — the caller names itself once per connection: Hello carries its
+//	    Identity, and Call frames carry no client
+const ProtocolVersion = 4
 
 // helloMagic guards against cross-protocol traffic reaching an RMI port.
 const helloMagic = "OBI1"
 
-// Hello is the connection preamble.
+// Hello is the connection preamble: the protocol revision and the calling
+// runtime's identity, which every call on the connection is made under.
 type Hello struct {
 	Version uint64
+	Identity
 }
 
-// EncodeHello serializes the connection preamble.
-func EncodeHello() []byte {
-	e := codec.NewEncoder(8)
+// Identity names one calling runtime incarnation. Together with a call id it
+// names one logical invocation across resends: a client retrying a call
+// (e.g. its reply was lost to a link outage) re-transmits the same id on a
+// connection that opened with the same Identity, possibly a fresh one, and
+// the server's duplicate-suppression table guarantees the invocation
+// executes at most once. The incarnation travels at a fixed width, so a
+// preamble's size does not depend on it. Durable incarnations (persisted by
+// a site's WAL) and ephemeral ones are separate namespaces.
+type Identity struct {
+	Addr        string
+	Incarnation uint64
+	Durable     bool
+}
+
+// EncodeHello serializes the connection preamble naming caller. A bare
+// EncodeHello(), which callers written before revision 4 still make, names
+// the zero Identity.
+func EncodeHello(caller ...Identity) []byte {
+	var id Identity
+	if len(caller) > 0 {
+		id = caller[0]
+	}
+	e := codec.NewEncoder(24 + len(id.Addr))
 	e.WriteRaw([]byte{KindHello})
 	e.WriteRaw([]byte(helloMagic))
 	e.WriteUvarint(ProtocolVersion)
+	e.WriteString(id.Addr)
+	e.WriteRaw(binary.BigEndian.AppendUint64(nil, id.Incarnation))
+	e.WriteBool(id.Durable)
 	return e.Bytes()
 }
 
@@ -86,18 +114,14 @@ const (
 	FaultBusy = "busy"
 )
 
-// Call is a request frame.
-//
-// Client identifies the calling runtime incarnation. Together with ID it
-// names one logical invocation across resends: a client retrying a call
-// (e.g. its reply was lost to a link outage) re-transmits the same
-// (Client, ID) pair — possibly on a fresh connection — and the server's
-// duplicate-suppression table guarantees the invocation executes at most
-// once. An empty Client opts out of suppression.
+// Call is a request frame. Its caller is the Identity its connection's
+// Hello named.
 type Call struct {
 	ID     uint64
 	Target uint64
 	Method string
+	// Client is neither encoded nor decoded since revision 4; callers
+	// written before it still set it.
 	Client string
 	// TraceID and SpanID carry the caller's causal trace context: the
 	// trace this invocation belongs to and the client-side span that
@@ -208,7 +232,6 @@ func encode(reg *codec.Registry, msg any, vec *codec.Vector) (Frame, error) {
 		e.WriteUvarint(m.ID)
 		e.WriteUvarint(m.Target)
 		e.WriteString(m.Method)
-		e.WriteString(m.Client)
 		e.WriteUvarint(m.TraceID)
 		e.WriteUvarint(m.SpanID)
 		values = m.Args
@@ -263,7 +286,7 @@ func Decode(reg *codec.Registry, frame []byte) (any, error) {
 
 // DecodeMemo is Decode for one connection's reader, which decodes each of
 // its frames through its one memo: a string the connection has decoded
-// before (a method name, a client id, a type name, an address) comes back
+// before (a method name, a type name, an address) comes back
 // as the memo's copy instead of a new one (codec.Memo).
 func DecodeMemo(reg *codec.Registry, memo *codec.Memo, frame []byte) (any, error) {
 	return decode(reg, codec.NewBorrowingDecoder(frame).WithMemo(memo))
@@ -285,9 +308,6 @@ func decode(reg *codec.Registry, d *codec.Decoder) (any, error) {
 		}
 		if c.Method, err = d.ReadString(); err != nil {
 			return nil, fmt.Errorf("wire: call method: %w", err)
-		}
-		if c.Client, err = d.ReadString(); err != nil {
-			return nil, fmt.Errorf("wire: call client: %w", err)
 		}
 		if c.TraceID, err = d.ReadUvarint(); err != nil {
 			return nil, fmt.Errorf("wire: call trace id: %w", err)
@@ -339,6 +359,17 @@ func decode(reg *codec.Registry, d *codec.Decoder) (any, error) {
 		h := &Hello{}
 		if h.Version, err = d.ReadUvarint(); err != nil {
 			return nil, fmt.Errorf("wire: hello version: %w", err)
+		}
+		if h.Addr, err = d.ReadString(); err != nil {
+			return nil, fmt.Errorf("wire: hello address: %w", err)
+		}
+		inc, err := d.ReadRaw(8)
+		if err != nil {
+			return nil, fmt.Errorf("wire: hello incarnation: %w", err)
+		}
+		h.Incarnation = binary.BigEndian.Uint64(inc)
+		if h.Durable, err = d.ReadBool(); err != nil {
+			return nil, fmt.Errorf("wire: hello durable flag: %w", err)
 		}
 		return h, nil
 	case KindFault:
