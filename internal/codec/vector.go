@@ -96,16 +96,6 @@ func (v *Vector) Len() int {
 	return v.n
 }
 
-// Retained is the capacity of every referenced slice: what a holder of the
-// parts keeps alive besides head.
-func (v *Vector) Retained() int {
-	n := 0
-	for i := 0; i < v.n; i++ {
-		n += cap(v.ref(i).b)
-	}
-	return n
-}
-
 // writeByteSlice appends b behind its length prefix; an encoder asked for a
 // vector writes the prefix alone when vec.inPlace(frozen, len(b)) and
 // records b to be sent from where it lies.

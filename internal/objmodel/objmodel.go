@@ -145,8 +145,14 @@ func (i *Info) New() any { return reflect.New(i.Type).Interface() }
 // from where it lies, and its capacity is the size class it pins (16 394
 // bytes of state hold an 18 432-byte block).
 func CaptureState(reg *codec.Registry, obj any) (codec.Frozen, error) {
+	return CaptureStateIn(reg, obj, nil)
+}
+
+// CaptureStateIn is CaptureState into the buffer lend answers for the
+// state's length, or a fresh one for nil (codec.Encoder.EncodeStructIn).
+func CaptureStateIn(reg *codec.Registry, obj any, lend func(n int) []byte) (codec.Frozen, error) {
 	var e codec.Encoder
-	if err := e.EncodeStruct(reg, obj); err != nil {
+	if err := e.EncodeStructIn(reg, obj, lend); err != nil {
 		return nil, fmt.Errorf("objmodel: capture %T: %w", obj, err)
 	}
 	return e.Bytes(), nil

@@ -123,9 +123,10 @@ func (p *connPool) work(w *poolWorker) {
 	}
 }
 
-// reply sends a call's response frame; the call is answered.
+// reply sends a call's response frame, ending its hold; the call is answered.
 func (p *connPool) reply(frame wire.Frame) {
 	defer p.unanswered.Add(-1)
+	defer p.rt.dedupe.states.drop(frame)
 	select {
 	case <-p.rt.closed:
 		return

@@ -2,7 +2,6 @@ package site
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -141,7 +140,12 @@ const (
 const clusterDemandAllocsPerMember = 7.6
 
 // TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster
-// (the paper's Fig. 6 regime, the benchmark's walk_cluster16k).
+// (the paper's Fig. 6 regime, the benchmark's walk_cluster16k). Every round
+// closes the previous mobile and opens a new incarnation under the same
+// name, which supersedes the old one's log at the master: the rounds are
+// alike, each a first demand of a client the master keeps one log for, and
+// the master captures into fresh buffers (no reply of this client has been
+// evicted, so none has been given back).
 func TestClusterDemandAllocationPinned(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes are not repeatable under the race detector")
@@ -165,11 +169,15 @@ func TestClusterDemandAllocationPinned(t *testing.T) {
 			t.Fatalf("demand shipped %d replicas, want %d", got, members)
 		}
 	}
-	fresh := func(round int) {
-		if mobile, err = New(fmt.Sprintf("mobile-%d", round), net); err != nil {
+	fresh := func(int) {
+		if mobile != nil {
+			if err := mobile.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mobile, err = New("mobile", net); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = mobile.Close() })
 		// New leaves its start-up goroutines (the accept loop, the runtime
 		// sampler) runnable on this P; yield so they run to where they park
 		// now, not once the demand blocks inside the reading. On a loaded
@@ -182,6 +190,7 @@ func TestClusterDemandAllocationPinned(t *testing.T) {
 	fresh(-1)
 	demand(-1) // warm: type plans, the connection, lazy package state
 	got, objects := allocatedBy(fresh, demand)
+	_ = mobile.Close()
 	if perMember := float64(objects) / members; perMember > clusterDemandAllocsPerMember {
 		t.Fatalf("a %d-member cluster demand allocated %.2f objects per member, pinned at %.1f", members, perMember, clusterDemandAllocsPerMember)
 	}
@@ -191,6 +200,66 @@ func TestClusterDemandAllocationPinned(t *testing.T) {
 		t.Fatalf("a %d-byte cluster demand allocated %d bytes (%.2fx), pinned at %.1fx", payload, got, float64(got)/payload, clusterDemandAllocFactor)
 	}
 	t.Logf("a %d-byte cluster demand allocated %d bytes (%.2fx)", payload, got, float64(got)/payload)
+}
+
+// recycledDemandAllocFactor bounds what a cluster demand allocates, both
+// sites included, once the master captures into buffers its reply cache has
+// given back: the demand factor without the capture's 1.125 (2.21 before
+// the master's free list of state buffers).
+const recycledDemandAllocFactor = 1.2
+
+// TestClusterDemandRecyclesStates: one mobile walks a 1000 x 16 KiB chain in
+// clusters of 100 (the benchmark's walk_cluster16k client). The master's
+// reply cache holds two of its 1.84 MB replies within its 4 MiB per client,
+// so the third demand evicts the first, whose states are then given back;
+// from the fourth demand on every capture reuses one.
+func TestClusterDemandRecyclesStates(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not repeatable under the race detector")
+	}
+	const objects, members, size = 1000, 100, 16 << 10
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	master, err := New("master", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	mobile, err := New("mobile", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mobile.Close()
+	head := exportChain(t, master, objects, size)
+	ref := mobile.Engine().RefFromDescriptor(head, replication.GetSpec{Mode: replication.Incremental, Batch: members, Clustered: true})
+	for d := 1; d <= objects/members; d++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		obj, err := ref.Resolve()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factor := float64(after.TotalAlloc-before.TotalAlloc) / (members * size)
+		t.Logf("demand %d allocated %.2fx its payload", d, factor)
+		if d >= 4 && factor > recycledDemandAllocFactor {
+			t.Errorf("demand %d allocated %.2fx its payload, pinned at %.1fx", d, factor, recycledDemandAllocFactor)
+		}
+		b := obj.(*blob)
+		for i := 1; i < members; i++ { // the cluster is local: walk to its last member
+			next, err := b.Next.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = next.(*blob)
+		}
+		if want := bytes.Repeat([]byte{byte(d * members)}, size); !bytes.Equal(b.Data, want) {
+			t.Fatalf("demand %d: member %d holds %d, want %d", d, d*members-1, b.Data[0], byte(d*members))
+		}
+		ref = b.Next
+	}
+	if ref != nil {
+		t.Fatalf("the walk ended before the chain did")
+	}
 }
 
 // TestPutAllocationPinned: one-byte edits of a 4 KiB replica, each put back

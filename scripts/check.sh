@@ -19,7 +19,7 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== allocation pins (not under -race: they skip there)"
-go test -count=1 -run 'Allocations?Pinned' ./...
+go test -count=1 -run 'Allocations?Pinned|RecyclesStates' ./...
 
 echo "== benchmark module (own go.mod)"
 go -C benchmark vet ./...
