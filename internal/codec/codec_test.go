@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -260,6 +261,33 @@ func TestPointerChainRoundTrip(t *testing.T) {
 	}
 	if got.Next.Arr != [3]uint16{1, 2, 3} {
 		t.Fatalf("array: %+v", got.Next.Arr)
+	}
+}
+
+// TestEncodeStructInAppends: the buffer EncodeStructIn is given takes the
+// encoder's earlier bytes and then v, the bytes EncodeStruct appends, and
+// it is asked for the length v encodes to.
+func TestEncodeStructInAppends(t *testing.T) {
+	reg := NewRegistry()
+	v := &nested{Name: "a", Data: bytes.Repeat([]byte{7}, 100)}
+	var want Encoder
+	want.WriteString("head")
+	if err := want.EncodeStruct(reg, v); err != nil {
+		t.Fatal(err)
+	}
+	var got Encoder
+	got.WriteString("head")
+	given := make([]byte, 0, 512)
+	asked := 0
+	err := got.EncodeStructIn(reg, v, func(n int) []byte { asked = n; return given })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) || &got.Bytes()[0] != &given[:1][0] {
+		t.Fatalf("EncodeStructIn wrote %x into its own buffer, want %x in the given one", got.Bytes(), want.Bytes())
+	}
+	if asked != want.Len()-len("head")-1 {
+		t.Fatalf("asked for %d bytes, v encodes to %d", asked, want.Len()-len("head")-1)
 	}
 }
 

@@ -133,7 +133,11 @@ type Payload struct {
 	// proxy-in object ids, so the receiver can fail any provider in this
 	// payload over to another member by swapping the address alone.
 	Group []transport.Addr
+	owned int // in-place states assemble captured for this payload alone
 }
+
+// OwnedStates implements rmi.StatesOwner.
+func (p *Payload) OwnedStates() int { return p.owned }
 
 // Root is the demanded object's OID, the first shipped; 0 for a payload
 // that ships nothing, which no assembly produces.
