@@ -221,7 +221,7 @@ func BenchmarkAblationDepth(b *testing.B) {
 func BenchmarkAutoCrossover(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		points, err := bench.RunAutoCrossover(cfg, 20)
+		points, err := bench.RunAutoCrossover(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,5 +1,7 @@
 // Command obiwan-bench regenerates the tables and figures of the paper's
-// evaluation (§4) on the simulated testbed, at full paper scale.
+// evaluation (§4) on the simulated testbed, at full paper scale. Every
+// experiment runs on a virtual clock, so its figures are a deterministic
+// function of the code; only Table 1's LMI row reads the real clock.
 //
 // Usage:
 //
@@ -12,23 +14,30 @@
 //	obiwan-bench -exp ablation-mode       # incremental vs transitive closure
 //	obiwan-bench -exp ablation-depth      # count- vs depth-bounded clusters
 //	obiwan-bench -exp auto                # RMI/LMI/auto invocation policies
+//	obiwan-bench -exp prefetch            # background prefetch vs think time
 //	obiwan-bench -exp profile             # hot-object replication profiler report
 //	obiwan-bench -exp failover            # master-group overhead + elect latency
 //	obiwan-bench -exp fleet               # capacity curves via fleet federation
 //	obiwan-bench -exp attribution         # critical-path phase shares ("where does p99 go")
+//	obiwan-bench -exp fig4,fig5           # a comma-separated list
 //	obiwan-bench -exp all                 # everything
 //
 // Flags: -quick (scaled-down parameters), -csv (machine-readable output),
 // -profile lan10|wan|wireless|loopback, -list (list length), -svg DIR
 // (render figures), -flight FILE (write the profile run's flight dump),
-// -json FILE (write every collected point as JSON — the checked-in
-// baselines are `-exp failover -json BENCH_failover.json`,
-// `-exp fleet -json BENCH_fleet.json`, and
-// `-exp attribution -json BENCH_attribution.json`).
+// -json FILE (write every collected point as JSON). The checked-in
+// baselines are
+//
+//	-exp fig4,fig5,fig6,fig5curve,fig5v6,ablation-mode,ablation-depth,auto,prefetch,profile -json BENCH_paper.json
+//	-exp failover -json BENCH_failover.json
+//	-exp fleet -json BENCH_fleet.json
+//	-exp attribution -json BENCH_attribution.json
+//
+// and figures/ is `-exp fig4,fig5,fig6,fig5curve,fig5v6 -svg figures`.
 //
 // Regression gate:
 //
-//	obiwan-bench -check BENCH_failover.json -tolerance 5
+//	obiwan-bench -check BENCH_paper.json -tolerance 0
 //
 // reruns every experiment the baseline records (virtual-clock experiments
 // only) and exits non-zero if any figure drifted more than the tolerance
@@ -41,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,13 +61,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig4, fig5, fig6, fig5curve, fig5v6, ablation-mode, ablation-depth, auto, failover, fleet, attribution, all")
+	exp := flag.String("exp", "all", "experiment, or a comma-separated list: table1, fig4, fig5, fig6, fig5curve, fig5v6, ablation-mode, ablation-depth, auto, prefetch, profile, failover, fleet, attribution, all")
 	quick := flag.Bool("quick", false, "scaled-down parameters (fast smoke run)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	profile := flag.String("profile", "lan10", "link profile: lan10, wan, wireless, loopback")
 	listLen := flag.Int("list", 0, "override list length (figures 5-6)")
-	size := flag.Int("size", 64, "object size for fig5curve")
-	step := flag.Int("step", 10, "replication step for fig5curve")
+	size := flag.Int("size", bench.CurveSize, "object size for fig5curve")
+	step := flag.Int("step", bench.CurveStep, "replication step for fig5curve")
 	svgDir := flag.String("svg", "", "also render each experiment as an SVG figure into this directory")
 	flightFile := flag.String("flight", "", "write the profile experiment's flight-recorder dump to this file")
 	jsonFile := flag.String("json", "", "write every collected point as JSON to this file")
@@ -144,13 +154,7 @@ func run(w io.Writer, exp string, quick, csv bool, profile string, listLen, size
 		{"fig6", "figure 6: incremental replication with clustering",
 			func() ([]bench.Point, error) { return bench.RunFig6(cfg) }},
 		{"fig5curve", fmt.Sprintf("cumulative staircase: size=%dB step=%d", size, step),
-			func() ([]bench.Point, error) {
-				sample := cfg.ListLen / 20
-				if sample < 1 {
-					sample = 1
-				}
-				return bench.RunFig5Curve(cfg, size, step, sample, false)
-			}},
+			func() ([]bench.Point, error) { return bench.RunFig5Curve(cfg, size, step) }},
 		{"fig5v6", "clustering delta at equal batch sizes",
 			func() ([]bench.Point, error) { return bench.RunFig5v6(cfg) }},
 		{"ablation-mode", "incremental vs transitive: first-use latency vs total",
@@ -158,9 +162,9 @@ func run(w io.Writer, exp string, quick, csv bool, profile string, listLen, size
 		{"ablation-depth", "count- vs depth-bounded clusters on a tree",
 			func() ([]bench.Point, error) { return bench.RunAblationDepth(cfg) }},
 		{"auto", "invocation policies: remote vs local vs auto crossover",
-			func() ([]bench.Point, error) { return bench.RunAutoCrossover(cfg, 100) }},
+			func() ([]bench.Point, error) { return bench.RunAutoCrossover(cfg) }},
 		{"prefetch", "footnote 3: background prefetch hiding fault latency (1ms think time/object)",
-			func() ([]bench.Point, error) { return bench.RunPrefetch(cfg, time.Millisecond) }},
+			func() ([]bench.Point, error) { return bench.RunPrefetch(cfg) }},
 		{"profile", "per-object replication profiler: skewed refresh rounds, hot objects first",
 			func() ([]bench.Point, error) {
 				points, samples, dump, err := bench.RunHotProfile(cfg)
@@ -175,17 +179,15 @@ func run(w io.Writer, exp string, quick, csv bool, profile string, listLen, size
 			func() ([]bench.Point, error) { return bench.RunAttribution(cfg) }},
 	}
 
+	names := strings.Split(exp, ",")
 	selected := runners[:0:0]
 	for _, r := range runners {
-		if exp == "all" && r.name == "fig5curve" {
-			continue // parameterized; run explicitly
-		}
-		if exp == "all" || exp == r.name {
+		if exp == "all" || slices.Contains(names, r.name) {
 			selected = append(selected, r)
 		}
 	}
-	if len(selected) == 0 {
-		return fmt.Errorf("unknown experiment %q", exp)
+	if exp != "all" && len(selected) != len(names) {
+		return fmt.Errorf("unknown experiment in %q", exp)
 	}
 
 	fmt.Fprintf(w, "# obiwan-bench profile=%s list=%d quick=%v\n",
@@ -252,7 +254,7 @@ const shapeNotes = `
 Shape checks against the paper (see EXPERIMENTS.md):
   table1: LMI per-call ≪ RMI per-call (paper: 2 µs vs 2.8 ms); RMI flat in size.
   fig4:   RMI total linear in invocations; LMI pays a size-dependent fixed cost
-          (replica + put-back) then ≈flat; crossover earlier for small objects.
+          (replica + put-back) then flat; crossover earlier for small objects.
   fig5:   step=1 worst at scale (one RPC per object); larger steps amortize;
           one proxy pair per OBJECT regardless of step.
   fig6:   strictly cheaper than fig5 at equal step; curves compressed; one

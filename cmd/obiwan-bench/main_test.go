@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"obiwan/internal/bench"
 )
 
 // fastRun drives the CLI's run function at minimal scale (loopback link,
@@ -57,6 +59,16 @@ func TestRunRejectsUnknowns(t *testing.T) {
 	if err := run(&buf, "table1", true, false, "carrier-pigeon", 0, 64, 5, "", "", ""); err == nil {
 		t.Fatal("unknown profile must fail")
 	}
+	if err := run(&buf, "table1,fig99", true, false, "loopback", 0, 64, 5, "", "", ""); err == nil {
+		t.Fatal("a list naming an unknown experiment must fail")
+	}
+}
+
+func TestRunList(t *testing.T) {
+	out := fastRun(t, "auto,table1", false)
+	if !strings.Contains(out, "## table1") || !strings.Contains(out, "## auto") || strings.Contains(out, "## fig4") {
+		t.Fatalf("list selection:\n%s", out)
+	}
 }
 
 func TestRunRendersSVG(t *testing.T) {
@@ -105,5 +117,41 @@ func TestRunProfileArtifacts(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "obj-0") || !strings.Contains(out, "flight dump:") {
 		t.Fatalf("profile output:\n%s", out)
+	}
+}
+
+// TestFiguresMatchBaseline: every figure in figures/ is what renderSVG
+// draws from the checked-in BENCH_paper.json, so a figure cannot go stale
+// against the baseline, and the baseline's plottable experiments all have
+// their figure.
+func TestFiguresMatchBaseline(t *testing.T) {
+	baseline, err := bench.LoadBaseline("../../BENCH_paper.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string][]bench.Point{}
+	for _, p := range baseline {
+		name, _, _ := strings.Cut(p.Experiment, "/")
+		byName[name] = append(byName[name], p)
+	}
+	dir := t.TempDir()
+	for name, points := range byName {
+		if _, err := renderSVG(dir, name, points); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	drawn, _ := filepath.Glob(filepath.Join(dir, "*.svg"))
+	checked, _ := filepath.Glob("../../figures/*.svg")
+	if len(drawn) == 0 || len(drawn) != len(checked) {
+		t.Fatalf("baseline draws %d figures, figures/ holds %d", len(drawn), len(checked))
+	}
+	for _, path := range drawn {
+		want, err := os.ReadFile(filepath.Join("../../figures", filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+			t.Errorf("figures/%s differs from what BENCH_paper.json draws; regenerate it (EXPERIMENTS.md, Reproducing)", filepath.Base(path))
+		}
 	}
 }

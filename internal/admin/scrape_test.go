@@ -472,7 +472,7 @@ func TestSubscribeSleepsOnTheRuntimeClock(t *testing.T) {
 	net := transport.NewMemNetworkClock(netsim.Loopback, 1, clock)
 	errDone := errors.New("done")
 	clock.Run(func() {
-		opts := []site.Option{site.WithIncarnation(1), site.WithoutRuntimeSampler()}
+		opts := []site.Option{site.WithoutRuntimeSampler()}
 		target, err := site.New("target", net, opts...)
 		if err != nil {
 			t.Error(err)

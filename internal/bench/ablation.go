@@ -27,43 +27,28 @@ func RunAblationMode(cfg Config) ([]Point, error) {
 	}
 	var points []Point
 	for _, s := range strategies {
-		e, err := newEnv(cfg.Profile)
+		first := Point{Experiment: "ablation-mode", Series: s.name + " (first use)", Size: size}
+		full := Point{Experiment: "ablation-mode", Series: s.name + " (full walk)", Size: size}
+		err := deploy(cfg.Profile, false, func(e *env) error {
+			ref, err := e.list(cfg.ListLen, size, s.spec)
+			if err != nil {
+				return err
+			}
+			return e.measure(&full, 0, func() error {
+				err := e.measure(&first, 0, func() error {
+					_, err := ref.Invoke("Touch")
+					return err
+				})
+				if err != nil {
+					return err
+				}
+				return walkList(ref, cfg.ListLen, nil)
+			})
+		})
 		if err != nil {
 			return nil, err
 		}
-		head, err := e.buildList(cfg.ListLen, size)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		ref, err := e.clientRef(head, s.spec)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := ref.Invoke("Touch"); err != nil {
-			e.close()
-			return nil, err
-		}
-		firstUse := time.Since(start)
-		if err := walkList(ref, cfg.ListLen); err != nil {
-			e.close()
-			return nil, err
-		}
-		total := time.Since(start)
-		points = append(points,
-			Point{
-				Experiment: "ablation-mode", Series: s.name + " (first use)",
-				Size: size, TotalMS: ms(firstUse),
-			},
-			Point{
-				Experiment: "ablation-mode", Series: s.name + " (full walk)",
-				Size: size, TotalMS: ms(total),
-				RMICalls: e.crt.Stats().CallsSent,
-			},
-		)
-		e.close()
+		points = append(points, first, full)
 	}
 	return points, nil
 }
@@ -93,38 +78,29 @@ func RunAblationDepth(cfg Config) ([]Point, error) {
 	}
 	var points []Point
 	for _, s := range strategies {
-		e, err := newEnv(cfg.Profile)
-		if err != nil {
-			return nil, err
-		}
-		root, total, err := e.buildTree(cfg.TreeDepth, size)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		ref, err := e.clientRef(root, s.spec)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		start := time.Now()
-		visited, err := walkTree(ref)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if visited != total {
-			e.close()
-			return nil, fmt.Errorf("ablation-depth %s: visited %d of %d", s.name, visited, total)
-		}
-		points = append(points, Point{
-			Experiment: "ablation-depth", Series: s.name, Size: size,
-			X: float64(total), TotalMS: ms(elapsed),
-			RMICalls:   e.crt.Stats().CallsSent,
-			ProxyPairs: e.server.GC().Snapshot().ProxyInsExported,
+		p := Point{Experiment: "ablation-depth", Series: s.name, Size: size}
+		err := deploy(cfg.Profile, false, func(e *env) error {
+			root, total, err := e.buildTree(cfg.TreeDepth, size)
+			if err != nil {
+				return err
+			}
+			ref, err := e.clientRef(root, s.spec)
+			if err != nil {
+				return err
+			}
+			p.X = float64(total)
+			return e.measure(&p, 0, func() error {
+				visited, err := walkTree(ref)
+				if err == nil && visited != total {
+					err = fmt.Errorf("ablation-depth %s: visited %d of %d", s.name, visited, total)
+				}
+				return err
+			})
 		})
-		e.close()
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, p)
 	}
 	return points, nil
 }
@@ -154,111 +130,91 @@ func RunFig5v6(cfg Config) ([]Point, error) {
 	return points, nil
 }
 
+// autoInvocations is the invocation budget of each auto-crossover series.
+const autoInvocations = 100
+
 // RunAutoCrossover exercises the ModeAuto run-time switch: a reference
 // starts over RMI and replicates once the QoS crossover fires; the series
 // reports cumulative time per invocation strategy.
-func RunAutoCrossover(cfg Config, invocations int) ([]Point, error) {
+func RunAutoCrossover(cfg Config) ([]Point, error) {
 	strategies := []objmodel.InvocationMode{objmodel.ModeRemote, objmodel.ModeLocal, objmodel.ModeAuto}
 	var points []Point
 	for _, mode := range strategies {
-		e, err := newEnv(cfg.Profile)
-		if err != nil {
-			return nil, err
-		}
-		head, err := e.buildList(1, cfg.Sizes[0])
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		ref, err := e.clientRef(head, replication.DefaultSpec)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		if mode == objmodel.ModeAuto {
-			// Crossover after 2 calls, the qos.Advisor default.
-			e.client.SetCrossover(func(_ transport.Addr, _ objmodel.OID, calls uint64) bool {
-				return calls >= 2
-			})
-		}
-		ref.SetMode(mode)
-		start := time.Now()
-		for i := 0; i < invocations; i++ {
-			if _, err := ref.Invoke("Touch"); err != nil {
-				e.close()
-				return nil, err
+		p := Point{Experiment: "auto-crossover", Series: mode.String(), Size: cfg.Sizes[0], X: autoInvocations}
+		err := deploy(cfg.Profile, false, func(e *env) error {
+			ref, err := e.list(1, cfg.Sizes[0], replication.DefaultSpec)
+			if err != nil {
+				return err
 			}
-		}
-		total := time.Since(start)
-		points = append(points, Point{
-			Experiment: "auto-crossover", Series: mode.String(),
-			Size: cfg.Sizes[0], X: float64(invocations),
-			TotalMS: ms(total), RMICalls: e.crt.Stats().CallsSent,
+			if mode == objmodel.ModeAuto {
+				// Crossover after 2 calls, the qos.Advisor default.
+				e.client.SetCrossover(func(_ transport.Addr, _ objmodel.OID, calls uint64) bool {
+					return calls >= 2
+				})
+			}
+			ref.SetMode(mode)
+			return e.measure(&p, 0, func() error { return touch(ref, autoInvocations) })
 		})
-		e.close()
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, p)
 	}
 	return points, nil
 }
+
+// thinkTime is the application's work per object in the prefetch walk;
+// pollStep is how often that walk looks whether the prefetcher has brought
+// its next object in.
+const thinkTime, pollStep = time.Millisecond, 20 * time.Microsecond
 
 // RunPrefetch quantifies the paper's footnote 3 — "a perfect mechanism of
 // pre-fetching in the background can completely eliminate the latency" —
 // by walking the list with per-object application think time, with and
 // without a background prefetcher racing ahead of the walk.
-func RunPrefetch(cfg Config, thinkTime time.Duration) ([]Point, error) {
+func RunPrefetch(cfg Config) ([]Point, error) {
 	size := cfg.Sizes[0]
 	var points []Point
-	for _, prefetch := range []bool{false, true} {
-		e, err := newEnv(cfg.Profile)
-		if err != nil {
-			return nil, err
-		}
-		head, err := e.buildList(cfg.ListLen, size)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		spec := replication.GetSpec{Mode: replication.Incremental, Batch: 1}
-		ref, err := e.clientRef(head, spec)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		series := "walk"
-		var pf *replication.Prefetcher
-		if prefetch {
-			series = "walk+prefetch"
-			pf = replication.NewPrefetcher(e.client)
-			pf.Prefetch(ref, 0)
-		}
-		start := time.Now()
-		cur := ref
-		for i := 0; i < cfg.ListLen; i++ {
-			if _, err := cur.Invoke("Touch"); err != nil {
-				e.close()
-				return nil, err
-			}
-			// The application "works" on each object; the prefetcher uses
-			// this time to stay ahead of the walk.
-			if thinkTime > 0 {
-				time.Sleep(thinkTime)
-			}
-			node, err := objmodel.Deref[*Node](cur)
+	for _, series := range []string{"walk", "walk+prefetch"} {
+		p := Point{Experiment: "prefetch", Series: series, Size: size, X: float64(cfg.ListLen)}
+		err := deploy(cfg.Profile, false, func(e *env) error {
+			ref, err := e.list(cfg.ListLen, size, replication.GetSpec{Mode: replication.Incremental, Batch: 1})
 			if err != nil {
-				e.close()
-				return nil, err
+				return err
 			}
-			cur = node.Next
-		}
-		total := time.Since(start)
-		if pf != nil {
-			pf.Close()
-		}
-		points = append(points, Point{
-			Experiment: "prefetch", Series: series, Size: size,
-			X: float64(cfg.ListLen), TotalMS: ms(total),
-			RMICalls: e.crt.Stats().CallsSent,
+			var pf *replication.Prefetcher
+			if series == "walk+prefetch" {
+				pf = replication.NewPrefetcher(e.client)
+				defer pf.Close()
+			}
+			// await lets the prefetcher finish the fault of the walk's next
+			// object. It polls: a second Resolve of a reference in mid-fault
+			// waits on a lock the virtual clock cannot see, which stalls it.
+			await := func(next *objmodel.Ref) {
+				for pf != nil && next != nil && !next.IsResolved() {
+					if _, failed := pf.Stats(); failed > 0 {
+						return
+					}
+					e.clock.Sleep(pollStep)
+				}
+			}
+			return e.measure(&p, 0, func() error {
+				if pf != nil {
+					pf.Prefetch(ref, 0)
+				}
+				await(ref)
+				// The application "works" on each object; the prefetcher uses
+				// this time to stay ahead of the walk.
+				return walkList(ref, cfg.ListLen, func(_ int, next *objmodel.Ref) {
+					e.clock.Sleep(thinkTime)
+					await(next)
+				})
+			})
 		})
-		e.close()
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, p)
 	}
 	return points, nil
 }

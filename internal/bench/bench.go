@@ -11,19 +11,21 @@
 // Plus the ablations DESIGN.md calls out (incremental vs transitive,
 // count- vs depth-bounded clusters). Each experiment point runs in a fresh
 // simulated deployment so link occupancy and runtime state never leak
-// between points.
+// between points, and every deployment runs on a virtual clock (deploy):
+// only Table 1's LMI row reads the real one, since it measures host CPU.
 package bench
 
 import (
 	"fmt"
 	"time"
 
+	"obiwan/internal/chaos"
 	"obiwan/internal/heap"
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
-	"obiwan/internal/transport"
+	"obiwan/internal/telemetry"
 )
 
 // Node is the benchmark workload object: a payload of configurable size
@@ -135,7 +137,8 @@ type Point struct {
 	// X is the x-coordinate in the paper's plot (invocation count for
 	// figure 4, step size for figures 5–6).
 	X float64
-	// TotalMS is the measured wall-clock cost in milliseconds.
+	// TotalMS is the measured cost in milliseconds, on the virtual clock
+	// (the real one for Table 1's LMI row).
 	TotalMS float64
 	// PerOpUS is the per-invocation cost in microseconds.
 	PerOpUS float64
@@ -151,43 +154,73 @@ type Point struct {
 	Value float64 `json:",omitempty"`
 }
 
-// env is one fresh two-site deployment.
+// env is one fresh two-site deployment: a bare RMI runtime and
+// replication engine at the master ("s2") and at the client ("s1").
 type env struct {
-	net    *transport.MemNetwork
-	srt    *rmi.Runtime
-	crt    *rmi.Runtime
-	server *replication.Engine
-	client *replication.Engine
+	clock          netsim.Clock
+	srt, crt       *rmi.Runtime
+	server, client *replication.Engine
+	hub            *telemetry.Hub // the client's; nil unless deployed with hubs
 }
 
-// newEnv builds a fresh deployment over profile.
-func newEnv(profile netsim.Profile) (*env, error) {
-	net := transport.NewMemNetwork(profile)
-	srt, err := rmi.NewRuntime(net, "s2")
-	if err != nil {
-		return nil, err
+// deploy builds a fresh deployment over profile in a chaos world and runs
+// body inside it, on the world's virtual clock: every link delay is an
+// event on one timeline, so a figure measured with e.clock is a
+// deterministic function of the code. With hubs, both sites carry a
+// telemetry hub on that clock.
+func deploy(profile netsim.Profile, hubs bool, body func(e *env) error) error {
+	w := chaos.NewVirtualWorld(1, profile)
+	defer w.Close()
+	return w.Within(func() error {
+		e := &env{clock: w.Clock}
+		var shub *telemetry.Hub
+		if hubs {
+			shub = telemetry.NewHub("s2", telemetry.WithClock(w.Clock.Now))
+			e.hub = telemetry.NewHub("s1", telemetry.WithClock(w.Clock.Now))
+		}
+		var err error
+		if e.srt, err = rmi.NewRuntime(w.Net, "s2", rmi.WithTelemetry(shub)); err != nil {
+			return err
+		}
+		defer e.srt.Close()
+		if e.crt, err = rmi.NewRuntime(w.Net, "s1", rmi.WithTelemetry(e.hub)); err != nil {
+			return err
+		}
+		defer e.crt.Close()
+		e.server = replication.NewEngine(e.srt, heap.New(2), replication.WithTelemetry(shub))
+		e.client = replication.NewEngine(e.crt, heap.New(1), replication.WithTelemetry(e.hub))
+		return body(e)
+	})
+}
+
+// measure runs body and charges p with what it cost: its time on the
+// world's clock (per op too, when ops > 0), the client's calls and the
+// bytes both sites put on the wire. ProxyPairs is what the master has
+// exported by then, the list head's included.
+func (e *env) measure(p *Point, ops int, body func() error) error {
+	calls, bytes := e.traffic()
+	start := e.clock.Now()
+	if err := body(); err != nil {
+		return err
 	}
-	crt, err := rmi.NewRuntime(net, "s1")
-	if err != nil {
-		_ = srt.Close()
-		return nil, err
+	d := e.clock.Now().Sub(start)
+	c, b := e.traffic()
+	p.TotalMS, p.RMICalls, p.BytesSent = ms(d), c-calls, b-bytes
+	p.ProxyPairs = e.server.GC().Snapshot().ProxyInsExported
+	if ops > 0 {
+		p.PerOpUS = us(d / time.Duration(ops))
 	}
-	return &env{
-		net:    net,
-		srt:    srt,
-		crt:    crt,
-		server: replication.NewEngine(srt, heap.New(2)),
-		client: replication.NewEngine(crt, heap.New(1)),
-	}, nil
+	return nil
 }
 
-func (e *env) close() {
-	_ = e.crt.Close()
-	_ = e.srt.Close()
+func (e *env) traffic() (calls, bytes uint64) {
+	cs, ss := e.crt.Stats(), e.srt.Stats()
+	return cs.CallsSent, cs.BytesSent + ss.BytesSent
 }
 
-// buildList creates the master list at the server and returns its head.
-func (e *env) buildList(n, size int) (*Node, error) {
+// list creates an n-element master list of size-byte nodes at the server
+// and returns the client's faulting reference to its head, with spec.
+func (e *env) list(n, size int, spec replication.GetSpec) (*objmodel.Ref, error) {
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		nodes[i] = &Node{Payload: make([]byte, size)}
@@ -202,7 +235,7 @@ func (e *env) buildList(n, size int) (*Node, error) {
 		}
 		nodes[i].Next = ref
 	}
-	return nodes[0], nil
+	return e.clientRef(nodes[0], spec)
 }
 
 // buildTree creates a complete binary tree of the given depth (depth 1 =
@@ -245,8 +278,10 @@ func (e *env) clientRef(head *Node, spec replication.GetSpec) (*objmodel.Ref, er
 }
 
 // walkList invokes Touch on each of the n list elements through the
-// reference chain, faulting objects in as the spec dictates.
-func walkList(ref *objmodel.Ref, n int) error {
+// reference chain, faulting objects in as the spec dictates, and calls
+// each (when non-nil) after the i-th element with the reference to the
+// next.
+func walkList(ref *objmodel.Ref, n int, each func(i int, next *objmodel.Ref)) error {
 	cur := ref
 	for i := 0; i < n; i++ {
 		if cur == nil {
@@ -260,6 +295,19 @@ func walkList(ref *objmodel.Ref, n int) error {
 			return err
 		}
 		cur = node.Next
+		if each != nil {
+			each(i, cur)
+		}
+	}
+	return nil
+}
+
+// touch invokes Touch on ref n times.
+func touch(ref *objmodel.Ref, n int) error {
+	for i := 0; i < n; i++ {
+		if _, err := ref.Invoke("Touch"); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,11 +126,11 @@ func TestRunFig5AndFig6Shape(t *testing.T) {
 
 func TestRunFig5Curve(t *testing.T) {
 	cfg := tinyConfig()
-	points, err := RunFig5Curve(cfg, 64, 5, 5, false)
+	points, err := RunFig5Curve(cfg, 64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != cfg.ListLen/5 {
+	if len(points) != 20 { // a sample every twentieth of the list
 		t.Fatalf("curve points: %d", len(points))
 	}
 	// Cumulative time is non-decreasing.
@@ -163,7 +164,7 @@ func TestRunAblations(t *testing.T) {
 	if len(v) != 4 { // steps {5,20} × {per-object, clustered}
 		t.Fatalf("fig5v6 points: %d", len(v))
 	}
-	auto, err := RunAutoCrossover(cfg, 10)
+	auto, err := RunAutoCrossover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,20 +188,14 @@ func TestRunAblations(t *testing.T) {
 }
 
 func TestWalkListTooShort(t *testing.T) {
-	e, err := newEnv(netsim.Loopback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.close()
-	head, err := e.buildList(3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := e.clientRef(head, replication.DefaultSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := walkList(ref, 10); err == nil {
+	err := deploy(netsim.Loopback, false, func(e *env) error {
+		ref, err := e.list(3, 8, replication.DefaultSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return walkList(ref, 10, nil)
+	})
+	if err == nil {
 		t.Fatal("walk past the end must error")
 	}
 }
@@ -237,12 +232,11 @@ func TestSizeLabel(t *testing.T) {
 }
 
 func TestBuildTreeCounts(t *testing.T) {
-	e, err := newEnv(netsim.Loopback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.close()
-	_, n, err := e.buildTree(4, 8)
+	var n int
+	err := deploy(netsim.Loopback, false, func(e *env) (err error) {
+		_, n, err = e.buildTree(4, 8)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +247,7 @@ func TestBuildTreeCounts(t *testing.T) {
 
 func TestRunPrefetchShape(t *testing.T) {
 	cfg := tinyConfig()
-	points, err := RunPrefetch(cfg, 0)
+	points, err := RunPrefetch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +281,25 @@ func TestReplicableMethodsCallDirect(t *testing.T) {
 	}
 	if r := p.Reflective(); len(r) > 0 {
 		t.Fatalf("methods on the reflective path: %v", r)
+	}
+}
+
+// TestPaperBaselineHolds: the paper's figures run on the virtual clock, so
+// a full-scale rerun reproduces every figure of the checked-in
+// BENCH_paper.json exactly.
+func TestPaperBaselineHolds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale rerun of the paper's figures")
+	}
+	baseline, err := LoadBaseline("../../BENCH_paper.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, err := Check(baseline, DefaultConfig(), 0, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range regs {
+		t.Error(r)
 	}
 }

@@ -114,7 +114,7 @@ func measureFailover(cfg Config, seed int64, group bool) (failoverRun, error) {
 				master, err = w.AwaitLeader(members, electStep)
 			}
 		} else {
-			master, err = w.NewSite("m1", site.WithNameServer("ns"), site.WithIncarnation(1))
+			master, err = w.NewSite("m1", site.WithNameServer("ns"))
 		}
 		if err != nil {
 			return err
@@ -144,7 +144,7 @@ func measureFailover(cfg Config, seed int64, group bool) (failoverRun, error) {
 			return err
 		}
 
-		client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+		client, err := w.NewSite("client", site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func measureFailover(cfg Config, seed int64, group bool) (failoverRun, error) {
 
 		calls0, bytes0 := wireCounters(client, w.Sites())
 		start := w.Clock.Now()
-		if err := walkList(ref, cfg.FailoverChain); err != nil {
+		if err := walkList(ref, cfg.FailoverChain, nil); err != nil {
 			return err
 		}
 		run.demand = w.Clock.Now().Sub(start)

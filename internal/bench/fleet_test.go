@@ -106,7 +106,7 @@ func TestCheckGate(t *testing.T) {
 // are gateable; a wall-clock baseline is an explicit error, not a flaky
 // gate.
 func TestCheckRejectsWallClockExperiments(t *testing.T) {
-	_, err := Check([]Point{{Experiment: "fig5", Series: "x"}}, QuickConfig(), 5, io.Discard)
+	_, err := Check([]Point{{Experiment: "table1", Series: "x"}}, QuickConfig(), 5, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "not gateable") {
 		t.Fatalf("wall-clock experiment accepted: %v", err)
 	}

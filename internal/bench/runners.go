@@ -17,181 +17,111 @@ import (
 func RunTable1(cfg Config) ([]Point, error) {
 	var points []Point
 
-	// LMI: replicate once, then time a tight invocation loop.
-	{
-		e, err := newEnv(cfg.Profile)
+	// LMI: replicate once, then time a tight invocation loop. An LMI costs
+	// host CPU, which the virtual clock does not charge, so this loop alone
+	// reads the real clock.
+	err := deploy(cfg.Profile, false, func(e *env) error {
+		ref, err := e.list(1, 64, replication.DefaultSpec)
 		if err != nil {
-			return nil, err
-		}
-		head, err := e.buildList(1, 64)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		ref, err := e.clientRef(head, replication.DefaultSpec)
-		if err != nil {
-			e.close()
-			return nil, err
+			return err
 		}
 		if _, err := ref.Resolve(); err != nil {
-			e.close()
-			return nil, err
+			return err
 		}
 		const n = 100000
 		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := ref.Invoke("Touch"); err != nil {
-				e.close()
-				return nil, err
-			}
+		if err := touch(ref, n); err != nil {
+			return err
 		}
 		per := time.Since(start) / n
 		points = append(points, Point{
 			Experiment: "table1", Series: "LMI", Size: 64, X: n,
 			TotalMS: ms(per * n), PerOpUS: us(per),
 		})
-		e.close()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// RMI: per-call round trips for two object sizes — the cost must not
 	// depend on the size (only the call frame crosses the wire).
 	for _, size := range []int{64, 64 * 1024} {
-		e, err := newEnv(cfg.Profile)
-		if err != nil {
-			return nil, err
-		}
-		head, err := e.buildList(1, size)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		ref, err := e.clientRef(head, replication.DefaultSpec)
-		if err != nil {
-			e.close()
-			return nil, err
-		}
-		ref.SetMode(objmodel.ModeRemote)
-		if _, err := ref.Invoke("Touch"); err != nil { // warm the connection
-			e.close()
-			return nil, err
-		}
 		const n = 50
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := ref.Invoke("Touch"); err != nil {
-				e.close()
-				return nil, err
-			}
+		p := Point{Experiment: "table1", Series: "RMI " + sizeLabel(size), Size: size, X: n}
+		if err := deploy(cfg.Profile, false, func(e *env) error { return e.remoteCalls(&p, size, n) }); err != nil {
+			return nil, err
 		}
-		per := time.Since(start) / n
-		points = append(points, Point{
-			Experiment: "table1", Series: "RMI " + sizeLabel(size), Size: size, X: n,
-			TotalMS: ms(per * n), PerOpUS: us(per),
-		})
-		e.close()
+		points = append(points, p)
 	}
 	return points, nil
+}
+
+// remoteCalls charges p with n RMIs on a master of size bytes, after one
+// call that opens the connection.
+func (e *env) remoteCalls(p *Point, size, n int) error {
+	ref, err := e.list(1, size, replication.DefaultSpec)
+	if err != nil {
+		return err
+	}
+	ref.SetMode(objmodel.ModeRemote)
+	if _, err := ref.Invoke("Touch"); err != nil {
+		return err
+	}
+	return e.measure(p, n, func() error { return touch(ref, n) })
 }
 
 // RunFig4 measures the total cost of n invocations on one object of each
 // size, via RMI and via LMI. Per the paper, "the execution time of LMI
 // includes the cost due to the creation of the replica and to update it
-// back in the master site".
+// back in the master site". The n local calls cost host CPU only, which
+// the virtual clock does not charge (Table 1's LMI row prices them).
 func RunFig4(cfg Config) ([]Point, error) {
 	var points []Point
 
 	// RMI series: size-independent, so one series suffices (the paper
 	// plots one RMI curve).
 	for _, n := range cfg.Invocations {
-		e, err := newEnv(cfg.Profile)
-		if err != nil {
+		p := Point{Experiment: "fig4", Series: "RMI", Size: 64, X: float64(n)}
+		if err := deploy(cfg.Profile, false, func(e *env) error { return e.remoteCalls(&p, 64, n) }); err != nil {
 			return nil, err
 		}
-		total, err := fig4RMI(e, n)
-		e.close()
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, Point{
-			Experiment: "fig4", Series: "RMI", Size: 64, X: float64(n),
-			TotalMS: ms(total), PerOpUS: us(total / time.Duration(n)),
-		})
+		points = append(points, p)
 	}
 
 	for _, size := range cfg.Fig4Sizes {
 		for _, n := range cfg.Invocations {
-			e, err := newEnv(cfg.Profile)
-			if err != nil {
+			p := Point{Experiment: "fig4", Series: "LMI " + sizeLabel(size), Size: size, X: float64(n)}
+			if err := deploy(cfg.Profile, false, func(e *env) error { return e.localCalls(&p, size, n) }); err != nil {
 				return nil, err
 			}
-			total, err := fig4LMI(e, size, n)
-			e.close()
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, Point{
-				Experiment: "fig4", Series: "LMI " + sizeLabel(size), Size: size,
-				X: float64(n), TotalMS: ms(total), PerOpUS: us(total / time.Duration(n)),
-			})
+			points = append(points, p)
 		}
 	}
 	return points, nil
 }
 
-func fig4RMI(e *env, n int) (time.Duration, error) {
-	head, err := e.buildList(1, 64)
+// localCalls charges p with replicating a master of size bytes, n local
+// calls on the replica, and the put-back, after a master-directed call
+// that opens the connection as for RMI.
+func (e *env) localCalls(p *Point, size, n int) error {
+	ref, err := e.list(1, size, replication.DefaultSpec)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	ref, err := e.clientRef(head, replication.DefaultSpec)
-	if err != nil {
-		return 0, err
+	if _, err := ref.Remote().RemoteInvoke("Touch", nil); err != nil {
+		return err
 	}
-	ref.SetMode(objmodel.ModeRemote)
-	if _, err := ref.Invoke("Touch"); err != nil { // connection setup excluded
-		return 0, err
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := ref.Invoke("Touch"); err != nil {
-			return 0, err
+	return e.measure(p, n, func() error {
+		obj, err := ref.Resolve()
+		if err != nil {
+			return err
 		}
-	}
-	return time.Since(start), nil
-}
-
-func fig4LMI(e *env, size, n int) (time.Duration, error) {
-	head, err := e.buildList(1, size)
-	if err != nil {
-		return 0, err
-	}
-	ref, err := e.clientRef(head, replication.DefaultSpec)
-	if err != nil {
-		return 0, err
-	}
-	// Warm the connection as for RMI, through a master-directed call.
-	if r := ref.Remote(); r != nil {
-		if _, err := r.RemoteInvoke("Touch", nil); err != nil {
-			return 0, err
+		if err := touch(ref, n); err != nil {
+			return err
 		}
-	}
-	start := time.Now()
-	// Replica creation...
-	obj, err := ref.Resolve()
-	if err != nil {
-		return 0, err
-	}
-	// ...n local invocations...
-	for i := 0; i < n; i++ {
-		if _, err := ref.Invoke("Touch"); err != nil {
-			return 0, err
-		}
-	}
-	// ...and the put-back to the master.
-	if err := e.client.Put(telemetry.SpanContext{}, obj); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
+		return e.client.Put(telemetry.SpanContext{}, obj)
+	})
 }
 
 // RunFig5 measures the incremental replication of the list without
@@ -222,85 +152,50 @@ func runListWalk(cfg Config, experiment string, clustered bool) ([]Point, error)
 }
 
 func listWalkPoint(cfg Config, experiment string, size, step int, clustered bool) (Point, error) {
-	e, err := newEnv(cfg.Profile)
-	if err != nil {
-		return Point{}, err
-	}
-	defer e.close()
-	head, err := e.buildList(cfg.ListLen, size)
-	if err != nil {
-		return Point{}, err
-	}
-	spec := replication.GetSpec{Mode: replication.Incremental, Batch: step, Clustered: clustered}
-	ref, err := e.clientRef(head, spec)
-	if err != nil {
-		return Point{}, err
-	}
-	start := time.Now()
-	if err := walkList(ref, cfg.ListLen); err != nil {
-		return Point{}, err
-	}
-	total := time.Since(start)
-	cs := e.crt.Stats()
-	ss := e.srt.Stats()
-	return Point{
+	p := Point{
 		Experiment: experiment,
 		Series:     fmt.Sprintf("%s step=%d", sizeLabel(size), step),
 		Size:       size,
 		Step:       step,
 		X:          float64(step),
-		TotalMS:    ms(total),
-		PerOpUS:    us(total / time.Duration(cfg.ListLen)),
-		RMICalls:   cs.CallsSent,
-		BytesSent:  cs.BytesSent + ss.BytesSent,
-		ProxyPairs: e.server.GC().Snapshot().ProxyInsExported,
-	}, nil
+	}
+	err := deploy(cfg.Profile, false, func(e *env) error {
+		ref, err := e.list(cfg.ListLen, size, replication.GetSpec{Mode: replication.Incremental, Batch: step, Clustered: clustered})
+		if err != nil {
+			return err
+		}
+		return e.measure(&p, cfg.ListLen, func() error { return walkList(ref, cfg.ListLen, nil) })
+	})
+	return p, err
 }
 
-// RunFig5Curve emits the cumulative staircase for one (size, step)
-// configuration: total elapsed time after every sampleEvery invocations.
-// This is the raw shape of the paper's figure-5 plots.
-func RunFig5Curve(cfg Config, size, step, sampleEvery int, clustered bool) ([]Point, error) {
-	e, err := newEnv(cfg.Profile)
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	head, err := e.buildList(cfg.ListLen, size)
-	if err != nil {
-		return nil, err
-	}
-	spec := replication.GetSpec{Mode: replication.Incremental, Batch: step, Clustered: clustered}
-	ref, err := e.clientRef(head, spec)
-	if err != nil {
-		return nil, err
-	}
-	experiment := "fig5curve"
-	if clustered {
-		experiment = "fig6curve"
-	}
-	series := fmt.Sprintf("%s step=%d", sizeLabel(size), step)
+// CurveSize and CurveStep are the configuration fig5curve draws unless
+// told otherwise, and the one a baseline records.
+const CurveSize, CurveStep = 64, 10
 
+// RunFig5Curve emits the cumulative staircase for one (size, step)
+// configuration: total elapsed time after every twentieth of the list.
+// This is the raw shape of the paper's figure-5 plots.
+func RunFig5Curve(cfg Config, size, step int) ([]Point, error) {
+	sampleEvery := max(cfg.ListLen/20, 1)
+	series := fmt.Sprintf("%s step=%d", sizeLabel(size), step)
 	var points []Point
-	start := time.Now()
-	cur := ref
-	for i := 0; i < cfg.ListLen; i++ {
-		if _, err := cur.Invoke("Touch"); err != nil {
-			return nil, err
-		}
-		node, err := objmodel.Deref[*Node](cur)
+	err := deploy(cfg.Profile, false, func(e *env) error {
+		ref, err := e.list(cfg.ListLen, size, replication.GetSpec{Mode: replication.Incremental, Batch: step})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cur = node.Next
-		if (i+1)%sampleEvery == 0 || i == cfg.ListLen-1 {
-			points = append(points, Point{
-				Experiment: experiment, Series: series, Size: size, Step: step,
-				X: float64(i + 1), TotalMS: ms(time.Since(start)),
-			})
-		}
-	}
-	return points, nil
+		start := e.clock.Now()
+		return walkList(ref, cfg.ListLen, func(i int, _ *objmodel.Ref) {
+			if (i+1)%sampleEvery == 0 || i == cfg.ListLen-1 {
+				points = append(points, Point{
+					Experiment: "fig5curve", Series: series, Size: size, Step: step,
+					X: float64(i + 1), TotalMS: ms(e.clock.Now().Sub(start)),
+				})
+			}
+		})
+	})
+	return points, err
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -42,11 +42,11 @@ func runSlowCriticalPath(t *testing.T, seed int64) string {
 		if err := leader.Bind("doc/head", nodes[0]); err != nil {
 			return err
 		}
-		client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+		client, err := w.NewSite("client", site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
-		hub, err := w.NewSite("hub", site.WithNameServer("ns"), site.WithIncarnation(1),
+		hub, err := w.NewSite("hub", site.WithNameServer("ns"),
 			site.WithFleet([]transport.Addr{"g1", "g2", "g3", "client"}))
 		if err != nil {
 			return err

@@ -20,7 +20,7 @@
 //     installs).
 //
 // Its World is also the one builder of seeded virtual deployments that
-// internal/swarm and bench's failover experiment stand on.
+// internal/swarm and internal/bench stand on.
 package chaos
 
 import (
@@ -79,7 +79,7 @@ func DefaultRetry() rmi.RetryPolicy {
 // which the same scenarios execute as a discrete-event simulation:
 // identical failure histories, near-zero wall time. Every harness in the
 // repository that stands up a seeded virtual deployment (the chaos
-// suite, internal/swarm, bench's failover experiment) does it here.
+// suite, internal/swarm, internal/bench) does it here.
 type World struct {
 	Seed  int64
 	Net   *transport.MemNetwork
@@ -173,13 +173,12 @@ func (w *World) start(name string, tel site.Option, opts []site.Option) (*site.S
 }
 
 // NewGroup starts one site per member of cfg, each a member of the master
-// group cfg describes, and returns them in cfg.Members order. Incarnations
-// are pinned so reruns in one process stay byte-identical on the wire.
-// opts apply to every member.
+// group cfg describes, and returns them in cfg.Members order. opts apply
+// to every member.
 func (w *World) NewGroup(cfg site.GroupConfig, opts ...site.Option) ([]*site.Site, error) {
 	members := make([]*site.Site, 0, len(cfg.Members))
 	for _, m := range cfg.Members {
-		s, err := w.NewSite(string(m), append([]site.Option{site.WithIncarnation(1), site.WithMasterGroup(cfg)}, opts...)...)
+		s, err := w.NewSite(string(m), append([]site.Option{site.WithMasterGroup(cfg)}, opts...)...)
 		if err != nil {
 			return nil, err
 		}

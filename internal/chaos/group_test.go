@@ -131,7 +131,7 @@ func runGroupLeaderKillMidDemand(t *testing.T, mode clockMode, seed int64) []str
 			return err
 		}
 
-		client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+		client, err := w.NewSite("client", site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
@@ -262,7 +262,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 				return err
 			}
 
-			client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+			client, err := w.NewSite("client", site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}
@@ -425,7 +425,7 @@ func TestGroupRefreshRepinsAfterFailover(t *testing.T) {
 		if err := leader.Bind("doc/head", nodes[0]); err != nil {
 			return err
 		}
-		client, err := w.NewSite("client", site.WithNameServer("ns"), site.WithIncarnation(1))
+		client, err := w.NewSite("client", site.WithNameServer("ns"))
 		if err != nil {
 			return err
 		}
@@ -506,7 +506,7 @@ func TestGroupRebindAfterFailover(t *testing.T) {
 			// The successor republishes asynchronously after winning; poll
 			// until the binding points at a survivor.
 			deadline := w.Clock.Now().Add(failoverBound)
-			probe, err := w.NewSite("probe", site.WithNameServer("ns"), site.WithIncarnation(1))
+			probe, err := w.NewSite("probe", site.WithNameServer("ns"))
 			if err != nil {
 				return err
 			}

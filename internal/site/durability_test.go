@@ -266,7 +266,7 @@ func TestDurableDirtyReplicaFetchedAtSiteClock(t *testing.T) {
 	var server, reborn *Site
 	clock.Run(func() {
 		var err error
-		if server, err = New("server", net, WithIncarnation(1)); err != nil {
+		if server, err = New("server", net); err != nil {
 			t.Error(err)
 			return
 		}

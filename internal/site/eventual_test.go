@@ -172,12 +172,12 @@ func TestLeaseDeterministicUnderVirtualClock(t *testing.T) {
 	var replica *note
 	clock.Run(func() {
 		var err error
-		server, err = New("server", net, WithIncarnation(1))
+		server, err = New("server", net)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		mobile, err = New("mobile", net, WithIncarnation(1), WithLease(10*time.Second))
+		mobile, err = New("mobile", net, WithLease(10*time.Second))
 		if err != nil {
 			t.Error(err)
 			return

@@ -67,7 +67,6 @@ type options struct {
 	tel         *telemetry.Hub
 	noTel       bool
 	noSampler   bool
-	incarnation uint64
 	group       *GroupConfig
 	eventual    bool
 	fleetPeers  []transport.Addr
@@ -122,15 +121,6 @@ func WithRetry(p rmi.RetryPolicy) Option { return func(o *options) { o.retry = &
 // registrations. Each rebirth runs under a fresh persisted incarnation
 // number, so peers never confuse it with its previous life.
 func WithDurability(dir string) Option { return func(o *options) { o.walDir = dir } }
-
-// WithIncarnation pins the site's RMI client incarnation instead of one
-// drawn from the real clock. The incarnation travels once per connection,
-// at a fixed width, in the Hello, so it moves no frame's size; a pin is in
-// the durable namespace, so a site reborn at its address must pin a higher
-// one. Sites whose addresses are already unique per rebirth can pin any
-// constant. Ignored for durable sites, which persist their own incarnation
-// in the WAL.
-func WithIncarnation(n uint64) Option { return func(o *options) { o.incarnation = n } }
 
 // WithTelemetry installs a custom telemetry hub — typically one built with
 // telemetry.WithClock for deterministic traces under netsim. By default a
@@ -273,8 +263,6 @@ func New(name string, network transport.Network, opts ...Option) (_ *Site, err e
 	}
 	if store != nil {
 		rtOpts = append(rtOpts, rmi.WithIncarnation(store.Incarnation()))
-	} else if o.incarnation != 0 {
-		rtOpts = append(rtOpts, rmi.WithIncarnation(o.incarnation))
 	}
 	rt, err = rmi.NewRuntime(network, transport.Addr(name), rtOpts...)
 	if err != nil {

@@ -229,7 +229,7 @@ func Build(o Options) (*Swarm, error) {
 		}
 	}
 	for i, m := range members {
-		opts := []site.Option{site.WithRetry(retryPolicy()), site.WithIncarnation(1)}
+		opts := []site.Option{site.WithRetry(retryPolicy())}
 		if o.Observe && i == 0 {
 			// The first hub is the observatory: invalidations give the
 			// staleness gauge a real signal, and the collector scrapes the
@@ -362,10 +362,7 @@ func (sw *Swarm) bootstrap() error {
 // incarnation. Callers during the run must hold no swarm lock.
 func (sw *Swarm) newLeaf(id, gen int) (*leaf, error) {
 	name := leafName(id, gen)
-	opts := []site.Option{
-		site.WithRetry(retryPolicy()),
-		site.WithIncarnation(1), // the address is unique per incarnation already
-	}
+	opts := []site.Option{site.WithRetry(retryPolicy())}
 	// Only observatory runs give leaves a telemetry hub, so the collector
 	// has per-site metrics to federate.
 	newSite := sw.world.NewBareSite

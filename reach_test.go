@@ -665,7 +665,6 @@ var deadAllowlist = map[string]string{
 	"objmodel.Ref.Calls":                     "test-support",
 	"objmodel.RefsOf":                        "test-support",
 	"replication.Engine.ForgetCluster":       "readme 324",
-	"replication.Prefetcher.Stats":           "test-support",
 	"replication.Prefetcher.Wait":            "test-support",
 	"replication.ProxyOut.OID":               "test-support",
 	"replication.ProxyOut.Provider":          "test-support",

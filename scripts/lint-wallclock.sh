@@ -26,8 +26,7 @@
 #                                 clock fails the test instead of hanging it
 #   internal/swarm/swarm.go       wallStart, the wall-clock start of the speedup figure
 #   internal/swarm/report.go      wall-clock speedup figure (since wallStart)
-#   internal/bench/runners.go     wall-clock experiments (table1, fig4-6)
-#   internal/bench/ablation.go    wall-clock experiments (think time, elapsed)
+#   internal/bench/runners.go     Table 1's LMI loop: real CPU by design
 #   cmd/obiwan-bench/main.go      per-experiment wall timing for the report
 #   cmd/nameserver/main.go        a real daemon's periodic stats line
 #   benchmark/                    the wall-clock benchmark measures real time
@@ -49,7 +48,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight|runtimebridge)\.go$|^\./internal/wal/wal\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/(runners|ablation)\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
+allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight|runtimebridge)\.go$|^\./internal/wal/wal\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/runners\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
 
 sleepAllow='^\./internal/rmi/(rmi|retry|pool)_test\.go$|^\./internal/transport/(transport|reconn)_test\.go$'
 
