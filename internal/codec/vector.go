@@ -7,6 +7,11 @@ import "slices"
 // captured object state is one (objmodel.CaptureState), and the replication
 // payload and put request carry their states in Frozen fields.
 //
+// Its life ends when its owner gives it back, and no sooner: a buffer on a
+// free list (rmi's state lists) is a fresh buffer again, and the next
+// capture writes it. The owner of a reply's states is the frame's last
+// hold; of a put's, the put, once no call will send it again.
+//
 // The promise is what lets an encoder asked for a vector (see Vector) send
 // a large Frozen slice from where it lies instead of copying it into the
 // frame: the frame that references it may be sent again later, a retried

@@ -363,16 +363,17 @@ func (e *Engine) exportProxyIn(entry *heap.Entry) (rmi.RemoteRef, error) {
 	return ref, nil
 }
 
-// captureEntry serializes an entry's state and reads the version it is at
-// in one state-locked section. Every install writes the pair in one such
-// section too (restoreEntry, installReplica), so a shipped record never
-// carries one version's state stamped with another's number, which would
-// let a later put based on it pass the base-version check and overwrite the
-// newer state.
-func (e *Engine) captureEntry(entry *heap.Entry) (codec.Frozen, uint64, error) {
+// captureEntry serializes an entry's state, into the buffer lend answers
+// (objmodel.CaptureStateIn), and reads the version it is at in one
+// state-locked section. Every install writes the pair in one such section
+// too (restoreEntry, installReplica), so a shipped record never carries one
+// version's state stamped with another's number, which would let a later
+// put based on it pass the base-version check and overwrite the newer
+// state.
+func (e *Engine) captureEntry(entry *heap.Entry, lend func(n int) []byte) (codec.Frozen, uint64, error) {
 	entry.LockState()
 	defer entry.UnlockState()
-	state, err := objmodel.CaptureState(e.reg, entry.Obj)
+	state, err := objmodel.CaptureStateIn(e.reg, entry.Obj, lend)
 	return state, entry.Version(), err
 }
 
@@ -451,11 +452,8 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 	}
 
 	for _, en := range entries {
-		// captureEntry, into a buffer the runtime may lend (rmi.StatesOwner)
-		en.LockState()
-		state, err := objmodel.CaptureStateIn(e.reg, en.Obj, e.rt.LendState)
-		version := en.Version()
-		en.UnlockState()
+		// into a buffer the runtime may lend (rmi.StatesOwner)
+		state, version, err := e.captureEntry(en, e.rt.LendState)
 		if err != nil {
 			return nil, err
 		}
@@ -983,6 +981,12 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 		arg = &ClusterPutRequest{Members: reqs}
 	}
 	res, winner, err := e.callFailover(span, subject, prov, BulkTimeout, true, method, arg)
+	// No call sends arg again, so its states go back for the next put to
+	// capture into; not sooner, as callFailover sends it to every member
+	// it tries (rmi.Runtime.GiveBackCallState).
+	for i := range reqs {
+		e.rt.GiveBackCallState(reqs[i].State)
+	}
 	if err != nil {
 		return fmt.Errorf("replication: %s %v: %w", name, subject, e.failUnavailable(name, subject, span.Context(), err))
 	}
@@ -1032,10 +1036,11 @@ func (e *Engine) putAcked(entry *heap.Entry, v uint64) error {
 	return nil
 }
 
-// buildPutRequest captures a replica's state plus the frontier entries the
+// buildPutRequest captures a replica's state, into a buffer the runtime
+// lends for its calls (ship gives it back), plus the frontier entries the
 // master needs to rebind references it may not know.
 func (e *Engine) buildPutRequest(entry *heap.Entry) (PutRequest, error) {
-	state, version, err := e.captureEntry(entry)
+	state, version, err := e.captureEntry(entry, e.rt.LendCallState)
 	if err != nil {
 		return PutRequest{}, err
 	}
@@ -1199,7 +1204,7 @@ func (e *Engine) ForgetCluster(root objmodel.OID) {
 // is heap-managed.
 func (e *Engine) CaptureSnapshot(obj any) ([]byte, error) {
 	if entry, ok := e.heap.EntryOf(obj); ok {
-		state, _, err := e.captureEntry(entry)
+		state, _, err := e.captureEntry(entry, nil)
 		return state, err
 	}
 	return objmodel.CaptureState(e.reg, obj)

@@ -2,7 +2,9 @@ package replication
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/rmi"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 	"obiwan/internal/wire"
 )
@@ -201,4 +204,207 @@ func TestReplayedReplyOutlivesEviction(t *testing.T) {
 			t.Fatalf("%d replies answered from the dedupe table, want 1", dups)
 		}
 	})
+}
+
+// exportBody masters a doc whose 4 KiB body is filled with fill at master
+// and exports it: a put of its replica ships a state that stays in place.
+func exportBody(t *testing.T, master *testSite, fill byte) Descriptor {
+	t.Helper()
+	d := buildChain(t, master, 1, 4<<10)[0]
+	d.Body = bytes.Repeat([]byte{fill}, len(d.Body))
+	desc, err := master.engine.ExportObject(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return desc
+}
+
+// masterSum reads the CRC of the master's body through RMI, so it is taken
+// on the master's side of the wire.
+func masterSum(t *testing.T, client *testSite, prov rmi.RemoteRef) uint64 {
+	t.Helper()
+	res, err := client.rt.Call(prov, "Invoke", "Sum", []any(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].([]any)[0].(uint64)
+}
+
+// aliasNet is a network on which dialling alias reaches target, and the
+// first such dial runs onDial before it connects.
+type aliasNet struct {
+	transport.Network
+	alias, target transport.Addr
+	onDial        func()
+}
+
+func (n *aliasNet) Dial(local, remote transport.Addr) (transport.Conn, error) {
+	if remote == n.alias {
+		if f := n.onDial; f != nil {
+			n.onDial = nil
+			f()
+		}
+		remote = n.target
+	}
+	return n.Network.Dial(local, remote)
+}
+
+// TestPutStateSurvivesFailover: a put to a two-member master group whose
+// first member is unreachable fails over to the second, which receives the
+// replica's bytes. The second member is the master under another address,
+// so the client dials it once the put's frame is encoded, and the dial puts
+// another replica first: a state given back between the two members would
+// be captured into, and the second member would get the other bytes.
+func TestPutStateSurvivesFailover(t *testing.T) {
+	net := &aliasNet{Network: transport.NewMemNetwork(netsim.Loopback), alias: "s2b", target: "s2"}
+	master := newTestSite(t, net, "s2", 2)
+	client := newTestSite(t, net, "s1", 1)
+	desc := exportBody(t, master, 0xa1)
+	const dead = transport.Addr("s9") // listens nowhere
+	desc.Group = []transport.Addr{dead, net.alias}
+	replica, err := derefDoc(t, client.engine.RefFromDescriptor(desc, DefaultSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := derefDoc(t, client.engine.RefFromDescriptor(exportBody(t, master, 0xb2), DefaultSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.engine.Put(telemetry.SpanContext{}, other); err != nil {
+		t.Fatal(err)
+	}
+	net.onDial = func() {
+		other.Body[0]++
+		if err := client.engine.Put(telemetry.SpanContext{}, other); err != nil {
+			t.Error(err)
+		}
+	}
+	entry, _ := client.heap.EntryOf(replica)
+	client.engine.repin(entry, rmi.RemoteRef{Addr: dead, ID: desc.Provider.ID}) // as after the member it came from died
+	replica.Body[0] = 0x5a
+	if err := client.engine.Put(telemetry.SpanContext{}, replica); err != nil {
+		t.Fatal(err)
+	}
+	if net.onDial != nil {
+		t.Fatal("the put did not fail over to the second member")
+	}
+	if got := entry.Provider(); got.Addr != net.alias {
+		t.Fatalf("the put was answered by %v, want the second member %s", got, net.alias)
+	}
+	if got, want := masterSum(t, client, desc.Provider), replica.Sum(); got != want {
+		t.Fatalf("the second member's body sums to %#x, the replica's to %#x", got, want)
+	}
+}
+
+// TestPutStatesOfConcurrentPutsStayApart: two goroutines of one site put
+// two replicas, 200 times each, capturing into and giving back buffers of
+// one list. Each master ends with its own replica's bytes.
+func TestPutStatesOfConcurrentPutsStayApart(t *testing.T) {
+	forEachNetwork(t, func(t *testing.T, kind string) {
+		sites, _ := elideSites(t, kind, 2)
+		client, master := sites[0], sites[1]
+		var replicas [2]*doc
+		var provs [2]rmi.RemoteRef
+		for i := range replicas {
+			desc := exportBody(t, master, byte(0x10*(i+1)))
+			r, err := derefDoc(t, client.engine.RefFromDescriptor(desc, DefaultSpec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			replicas[i], provs[i] = r, desc.Provider
+		}
+		var wg sync.WaitGroup
+		for g, r := range replicas {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					r.Body[i] = byte(0x80*g + i)
+					if err := client.engine.Put(telemetry.SpanContext{}, r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i, r := range replicas {
+			if got, want := masterSum(t, client, provs[i]), r.Sum(); got != want {
+				t.Errorf("master %d's body sums to %#x, its replica's to %#x", i, got, want)
+			}
+		}
+	})
+}
+
+// callDropNet drops the call frames its dialled connections send while
+// armed: the caller waits for replies that never come.
+type callDropNet struct {
+	transport.Network
+	armed atomic.Bool
+}
+
+func (n *callDropNet) Dial(local, remote transport.Addr) (transport.Conn, error) {
+	c, err := n.Network.Dial(local, remote)
+	return callDropConn{c, n}, err
+}
+
+type callDropConn struct {
+	transport.Conn
+	net *callDropNet
+}
+
+func (c callDropConn) Send(frame []byte) error {
+	if len(frame) > 0 && frame[0] == wire.KindCall && c.net.armed.Load() {
+		return nil
+	}
+	return c.Conn.Send(frame)
+}
+
+// TestPutStateGivenBackAfterTimeout: a put whose call times out gives its
+// state back, and the next put, which captures into that buffer, still
+// ships the replica's bytes.
+func TestPutStateGivenBackAfterTimeout(t *testing.T) {
+	net := &callDropNet{Network: transport.NewMemNetwork(netsim.Loopback)}
+	master := newTestSite(t, net, "s2", 2)
+	rt, err := rmi.NewRuntime(net, "s1", rmi.WithRetryPolicy(rmi.RetryPolicy{
+		MaxAttempts: 2, BaseBackoff: time.Millisecond, PerTryTimeout: 100 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	client := &testSite{name: "s1", rt: rt, heap: heap.New(1)}
+	client.engine = NewEngine(rt, client.heap)
+	desc := exportBody(t, master, 0xc3)
+	replica, err := derefDoc(t, client.engine.RefFromDescriptor(desc, DefaultSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica.Body[0] = 1
+	if err := client.engine.Put(telemetry.SpanContext{}, replica); err != nil {
+		t.Fatal(err)
+	}
+
+	replica.Body[0] = 2
+	lost, err := objmodel.CaptureState(rt.Registry(), replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.armed.Store(true)
+	if err := client.engine.Put(telemetry.SpanContext{}, replica); !errors.Is(err, rmi.ErrTimeout) {
+		t.Fatalf("the put whose calls were dropped returned %v, want a timeout", err)
+	}
+	net.armed.Store(false)
+	b := rt.LendCallState(len(lost))
+	if !bytes.Equal(b[:len(lost)], lost) {
+		t.Fatalf("the timed-out put's state was not given back")
+	}
+	rt.GiveBackCallState(b[:len(lost)])
+
+	replica.Body[0] = 3
+	if err := client.engine.Put(telemetry.SpanContext{}, replica); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := masterSum(t, client, desc.Provider), replica.Sum(); got != want {
+		t.Fatalf("the master's body sums to %#x after the next put, the replica's to %#x", got, want)
+	}
 }

@@ -365,8 +365,8 @@ func TestQuickPutPathsEquivalent(t *testing.T) {
 				t.Logf("%v: versions differ", ea.OID)
 				return false
 			}
-			sa, _, _ := a.site.engine.captureEntry(ea)
-			sb, _, _ := b.site.engine.captureEntry(eb)
+			sa, _, _ := a.site.engine.captureEntry(ea, nil)
+			sb, _, _ := b.site.engine.captureEntry(eb, nil)
 			if string(sa) != string(sb) {
 				t.Logf("%v: state differs", ea.OID)
 				return false
@@ -496,7 +496,7 @@ func TestQuickInstallPathsEquivalent(t *testing.T) {
 				t.Logf("%s: %v", name, err)
 				return false
 			}
-			state, _, _ := w.client.engine.captureEntry(w.entry)
+			state, _, _ := w.client.engine.captureEntry(w.entry, nil)
 			tail, _ := w.master.heap.EntryOf(w.docs[2])
 			got := []string{
 				fmt.Sprintf("state %x v%d dirty=%v", state, w.entry.Version(), w.entry.Dirty()),

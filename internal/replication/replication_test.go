@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 
@@ -28,6 +29,8 @@ func (d *doc) Title() string { return d.Name }
 func (d *doc) SetBody(b []byte) { d.Body = b }
 
 func (d *doc) Size() int { return len(d.Body) }
+
+func (d *doc) Sum() uint64 { return uint64(crc32.ChecksumIEEE(d.Body)) }
 
 func init() {
 	objmodel.MustRegisterType("repl_test.doc", (*doc)(nil))

@@ -12,13 +12,15 @@ import (
 // captured for it alone (replication's Payload): nothing else holds them.
 type StatesOwner interface{ OwnedStates() int }
 
-// stateList is a runtime's free list of state buffers. A reply frame whose
-// result owns its in-place states is lent (wire.Frame.Lend) and counts its
-// holds: the dedupe table's, and one per send or replay in flight. The last
-// Drop, after eviction, gives its states here for the Get path to capture
-// into (LendState). The list keeps one size class, the last fresh
-// capture's, so a lent buffer pins what a fresh one would, and holds at
-// most maxDedupeBytesPerClient.
+// stateList is a free list of state buffers; a runtime keeps two. The
+// dedupe table's feeds the Get path (LendState): a reply frame whose result
+// owns its in-place states is lent (wire.Frame.Lend) and counts its holds,
+// the dedupe table's and one per send or replay in flight, and the last
+// Drop, after eviction, gives its states back. The runtime's own feeds the
+// call side (LendCallState): the caller gives a state back once no call
+// can send it again (GiveBackCallState). Neither evicts the other's class.
+// A list keeps one size class, the last fresh capture's, so a lent buffer
+// pins what a fresh one would, and holds at most maxDedupeBytesPerClient.
 type stateList struct {
 	mu         sync.Mutex
 	low, class int      // a fresh buffer for low..class bytes has capacity class
@@ -26,7 +28,7 @@ type stateList struct {
 	carved     int      // bytes of blocks carved, charged whole, never refunded
 }
 
-const maxCarvedBytes = 8 * maxDedupeBytesPerClient // all a runtime carves in its life
+const maxCarvedBytes = 8 * maxDedupeBytesPerClient // all a list carves in its life
 
 // LendState answers an empty buffer for a state EncodeStructIn sizes at n
 // bytes, or nil for one the frame copies (codec.StaysInPlace). Outside the
@@ -35,6 +37,25 @@ const maxCarvedBytes = 8 * maxDedupeBytesPerClient // all a runtime carves in it
 // is a span of whole 8 KiB pages of its own: a lone buffer that outlives the
 // rest of its span holds it (walk_cluster16k's live heap grew 0.15 MB a block).
 func (rt *Runtime) LendState(n int) []byte { return rt.dedupe.states.lend(n) }
+
+// LendCallState is LendState for a state that a call of this runtime sends
+// as an argument (a put's), from the runtime's own list.
+func (rt *Runtime) LendCallState(n int) []byte { return rt.calls.lend(n) }
+
+// GiveBackCallState gives s, a state captured for calls that are all over,
+// to the list LendCallState lends from. Each send of a call returns before
+// the call goes on and a transport.Conn keeps nothing it sent, so a call's
+// states are free once it returns, unless the caller sends them again (a
+// failover to the next group member): it gives them back after its last
+// call. A state under 2 KiB (codec.StaysInPlace) is left alone, as is one
+// of another class or beyond the list's bound.
+func (rt *Runtime) GiveBackCallState(s []byte) {
+	if codec.StaysInPlace(len(s)) {
+		rt.calls.mu.Lock()
+		rt.calls.takeLocked(s)
+		rt.calls.mu.Unlock()
+	}
+}
 
 func (l *stateList) lend(n int) []byte {
 	if !codec.StaysInPlace(n) {
@@ -74,17 +95,23 @@ func lendOwned(f wire.Frame, results []any) {
 	}
 }
 
-// drop ends one hold on f and, when that was the last, takes back those of
-// its states that are of the list's class, as many as its bound admits.
+// drop ends one hold on f and, when that was the last, takes back its
+// states.
 func (l *stateList) drop(f wire.Frame) {
 	if !f.Drop() {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := 0; i < f.States() && (len(l.free)+1)*l.class <= maxDedupeBytesPerClient; i++ {
-		if s := f.State(i); cap(s) == l.class {
-			l.free = append(l.free, s[:0])
-		}
+	for i := 0; i < f.States(); i++ {
+		l.takeLocked(f.State(i))
+	}
+}
+
+// takeLocked takes s back when it is of the list's class and its bound
+// admits one more.
+func (l *stateList) takeLocked(s []byte) {
+	if cap(s) == l.class && (len(l.free)+1)*l.class <= maxDedupeBytesPerClient {
+		l.free = append(l.free, s[:0])
 	}
 }

@@ -124,10 +124,16 @@ const (
 	clusterDemandAllocFactor = 2.3
 	// 7.6 before; 5.1 before the call frame referenced the captured state;
 	// 3.95 before the proxy-in dispatched its own calls; 3.88 before the
-	// master adopted the put's state from its call frame; 2.88 now. A 4 KiB
-	// put carries ~2 KB of fixed cost (spans, call bookkeeping, the reply),
-	// so its factor stays above the demand's.
-	putAllocFactor = 3.0
+	// master adopted the put's state from its call frame; 2.82 before the
+	// replica captured into the state buffers its runtime got back from
+	// earlier puts; 1.63 now: the master's receive buffer 1.19 (its size
+	// class), the rest small objects. A 4 KiB put carries ~1.8 KB of fixed
+	// cost (spans, call bookkeeping, the reply).
+	putAllocFactor = 1.7
+	// A 100 x 16 KiB cluster put, warm: the replica captures into given-back
+	// buffers, and the master copies each member out of its receive buffer
+	// (only a single put adopts), so 1 + 1.
+	clusterPutAllocFactor = 2.1
 )
 
 // clusterDemandAllocsPerMember pins the heap objects one cluster demand
@@ -214,6 +220,20 @@ const recycledDemandAllocFactor = 1.2
 // so the third demand evicts the first, whose states are then given back;
 // from the fourth demand on every capture reuses one.
 func TestClusterDemandRecyclesStates(t *testing.T) {
+	walkRecycling(t, false)
+}
+
+// TestClusterDemandRecyclesStatesBesidePuts: the same walk, while the master
+// also puts a 4 KiB replica of a third site's object back between demands.
+// Its puts capture into a list of their own, so they never evict the 16 KiB
+// class its replies recycle.
+func TestClusterDemandRecyclesStatesBesidePuts(t *testing.T) {
+	walkRecycling(t, true)
+}
+
+// walkRecycling is TestClusterDemandRecyclesStates, with a put by the master
+// before each demand when putBetween is set.
+func walkRecycling(t *testing.T, putBetween bool) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes are not repeatable under the race detector")
 	}
@@ -229,9 +249,33 @@ func TestClusterDemandRecyclesStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mobile.Close()
+	step := func() {}
+	if putBetween {
+		third, err := New("third", net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer third.Close()
+		head, err := third.Export(&blob{Data: make([]byte, 4<<10)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := master.Engine().RefFromDescriptor(head, replication.DefaultSpec).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		replica := root.(*blob)
+		step = func() {
+			replica.Data[0]++
+			if err := master.Put(replica); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	head := exportChain(t, master, objects, size)
 	ref := mobile.Engine().RefFromDescriptor(head, replication.GetSpec{Mode: replication.Incremental, Batch: members, Clustered: true})
 	for d := 1; d <= objects/members; d++ {
+		step()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		obj, err := ref.Resolve()
@@ -304,6 +348,46 @@ func TestPutAllocationPinned(t *testing.T) {
 		t.Fatalf("a %d-byte put allocated %.0f bytes (%.2fx), pinned at %.1fx", size, got, got/size, putAllocFactor)
 	}
 	t.Logf("a %d-byte put allocated %.0f bytes (%.2fx)", size, got, got/size)
+}
+
+// TestClusterPutAllocationPinned: a 100 x 16 KiB cluster put back, after a
+// warm-up put that gives the replica's runtime its capture buffers.
+func TestClusterPutAllocationPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes are not repeatable under the race detector")
+	}
+	const members, size = 100, 16 << 10
+	net := transport.NewMemNetwork(netsim.Profile{Name: "zero"})
+	master, err := New("master", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	mobile, err := New("mobile", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mobile.Close()
+	head := exportChain(t, master, members, size)
+	spec := replication.GetSpec{Mode: replication.Incremental, Batch: members, Clustered: true}
+	root, err := mobile.Engine().RefFromDescriptor(head, spec).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := root.(*blob)
+	put := func(int) {
+		replica.Data[0]++
+		if err := mobile.PutCluster(replica); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(-1) // warm
+	got, _ := allocatedBy(func(int) {}, put)
+	const payload = members * size
+	if limit := uint64(clusterPutAllocFactor * payload); got > limit {
+		t.Fatalf("a %d-byte cluster put allocated %d bytes (%.2fx), pinned at %.1fx", payload, got, float64(got)/payload, clusterPutAllocFactor)
+	}
+	t.Logf("a %d-byte cluster put allocated %d bytes (%.2fx)", payload, got, float64(got)/payload)
 }
 
 // faultAllocs returns the heap objects one single-object fault allocates,

@@ -19,6 +19,8 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== allocation pins (not under -race: they skip there)"
+# RecyclesStates: the cluster walk whose master captures into given-back
+# buffers, alone and beside the master's own puts.
 go test -count=1 -run 'Allocations?Pinned|RecyclesStates' ./...
 
 echo "== benchmark module (own go.mod)"
