@@ -126,8 +126,8 @@ func TestDispatchAnswersEveryProxyInMethod(t *testing.T) {
 	pt := reflect.TypeOf(p)
 	for i := 0; i < pt.NumMethod(); i++ {
 		name := pt.Method(i).Name
-		if name == "Dispatch" {
-			continue // the skeleton itself, not a remote method
+		if name == "Dispatch" || name == "Idempotent" {
+			continue // the skeleton and its declaration, not remote methods
 		}
 		_, err := p.Dispatch(telemetry.SpanContext{}, "s1", name, junk)
 		_, refErr := invoke.CallWithLead(plan, reflect.ValueOf(p), name, telemetry.SpanContext{}, junk)
@@ -136,7 +136,7 @@ func TestDispatchAnswersEveryProxyInMethod(t *testing.T) {
 			t.Errorf("%s with %d args: %v, reflective %v", name, len(junk), err, refErr)
 		}
 	}
-	for _, name := range []string{"Dispatch", "put", "Touch", "GET"} {
+	for _, name := range []string{"Dispatch", "Idempotent", "put", "Touch", "GET"} {
 		_, err := p.Dispatch(telemetry.SpanContext{}, "s1", name, nil)
 		var ie *invoke.Error
 		if !errors.As(err, &ie) || ie.Kind != invoke.KindNoSuchMethod {

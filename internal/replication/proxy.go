@@ -62,8 +62,11 @@ func (p *ProxyIn) Put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, err
 // put applies one inbound put, single or cluster member: agreed through
 // the group log when this proxy-in serves a group-mastered object, applied
 // directly otherwise. adopt says whether the master may keep req.State's
-// bytes: yes for a single put, whose call frame is mostly that state; no
-// for a cluster member, whose frame feeds many masters that live apart.
+// bytes: yes for a single put, whose call frame is mostly that state, and
+// for a cluster member, whose frame feeds the cluster's masters, which live
+// together at this site as the cluster's replicas do at the sender's
+// (installReplica). The borrowing decoder clips each state's capacity, so
+// no member can write into a neighbour's bytes.
 func (p *ProxyIn) put(sc telemetry.SpanContext, req *PutRequest, adopt bool) (*PutReply, error) {
 	if g := p.eng.masterGate(); g != nil && p.entry.Role == heap.Master {
 		return g.RoutePut(sc, req)
@@ -81,7 +84,7 @@ func (p *ProxyIn) PutCluster(sc telemetry.SpanContext, req *ClusterPutRequest) (
 	}
 	versions := make([]any, 0, len(req.Members))
 	for i := range req.Members {
-		reply, err := p.put(sc, &req.Members[i], false)
+		reply, err := p.put(sc, &req.Members[i], true)
 		if err != nil {
 			return nil, fmt.Errorf("cluster member %d (oid %v): %w", i, objmodel.OID(req.Members[i].OID), err)
 		}
@@ -107,13 +110,23 @@ func (p *ProxyIn) Version() uint64 {
 	return p.entry.Version()
 }
 
-var _ rmi.Dispatcher = (*ProxyIn)(nil)
+var (
+	_ rmi.Dispatcher = (*ProxyIn)(nil)
+	_ rmi.Idempotent = (*ProxyIn)(nil)
+)
+
+// Idempotent implements rmi.Idempotent: a demand (Get) and a version read
+// change nothing at the master, so a retried one runs again and the dedupe
+// table never keeps their replies. Put, PutCluster and Invoke stay
+// exactly-once.
+func (p *ProxyIn) Idempotent(method string) bool { return method == "Get" || method == "Version" }
 
 // Dispatch implements rmi.Dispatcher: the proxy-in's skeleton, written out,
 // so a demand, put or invoke reaches its method without reflection. It
-// answers the methods above and no other (Dispatch itself is not remotely
-// callable), accepts exactly the arguments a reflective skeleton would, and
-// reports the same errors, numbered counting the span context it supplies.
+// answers the methods above and no other (Dispatch and Idempotent are not
+// remotely callable), accepts exactly the arguments a reflective skeleton
+// would, and reports the same errors, numbered counting the span context it
+// supplies.
 func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error) {
 	switch method {
 	case "Get":

@@ -14,7 +14,9 @@ import (
 // the first arrival and answers every later one from the recorded response
 // frame — including arrivals on a different connection after a redial, and
 // arrivals while the first execution is still running (those wait for it to
-// finish).
+// finish). A call to a method its target declares read-only (Idempotent) is
+// not recorded: it runs on every arrival, and a client that makes only such
+// calls has no log here.
 //
 // What a client's log retains is bounded twice, both bounds applying to
 // completed calls in the order they completed; a call still executing is in
@@ -89,7 +91,7 @@ type dedupeTable struct {
 	// new incarnation finds the ones it supersedes without a scan of
 	// clients.
 	lines  map[line][]*clientLog
-	states stateList // fed by the frames evicted here
+	states stateList // fed by a lent reply's last drop: its send's, or eviction here
 }
 
 func newDedupeTable(clock netsim.Clock) *dedupeTable {

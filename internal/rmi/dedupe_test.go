@@ -10,7 +10,9 @@ import (
 	"time"
 	"unsafe"
 
+	"obiwan/internal/invoke"
 	"obiwan/internal/netsim"
+	"obiwan/internal/telemetry"
 	"obiwan/internal/transport"
 	"obiwan/internal/wire"
 )
@@ -480,6 +482,103 @@ func TestEvictedReplyIsRefusedNotReexecuted(t *testing.T) {
 		}
 		if ss.CallsServed != 4 || ss.DupsSuppressed != 1 {
 			t.Errorf("server stats %+v, want 4 served and 1 duplicate suppressed", ss)
+		}
+	})
+}
+
+// tally is a Dispatcher with a read-only method, Read, which it declares
+// Idempotent, and one that is not, Bump; it counts the runs of each.
+type tally struct {
+	mu           sync.Mutex
+	reads, bumps int64
+}
+
+func (c *tally) Dispatch(_ telemetry.SpanContext, _ transport.Addr, method string, args []any) ([]any, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch method {
+	case "Read":
+		c.reads++
+		return []any{c.bumps}, nil
+	case "Bump":
+		c.bumps++
+		return []any{c.bumps}, nil
+	}
+	return nil, invoke.NoSuchMethod(c, method)
+}
+
+func (c *tally) Idempotent(method string) bool { return method == "Read" }
+
+func (c *tally) runs() (reads, bumps int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads, c.bumps
+}
+
+// TestIdempotentCallIsNeverRecorded: one reply of each of a tally's methods
+// is lost, to two clients. The retried Read runs again, nothing is answered
+// from the dedupe table for it, and its client, which called only Read,
+// leaves no log there. The retried Bump is replayed: it runs once. Virtual
+// time makes the order certain.
+func TestIdempotentCallIsNeverRecorded(t *testing.T) {
+	clock := netsim.NewVirtualClock()
+	defer clock.Stop()
+	net := transport.NewMemNetworkClock(netsim.Loopback, 1, clock)
+	clock.Run(func() {
+		server, err := newRuntime(net, "server")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer server.Close()
+		c := &tally{}
+		ref, _ := server.Export(c)
+		// lostOnce calls method from a new client whose first reply is lost
+		// and returns its first result.
+		lostOnce := func(name string, method string) any {
+			client, err := newRuntime(net, transport.Addr(name), WithRetryPolicy(fastRetry(4, time.Second)))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			defer client.Close()
+			net.SetFaultSchedule("server", transport.Addr(name), netsim.NewFaultSchedule(
+				netsim.FaultEvent{AtSend: 1, Action: netsim.ActDrop},
+			))
+			res, err := client.Call(ref, method)
+			if err != nil {
+				t.Errorf("%s: %v", method, err)
+				return nil
+			}
+			if r := client.Stats().Retries; r != 1 {
+				t.Errorf("%s was retried %d times, want 1", method, r)
+			}
+			return res[0]
+		}
+
+		lostOnce("reader", "Read")
+		if reads, _ := c.runs(); reads != 2 {
+			t.Errorf("the retried Read ran %d times, want 2", reads)
+		}
+		if dups := server.Stats().DupsSuppressed; dups != 0 {
+			t.Errorf("%d calls answered from the dedupe table, want 0", dups)
+		}
+		server.dedupe.mu.Lock()
+		for id := range server.dedupe.clients {
+			if id.Addr == "reader" {
+				t.Errorf("a client that only read left a dedupe log (%v)", id)
+			}
+		}
+		server.dedupe.mu.Unlock()
+
+		if res := lostOnce("writer", "Bump"); res != int64(1) {
+			t.Errorf("the retried Bump answered %v, want 1", res)
+		}
+		if _, bumps := c.runs(); bumps != 1 {
+			t.Errorf("the retried Bump ran %d times, want 1", bumps)
+		}
+		if dups := server.Stats().DupsSuppressed; dups != 1 {
+			t.Errorf("%d calls answered from the dedupe table, want 1", dups)
 		}
 	})
 }

@@ -25,6 +25,14 @@ type Dispatcher interface {
 	Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error)
 }
 
+// Idempotent is a Dispatcher that names its read-only methods: running one
+// again changes nothing its first run did not. A call to such a method runs
+// on every arrival, a retry included, and is never recorded in the dedupe
+// table, so its reply is kept only while it is sent.
+type Idempotent interface {
+	Idempotent(method string) bool
+}
+
 // skeleton is the reflective Dispatcher Export builds for any other object:
 // its exported methods, each planned once per type by package invoke, the
 // dispatch it shares with local method invocation. A method whose first

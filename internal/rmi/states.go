@@ -15,8 +15,10 @@ type StatesOwner interface{ OwnedStates() int }
 // stateList is a free list of state buffers; a runtime keeps two. The
 // dedupe table's feeds the Get path (LendState): a reply frame whose result
 // owns its in-place states is lent (wire.Frame.Lend) and counts its holds,
-// the dedupe table's and one per send or replay in flight, and the last
-// Drop, after eviction, gives its states back. The runtime's own feeds the
+// one per send or replay in flight plus the dedupe table's when the call is
+// recorded, and the last Drop gives its states back: a Get's (not recorded,
+// see Idempotent) once its send has written it, a recorded frame's after
+// eviction. The runtime's own feeds the
 // call side (LendCallState): the caller gives a state back once no call
 // can send it again (GiveBackCallState). Neither evicts the other's class.
 // A list keeps one size class, the last fresh capture's, so a lent buffer

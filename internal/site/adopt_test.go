@@ -71,7 +71,9 @@ func inside(b, buf []byte) bool {
 // Scribbling over one member of a 4 x 4 KiB cluster and appending to it
 // leaves its siblings as the master sent them; after Evict a new demand
 // brings the master's bytes back; each adopted slice has its capacity
-// clipped to its length. A single put adopts at the master: an edit of the
+// clipped to its length. A cluster put adopts at the master the same way:
+// appending to one member, or a later single put of it, leaves its
+// neighbours as they were. A single put adopts at the master: an edit of the
 // master afterwards does not move the exactly-once guard, so a retry of the
 // same request is answered from it and not applied again. Over the mem
 // network and TCP loopback; run under -race.
@@ -109,6 +111,69 @@ func TestAdoptedReplicaIsItsOwn(t *testing.T) {
 					t.Fatalf("re-demanded member %d is not the master's", i)
 				}
 			}
+		})
+		t.Run(kind+"/cluster put", func(t *testing.T) {
+			master, mobile := sitePair(t, kind)
+			chain, head := blobChain(t, master, members, size)
+			spec := replication.GetSpec{Mode: replication.Incremental, Batch: members, Clustered: true}
+			replicas := chainOf(t, mobile, head, spec, members)
+			for i, r := range replicas {
+				r.Data[0] = 0xA0 + byte(i)
+			}
+			if err := mobile.PutCluster(replicas[0]); err != nil {
+				t.Fatal(err)
+			}
+			// The puts ran on a server goroutine; reading each member under
+			// its state lock orders the reads after them.
+			masterData := func() [][]byte {
+				out := make([][]byte, members)
+				for i, m := range chain {
+					e, _ := master.Heap().EntryOf(m)
+					e.LockState()
+					out[i] = m.Data
+					e.UnlockState()
+				}
+				return out
+			}
+			data := masterData()
+			for i, d := range data {
+				if !bytes.Equal(d, replicas[i].Data) {
+					t.Fatalf("master member %d does not hold its replica's bytes", i)
+				}
+				if cap(d) != len(d) {
+					t.Fatalf("master member %d: %d bytes with capacity %d: an append would write into the frame", i, len(d), cap(d))
+				}
+			}
+			before, after := bytes.Clone(data[0]), bytes.Clone(data[2])
+			_ = append(data[1], "past the end of member 1"...)
+			neighbours := func(when string) {
+				t.Helper()
+				data := masterData()
+				if !bytes.Equal(data[0], before) || !bytes.Equal(data[2], after) {
+					t.Fatalf("%s changed a neighbour of member 1 at the master", when)
+				}
+			}
+			neighbours("appending to member 1")
+
+			// A single put of member 1, to its own proxy-in.
+			desc, err := master.Export(chain[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			mentry, _ := master.Heap().EntryOf(chain[1])
+			replicas[1].Data[0] = 0x5A
+			state, err := mobile.Engine().CaptureSnapshot(replicas[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := &replication.PutRequest{OID: desc.OID, BaseVersion: mentry.Version(), State: state}
+			if _, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, desc.Provider, replication.BulkTimeout, "Put", req); err != nil {
+				t.Fatal(err)
+			}
+			if masterData()[1][0] != 0x5A {
+				t.Fatal("the single put of member 1 did not reach the master")
+			}
+			neighbours("a single put of member 1")
 		})
 		t.Run(kind+"/put", func(t *testing.T) {
 			master, mobile := sitePair(t, kind)

@@ -119,9 +119,11 @@ const (
 	// stopped copying out; 4.2 before the reply frame referenced the
 	// captured states instead of copying them (a vector); 3.21 before the
 	// fresh replicas adopted their states where the frame put them; 2.21
-	// now: state capture 1.125 (size-class slack), queue copy 1, the rest
-	// small objects.
-	clusterDemandAllocFactor = 2.3
+	// before a demand's reply left the dedupe table (Get is idempotent), so
+	// that its states come back once it is sent; 1.09 now: queue copy 1, the
+	// rest small objects (the master captures into the earlier round's
+	// buffers).
+	clusterDemandAllocFactor = 1.2
 	// 7.6 before; 5.1 before the call frame referenced the captured state;
 	// 3.95 before the proxy-in dispatched its own calls; 3.88 before the
 	// master adopted the put's state from its call frame; 2.82 before the
@@ -131,9 +133,9 @@ const (
 	// cost (spans, call bookkeeping, the reply).
 	putAllocFactor = 1.7
 	// A 100 x 16 KiB cluster put, warm: the replica captures into given-back
-	// buffers, and the master copies each member out of its receive buffer
-	// (only a single put adopts), so 1 + 1.
-	clusterPutAllocFactor = 2.1
+	// buffers, and the master adopts each member where its receive buffer
+	// holds it: 2.04 while the master copied the members out, 1.04 now.
+	clusterPutAllocFactor = 1.1
 )
 
 // clusterDemandAllocsPerMember pins the heap objects one cluster demand
@@ -141,17 +143,19 @@ const (
 // while each reference walk (the master's traversal, its frontier walk and
 // the replica's binding) returned a fresh slice; 10.5 while each member's
 // capture and restore heap-allocated a codec header and its type name and
-// provider strings were copied out of the reply; 7.5 now (readings spread
-// by ±0.05 between runs).
-const clusterDemandAllocsPerMember = 7.6
+// provider strings were copied out of the reply; 7.5 (readings spread by
+// ±0.05 between runs) while the master captured each round into fresh
+// buffers; 5.23 now, into buffers an earlier reply gave back.
+const clusterDemandAllocsPerMember = 5.3
 
 // TestClusterDemandAllocationPinned: one demand of a 100 x 16 KiB cluster
 // (the paper's Fig. 6 regime, the benchmark's walk_cluster16k). Every round
 // closes the previous mobile and opens a new incarnation under the same
-// name, which supersedes the old one's log at the master: the rounds are
-// alike, each a first demand of a client the master keeps one log for, and
-// the master captures into fresh buffers (no reply of this client has been
-// evicted, so none has been given back).
+// name: the rounds are alike, each a first demand of a new client, which
+// leaves no log in the master's dedupe table. A demand's reply is not kept
+// in the master's dedupe table, so its states come back once it is sent:
+// from the second round on the master captures into the buffers the round
+// before gave back.
 func TestClusterDemandAllocationPinned(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes are not repeatable under the race detector")
@@ -209,16 +213,15 @@ func TestClusterDemandAllocationPinned(t *testing.T) {
 }
 
 // recycledDemandAllocFactor bounds what a cluster demand allocates, both
-// sites included, once the master captures into buffers its reply cache has
-// given back: the demand factor without the capture's 1.125 (2.21 before
+// sites included, once the master captures into buffers an earlier reply
+// gave back: the demand factor without the capture's 1.125 (2.21 before
 // the master's free list of state buffers).
 const recycledDemandAllocFactor = 1.2
 
 // TestClusterDemandRecyclesStates: one mobile walks a 1000 x 16 KiB chain in
-// clusters of 100 (the benchmark's walk_cluster16k client). The master's
-// reply cache holds two of its 1.84 MB replies within its 4 MiB per client,
-// so the third demand evicts the first, whose states are then given back;
-// from the fourth demand on every capture reuses one.
+// clusters of 100 (the benchmark's walk_cluster16k client). A demand's
+// reply is not kept in the master's dedupe table, so its states are given
+// back once it is sent; from the second demand on every capture reuses one.
 func TestClusterDemandRecyclesStates(t *testing.T) {
 	walkRecycling(t, false)
 }
@@ -285,7 +288,7 @@ func walkRecycling(t *testing.T, putBetween bool) {
 		}
 		factor := float64(after.TotalAlloc-before.TotalAlloc) / (members * size)
 		t.Logf("demand %d allocated %.2fx its payload", d, factor)
-		if d >= 4 && factor > recycledDemandAllocFactor {
+		if d >= 2 && factor > recycledDemandAllocFactor {
 			t.Errorf("demand %d allocated %.2fx its payload, pinned at %.1fx", d, factor, recycledDemandAllocFactor)
 		}
 		b := obj.(*blob)
@@ -438,8 +441,9 @@ func faultAllocs(t *testing.T, opts ...Option) float64 {
 // nine strings (type names, provider addresses, the method name, the client
 // id) were copied out of every frame instead of out of a connection memo,
 // 40 while the Get call passed the requester's address as an argument,
-// boxed into an interface at either end.)
-const faultAllocsOff = 38
+// boxed into an interface at either end, 38 while the master recorded
+// every Get in its dedupe table.)
+const faultAllocsOff = 37
 
 // TestFaultTelemetryAllocationsPinned: what a site records about a fault
 // with nobody reading it allocates nothing. Its five spans (fault, rmi:Get,
