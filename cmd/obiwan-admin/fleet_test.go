@@ -51,9 +51,9 @@ func TestAdminCLIFleetViews(t *testing.T) {
 
 	// A traced demand on the peer, recorded as the rmi client does: its
 	// exemplar trips the zero-threshold rule and ranks as a slow trace.
-	root := peer.Telemetry().StartRoot("fault")
+	root := peer.Telemetry().StartRoot("fault", time.Now())
 	root.Phase(telemetry.PhaseNet, 900*time.Microsecond)
-	root.End()
+	root.End(time.Now())
 	peer.Telemetry().Metrics().Histogram("rmi.call.latency_ns").
 		ObserveExemplar(int64(900*time.Microsecond), root.Context().TraceID)
 

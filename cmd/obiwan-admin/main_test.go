@@ -121,7 +121,7 @@ func TestAdminCLITopAndFlight(t *testing.T) {
 	prof.RecordInvoke(0xabc1, false)
 	fl := s.Telemetry().Flight()
 	fl.Record(telemetry.FlightEvent{Kind: "repl.fault-resolved", OID: 0xabc1, SpanID: 77})
-	fl.Dump("test dump")
+	fl.Dump("test dump", time.Now())
 
 	buf.Reset()
 	if _, err := run(&buf, string(s.Addr()), "top", runOpts{topK: 5}); err != nil {
@@ -153,10 +153,10 @@ func TestAdminCLIWatch(t *testing.T) {
 	defer s.Close()
 
 	// Finish two spans so the first chunk carries them.
-	root := s.Telemetry().StartRoot("watchtest")
-	root.End()
-	child := s.Telemetry().StartRoot("watchtest2")
-	child.End()
+	root := s.Telemetry().StartRoot("watchtest", time.Now())
+	root.End(time.Now())
+	child := s.Telemetry().StartRoot("watchtest2", time.Now())
+	child.End(time.Now())
 
 	var buf bytes.Buffer
 	if _, err := run(&buf, string(s.Addr()), "watch", runOpts{interval: 10 * time.Millisecond, count: 2}); err != nil {
@@ -201,9 +201,9 @@ func TestAdminCLISlowJSONAndExitCodes(t *testing.T) {
 
 	// Record a traced demand with a phase annotation and a tail exemplar,
 	// as the rmi client does.
-	root := s.Telemetry().StartRoot("fault")
+	root := s.Telemetry().StartRoot("fault", time.Now())
 	root.Phase(telemetry.PhaseNet, 900*time.Microsecond)
-	root.End()
+	root.End(time.Now())
 	s.Telemetry().Metrics().Histogram("rmi.call.latency_ns").
 		ObserveExemplar(int64(900*time.Microsecond), root.Context().TraceID)
 
@@ -263,10 +263,10 @@ func TestAdminCLIJSONKeysAndTraceViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	root := s.Telemetry().StartRoot("outer")
-	s.Telemetry().StartSpan(root.Context(), "inner").End()
-	root.End()
-	s.Telemetry().StartRoot("latest").End()
+	root := s.Telemetry().StartRoot("outer", time.Now())
+	s.Telemetry().StartSpan(root.Context(), "inner", time.Now()).End(time.Now())
+	root.End(time.Now())
+	s.Telemetry().StartRoot("latest", time.Now()).End(time.Now())
 
 	for cmd, want := range map[string]string{
 		"report":  "Addr BytesReceived BytesSent CallsSent CallsServed DirtyReplicas FaultsServedFromHeap Masters Name Objects ProxyInsExported ProxyInsReused ProxyOutsCreated ProxyOutsLive ProxyOutsReclaimed RemoteFaults Replicas SendErrors",

@@ -142,7 +142,7 @@ func (s *Service) Flight() *telemetry.FlightDump {
 	if d, ok := f.LastDump(); ok {
 		return d
 	}
-	return f.Current("live")
+	return f.Current("live", s.rt.Clock().Now())
 }
 
 // Client queries a remote site's admin service.
@@ -171,7 +171,8 @@ func (c *Client) WithTimeout(d time.Duration) *Client {
 
 // call issues one admin RMI, honoring the client's timeout override.
 func (c *Client) call(method string, args ...any) ([]any, error) {
-	return c.rt.CallWithin(telemetry.SpanContext{}, c.ref, c.timeout, method, args...)
+	res, _, err := c.rt.CallWithin(telemetry.SpanContext{}, time.Time{}, c.ref, c.timeout, method, args...)
+	return res, err
 }
 
 // Report fetches the remote snapshot.

@@ -101,13 +101,14 @@ func (s *Service) Scrape(cursor uint64, maxSpans uint64, topK uint64) *ScrapeChu
 		topK = 16
 	}
 	spans, next, missed := s.tel.SpansSince(cursor, int(maxSpans))
+	now := s.rt.Clock().Now()
 	return &ScrapeChunk{
 		Site:       s.name,
-		TakenAtNS:  s.tel.Now().UnixNano(),
+		TakenAtNS:  now.UnixNano(),
 		NextCursor: next,
 		Missed:     missed,
-		Metrics:    s.tel.MetricsSnapshot(),
-		Profile:    s.tel.ProfileSnapshot(int(topK)),
+		Metrics:    s.tel.MetricsSnapshot(now),
+		Profile:    s.tel.ProfileSnapshot(int(topK), now),
 		Spans:      spans,
 	}
 }
@@ -123,7 +124,7 @@ func (s *Service) Fleet(refresh bool, maxSlow uint64) (*FleetChunk, error) {
 		maxSlow = 8
 	}
 	chunk := s.fleet.Fleet(refresh, int(maxSlow))
-	chunk.Site, chunk.TakenAtNS = s.name, s.tel.Now().UnixNano()
+	chunk.Site, chunk.TakenAtNS = s.name, s.rt.Clock().Now().UnixNano()
 	return chunk, nil
 }
 

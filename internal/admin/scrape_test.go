@@ -44,7 +44,7 @@ func watchPair(t *testing.T, target, probe string) (*site.Site, *site.Site, *adm
 func TestWatchDeliversSpansExactlyOnce(t *testing.T) {
 	ts, _, client := watchPair(t, "watched", "watcher")
 
-	ts.Telemetry().StartRoot("op-one").End()
+	ts.Telemetry().StartRoot("op-one", time.Now()).End(time.Now())
 	chunk, err := client.Scrape(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestWatchDeliversSpansExactlyOnce(t *testing.T) {
 		t.Fatalf("idle chunk: %+v", chunk2)
 	}
 
-	ts.Telemetry().StartRoot("op-two").End()
+	ts.Telemetry().StartRoot("op-two", time.Now()).End(time.Now())
 	chunk3, err := client.Scrape(chunk2.NextCursor, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestWatchReportsMissedSpans(t *testing.T) {
 	defer ps.Close()
 
 	for i := 0; i < 10; i++ {
-		ts.Telemetry().StartRoot("burst").End()
+		ts.Telemetry().StartRoot("burst", time.Now()).End(time.Now())
 	}
 	chunk, err := ps.Admin("tiny").Scrape(0, 0, 0)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestFlightEndpoint(t *testing.T) {
 		t.Fatalf("live dump: %+v", dump)
 	}
 
-	ts.Telemetry().Flight().Dump("deliberate")
+	ts.Telemetry().Flight().Dump("deliberate", time.Now())
 	dump, err = client.Flight()
 	if err != nil {
 		t.Fatal(err)
@@ -285,12 +285,12 @@ func TestEveryViewIsDerivableFromOneChunk(t *testing.T) {
 	for _, view := range []struct {
 		name, remote, local string
 	}{
-		{"metrics", notRMI(chunk.Metrics), notRMI(hub.MetricsSnapshot())},
+		{"metrics", notRMI(chunk.Metrics), notRMI(hub.MetricsSnapshot(time.Now()))},
 		{"trace", trees(chunk.Spans), trees(hub.Spans(0))},
-		{"top", top(chunk.Profile), top(hub.ProfileSnapshot(topK))},
+		{"top", top(chunk.Profile), top(hub.ProfileSnapshot(topK, time.Now()))},
 		{"slow",
 			formatSlow(telemetry.RankSlow(oneSite(chunk.Site, chunk.Metrics), chunk.Spans, 0)),
-			formatSlow(telemetry.RankSlow(oneSite("mobile", hub.MetricsSnapshot()), hub.Spans(0), 0))},
+			formatSlow(telemetry.RankSlow(oneSite("mobile", hub.MetricsSnapshot(time.Now())), hub.Spans(0), 0))},
 	} {
 		if view.remote == "" {
 			t.Errorf("%s: the chunk yields an empty view", view.name)
@@ -316,7 +316,7 @@ func TestDrainPagesThroughTheWholeRing(t *testing.T) {
 	}
 	defer ts.Close()
 	for i := 0; i < 5003; i++ {
-		hub.StartRoot(strconv.Itoa(i)).End()
+		hub.StartRoot(strconv.Itoa(i), time.Now()).End(time.Now())
 	}
 	chunk, err := ts.Admin("big").Drain(0)
 	if err != nil {
@@ -341,21 +341,28 @@ func TestDrainPagesThroughTheWholeRing(t *testing.T) {
 // those bytes.
 func TestScrapeFrameLengthPinned(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
-	hub := telemetry.NewHub("pin", telemetry.WithClock(func() time.Time {
+	tick := func() time.Time {
 		now = now.Add(time.Millisecond)
 		return now
-	}))
-	root := hub.StartRoot("fault")
+	}
+	hub := telemetry.NewHub("pin")
+	root := hub.StartRoot("fault", tick())
 	root.Annotate("oid", "7")
 	root.Phase(telemetry.PhaseNet, 900*time.Microsecond)
-	hub.StartSpan(root.Context(), "rmi:Get").End()
-	root.End()
+	hub.StartSpan(root.Context(), "rmi:Get", tick()).End(tick())
+	root.End(tick())
 	hub.Metrics().Counter("repl.faults").Add(3)
 	hub.Metrics().Gauge("site.stale.replicas").Set(2)
 	hub.Metrics().Histogram("rmi.call.latency_ns").ObserveExemplar(int64(900*time.Microsecond), root.Context().TraceID)
 	hub.Profiler().RecordFault(0xabc1, false, false, 3, 640, 2*time.Millisecond)
 
-	chunk := admin.NewService("pin", nil, nil, nil, hub, nil).Scrape(0, 0, 0)
+	// The scrape is stamped with its runtime's clock, here the same ticks.
+	rt, err := rmi.NewRuntime(tickNet{transport.NewMemNetwork(netsim.Loopback), tickClock{netsim.Real(), tick}}, "pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	chunk := admin.NewService("pin", rt, nil, nil, hub, nil).Scrape(0, 0, 0)
 	frame, err := wire.EncodeReply(codec.DefaultRegistry(), &wire.Reply{ID: 1, Results: []any{chunk}})
 	if err != nil {
 		t.Fatal(err)
@@ -364,6 +371,22 @@ func TestScrapeFrameLengthPinned(t *testing.T) {
 		t.Fatalf("scrape reply frame is %d bytes, was 286", len(frame))
 	}
 }
+
+// tickClock is the real clock whose readings are now's.
+type tickClock struct {
+	netsim.Clock
+	now func() time.Time
+}
+
+func (c tickClock) Now() time.Time { return c.now() }
+
+// tickNet is a network whose runtimes run on clock (netsim.ClockProvider).
+type tickNet struct {
+	*transport.MemNetwork
+	clock netsim.Clock
+}
+
+func (n tickNet) Clock() netsim.Clock { return n.clock }
 
 // TestOnePeerFleetRanksLikeThePeersOwnChunk: the collector and a direct
 // drain rank through the same function, so a fleet of one peer and that
@@ -486,7 +509,7 @@ func TestSubscribeSleepsOnTheRuntimeClock(t *testing.T) {
 		}
 		defer probe.Close()
 
-		target.Telemetry().StartRoot("seen-once").End()
+		target.Telemetry().StartRoot("seen-once", clock.Now()).End(clock.Now())
 		start := clock.Now()
 		chunks, spans := 0, 0
 		err = probe.Admin("target").Subscribe(time.Hour, nil, func(chunk *admin.ScrapeChunk, err error) error {

@@ -167,7 +167,7 @@ type env struct {
 // body inside it, on the world's virtual clock: every link delay is an
 // event on one timeline, so a figure measured with e.clock is a
 // deterministic function of the code. With hubs, both sites carry a
-// telemetry hub on that clock.
+// telemetry hub, stamped with that clock.
 func deploy(profile netsim.Profile, hubs bool, body func(e *env) error) error {
 	w := chaos.NewVirtualWorld(1, profile)
 	defer w.Close()
@@ -175,8 +175,8 @@ func deploy(profile netsim.Profile, hubs bool, body func(e *env) error) error {
 		e := &env{clock: w.Clock}
 		var shub *telemetry.Hub
 		if hubs {
-			shub = telemetry.NewHub("s2", telemetry.WithClock(w.Clock.Now))
-			e.hub = telemetry.NewHub("s1", telemetry.WithClock(w.Clock.Now))
+			shub = telemetry.NewHub("s2")
+			e.hub = telemetry.NewHub("s1")
 		}
 		var err error
 		if e.srt, err = rmi.NewRuntime(w.Net, "s2", rmi.WithTelemetry(shub)); err != nil {

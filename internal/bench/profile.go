@@ -59,7 +59,7 @@ func RunHotProfile(cfg Config) (points []Point, samples []plot.HotSample, dump *
 		// the client profiler after every round — the samples are cumulative,
 		// so each object traces a staircase whose slope is its heat.
 		sample := func(round int) {
-			snap := e.hub.ProfileSnapshot(0)
+			snap := e.hub.ProfileSnapshot(0, e.clock.Now())
 			for i, oid := range oids {
 				p, _ := snap.Get(oid)
 				samples = append(samples, plot.HotSample{
@@ -86,7 +86,7 @@ func RunHotProfile(cfg Config) (points []Point, samples []plot.HotSample, dump *
 
 		// Summary points, hottest object first, read straight off the final
 		// profiler snapshot.
-		final := e.hub.ProfileSnapshot(0)
+		final := e.hub.ProfileSnapshot(0, e.clock.Now())
 		for i, oid := range oids {
 			p, ok := final.Get(oid)
 			if !ok {
@@ -103,7 +103,7 @@ func RunHotProfile(cfg Config) (points []Point, samples []plot.HotSample, dump *
 				BytesSent:  p.DemandBytes,
 			})
 		}
-		dump = e.hub.Flight().Current("bench hot-profile run")
+		dump = e.hub.Flight().Current("bench hot-profile run", e.clock.Now())
 		return nil
 	})
 	return points, samples, dump, err

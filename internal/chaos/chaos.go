@@ -144,14 +144,15 @@ func (w *World) Run(fn func() error) error {
 // VirtualClock returns the world's virtual clock, or nil on the real clock.
 func (w *World) VirtualClock() *netsim.VirtualClock { return w.vc }
 
-// NewSite starts a site in this world with the chaos retry policy and a
-// telemetry hub on the world's clock — in a virtual world, span times and
-// phase attributions are then simulated time, deterministic per seed (an
-// explicit site.WithRetry or site.WithTelemetry in opts overrides). No
-// world site starts the wall-clock runtime sampler: its readings differ
-// between runs and would reach the wire in scrapes.
+// NewSite starts a site in this world with the chaos retry policy and
+// telemetry on. A site stamps what it records with its runtime's clock,
+// the world's, so in a virtual world span times and phase attributions are
+// simulated time, deterministic per seed (an explicit site.WithRetry or
+// site.WithTelemetry in opts overrides). No world site starts the
+// wall-clock runtime sampler: its readings differ between runs and would
+// reach the wire in scrapes.
 func (w *World) NewSite(name string, opts ...site.Option) (*site.Site, error) {
-	return w.start(name, site.WithTelemetry(telemetry.NewHub(name, telemetry.WithClock(w.Clock.Now))), opts)
+	return w.start(name, site.WithTelemetry(telemetry.NewHub(name)), opts)
 }
 
 // NewBareSite starts a site as NewSite does but with telemetry off, so no

@@ -40,7 +40,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 		return nil
 	}
 
-	master.Telemetry().StartRoot("before-outage").End()
+	master.Telemetry().StartRoot("before-outage", w.Clock.Now()).End(w.Clock.Now())
 	var cursor uint64
 	err = w.Within(func() error {
 		chunk, err := watcher.Scrape(cursor, 0, 0)
@@ -59,7 +59,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 
 	// Partition. The poll fails; crucially the cursor does not advance.
 	w.Net.Disconnect("client", "master")
-	master.Telemetry().StartRoot("during-outage").End()
+	master.Telemetry().StartRoot("during-outage", w.Clock.Now()).End(w.Clock.Now())
 	err = w.Within(func() error {
 		_, err := watcher.Scrape(cursor, 0, 0)
 		return err
@@ -71,7 +71,7 @@ func TestWatchSurvivesPartitionWithoutDuplicates(t *testing.T) {
 	// Heal and resume from the same cursor: the span finished during the
 	// outage arrives now, once; nothing is re-delivered.
 	w.Net.Reconnect("client", "master")
-	master.Telemetry().StartRoot("after-outage").End()
+	master.Telemetry().StartRoot("after-outage", w.Clock.Now()).End(w.Clock.Now())
 	err = w.Within(func() error {
 		chunk, err := watcher.Scrape(cursor, 0, 0)
 		if err != nil {
@@ -133,12 +133,12 @@ func TestFlightDumpCapturesStrandedDemand(t *testing.T) {
 	master.Kill()
 
 	// The follow-on demand strands: retries exhaust into ErrUnavailable.
-	session := client.Telemetry().StartRoot("session")
+	session := client.Telemetry().StartRoot("session", w.Clock.Now())
 	err = w.Within(func() error {
 		_, derr := client.Engine().Replicate(session.Context(), root.Kids[0], spec1())
 		return derr
 	})
-	session.End()
+	session.End(w.Clock.Now())
 	if !errors.Is(err, replication.ErrUnavailable) {
 		t.Fatalf("stranded demand: want ErrUnavailable, got %v", err)
 	}

@@ -529,12 +529,13 @@ func (s *Store) replaySuffix(entry *heap.Entry, t *tracked) {
 	s.met.replayed.Add(n)
 	if n > stormThreshold {
 		if f := s.hub.Flight(); f != nil {
+			at := s.eng.Runtime().Clock().Now()
 			f.Record(telemetry.FlightEvent{
-				Kind:   "eventual.rollback-storm",
+				AtNS: at.UnixNano(), Kind: "eventual.rollback-storm",
 				OID:    uint64(t.oid),
 				Detail: fmt.Sprintf("replayed=%d tentative updates after reorder", n),
 			})
-			f.Dump("eventual rollback storm")
+			f.Dump("eventual rollback storm", at)
 		}
 	}
 }

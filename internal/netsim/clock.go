@@ -72,7 +72,13 @@ type Clock interface {
 	// being woken. Unexported: only Cond/WaitGroup may keep this balanced.
 	pause()
 	resume(n int)
+	// virtual is the discrete-event clock behind this one (nil: real); a
+	// type embedding a Clock inherits it, so schedules as the one it wraps.
+	virtual() *VirtualClock
 }
+
+// Virtual returns the virtual clock c is or wraps, nil on the real clock.
+func Virtual(c Clock) *VirtualClock { return c.virtual() }
 
 // Timer is a cancellable deadline created by Clock.AfterFunc.
 type Timer interface {
@@ -121,6 +127,8 @@ func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
 func (realClock) Go(fn func()) { go fn() }
 func (realClock) pause()       {}
 func (realClock) resume(int)   {}
+
+func (realClock) virtual() *VirtualClock { return nil }
 
 // ClockProvider is implemented by networks that carry a simulation clock
 // (transport.MemNetwork). The RMI layer uses it to inherit the clock of
@@ -437,6 +445,8 @@ func (c *VirtualClock) pause() {
 	c.mu.Unlock()
 }
 
+func (c *VirtualClock) virtual() *VirtualClock { return c }
+
 func (c *VirtualClock) resume(n int) {
 	if n <= 0 {
 		return
@@ -624,7 +634,7 @@ func (cd *Cond) Wait() {
 // the signaler has parked or exited); under the real clock it is an
 // ordinary inline signal.
 func (cd *Cond) Signal() {
-	if vc, ok := cd.clock.(*VirtualClock); ok {
+	if vc := cd.clock.virtual(); vc != nil {
 		if cd.waiting == 0 {
 			// No logical waiter. The underlying sync.Cond may still hold
 			// goroutines parked for already-scheduled wake events; a raw
@@ -656,7 +666,7 @@ func (cd *Cond) Signal() {
 // pop-then-SleepUntil idiom, which both clocks support).
 func (cd *Cond) SignalAt(at time.Time) {
 	if cd.waiting > 0 {
-		if vc, ok := cd.clock.(*VirtualClock); ok && vc.scheduleWakeAt(&cd.c, at) {
+		if vc := cd.clock.virtual(); vc != nil && vc.scheduleWakeAt(&cd.c, at) {
 			cd.waiting--
 			return
 		}
@@ -670,7 +680,7 @@ func (cd *Cond) SignalAt(at time.Time) {
 // broadcast inline in that case, or waiters would wake before their wake
 // event re-mints their token and run untracked.
 func (cd *Cond) Broadcast() {
-	if vc, ok := cd.clock.(*VirtualClock); ok {
+	if vc := cd.clock.virtual(); vc != nil {
 		for cd.waiting > 0 && vc.scheduleWake(&cd.c) {
 			cd.waiting--
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"obiwan/internal/codec"
 	"obiwan/internal/invoke"
@@ -96,7 +97,7 @@ func TestDispatchMatchesReflectiveSkeleton(t *testing.T) {
 	sc := telemetry.SpanContext{TraceID: 7, SpanID: 9}
 	for _, c := range cases {
 		typed := freshProxyIn(t)
-		typedRes, typedErr := typed.Dispatch(sc, "s1", c.method, c.args)
+		typedRes, typedErr := typed.Dispatch(sc, time.Time{}, "s1", c.method, c.args)
 
 		reflective := freshProxyIn(t)
 		plan, err := invoke.PlanOf(reflect.TypeOf(reflective))
@@ -129,7 +130,7 @@ func TestDispatchAnswersEveryProxyInMethod(t *testing.T) {
 		if name == "Dispatch" || name == "Idempotent" {
 			continue // the skeleton and its declaration, not remote methods
 		}
-		_, err := p.Dispatch(telemetry.SpanContext{}, "s1", name, junk)
+		_, err := p.Dispatch(telemetry.SpanContext{}, time.Time{}, "s1", name, junk)
 		_, refErr := invoke.CallWithLead(plan, reflect.ValueOf(p), name, telemetry.SpanContext{}, junk)
 		var ie *invoke.Error
 		if !errors.As(err, &ie) || ie.Kind != invoke.KindBadArgs || describe(err) != describe(refErr) {
@@ -137,7 +138,7 @@ func TestDispatchAnswersEveryProxyInMethod(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"Dispatch", "Idempotent", "put", "Touch", "GET"} {
-		_, err := p.Dispatch(telemetry.SpanContext{}, "s1", name, nil)
+		_, err := p.Dispatch(telemetry.SpanContext{}, time.Time{}, "s1", name, nil)
 		var ie *invoke.Error
 		if !errors.As(err, &ie) || ie.Kind != invoke.KindNoSuchMethod {
 			t.Errorf("%s: %v, want no such method", name, err)

@@ -171,17 +171,26 @@ func NewEngine(rt *rmi.Runtime, h *heap.Heap, opts ...Option) *Engine {
 // retry policy is exactly the moment an operator wants context — the
 // flight recorder logs the failing call (with its causal span id) and
 // dumps the ring automatically.
-func (e *Engine) failUnavailable(op string, oid objmodel.OID, sc telemetry.SpanContext, err error) error {
+func (e *Engine) failUnavailable(op string, oid objmodel.OID, sc telemetry.SpanContext, err error, at time.Time) error {
 	werr := wrapUnavailable(err)
 	if e.flight != nil && errors.Is(werr, ErrUnavailable) {
 		e.flight.Record(telemetry.FlightEvent{
-			Kind: "repl.unavailable", OID: uint64(oid),
+			AtNS: at.UnixNano(), Kind: "repl.unavailable", OID: uint64(oid),
 			TraceID: sc.TraceID, SpanID: sc.SpanID,
 			Detail: op, Err: err.Error(),
 		})
-		e.flight.Dump("unavailable: " + op)
+		e.flight.Dump("unavailable: "+op, at)
 	}
 	return werr
+}
+
+// telNow reads the runtime's clock for telemetry alone: it returns the
+// zero time, and reads nothing, when telemetry is off.
+func (e *Engine) telNow() time.Time {
+	if e.tel == nil {
+		return time.Time{}
+	}
+	return e.rt.Clock().Now()
 }
 
 // payloadBytes totals the serialized state carried by a payload.
@@ -403,22 +412,26 @@ func (e *Engine) restoreEntry(entry *heap.Entry, state []byte, frontier map[objm
 // assemble builds the payload for a demand on root with spec. It runs at
 // the master (or any site holding the object — replicas can serve onward
 // replication the same way). sc parents the "assemble" span: the serve
-// span of the inbound Get when the demand was traced, invalid otherwise.
-func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSpec, requester string) (payload *Payload, err error) {
-	span := e.tel.StartSpan(sc, "assemble")
+// span of the inbound Get when the demand was traced, invalid otherwise;
+// the span starts at at, the serve span's reading (zero: read here).
+func (e *Engine) assemble(sc telemetry.SpanContext, at time.Time, root *heap.Entry, spec GetSpec, requester string) (payload *Payload, err error) {
+	if at.IsZero() {
+		at = e.telNow()
+	}
+	span := e.tel.StartSpan(sc, "assemble", at)
 	span.AnnotateOID("oid", uint64(root.OID))
+	var end time.Time // the reading the assembled event is stamped with
 	defer func() {
 		if payload != nil {
 			span.AnnotateUint("objects", uint64(len(payload.Objects)))
 		}
 		span.SetErr(err)
-		span.End()
+		if end.IsZero() {
+			end = e.telNow()
+		}
+		span.Phase(telemetry.PhaseAssemble, end.Sub(at))
+		span.End(end)
 	}()
-	if span != nil {
-		clk := e.rt.Clock()
-		start := clk.Now()
-		defer func() { span.Phase(telemetry.PhaseAssemble, clk.Now().Sub(start)) }() // runs before the End defer above
-	}
 	spec = spec.normalize()
 	limit := heap.TraverseLimit{MaxDepth: spec.Depth}
 	if spec.Mode == Incremental {
@@ -482,11 +495,12 @@ func (e *Engine) assemble(sc telemetry.SpanContext, root *heap.Entry, spec GetSp
 		e.getPolicy().ReplicaCreated(en.OID, requester, rec.Version)
 	}
 	p.swapAddr(e.rt.Addr(), "")
+	end = e.telNow()
 	e.emit(Event{
 		Kind: EventPayloadAssembled, OID: root.OID, Objects: len(p.Objects),
 		Bytes: payloadBytes(p), Frontier: len(p.Frontier), Clustered: p.Clustered,
 		Requester: requester,
-	})
+	}, end)
 	return p, nil
 }
 
@@ -574,18 +588,23 @@ func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 // or refreshed, references bound, frontier proxy-outs created. It returns
 // the root object. sc parents the "materialize" span — on the demand path
 // it is the fault span, so the trace reads fault → rmi:Get → serve:Get →
-// assemble on the provider, then materialize back here.
-func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, err error) {
-	span := e.tel.StartSpan(sc, "materialize")
+// assemble on the provider, then materialize back here. now is the
+// reading the reply arrived at: the span starts at it, and every replica
+// installed is fetched at it.
+func (e *Engine) materialize(sc telemetry.SpanContext, now time.Time, p *Payload) (root any, err error) {
+	span := e.tel.StartSpan(sc, "materialize", now)
 	span.AnnotateOID("oid", p.Root())
 	span.AnnotateUint("objects", uint64(len(p.Objects)))
+	var end time.Time // the reading the materialized event is stamped with
 	defer func() {
 		span.SetErr(err)
-		span.End()
+		if end.IsZero() {
+			end = e.telNow()
+		}
+		span.End(end)
 	}()
 	frontier := frontierMap(p.Frontier)
 
-	now := e.rt.Clock().Now()
 	touched := make([]*heap.Entry, 0, len(p.Objects))
 	var memberOIDs []objmodel.OID
 	// p is a reply frame's alone (wire.Decode borrows), so a fresh replica
@@ -661,10 +680,11 @@ func (e *Engine) materialize(sc telemetry.SpanContext, p *Payload) (root any, er
 	if !ok {
 		return nil, fmt.Errorf("replication: payload root %d missing after materialization", p.Root())
 	}
+	end = e.telNow()
 	e.emit(Event{
 		Kind: EventPayloadMaterialized, OID: rootEntry.OID, Objects: len(p.Objects),
 		Bytes: payloadBytes(p), Frontier: len(p.Frontier), Clustered: p.Clustered,
-	})
+	}, end)
 	return rootEntry.Obj, nil
 }
 
@@ -846,14 +866,17 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 	// clock the measured cost must be a pure function of the simulation
 	// (profiler snapshots travel on federation scrape replies, so a wall
 	// duration would perturb frame sizes and break replay determinism).
+	// One reading starts the span, Elapsed and the call, the reply's
+	// stamps the materialization, and one more ends the fetch.
 	clk := e.rt.Clock()
 	start := clk.Now()
+	now := start // the latest reading: where the span ends
 	names := fetchNames[kind]
-	span := e.tel.StartSpan(sc, names.span)
+	span := e.tel.StartSpan(sc, names.span, start)
 	span.AnnotateOID("oid", uint64(oid))
 	defer func() {
 		span.SetErr(err)
-		span.End()
+		span.End(now)
 	}()
 	if kind == EventFaultResolved && oid != 0 {
 		// Identity dedupe binds to the replica already here, and reaches its
@@ -861,16 +884,17 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 		if entry, ok := e.heap.Get(oid); ok {
 			e.gc.FaultServedFromHeap()
 			span.Annotate("from_heap", "true")
-			e.emit(Event{Kind: kind, OID: oid, FromHeap: true, Elapsed: clk.Now().Sub(start)})
+			now = clk.Now()
+			e.emit(Event{Kind: kind, OID: oid, FromHeap: true, Elapsed: now.Sub(start)}, now)
 			if held := entry.Provider(); !held.IsZero() {
 				prov = held
 			}
 			return entry.Obj, prov, nil
 		}
 	}
-	res, winner, err := e.callFailover(span, oid, prov, BulkTimeout, true, "Get", &spec)
+	res, winner, now, err := e.callFailover(span, start, oid, prov, BulkTimeout, true, "Get", &spec)
 	if err != nil {
-		return nil, prov, fmt.Errorf("replication: %s %v from %v: %w", names.op, oid, prov, e.failUnavailable(names.op, oid, span.Context(), err))
+		return nil, prov, fmt.Errorf("replication: %s %v from %v: %w", names.op, oid, prov, e.failUnavailable(names.op, oid, span.Context(), err, now))
 	}
 	payload, ok := res[0].(*Payload)
 	if !ok {
@@ -878,7 +902,8 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 	}
 	// The member that answered wrote its own address as empty (assemble).
 	payload.swapAddr("", winner.Addr)
-	if root, err = e.materialize(span.Context(), payload); err != nil {
+	if root, err = e.materialize(span.Context(), now, payload); err != nil {
+		now = clk.Now()
 		return nil, prov, err
 	}
 	if winner != prov {
@@ -888,10 +913,11 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 			e.repin(entry, winner)
 		}
 	}
+	now = clk.Now()
 	e.emit(Event{
 		Kind: kind, OID: oid, Objects: len(payload.Objects),
-		Bytes: payloadBytes(payload), Clustered: payload.Clustered, Elapsed: clk.Now().Sub(start),
-	})
+		Bytes: payloadBytes(payload), Clustered: payload.Clustered, Elapsed: now.Sub(start),
+	}, now)
 	return root, winner, nil
 }
 
@@ -964,11 +990,11 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 	if prov.IsZero() {
 		return ErrNoProvider
 	}
-	span := e.tel.StartSpan(sc, name)
+	span := e.tel.StartSpan(sc, name, e.telNow())
 	span.AnnotateOID(key, uint64(subject))
 	defer func() {
 		span.SetErr(err)
-		span.End()
+		span.End(e.telNow())
 	}()
 	reqs := make([]PutRequest, len(members))
 	for i, me := range members {
@@ -980,7 +1006,7 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 	if cluster {
 		arg = &ClusterPutRequest{Members: reqs}
 	}
-	res, winner, err := e.callFailover(span, subject, prov, BulkTimeout, true, method, arg)
+	res, winner, end, err := e.callFailover(span, e.rt.Clock().Now(), subject, prov, BulkTimeout, true, method, arg)
 	// No call sends arg again, so its states go back for the next put to
 	// capture into; not sooner, as callFailover sends it to every member
 	// it tries (rmi.Runtime.GiveBackCallState).
@@ -988,7 +1014,7 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 		e.rt.GiveBackCallState(reqs[i].State)
 	}
 	if err != nil {
-		return fmt.Errorf("replication: %s %v: %w", name, subject, e.failUnavailable(name, subject, span.Context(), err))
+		return fmt.Errorf("replication: %s %v: %w", name, subject, e.failUnavailable(name, subject, span.Context(), err, end))
 	}
 	if winner != prov {
 		e.repin(entry, winner)
@@ -1032,7 +1058,7 @@ func (e *Engine) putAcked(entry *heap.Entry, v uint64) error {
 	if err := e.journalCleanReplica(entry.OID, v); err != nil {
 		return err
 	}
-	e.emit(Event{Kind: EventPutShipped, OID: entry.OID, Version: v})
+	e.emit(Event{Kind: EventPutShipped, OID: entry.OID, Version: v}, e.telNow())
 	return nil
 }
 
@@ -1110,19 +1136,23 @@ func (e *Engine) installPut(entry *heap.Entry, req *PutRequest, crc uint64, adop
 
 // applyPut applies an inbound update at a single master (called by
 // ProxyIn). sc parents the "put.apply" span — the serve span of the
-// inbound Put. adopt is installPut's.
-func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest, adopt bool) (reply *PutReply, err error) {
-	span := e.tel.StartSpan(sc, "put.apply")
+// inbound Put — and at is that span's reading (zero: read here). adopt is
+// installPut's.
+func (e *Engine) applyPut(sc telemetry.SpanContext, at time.Time, req *PutRequest, adopt bool) (reply *PutReply, err error) {
+	if at.IsZero() {
+		at = e.telNow()
+	}
+	span := e.tel.StartSpan(sc, "put.apply", at)
 	span.AnnotateOID("oid", req.OID)
+	var end time.Time // the reading the applied event is stamped with
 	defer func() {
 		span.SetErr(err)
-		span.End()
+		if end.IsZero() {
+			end = e.telNow()
+		}
+		span.Phase(telemetry.PhaseApply, end.Sub(at))
+		span.End(end)
 	}()
-	if span != nil {
-		clk := e.rt.Clock()
-		start := clk.Now()
-		defer func() { span.Phase(telemetry.PhaseApply, clk.Now().Sub(start)) }()
-	}
 	entry, crc, reply, err := e.admitPut(req)
 	if err != nil {
 		return nil, err
@@ -1133,19 +1163,22 @@ func (e *Engine) applyPut(sc telemetry.SpanContext, req *PutRequest, adopt bool)
 		}
 		// The journal write is the durability cost of the put: encode +
 		// WAL append + group-commit fsync. Billed as the fsync phase so
-		// attribution separates "the disk is slow" from apply proper.
+		// attribution separates "the disk is slow" from apply proper; an
+		// engine without a journal writes nothing and times nothing.
+		timed := span != nil && e.getJournal() != nil
 		var jStart time.Time
-		if span != nil {
+		if timed {
 			jStart = e.rt.Clock().Now()
 		}
 		if err := e.journalMaster(entry); err != nil {
 			return nil, err
 		}
-		if span != nil {
+		if timed {
 			span.Phase(telemetry.PhaseFsync, e.rt.Clock().Now().Sub(jStart))
 		}
 		e.getPolicy().MasterUpdated(entry.OID, reply.NewVersion)
-		e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion, Base: req.BaseVersion, Checksum: crc})
+		end = e.telNow()
+		e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion, Base: req.BaseVersion, Checksum: crc}, end)
 	}
 	return reply, nil
 }

@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"obiwan/internal/heap"
 	"obiwan/internal/objmodel"
@@ -207,7 +208,7 @@ func TestEventObserverOnFreshEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry, _ := eng.Heap().EntryOf(obj)
-	if _, err := eng.assemble(telemetry.SpanContext{}, entry, DefaultSpec, "tester"); err != nil {
+	if _, err := eng.assemble(telemetry.SpanContext{}, time.Time{}, entry, DefaultSpec, "tester"); err != nil {
 		t.Fatal(err)
 	}
 	if seen == 0 {

@@ -118,9 +118,11 @@ func (e *Engine) AddEventObserver(fn EventObserver) (remove func()) {
 }
 
 // emit folds an event into the metrics registry and delivers it to every
-// observer. Observer calls happen outside the engine lock.
-func (e *Engine) emit(ev Event) {
-	e.recordEventMetrics(ev)
+// observer. at is the emitter's reading of the runtime's clock, which the
+// flight recorder stamps the event with (zero with telemetry off).
+// Observer calls happen outside the engine lock.
+func (e *Engine) emit(ev Event, at time.Time) {
+	e.recordEventMetrics(ev, at)
 	e.mu.Lock()
 	observers := e.observers
 	e.mu.Unlock()
@@ -133,7 +135,7 @@ func (e *Engine) emit(ev Event) {
 // the per-object profiler, and the flight recorder. Every instrument,
 // the profiler, and the recorder are nil — and every call below a no-op
 // — when telemetry is disabled.
-func (e *Engine) recordEventMetrics(ev Event) {
+func (e *Engine) recordEventMetrics(ev Event, at time.Time) {
 	switch ev.Kind {
 	case EventFaultResolved:
 		e.met.faults.Inc()
@@ -164,5 +166,5 @@ func (e *Engine) recordEventMetrics(ev Event) {
 		e.met.putsApplied.Inc()
 		e.prof.RecordPutApplied(uint64(ev.OID))
 	}
-	e.flight.RecordCounts(ev.Kind.flightKind(), uint64(ev.OID), ev.Objects, ev.Bytes)
+	e.flight.RecordCounts(ev.Kind.flightKind(), uint64(ev.OID), ev.Objects, ev.Bytes, at)
 }

@@ -3,6 +3,7 @@ package replication
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"obiwan/internal/objmodel"
 	"obiwan/internal/telemetry"
@@ -171,7 +172,7 @@ func TestGuardAnswerEmitsNoPutApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // the put, then its retry
-		if reply, err := master.engine.applyPut(telemetry.SpanContext{}, &req, false); err != nil || reply.NewVersion != 2 {
+		if reply, err := master.engine.applyPut(telemetry.SpanContext{}, time.Time{}, &req, false); err != nil || reply.NewVersion != 2 {
 			t.Fatalf("apply %d: %+v, %v", i, reply, err)
 		}
 	}

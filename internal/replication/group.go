@@ -112,19 +112,21 @@ const failoverPause = 50 * time.Millisecond
 // the reply plus the member that answered, so callers can re-pin
 // providers to the new leader. Time spent parked in failoverPause —
 // waiting out an election — is attributed to the caller's span as
-// elect.wait (a nil span drops the attribution, nothing else).
-func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.RemoteRef, timeout time.Duration, rotate bool, method string, args ...any) ([]any, rmi.RemoteRef, error) {
+// elect.wait (a nil span drops the attribution, nothing else). The first
+// call begins at start, the caller's reading (rmi.Runtime.CallWithin);
+// the reading the last call ended at is returned with its outcome.
+func (e *Engine) callFailover(span *telemetry.Span, start time.Time, oid objmodel.OID, prov rmi.RemoteRef, timeout time.Duration, rotate bool, method string, args ...any) ([]any, rmi.RemoteRef, time.Time, error) {
 	sc := span.Context()
-	res, err := e.rt.CallWithin(sc, prov, timeout, method, args...)
+	res, now, err := e.rt.CallWithin(sc, start, prov, timeout, method, args...)
 	if err == nil {
-		return res, prov, nil
+		return res, prov, now, nil
 	}
 	members := e.groupFor(oid)
 	if len(members) == 0 {
-		return nil, prov, err
+		return nil, prov, now, err
 	}
 	clock := e.rt.Clock()
-	deadline := clock.Now().Add(timeout)
+	deadline := now.Add(timeout)
 	cur := prov
 	tried := map[transport.Addr]bool{cur.Addr: true}
 	for {
@@ -135,7 +137,7 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 		redirect = redirect || errors.As(err, &re) && re.Code == wire.FaultNoSuchObject
 		transient := rotate && (transport.IsTransient(err) || errors.Is(err, rmi.ErrTimeout))
 		if !redirect && !transient {
-			return nil, cur, err
+			return nil, cur, now, err
 		}
 		var next transport.Addr
 		if redirect && hint != "" && hint != cur.Addr {
@@ -150,8 +152,8 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 			if next == "" {
 				// Every member refused or failed this round: wait out an
 				// election in progress, then probe the membership afresh.
-				if !clock.Now().Add(failoverPause).Before(deadline) {
-					return nil, cur, err
+				if now = clock.Now(); !now.Add(failoverPause).Before(deadline) {
+					return nil, cur, now, err
 				}
 				clock.Sleep(failoverPause)
 				span.Phase(telemetry.PhaseElectWait, failoverPause)
@@ -161,13 +163,14 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 		}
 		// What is left of the deadline, strictly positive: a zero timeout
 		// would mean the runtime's default to CallWithin.
-		remaining := deadline.Sub(clock.Now())
+		now = clock.Now()
+		remaining := deadline.Sub(now)
 		if remaining <= 0 {
-			return nil, cur, err
+			return nil, cur, now, err
 		}
 		if e.flight != nil {
 			e.flight.Record(telemetry.FlightEvent{
-				Kind: "repl.failover", OID: uint64(oid),
+				AtNS: now.UnixNano(), Kind: "repl.failover", OID: uint64(oid),
 				TraceID: sc.TraceID, SpanID: sc.SpanID,
 				Detail: fmt.Sprintf("%s %s->%s", method, cur.Addr, next),
 				Err:    err.Error(),
@@ -175,9 +178,9 @@ func (e *Engine) callFailover(span *telemetry.Span, oid objmodel.OID, prov rmi.R
 		}
 		cur.Addr = next
 		tried[next] = true
-		res, err = e.rt.CallWithin(sc, cur, remaining, method, args...)
+		res, now, err = e.rt.CallWithin(sc, now, cur, remaining, method, args...)
 		if err == nil {
-			return res, cur, nil
+			return res, cur, now, nil
 		}
 	}
 }
@@ -254,7 +257,7 @@ func (e *Engine) ApplyReplicatedPut(req *PutRequest) (*PutReply, error) {
 	if reply, err = e.installPut(entry, req, crc, true); err != nil {
 		return nil, err
 	}
-	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion, Base: req.BaseVersion, Checksum: crc})
+	e.emit(Event{Kind: EventPutApplied, OID: entry.OID, Version: reply.NewVersion, Base: req.BaseVersion, Checksum: crc}, e.telNow())
 	return reply, nil
 }
 

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"time"
 
 	"obiwan/internal/heap"
 	"obiwan/internal/invoke"
@@ -28,11 +29,12 @@ type ProxyIn struct {
 // Get names no requester; Dispatch, which serves every remote demand, hands
 // the calling site's address to the consistency bookkeeping (get).
 func (p *ProxyIn) Get(sc telemetry.SpanContext, spec *GetSpec) (*Payload, error) {
-	return p.get(sc, spec, "")
+	return p.get(sc, time.Time{}, spec, "")
 }
 
-// get is Get for requester, the demanding site.
-func (p *ProxyIn) get(sc telemetry.SpanContext, spec *GetSpec, requester transport.Addr) (*Payload, error) {
+// get is Get for requester, the demanding site, begun at the serve span's
+// reading at (rmi.Dispatcher).
+func (p *ProxyIn) get(sc telemetry.SpanContext, at time.Time, spec *GetSpec, requester transport.Addr) (*Payload, error) {
 	if err := p.eng.gateServe(p.entry); err != nil {
 		return nil, err
 	}
@@ -40,7 +42,7 @@ func (p *ProxyIn) get(sc telemetry.SpanContext, spec *GetSpec, requester transpo
 		s := DefaultSpec
 		spec = &s
 	}
-	payload, err := p.eng.assemble(sc, p.entry, *spec, string(requester))
+	payload, err := p.eng.assemble(sc, at, p.entry, *spec, string(requester))
 	if err != nil {
 		return nil, fmt.Errorf("proxy-in %v: %w", p.entry.OID, err)
 	}
@@ -50,13 +52,18 @@ func (p *ProxyIn) get(sc telemetry.SpanContext, spec *GetSpec, requester transpo
 // Put applies a replica's state to the master object. The SpanContext is
 // skeleton-injected (see Get).
 func (p *ProxyIn) Put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, error) {
+	return p.putOne(sc, time.Time{}, req)
+}
+
+// putOne is Put begun at the serve span's reading at (rmi.Dispatcher).
+func (p *ProxyIn) putOne(sc telemetry.SpanContext, at time.Time, req *PutRequest) (*PutReply, error) {
 	if req == nil {
 		return nil, fmt.Errorf("proxy-in %v: nil put request", p.entry.OID)
 	}
 	if objmodel.OID(req.OID) != p.entry.OID {
 		return nil, fmt.Errorf("proxy-in %v: put addressed to %d", p.entry.OID, req.OID)
 	}
-	return p.put(sc, req, true)
+	return p.put(sc, at, req, true)
 }
 
 // put applies one inbound put, single or cluster member: agreed through
@@ -67,11 +74,11 @@ func (p *ProxyIn) Put(sc telemetry.SpanContext, req *PutRequest) (*PutReply, err
 // together at this site as the cluster's replicas do at the sender's
 // (installReplica). The borrowing decoder clips each state's capacity, so
 // no member can write into a neighbour's bytes.
-func (p *ProxyIn) put(sc telemetry.SpanContext, req *PutRequest, adopt bool) (*PutReply, error) {
+func (p *ProxyIn) put(sc telemetry.SpanContext, at time.Time, req *PutRequest, adopt bool) (*PutReply, error) {
 	if g := p.eng.masterGate(); g != nil && p.entry.Role == heap.Master {
 		return g.RoutePut(sc, req)
 	}
-	return p.eng.applyPut(sc, req, adopt)
+	return p.eng.applyPut(sc, at, req, adopt)
 }
 
 // PutCluster applies a whole-cluster update. Members must belong to the
@@ -84,7 +91,7 @@ func (p *ProxyIn) PutCluster(sc telemetry.SpanContext, req *ClusterPutRequest) (
 	}
 	versions := make([]any, 0, len(req.Members))
 	for i := range req.Members {
-		reply, err := p.put(sc, &req.Members[i], true)
+		reply, err := p.put(sc, time.Time{}, &req.Members[i], true)
 		if err != nil {
 			return nil, fmt.Errorf("cluster member %d (oid %v): %w", i, objmodel.OID(req.Members[i].OID), err)
 		}
@@ -127,21 +134,21 @@ func (p *ProxyIn) Idempotent(method string) bool { return method == "Get" || met
 // remotely callable), accepts exactly the arguments a reflective skeleton
 // would, and reports the same errors, numbered counting the span context it
 // supplies.
-func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error) {
+func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, at time.Time, caller transport.Addr, method string, args []any) ([]any, error) {
 	switch method {
 	case "Get":
 		spec, err := invoke.Args1[*GetSpec](method, args, 1)
 		if err != nil {
 			return nil, err
 		}
-		payload, err := p.get(sc, spec, caller)
+		payload, err := p.get(sc, at, spec, caller)
 		return invoke.Result(method, payload, err)
 	case "Put":
 		req, err := invoke.Args1[*PutRequest](method, args, 1)
 		if err != nil {
 			return nil, err
 		}
-		reply, err := p.Put(sc, req)
+		reply, err := p.putOne(sc, at, req)
 		return invoke.Result(method, reply, err)
 	case "PutCluster":
 		req, err := invoke.Args1[*ClusterPutRequest](method, args, 1)
@@ -250,9 +257,9 @@ var _ objmodel.RemoteInvoker = (*remoteInvoker)(nil)
 // the invoke did not run), but transient failures are NOT re-routed: an
 // invoke is not idempotent.
 func (ri *remoteInvoker) RemoteInvoke(method string, args []any) ([]any, error) {
-	res, _, err := ri.eng.callFailover(nil, ri.oid, ri.provider, ri.eng.rt.DefaultCallTimeout(), false, "Invoke", method, args)
+	res, _, end, err := ri.eng.callFailover(nil, ri.eng.rt.Clock().Now(), ri.oid, ri.provider, ri.eng.rt.DefaultCallTimeout(), false, "Invoke", method, args)
 	if err != nil {
-		return nil, ri.eng.failUnavailable("invoke", ri.oid, telemetry.SpanContext{}, err)
+		return nil, ri.eng.failUnavailable("invoke", ri.oid, telemetry.SpanContext{}, err, end)
 	}
 	if len(res) == 0 || res[0] == nil {
 		return nil, nil

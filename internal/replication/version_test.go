@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"obiwan/internal/objmodel"
 	"obiwan/internal/telemetry"
@@ -36,7 +37,7 @@ func TestShippedStateCarriesItsOwnVersion(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			p, err := master.engine.assemble(telemetry.SpanContext{}, entry, DefaultSpec, "racer")
+			p, err := master.engine.assemble(telemetry.SpanContext{}, time.Time{}, entry, DefaultSpec, "racer")
 			if err != nil {
 				t.Error(err)
 				return

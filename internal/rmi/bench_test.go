@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"obiwan/internal/netsim"
 	"obiwan/internal/telemetry"
@@ -104,13 +105,13 @@ func BenchmarkCallTelemetry(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
+		if _, _, err := client.CallWithin(sc, time.Time{}, ref, 0, "Total"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
+			if _, _, err := client.CallWithin(sc, time.Time{}, ref, 0, "Total"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -125,8 +126,8 @@ func BenchmarkCallTelemetry(b *testing.B) {
 	})
 	b.Run("on-traced", func(b *testing.B) {
 		server, client, hub := hubPair(b)
-		root := hub.StartRoot("bench")
-		defer root.End()
+		root := hub.StartRoot("bench", client.Clock().Now())
+		defer func() { root.End(client.Clock().Now()) }()
 		run(b, server, client, root.Context())
 	})
 }
@@ -199,13 +200,13 @@ func BenchmarkCallAttribution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
+		if _, _, err := client.CallWithin(sc, time.Time{}, ref, 0, "Total"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
+			if _, _, err := client.CallWithin(sc, time.Time{}, ref, 0, "Total"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -229,8 +230,8 @@ func BenchmarkCallAttribution(b *testing.B) {
 			_ = client.Close()
 			_ = server.Close()
 		})
-		root := hub.StartRoot("bench")
-		defer root.End()
+		root := hub.StartRoot("bench", client.Clock().Now())
+		defer func() { root.End(client.Clock().Now()) }()
 		run(b, server, client, root.Context())
 	})
 }

@@ -84,24 +84,24 @@ type clientConn struct {
 	dead    error                   // non-nil once the connection failed
 }
 
-// getConn returns a live connection to addr, dialing if needed. The
-// connection is self-healing: when it dies terminally (peer restart), the
-// next Send or Recv re-dials and replays the protocol preamble, so the
-// server can reject version mismatches before any call frame is
-// interpreted. Link-level disconnections are not healed this way — the
-// connection is kept and reused after the outage, per the paper's mobility
-// model.
-func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, error) {
+// getConn returns a live connection to addr, dialing if needed, and
+// whether it dialed. The connection is self-healing: when it dies
+// terminally (peer restart), the next Send or Recv re-dials and replays
+// the protocol preamble, so the server can reject version mismatches
+// before any call frame is interpreted. Link-level disconnections are not
+// healed this way — the connection is kept and reused after the outage,
+// per the paper's mobility model.
+func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, bool, error) {
 	rt.mu.Lock()
 	select {
 	case <-rt.closed:
 		rt.mu.Unlock()
-		return nil, ErrRuntimeClosed
+		return nil, false, ErrRuntimeClosed
 	default:
 	}
 	if c, ok := rt.conns[addr]; ok {
 		rt.mu.Unlock()
-		return c, nil
+		return c, false, nil
 	}
 	rt.mu.Unlock()
 
@@ -110,7 +110,7 @@ func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, error) {
 		return c.Send(wire.EncodeHello(rt.id))
 	}, transport.WithRedialHook(func() { rt.met.reconnects.Inc() }))
 	if err != nil {
-		return nil, fmt.Errorf("rmi: dial %q: %w", addr, err)
+		return nil, true, fmt.Errorf("rmi: dial %q: %w", addr, err)
 	}
 
 	rt.mu.Lock()
@@ -118,7 +118,7 @@ func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, error) {
 		// Lost the race; use the winner.
 		rt.mu.Unlock()
 		_ = conn.Close()
-		return existing, nil
+		return existing, true, nil
 	}
 	c := &clientConn{
 		rt:      rt,
@@ -132,7 +132,7 @@ func (rt *Runtime) getConn(addr transport.Addr) (*clientConn, error) {
 
 	rt.wg.Add(1)
 	rt.clock.Go(c.readLoop)
-	return c, nil
+	return c, true, nil
 }
 
 // dropConn removes c from the pool if it is still the registered conn.
@@ -220,7 +220,8 @@ func (c *clientConn) unregister(id uint64) {
 // Call invokes method on the remote object behind ref and waits for its
 // results, untraced and under the runtime's default timeout.
 func (rt *Runtime) Call(ref RemoteRef, method string, args ...any) ([]any, error) {
-	return rt.CallWithin(telemetry.SpanContext{}, ref, 0, method, args...)
+	results, _, err := rt.CallWithin(telemetry.SpanContext{}, time.Time{}, ref, 0, method, args...)
+	return results, err
 }
 
 // DefaultCallTimeout returns the runtime's default per-call deadline, for
@@ -228,27 +229,33 @@ func (rt *Runtime) Call(ref RemoteRef, method string, args ...any) ([]any, error
 // (the replication layer's failover loop).
 func (rt *Runtime) DefaultCallTimeout() time.Duration { return rt.callTimeout }
 
-// CallWithin is the one full form of Call: within a trace and within a
-// deadline, each with a zero value that means Call's behaviour. A valid sc
-// makes the invocation an "rmi:<method>" span beneath it, and the span's
-// context travels in the Call frame so the server's serve span (and
-// anything it causes) joins the same trace; the zero sc is untraced. A
-// positive timeout is the overall deadline for this invocation, retries
-// and backoff included; zero means the runtime's default.
-func (rt *Runtime) CallWithin(sc telemetry.SpanContext, ref RemoteRef, timeout time.Duration, method string, args ...any) ([]any, error) {
+// CallWithin is the one full form of Call: within a trace, from a reading
+// and within a deadline, each with a zero value that means Call's
+// behaviour. A valid sc makes the invocation an "rmi:<method>" span
+// beneath it, and the span's context travels in the Call frame so the
+// server's serve span (and anything it causes) joins the same trace; the
+// zero sc is untraced. start, the caller's reading of the runtime's clock
+// with no wait since, begins the call's span, deadline and round-trip
+// time; the zero start is read here. A positive timeout is the overall
+// deadline for this invocation, retries and backoff included; zero means
+// the runtime's default. The reading the call ended at (its reply's, on
+// success) is returned for the caller to stamp what it does next with.
+func (rt *Runtime) CallWithin(sc telemetry.SpanContext, start time.Time, ref RemoteRef, timeout time.Duration, method string, args ...any) ([]any, time.Time, error) {
+	if start.IsZero() {
+		start = rt.clock.Now()
+	}
 	if timeout == 0 {
 		timeout = rt.callTimeout
 	}
-	start := rt.clock.Now()
-	results, tid, err := rt.doCall(sc, ref, start, timeout, method, args)
-	rtt := rt.clock.Now().Sub(start)
+	results, tid, end, err := rt.doCall(sc, ref, start, timeout, method, args)
+	rtt := end.Sub(start)
 	// Traced calls keep tail exemplars (tid 0 — untraced — degrades to a
 	// plain observation), so `obiwan-admin slow` can name the worst calls.
 	rt.met.latency.ObserveExemplar(int64(rtt), tid)
 	if rt.observer != nil {
 		rt.observer(ref.Addr, method, rtt, err)
 	}
-	return results, err
+	return results, end, err
 }
 
 // doCall drives one logical invocation through the retry policy. The call
@@ -256,16 +263,21 @@ func (rt *Runtime) CallWithin(sc telemetry.SpanContext, ref RemoteRef, timeout t
 // duplicate-suppression table can guarantee at-most-once execution no
 // matter how many times the frame is re-sent or on which connection it
 // arrives. timeout, counted from start, is the overall deadline for the
-// invocation including backoff waits.
+// invocation including backoff waits. It returns the reading it ended at.
 //
 // Tracing mirrors dedupe: one logical invocation is one "rmi:<method>"
 // span no matter how many attempts it takes — retries annotate the span
 // rather than minting siblings, and the frame (encoded once) carries the
 // same span context on every resend, so the server parents at most one
 // serve span under it.
-func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Time, timeout time.Duration, method string, args []any) ([]any, uint64, error) {
+//
+// now is the latest reading: start, unless a backoff or a dial came since
+// (each is followed by a fresh one). An attempt arms its timer and starts
+// its net phase at it, and reads again when its wait ends, which ends the
+// phase and, on a reply, the span and the call.
+func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Time, timeout time.Duration, method string, args []any) ([]any, uint64, time.Time, error) {
 	if ref.IsZero() {
-		return nil, 0, fmt.Errorf("rmi: call %s on zero reference", method)
+		return nil, 0, start, fmt.Errorf("rmi: call %s on zero reference", method)
 	}
 	id := rt.nextSeq.Add(1)
 
@@ -277,19 +289,25 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 	wireSC := sc
 	var span *telemetry.Span
 	if rt.tel.Enabled() && sc.Valid() {
-		span = rt.tel.StartPrefixed(sc, telemetry.PrefixRMI, method)
+		span = rt.tel.StartPrefixed(sc, telemetry.PrefixRMI, method, start)
 		wireSC = span.Context()
 	}
-	finish := func(results []any, err error) ([]any, uint64, error) {
+	now := start
+	finish := func(results []any, err error) ([]any, uint64, time.Time, error) {
 		span.SetErr(err)
-		span.End()
+		span.End(now)
 		if err != nil && rt.flight != nil {
 			rt.flight.Record(telemetry.FlightEvent{
-				Kind: "rmi.fail", TraceID: wireSC.TraceID, SpanID: wireSC.SpanID,
+				AtNS: now.UnixNano(), Kind: "rmi.fail", TraceID: wireSC.TraceID, SpanID: wireSC.SpanID,
 				Detail: method + " to " + string(ref.Addr), Err: err.Error(),
 			})
 		}
-		return results, wireSC.TraceID, err
+		return results, wireSC.TraceID, now, err
+	}
+	// fail ends a call that failed away from a wait at a fresh reading.
+	fail := func(err error) ([]any, uint64, time.Time, error) {
+		now = rt.clock.Now()
+		return finish(nil, err)
 	}
 
 	frame, err := wire.EncodeFrame(rt.reg, &wire.Call{
@@ -309,15 +327,16 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 		if attempt > 1 {
 			rt.met.retries.Inc()
 			span.AnnotateUint("attempt", uint64(attempt))
+			backoffStart := rt.clock.Now()
 			if rt.flight != nil {
 				rt.flight.Record(telemetry.FlightEvent{
-					Kind: "rmi.retry", TraceID: wireSC.TraceID, SpanID: wireSC.SpanID,
+					AtNS: backoffStart.UnixNano(), Kind: "rmi.retry", TraceID: wireSC.TraceID, SpanID: wireSC.SpanID,
 					Detail: method + " to " + string(ref.Addr) + " attempt=" + strconv.Itoa(attempt),
 				})
 			}
-			backoffStart := rt.clock.Now()
-			slept := rt.sleepBackoff(attempt-1, deadline)
-			span.Phase(telemetry.PhaseRetryBackoff, rt.clock.Now().Sub(backoffStart))
+			slept := rt.sleepBackoff(attempt-1, deadline, backoffStart)
+			now = rt.clock.Now()
+			span.Phase(telemetry.PhaseRetryBackoff, now.Sub(backoffStart))
 			if !slept {
 				select {
 				case <-rt.closed:
@@ -329,17 +348,20 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			}
 		}
 
-		conn, err := rt.getConn(ref.Addr)
+		conn, dialled, err := rt.getConn(ref.Addr)
 		if err != nil {
 			if errors.Is(err, ErrRuntimeClosed) {
-				return finish(nil, err)
+				return fail(err)
 			}
 			rt.met.sendErrors.Inc()
 			lastErr = err
 			if transport.IsTransient(err) {
 				continue
 			}
-			return finish(nil, err)
+			return fail(err)
+		}
+		if dialled {
+			now = rt.clock.Now()
 		}
 		w, others, err := conn.register(id)
 		if err != nil {
@@ -349,7 +371,27 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			lastErr = err
 			continue
 		}
+
+		// Wait for the reply: bounded by the per-try budget when the policy
+		// sets one (lost replies are then recovered by re-sending), always
+		// bounded by the overall deadline; armed before the send, from a
+		// reading with no wait since, so the send's time counts. Runtime
+		// close needs no select arm: Close shuts every connection down,
+		// which delivers ErrRuntimeClosed to the waiter.
+		wait := deadline.Sub(now)
+		perTry := false
+		if rt.retry.PerTryTimeout > 0 && rt.retry.PerTryTimeout < wait {
+			wait = rt.retry.PerTryTimeout
+			perTry = true
+		}
+		if wait <= 0 {
+			conn.unregister(id)
+			return finish(nil, timeoutErr())
+		}
+		netStart := now
+		expiry := rt.clock.AfterFunc(wait, w.expire)
 		if sendErr := conn.out.send(frame, others); sendErr != nil {
+			expiry.Stop()
 			conn.unregister(id)
 			rt.met.sendErrors.Inc()
 			lastErr = fmt.Errorf("rmi: send %s to %q: %w", method, ref.Addr, sendErr)
@@ -364,36 +406,14 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 				// paper's mobile host reuses it after reconnecting.
 				continue
 			}
-			return finish(nil, lastErr)
+			return fail(lastErr)
 		}
 		rt.met.calls.Inc()
 		rt.met.bytesSent.Add(uint64(frame.Len()))
-
-		// Wait for the reply: bounded by the per-try budget when the policy
-		// sets one (lost replies are then recovered by re-sending), always
-		// bounded by the overall deadline. Runtime close needs no select
-		// arm: Close shuts every connection down, which delivers
-		// ErrRuntimeClosed to the waiter.
-		wait := deadline.Sub(rt.clock.Now())
-		perTry := false
-		if rt.retry.PerTryTimeout > 0 && rt.retry.PerTryTimeout < wait {
-			wait = rt.retry.PerTryTimeout
-			perTry = true
-		}
-		if wait <= 0 {
-			conn.unregister(id)
-			return finish(nil, timeoutErr())
-		}
-		var netStart time.Time
-		if span != nil {
-			netStart = rt.clock.Now()
-		}
-		expiry := rt.clock.AfterFunc(wait, w.expire)
 		msg, ok := w.await()
 		expiry.Stop()
-		if span != nil {
-			span.Phase(telemetry.PhaseNet, rt.clock.Now().Sub(netStart))
-		}
+		now = rt.clock.Now()
+		span.Phase(telemetry.PhaseNet, now.Sub(netStart))
 		if !ok {
 			conn.unregister(id)
 			lastErr = timeoutErr()
@@ -429,6 +449,6 @@ func (rt *Runtime) doCall(sc telemetry.SpanContext, ref RemoteRef, start time.Ti
 			return finish(nil, fmt.Errorf("rmi: unexpected response %T", msg))
 		}
 	}
-	return finish(nil, fmt.Errorf("rmi: %s to %q failed after %d attempts: %w",
+	return fail(fmt.Errorf("rmi: %s to %q failed after %d attempts: %w",
 		method, ref.Addr, rt.retry.MaxAttempts, lastErr))
 }

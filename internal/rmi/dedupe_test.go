@@ -493,7 +493,7 @@ type tally struct {
 	reads, bumps int64
 }
 
-func (c *tally) Dispatch(_ telemetry.SpanContext, _ transport.Addr, method string, args []any) ([]any, error) {
+func (c *tally) Dispatch(_ telemetry.SpanContext, _ time.Time, _ transport.Addr, method string, args []any) ([]any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch method {

@@ -58,11 +58,11 @@ func TestTracedCallAllocationsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := hub.StartRoot("pin")
-	defer root.End()
+	root := hub.StartRoot("pin", client.Clock().Now())
+	defer func() { root.End(client.Clock().Now()) }()
 	allocs := func(sc telemetry.SpanContext) float64 {
 		return testing.AllocsPerRun(2000, func() {
-			if _, err := client.CallWithin(sc, ref, 0, "Total"); err != nil {
+			if _, _, err := client.CallWithin(sc, time.Time{}, ref, 0, "Total"); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -443,7 +443,7 @@ func TestDispatchInlineHasNoQueuePhase(t *testing.T) {
 			t.Errorf("a runtime on a virtual clock has width %d, want 1", server.width)
 		}
 		ref, _ := server.Export(&calculator{})
-		if _, err := client.CallWithin(telemetry.SpanContext{TraceID: 1, SpanID: 2}, ref, 0, "Total"); err != nil {
+		if _, _, err := client.CallWithin(telemetry.SpanContext{TraceID: 1, SpanID: 2}, time.Time{}, ref, 0, "Total"); err != nil {
 			t.Error(err)
 		}
 		serves := spansNamed(hub.Spans(0), "serve:Total")

@@ -107,14 +107,13 @@ func (rt *Runtime) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// sleepBackoff waits the jittered backoff for retry number retry, bounded
-// by the overall deadline. It returns false when the deadline leaves no
+// sleepBackoff waits the jittered backoff for retry number retry from now,
+// the caller's reading, bounded by the overall deadline. It returns false when the deadline leaves no
 // room for the wait (the call must time out instead of sleeping past it)
 // or the runtime closes mid-wait. The sleep runs on the runtime's clock,
 // so under a virtual clock backoff costs no wall time.
-func (rt *Runtime) sleepBackoff(retry int, deadline time.Time) bool {
+func (rt *Runtime) sleepBackoff(retry int, deadline, now time.Time) bool {
 	d := rt.jittered(rt.retry.Backoff(retry))
-	now := rt.clock.Now()
 	if deadline.Sub(now) <= d {
 		return false
 	}

@@ -236,7 +236,7 @@ func NewRuntime(network transport.Network, local transport.Addr, opts ...Option)
 	}
 	width := poolWidth
 	_, isTCP := network.(*transport.TCPNetwork)
-	if _, ok := clock.(*netsim.VirtualClock); ok {
+	if netsim.Virtual(clock) != nil {
 		width = 1 // one goroutine runs at a time: a hand-off buys an event, not parallelism
 	}
 	rt := &Runtime{
@@ -484,8 +484,9 @@ func (rt *Runtime) serveConn(conn transport.Conn) {
 			continue // replies/faults are client-side frames; ignore
 		}
 		job := inbound{call: call}
-		if rt.tel.Enabled() {
-			job.recvAt = rt.clock.Now() // queue-phase epoch: frame receipt
+		// Frame receipt, the queue phase's epoch: read for a serve span only.
+		if rt.tel.Enabled() && (telemetry.SpanContext{TraceID: call.TraceID, SpanID: call.SpanID}).Valid() {
+			job.recvAt = rt.clock.Now()
 		}
 		pool.dispatch(job)
 	}
@@ -532,39 +533,35 @@ func (rt *Runtime) dispatchOnce(caller wire.Identity, call *wire.Call, recvAt ti
 // chains cross the wire and keep growing on the server side. The serve
 // span self-attributes its time: queue (frame receipt to dispatch — zero
 // under the virtual clock's inline serve path) and serve (the invocation
-// itself). d is the target's Dispatcher, nil when it is not exported, and
+// itself), both bounded by one reading that the target starts its span at
+// too. d is the target's Dispatcher, nil when it is not exported, and
 // caller the calling runtime's address, which d is handed.
 func (rt *Runtime) dispatch(d Dispatcher, caller transport.Addr, call *wire.Call, recvAt time.Time) wire.Frame {
 	rt.met.served.Inc()
-	var serveSC telemetry.SpanContext
 	var sp *telemetry.Span
+	var at time.Time
 	inbound := telemetry.SpanContext{TraceID: call.TraceID, SpanID: call.SpanID}
 	if rt.tel.Enabled() && inbound.Valid() {
-		sp = rt.tel.StartPrefixed(inbound, telemetry.PrefixServe, call.Method)
-		serveSC = sp.Context()
-		if !recvAt.IsZero() {
-			sp.Phase(telemetry.PhaseQueue, rt.clock.Now().Sub(recvAt))
+		at = rt.clock.Now()
+		sp = rt.tel.StartPrefixed(inbound, telemetry.PrefixServe, call.Method, at)
+		sp.Phase(telemetry.PhaseQueue, at.Sub(recvAt))
+	}
+	frame, fault := rt.dispatchInvoke(d, caller, call, sp.Context(), at)
+	if sp != nil {
+		end := rt.clock.Now()
+		sp.Phase(telemetry.PhaseServe, end.Sub(at))
+		if fault != nil {
+			sp.Annotate("fault", fault.Code)
+			sp.SetErr(errors.New(fault.Message))
 		}
+		sp.End(end)
 	}
-	var serveStart time.Time
-	if sp != nil {
-		serveStart = rt.clock.Now()
-	}
-	frame, fault := rt.dispatchInvoke(d, caller, call, serveSC)
-	if sp != nil {
-		sp.Phase(telemetry.PhaseServe, rt.clock.Now().Sub(serveStart))
-	}
-	if fault != nil {
-		sp.Annotate("fault", fault.Code)
-		sp.SetErr(errors.New(fault.Message))
-	}
-	sp.End()
 	return frame
 }
 
 // dispatchInvoke performs the invoke/encode portion of dispatch and
 // reports the fault (if any) alongside the encoded response frame.
-func (rt *Runtime) dispatchInvoke(d Dispatcher, caller transport.Addr, call *wire.Call, serveSC telemetry.SpanContext) (wire.Frame, *wire.Fault) {
+func (rt *Runtime) dispatchInvoke(d Dispatcher, caller transport.Addr, call *wire.Call, serveSC telemetry.SpanContext, at time.Time) (wire.Frame, *wire.Fault) {
 	if d == nil {
 		f := &wire.Fault{
 			ID: call.ID, Code: wire.FaultNoSuchObject,
@@ -572,7 +569,7 @@ func (rt *Runtime) dispatchInvoke(d Dispatcher, caller transport.Addr, call *wir
 		}
 		return wire.FrameOf(wire.EncodeFault(f)), f
 	}
-	results, fault := serve(d, serveSC, caller, call.Method, call.Args)
+	results, fault := serve(d, serveSC, at, caller, call.Method, call.Args)
 	if fault != nil {
 		fault.ID = call.ID
 		return wire.FrameOf(wire.EncodeFault(fault)), fault

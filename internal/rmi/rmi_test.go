@@ -187,7 +187,7 @@ type selfDispatch struct {
 	caller transport.Addr
 }
 
-func (d *selfDispatch) Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error) {
+func (d *selfDispatch) Dispatch(sc telemetry.SpanContext, _ time.Time, caller transport.Addr, method string, args []any) ([]any, error) {
 	d.sc, d.caller = sc, caller
 	switch method {
 	case "Twice":
@@ -218,9 +218,9 @@ func TestDispatcherServesItsOwnCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := hub.StartRoot("self")
-	defer root.End()
-	res, err := client.CallWithin(root.Context(), ref, 0, "Twice", int64(21))
+	root := hub.StartRoot("self", client.Clock().Now())
+	defer func() { root.End(client.Clock().Now()) }()
+	res, _, err := client.CallWithin(root.Context(), time.Time{}, ref, 0, "Twice", int64(21))
 	if err != nil || len(res) != 1 || res[0] != int64(42) {
 		t.Fatalf("Twice: %v %v", res, err)
 	}
@@ -386,7 +386,7 @@ func TestUnexport(t *testing.T) {
 func TestCallTimeout(t *testing.T) {
 	server, client, _ := newPair(t)
 	ref, _ := server.Export(&calculator{})
-	_, err := client.CallWithin(telemetry.SpanContext{}, ref, 20*time.Millisecond, "Slow", int64(500))
+	_, _, err := client.CallWithin(telemetry.SpanContext{}, time.Time{}, ref, 20*time.Millisecond, "Slow", int64(500))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}

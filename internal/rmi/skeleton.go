@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"time"
 
 	"obiwan/internal/invoke"
 	"obiwan/internal/telemetry"
@@ -15,14 +16,16 @@ import (
 // skeleton written out ahead of time, the Go analogue of the skeleton
 // classes Java RMI generated. sc is the serve span's context (zero when the
 // call is untraced) and caller the calling runtime's address, as its
-// connection's Hello named it. A Dispatcher reports what a reflective
+// connection's Hello named it; at is the serve span's start (zero without
+// one), where a Dispatcher starts its own span instead of reading the
+// clock again. A Dispatcher reports what a reflective
 // skeleton of the same object would: a bad argument as an *invoke.Error of
 // KindBadArgs, a method it does not have as KindNoSuchMethod, and a method's
 // own error as KindApp (invoke's Args1, Args2, CheckArity, NoSuchMethod and
 // Result build them), so the faults on the wire are the same either way.
 // Export checks for it once; a Dispatcher's calls never reach reflection.
 type Dispatcher interface {
-	Dispatch(sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, error)
+	Dispatch(sc telemetry.SpanContext, at time.Time, caller transport.Addr, method string, args []any) ([]any, error)
 }
 
 // Idempotent is a Dispatcher that names its read-only methods: running one
@@ -46,7 +49,7 @@ type skeleton struct {
 	plan *invoke.Plan
 }
 
-func (sk *skeleton) Dispatch(sc telemetry.SpanContext, _ transport.Addr, method string, args []any) ([]any, error) {
+func (sk *skeleton) Dispatch(sc telemetry.SpanContext, _ time.Time, _ transport.Addr, method string, args []any) ([]any, error) {
 	return invoke.CallWithLead(sk.plan, sk.recv, method, sc, args)
 }
 
@@ -71,8 +74,8 @@ func newSkeleton(obj any) (Dispatcher, error) {
 // serve runs method with args on d and returns either result values or a
 // wire fault. A method's error becomes a FaultApp (the remote-exception
 // path); a missing method or a bad argument its own fault code.
-func serve(d Dispatcher, sc telemetry.SpanContext, caller transport.Addr, method string, args []any) ([]any, *wire.Fault) {
-	results, err := d.Dispatch(sc, caller, method, args)
+func serve(d Dispatcher, sc telemetry.SpanContext, at time.Time, caller transport.Addr, method string, args []any) ([]any, *wire.Fault) {
+	results, err := d.Dispatch(sc, at, caller, method, args)
 	if err == nil {
 		return results, nil
 	}

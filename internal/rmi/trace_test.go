@@ -58,11 +58,11 @@ func TestTraceRetriedCallIsOneLogicalSpan(t *testing.T) {
 		netsim.FaultEvent{AtSend: 1, Action: netsim.ActDrop},
 	))
 
-	root := clientHub.StartRoot("test")
-	if _, err := client.CallWithin(root.Context(), ref, 0, "Accumulate", int64(5)); err != nil {
+	root := clientHub.StartRoot("test", client.Clock().Now())
+	if _, _, err := client.CallWithin(root.Context(), time.Time{}, ref, 0, "Accumulate", int64(5)); err != nil {
 		t.Fatalf("traced call with dropped reply: %v", err)
 	}
-	root.End()
+	root.End(client.Clock().Now())
 	if calc.Total() != 12 {
 		t.Fatalf("accumulated %d, want 12", calc.Total())
 	}
@@ -130,7 +130,7 @@ func TestTraceContextFlowsThroughHublessRuntime(t *testing.T) {
 	ref, _ := server.Export(&calculator{})
 
 	sc := telemetry.SpanContext{TraceID: 42, SpanID: 99}
-	if _, err := client.CallWithin(sc, ref, 0, "Add", int64(1), int64(1)); err != nil {
+	if _, _, err := client.CallWithin(sc, time.Time{}, ref, 0, "Add", int64(1), int64(1)); err != nil {
 		t.Fatal(err)
 	}
 	serves := spansNamed(serverHub.Spans(0), "serve:Add")

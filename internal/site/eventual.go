@@ -3,6 +3,7 @@ package site
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"obiwan/internal/eventual"
 	"obiwan/internal/rmi"
@@ -79,7 +80,7 @@ func (s *Site) AntiEntropy(peer string) (*eventual.SyncStats, error) {
 	if ev == nil {
 		return nil, ErrNoEventual
 	}
-	span := s.tel.StartRoot("eventual.sync")
+	span := s.tel.StartRoot("eventual.sync", s.rt.Clock().Now())
 	span.Annotate("peer", peer)
 	stats, err := s.antiEntropySession(span.Context(), peer, ev)
 	if err != nil {
@@ -90,14 +91,14 @@ func (s *Site) AntiEntropy(peer string) (*eventual.SyncStats, error) {
 		span.AnnotateUint("bases", uint64(stats.Bases))
 		span.AnnotateUint("skipped", uint64(stats.Skipped))
 	}
-	span.End()
+	span.End(s.rt.Clock().Now())
 	return stats, err
 }
 
 // antiEntropySession is the session body, run under sc's trace context.
 func (s *Site) antiEntropySession(sc telemetry.SpanContext, peer string, ev *eventual.Store) (*eventual.SyncStats, error) {
 	ref := antiEntropyRef(peer)
-	out, err := s.rt.CallWithin(sc, ref, 0, "Summary")
+	out, _, err := s.rt.CallWithin(sc, time.Time{}, ref, 0, "Summary")
 	if err != nil {
 		return nil, fmt.Errorf("site: anti-entropy with %s: %w", peer, err)
 	}
@@ -110,7 +111,7 @@ func (s *Site) antiEntropySession(sc telemetry.SpanContext, peer string, ev *eve
 		Summary: *ev.Summary(),
 		Batch:   *ev.BuildBatch(peerSum),
 	}
-	out, err = s.rt.CallWithin(sc, ref, 0, "Exchange", req)
+	out, _, err = s.rt.CallWithin(sc, time.Time{}, ref, 0, "Exchange", req)
 	if err != nil {
 		return nil, fmt.Errorf("site: anti-entropy with %s: %w", peer, err)
 	}

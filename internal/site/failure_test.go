@@ -225,7 +225,7 @@ func TestTimeoutSurfacesCleanly(t *testing.T) {
 		t.Fatalf("want timeout, got %v", err)
 	}
 	// Raise the budget: the same connection serves the retry.
-	res, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, d.Provider, 5*time.Second, "Invoke", "Read", nil)
+	res, _, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, d.Provider, 5*time.Second, "Invoke", "Read", nil)
 	if err != nil {
 		t.Fatalf("retry with bigger budget: %v", err)
 	}

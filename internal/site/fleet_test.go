@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"obiwan/internal/admin"
 	"obiwan/internal/fleet"
@@ -336,7 +337,8 @@ func TestFleetChunkWhileScraping(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			server.Telemetry().StartRoot("op").End()
+			now := server.Runtime().Clock().Now()
+			server.Telemetry().StartRoot("op", now).End(now)
 			col.ScrapeOnce()
 		}
 	}()
@@ -382,7 +384,7 @@ func TestFleetAlertBacklogOverflow(t *testing.T) {
 	}
 	// The eviction surfaces as a counter on the hub's own telemetry, so
 	// the overflow is itself observable (and scrape-able) fleet state.
-	if got := hub.Telemetry().MetricsSnapshot().Get("fleet.alerts.dropped"); got != dropped {
+	if got := hub.Telemetry().MetricsSnapshot(time.Time{}).Get("fleet.alerts.dropped"); got != dropped {
 		t.Fatalf("fleet.alerts.dropped counter = %d, want %d", got, dropped)
 	}
 	// Over the admin endpoint: the chunk carries the dropped count, and

@@ -221,7 +221,8 @@ func newGroup(s *Site, o *options) (*Group, error) {
 // call routes one consensus RPC to a peer's consensus service.
 func (g *Group) call(peer, method string, args ...any) ([]any, error) {
 	ref := rmi.RemoteRef{Addr: transport.Addr(peer), ID: consensusID}
-	return g.site.rt.CallWithin(telemetry.SpanContext{}, ref, g.callTimeout, method, args...)
+	res, _, err := g.site.rt.CallWithin(telemetry.SpanContext{}, time.Time{}, ref, g.callTimeout, method, args...)
+	return res, err
 }
 
 // redirect maps consensus-layer refusals to the replication-layer typed
@@ -308,15 +309,16 @@ func (g *Group) RoutePut(sc telemetry.SpanContext, req *replication.PutRequest) 
 	var span *telemetry.Span
 	var start time.Time
 	if g.site.tel.Enabled() && sc.Valid() {
-		span = g.site.tel.StartSpan(sc, "group.submit")
+		start = g.site.rt.Clock().Now()
+		span = g.site.tel.StartSpan(sc, "group.submit", start)
 		span.AnnotateOID("oid", req.OID)
-		start = g.site.tel.Now()
 	}
 	res, err := g.submit(&groupCmd{Kind: cmdPut, OID: req.OID, Put: req})
 	if span != nil {
-		span.Phase(telemetry.PhaseSubmitWait, g.site.tel.Now().Sub(start))
+		end := g.site.rt.Clock().Now()
+		span.Phase(telemetry.PhaseSubmitWait, end.Sub(start))
 		span.SetErr(err)
-		span.End()
+		span.End(end)
 	}
 	if err != nil {
 		return nil, err
@@ -477,7 +479,7 @@ func (g *Group) apply(ent consensus.Entry) any {
 func (g *Group) onEvent(ev consensus.Event) {
 	if f := g.site.tel.Flight(); f != nil {
 		f.Record(telemetry.FlightEvent{
-			Kind:   ev.Kind,
+			AtNS: g.site.rt.Clock().Now().UnixNano(), Kind: ev.Kind,
 			Detail: fmt.Sprintf("group=%s term=%d leader=%q %s", g.name, ev.Term, ev.Leader, ev.Detail),
 		})
 	}

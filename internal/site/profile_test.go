@@ -3,12 +3,12 @@ package site
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"obiwan/internal/admin"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/rmi"
-	"obiwan/internal/telemetry"
 )
 
 // TestThreeSiteDemandChainProfiles drives the paper's fault chain —
@@ -18,10 +18,7 @@ import (
 // provider.
 func TestThreeSiteDemandChainProfiles(t *testing.T) {
 	w := newWorld(t)
-	mk := func(name string) *Site {
-		return w.site(name, WithTelemetry(telemetry.NewHub(name, telemetry.WithClock(tickClock()))))
-	}
-	alpha, beta, gamma := mk("alpha"), mk("beta"), mk("gamma")
+	alpha, beta, gamma := w.site("alpha"), w.site("beta"), w.site("gamma")
 
 	doc1 := &note{Text: "doc-1"}
 	d1, err := beta.Export(doc1)
@@ -45,7 +42,7 @@ func TestThreeSiteDemandChainProfiles(t *testing.T) {
 	}
 
 	// Demander side: gamma faulted both documents over the network.
-	gsnap := gamma.Telemetry().ProfileSnapshot(0)
+	gsnap := gamma.Telemetry().ProfileSnapshot(0, time.Time{})
 	for _, oid := range []uint64{uint64(d0.OID), uint64(d1.OID)} {
 		p, ok := gsnap.Get(oid)
 		if !ok {
@@ -62,7 +59,7 @@ func TestThreeSiteDemandChainProfiles(t *testing.T) {
 		s   *Site
 		oid uint64
 	}{{alpha, uint64(d0.OID)}, {beta, uint64(d1.OID)}} {
-		snap := tc.s.Telemetry().ProfileSnapshot(0)
+		snap := tc.s.Telemetry().ProfileSnapshot(0, time.Time{})
 		p, ok := snap.Get(tc.oid)
 		if !ok || p.Serves != 1 || p.ServeBytes == 0 {
 			t.Fatalf("%s profile for %#x: ok=%v %+v", tc.s.Name(), tc.oid, ok, p)
@@ -113,7 +110,7 @@ func TestProfileCountsLMIvsRMI(t *testing.T) {
 		}
 	}
 
-	p, ok := mobile.Telemetry().ProfileSnapshot(0).Get(uint64(d.OID))
+	p, ok := mobile.Telemetry().ProfileSnapshot(0, time.Time{}).Get(uint64(d.OID))
 	if !ok {
 		t.Fatal("no profile for the invoked object")
 	}
@@ -148,7 +145,7 @@ func TestProfileSkipsFailedFaults(t *testing.T) {
 	if ref.IsResolved() {
 		t.Fatal("ref resolved with the master closed")
 	}
-	if p, ok := mobile.Telemetry().ProfileSnapshot(0).Get(uint64(d.OID)); ok && (p.LMICalls != 0 || p.Faults != 0) {
+	if p, ok := mobile.Telemetry().ProfileSnapshot(0, time.Time{}).Get(uint64(d.OID)); ok && (p.LMICalls != 0 || p.Faults != 0) {
 		t.Fatalf("lmi=%d faults=%d after three failed faults, want 0/0", p.LMICalls, p.Faults)
 	}
 }
@@ -160,7 +157,8 @@ func TestAdminScrapeStreamsSpansOnce(t *testing.T) {
 	server := w.site("server")
 	mobile := w.site("mobile")
 
-	server.Telemetry().StartRoot("first").End()
+	now := server.Runtime().Clock().Now()
+	server.Telemetry().StartRoot("first", now).End(now)
 	chunk, err := mobile.Admin(server.Addr()).Scrape(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -122,9 +122,11 @@ func WithRetry(p rmi.RetryPolicy) Option { return func(o *options) { o.retry = &
 // number, so peers never confuse it with its previous life.
 func WithDurability(dir string) Option { return func(o *options) { o.walDir = dir } }
 
-// WithTelemetry installs a custom telemetry hub — typically one built with
-// telemetry.WithClock for deterministic traces under netsim. By default a
-// site creates its own enabled hub named after itself.
+// WithTelemetry installs a custom telemetry hub. By default a site creates
+// its own enabled hub named after itself. Either way the hub reads no
+// clock: everything it records is stamped with the runtime's clock, the
+// network's (netsim.ClockProvider), so a site on a virtual network traces
+// on virtual time.
 func WithTelemetry(h *telemetry.Hub) Option { return func(o *options) { o.tel = h } }
 
 // WithoutTelemetry disables tracing and metrics for this site. Every
@@ -407,11 +409,12 @@ func New(name string, network transport.Network, opts ...Option) (_ *Site, err e
 		// cleanly or not. Preserve the moment in the flight recorder so a
 		// post-mortem can correlate recovery with what followed.
 		if f := hub.Flight(); f != nil && store.Incarnation() > 1 {
+			at := rt.Clock().Now()
 			f.Record(telemetry.FlightEvent{
-				Kind:   "site.recovery",
+				AtNS: at.UnixNano(), Kind: "site.recovery",
 				Detail: fmt.Sprintf("incarnation=%d records=%d", store.Incarnation(), len(recovered.Records())),
 			})
-			f.Dump("crash recovery")
+			f.Dump("crash recovery", at)
 		}
 	}
 	if !o.noSampler {

@@ -3,26 +3,28 @@ package site
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"obiwan/internal/admin"
+	"obiwan/internal/netsim"
 	"obiwan/internal/objmodel"
 	"obiwan/internal/replication"
 	"obiwan/internal/telemetry"
+	"obiwan/internal/transport"
 )
 
-// tickClock is a deterministic telemetry clock: every reading advances
-// one millisecond from the epoch, so a replayed scenario stamps identical
-// times.
-func tickClock() func() time.Time {
-	var mu sync.Mutex
-	now := time.Unix(0, 0)
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		now = now.Add(time.Millisecond)
-		return now
+// inVirtualWorld runs fn as simulated work on a fresh virtual clock over
+// loopback links.
+func inVirtualWorld(t *testing.T, fn func(vc *netsim.VirtualClock, net *transport.MemNetwork) error) {
+	t.Helper()
+	vc := netsim.NewVirtualClock()
+	defer vc.Stop()
+	net := transport.NewMemNetworkClock(netsim.Loopback, 1, vc)
+	var err error
+	vc.Run(func() { err = fn(vc, net) })
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -47,57 +49,73 @@ func assertShape(t *testing.T, n *telemetry.TraceNode, want treeShape, path stri
 }
 
 // runFaultChainScenario drives the paper's fault chain across three
-// sites: gamma faults doc-0 (mastered at alpha), whose payload leaves a
-// frontier reference to doc-1 (mastered at beta); gamma then faults that
-// too. Everything runs under one scenario root span. It returns the
-// rooted trees built from all three sites' spans.
-func runFaultChainScenario(t *testing.T) []*telemetry.TraceNode {
+// sites of a virtual world, each with its default hub: gamma faults doc-0
+// (mastered at alpha), whose payload leaves a frontier reference to doc-1
+// (mastered at beta); gamma then faults that too. Everything runs under
+// one scenario root span. It returns the rooted trees built from all three
+// sites' spans, and the world's time when the scenario ended.
+func runFaultChainScenario(t *testing.T) (trees []*telemetry.TraceNode, end time.Time) {
 	t.Helper()
-	w := newWorld(t)
-	hubs := map[string]*telemetry.Hub{}
-	mk := func(name string) *Site {
-		hub := telemetry.NewHub(name, telemetry.WithClock(tickClock()))
-		hubs[name] = hub
-		return w.site(name, WithTelemetry(hub))
-	}
-	alpha, beta, gamma := mk("alpha"), mk("beta"), mk("gamma")
+	inVirtualWorld(t, func(vc *netsim.VirtualClock, net *transport.MemNetwork) error {
+		var sites []*Site
+		defer func() {
+			for _, s := range sites {
+				s.Close()
+			}
+		}()
+		for _, name := range []string{"alpha", "beta", "gamma"} {
+			s, err := New(name, net, WithoutRuntimeSampler())
+			if err != nil {
+				return err
+			}
+			sites = append(sites, s)
+		}
+		alpha, beta, gamma := sites[0], sites[1], sites[2]
 
-	doc1 := &note{Text: "doc-1"}
-	d1, err := beta.Export(doc1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc0 := &note{Text: "doc-0", Next: alpha.Engine().RefFromDescriptor(d1, replication.DefaultSpec)}
-	d0, err := alpha.Export(doc0)
-	if err != nil {
-		t.Fatal(err)
-	}
+		doc1 := &note{Text: "doc-1"}
+		d1, err := beta.Export(doc1)
+		if err != nil {
+			return err
+		}
+		doc0 := &note{Text: "doc-0", Next: alpha.Engine().RefFromDescriptor(d1, replication.DefaultSpec)}
+		d0, err := alpha.Export(doc0)
+		if err != nil {
+			return err
+		}
 
-	spec := replication.GetSpec{Mode: replication.Incremental, Batch: 1}
-	ref0 := gamma.Engine().RefFromDescriptor(d0, spec)
-	root := hubs["gamma"].StartRoot("scenario")
-	obj0, err := gamma.Engine().Replicate(root.Context(), ref0, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep0, ok := obj0.(*note)
-	if !ok {
-		t.Fatalf("replicated %T", obj0)
-	}
-	if _, err := gamma.Engine().Replicate(root.Context(), rep0.Next, spec); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
+		spec := replication.GetSpec{Mode: replication.Incremental, Batch: 1}
+		ref0 := gamma.Engine().RefFromDescriptor(d0, spec)
+		root := gamma.Telemetry().StartRoot("scenario", vc.Now())
+		obj0, err := gamma.Engine().Replicate(root.Context(), ref0, spec)
+		if err != nil {
+			return err
+		}
+		rep0, ok := obj0.(*note)
+		if !ok {
+			return fmt.Errorf("replicated %T", obj0)
+		}
+		if _, err := gamma.Engine().Replicate(root.Context(), rep0.Next, spec); err != nil {
+			return err
+		}
+		end = vc.Now()
+		root.End(end)
 
-	var all []telemetry.SpanRecord
-	for _, h := range hubs {
-		all = append(all, h.Spans(0)...)
-	}
-	return telemetry.BuildTrees(all)
+		var all []telemetry.SpanRecord
+		for _, s := range sites {
+			all = append(all, s.Telemetry().Spans(0)...)
+		}
+		trees = telemetry.BuildTrees(all)
+		return nil
+	})
+	return trees, end
 }
 
+// TestFaultChainSpansFormOneRootedTree: the chain's spans form one tree,
+// and a site's default hub stamps them on its runtime's clock: every span
+// lies on the world's virtual timeline (a wall-clock stamp would lie
+// decades past its end).
 func TestFaultChainSpansFormOneRootedTree(t *testing.T) {
-	trees := runFaultChainScenario(t)
+	trees, end := runFaultChainScenario(t)
 	if len(trees) != 1 {
 		for _, tr := range trees {
 			t.Log(telemetry.FormatTree(tr))
@@ -118,6 +136,12 @@ func TestFaultChainSpansFormOneRootedTree(t *testing.T) {
 		site: "gamma", name: "scenario",
 		kids: []treeShape{demand("alpha"), demand("beta")},
 	}, "")
+	trees[0].Walk(func(_ int, sp telemetry.SpanRecord) {
+		if sp.StartNS < netsim.VirtualBase.UnixNano() || sp.StartNS > sp.EndNS || sp.EndNS > end.UnixNano() {
+			t.Fatalf("%s@%s spans %d..%d ns, off the world's timeline %d..%d",
+				sp.Name, sp.Site, sp.StartNS, sp.EndNS, netsim.VirtualBase.UnixNano(), end.UnixNano())
+		}
+	})
 }
 
 func TestFaultChainTraceIsDeterministic(t *testing.T) {
@@ -128,26 +152,25 @@ func TestFaultChainTraceIsDeterministic(t *testing.T) {
 		}
 		return b.String()
 	}
-	first := render(runFaultChainScenario(t))
-	second := render(runFaultChainScenario(t))
-	if first != second {
-		t.Fatalf("same-seed reruns diverge:\n--- first\n%s--- second\n%s", first, second)
+	first, _ := runFaultChainScenario(t)
+	second, _ := runFaultChainScenario(t)
+	if render(first) != render(second) {
+		t.Fatalf("same-seed reruns diverge:\n--- first\n%s--- second\n%s", render(first), render(second))
 	}
 	// The rendering includes span/trace/parent ids and timestamps, so
 	// equality above already proves stable ids; double-check it is not
 	// trivially empty.
-	if !strings.Contains(first, "scenario") || !strings.Contains(first, "assemble") {
-		t.Fatalf("rendered trace incomplete:\n%s", first)
+	if r := render(first); !strings.Contains(r, "scenario") || !strings.Contains(r, "assemble") {
+		t.Fatalf("rendered trace incomplete:\n%s", r)
 	}
 }
 
 func TestTraceSpansAcrossKillRestart(t *testing.T) {
 	w := newWorld(t)
 	dir := t.TempDir()
-	hub1 := telemetry.NewHub("server", telemetry.WithClock(tickClock()))
-	server := w.site("server", WithDurability(dir), WithTelemetry(hub1))
-	mobileHub := telemetry.NewHub("mobile", telemetry.WithClock(tickClock()))
-	mobile := w.site("mobile", WithTelemetry(mobileHub))
+	server := w.site("server", WithDurability(dir))
+	mobile := w.site("mobile")
+	mobileHub := mobile.Telemetry()
 
 	master := &note{Text: "v1"}
 	if err := server.Bind("doc", master); err != nil {
@@ -158,7 +181,7 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	root := mobileHub.StartRoot("session")
+	root := mobileHub.StartRoot("session", mobile.Runtime().Clock().Now())
 	obj, err := mobile.Engine().Replicate(root.Context(), ref, replication.DefaultSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +189,8 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 	replica := obj.(*note)
 
 	server.Kill()
-	hub2 := telemetry.NewHub("server", telemetry.WithClock(tickClock()))
-	reborn := w.site("server", WithDurability(dir), WithTelemetry(hub2))
+	reborn := w.site("server", WithDurability(dir))
+	hub2 := reborn.Telemetry()
 	if reborn.Incarnation() != 2 {
 		t.Fatalf("incarnation %d, want 2", reborn.Incarnation())
 	}
@@ -177,7 +200,7 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 	if err := mobile.Engine().Refresh(root.Context(), replica); err != nil {
 		t.Fatal(err)
 	}
-	root.End()
+	root.End(mobile.Runtime().Clock().Now())
 
 	// Collect from the live hubs only: the first incarnation's span ring
 	// died with it (and a reborn site reuses its id space, exactly like a
@@ -218,6 +241,34 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 	if replica.Text != "v1" {
 		t.Fatalf("refreshed replica text %q", replica.Text)
 	}
+}
+
+// TestScrapeWithoutTelemetryStampsWorldTime: a scrape is stamped with the
+// serving runtime's clock, so on a virtual world a site without telemetry
+// reports the world's time, not the wall clock's.
+func TestScrapeWithoutTelemetryStampsWorldTime(t *testing.T) {
+	inVirtualWorld(t, func(vc *netsim.VirtualClock, net *transport.MemNetwork) error {
+		target, err := New("target", net, WithoutTelemetry())
+		if err != nil {
+			return err
+		}
+		defer target.Close()
+		probe, err := New("probe", net, WithoutRuntimeSampler())
+		if err != nil {
+			return err
+		}
+		defer probe.Close()
+		vc.Sleep(time.Hour) // the world's time is well past its start
+		before := vc.Now()
+		chunk, err := probe.Admin("target").Scrape(admin.CursorEnd, 0, 0)
+		if err != nil {
+			return err
+		}
+		if at := time.Unix(0, chunk.TakenAtNS); at.Before(before) || at.After(vc.Now()) {
+			return fmt.Errorf("scrape taken at %v, the world's time is %v..%v", at, before, vc.Now())
+		}
+		return nil
+	})
 }
 
 func TestSiteWithoutTelemetry(t *testing.T) {

@@ -145,7 +145,7 @@ func (sw *Swarm) buildReport(scenario string) *Report {
 			}
 		}
 	}
-	if snap := sw.Hub.Telemetry().ProfileSnapshot(profileTopK); snap != nil {
+	if snap := sw.Hub.Telemetry().ProfileSnapshot(profileTopK, sw.Clock.Now()); snap != nil {
 		r.HotObjects = snap.Objects
 	}
 	return r

@@ -341,17 +341,17 @@ func TestAttributionBuilderProfileShares(t *testing.T) {
 // traces that carry their spans, rank canonically, and render the
 // annotated critical path byte-identically.
 func TestRankSlow(t *testing.T) {
-	h := NewHub("alpha", WithClock(fakeClock()))
-	slow := h.StartRoot("fault")
+	h := NewHub("alpha")
+	slow := h.StartRoot("fault", tick())
 	slow.Phase(PhaseNet, 900)
-	slow.End()
-	fast := h.StartRoot("fault")
-	fast.End()
+	slow.End(tick())
+	fast := h.StartRoot("fault", tick())
+	fast.End(tick())
 	h.Metrics().Histogram("rmi.call.latency_ns").ObserveExemplar(900, slow.Context().TraceID)
 	h.Metrics().Histogram("rmi.call.latency_ns").ObserveExemplar(10, fast.Context().TraceID)
 	h.Metrics().Histogram("untimed").ObserveExemplar(5000, fast.Context().TraceID) // not _ns: skipped
 
-	obs := []SiteObservation{{Site: "alpha", Metrics: h.MetricsSnapshot()}, {Site: "unscraped"}}
+	obs := []SiteObservation{{Site: "alpha", Metrics: h.MetricsSnapshot(tick())}, {Site: "unscraped"}}
 	got := RankSlow(obs, h.Spans(0), 1)
 	if len(got) != 1 {
 		t.Fatalf("slow traces: %+v", got)
@@ -374,7 +374,7 @@ func TestRankSlow(t *testing.T) {
 	}
 
 	var nilHub *Hub
-	off := []SiteObservation{{Site: "off", Metrics: nilHub.MetricsSnapshot()}}
+	off := []SiteObservation{{Site: "off", Metrics: nilHub.MetricsSnapshot(tick())}}
 	if RankSlow(off, nilHub.Spans(0), 4) != nil {
 		t.Fatal("a disabled hub's snapshot ranked slow traces")
 	}
@@ -383,14 +383,14 @@ func TestRankSlow(t *testing.T) {
 // TestSpanPhaseAccumulates: repeated Phase calls on one name accumulate
 // in place, zero/negative durations are dropped, and nil spans no-op.
 func TestSpanPhaseAccumulates(t *testing.T) {
-	h := NewHub("s", WithClock(fakeClock()))
-	sp := h.StartRoot("op")
+	h := NewHub("s")
+	sp := h.StartRoot("op", tick())
 	sp.Phase(PhaseRetryBackoff, 5)
 	sp.Phase(PhaseNet, 10)
 	sp.Phase(PhaseRetryBackoff, 7)
 	sp.Phase(PhaseNet, 0)
 	sp.Phase(PhaseNet, -3)
-	sp.End()
+	sp.End(tick())
 	rec := h.Spans(0)[0]
 	want := []PhaseSegment{{Phase: PhaseRetryBackoff, NS: 12}, {Phase: PhaseNet, NS: 10}}
 	if !reflect.DeepEqual(rec.Phases, want) {

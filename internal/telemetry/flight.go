@@ -112,8 +112,7 @@ const flightDumpKeep = 4
 // dumps taken from it. A nil *FlightRecorder no-ops on every method,
 // matching the telemetry fast-path contract. Safe for concurrent use.
 type FlightRecorder struct {
-	site  string
-	clock func() time.Time
+	site string
 
 	mu      sync.Mutex
 	ring    []flightSlot
@@ -139,18 +138,15 @@ type flightSlot struct {
 
 // newFlightRecorder builds a recorder with the given ring capacity
 // (default 512 when capacity <= 0).
-func newFlightRecorder(site string, clock func() time.Time, capacity int) *FlightRecorder {
-	if clock == nil {
-		clock = time.Now
-	}
+func newFlightRecorder(site string, capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = defaultFlightCapacity
 	}
-	return &FlightRecorder{site: site, clock: clock, ring: make([]flightSlot, 0, capacity)}
+	return &FlightRecorder{site: site, ring: make([]flightSlot, 0, capacity)}
 }
 
 // Record appends ev to the ring, evicting the oldest event when full.
-// The recorder stamps Seq and, if unset, AtNS.
+// The recorder stamps Seq; AtNS is the emitter's reading of its clock.
 func (f *FlightRecorder) Record(ev FlightEvent) {
 	f.record(flightSlot{
 		atNS: ev.AtNS, kind: ev.Kind, oid: ev.OID, traceID: ev.TraceID, spanID: ev.SpanID,
@@ -158,19 +154,20 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 	})
 }
 
-// RecordCounts appends an untraced event about oid whose Detail reads
-// "objects=<objects> bytes=<bytes>", without formatting it: recording
-// builds no string. kind is kept as given, so pass a constant.
-func (f *FlightRecorder) RecordCounts(kind string, oid uint64, objects, bytes int) {
-	f.record(flightSlot{kind: kind, oid: oid, objects: objects, bytes: bytes})
+// RecordCounts appends an untraced event about oid at the reading at,
+// whose Detail reads "objects=<objects> bytes=<bytes>", without formatting
+// it: recording builds no string. kind is kept as given, so pass a
+// constant.
+func (f *FlightRecorder) RecordCounts(kind string, oid uint64, objects, bytes int, at time.Time) {
+	if f == nil {
+		return
+	}
+	f.record(flightSlot{atNS: at.UnixNano(), kind: kind, oid: oid, objects: objects, bytes: bytes})
 }
 
 func (f *FlightRecorder) record(slot flightSlot) {
 	if f == nil {
 		return
-	}
-	if slot.atNS == 0 {
-		slot.atNS = f.clock().UnixNano()
 	}
 	f.mu.Lock()
 	f.total++
@@ -211,18 +208,17 @@ func (f *FlightRecorder) Snapshot() []FlightEvent {
 	return f.snapshotLocked()
 }
 
-// Dump snapshots the ring into a stored dump (retaining the last few) and
-// returns it — the automatic path on ErrUnavailable exhaustion and crash
-// recovery. Nil-safe.
-func (f *FlightRecorder) Dump(reason string) *FlightDump {
+// Dump snapshots the ring at the reading at into a stored dump (retaining
+// the last few) and returns it — the automatic path on ErrUnavailable
+// exhaustion and crash recovery. Nil-safe.
+func (f *FlightRecorder) Dump(reason string, at time.Time) *FlightDump {
 	if f == nil {
 		return nil
 	}
-	now := f.clock().UnixNano()
 	f.mu.Lock()
 	f.dumpSeq++
 	d := &FlightDump{
-		Site: f.site, Reason: reason, Seq: f.dumpSeq, TakenAtNS: now,
+		Site: f.site, Reason: reason, Seq: f.dumpSeq, TakenAtNS: at.UnixNano(),
 		Total: f.total, Dropped: f.total - uint64(len(f.ring)), Events: f.snapshotLocked(),
 	}
 	f.dumps = append(f.dumps, d)
@@ -233,17 +229,16 @@ func (f *FlightRecorder) Dump(reason string) *FlightDump {
 	return d
 }
 
-// Current builds an unstored snapshot dump (Seq 0) — what the admin
-// Flight endpoint serves when nothing has been dumped yet.
-func (f *FlightRecorder) Current(reason string) *FlightDump {
+// Current builds an unstored snapshot dump (Seq 0) at the reading at —
+// what the admin Flight endpoint serves when nothing has been dumped yet.
+func (f *FlightRecorder) Current(reason string, at time.Time) *FlightDump {
 	if f == nil {
 		return &FlightDump{Reason: reason}
 	}
-	now := f.clock().UnixNano()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return &FlightDump{
-		Site: f.site, Reason: reason, TakenAtNS: now,
+		Site: f.site, Reason: reason, TakenAtNS: at.UnixNano(),
 		Total: f.total, Dropped: f.total - uint64(len(f.ring)), Events: f.snapshotLocked(),
 	}
 }

@@ -6,27 +6,24 @@ import "time"
 // and flight recorder. A nil *Hub is the disabled state: every method
 // no-ops or returns nil instruments, so the instrumented hot paths cost
 // one nil check when telemetry is off.
+//
+// A hub reads no clock. Every time it records (a span's start and end, a
+// flight event, a snapshot's stamp) is a reading of the site's one clock
+// that the caller hands in, so one reading can stamp everything that
+// happens at one boundary of a call.
 type Hub struct {
 	site     string
 	tracer   *Tracer
 	metrics  *Metrics
 	profiler *Profiler
 	flight   *FlightRecorder
-	clock    func() time.Time
 }
 
 // HubOption configures a Hub.
 type HubOption func(*hubConfig)
 
 type hubConfig struct {
-	clock    func() time.Time
 	capacity int
-}
-
-// WithClock injects the hub's time source — how netsim scenarios keep
-// span timestamps deterministic. Defaults to time.Now.
-func WithClock(clock func() time.Time) HubOption {
-	return func(c *hubConfig) { c.clock = clock }
 }
 
 // WithSpanCapacity sets the finished-span ring size (default 4096).
@@ -40,17 +37,12 @@ func NewHub(site string, opts ...HubOption) *Hub {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	clock := cfg.clock
-	if clock == nil {
-		clock = time.Now
-	}
 	return &Hub{
 		site:     site,
-		tracer:   newTracer(site, clock, cfg.capacity),
+		tracer:   newTracer(site, cfg.capacity),
 		metrics:  NewMetrics(),
 		profiler: NewProfiler(defaultProfileCapacity),
-		flight:   newFlightRecorder(site, clock, defaultFlightCapacity),
-		clock:    clock,
+		flight:   newFlightRecorder(site, defaultFlightCapacity),
 	}
 }
 
@@ -84,57 +76,50 @@ func (h *Hub) Flight() *FlightRecorder {
 	return h.flight
 }
 
-// Now returns the hub's clock reading (wall clock when disabled).
-func (h *Hub) Now() time.Time {
-	if h == nil {
-		return time.Now()
-	}
-	return h.clock()
-}
-
-// StartSpan begins a span under parent; an invalid parent roots a new
-// trace. Returns nil (a no-op span) when the hub is disabled.
+// StartSpan begins a span under parent at the reading at; an invalid
+// parent roots a new trace. Returns nil (a no-op span) when the hub is
+// disabled.
 //
 // The three Start methods are small enough to inline, so the span each
 // allocates lives in the caller's frame as long as the caller keeps the
 // pointer to itself (TestRecordingAllocationsPinned). Each spells out the
 // same four lines: one calling another would exceed the inlining budget.
-func (h *Hub) StartSpan(parent SpanContext, name string) *Span {
+func (h *Hub) StartSpan(parent SpanContext, name string, at time.Time) *Span {
 	if h == nil {
 		return nil
 	}
 	s := new(Span)
-	h.tracer.start(s, parent, PrefixNone, name)
+	h.tracer.start(s, parent, PrefixNone, name, at)
 	return s
 }
 
 // StartPrefixed is StartSpan for a two-part name such as "rmi:"+method:
 // the halves are joined when the span is exported, not here.
-func (h *Hub) StartPrefixed(parent SpanContext, prefix SpanPrefix, name string) *Span {
+func (h *Hub) StartPrefixed(parent SpanContext, prefix SpanPrefix, name string, at time.Time) *Span {
 	if h == nil {
 		return nil
 	}
 	s := new(Span)
-	h.tracer.start(s, parent, prefix, name)
+	h.tracer.start(s, parent, prefix, name, at)
 	return s
 }
 
-// StartRoot begins a new trace.
-func (h *Hub) StartRoot(name string) *Span {
+// StartRoot begins a new trace at the reading at.
+func (h *Hub) StartRoot(name string, at time.Time) *Span {
 	if h == nil {
 		return nil
 	}
 	s := new(Span)
-	h.tracer.start(s, SpanContext{}, PrefixNone, name)
+	h.tracer.start(s, SpanContext{}, PrefixNone, name, at)
 	return s
 }
 
-// MetricsSnapshot exports the current metrics state.
-func (h *Hub) MetricsSnapshot() *MetricsSnapshot {
+// MetricsSnapshot exports the current metrics state, taken at at.
+func (h *Hub) MetricsSnapshot(at time.Time) *MetricsSnapshot {
 	if h == nil {
 		return &MetricsSnapshot{}
 	}
-	return h.metrics.Snapshot(h.site, h.clock().UnixNano())
+	return h.metrics.Snapshot(h.site, at.UnixNano())
 }
 
 // Spans returns up to max recent finished spans, oldest first.
@@ -158,10 +143,10 @@ func (h *Hub) SpansSince(cursor uint64, max int) (spans []SpanRecord, next uint6
 }
 
 // ProfileSnapshot exports the topK hottest object profiles (all tracked
-// when topK <= 0). Empty, but non-nil, when disabled.
-func (h *Hub) ProfileSnapshot(topK int) *ProfileSnapshot {
+// when topK <= 0), taken at at. Empty, but non-nil, when disabled.
+func (h *Hub) ProfileSnapshot(topK int, at time.Time) *ProfileSnapshot {
 	if h == nil {
 		return &ProfileSnapshot{}
 	}
-	return h.profiler.Snapshot(h.site, h.clock().UnixNano(), topK)
+	return h.profiler.Snapshot(h.site, at.UnixNano(), topK)
 }

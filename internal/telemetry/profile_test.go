@@ -30,10 +30,10 @@ func TestNilProfilerAndFlightAreFree(t *testing.T) {
 	if f.Snapshot() != nil {
 		t.Fatal("nil recorder holds events")
 	}
-	if d := f.Dump("r"); d != nil {
+	if d := f.Dump("r", tick()); d != nil {
 		t.Fatalf("nil recorder dumped: %+v", d)
 	}
-	if d := f.Current("r"); d == nil || len(d.Events) != 0 {
+	if d := f.Current("r", tick()); d == nil || len(d.Events) != 0 {
 		t.Fatalf("nil recorder current: %+v", d)
 	}
 	if _, ok := f.LastDump(); ok {
@@ -220,7 +220,7 @@ func TestProfilerFaultCostFallsBackToSiteAverage(t *testing.T) {
 }
 
 func TestFlightRecorderRingAndDumps(t *testing.T) {
-	f := newFlightRecorder("s", fakeClock(), 4)
+	f := newFlightRecorder("s", 4)
 	for i := 0; i < 6; i++ {
 		f.Record(FlightEvent{Kind: "k", OID: uint64(i)})
 	}
@@ -235,7 +235,7 @@ func TestFlightRecorderRingAndDumps(t *testing.T) {
 		t.Fatalf("total: %d", f.total)
 	}
 
-	d := f.Dump("first")
+	d := f.Dump("first", tick())
 	if d.Seq != 1 || d.Total != 6 || d.Dropped != 2 || len(d.Events) != 4 {
 		t.Fatalf("dump: %+v", d)
 	}
@@ -244,7 +244,7 @@ func TestFlightRecorderRingAndDumps(t *testing.T) {
 	}
 	// Only the last few dumps are retained.
 	for i := 0; i < 6; i++ {
-		f.Dump("later")
+		f.Dump("later", tick())
 	}
 	if dumps := f.dumps; len(dumps) != 4 || dumps[0].Seq != 4 {
 		t.Fatalf("dump retention: %d dumps, first seq %d", len(dumps), dumps[0].Seq)
@@ -252,10 +252,10 @@ func TestFlightRecorderRingAndDumps(t *testing.T) {
 }
 
 func TestFlightDumpContainsAndFormat(t *testing.T) {
-	f := newFlightRecorder("s", fakeClock(), 0)
+	f := newFlightRecorder("s", 0)
 	f.Record(FlightEvent{Kind: "rmi.retry", SpanID: 0xbeef, Detail: "attempt=2"})
 	f.Record(FlightEvent{Kind: "repl.unavailable", OID: 9, Err: "boom"})
-	d := f.Current("live")
+	d := f.Current("live", tick())
 	if !d.Contains(0xbeef) || d.Contains(0xdead) {
 		t.Fatalf("contains: %+v", d)
 	}
@@ -268,9 +268,9 @@ func TestFlightDumpContainsAndFormat(t *testing.T) {
 }
 
 func TestTracerSnapshotSinceCursor(t *testing.T) {
-	h := NewHub("s", WithClock(fakeClock()), WithSpanCapacity(4))
+	h := NewHub("s", WithSpanCapacity(4))
 	finish := func(name string) {
-		h.StartRoot(name).End()
+		h.StartRoot(name, tick()).End(tick())
 	}
 	finish("a")
 	finish("b")
@@ -315,7 +315,7 @@ func TestRuntimeSamplerPublishesGauges(t *testing.T) {
 	h := NewHub("s")
 	stop := h.StartRuntimeSampler(time.Hour) // immediate sample, then idle
 	defer stop()
-	snap := h.MetricsSnapshot()
+	snap := h.MetricsSnapshot(tick())
 	found := map[string]bool{}
 	for _, g := range snap.Gauges {
 		found[g.Name] = true

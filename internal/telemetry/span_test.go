@@ -51,22 +51,22 @@ func TestRecordingAllocationsPinned(t *testing.T) {
 	for ; oid < 2*defaultProfileCapacity; oid++ {
 		h.Profiler().RecordServe(oid, 1, 64)
 	}
-	root := h.StartRoot("root").Context()
+	root := h.StartRoot("root", tick()).Context()
 	for _, c := range []struct {
 		what string
 		max  float64
 		fn   func()
 	}{
 		{"a span with two numbers and two phases", 0, func() {
-			s := h.StartPrefixed(root, PrefixServe, "Get")
+			s := h.StartPrefixed(root, PrefixServe, "Get", tick())
 			s.AnnotateOID("oid", oid)
 			s.AnnotateUint("objects", 1)
 			s.Phase(PhaseQueue, 1)
 			s.Phase(PhaseServe, 1)
 			s.Phase(PhaseQueue, 1)
-			s.End()
+			s.End(tick())
 		}},
-		{"a counted flight event", 0, func() { h.Flight().RecordCounts("repl.fault-resolved", oid, 1, 64) }},
+		{"a counted flight event", 0, func() { h.Flight().RecordCounts("repl.fault-resolved", oid, 1, 64, tick()) }},
 		{"a first touch at a full profiler", 0, func() {
 			oid++
 			h.Profiler().RecordInvoke(oid, false)
@@ -85,10 +85,10 @@ func TestRecordingAllocationsPinned(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < spans; i++ {
-			s := fresh.StartPrefixed(root, PrefixServe, "Get")
+			s := fresh.StartPrefixed(root, PrefixServe, "Get", tick())
 			s.AnnotateOID("oid", oid)
 			s.Phase(PhaseServe, 1)
-			s.End()
+			s.End(tick())
 		}
 		runtime.ReadMemStats(&after)
 		least = min(least, after.Mallocs-before.Mallocs)
@@ -169,7 +169,7 @@ func TestSpanRingWrapsAcrossSlabs(t *testing.T) {
 	for _, total := range []uint64{0, 1, slab - 1, slab, slab + 1, ring - 1, ring, ring + 1, ring + slab, 2*ring + 3, 5*ring + slab + 7} {
 		for model.total < total {
 			name := strconv.FormatUint(model.total, 10)
-			h.StartRoot(name).End()
+			h.StartRoot(name, tick()).End(tick())
 			model.commit(name)
 		}
 		for _, max := range []int{0, 1, 7, spanSlabLen, capacity, capacity + 1} {
@@ -291,12 +291,12 @@ func TestSpanExportMatchesEagerRendering(t *testing.T) {
 		}},
 	}
 	for _, shape := range shapes {
-		h := NewHub("site-a", WithClock(fakeClock()))
+		h := NewHub("site-a")
 		parent := SpanContext{TraceID: 77, SpanID: 78}
-		s := h.StartPrefixed(parent, shape.prefix, "Get")
+		s := h.StartPrefixed(parent, shape.prefix, "Get", tick())
 		var e eager
 		shape.record(s, &e)
-		s.End()
+		s.End(tick())
 		got := h.Spans(0)[0]
 		want := e.rec
 		want.TraceID, want.Parent, want.SpanID = 77, 78, s.Context().SpanID
@@ -352,13 +352,13 @@ func TestAnnotateOIDRendersAsObjmodel(t *testing.T) {
 // TestFlightCountsRenderOnRead: a counted event's Detail is the text the
 // call site used to format, in a snapshot, a dump and through eviction.
 func TestFlightCountsRenderOnRead(t *testing.T) {
-	f := newFlightRecorder("s", fakeClock(), 3)
+	f := newFlightRecorder("s", 3)
 	f.Record(FlightEvent{Kind: "rmi.retry", Detail: "Get to b attempt=2"})
 	counts := [][2]int{{0, 0}, {1, 67}, {100, 1 << 31}}
 	for _, c := range counts {
-		f.RecordCounts("repl.fault-resolved", 9, c[0], c[1])
+		f.RecordCounts("repl.fault-resolved", 9, c[0], c[1], tick())
 	}
-	for _, events := range [][]FlightEvent{f.Snapshot(), f.Dump("test").Events, f.Current("test").Events} {
+	for _, events := range [][]FlightEvent{f.Snapshot(), f.Dump("test", tick()).Events, f.Current("test", tick()).Events} {
 		if len(events) != 3 {
 			t.Fatalf("ring holds %d events", len(events))
 		}
@@ -387,14 +387,14 @@ func TestSpanRingReadWhileWritten(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				s := h.StartPrefixed(SpanContext{}, PrefixRMI, "Get")
+				s := h.StartPrefixed(SpanContext{}, PrefixRMI, "Get", tick())
 				s.AnnotateOID("oid", uint64(w)<<48|uint64(i))
 				s.AnnotateUint("objects", uint64(i))
 				s.Annotate("from_heap", "true")
 				s.Phase(PhaseNet, 1)
 				s.Phase(PhaseServe, 1)
 				s.Phase(PhaseQueue, 1)
-				s.End()
+				s.End(tick())
 			}
 		}(w)
 	}

@@ -12,6 +12,9 @@ import (
 	"obiwan/internal/codec"
 )
 
+// tick is the tests' clock: a hub reads none, so each reading is handed in.
+var tick = fakeClock()
+
 // fakeClock is a deterministic, strictly increasing time source.
 func fakeClock() func() time.Time {
 	var mu sync.Mutex
@@ -29,20 +32,20 @@ func TestNilHubIsFreeAndSafe(t *testing.T) {
 	if h.Enabled() {
 		t.Fatal("nil hub enabled")
 	}
-	sp := h.StartRoot("x")
+	sp := h.StartRoot("x", tick())
 	if sp != nil {
 		t.Fatal("nil hub minted a span")
 	}
 	sp.Annotate("k", "v")
 	sp.SetErr(errors.New("boom"))
-	sp.End()
+	sp.End(tick())
 	if sc := sp.Context(); sc.Valid() {
 		t.Fatal("nil span has valid context")
 	}
 	h.Metrics().Counter("c").Inc()
 	h.Metrics().Gauge("g").Set(7)
 	h.Metrics().Histogram("h").Observe(1)
-	if got := h.MetricsSnapshot(); len(got.Counters) != 0 {
+	if got := h.MetricsSnapshot(tick()); len(got.Counters) != 0 {
 		t.Fatalf("nil hub snapshot: %+v", got)
 	}
 	if spans := h.Spans(10); spans != nil {
@@ -52,14 +55,14 @@ func TestNilHubIsFreeAndSafe(t *testing.T) {
 
 func TestSpanTreeAndDeterministicIDs(t *testing.T) {
 	run := func() []SpanRecord {
-		h := NewHub("alpha", WithClock(fakeClock()))
-		root := h.StartRoot("fault")
-		child := h.StartSpan(root.Context(), "rmi:Get")
+		h, clk := NewHub("alpha"), fakeClock()
+		root := h.StartRoot("fault", clk())
+		child := h.StartSpan(root.Context(), "rmi:Get", clk())
 		child.Annotate("attempt", "1")
-		child.End()
-		m := h.StartSpan(root.Context(), "materialize")
-		m.End()
-		root.End()
+		child.End(clk())
+		m := h.StartSpan(root.Context(), "materialize", clk())
+		m.End(clk())
+		root.End(clk())
 		return h.Spans(0)
 	}
 	a, b := run(), run()
@@ -96,19 +99,19 @@ func TestSpanTreeAndDeterministicIDs(t *testing.T) {
 func TestCrossSiteIDsDisjoint(t *testing.T) {
 	a := NewHub("siteA")
 	b := NewHub("siteB")
-	sa := a.StartRoot("x")
-	sb := b.StartRoot("x")
+	sa := a.StartRoot("x", tick())
+	sb := b.StartRoot("x", tick())
 	if sa.Context().SpanID == sb.Context().SpanID {
 		t.Fatal("two sites minted the same span id")
 	}
-	sa.End()
-	sb.End()
+	sa.End(tick())
+	sb.End(tick())
 }
 
 func TestSpanRingEviction(t *testing.T) {
 	h := NewHub("s", WithSpanCapacity(4))
 	for i := 0; i < 10; i++ {
-		h.StartRoot(fmt.Sprintf("op%d", i)).End()
+		h.StartRoot(fmt.Sprintf("op%d", i), tick()).End(tick())
 	}
 	spans := h.Spans(0)
 	if len(spans) != 4 {
@@ -126,11 +129,11 @@ func TestSpanRingEviction(t *testing.T) {
 }
 
 func TestSpanErrAndAttrs(t *testing.T) {
-	h := NewHub("s", WithClock(fakeClock()))
-	sp := h.StartRoot("put")
+	h := NewHub("s")
+	sp := h.StartRoot("put", tick())
 	sp.Annotate("oid", "1:2")
 	sp.SetErr(errors.New("conflict"))
-	sp.End()
+	sp.End(tick())
 	rec := h.Spans(0)[0]
 	if rec.Err != "conflict" || len(rec.Attrs) != 1 || rec.Attrs[0] != "oid=1:2" {
 		t.Fatalf("record: %+v", rec)
@@ -148,10 +151,10 @@ func TestSpanErrAndAttrs(t *testing.T) {
 // the record — not a late annotation, not a second End — while the span
 // still answers its Context.
 func TestEndedSpanIsImmutable(t *testing.T) {
-	h := NewHub("s", WithClock(fakeClock()))
-	sp := h.StartRoot("put")
+	h := NewHub("s")
+	sp := h.StartRoot("put", tick())
 	sp.Annotate("oid", "1:2")
-	sp.End()
+	sp.End(tick())
 	want := h.Spans(0)[0]
 	if sc := sp.Context(); sc.TraceID != want.TraceID || sc.SpanID != want.SpanID || !sc.Valid() {
 		t.Fatalf("ended span's context %+v, record %+v", sc, want)
@@ -159,7 +162,7 @@ func TestEndedSpanIsImmutable(t *testing.T) {
 	sp.Annotate("late", "x")
 	sp.Phase(PhaseServe, time.Second)
 	sp.SetErr(errors.New("late"))
-	sp.End()
+	sp.End(tick())
 	spans := h.Spans(0)
 	if len(spans) != 1 {
 		t.Fatalf("second End committed again: %d spans", len(spans))
@@ -258,11 +261,11 @@ func TestHistogramSnapshotRacingFirstObservation(t *testing.T) {
 }
 
 func TestSnapshotFormatAndCodecRoundTrip(t *testing.T) {
-	h := NewHub("fmt-site", WithClock(fakeClock()))
+	h := NewHub("fmt-site")
 	h.Metrics().Counter("repl.faults").Add(3)
 	h.Metrics().Gauge("heap.objects").Set(12)
 	h.Metrics().Histogram("rmi.call.latency_ns").ObserveDuration(3 * time.Millisecond)
-	snap := h.MetricsSnapshot()
+	snap := h.MetricsSnapshot(tick())
 	out := snap.Format()
 	for _, want := range []string{"repl.faults", "heap.objects", "rmi.call.latency_ns", "fmt-site"} {
 		if !strings.Contains(out, want) {
@@ -288,9 +291,9 @@ func TestSnapshotFormatAndCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", back)
 	}
 
-	sp := h.StartRoot("fault")
+	sp := h.StartRoot("fault", tick())
 	sp.Annotate("oid", "7")
-	sp.End()
+	sp.End(tick())
 	e2 := codec.NewEncoder(256)
 	if err := e2.Value(reg, &h.Spans(0)[0]); err != nil {
 		t.Fatal(err)

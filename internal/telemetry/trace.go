@@ -14,9 +14,9 @@
 //   - Near-zero cost when disabled: every entry point is a nil-receiver
 //     no-op, so an un-instrumented runtime pays one nil check per call.
 //   - Deterministic under netsim: span ids are minted from a per-site
-//     counter salted with the site name, and the clock is injectable, so
-//     a seeded scenario produces the same tree — ids included — on every
-//     run.
+//     counter salted with the site name, and every time is a reading of
+//     the site's clock handed in by the caller, so a seeded scenario
+//     produces the same tree — ids included — on every run.
 //   - Bounded memory: finished spans land in a fixed-size ring; metrics
 //     are counters, gauges, and fixed-bucket histograms.
 package telemetry
@@ -287,16 +287,16 @@ func (s *Span) SetErr(err error) {
 	s.err = err.Error()
 }
 
-// End finishes the span and copies it into the tracer's ring, once: the
-// span is ended from here on, so later Annotate, Phase, SetErr and End
-// calls are no-ops.
-func (s *Span) End() {
+// End finishes the span at the reading at and copies it into the tracer's
+// ring, once: the span is ended from here on, so later Annotate, Phase,
+// SetErr and End calls are no-ops.
+func (s *Span) End(at time.Time) {
 	if s == nil || s.ended() {
 		return
 	}
 	tr := s.tr
 	s.tr = nil
-	s.endNS = tr.clock().UnixNano()
+	s.endNS = at.UnixNano()
 	tr.commit(&s.spanData)
 }
 
@@ -340,7 +340,6 @@ const spanSlabLen = 32 << 10 / int(unsafe.Sizeof(spanData{}))
 type Tracer struct {
 	site   string
 	idBase uint64
-	clock  func() time.Time
 	seq    atomic.Uint64 // span ids minted
 
 	mu sync.Mutex
@@ -357,32 +356,28 @@ type Tracer struct {
 // id = fnv32(site)<<32 | seq. Two sites in one deployment mint from
 // disjoint spaces, and a rerun of a deterministic scenario mints the same
 // ids in the same order.
-func newTracer(site string, clock func() time.Time, capacity int) *Tracer {
-	if clock == nil {
-		clock = time.Now
-	}
+func newTracer(site string, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultSpanCapacity
 	}
 	return &Tracer{
 		site:     site,
 		idBase:   uint64(fnv32(site)) << 32,
-		clock:    clock,
 		slabs:    make([][]spanData, (capacity+spanSlabLen-1)/spanSlabLen),
 		capacity: capacity,
 	}
 }
 
-// start begins s, a zero Span, as a span named prefix+name. An invalid
-// parent starts a new trace rooted at this span (its trace id is its span
-// id).
-func (t *Tracer) start(s *Span, parent SpanContext, prefix SpanPrefix, name string) {
+// start begins s, a zero Span, as a span named prefix+name at the reading
+// at. An invalid parent starts a new trace rooted at this span (its trace
+// id is its span id).
+func (t *Tracer) start(s *Span, parent SpanContext, prefix SpanPrefix, name string, at time.Time) {
 	id := t.idBase | (t.seq.Add(1) & 0xffffffff)
 	s.tr, s.traceID, s.spanID, s.prefix, s.name = t, id, id, prefix, name
 	if parent.Valid() {
 		s.traceID, s.parent = parent.TraceID, parent.SpanID
 	}
-	s.startNS = t.clock().UnixNano()
+	s.startNS = at.UnixNano()
 }
 
 // commit copies a finished span into the ring, over the oldest record

@@ -2,22 +2,20 @@
 # lint-wallclock.sh — forbid new direct wall-clock reads and waits.
 #
 # Everything that runs inside a simulated scenario must take its time
-# from netsim.Clock (or a telemetry hub's injected clock): a stray
-# time.Now() or time.NewTicker silently breaks virtual-clock
-# byte-determinism — the exact property the BENCH_* regression baselines
-# and the swarm determinism tests gate on — or leaves a waiter sleeping in
-# real time under a virtual clock. This lint greps non-comment code for
-# time.Now, time.Since, time.Sleep, time.After and time.NewTicker outside
-# the files that are legitimately wall-clocked and fails CI when a new
-# one appears. Test files may time themselves, but a test that sleeps
-# waits on the host instead of on a clock, so time.Sleep is checked in
-# _test.go files too, against a second allowlist.
+# from netsim.Clock (a telemetry hub reads no clock; its callers hand it
+# readings of the runtime's): a stray time.Now() or time.NewTicker
+# silently breaks virtual-clock byte-determinism — the exact property
+# the BENCH_* regression baselines and the swarm determinism tests gate
+# on — or leaves a waiter sleeping in real time under a virtual clock.
+# This lint greps non-comment code for time.Now, time.Since, time.Sleep,
+# time.After and time.NewTicker outside the files that are legitimately
+# wall-clocked and fails CI when a new one appears. Test files may time
+# themselves, but a test that sleeps waits on the host instead of on a
+# clock, so time.Sleep is checked in _test.go files too, against a
+# second allowlist.
 #
 # Allowlisted (and why):
 #   internal/netsim/              the clock abstraction itself (real clock, link pacing)
-#   internal/telemetry/hub.go     real-clock fallback when no clock injected
-#   internal/telemetry/trace.go   same fallback for the tracer
-#   internal/telemetry/flight.go  same fallback for the flight recorder
 #   internal/telemetry/runtimebridge.go  samples the Go runtime of this process on a
 #                                 real ticker; deterministic harnesses switch it off
 #   internal/wal/wal.go           fsync timing is real disk time by nature
@@ -48,7 +46,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allow='^\./internal/netsim/|^\./internal/telemetry/(hub|trace|flight|runtimebridge)\.go$|^\./internal/wal/wal\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/runners\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
+allow='^\./internal/netsim/|^\./internal/telemetry/runtimebridge\.go$|^\./internal/wal/wal\.go$|^\./internal/consistency/consistency\.go$|^\./internal/chaos/chaos\.go$|^\./internal/swarm/(swarm|report)\.go$|^\./internal/bench/runners\.go$|^\./cmd/(obiwan-bench|nameserver)/main\.go$|^\./benchmark/|^\./examples/|_test\.go$'
 
 sleepAllow='^\./internal/rmi/(rmi|retry|pool)_test\.go$|^\./internal/transport/(transport|reconn)_test\.go$'
 
@@ -64,7 +62,7 @@ bad=$(scan 'time\.(Now|Since|Sleep|After|NewTicker)\b' "$allow"
 if [ -n "$bad" ]; then
     echo "lint-wallclock: direct wall-clock read or wait outside the allowlist:" >&2
     printf '%s\n' "$bad" >&2
-    echo "Use the component's netsim.Clock (or injected hub clock); if this" >&2
+    echo "Use the component's netsim.Clock; if this" >&2
     echo "file is legitimately wall-clocked, add it to scripts/lint-wallclock.sh" >&2
     echo "with a reason." >&2
     exit 1
