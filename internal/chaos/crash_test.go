@@ -263,7 +263,7 @@ func TestKillRestartMidSyncDirty(t *testing.T) {
 			// Retry the first put verbatim across the restart: the journaled
 			// (base, checksum) guard must answer with the recorded version
 			// and NOT re-apply.
-			res, _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, prov, replication.BulkTimeout, "Put", dup)
+			res, _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, prov, replication.BulkTimeout, "put", dup)
 			if err != nil {
 				return fmt.Errorf("retried put across restart: %w", err)
 			}

@@ -309,7 +309,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			follower := without(members, leader)[0]
 			fprov := prov
 			fprov.Addr = follower.Addr()
-			if _, _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, fprov, replication.BulkTimeout, "Put", dup); err == nil {
+			if _, _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, fprov, replication.BulkTimeout, "put", dup); err == nil {
 				return errors.New("follower accepted a put")
 			} else {
 				hint, ok := replication.NotLeaderHint(err)
@@ -343,7 +343,7 @@ func TestGroupLeaderKillMidSyncDirty(t *testing.T) {
 			// dedupe guard is part of the agreed state, so the successor
 			// answers the recorded version and does NOT re-apply.
 			prov.Addr = newLeader.Addr()
-			res, _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, prov, replication.BulkTimeout, "Put", dup)
+			res, _, err := client.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, prov, replication.BulkTimeout, "put", dup)
 			if err != nil {
 				return fmt.Errorf("retried put across failover: %w", err)
 			}

@@ -10,8 +10,8 @@
 // type are cached together as its plan. A registered type's plan
 // (PlanDirect) calls each method of a known shape directly, with no
 // reflect.Value.Call. The reflective path is the fallback for every other
-// method and the reference a hand-written dispatcher (Args1, Args2,
-// CheckArity, Result, NoSuchMethod) and the typed calls are held to. A
+// method and the reference a hand-written dispatcher (Args1, CheckArity,
+// Result, NoSuchMethod) and the typed calls are held to. A
 // caller that calls one method repeatedly keeps its handle (Lookup, Fits)
 // and skips the plan cache; Call is a Lookup and an Invoke.
 package invoke
@@ -378,35 +378,21 @@ func ConvertArg(a any, pt reflect.Type) (reflect.Value, error) {
 // Args1 converts a call's one argument to A for a dispatcher written by
 // hand, checked as a reflective call checks it. lead counts the parameters
 // the dispatcher supplies itself ahead of args (a span context), as a
-// reflective call does in its argument count and bad-argument numbers.
+// reflective call does in its argument count and bad-argument numbers. It
+// accepts exactly what ConvertArg accepts for a parameter of type A: a
+// value that already is an A as it is.
 func Args1[A any](method string, args []any, lead int) (a A, err error) {
-	if err = CheckArity(method, args, lead, lead+1); err == nil {
-		a, err = arg[A](method, args, lead, 0)
+	if err = CheckArity(method, args, lead, lead+1); err != nil {
+		return a, err
 	}
-	return a, err
-}
-
-// Args2 is Args1 for a call of two arguments.
-func Args2[A, B any](method string, args []any, lead int) (a A, b B, err error) {
-	if err = CheckArity(method, args, lead, lead+2); err == nil {
-		if a, err = arg[A](method, args, lead, 0); err == nil {
-			b, err = arg[B](method, args, lead, 1)
-		}
-	}
-	return a, b, err
-}
-
-// arg converts args[i] to T, accepting exactly what ConvertArg accepts for
-// a parameter of type T: a value that already is a T as it is.
-func arg[T any](method string, args []any, lead, i int) (v T, err error) {
-	if t, ok := args[i].(T); ok {
+	if t, ok := args[0].(A); ok {
 		return t, nil
 	}
-	rv, err := ConvertArg(args[i], reflect.TypeFor[T]())
+	rv, err := ConvertArg(args[0], reflect.TypeFor[A]())
 	if err != nil {
-		return v, badArg(method, lead+i, err)
+		return a, badArg(method, lead, err)
 	}
-	return rv.Interface().(T), nil
+	return rv.Interface().(A), nil
 }
 
 // CheckArity is a reflective call's argument-count check for a method of n

@@ -81,11 +81,11 @@ func elideSites(t *testing.T, kind string, n int) ([]*testSite, *dropNet) {
 	return sites, net
 }
 
-// rawGet calls Get on a proxy-in directly and returns the payload as it
+// rawGet calls get on a proxy-in directly and returns the payload as it
 // arrived, before any fetch fills it in.
 func rawGet(t *testing.T, client *testSite, prov rmi.RemoteRef) *Payload {
 	t.Helper()
-	res, err := client.rt.Call(prov, "Get", &DefaultSpec)
+	res, err := client.rt.Call(prov, "get", &DefaultSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -587,15 +587,15 @@ func (e *Engine) frontierFor(ref *objmodel.Ref) (FrontierRef, error) {
 // materialize installs a payload into the local heap: replicas are created
 // or refreshed, references bound, frontier proxy-outs created. It returns
 // the root object. sc parents the "materialize" span — on the demand path
-// it is the fault span, so the trace reads fault → rmi:Get → serve:Get →
+// it is the fault span, so the trace reads fault → rmi:get → serve:get →
 // assemble on the provider, then materialize back here. now is the
 // reading the reply arrived at: the span starts at it, and every replica
-// installed is fetched at it.
-func (e *Engine) materialize(sc telemetry.SpanContext, now time.Time, p *Payload) (root any, err error) {
+// installed is fetched at it. end is the reading the span ended at (zero
+// with telemetry off), which the caller may go on with.
+func (e *Engine) materialize(sc telemetry.SpanContext, now time.Time, p *Payload) (root any, end time.Time, err error) {
 	span := e.tel.StartSpan(sc, "materialize", now)
 	span.AnnotateOID("oid", p.Root())
 	span.AnnotateUint("objects", uint64(len(p.Objects)))
-	var end time.Time // the reading the materialized event is stamped with
 	defer func() {
 		span.SetErr(err)
 		if end.IsZero() {
@@ -628,7 +628,7 @@ func (e *Engine) materialize(sc telemetry.SpanContext, now time.Time, p *Payload
 		}
 		entry, err := e.installReplica(held, rec, now, adopt)
 		if err != nil {
-			return nil, err
+			return nil, end, err
 		}
 		if held == nil {
 			if p.Clustered {
@@ -654,7 +654,7 @@ func (e *Engine) materialize(sc telemetry.SpanContext, now time.Time, p *Payload
 	// may concurrently serve captures for onward replication).
 	for _, entry := range touched {
 		if err := e.bindEntry(entry, frontier, p.Spec); err != nil {
-			return nil, err
+			return nil, end, err
 		}
 	}
 
@@ -678,14 +678,14 @@ func (e *Engine) materialize(sc telemetry.SpanContext, now time.Time, p *Payload
 
 	rootEntry, ok := e.heap.Get(objmodel.OID(p.Root()))
 	if !ok {
-		return nil, fmt.Errorf("replication: payload root %d missing after materialization", p.Root())
+		return nil, end, fmt.Errorf("replication: payload root %d missing after materialization", p.Root())
 	}
 	end = e.telNow()
 	e.emit(Event{
 		Kind: EventPayloadMaterialized, OID: rootEntry.OID, Objects: len(p.Objects),
 		Bytes: payloadBytes(p), Frontier: len(p.Frontier), Clustered: p.Clustered,
 	}, end)
-	return rootEntry.Obj, nil
+	return rootEntry.Obj, end, nil
 }
 
 // installReplica is the one install of an image arriving at this site for
@@ -867,7 +867,8 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 	// (profiler snapshots travel on federation scrape replies, so a wall
 	// duration would perturb frame sizes and break replay determinism).
 	// One reading starts the span, Elapsed and the call, the reply's
-	// stamps the materialization, and one more ends the fetch.
+	// stamps the materialization, and materialize's end ends the fetch (a
+	// reading of its own with telemetry off).
 	clk := e.rt.Clock()
 	start := clk.Now()
 	now := start // the latest reading: where the span ends
@@ -892,7 +893,7 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 			return entry.Obj, prov, nil
 		}
 	}
-	res, winner, now, err := e.callFailover(span, start, oid, prov, BulkTimeout, true, "Get", &spec)
+	res, winner, now, err := e.callFailover(span, start, oid, prov, BulkTimeout, true, "get", &spec)
 	if err != nil {
 		return nil, prov, fmt.Errorf("replication: %s %v from %v: %w", names.op, oid, prov, e.failUnavailable(names.op, oid, span.Context(), err, now))
 	}
@@ -902,8 +903,11 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 	}
 	// The member that answered wrote its own address as empty (assemble).
 	payload.swapAddr("", winner.Addr)
-	if root, err = e.materialize(span.Context(), now, payload); err != nil {
+	root, now, err = e.materialize(span.Context(), now, payload)
+	if now.IsZero() { // telemetry is off: materialize read nothing
 		now = clk.Now()
+	}
+	if err != nil {
 		return nil, prov, err
 	}
 	if winner != prov {
@@ -913,7 +917,6 @@ func (e *Engine) fetch(sc telemetry.SpanContext, kind EventKind, oid objmodel.OI
 			e.repin(entry, winner)
 		}
 	}
-	now = clk.Now()
 	e.emit(Event{
 		Kind: kind, OID: oid, Objects: len(payload.Objects),
 		Bytes: payloadBytes(payload), Clustered: payload.Clustered, Elapsed: now.Sub(start),
@@ -952,7 +955,7 @@ func (e *Engine) Put(sc telemetry.SpanContext, obj any) error { return e.ship(sc
 func (e *Engine) PutCluster(sc telemetry.SpanContext, obj any) error { return e.ship(sc, obj, true) }
 
 // ship is the one client-side put: validate, capture a request per
-// object, call Put or PutCluster (failing over across a master group),
+// object, call put or putCluster (failing over across a master group),
 // re-pin to the member that answered, and acknowledge every object
 // shipped. The update is recorded as a "put" or "put.cluster" span beneath
 // sc, and the master's apply joins the same trace. This is the one place
@@ -966,14 +969,14 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 	if entry.Role != heap.Replica {
 		return ErrNotReplica
 	}
-	subject, name, key, method := entry.OID, "put", "oid", "Put"
+	subject, name, key, method := entry.OID, "put", "oid", "put"
 	members := []*heap.Entry{entry}
 	cluster := entry.ClusterMember()
 	if cluster {
 		if !unit {
 			return ErrClusterMember
 		}
-		subject, name, key, method = entry.ClusterRoot(), "put.cluster", "root", "PutCluster"
+		subject, name, key, method = entry.ClusterRoot(), "put.cluster", "root", "putCluster"
 		members = members[:0]
 		for _, m := range e.clusterMembers(subject) {
 			me, ok := e.heap.Get(m)
@@ -992,9 +995,13 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 	}
 	span := e.tel.StartSpan(sc, name, e.telNow())
 	span.AnnotateOID(key, uint64(subject))
+	var end time.Time // the latest reading, where the span ends
 	defer func() {
 		span.SetErr(err)
-		span.End(e.telNow())
+		if end.IsZero() {
+			end = e.telNow()
+		}
+		span.End(end)
 	}()
 	reqs := make([]PutRequest, len(members))
 	for i, me := range members {
@@ -1024,7 +1031,7 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 		if !ok {
 			return fmt.Errorf("replication: %s %v: unexpected reply %#v", name, subject, res[0])
 		}
-		if err := e.putAcked(me, v); err != nil {
+		if end, err = e.putAcked(me, v, end); err != nil {
 			return err
 		}
 	}
@@ -1032,7 +1039,7 @@ func (e *Engine) ship(sc telemetry.SpanContext, obj any, unit bool) (err error) 
 }
 
 // ackedVersion reads the new version of the i-th of n shipped objects out
-// of a Put reply (one *PutReply) or a PutCluster reply (one uint64 per
+// of a put reply (one *PutReply) or a putCluster reply (one uint64 per
 // member, in request order).
 func ackedVersion(reply any, i, n int) (uint64, bool) {
 	switch r := reply.(type) {
@@ -1051,15 +1058,20 @@ func ackedVersion(reply any, i, n int) (uint64, bool) {
 // putAcked is the replica-side tail of every shipped put, single or
 // cluster member: the master acknowledged entry's state at version v, so
 // the replica is clean at v, its dirty record is retracted, and the
-// shipment is reported.
-func (e *Engine) putAcked(entry *heap.Entry, v uint64) error {
+// shipment is reported. at is the latest reading; the shipment is stamped
+// with it unless the journal was written since, and the reading it was
+// stamped with is returned.
+func (e *Engine) putAcked(entry *heap.Entry, v uint64, at time.Time) (time.Time, error) {
 	entry.SetVersion(v)
 	entry.SetDirty(false)
-	if err := e.journalCleanReplica(entry.OID, v); err != nil {
-		return err
+	if j := e.getJournal(); j != nil {
+		if err := j.ReplicaCleaned(entry.OID, v); err != nil {
+			return time.Time{}, err // the write waited: the caller reads afresh
+		}
+		at = e.telNow()
 	}
-	e.emit(Event{Kind: EventPutShipped, OID: entry.OID, Version: v}, e.telNow())
-	return nil
+	e.emit(Event{Kind: EventPutShipped, OID: entry.OID, Version: v}, at)
+	return at, nil
 }
 
 // buildPutRequest captures a replica's state, into a buffer the runtime

@@ -127,7 +127,7 @@ func TestProxyAccessors(t *testing.T) {
 	}
 
 	// Version over RMI.
-	res, err := client.rt.Call(desc.Provider, "Version")
+	res, err := client.rt.Call(desc.Provider, "version")
 	if err != nil || res[0] != uint64(1) {
 		t.Fatalf("version: %v %v", res, err)
 	}
@@ -141,7 +141,7 @@ func TestProxyInGetNilSpecDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Passing nil spec over RMI uses the default (batch 1).
-	res, err := client.rt.Call(desc.Provider, "Get", nil)
+	res, err := client.rt.Call(desc.Provider, "get", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPutAddressedToWrongProxy(t *testing.T) {
 	}
 	e1, _ := master.heap.EntryOf(docs[1])
 	req := &PutRequest{OID: uint64(e1.OID), BaseVersion: 1, State: []byte{}}
-	if _, err := client.rt.Call(d0.Provider, "Put", req); err == nil {
+	if _, err := client.rt.Call(d0.Provider, "put", req); err == nil {
 		t.Fatal("put addressed to the wrong proxy-in must fail")
 	}
 }

@@ -106,9 +106,9 @@ const failoverPause = 50 * time.Millisecond
 // callFailover performs a replication call against a possibly-grouped
 // provider. On a not-leader redirect it re-aims at the hinted member (or
 // probes the membership when no hint is known); when rotate is set it
-// also rotates through members on transient failures — safe for Get
-// (idempotent) and Put/PutCluster (the replicated dedupe guard makes a
-// second arrival return the recorded reply), NOT for Invoke. It returns
+// also rotates through members on transient failures — safe for get
+// (idempotent) and put/putCluster (the replicated dedupe guard makes a
+// second arrival return the recorded reply), NOT for an application call. It returns
 // the reply plus the member that answered, so callers can re-pin
 // providers to the new leader. Time spent parked in failoverPause —
 // waiting out an election — is attributed to the caller's span as

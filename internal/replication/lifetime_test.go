@@ -127,9 +127,9 @@ func sendsInFlight() int {
 	}
 }
 
-// TestReplayedReplyOutlivesEviction: a Get is idempotent, so its reply is
+// TestReplayedReplyOutlivesEviction: a get is idempotent, so its reply is
 // not kept in the dedupe table, and its send's hold is the last on its
-// states. The reply of a large cluster Get queues behind another reply held
+// states. The reply of a large cluster get queues behind another reply held
 // in its send; meanwhile, on a second connection of the same client, later
 // demands capture states of the same size with other bytes, into buffers
 // that earlier replies gave back. The queued reply still sends the master's
@@ -180,15 +180,15 @@ func TestReplayedReplyOutlivesEviction(t *testing.T) {
 		c1 := dialRaw(t, drop.Network, rt, id)
 
 		net.armed.Store(true) // the next reply waits in its send
-		c1.call(2, heads[0], "Version")
+		c1.call(2, heads[0], "version")
 		<-net.hit
-		c1.call(1, heads[0], "Get", &spec) // its reply queues behind call 2's
-		waitFor(t, "the Get's reply to queue", func() bool { return sendsInFlight() >= 2 })
+		c1.call(1, heads[0], "get", &spec) // its reply queues behind call 2's
+		waitFor(t, "the get's reply to queue", func() bool { return sendsInFlight() >= 2 })
 
 		c2 := dialRaw(t, drop.Network, rt, id) // the same client, as after a redial
-		c2.call(3, heads[1], "Get", &spec)
+		c2.call(3, heads[1], "get", &spec)
 		c2.reply(3)                        // its states go back to the list
-		c2.call(4, heads[2], "Get", &spec) // captures 150 states of 0xc3 into them
+		c2.call(4, heads[2], "get", &spec) // captures 150 states of 0xc3 into them
 		if p := c2.reply(4)[0].(*Payload); !bytes.Contains(p.Objects[0].State, bytes.Repeat([]byte{0xc3}, 1024)) {
 			t.Fatalf("the third chain's payload does not carry its fill")
 		}
@@ -232,11 +232,11 @@ func exportBody(t *testing.T, master *testSite, fill byte) Descriptor {
 // on the master's side of the wire.
 func masterSum(t *testing.T, client *testSite, prov rmi.RemoteRef) uint64 {
 	t.Helper()
-	res, err := client.rt.Call(prov, "Invoke", "Sum", []any(nil))
+	res, err := client.rt.Call(prov, "Sum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res[0].([]any)[0].(uint64)
+	return res[0].(uint64)
 }
 
 // aliasNet is a network on which dialling alias reaches target, and the

@@ -122,55 +122,50 @@ var (
 	_ rmi.Idempotent = (*ProxyIn)(nil)
 )
 
-// Idempotent implements rmi.Idempotent: a demand (Get) and a version read
+// Idempotent implements rmi.Idempotent: a demand (get) and a version read
 // change nothing at the master, so a retried one runs again and the dedupe
-// table never keeps their replies. Put, PutCluster and Invoke stay
-// exactly-once.
-func (p *ProxyIn) Idempotent(method string) bool { return method == "Get" || method == "Version" }
+// table never keeps their replies. A put and every call of the master's own
+// methods stay exactly-once.
+func (p *ProxyIn) Idempotent(method string) bool { return method == "get" || method == "version" }
 
 // Dispatch implements rmi.Dispatcher: the proxy-in's skeleton, written out,
-// so a demand, put or invoke reaches its method without reflection. It
-// answers the methods above and no other (Dispatch and Idempotent are not
-// remotely callable), accepts exactly the arguments a reflective skeleton
-// would, and reports the same errors, numbered counting the span context it
-// supplies.
+// so a demand, put or invoke reaches its method without reflection. The
+// proxy-in's own methods travel under names no exported Go method can have
+// (get, put, putCluster, version) and answer as a reflective call of Get,
+// Put, PutCluster and Version would, their errors numbered counting the
+// span context Dispatch supplies. Every other name is a method of the
+// master object, called through Invoke with the arguments as sent, so an
+// application call is one frame and names its own method.
 func (p *ProxyIn) Dispatch(sc telemetry.SpanContext, at time.Time, caller transport.Addr, method string, args []any) ([]any, error) {
 	switch method {
-	case "Get":
+	case "get":
 		spec, err := invoke.Args1[*GetSpec](method, args, 1)
 		if err != nil {
 			return nil, err
 		}
 		payload, err := p.get(sc, at, spec, caller)
 		return invoke.Result(method, payload, err)
-	case "Put":
+	case "put":
 		req, err := invoke.Args1[*PutRequest](method, args, 1)
 		if err != nil {
 			return nil, err
 		}
 		reply, err := p.putOne(sc, at, req)
 		return invoke.Result(method, reply, err)
-	case "PutCluster":
+	case "putCluster":
 		req, err := invoke.Args1[*ClusterPutRequest](method, args, 1)
 		if err != nil {
 			return nil, err
 		}
 		versions, err := p.PutCluster(sc, req)
 		return invoke.Result(method, versions, err)
-	case "Invoke":
-		name, callArgs, err := invoke.Args2[string, []any](method, args, 0)
-		if err != nil {
-			return nil, err
-		}
-		out, err := p.Invoke(name, callArgs)
-		return invoke.Result(method, out, err)
-	case "Version":
+	case "version":
 		if err := invoke.CheckArity(method, args, 0, 0); err != nil {
 			return nil, err
 		}
 		return []any{p.Version()}, nil
 	}
-	return nil, invoke.NoSuchMethod(p, method)
+	return p.Invoke(method, args)
 }
 
 // ProxyOut is the client-side half of a proxy pair: it stands in for a not
@@ -253,20 +248,14 @@ type remoteInvoker struct {
 
 var _ objmodel.RemoteInvoker = (*remoteInvoker)(nil)
 
-// RemoteInvoke follows leader redirects (a not-leader refusal guarantees
-// the invoke did not run), but transient failures are NOT re-routed: an
-// invoke is not idempotent.
+// RemoteInvoke calls method on the master under its own name. It follows
+// leader redirects (a not-leader refusal guarantees the invoke did not
+// run), but transient failures are NOT re-routed: an invoke is not
+// idempotent.
 func (ri *remoteInvoker) RemoteInvoke(method string, args []any) ([]any, error) {
-	res, _, end, err := ri.eng.callFailover(nil, ri.eng.rt.Clock().Now(), ri.oid, ri.provider, ri.eng.rt.DefaultCallTimeout(), false, "Invoke", method, args)
+	res, _, end, err := ri.eng.callFailover(nil, ri.eng.rt.Clock().Now(), ri.oid, ri.provider, ri.eng.rt.DefaultCallTimeout(), false, method, args...)
 	if err != nil {
 		return nil, ri.eng.failUnavailable("invoke", ri.oid, telemetry.SpanContext{}, err, end)
 	}
-	if len(res) == 0 || res[0] == nil {
-		return nil, nil
-	}
-	out, ok := res[0].([]any)
-	if !ok {
-		return nil, fmt.Errorf("remote invoke %s: unexpected reply %T", method, res[0])
-	}
-	return out, nil
+	return res, nil
 }

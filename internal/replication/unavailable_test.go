@@ -110,11 +110,11 @@ func TestDemandRetriesThroughScriptedOutage(t *testing.T) {
 // answering busy until the retry policy gave up cannot be asked right now;
 // it did not say no. An application fault stays a bare error.
 func TestBusyProviderIsUnavailableNotRefused(t *testing.T) {
-	busy := fmt.Errorf("rmi: Get failed after 4 attempts: %w", &rmi.RemoteError{Code: wire.FaultBusy, Method: "Get"})
+	busy := fmt.Errorf("rmi: get failed after 4 attempts: %w", &rmi.RemoteError{Code: wire.FaultBusy, Method: "get"})
 	if err := wrapUnavailable(busy); !errors.Is(err, ErrUnavailable) || !errors.Is(err, busy) {
 		t.Fatalf("busy provider: want ErrUnavailable wrapping the cause, got %v", err)
 	}
-	app := &rmi.RemoteError{Code: wire.FaultApp, Method: "Get"}
+	app := &rmi.RemoteError{Code: wire.FaultApp, Method: "get"}
 	if err := wrapUnavailable(app); errors.Is(err, ErrUnavailable) {
 		t.Fatalf("application fault must not read as unavailable: %v", err)
 	}

@@ -5,6 +5,8 @@ import (
 
 	"obiwan/internal/heap"
 	"obiwan/internal/netsim"
+	"obiwan/internal/objmodel"
+	"obiwan/internal/raceflag"
 	"obiwan/internal/rmi"
 	"obiwan/internal/transport"
 )
@@ -29,6 +31,14 @@ const (
 	// results, and its reply: 21 at revision 3, whose call frame carried the
 	// client id "s1#1"; 15 now.
 	nullCallWireBytes = 15
+	// remoteInvokeWireBytes is a ModeRemote Ref.Invoke through a proxy-in
+	// of a method with no arguments and one int result, the benchmark's
+	// rmi_null shape: 29 at revision 4, whose call wrapped the method's name
+	// and arguments in an Invoke call and whose reply wrapped the results
+	// in a list; 17 now. remoteInvokeAllocs is what the same call
+	// allocates, both sites together: 23 at revision 4, 14 now.
+	remoteInvokeWireBytes = 17
+	remoteInvokeAllocs    = 14
 )
 
 // wirePinSites starts a master "s2" and a mobile "s1" on a zero-latency
@@ -126,5 +136,36 @@ func TestNullCallWireBytesPinned(t *testing.T) {
 	}
 	if again := nullCall(); again != got {
 		t.Fatalf("a null call moves %.2f wire bytes after 10 000 more runtimes, %.2f before", again, got)
+	}
+}
+
+// TestRemoteInvokeWireBytesPinned: a remote invocation through a proxy-in,
+// Ref.Invoke in ModeRemote, moves at most remoteInvokeWireBytes and
+// allocates at most remoteInvokeAllocs.
+func TestRemoteInvokeWireBytesPinned(t *testing.T) {
+	master, mobile := wirePinSites(t)
+	ref := exportHead(t, master, mobile, buildChain(t, master, 1, 64)[0], DefaultSpec)
+	ref.SetMode(objmodel.ModeRemote)
+	call := func() {
+		if res, err := ref.Invoke("Size"); err != nil || len(res) != 1 || res[0] != int64(64) {
+			t.Fatalf("Size: %v %v", res, err)
+		}
+	}
+	call() // the connection and its preamble
+	got := mobileWireBytes(mobile, 100, call)
+	t.Logf("a remote invocation moves %.2f wire bytes", got)
+	if got > remoteInvokeWireBytes {
+		t.Fatalf("a remote invocation moves %.2f wire bytes, pinned at %d", got, remoteInvokeWireBytes)
+	}
+	if mobile.heap.Len() != 0 {
+		t.Fatalf("ModeRemote replicated %d objects", mobile.heap.Len())
+	}
+	if raceflag.Enabled {
+		return // allocation counts are not repeatable under the race detector
+	}
+	allocs := testing.AllocsPerRun(2000, call)
+	t.Logf("a remote invocation allocates %.0f objects", allocs)
+	if allocs > remoteInvokeAllocs {
+		t.Fatalf("a remote invocation allocates %.0f objects, pinned at %d", allocs, remoteInvokeAllocs)
 	}
 }

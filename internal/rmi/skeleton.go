@@ -21,8 +21,8 @@ import (
 // clock again. A Dispatcher reports what a reflective
 // skeleton of the same object would: a bad argument as an *invoke.Error of
 // KindBadArgs, a method it does not have as KindNoSuchMethod, and a method's
-// own error as KindApp (invoke's Args1, Args2, CheckArity, NoSuchMethod and
-// Result build them), so the faults on the wire are the same either way.
+// own error as KindApp (invoke's Args1, CheckArity, NoSuchMethod and Result
+// build them), so the faults on the wire are the same either way.
 // Export checks for it once; a Dispatcher's calls never reach reflection.
 type Dispatcher interface {
 	Dispatch(sc telemetry.SpanContext, at time.Time, caller transport.Addr, method string, args []any) ([]any, error)

@@ -167,7 +167,7 @@ func TestAdoptedReplicaIsItsOwn(t *testing.T) {
 				t.Fatal(err)
 			}
 			req := &replication.PutRequest{OID: desc.OID, BaseVersion: mentry.Version(), State: state}
-			if _, _, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, desc.Provider, replication.BulkTimeout, "Put", req); err != nil {
+			if _, _, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, desc.Provider, replication.BulkTimeout, "put", req); err != nil {
 				t.Fatal(err)
 			}
 			if masterData()[1][0] != 0x5A {
@@ -188,7 +188,7 @@ func TestAdoptedReplicaIsItsOwn(t *testing.T) {
 			req := &replication.PutRequest{OID: uint64(entry.OID), BaseVersion: entry.Version(), State: state}
 			put := func() uint64 {
 				t.Helper()
-				res, _, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, entry.Provider(), replication.BulkTimeout, "Put", req)
+				res, _, err := mobile.Runtime().CallWithin(telemetry.SpanContext{}, time.Time{}, entry.Provider(), replication.BulkTimeout, "put", req)
 				if err != nil {
 					t.Fatal(err)
 				}

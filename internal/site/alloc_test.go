@@ -442,12 +442,14 @@ func faultAllocs(t *testing.T, opts ...Option) float64 {
 // id) were copied out of every frame instead of out of a connection memo,
 // 40 while the Get call passed the requester's address as an argument,
 // boxed into an interface at either end, 38 while the master recorded
-// every Get in its dedupe table.)
-const faultAllocsOff = 37
+// every Get in its dedupe table, 37 while a frame's head grew in a buffer
+// of its own from a guessed size instead of being copied out of a lent
+// encoder.)
+const faultAllocsOff = 36
 
 // TestFaultTelemetryAllocationsPinned: what a site records about a fault
-// with nobody reading it allocates nothing. Its five spans (fault, rmi:Get,
-// materialize; serve:Get, assemble) live in their callers' frames until End
+// with nobody reading it allocates nothing. Its five spans (fault, rmi:get,
+// materialize; serve:get, assemble) live in their callers' frames until End
 // copies them into the ring's slabs, and a slab is one allocation per 178
 // spans, which a per-fault count rounds away. With telemetry off no
 // allocation is made for its sake. (28.9 before spans rendered on export,

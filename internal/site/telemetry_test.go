@@ -124,8 +124,8 @@ func TestFaultChainSpansFormOneRootedTree(t *testing.T) {
 	}
 	demand := func(provider string) treeShape {
 		return treeShape{site: "gamma", name: "fault", kids: []treeShape{
-			{site: "gamma", name: "rmi:Get", kids: []treeShape{
-				{site: provider, name: "serve:Get", kids: []treeShape{
+			{site: "gamma", name: "rmi:get", kids: []treeShape{
+				{site: provider, name: "serve:get", kids: []treeShape{
 					{site: provider, name: "assemble"},
 				}},
 			}},
@@ -218,12 +218,12 @@ func TestTraceSpansAcrossKillRestart(t *testing.T) {
 		site: "mobile", name: "session",
 		kids: []treeShape{
 			{site: "mobile", name: "fault", kids: []treeShape{
-				{site: "mobile", name: "rmi:Get"}, // incarnation 1 serve spans died with it
+				{site: "mobile", name: "rmi:get"}, // incarnation 1 serve spans died with it
 				{site: "mobile", name: "materialize"},
 			}},
 			{site: "mobile", name: "refresh", kids: []treeShape{
-				{site: "mobile", name: "rmi:Get", kids: []treeShape{
-					{site: "server", name: "serve:Get", kids: []treeShape{
+				{site: "mobile", name: "rmi:get", kids: []treeShape{
+					{site: "server", name: "serve:get", kids: []treeShape{
 						{site: "server", name: "assemble"},
 					}},
 				}},

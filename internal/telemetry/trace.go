@@ -93,7 +93,7 @@ type SpanRecord struct {
 	Parent uint64
 	// Site is the name of the site that recorded the span.
 	Site string
-	// Name is the operation: "fault", "rmi:Get", "serve:Get", "assemble",
+	// Name is the operation: "fault", "rmi:get", "serve:get", "assemble",
 	// "materialize", "put.apply", ...
 	Name    string
 	StartNS int64

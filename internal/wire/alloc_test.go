@@ -19,8 +19,10 @@ import (
 // and Decoder headers left the heap when the Marshaler hook stopped taking
 // them (one fewer each).
 const (
-	// Its first buffer and the frame the Payload is grown into.
-	stepReplyEncodeAllocs = 2
+	// The head, copied out of a lent encoder at its length. 2 while the
+	// head had a buffer of its own from a guessed size, which the Payload
+	// outgrew.
+	stepReplyEncodeAllocs = 1
 	// The Reply, its results, the Payload, its record and frontier slices
 	// and every string on the way (the states are borrowed). 16 while the
 	// Payload's wire name was copied out of the frame.

@@ -14,9 +14,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"obiwan/internal/codec"
@@ -45,7 +47,10 @@ const (
 //	    the replier's own address as empty (replication.Payload)
 //	4 — the caller names itself once per connection: Hello carries its
 //	    Identity, and Call frames carry no client
-const ProtocolVersion = 4
+//	5 — a proxy-in's own methods travel as get, put, putCluster and
+//	    version, and every other name is a method of its master, called
+//	    without an Invoke envelope (replication.ProxyIn.Dispatch)
+const ProtocolVersion = 5
 
 // helloMagic guards against cross-protocol traffic reaching an RMI port.
 const helloMagic = "OBI1"
@@ -252,14 +257,18 @@ func EncodeFrame(reg *codec.Registry, msg any) (Frame, error) {
 	return encode(reg, msg, &vec)
 }
 
+// heads lends the encoders frame heads are written in. A head is copied out
+// at its length, so a frame pins no slack, unless it outgrew 4 KiB.
+var heads = sync.Pool{New: func() any { return codec.NewEncoder(256) }}
+
 // encode is the one encoder of calls and replies: contiguous when vec is
 // nil, as a vector otherwise.
 func encode(reg *codec.Registry, msg any, vec *codec.Vector) (Frame, error) {
-	var e *codec.Encoder
+	e := heads.Get().(*codec.Encoder)
+	e.Reset()
 	var values []any
 	switch m := msg.(type) {
 	case *Call:
-		e = codec.NewEncoder(64 + 16*len(m.Args))
 		e.WriteRaw([]byte{KindCall})
 		e.WriteUvarint(m.ID)
 		e.WriteUvarint(m.Target)
@@ -268,7 +277,6 @@ func encode(reg *codec.Registry, msg any, vec *codec.Vector) (Frame, error) {
 		e.WriteUvarint(m.SpanID)
 		values = m.Args
 	case *Reply:
-		e = codec.NewEncoder(32 + 16*len(m.Results))
 		e.WriteRaw([]byte{KindReply})
 		e.WriteUvarint(m.ID)
 		values = m.Results
@@ -285,6 +293,10 @@ func encode(reg *codec.Registry, msg any, vec *codec.Vector) (Frame, error) {
 		}
 	}
 	head := e.Bytes()
+	if cap(head) <= 4<<10 {
+		head = bytes.Clone(head)
+		heads.Put(e)
+	}
 	if vec.Len() == 0 {
 		return Frame{buf: head}, nil
 	}

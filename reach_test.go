@@ -616,7 +616,6 @@ var deadAllowlist = map[string]string{
 	"chaos.walk":                             "test-support",
 	"chaos.wire":                             "test-support",
 	"codec.Encoder.Len":                      "test-support",
-	"codec.Encoder.Reset":                    "test-support",
 	"codec.Encoder.Value":                    "test-support",
 	"codec.Registry.NameOf":                  "test-support",
 	"codec.Registry.Names":                   "test-support",
